@@ -508,7 +508,7 @@ def _run_cell(cell: dict, seed: int) -> bounds.BoundReport:
         params = {"t": t, "k0": rep.k0, "m": m, "a": rep.size}
         return bounds.BoundReport.build(res, p, params, rep.energy)
     if name == "random_3d":
-        rng = random.Random((cell.get("seed", seed), p, "3d"))
+        rng = random.Random(repr((cell.get("seed", seed), int(p), "3d")))
         pts = WeightedPointSet.of(
             random_points(p, 3, cell.get("points", 32), rng), p, dim=3)
         planes = WeightedPlaneSet.of(
@@ -518,7 +518,7 @@ def _run_cell(cell: dict, seed: int) -> bounds.BoundReport:
         params = {"q": rep.distinct_points, "pi": rep.distinct_planes, "k": rep.k}
         return bounds.BoundReport.build(res, p, params, rep.pairs, extra_flags=rep.flags)
     if name == "random_2d":
-        rng = random.Random((cell.get("seed", seed), p, "2d"))
+        rng = random.Random(repr((cell.get("seed", seed), int(p), "2d")))
         pts = random_points(p, 2, cell.get("points", 32), rng)
         lines = random_lines(p, 2, cell.get("lines", 32), rng)
         covs = [line_as_covector(ln) for ln in lines]

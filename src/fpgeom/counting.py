@@ -158,45 +158,87 @@ class IncidenceReport:
 
 
 # ---------------------------------------------------------------------------
-# core incidence machinery
+# core incidence machinery: the normal-pencil engine
+#
+# Planes sharing a canonical normal form a parallel pencil, so a point's
+# residue n.q mod p, taken once per distinct normal, picks out the single
+# plane of that pencil through it.  Residues are matched against the sorted
+# int64 keys normal_id * p + offset, never against a dense table, so memory
+# is O(|planes| + block) and every step stays exact in int64 for p < 2^31.
 
-def incidence_matrix(points: WeightedPointSet, planes: WeightedPlaneSet) -> np.ndarray:
-    """Boolean matrix inc[i, j] == (point i lies on plane j), exact integers."""
-    p = points.p
-    P = points.coords_array()
-    N, off = planes.arrays()
-    acc = np.zeros((len(points), len(planes)), dtype=np.int64)
-    for c in range(points.dim):
-        acc = (acc + P[:, c : c + 1] * N[:, c]) % p
-    return acc == off
-
-
-def _forbidden_mask(
-    points: WeightedPointSet, planes: WeightedPlaneSet, lines: tuple[AffineLine, ...]
-) -> np.ndarray:
-    mask = np.zeros((len(points), len(planes)), dtype=bool)
-    for line in lines:
-        on_line = np.array([line.contains(q) for q in points.points], dtype=bool)
-        if not on_line.any():
-            continue
-        in_plane = np.array([pl.contains_line(line) for pl in planes.planes], dtype=bool)
-        if in_plane.any():
-            mask |= np.outer(on_line, in_plane)
-    return mask
+# residues computed per block of points; a fixed size, not a tuning knob
+_BLOCK_CELLS = 1 << 20
 
 
-def _totals(points, planes, inc) -> tuple[int, int]:
-    pairs = int(inc.sum())
-    if points.total_weight() * planes.total_weight() < _NP_SAFE:
-        wq = np.array(points.weights, dtype=np.int64)
-        wp = np.array(planes.weights, dtype=np.int64)
-        weighted = int(wq @ inc @ wp)
-    else:
-        weighted = 0
-        for i, wq in enumerate(points.weights):
-            row = inc[i]
-            weighted += wq * sum(w for j, w in enumerate(planes.weights) if row[j])
+def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
+    """Yield (point index, plane index) arrays of incident pairs, block by block.
+
+    P holds points as rows, N and off the canonical normals and offsets of
+    distinct hyperplanes, so each residue matches at most one plane.
+    """
+    if not len(P) or not len(N):
+        return
+    normals, nid = np.unique(N, axis=0, return_inverse=True)
+    nid = nid.reshape(-1)
+    keys = nid * p + off
+    order = np.argsort(keys)
+    keys = keys[order]
+    u = len(normals)
+    rows = max(1, _BLOCK_CELLS // u)
+    row_keys = np.arange(u, dtype=np.int64) * p
+    for start in range(0, len(P), rows):
+        block = P[start : start + rows]
+        acc = np.zeros((len(block), u), dtype=np.int64)
+        for c in range(P.shape[1]):
+            acc = (acc + block[:, c : c + 1] * normals[:, c]) % p
+        acc += row_keys
+        flat = acc.reshape(-1)
+        pos = np.searchsorted(keys, flat)
+        pos[pos == len(keys)] = 0
+        hit = np.flatnonzero(keys[pos] == flat)
+        qi, pj = hit // u + start, order[pos[hit]]
+        del acc, flat, pos, hit  # free the block while the caller reduces
+        yield qi, pj
+
+
+def _weight_arrays(points, planes) -> tuple[np.ndarray, np.ndarray]:
+    # int64 products and sums are exact while the weighted total stays below
+    # _NP_SAFE; beyond it the weights are held as python ints
+    dtype = np.int64 if points.total_weight() * planes.total_weight() < _NP_SAFE else object
+    return np.array(points.weights, dtype=dtype), np.array(planes.weights, dtype=dtype)
+
+
+def _totals(index_pairs, wq, wp) -> tuple[int, int]:
+    """(pairs, weighted) summed over (point index, plane index) arrays."""
+    pairs = weighted = 0
+    for qi, pj in index_pairs:
+        pairs += len(qi)
+        weighted += int(np.dot(wq[qi], wp[pj]))
     return pairs, weighted
+
+
+def _forbidden_pairs(P, N, off, p: int, lines) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (point index, plane index) pairs with the point on some
+    forbidden line that lies inside the plane."""
+    keys = []
+    for line in lines:
+        base = np.array(line.base, dtype=np.int64)
+        d = np.array(line.direction, dtype=np.int64)
+        # canonical form: d[j] == 1 and base[j] == 0, so q is on the line
+        # exactly when q == base + q[j] * d
+        j = next(i for i, c in enumerate(line.direction) if c)
+        on_line = np.flatnonzero(((base + P[:, j : j + 1] * d) % p == P).all(axis=1))
+        if not len(on_line):
+            continue
+        nb = nd = np.zeros(len(N), dtype=np.int64)
+        for c in range(P.shape[1]):
+            nb = (nb + N[:, c] * base[c]) % p
+            nd = (nd + N[:, c] * d[c]) % p
+        in_plane = np.flatnonzero((nb == off) & (nd == 0))
+        keys.append((on_line[:, None] * len(N) + in_plane).reshape(-1))
+    # one pair can be routed through two forbidden lines
+    keys = np.unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
+    return keys // len(N), keys % len(N)
 
 
 def _base_flags(points: WeightedPointSet, planes: WeightedPlaneSet) -> dict[str, bool]:
@@ -218,9 +260,12 @@ def count_point_plane(points: WeightedPointSet, planes: WeightedPlaneSet) -> Inc
     maximum number of collinear distinct points, ignoring weights.
     """
     _require_dim3(points, planes)
-    inc = incidence_matrix(points, planes)
-    pairs, weighted = _totals(points, planes, inc)
-    k, wit = _collinearity(points)
+    N, off = planes.arrays()
+    pairs, weighted = _totals(
+        _incident_pairs(points.coords_array(), N, off, points.p),
+        *_weight_arrays(points, planes),
+    )
+    (k, wit), _ = _collinearity(points)
     return IncidenceReport(
         pairs=pairs,
         weighted=weighted,
@@ -252,11 +297,13 @@ def count_restricted(
     for line in forb:
         if line.p != points.p or line.dim != points.dim:
             raise DimensionMismatchError("forbidden line does not match the sets")
-    inc = incidence_matrix(points, planes)
-    keep = inc & ~_forbidden_mask(points, planes, forb)
-    pairs, weighted = _totals(points, planes, keep)
-    k, wit = _collinearity(points)
-    k_star, wit_star = _collinearity(points, exclude=set(forb))
+    P, (N, off) = points.coords_array(), planes.arrays()
+    wq, wp = _weight_arrays(points, planes)
+    pairs, weighted = _totals(_incident_pairs(P, N, off, points.p), wq, wp)
+    # every forbidden pair is incident, so subtracting them is exact
+    lost, lost_weight = _totals([_forbidden_pairs(P, N, off, points.p, forb)], wq, wp)
+    pairs, weighted = pairs - lost, weighted - lost_weight
+    (k, wit), (k_star, wit_star) = _collinearity(points, exclude=frozenset(forb))
     return IncidenceReport(
         pairs=pairs,
         weighted=weighted,
@@ -317,24 +364,27 @@ def _direction_groups(pts: tuple[Vec, ...], i: int, p: int) -> dict[Vec, int]:
 
 
 def _collinearity(
-    points: WeightedPointSet, exclude: set[AffineLine] | None = None
-) -> tuple[int, AffineLine | None]:
+    points: WeightedPointSet, exclude: frozenset[AffineLine] = frozenset()
+) -> tuple[tuple[int, AffineLine | None], tuple[int, AffineLine | None]]:
+    """(k, witness) over all lines and (k*, witness) over lines not in exclude,
+    from one pass; the first line to reach each maximum is its witness."""
     pts, p = points.points, points.p
     n = len(pts)
-    if n == 0:
-        return 0, None
-    if n == 1:
-        return 1, None
+    if n <= 1:
+        return (n, None), (n, None)
     best, witness = 1, None
+    best_star, witness_star = 1, None
     for i in range(n):
         for d, c in _direction_groups(pts, i, p).items():
-            if c + 1 <= best:
+            # best_star <= best, so this skips only lines neither maximum takes
+            if c + 1 <= best_star:
                 continue
             line = AffineLine(p, pts[i], d)
-            if exclude and line in exclude:
-                continue
-            best, witness = c + 1, line
-    return best, witness
+            if c + 1 > best:
+                best, witness = c + 1, line
+            if line not in exclude:
+                best_star, witness_star = c + 1, line
+    return (best, witness), (best_star, witness_star)
 
 
 def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, AffineLine]:
@@ -351,7 +401,7 @@ def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, Affin
     if sample is not None and sample < len(pts):
         import random
 
-        bases = sorted(random.Random(("max-collinear", len(pts), sample)).sample(
+        bases = sorted(random.Random(repr(("max-collinear", len(pts), sample))).sample(
             range(len(pts)), sample))
         best, witness = 1, None
         for i in bases:
@@ -367,7 +417,7 @@ def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, Affin
         assert witness is not None
         return best, witness
     ws = WeightedPointSet.of(pts, p)
-    k, wit = _collinearity(ws)
+    (k, wit), _ = _collinearity(ws)
     assert wit is not None
     return k, wit
 
@@ -418,15 +468,10 @@ def count_point_line_2d(points, lines, p: int) -> int:
             raise DimensionMismatchError("planar counting expects 2-dimensional lines")
         covs.append(cov)
     covs = sorted(set(covs))
-    if not pts or not covs:
-        return 0
-    P = np.array(pts, dtype=np.int64)
-    N = np.array([c.normal for c in covs], dtype=np.int64)
+    P = np.array(pts, dtype=np.int64).reshape(len(pts), 2)
+    N = np.array([c.normal for c in covs], dtype=np.int64).reshape(len(covs), 2)
     off = np.array([c.offset for c in covs], dtype=np.int64)
-    acc = np.zeros((len(pts), len(covs)), dtype=np.int64)
-    for c in range(2):
-        acc = (acc + P[:, c : c + 1] * N[:, c]) % p
-    return int((acc == off).sum())
+    return sum(len(qi) for qi, _ in _incident_pairs(P, N, off, p))
 
 
 def count_point_line_2d_naive(points, lines, p: int) -> int:

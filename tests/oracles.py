@@ -31,6 +31,18 @@ def line_in_plane(base, direction, normal, offset, p) -> bool:
     return all(on_plane(x, normal, offset, p) for x in line_points(base, direction, p))
 
 
+def on_line_by_minors(q, base, direction, p) -> bool:
+    """q - base is a multiple of the direction; no enumeration, so any p."""
+    second = tuple((b + d) % p for b, d in zip(base, direction))
+    return collinear(base, second, q, p)
+
+
+def line_in_plane_by_two_points(base, direction, normal, offset, p) -> bool:
+    """A line lies in a plane exactly when two distinct points of it do."""
+    second = tuple((b + d) % p for b, d in zip(base, direction))
+    return on_plane(base, normal, offset, p) and on_plane(second, normal, offset, p)
+
+
 def collinear(a, b, c, p) -> bool:
     u = tuple((x - y) % p for x, y in zip(b, a))
     v = tuple((x - y) % p for x, y in zip(c, a))
@@ -62,8 +74,13 @@ def count_point_plane(points, weights_q, planes, weights_pi, p):
     return pairs, weighted
 
 
-def count_restricted(points, weights_q, planes, weights_pi, forbidden, p):
-    """forbidden: list of (base, direction). Literal triple-loop definition."""
+def count_restricted(points, weights_q, planes, weights_pi, forbidden, p,
+                     on_line=on_line, line_in_plane=line_in_plane):
+    """forbidden: list of (base, direction). Literal triple-loop definition.
+
+    The default predicates enumerate all p points of each line; pass the
+    `_by_minors` / `_by_two_points` pair for large p.
+    """
     pairs = weighted = 0
     for q, wq in zip(points, weights_q):
         for (normal, offset), wpi in zip(planes, weights_pi):

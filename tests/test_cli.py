@@ -160,6 +160,16 @@ class TestSweep:
         _, b = run(tmp_path, "--threads", "4", "sweep", str(spec))
         assert a == b
 
+    def test_random_cells_run(self, tmp_path):
+        spec = tmp_path / "sweep.txt"
+        spec.write_text("construction=random_3d,random_2d\np=11,13\n"
+                        "points=12\nplanes=8\nlines=8\n")
+        code, text = run(tmp_path, "--seed", "4", "sweep", str(spec))
+        assert code == 0
+        rows = text.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["T1", "T1", "VINH", "VINH"]
+        assert run(tmp_path, "--seed", "4", "sweep", str(spec)) == (code, text)
+
     def test_spec_validation(self):
         with pytest.raises(Exception):
             parse_sweep_spec("construction=sphere\ntheorem=T41\np=7\n")  # bad pairing

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import pytest
 
 import oracles
 from conftest import random_distinct_points, random_raw_lines, random_raw_planes, rng_for
+from fpgeom import counting
+from fpgeom.constructions import sphere_config
 from fpgeom.counting import (
     WeightedPlaneSet,
     WeightedPointSet,
@@ -186,6 +190,132 @@ class TestCountRestricted:
             on_witness = sum(1 for q in pts if rep.k_star_witness.contains(q))
             assert on_witness == rep.k_star
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_k_and_k_star_match_oracle(self, seed):
+        rng = rng_for("kstar-oracle", seed)
+        p = 7
+        rich = [AffineLine(p, b, d) for b, d in random_raw_lines(rng, p, 3, 5)]
+        forbidden = rich[: rng.randrange(1, 3)]
+        pts = set(random_distinct_points(rng, p, 3, 12))
+        # forbidden lines are full, so k* comes from a poorer line found later
+        for line in rich:
+            pts.update(line.points() if line in forbidden else rng.sample(line.points(), 4))
+        pts = sorted(pts)
+        Q = WeightedPointSet.of(pts, p)
+        Pi = WeightedPlaneSet.of(random_raw_planes(rng, p, 3, 3), p)
+        rep = count_restricted(Q, Pi, forbidden)
+        banned = [set(oracles.line_points(l.base, l.direction, p)) for l in forbidden]
+        k_star = 1
+        for i, a in enumerate(pts):
+            for b in pts[i + 1 :]:
+                if set(oracles.line_points(a, oracles.diff(b, a, p), p)) in banned:
+                    continue
+                k_star = max(k_star, sum(1 for q in pts if oracles.collinear(a, b, q, p)))
+        assert rep.k == oracles.max_collinear(pts, p)
+        assert rep.k_star == k_star
+        assert rep.k_star_witness not in forbidden
+        assert sum(1 for q in pts if rep.k_star_witness.contains(q)) == k_star
+
+    def test_pair_routed_through_two_lines_is_subtracted_once(self):
+        p = 7
+        x_axis = AffineLine(p, (0, 0, 0), (1, 0, 0))
+        y_axis = AffineLine(p, (0, 0, 0), (0, 1, 0))
+        Q = WeightedPointSet.of([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)], p,
+                                weights=[2, 3, 5, 7])
+        # z=0 holds both axes, so (origin, z=0) is routed through both
+        Pi = WeightedPlaneSet.of([((0, 0, 1), 0), ((1, 0, 0), 0), ((0, 1, 0), 0),
+                                  ((1, 1, 1), 0)], p, weights=[11, 13, 17, 19])
+        rep = count_restricted(Q, Pi, [x_axis, y_axis])
+        raw_planes = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw_lines = [(l.base, l.direction) for l in (x_axis, y_axis)]
+        assert (rep.pairs, rep.weighted) == oracles.count_restricted(
+            Q.points, Q.weights, raw_planes, Pi.weights, raw_lines, p)
+        # only (origin, x+y+z=0) survives
+        assert (rep.pairs, rep.weighted) == (1, 2 * 19)
+
+
+class TestBigWeights:
+    """Weighted totals past 2^62 take the exact python-int route."""
+
+    def _sets(self, p=11):
+        rng = rng_for("bigweights")
+        pts = random_distinct_points(rng, p, 3, 30)
+        raw_planes = random_raw_planes(rng, p, 3, 40)
+        Q = WeightedPointSet.of(pts, p, weights=[rng.randrange(2**40, 2**41) for _ in pts])
+        Pi = WeightedPlaneSet.of(
+            raw_planes, p, weights=[rng.randrange(2**40, 2**41) for _ in raw_planes])
+        assert Q.total_weight() * Pi.total_weight() >= 2**62
+        return rng, Q, Pi
+
+    def test_point_plane(self):
+        _, Q, Pi = self._sets()
+        rep = count_point_plane(Q, Pi)
+        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
+        assert (rep.pairs, rep.weighted) == oracles.count_point_plane(
+            Q.points, Q.weights, raw, Pi.weights, Q.p)
+        assert rep.weighted > 2**63  # an int64 sum would have wrapped
+
+    def test_restricted(self):
+        rng, Q, Pi = self._sets()
+        p = Q.p
+        lines = [AffineLine(p, b, d) for b, d in random_raw_lines(rng, p, 3, 3)]
+        # lines inside planes through their points, so the restriction bites
+        for pl in Pi.planes:
+            a, b, c = pl.normal
+            d = (b, -a, 0) if (a, b) != (0, 0) else (1, 0, 0)
+            lines += [AffineLine(p, q, d) for q in Q.points if pl.contains(q)][:1]
+        rep = count_restricted(Q, Pi, lines)
+        raw_planes = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw_lines = [(l.base, l.direction) for l in lines]
+        assert (rep.pairs, rep.weighted) == oracles.count_restricted(
+            Q.points, Q.weights, raw_planes, Pi.weights, raw_lines, p)
+        assert rep.pairs < count_point_plane(Q, Pi).pairs
+
+
+class TestEngine:
+    """The normal-pencil engine across block boundaries, and its memory."""
+
+    @pytest.mark.parametrize("cells", [1, 7, 50])
+    def test_block_boundaries(self, monkeypatch, cells):
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        rng = rng_for("blocks", cells)
+        p = 7
+        pts = random_distinct_points(rng, p, 3, 40)
+        # three normals, so blocks of several points with a partial last one
+        normals = [(1, 2, 3), (0, 1, 4), (0, 0, 1)]
+        raw_planes = [(n, c) for n in normals for c in range(p) if rng.random() < 0.7]
+        wq = [rng.randrange(1, 5) for _ in pts]
+        Q = WeightedPointSet.of(pts, p, weights=wq)
+        Pi = WeightedPlaneSet.of(raw_planes, p)
+        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
+        rep = count_point_plane(Q, Pi)
+        assert (rep.pairs, rep.weighted) == oracles.count_point_plane(
+            Q.points, Q.weights, raw, Pi.weights, p)
+        lines = [AffineLine(p, q, (1, 0, 0)) for q in Q.points[::7]]
+        rep = count_restricted(Q, Pi, lines)
+        assert (rep.pairs, rep.weighted) == oracles.count_restricted(
+            Q.points, Q.weights, raw, Pi.weights, [(l.base, l.direction) for l in lines], p)
+        pts2 = random_distinct_points(rng, p, 2, 30)
+        triples = [(1, b, c) for b in range(3) for c in range(p)] + [(0, 1, 2)]
+        assert count_point_line_2d(pts2, triples, p) == oracles.count_point_line_2d(
+            pts2, triples, p)
+
+    def test_sphere_memory_stays_far_below_dense_matrix(self, monkeypatch):
+        p = 31
+        Q, Pi = sphere_config(p)
+        dense = len(Q) * len(Pi) * 8  # one int64 |Q| x |Pi| array, about 229 MB
+        # collinearity is not part of the engine and is slow under tracemalloc
+        monkeypatch.setattr(counting, "_collinearity", lambda *a, **k: ((0, None), (0, None)))
+        tracemalloc.start()
+        try:
+            rep = count_point_plane(Q, Pi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # every point of F_p^3 lies on p^2 + p + 1 planes of the complete family
+        assert rep.pairs == len(Q) * (p * p + p + 1)
+        assert peak < dense // 3
+
 
 class TestMaxCollinear:
     def test_three_collinear(self):
@@ -203,6 +333,17 @@ class TestMaxCollinear:
         pts = [(1, 2, 3), (4, 9, 11), (0, 5, 17), (8, 8, 2), (12, 0, 7)]
         k, _ = max_collinear(pts, p)
         assert k == oracles.max_collinear(pts, p) == 2
+
+    def test_sample_is_lower_bound_with_witness(self):
+        p = 11
+        rng = rng_for("maxcol-sample")
+        line = AffineLine(p, (1, 2, 3), (1, 4, 9))
+        pts = sorted(set(random_distinct_points(rng, p, 3, 40) + line.points()[:6]))
+        exact, _ = max_collinear(pts, p)
+        k, witness = max_collinear(pts, p, sample=5)
+        assert 2 <= k <= exact
+        assert sum(1 for q in pts if witness.contains(q)) == k
+        assert max_collinear(pts, p, sample=5) == (k, witness)
 
     def test_needs_two_points(self):
         with pytest.raises(GeometryError):

@@ -3,7 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpgeom.counting import WeightedPlaneSet, WeightedPointSet, count_point_plane
+import oracles
+from fpgeom.counting import (
+    WeightedPlaneSet,
+    WeightedPointSet,
+    count_point_line_2d,
+    count_point_plane,
+    count_restricted,
+)
 from fpgeom.energy import additive_energy
 from fpgeom.geom import (
     AffineLine,
@@ -73,3 +80,79 @@ def test_count_is_input_order_invariant(points, raw_planes, rnd):
         WeightedPointSet.of(points, P, dim=3), WeightedPlaneSet.of(planes, P, dim=3)
     )
     assert a.pairs == b.pairs and a.weighted == b.weighted and a.k == b.k
+
+
+# ---------------------------------------------------------------------------
+# the incidence engine at the largest supported prime, against the oracles
+
+BIG = 2147483647  # 2^31 - 1
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v)) % BIG
+
+
+@st.composite
+def big_configs(draw, dim):
+    """Points, weighted (normal, offset) planes and (base, direction) lines
+    over F_BIG, built so that incidences and routed pairs actually occur:
+    points sit on the lines, and planes pass through points or lines."""
+    coord = st.integers(0, BIG - 1)
+    vec = st.tuples(*(coord for _ in range(dim)))
+    nonzero = vec.filter(any)
+    points = draw(st.lists(vec, min_size=1, max_size=6))
+    lines = draw(st.lists(st.tuples(st.sampled_from(points), nonzero), max_size=3))
+    for base, d in lines:
+        for t in draw(st.lists(st.integers(1, BIG - 1), max_size=3)):
+            points.append(tuple((b + t * c) % BIG for b, c in zip(base, d)))
+    planes = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["point", "line", "parallel", "free"]))
+        if kind == "line" and lines and dim == 3:
+            base, d = draw(st.sampled_from(lines))
+            v = draw(nonzero)
+            # the cross product d x v is orthogonal to d
+            n = tuple((d[(i + 1) % 3] * v[(i + 2) % 3] - d[(i + 2) % 3] * v[(i + 1) % 3]) % BIG
+                      for i in range(3))
+            if any(n):
+                planes.append((n, _dot(n, base)))
+                continue
+        if kind == "parallel" and planes:
+            n = draw(st.sampled_from(planes))[0]
+            planes.append((n, _dot(n, draw(st.sampled_from(points)))))
+            continue
+        n = draw(nonzero)
+        off = _dot(n, draw(st.sampled_from(points))) if kind != "free" else draw(coord)
+        planes.append((n, off))
+    weight = st.integers(1, 2**40)
+    wq = draw(st.lists(weight, min_size=len(points), max_size=len(points)))
+    wp = draw(st.lists(weight, min_size=len(planes), max_size=len(planes)))
+    return points, wq, planes, wp, lines
+
+
+@given(big_configs(3))
+@settings(max_examples=40, deadline=None)
+def test_point_plane_engines_match_oracles_at_big_prime(config):
+    points, wq, raw_planes, wp, raw_lines = config
+    Q = WeightedPointSet.of(points, BIG, weights=wq, dim=3)
+    Pi = WeightedPlaneSet.of(raw_planes, BIG, weights=wp, dim=3)
+    planes = [(pl.normal, pl.offset) for pl in Pi.planes]
+    rep = count_point_plane(Q, Pi)
+    assert (rep.pairs, rep.weighted) == oracles.count_point_plane(
+        Q.points, Q.weights, planes, Pi.weights, BIG)
+    lines = [AffineLine(BIG, b, d) for b, d in raw_lines]
+    rep = count_restricted(Q, Pi, lines)
+    assert (rep.pairs, rep.weighted) == oracles.count_restricted(
+        Q.points, Q.weights, planes, Pi.weights, raw_lines, BIG,
+        on_line=oracles.on_line_by_minors,
+        line_in_plane=oracles.line_in_plane_by_two_points)
+
+
+@given(big_configs(2))
+@settings(max_examples=40, deadline=None)
+def test_point_line_2d_matches_oracle_at_big_prime(config):
+    points, _, raw_lines, _, _ = config
+    covs = sorted({AffinePlane(BIG, n, c) for n, c in raw_lines})
+    triples = [(cov.normal[0], cov.normal[1], cov.offset) for cov in covs]
+    assert count_point_line_2d(points, triples, BIG) == oracles.count_point_line_2d(
+        sorted(set(points)), triples, BIG)
