@@ -27,6 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# Flags that name the branch of a bound in use; they report, they are no
+# hypothesis, so a False value violates nothing.
+INFORMATIONAL_FLAGS = frozenset({"small_set_branch"})
+
+
 @dataclass(frozen=True)
 class RhsResult:
     theorem: str

@@ -3,7 +3,8 @@
 Subcommands: construct, count, distances, energy, forms, verify, sweep.
 Global flags: --seed, --threads, --format {csv,json}, --out, --strict.
 Exit codes: 0 success, 1 usage, 2 parse error, 3 constraint violation,
-4 internal overflow.  All output is deterministic for a fixed seed.
+4 internal error (overflow or an unexpected failure).  All output is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ def main(argv=None) -> int:
     except (GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # the CLI boundary: one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args) -> int:
@@ -136,17 +140,15 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "sweep":
-        rows = [configio.report_row(r) for r in run_experiment_file(
-            args.spec, seed=args.seed, threads=args.threads)]
-        return _emit_rows(rows, args)
+        return _emit_rows(run_experiment_file(
+            args.spec, seed=args.seed, threads=args.threads), args)
     handler = {
         "count": _cmd_count,
         "distances": _cmd_distances,
         "energy": _cmd_energy,
         "forms": _cmd_forms,
     }[args.command]
-    reports = handler(args)
-    return _emit_rows([configio.report_row(r) for r in reports], args)
+    return _emit_rows(handler(args), args)
 
 
 def _write_out(text: str, args) -> None:
@@ -157,14 +159,18 @@ def _write_out(text: str, args) -> None:
             fh.write(text)
 
 
-def _emit_rows(rows, args) -> int:
+def _emit_rows(reports, args) -> int:
+    rows = [configio.report_row(r) for r in reports]
     text = configio.rows_to_csv(rows) if args.format == "csv" else configio.rows_to_json(rows)
     _write_out(text, args)
-    if args.strict:
-        for row in rows:
-            if "=0" in row.get("flags", ""):
-                print("strict mode: hypothesis flag violated", file=sys.stderr)
-                return 3
+    if args.strict and any(
+        not ok
+        for r in reports
+        for name, ok in r.flags.items()
+        if name not in bounds.INFORMATIONAL_FLAGS
+    ):
+        print("strict mode: hypothesis flag violated", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -21,8 +21,6 @@ from .geom import (
     Vec,
     as_vec,
     line_as_covector,
-    scale_canonical,
-    vsub,
 )
 
 # numpy's int64 products stay exact below this; larger weighted totals take
@@ -241,16 +239,34 @@ def _forbidden_pairs(P, N, off, p: int, lines) -> tuple[np.ndarray, np.ndarray]:
     return keys // len(N), keys % len(N)
 
 
-def _base_flags(points: WeightedPointSet, planes: WeightedPlaneSet) -> dict[str, bool]:
-    p = points.p
-    return {
-        "points_lt_p_squared": len(points) < p * p,
-        "points_le_planes": len(points) <= len(planes),
-        "weight_ratio_lt_p_squared": (
-            points.max_weight() == 0
-            or points.total_weight() < p * p * points.max_weight()
-        ),
-    }
+def _report(points, planes, pairs: int, weighted: int, forbidden=None) -> IncidenceReport:
+    """The report of a count, with k from the line census; a restricted
+    count (forbidden given) also gets k* over lines outside the family."""
+    (k, wit), (k_star, wit_star) = _collinearity(points, exclude=frozenset(forbidden or ()))
+    p, restricted = points.p, forbidden is not None
+    return IncidenceReport(
+        pairs=pairs,
+        weighted=weighted,
+        distinct_points=len(points),
+        distinct_planes=len(planes),
+        point_weight=points.total_weight(),
+        plane_weight=planes.total_weight(),
+        max_point_weight=points.max_weight(),
+        max_plane_weight=planes.max_weight(),
+        k=k,
+        k_witness=wit,
+        flags={
+            "points_lt_p_squared": len(points) < p * p,
+            "points_le_planes": len(points) <= len(planes),
+            "weight_ratio_lt_p_squared": (
+                points.max_weight() == 0
+                or points.total_weight() < p * p * points.max_weight()
+            ),
+        },
+        restricted=restricted,
+        k_star=k_star if restricted else None,
+        k_star_witness=wit_star if restricted else None,
+    )
 
 
 def count_point_plane(points: WeightedPointSet, planes: WeightedPlaneSet) -> IncidenceReport:
@@ -265,20 +281,7 @@ def count_point_plane(points: WeightedPointSet, planes: WeightedPlaneSet) -> Inc
         _incident_pairs(points.coords_array(), N, off, points.p),
         *_weight_arrays(points, planes),
     )
-    (k, wit), _ = _collinearity(points)
-    return IncidenceReport(
-        pairs=pairs,
-        weighted=weighted,
-        distinct_points=len(points),
-        distinct_planes=len(planes),
-        point_weight=points.total_weight(),
-        plane_weight=planes.total_weight(),
-        max_point_weight=points.max_weight(),
-        max_plane_weight=planes.max_weight(),
-        k=k,
-        k_witness=wit,
-        flags=_base_flags(points, planes),
-    )
+    return _report(points, planes, pairs, weighted)
 
 
 def count_restricted(
@@ -302,24 +305,7 @@ def count_restricted(
     pairs, weighted = _totals(_incident_pairs(P, N, off, points.p), wq, wp)
     # every forbidden pair is incident, so subtracting them is exact
     lost, lost_weight = _totals([_forbidden_pairs(P, N, off, points.p, forb)], wq, wp)
-    pairs, weighted = pairs - lost, weighted - lost_weight
-    (k, wit), (k_star, wit_star) = _collinearity(points, exclude=frozenset(forb))
-    return IncidenceReport(
-        pairs=pairs,
-        weighted=weighted,
-        distinct_points=len(points),
-        distinct_planes=len(planes),
-        point_weight=points.total_weight(),
-        plane_weight=planes.total_weight(),
-        max_point_weight=points.max_weight(),
-        max_plane_weight=planes.max_weight(),
-        k=k,
-        k_witness=wit,
-        flags=_base_flags(points, planes),
-        restricted=True,
-        k_star=k_star,
-        k_star_witness=wit_star,
-    )
+    return _report(points, planes, pairs - lost, weighted - lost_weight, forb)
 
 
 def count_point_plane_naive(
@@ -351,49 +337,110 @@ def _require_dim3(points, planes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# collinearity statistics
+# collinearity statistics: the line census
+#
+# Every statistic about lines through two or more points (k, k*, sampled k,
+# spanned and rich lines, isotropic-line maxima) reads one census.  A block
+# of bases is paired with its partners, each difference is scaled to its
+# canonical direction (first nonzero coordinate 1) and the pairs are grouped
+# by (base, direction) with a sort, so memory is O(block).  All products stay
+# below p^2 < 2^62, which keeps the census exact in int64 for p < 2^31.
 
-def _direction_groups(pts: tuple[Vec, ...], i: int, p: int) -> dict[Vec, int]:
-    """Counts of later points by canonical direction from pts[i]."""
-    groups: dict[Vec, int] = {}
-    base = pts[i]
-    for j in range(i + 1, len(pts)):
-        d = scale_canonical(vsub(pts[j], base, p), p)
-        groups[d] = groups.get(d, 0) + 1
-    return groups
+# point pairs handled per block of bases; a fixed size, not a tuning knob
+_CENSUS_PAIRS = 2048
+
+
+def _inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise a^(p-2) mod p (Fermat), reducing after every product."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
+    """Yield (base, first partner, count, direction) arrays, block by block.
+
+    A group gathers the partners j of base i whose difference P[j] - P[i]
+    has one canonical direction, so count + 1 rows of P lie on that line
+    through P[i].  Partners are the later rows j > i, or every j != i with
+    all_partners.  Groups come in (base, first partner) order.
+    """
+    n = len(P)
+    bases = np.asarray(bases, dtype=np.int64)
+    per_base = np.full(len(bases), n - 1) if all_partners else n - 1 - bases
+    ends = np.cumsum(per_base)
+    start = 0
+    while start < len(bases):
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + _CENSUS_PAIRS, "right")))
+        counts = per_base[start:stop]
+        I = np.repeat(bases[start:stop], counts)
+        rank = np.arange(len(I)) - np.repeat(np.cumsum(counts) - counts, counts)
+        J = rank + (rank >= I) if all_partners else I + 1 + rank
+        start = stop
+        if not len(I):
+            continue
+        D = P[J]
+        D -= P[I]
+        D %= p
+        lead = D[np.arange(len(D)), (D != 0).argmax(axis=1)]
+        D *= _inverse(lead, p)[:, None]
+        D %= p
+        # a stable sort by direction keeps the (i, j) order of the pairs within
+        # one direction, so each (base, direction) group is a contiguous run
+        # with its partners ascending
+        order = np.lexsort(D.T[::-1])
+        Ds, Is = D[order], I[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (Is[1:] != Is[:-1]) | (Ds[1:] != Ds[:-1]).any(axis=1)
+        heads = np.flatnonzero(new)
+        count = np.diff(np.append(heads, len(order)))
+        # pairs run in (i, j) order, so a group's first pair gives its rank
+        first = order[heads]
+        g = np.argsort(first)
+        first = first[g]
+        yield I[first], J[first], count[g], D[first]
 
 
 def _collinearity(
     points: WeightedPointSet, exclude: frozenset[AffineLine] = frozenset()
 ) -> tuple[tuple[int, AffineLine | None], tuple[int, AffineLine | None]]:
     """(k, witness) over all lines and (k*, witness) over lines not in exclude,
-    from one pass; the first line to reach each maximum is its witness."""
-    pts, p = points.points, points.p
-    n = len(pts)
+    from one pass; the first line to reach each maximum in (base, first
+    partner) order is its witness."""
+    pts, p, n = points.points, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
     best, witness = 1, None
     best_star, witness_star = 1, None
-    for i in range(n):
-        for d, c in _direction_groups(pts, i, p).items():
-            # best_star <= best, so this skips only lines neither maximum takes
-            if c + 1 <= best_star:
-                continue
-            line = AffineLine(p, pts[i], d)
-            if c + 1 > best:
-                best, witness = c + 1, line
+    for base, _, count, D in _line_census(points.coords_array(), p, np.arange(n)):
+        size = count + 1
+        top = int(size.argmax())
+        if size[top] > best:
+            best, witness = int(size[top]), AffineLine(p, pts[base[top]], tuple(D[top]))
+        # largest first, ties in census order, until a line outside exclude
+        while size[top] > best_star:
+            line = AffineLine(p, pts[base[top]], tuple(D[top]))
             if line not in exclude:
-                best_star, witness_star = c + 1, line
+                best_star, witness_star = int(size[top]), line
+                break
+            size[top] = 0
+            top = int(size.argmax())
     return (best, witness), (best_star, witness_star)
 
 
 def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, AffineLine]:
     """Largest number of collinear points and a witness line achieving it.
 
-    The exact pass considers every point as a base (quadratic in the set
-    size).  For very large sets, `sample` restricts the base points to a
-    seeded random subset; the result is then a lower bound for k and is
-    never used where exactness is required.
+    The exact pass takes every point as a base of the line census.  For
+    very large sets, `sample` restricts the bases to a seeded random subset
+    paired with every other point; the result is then a lower bound for k
+    and is never used where exactness is required.
     """
     pts = sorted({as_vec(q, p) for q in points})
     if len(pts) < 2:
@@ -403,17 +450,12 @@ def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, Affin
 
         bases = sorted(random.Random(repr(("max-collinear", len(pts), sample))).sample(
             range(len(pts)), sample))
+        P = np.array(pts, dtype=np.int64)
         best, witness = 1, None
-        for i in bases:
-            groups: dict[Vec, int] = {}
-            for j, q in enumerate(pts):
-                if j == i:
-                    continue
-                d = scale_canonical(vsub(q, pts[i], p), p)
-                groups[d] = groups.get(d, 0) + 1
-            for d, c in groups.items():
-                if c + 1 > best:
-                    best, witness = c + 1, AffineLine(p, pts[i], d)
+        for base, _, count, D in _line_census(P, p, bases, all_partners=True):
+            top = int(count.argmax())
+            if count[top] + 1 > best:
+                best, witness = int(count[top]) + 1, AffineLine(p, pts[base[top]], tuple(D[top]))
         assert witness is not None
         return best, witness
     ws = WeightedPointSet.of(pts, p)
@@ -422,27 +464,62 @@ def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, Affin
     return k, wit
 
 
+def _spanned(points, p: int, least: int):
+    """(line, exact point count) for every line through at least `least` of
+    the points, seen once from its earliest point."""
+    pts = sorted({as_vec(q, p) for q in points})
+    P = np.array(pts, dtype=np.int64)
+    for base, first, count, D in _line_census(P, p, np.arange(len(pts)), all_partners=True):
+        # a base is the earliest point of its line when no partner precedes it
+        for g in np.flatnonzero((first > base) & (count + 1 >= least)):
+            yield AffineLine(p, pts[base[g]], tuple(D[g])), int(count[g]) + 1
+
+
 def spanned_lines(points, p: int) -> dict[AffineLine, int]:
     """Every line through at least two of the points, with its exact point count."""
-    pts = sorted({as_vec(q, p) for q in points})
-    out: dict[AffineLine, int] = {}
-    for i in range(len(pts)):
-        for d, c in _direction_groups(pts, i, p).items():
-            line = AffineLine(p, pts[i], d)
-            # the earliest point of a line sees all the others
-            if line not in out:
-                out[line] = c + 1
-    return out
+    return dict(_spanned(points, p, 2))
 
 
 def rich_lines(points, k: int, p: int) -> list[tuple[AffineLine, int]]:
     """All lines holding at least k points of the planar set, with counts."""
     if k < 2:
         raise ValueError("richness threshold must be at least 2")
-    counted = spanned_lines(points, p)
-    hits = [(line, c) for line, c in counted.items() if c >= k]
-    hits.sort(key=lambda item: (-item[1], item[0]))
-    return hits
+    return sorted(_spanned(points, p, k), key=lambda item: (-item[1], item[0]))
+
+
+def isotropic_lines(points, p: int) -> tuple[int, int, AffineLine | None]:
+    """(point pairs with isotropic difference, most points on one isotropic
+    line, the smallest line holding that many), over distinct points.
+
+    Isotropy of a difference does not depend on its scaling, so the census
+    groups with norm_sq(direction) == 0 hold exactly the null pairs.
+    """
+    pts = sorted({as_vec(q, p) for q in points})
+    if len(pts) < 2:
+        return 0, 0, None
+    P = np.array(pts, dtype=np.int64)
+    null_pairs, best, key = 0, 0, None
+    for base, _, count, D in _line_census(P, p, np.arange(len(pts))):
+        # each square is reduced before the sum, so no int64 sum overflows
+        iso = np.flatnonzero((D * D % p).sum(axis=1) % p == 0)
+        if not len(iso):
+            continue
+        null_pairs += int(count[iso].sum())
+        size = count[iso] + 1
+        top = int(size.max())
+        if top < best:
+            continue
+        hit = iso[size == top]
+        B, Dh = P[base[hit]], D[hit]
+        # canonical base: zero at the direction's leading coordinate
+        B = (B - B[np.arange(len(B)), (Dh != 0).argmax(axis=1)][:, None] * Dh) % p
+        rows = np.hstack([B, Dh])
+        low = tuple(int(c) for c in rows[np.lexsort(rows.T[::-1])[0]])
+        if top > best or low < key:
+            best, key = top, low
+    dim = P.shape[1]
+    witness = None if key is None else AffineLine(p, key[:dim], key[dim:])
+    return null_pairs, best, witness
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .counting import isotropic_lines
 from .field import Prime
 from .geom import (
     AffineLine,
@@ -71,19 +72,10 @@ def max_on_isotropic_line(points, p: int) -> int:
     Lines are spanned by point pairs; sets without a null pair score
     min(|A|, 1).
     """
-    pts = sorted({as_vec(q, p) for q in points})
-    if len(pts) < 2:
-        return len(pts)
-    best = 1
-    lines: set[AffineLine] = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = vsub(pts[j], pts[i], p)
-            if norm_sq(d, p) == 0:
-                lines.add(AffineLine(p, pts[i], d))
-    for line in lines:
-        best = max(best, sum(1 for q in pts if line.contains(q)))
-    return best
+    n = len({as_vec(q, p) for q in points})
+    if n < 2:
+        return n
+    return max(1, isotropic_lines(points, p)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -386,27 +386,17 @@ class NullPairStats:
 
 
 def null_pair_stats(points, p: int) -> NullPairStats:
-    pts = sorted({as_vec(q, p) for q in points})
-    n = len(pts)
+    # the line census lives in counting, which builds on this module
+    from .counting import isotropic_lines
+
+    n = len({as_vec(q, p) for q in points})
     if n < 2:
         raise GeometryError("need at least two points")
-    null_ordered = 0
-    lines: set[AffineLine] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = vsub(pts[j], pts[i], p)
-            if norm_sq(d, p) == 0:
-                null_ordered += 2
-                lines.add(AffineLine(p, pts[i], d))
-    best, witness = 0, None
-    for line in sorted(lines):
-        c = sum(1 for q in pts if line.contains(q))
-        if c > best:
-            best, witness = c, line
+    null_pairs, best, witness = isotropic_lines(points, p)
     return NullPairStats(
-        ordered_null_pairs=null_ordered,
+        ordered_null_pairs=2 * null_pairs,
         ordered_pairs=n * (n - 1),
-        fraction=Fraction(null_ordered, n * (n - 1)),
+        fraction=Fraction(2 * null_pairs, n * (n - 1)),
         max_on_isotropic_line=best,
         witness=witness,
     )

@@ -246,3 +246,86 @@ def dft_value(g, xi, p) -> complex:
         phase = sum(a * b for a, b in zip(x, xi)) % p
         total += v * cmath.exp(2j * cmath.pi * phase / p)
     return total
+
+
+# ---------------------------------------------------------------------------
+# line census: the per-pair direction-group loop
+#
+# Lines come back as canonical (base, direction) tuples: direction scaled so
+# its first nonzero coordinate is 1, base zero at that coordinate.
+
+def canonical_direction(v, p):
+    lead = next(c for c in v if c % p)
+    s = pow(lead, p - 2, p)
+    return tuple(c * s % p for c in v)
+
+
+def canonical_line(base, direction, p):
+    d = canonical_direction(direction, p)
+    j = next(i for i, c in enumerate(d) if c)
+    return tuple((b - base[j] * c) % p for b, c in zip(base, d)), d
+
+
+def direction_groups(pts, i, partners, p) -> dict:
+    """Counts of the partner points by canonical direction from pts[i], in
+    order of first sighting."""
+    groups: dict = {}
+    for j in partners:
+        d = canonical_direction(diff(pts[j], pts[i], p), p)
+        groups[d] = groups.get(d, 0) + 1
+    return groups
+
+
+def collinearity(pts, p, exclude=()):
+    """((k, witness), (k*, witness*)) over sorted distinct pts.
+
+    Bases take their later points as partners; each witness is the first
+    line in (base, first partner) order to reach its maximum, and k* skips
+    the (base, direction) lines of exclude.
+    """
+    n = len(pts)
+    if n <= 1:
+        return (n, None), (n, None)
+    banned = {canonical_line(b, d, p) for b, d in exclude}
+    best, witness, best_star, witness_star = 1, None, 1, None
+    for i in range(n):
+        for d, c in direction_groups(pts, i, range(i + 1, n), p).items():
+            line = canonical_line(pts[i], d, p)
+            if c + 1 > best:
+                best, witness = c + 1, line
+            if c + 1 > best_star and line not in banned:
+                best_star, witness_star = c + 1, line
+    return (best, witness), (best_star, witness_star)
+
+
+def sampled_collinear(pts, p, bases):
+    """(k, witness) with only the given bases, each against every other point."""
+    best, witness = 1, None
+    for i in bases:
+        others = [j for j in range(len(pts)) if j != i]
+        for d, c in direction_groups(pts, i, others, p).items():
+            if c + 1 > best:
+                best, witness = c + 1, canonical_line(pts[i], d, p)
+    return best, witness
+
+
+def spanned_lines(pts, p) -> dict:
+    """Line -> point count, each line entered from its earliest point."""
+    out: dict = {}
+    for i in range(len(pts)):
+        for d, c in direction_groups(pts, i, range(i + 1, len(pts)), p).items():
+            out.setdefault(canonical_line(pts[i], d, p), c + 1)
+    return out
+
+
+def isotropic_lines(pts, p):
+    """(ordered null pairs, most points on one line spanned by a null pair,
+    the smallest such line), by membership counts."""
+    null = [(a, b) for a in pts for b in pts if a != b and nsq(diff(b, a, p), p) == 0]
+    lines = {canonical_line(a, diff(b, a, p), p) for a, b in null}
+    best, witness = 0, None
+    for base, d in sorted(lines):
+        c = sum(1 for q in pts if on_line_by_minors(q, base, d, p))
+        if c > best:
+            best, witness = c, (base, d)
+    return len(null), best, witness

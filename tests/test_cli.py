@@ -1,8 +1,12 @@
+import argparse
 import json
 
 import pytest
 
+from fpgeom import cli
+from fpgeom.bounds import BoundReport
 from fpgeom.cli import main, parse_sweep_spec, run_experiment
+from fpgeom.quadrics import Paraboloid
 
 SWEEP = """\
 # unit-sphere incidence sweep
@@ -197,3 +201,37 @@ class TestSweep:
         assert code == 0
         code, _ = run(tmp_path, "--strict", "count", str(cfg), "--theorem", "T1")
         assert code == 3
+
+    def test_strict_ignores_branch_flag(self, tmp_path):
+        # 25 points at p=5 take the T54 large-set branch: small_set_branch=0
+        # reports the branch and violates no hypothesis
+        cfg = tmp_path / "par.txt"
+        cfg.write_text("p=5 dim=3\n[points]\n" + "".join(
+            " ".join(map(str, q)) + "\n" for q in Paraboloid(5, 3).points()))
+        code, text = run(tmp_path, "--strict", "energy", str(cfg),
+                         "--quadric", "paraboloid", "--theorem", "T54")
+        assert code == 0
+        assert text.splitlines()[1].endswith(",small_set_branch=0")
+
+    @pytest.mark.parametrize("hypothesis_holds, expected", [(True, 0), (False, 3)])
+    def test_strict_reads_hypotheses_beside_branch_flag(self, capsys, hypothesis_holds, expected):
+        report = BoundReport(theorem="T54", p=5, params={}, count=1, rhs=1.0, ratio=1.0,
+                             flags={"small_set_branch": False, "s_le_p2": hypothesis_holds})
+        args = argparse.Namespace(format="csv", out="-", strict=True)
+        assert cli._emit_rows([report], args) == expected
+        assert capsys.readouterr().out.endswith(",1,s_le_p2=%d;small_set_branch=0\n"
+                                                % hypothesis_holds)
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_is_one_line_exit_4(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "_cmd_energy", broken)
+        cfg = tmp_path / "e.txt"
+        cfg.write_text("p=7 dim=3\n[points]\n0 0 0\n")
+        code, _ = run(tmp_path, "energy", str(cfg), "--quadric", "paraboloid")
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == "internal error: TypeError: unsupported operand\n"
