@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Subcommands: construct, count, distances, energy, forms, verify, sweep.
-Global flags: --seed, --threads, --format {csv,json}, --out, --strict.
+Global flags: --seed, --format {csv,json}, --out, --strict.
 Exit codes: 0 success, 1 usage, 2 parse error, 3 constraint violation,
 4 internal error (overflow or an unexpected failure).  All output is
 deterministic for a fixed seed.
@@ -13,13 +13,11 @@ import argparse
 import itertools
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds, configio, counting, erdos
 from .configio import ConfigDoc, ConfigParseError
 from .constructions import (
     ConstraintError,
-    CylinderSet,
     coprime_lattice,
     cylinder_set,
     elekes_grid,
@@ -47,7 +45,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="fpgeom", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomised steps")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
     parser.add_argument("--strict", action="store_true",
@@ -140,8 +137,7 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "sweep":
-        return _emit_rows(run_experiment_file(
-            args.spec, seed=args.seed, threads=args.threads), args)
+        return _emit_rows(run_experiment_file(args.spec, seed=args.seed), args)
     handler = {
         "count": _cmd_count,
         "distances": _cmd_distances,
@@ -184,7 +180,6 @@ def _cmd_construct(args) -> int:
     name = args.name
     if name == "sphere":
         pts, planes = sphere_config(p)
-        doc.dim = 3
         doc.points = [(q, w) for q, w in zip(pts.points, pts.weights)]
         plane_objs = list(planes.planes)
         if args.planes and args.planes < len(plane_objs):
@@ -201,16 +196,13 @@ def _cmd_construct(args) -> int:
         doc.points = [(q, 1) for q in grid.points]
         doc.planes = [(pl, 1) for pl in grid.lines]
     elif name == "semi-isotropic":
-        _need(args, "k")
-        _need(args, "l")
+        _need(args, "k", "l")
         built = semi_isotropic_set(args.k, args.l, p)
         doc.dim = 3
         doc.points = [(q, 1) for q in built.points]
     elif name == "cylinder":
-        _need(args, "t")
-        _need(args, "k0")
-        _need(args, "m")
-        built: CylinderSet = cylinder_set(p, args.t, args.k0, args.m)
+        _need(args, "t", "k0", "m")
+        built = cylinder_set(p, args.t, args.k0, args.m)
         doc.dim = 4
         doc.points = [(q, 1) for q in built.points]
         doc.lines = [(ln, 1) for ln in built.generators]
@@ -229,74 +221,57 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _need(args, name: str) -> None:
-    if getattr(args, name.replace("-", "_"), None) is None:
-        raise UsageError(f"construct {args.name} needs --{name}")
+def _need(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name, None) is None:
+            raise UsageError(f"construct {args.name} needs --{name}")
 
 
 # ---------------------------------------------------------------------------
-# measurement subcommands
+# measurements, each shared by its subcommand and the sweep cells of its kind.
+# `cell` holds a sweep cell's construction parameters: a sweep row shows them
+# in place of the subcommand's detail fields.
 
-def _load(args) -> ConfigDoc:
-    return configio.load_config(args.config)
-
-
-def _cmd_count(args) -> list[bounds.BoundReport]:
-    doc = _load(args)
-    if doc.dim == 3:
-        pts = WeightedPointSet.of(
-            [q for q, _ in doc.points], doc.p,
-            weights=[w for _, w in doc.points] or None, dim=3)
-        planes = WeightedPlaneSet.of(
-            [pl for pl, _ in doc.planes], doc.p,
-            weights=[w for _, w in doc.planes] or None, dim=3)
-        if args.restricted:
-            rep = counting.count_restricted(pts, planes, doc.line_list())
-            label = "point_plane_restricted"
-        else:
-            rep = counting.count_point_plane(pts, planes)
-            label = "point_plane"
-        return [_incidence_report(rep, doc.p, label, args.theorem)]
-    if doc.dim == 2:
-        covs = [line_as_covector(ln) for ln in doc.line_list()] + doc.plane_list()
-        count = counting.count_point_line_2d(doc.point_list(), covs, doc.p)
-        params = {"q": len(doc.points), "l": len(covs)}
-        if args.theorem:
-            res = bounds.rhs(args.theorem, doc.p, **_pick(params, args.theorem))
-            return [bounds.BoundReport.build(res, doc.p, params, count)]
-        return [_plain_report("point_line", doc.p, params, count)]
-    raise UsageError("count supports dim 2 and 3 configurations")
-
-
-def _incidence_report(rep, p, label, theorem) -> bounds.BoundReport:
-    params = {
-        "q": rep.distinct_points,
-        "pi": rep.distinct_planes,
-        "k": rep.k,
-        "weighted": rep.weighted,
-    }
-    if rep.k_star is not None:
-        params["kstar"] = rep.k_star
+def _row(p, label, theorem, params, count, rhs_args, flags=None) -> bounds.BoundReport:
+    """The count against the theorem's rhs when one is given, else a plain row."""
     if theorem:
-        t = theorem.upper()
-        if t == "T1C":
-            w0 = max(rep.max_point_weight, rep.max_plane_weight, 1)
-            count = rep.weighted
-            res = bounds.rhs(t, p, W=rep.point_weight, w0=w0, k=rep.k)
-            params["weights_balanced"] = int(rep.point_weight == rep.plane_weight)
-        else:
-            k = rep.k_star if (t == "T1B" and rep.k_star is not None) else rep.k
-            count = rep.pairs
-            res = bounds.rhs(t, p, q=rep.distinct_points, pi=rep.distinct_planes, k=k)
-        extra = dict(rep.flags)
-        return bounds.BoundReport.build(res, p, params, count, extra_flags=extra)
-    return _plain_report(label, p, params, rep.pairs, flags=rep.flags)
-
-
-def _plain_report(label, p, params, count, flags=None) -> bounds.BoundReport:
+        res = bounds.rhs(theorem, p, **rhs_args)
+        return bounds.BoundReport.build(res, p, params, count, extra_flags=flags)
     return bounds.BoundReport(
         theorem=label, p=int(p), params=dict(params), count=count,
         rhs=float("nan"), ratio=None, flags=dict(flags or {}))
+
+
+def _incidences(p, pts, planes, theorem, forbidden=None, cell=None) -> bounds.BoundReport:
+    """Point-plane incidences, restricted when `forbidden` lines are given;
+    T1C weighs them, the other theorems count pairs."""
+    if forbidden is None:
+        rep, label = counting.count_point_plane(pts, planes), "point_plane"
+    else:
+        rep, label = counting.count_restricted(pts, planes, forbidden), "point_plane_restricted"
+    params = {"q": rep.distinct_points, "pi": rep.distinct_planes, "k": rep.k}
+    params.update({"weighted": rep.weighted} if cell is None else cell)
+    if rep.k_star is not None:
+        params["kstar"] = rep.k_star
+    t = (theorem or "").upper()
+    if t == "T1C":
+        count = rep.weighted
+        w0 = max(rep.max_point_weight, rep.max_plane_weight, 1)
+        rhs_args = {"W": rep.point_weight, "w0": w0, "k": rep.k}
+        params["weights_balanced"] = int(rep.point_weight == rep.plane_weight)
+    else:
+        count = rep.pairs
+        k = rep.k_star if (t == "T1B" and rep.k_star is not None) else rep.k
+        rhs_args = {"q": rep.distinct_points, "pi": rep.distinct_planes, "k": k}
+    return _row(p, label, theorem, params, count, rhs_args, rep.flags)
+
+
+def _point_lines(p, points, covs, theorem, cell=None, **rhs_extra) -> bounds.BoundReport:
+    """Planar point-line incidences over distinct points and lines."""
+    count = counting.count_point_line_2d(points, covs, p)
+    params = {"q": len(set(points)), "l": len(set(covs))}
+    rhs_args = _pick({**params, **rhs_extra}, theorem) if theorem else {}
+    return _row(p, "point_line", theorem, {**params, **(cell or {})}, count, rhs_args)
 
 
 def _pick(params: dict, theorem: str) -> dict:
@@ -312,74 +287,90 @@ def _pick(params: dict, theorem: str) -> dict:
     return {w: params[w] for w in wanted}
 
 
+def _distances(p, points, theorem, include_zero=True, cell=None) -> bounds.BoundReport:
+    """The largest pinned distance count."""
+    rep = erdos.distance_set(points, p, include_zero=include_zero)
+    params, flags = {"s": len(points)}, {}
+    if cell is not None:
+        params.update(cell)
+    else:
+        params["values"] = len(rep.values)
+        if rep.in_semi_isotropic_plane is not None:
+            flags["outside_semi_isotropic_plane"] = not rep.in_semi_isotropic_plane
+    return _row(p, "pinned_distances", theorem, params, rep.max_pinned,
+                {"s": len(points)}, flags)
+
+
+def _energy(p, points, quadric, t, theorem, cell=None) -> bounds.BoundReport:
+    """Rectangle energy on the paraboloid or on the sphere of radius-square t."""
+    if quadric == "paraboloid":
+        rep = rectangle_energy_paraboloid(points, p)
+    else:
+        rep = rectangle_energy_sphere(points, p, t)
+    params = {"a": rep.size, "k0": rep.k0}
+    params.update(cell if cell is not None else {
+        "rectangles": rep.rectangles, "ordinary": rep.ordinary,
+        "semi_degenerate": rep.semi_degenerate, "degenerate": rep.degenerate,
+    })
+    return _row(p, f"energy_{quadric}", theorem, params, rep.energy,
+                {"a": rep.size, "k0": rep.k0})
+
+
+def _forms(p, points, form, theorem, solutions=False, cell=None) -> bounds.BoundReport:
+    """Distinct values of a bilinear form, or its value collisions."""
+    if solutions:
+        count, label = erdos.form_solution_count(points, points, form), "form_solutions"
+    else:
+        count, label = len(erdos.form_values(points, form)), "form_values"
+    params = {"s": len(points), **(cell or {})}
+    return _row(p, label, theorem, params, count, {"s": len(points)})
+
+
+# ---------------------------------------------------------------------------
+# measurement subcommands
+
+def _cmd_count(args) -> list[bounds.BoundReport]:
+    doc = configio.load_config(args.config)
+    if doc.dim == 3:
+        forbidden = doc.line_list() if args.restricted else None
+        return [_incidences(doc.p, *doc.weighted_sets(), args.theorem, forbidden)]
+    if doc.dim == 2:
+        covs = [line_as_covector(ln) for ln in doc.line_list()] + doc.plane_list()
+        return [_point_lines(doc.p, doc.point_list(), covs, args.theorem)]
+    raise UsageError("count supports dim 2 and 3 configurations")
+
+
 def _cmd_distances(args) -> list[bounds.BoundReport]:
-    doc = _load(args)
-    rep = erdos.distance_set(doc.point_list(), doc.p, include_zero=not args.exclude_zero)
-    params = {"s": len(doc.points), "values": len(rep.values)}
-    flags = {}
-    if rep.in_semi_isotropic_plane is not None:
-        flags["outside_semi_isotropic_plane"] = not rep.in_semi_isotropic_plane
-    count = rep.max_pinned
-    if args.theorem:
-        res = bounds.rhs(args.theorem, doc.p, s=len(doc.points))
-        return [bounds.BoundReport.build(res, doc.p, params, count, extra_flags=flags)]
-    return [_plain_report("pinned_distances", doc.p, params, count, flags)]
+    doc = configio.load_config(args.config)
+    return [_distances(doc.p, doc.point_list(), args.theorem,
+                       include_zero=not args.exclude_zero)]
 
 
 def _cmd_energy(args) -> list[bounds.BoundReport]:
-    doc = _load(args)
-    pts = doc.point_list()
-    if args.quadric == "paraboloid":
-        rep = rectangle_energy_paraboloid(pts, doc.p)
-    else:
-        rep = rectangle_energy_sphere(pts, doc.p, args.t)
-    params = {
-        "a": rep.size, "k0": rep.k0, "rectangles": rep.rectangles,
-        "ordinary": rep.ordinary, "semi_degenerate": rep.semi_degenerate,
-        "degenerate": rep.degenerate,
-    }
-    if args.theorem:
-        res = bounds.rhs(args.theorem, doc.p, a=rep.size, k0=rep.k0)
-        return [bounds.BoundReport.build(res, doc.p, params, rep.energy)]
-    return [_plain_report(f"energy_{args.quadric}", doc.p, params, rep.energy)]
+    doc = configio.load_config(args.config)
+    return [_energy(doc.p, doc.point_list(), args.quadric, args.t, args.theorem)]
 
 
 def _cmd_forms(args) -> list[bounds.BoundReport]:
-    doc = _load(args)
+    doc = configio.load_config(args.config)
     if doc.dim != 2:
         raise UsageError("forms works on 2-dimensional configurations")
-    matrix = args.matrix or (0, 1, -1, 0)
-    form = erdos.FormSpec(doc.p, ((matrix[0], matrix[1]), (matrix[2], matrix[3])))
-    pts = doc.point_list()
-    if args.solutions:
-        count = erdos.form_solution_count(pts, pts, form)
-        label = "form_solutions"
-    else:
-        count = len(erdos.form_values(pts, form))
-        label = "form_values"
-    params = {"s": len(pts)}
-    if args.theorem:
-        res = bounds.rhs(args.theorem, doc.p, s=len(pts))
-        return [bounds.BoundReport.build(res, doc.p, params, count)]
-    return [_plain_report(label, doc.p, params, count)]
+    m = args.matrix or (0, 1, -1, 0)
+    form = erdos.FormSpec(doc.p, ((m[0], m[1]), (m[2], m[3])))
+    return [_forms(doc.p, doc.point_list(), form, args.theorem, args.solutions)]
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 def _cmd_verify(args) -> int:
-    doc = _load(args)
+    doc = configio.load_config(args.config)
     checks: list[tuple[str, bool]] = []
     text1 = configio.emit_config(doc)
     text2 = configio.emit_config(configio.parse_config(text1))
     checks.append(("round-trip emission is stable", text1 == text2))
     if doc.dim == 3 and doc.planes:
-        pts = WeightedPointSet.of(
-            [q for q, _ in doc.points], doc.p,
-            weights=[w for _, w in doc.points] or None, dim=3)
-        planes = WeightedPlaneSet.of(
-            [pl for pl, _ in doc.planes], doc.p,
-            weights=[w for _, w in doc.planes] or None, dim=3)
+        pts, planes = doc.weighted_sets()
         rep = counting.count_point_plane(pts, planes)
         pairs, weighted = counting.count_point_plane_naive(pts, planes)
         checks.append(("vectorised count matches the naive loop",
@@ -408,16 +399,61 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep / run_experiment
+# sweep / run_experiment: each construction builds its set from the cell's
+# keys (p already a Prime) and hands it to the measurement of its kind
 
-_CONSTRUCTION_THEOREMS = {
-    "sphere": ("T1", ("T1", "T1B")),
-    "coprime": ("T41", ("T41",)),
-    "elekes": ("T2", ("T2", "T3", "VINH")),
-    "semi_isotropic": ("T42", ("T42",)),
-    "cylinder": ("T56", ("T56",)),
-    "random_3d": ("T1", ("T1", "T1B")),
-    "random_2d": ("VINH", ("VINH", "T3")),
+def _sphere_cell(cell, p, seed):
+    return _incidences(p, *sphere_config(p), cell["theorem"], cell={})
+
+
+def _coprime_cell(cell, p, seed):
+    n = _cell_need(cell, "N", "n")
+    return _forms(p, coprime_lattice(n, p), erdos.dot_form(p), cell["theorem"],
+                  cell={"N": n})
+
+
+def _elekes_cell(cell, p, seed):
+    n = _cell_need(cell, "n")
+    grid = elekes_grid(n, p)
+    return _point_lines(p, grid.points, grid.lines, cell["theorem"], cell={"n": n},
+                        a=n, b=2 * n * n)
+
+
+def _semi_isotropic_cell(cell, p, seed):
+    k, l = _cell_need(cell, "k"), _cell_need(cell, "l")
+    built = semi_isotropic_set(k, l, p, seed=cell.get("seed", seed))
+    return _distances(p, built.points, cell["theorem"], cell={"k": k, "l": l})
+
+
+def _cylinder_cell(cell, p, seed):
+    t, k0, m = _cell_need(cell, "t"), _cell_need(cell, "k0"), _cell_need(cell, "m")
+    return _energy(p, cylinder_set(p, t, k0, m).points, "sphere", t, cell["theorem"],
+                   cell={"t": t, "m": m})
+
+
+def _random_3d_cell(cell, p, seed):
+    rng = random.Random(repr((cell.get("seed", seed), int(p), "3d")))
+    pts = WeightedPointSet.of(random_points(p, 3, cell.get("points", 32), rng), p, dim=3)
+    planes = WeightedPlaneSet.of(random_planes(p, 3, cell.get("planes", 32), rng), p, dim=3)
+    return _incidences(p, pts, planes, cell["theorem"], cell={})
+
+
+def _random_2d_cell(cell, p, seed):
+    rng = random.Random(repr((cell.get("seed", seed), int(p), "2d")))
+    pts = random_points(p, 2, cell.get("points", 32), rng)
+    lines = random_lines(p, 2, cell.get("lines", 32), rng)
+    return _point_lines(p, pts, [line_as_covector(ln) for ln in lines], cell["theorem"])
+
+
+# construction -> (the theorems it pairs with, the first the default; its cell)
+_CONSTRUCTIONS = {
+    "sphere": (("T1", "T1B"), _sphere_cell),
+    "coprime": (("T41",), _coprime_cell),
+    "elekes": (("T2", "T3", "VINH"), _elekes_cell),
+    "semi_isotropic": (("T42",), _semi_isotropic_cell),
+    "cylinder": (("T56",), _cylinder_cell),
+    "random_3d": (("T1", "T1B"), _random_3d_cell),
+    "random_2d": (("VINH", "T3"), _random_2d_cell),
 }
 
 _SWEEP_KEYS = {"construction", "theorem", "p", "n", "N", "k", "l", "t", "k0", "m",
@@ -452,12 +488,11 @@ def parse_sweep_spec(text: str) -> list[dict]:
     value_lists = [entries[k] for k in numeric_keys]
     for construction in constructions:
         cname = construction.replace("-", "_")
-        if cname not in _CONSTRUCTION_THEOREMS:
-            raise ConfigParseError(
-                f"unknown construction {construction!r}", 0)
-        default, allowed = _CONSTRUCTION_THEOREMS[cname]
+        if cname not in _CONSTRUCTIONS:
+            raise ConfigParseError(f"unknown construction {construction!r}", 0)
+        allowed = _CONSTRUCTIONS[cname][0]
         for theorem in theorems:
-            tid = (theorem or default).upper()
+            tid = (theorem or allowed[0]).upper()
             if tid not in allowed:
                 raise ConfigParseError(
                     f"theorem {tid} does not pair with construction {construction}", 0)
@@ -472,69 +507,6 @@ def parse_sweep_spec(text: str) -> list[dict]:
     return cells
 
 
-def _run_cell(cell: dict, seed: int) -> bounds.BoundReport:
-    p = Prime(cell["p"])
-    tid = cell["theorem"]
-    name = cell["construction"]
-    if name == "sphere":
-        pts, planes = sphere_config(p)
-        rep = counting.count_point_plane(pts, planes)
-        res = bounds.rhs(tid, p, q=rep.distinct_points, pi=rep.distinct_planes, k=rep.k)
-        params = {"q": rep.distinct_points, "pi": rep.distinct_planes, "k": rep.k}
-        return bounds.BoundReport.build(res, p, params, rep.pairs, extra_flags=rep.flags)
-    if name == "coprime":
-        n = _cell_need(cell, "N", "n")
-        pts = coprime_lattice(n, p)
-        count = len(erdos.form_values(pts, erdos.dot_form(p)))
-        res = bounds.rhs(tid, p, s=len(pts))
-        return bounds.BoundReport.build(res, p, {"N": n, "s": len(pts)}, count)
-    if name == "elekes":
-        n = _cell_need(cell, "n")
-        grid = elekes_grid(n, p)
-        count = counting.count_point_line_2d(grid.points, grid.lines, p)
-        a, b, nl = n, 2 * n * n, len(grid.lines)
-        if tid == "T2":
-            res = bounds.rhs(tid, p, a=a, b=b, l=nl)
-        else:
-            res = bounds.rhs(tid, p, q=len(grid.points), l=nl)
-        params = {"n": n, "q": len(grid.points), "l": nl}
-        return bounds.BoundReport.build(res, p, params, count)
-    if name == "semi_isotropic":
-        k, l = _cell_need(cell, "k"), _cell_need(cell, "l")
-        built = semi_isotropic_set(k, l, p, seed=cell.get("seed", seed))
-        rep = erdos.distance_set(built.points, p)
-        res = bounds.rhs(tid, p, s=len(built.points))
-        params = {"k": k, "l": l, "s": len(built.points)}
-        return bounds.BoundReport.build(res, p, params, rep.max_pinned)
-    if name == "cylinder":
-        t, k0, m = _cell_need(cell, "t"), _cell_need(cell, "k0"), _cell_need(cell, "m")
-        built = cylinder_set(p, t, k0, m)
-        rep = rectangle_energy_sphere(built.points, p, t)
-        res = bounds.rhs(tid, p, a=rep.size, k0=rep.k0)
-        params = {"t": t, "k0": rep.k0, "m": m, "a": rep.size}
-        return bounds.BoundReport.build(res, p, params, rep.energy)
-    if name == "random_3d":
-        rng = random.Random(repr((cell.get("seed", seed), int(p), "3d")))
-        pts = WeightedPointSet.of(
-            random_points(p, 3, cell.get("points", 32), rng), p, dim=3)
-        planes = WeightedPlaneSet.of(
-            random_planes(p, 3, cell.get("planes", 32), rng), p, dim=3)
-        rep = counting.count_point_plane(pts, planes)
-        res = bounds.rhs(tid, p, q=rep.distinct_points, pi=rep.distinct_planes, k=rep.k)
-        params = {"q": rep.distinct_points, "pi": rep.distinct_planes, "k": rep.k}
-        return bounds.BoundReport.build(res, p, params, rep.pairs, extra_flags=rep.flags)
-    if name == "random_2d":
-        rng = random.Random(repr((cell.get("seed", seed), int(p), "2d")))
-        pts = random_points(p, 2, cell.get("points", 32), rng)
-        lines = random_lines(p, 2, cell.get("lines", 32), rng)
-        covs = [line_as_covector(ln) for ln in lines]
-        count = counting.count_point_line_2d(pts, covs, p)
-        q, nl = len(set(pts)), len(set(covs))
-        res = bounds.rhs(tid, p, q=q, l=nl)
-        return bounds.BoundReport.build(res, p, {"q": q, "l": nl}, count)
-    raise UsageError(f"unknown construction {name}")
-
-
 def _cell_need(cell: dict, *names: str) -> int:
     for n in names:
         if n in cell:
@@ -542,22 +514,16 @@ def _cell_need(cell: dict, *names: str) -> int:
     raise ConfigParseError(f"sweep cell needs a value for {names[0]!r}", 0)
 
 
-def run_experiment(spec_text: str, seed: int = 0, threads: int = 1) -> list[bounds.BoundReport]:
-    """Execute construct -> count -> rhs for every cell of a sweep spec.
-
-    Cells are independent and may run concurrently; the output order is the
-    deterministic spec expansion order either way.
-    """
-    cells = parse_sweep_spec(spec_text)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: _run_cell(c, seed), cells))
-    return [_run_cell(cell, seed) for cell in cells]
+def run_experiment(spec_text: str, seed: int = 0) -> list[bounds.BoundReport]:
+    """Execute construct -> measure -> rhs for every cell of a sweep spec,
+    in the spec's expansion order."""
+    return [_CONSTRUCTIONS[cell["construction"]][1](cell, Prime(cell["p"]), seed)
+            for cell in parse_sweep_spec(spec_text)]
 
 
-def run_experiment_file(path, seed: int = 0, threads: int = 1) -> list[bounds.BoundReport]:
+def run_experiment_file(path, seed: int = 0) -> list[bounds.BoundReport]:
     with open(path, "r", encoding="utf-8") as fh:
-        return run_experiment(fh.read(), seed=seed, threads=threads)
+        return run_experiment(fh.read(), seed=seed)
 
 
 if __name__ == "__main__":

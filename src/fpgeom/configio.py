@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .counting import WeightedPlaneSet, WeightedPointSet
 from .field import Prime
 from .geom import AffineLine, AffinePlane, GeometryError, Vec
 
@@ -49,6 +50,15 @@ class ConfigDoc:
 
     def line_list(self) -> list[AffineLine]:
         return [ln for ln, _ in self.lines]
+
+    def weighted_sets(self) -> tuple[WeightedPointSet, WeightedPlaneSet]:
+        """The weighted points and planes, as the incidence counters take them."""
+        return (
+            WeightedPointSet.of(self.point_list(), self.p,
+                                weights=[w for _, w in self.points], dim=self.dim),
+            WeightedPlaneSet.of(self.plane_list(), self.p,
+                                weights=[w for _, w in self.planes], dim=self.dim),
+        )
 
 
 _SECTIONS = ("points", "planes", "lines")

@@ -442,9 +442,12 @@ def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, Affin
     paired with every other point; the result is then a lower bound for k
     and is never used where exactness is required.
     """
+    if sample is not None and sample < 1:
+        raise ValueError("sample must be at least 1")
     pts = sorted({as_vec(q, p) for q in points})
     if len(pts) < 2:
         raise GeometryError("need at least two distinct points")
+    # two distinct points and at least one base always give a witness line
     if sample is not None and sample < len(pts):
         import random
 
@@ -456,11 +459,9 @@ def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, Affin
             top = int(count.argmax())
             if count[top] + 1 > best:
                 best, witness = int(count[top]) + 1, AffineLine(p, pts[base[top]], tuple(D[top]))
-        assert witness is not None
         return best, witness
     ws = WeightedPointSet.of(pts, p)
     (k, wit), _ = _collinearity(ws)
-    assert wit is not None
     return k, wit
 
 

@@ -1,0 +1,179 @@
+"""Golden CLI runs: exit code, stdout and stderr pinned byte for byte.
+
+Every case runs three ways: as written, with `--format json` and with
+`--strict`.  The expected values live in `cli_golden.json` beside this file;
+after a deliberate output change, rewrite them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff of the JSON file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from fpgeom.cli import main
+from fpgeom.constructions import semi_isotropic_set
+from fpgeom.quadrics import Paraboloid, Sphere
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def _config(p: int, dim: int, points=(), planes=(), lines=()) -> str:
+    out = [f"p={p} dim={dim}"]
+    for section, rows in (("points", points), ("planes", planes), ("lines", lines)):
+        if rows:
+            out.append(f"[{section}]")
+            out.extend(" ".join(map(str, row)) if not isinstance(row, str) else row
+                       for row in rows)
+    return "\n".join(out) + "\n"
+
+
+def _files() -> dict[str, str]:
+    return {
+        # weighted 3-D set with a forbidden line carrying four points
+        "w3.txt": _config(7, 3, points=["0 0 0 w=2", "1 0 0", "2 0 0", "3 0 0", "0 1 0",
+                                        "1 1 1 w=3"],
+                          planes=["0 0 1 0 w=2", "0 1 0 0", "1 1 1 3", "1 0 0 1"],
+                          lines=["0 0 0 1 0 0"]),
+        "plane2.txt": _config(11, 2, points=[(x, (2 * x + 1) % 11) for x in range(6)]
+                              + [(0, 0), (3, 4), (5, 5)],
+                              planes=["2 10 1", "1 1 0", "0 1 5"], lines=["0 0 1 1"]),
+        # one line listed under [planes] (x + 6y = 0) and under [lines]
+        "dup2.txt": _config(7, 2, points=[(0, 0), (1, 1), (2, 2)],
+                            planes=["1 6 0"], lines=["0 0 1 1"]),
+        "dim4.txt": _config(5, 4, points=[(0, 0, 0, 0), (1, 2, 3, 4)]),
+        "dist3.txt": _config(7, 3, points=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 3),
+                                           (4, 4, 4)]),
+        "semi3.txt": _config(13, 3, points=semi_isotropic_set(2, 3, 13).points),
+        "par3.txt": _config(5, 3, points=Paraboloid(5, 3).points()),
+        "par4.txt": _config(5, 4, points=Paraboloid(5, 4).points()[:40]),
+        "sph3.txt": _config(5, 3, points=Sphere(5, 3, 1).points()),
+        "sph4.txt": _config(5, 4, points=Sphere(5, 4, 1).points()[:40]),
+        "off3.txt": _config(7, 3, points=[(1, 0, 0), (1, 1, 1)]),
+        "forms2.txt": _config(13, 2, points=[(1, 0), (0, 1), (1, 1), (2, 3), (5, 7)]),
+        "sweep_sphere.txt": "construction=sphere\ntheorem=T1,T1B\np=5,7\n",
+        "sweep_coprime.txt": "construction=coprime\np=23,29\nN=2\n",
+        "sweep_elekes.txt": "construction=elekes\ntheorem=T2,T3,VINH\np=23\nn=2,3\n",
+        "sweep_semi.txt": "construction=semi_isotropic\np=13\nk=2\nl=3,4\n",
+        "sweep_semi_seed.txt": "construction=semi-isotropic\np=13\nk=2\nl=3\nseed=5\n",
+        "sweep_cylinder.txt": "construction=cylinder\np=5\nt=1\nk0=2,3\nm=2\n",
+        "sweep_random.txt": ("construction=random_3d,random_2d\np=11,13\n"
+                             "points=12\nplanes=8\nlines=8\n"),
+        "sweep_bad_pair.txt": "construction=sphere\ntheorem=T41\np=7\n",
+        "sweep_missing.txt": "construction=elekes\np=23\n",
+    }
+
+
+CASES = {
+    "construct-sphere": ["construct", "sphere", "--p", "3"],
+    "construct-sphere-planes": ["--seed", "2", "construct", "sphere", "--p", "5",
+                                "--planes", "10"],
+    "construct-coprime": ["construct", "coprime", "--p", "23", "--n", "2"],
+    "construct-elekes": ["construct", "elekes", "--p", "23", "--n", "2"],
+    "construct-semi-isotropic": ["construct", "semi-isotropic", "--p", "13",
+                                 "--k", "2", "--l", "3"],
+    "construct-cylinder": ["construct", "cylinder", "--p", "5", "--t", "1",
+                           "--k0", "2", "--m", "2"],
+    "construct-random-3d": ["--seed", "3", "construct", "random-3d", "--p", "11",
+                            "--points", "10", "--planes", "5", "--lines", "2"],
+    "construct-random-2d": ["--seed", "3", "construct", "random-2d", "--p", "11",
+                            "--points", "8", "--lines", "3"],
+    "count": ["count", "w3.txt"],
+    "count-T1": ["count", "w3.txt", "--theorem", "T1"],
+    "count-T1B": ["count", "w3.txt", "--theorem", "t1b"],
+    "count-T1C": ["count", "w3.txt", "--theorem", "T1C"],
+    "count-restricted": ["count", "w3.txt", "--restricted"],
+    "count-restricted-T1B": ["count", "w3.txt", "--restricted", "--theorem", "T1B"],
+    "count-restricted-T1C": ["count", "w3.txt", "--restricted", "--theorem", "T1C"],
+    "count-2d": ["count", "plane2.txt"],
+    "count-2d-T3": ["count", "plane2.txt", "--theorem", "T3"],
+    "count-2d-VINH": ["count", "plane2.txt", "--theorem", "VINH"],
+    "count-2d-T2": ["count", "plane2.txt", "--theorem", "T2"],
+    "count-2d-shared-line": ["count", "dup2.txt", "--theorem", "VINH"],
+    "count-dim4": ["count", "dim4.txt"],
+    "distances": ["distances", "dist3.txt"],
+    "distances-exclude-zero": ["distances", "dist3.txt", "--exclude-zero",
+                               "--theorem", "T42"],
+    "distances-semi-isotropic": ["distances", "semi3.txt", "--theorem", "T42"],
+    "energy-paraboloid": ["energy", "par3.txt", "--quadric", "paraboloid"],
+    "energy-paraboloid-T54": ["energy", "par3.txt", "--quadric", "paraboloid",
+                              "--theorem", "T54"],
+    "energy-paraboloid-T53": ["energy", "par4.txt", "--quadric", "paraboloid",
+                              "--theorem", "T53"],
+    "energy-sphere-T55": ["energy", "sph3.txt", "--quadric", "sphere", "--theorem", "T55"],
+    "energy-sphere-T56": ["energy", "sph4.txt", "--quadric", "sphere", "--t", "1",
+                          "--theorem", "T56"],
+    "forms": ["forms", "forms2.txt"],
+    "forms-solutions": ["forms", "forms2.txt", "--solutions"],
+    "forms-matrix-T41": ["forms", "forms2.txt", "--matrix", "1", "0", "0", "1",
+                         "--theorem", "T41"],
+    "forms-3d": ["forms", "dist3.txt"],
+    "verify-ok": ["verify", "w3.txt"],
+    "verify-ok-2d": ["verify", "plane2.txt"],
+    "verify-ok-sphere": ["verify", "sph3.txt", "--quadric", "sphere", "--t", "1"],
+    "verify-fail": ["verify", "off3.txt", "--quadric", "sphere", "--t", "1"],
+    "sweep-sphere": ["sweep", "sweep_sphere.txt"],
+    "sweep-coprime": ["sweep", "sweep_coprime.txt"],
+    "sweep-elekes": ["sweep", "sweep_elekes.txt"],
+    "sweep-semi-isotropic": ["--seed", "7", "sweep", "sweep_semi.txt"],
+    "sweep-semi-isotropic-seed": ["sweep", "sweep_semi_seed.txt"],
+    "sweep-cylinder": ["sweep", "sweep_cylinder.txt"],
+    "sweep-random": ["--seed", "4", "sweep", "sweep_random.txt"],
+    "sweep-bad-pairing": ["sweep", "sweep_bad_pair.txt"],
+    "sweep-missing-key": ["sweep", "sweep_missing.txt"],
+}
+
+VARIANTS = {"": [], "[json]": ["--format", "json"], "[strict]": ["--strict"]}
+
+
+def _runs():
+    for name, argv in CASES.items():
+        for suffix, flags in VARIANTS.items():
+            yield name + suffix, flags + argv
+
+
+def run_case(argv: list[str], workdir: Path) -> dict:
+    """Run the CLI in `workdir` (holding the case files); return its results."""
+    for fname, text in _files().items():
+        (workdir / fname).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_run(golden):
+    assert sorted(golden) == sorted(run_id for run_id, _ in _runs())
+
+
+@pytest.mark.parametrize("run_id, argv", list(_runs()), ids=[r for r, _ in _runs()])
+def test_cli_output_is_pinned(golden, tmp_path, run_id, argv):
+    assert run_case(argv, tmp_path) == golden[run_id]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        results = {run_id: run_case(argv, Path(tmp)) for run_id, argv in _runs()}
+    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(results)} runs to {GOLDEN}", file=sys.stderr)

@@ -349,6 +349,11 @@ class TestMaxCollinear:
         with pytest.raises(GeometryError):
             max_collinear([(0, 0, 0)], 7)
 
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_sample_below_one_is_rejected(self, sample):
+        with pytest.raises(ValueError, match="^sample must be at least 1$"):
+            max_collinear([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 7, sample=sample)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_matches_oracle(self, seed):
         rng = rng_for("maxcol", seed)
