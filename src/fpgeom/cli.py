@@ -335,6 +335,8 @@ def _cmd_count(args) -> list[bounds.BoundReport]:
         forbidden = doc.line_list() if args.restricted else None
         return [_incidences(doc.p, *doc.weighted_sets(), args.theorem, forbidden)]
     if doc.dim == 2:
+        if args.restricted:
+            raise UsageError("count --restricted works on 3-dimensional configurations")
         covs = [line_as_covector(ln) for ln in doc.line_list()] + doc.plane_list()
         return [_point_lines(doc.p, doc.point_list(), covs, args.theorem)]
     raise UsageError("count supports dim 2 and 3 configurations")

@@ -362,6 +362,22 @@ def _inverse(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def pair_blocks(per_base: np.ndarray, size: int):
+    """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
+    base b in order, about `size` pairs a block and one base at least."""
+    ends = np.cumsum(per_base)
+    start = 0
+    while start < len(per_base):
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + size, "right")))
+        counts = per_base[start:stop]
+        base = np.repeat(np.arange(start, stop), counts)
+        rank = np.arange(len(base)) - np.repeat(np.cumsum(counts) - counts, counts)
+        start = stop
+        if len(base):
+            yield base, rank
+
+
 def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
     """Yield (base, first partner, count, direction) arrays, block by block.
 
@@ -373,18 +389,9 @@ def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
     n = len(P)
     bases = np.asarray(bases, dtype=np.int64)
     per_base = np.full(len(bases), n - 1) if all_partners else n - 1 - bases
-    ends = np.cumsum(per_base)
-    start = 0
-    while start < len(bases):
-        before = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, before + _CENSUS_PAIRS, "right")))
-        counts = per_base[start:stop]
-        I = np.repeat(bases[start:stop], counts)
-        rank = np.arange(len(I)) - np.repeat(np.cumsum(counts) - counts, counts)
+    for b, rank in pair_blocks(per_base, _CENSUS_PAIRS):
+        I = bases[b]
         J = rank + (rank >= I) if all_partners else I + 1 + rank
-        start = stop
-        if not len(I):
-            continue
         D = P[J]
         D -= P[I]
         D %= p

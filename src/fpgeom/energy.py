@@ -1,10 +1,20 @@
 """Additive energy on quadrics: rectangle criteria, taxonomy, slice energies
 and the Fourier restriction ratio at tiny p.
 
-Energy is the ordered-quadruple count of x + y == z + u.  For sets on the
-paraboloid or a sphere the same number is recomputed through the
-right-angle corner criterion and the two routes are required to agree;
-geometric rectangles are the deduplicated, pairwise-distinct view.
+Energy is the ordered-quadruple count of x + y == z + u: the n^2 ordered
+pair sums are sorted into runs of equal sums, and each run of size m adds
+m^2.  For sets on the paraboloid or a sphere the same number is recomputed
+through the right-angle corner criterion, and the two routes are required
+to agree.  The corner form (x - z).(y - z) is expanded through the Gram
+matrix M = C C^T of the corner coordinates, so each corner z costs one
+n x n outer sum, and only the cells where it vanishes are tested for the
+fourth vertex x + y - z.
+
+Geometric rectangles are the deduplicated, pairwise-distinct view.  Two
+distinct unordered pairs with one sum are disjoint, so a run of r pairs
+i < j with one sum holds exactly C(r, 2) rectangles, each hit by 8 ordered
+solutions; they are enumerated in fixed-size blocks and classified by how
+many of their two side directions are isotropic.
 """
 
 from __future__ import annotations
@@ -16,18 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from .counting import isotropic_lines
+from .counting import isotropic_lines, pair_blocks
 from .field import Prime
-from .geom import (
-    AffineLine,
-    GeometryError,
-    Vec,
-    as_vec,
-    dot,
-    norm_sq,
-    vadd,
-    vsub,
-)
+from .geom import GeometryError, Vec, as_vec, dot, vadd, vsub
 from .quadrics import Paraboloid, Sphere, slice_lift
 
 
@@ -80,56 +81,119 @@ def max_on_isotropic_line(points, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # rectangle machinery
+#
+# Coordinates stay below p < 2^31 and every product is reduced mod p before
+# the next sum, so all of it is exact in int64.
 
-def _pack_keys(arr: np.ndarray, p: int) -> np.ndarray:
-    if p ** arr.shape[-1] >= 1 << 62:
-        raise OverflowError("modulus too large for packed point keys")
-    keys = np.zeros(arr.shape[:-1], dtype=np.int64)
-    for c in range(arr.shape[-1]):
-        keys = keys * p + arr[..., c]
-    return keys
+# rectangles classified per block; a fixed size, not a tuning knob
+_CENSUS_RECTANGLES = 4096
 
 
-def _corner_count(full: list[Vec], corner: list[Vec], p: int) -> int:
-    """Count triples (x, y, z) with a right corner at z (in corner coords)
-    whose fourth vertex x + y - z (in full coords) is back in the set."""
-    n = len(full)
-    if n == 0:
-        return 0
-    A = np.array(full, dtype=np.int64)
-    C = np.array(corner, dtype=np.int64)
-    keys = np.sort(_pack_keys(A, p))
-    pair_sums = (A[:, None, :] + A[None, :, :]) % p
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows and the bounds of its runs
+    of equal rows: run g is order[bounds[g]:bounds[g + 1]]."""
+    order = np.lexsort(rows.T[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for col in rows.T:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    return order, np.append(np.flatnonzero(new), len(order))
+
+
+def _norm_sq(V: np.ndarray, p: int) -> np.ndarray:
+    out = np.zeros(len(V), dtype=np.int64)
+    for col in V.T:
+        out += col * col % p
+        out %= p
+    return out
+
+
+def _rectangle_classes(C: np.ndarray, x, y, z, p: int) -> np.ndarray:
+    """Class codes (0 ordinary, 1 semi-degenerate, 2 degenerate) of the
+    rectangles with diagonal {x, y} and corner z, given as rows of C.
+
+    The sides are x - z and y - z; the code counts the isotropic ones.
+    """
+    a = C[x] - C[z]
+    a %= p
+    b = C[y] - C[z]
+    b %= p
+    iso_a = _norm_sq(a, p) == 0
+    iso_b = _norm_sq(b, p) == 0
+    both = iso_a & iso_b
+    # with both sides isotropic all four vertices lie on one line exactly
+    # when the sides are parallel: every 2x2 minor of (a, b) vanishes
+    a, b = a[both], b[both]
+    for i in range(C.shape[1]):
+        for j in range(i + 1, C.shape[1]):
+            if ((a[:, i] * b[:, j] - a[:, j] * b[:, i]) % p).any():
+                raise NotARectangleError(
+                    "both side directions isotropic but vertices are not collinear"
+                )
+    return iso_a.astype(np.int64) + iso_b
+
+
+def _corner_count(A: np.ndarray, C: np.ndarray, p: int) -> int:
+    """Count triples (x, y, z) with a right corner at z (in corner coords C)
+    whose fourth vertex x + y - z (in full coords A) is back in the set.
+
+    With M = C C^T mod p the corner form is
+    (x - z).(y - z) = M[x, y] - M[z, x] - M[z, y] + M[z, z], so each z costs
+    one n x n outer sum, and only its zero cells are tested for membership.
+    A's rows are distinct.
+    """
+    n = len(A)
+    M = np.zeros((n, n), dtype=np.int64)
+    for col in C.T:
+        M += np.multiply.outer(col, col) % p
+        M %= p
     total = 0
-    for zi in range(n):
-        V = (C[zi] - C) % p
-        G = np.zeros((n, n), dtype=np.int64)
-        for c in range(C.shape[1]):
-            G = (G + np.outer(V[:, c], V[:, c])) % p
-        U = (pair_sums - A[zi]) % p
-        member = np.isin(_pack_keys(U, p), keys)
-        total += int(((G == 0) & member).sum())
+    for z in range(n):
+        v = M[z]
+        # T - M is congruent to -(x - z).(y - z) and lies in (-p, 2p), so
+        # the right corners are the cells where it is 0 or p
+        T = np.add.outer(v, (v - M[z, z]) % p)
+        T -= M
+        right = T == 0
+        right |= T == p
+        xs, ys = np.nonzero(right)
+        fourth = A[xs] + A[ys]
+        fourth -= A[z]
+        fourth %= p
+        # a run of equal rows holds a set row exactly when its first entry
+        # is one (the sort is stable), and then each further entry is a hit
+        order, bounds = _runs(np.concatenate([A, fourth]))
+        heads = bounds[:-1]
+        hit = order[heads] < n
+        total += int((np.diff(bounds)[hit] - 1).sum())
     return total
 
 
-def _classify_structure(diag1: tuple[Vec, Vec], diag2: tuple[Vec, Vec], p: int) -> RectangleClass:
-    """Classify a rectangle given its two diagonals (opposite vertex pairs)."""
-    x, y = diag1
-    z, _u = diag2
-    side_a = vsub(x, z, p)  # parallel pair {xz, uy}
-    side_b = vsub(y, z, p)  # parallel pair {zy, xu}
-    iso_a = norm_sq(side_a, p) == 0
-    iso_b = norm_sq(side_b, p) == 0
-    if iso_a and iso_b:
-        line = AffineLine(p, x, side_a)
-        if not (line.contains(y) and line.contains(z) and line.contains(_u)):
-            raise NotARectangleError(
-                "both side directions isotropic but vertices are not collinear"
-            )
-        return RectangleClass.DEGENERATE
-    if iso_a or iso_b:
-        return RectangleClass.SEMI_DEGENERATE
-    return RectangleClass.ORDINARY
+def _ordered_sums(A: np.ndarray, p: int) -> tuple[int, int]:
+    """(energy, pairwise-distinct ordered solutions) from the n^2 ordered
+    pair sums of the rows of A, grouped by one sort."""
+    n = len(A)
+    sums = A[:, None, :] + A
+    sums %= p
+    order, bounds = _runs(sums.reshape(n * n, -1))
+    size = np.diff(bounds)
+    # x + y == x + u forces y == u, so the off-diagonal pairs of one sum are
+    # disjoint and give off * (off - 2) pairwise-distinct solutions; the
+    # diagonal pair (i, i) sits at the flat position i * (n + 1)
+    off = size - np.add.reduceat(order % (n + 1) == 0, bounds[:-1], dtype=np.int64)
+    return int((size * size).sum()), int((off * (off - 2)).sum())
+
+
+def _unordered_sums(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of rows of A as (I, J) sorted by A[i] + A[j] mod p,
+    and the bounds of their runs of equal sums."""
+    I, J = np.triu_indices(len(A), 1)
+    sums = A[I]
+    sums += A[J]
+    sums %= p
+    order, bounds = _runs(sums)
+    return I[order], J[order], bounds
 
 
 def classify_rectangle(x: Vec, y: Vec, z: Vec, u: Vec, p: int) -> RectangleClass:
@@ -149,55 +213,49 @@ def classify_rectangle(x: Vec, y: Vec, z: Vec, u: Vec, p: int) -> RectangleClass
     for corner, n1, n2 in ((z, x, y), (u, x, y), (x, z, u), (y, z, u)):
         if dot(vsub(n1, corner, p), vsub(n2, corner, p), p) != 0:
             raise NotARectangleError(f"no right angle at vertex {corner}")
-    return _classify_structure((x, y), (z, u), p)
+    code = _rectangle_classes(np.array([x, y, z], dtype=np.int64), [0], [1], [2], p)
+    return list(RectangleClass)[int(code[0])]
 
 
 def _rectangle_report(points: list[Vec], corner_coords: list[Vec], p: int, quadric: str) -> EnergyReport:
     n = len(points)
-    sums: dict[Vec, list[tuple[Vec, Vec]]] = {}
-    for x in points:
-        for y in points:
-            sums.setdefault(vadd(x, y, p), []).append((x, y))
-    energy = sum(len(v) ** 2 for v in sums.values())
-    corner = _corner_count(points, corner_coords, p)
+    A = np.array(points, dtype=np.int64)
+    C = np.array(corner_coords, dtype=np.int64)
+    energy, solutions = _ordered_sums(A, p)
+    corner = _corner_count(A, C, p)
     if corner != energy:
         raise ArithmeticError(
             f"energy mismatch: sum grouping {energy} vs corner criterion {corner}"
         )
-    proj = dict(zip(points, corner_coords))
-    census: Counter = Counter()
-    for pairs in sums.values():
-        if len(pairs) < 2:
-            continue
-        for x, y in pairs:
-            if x == y:
-                continue
-            for z, u in pairs:
-                if z == u or x in (z, u) or y in (z, u):
-                    continue
-                census[frozenset((frozenset((x, y)), frozenset((z, u))))] += 1
-    counts = {cls: 0 for cls in RectangleClass}
-    mults: list[int] = []
-    for key, mult in census.items():
-        if not 4 <= mult <= 16:
-            raise ArithmeticError(f"rectangle hit {mult} times by ordered solutions")
-        mults.append(mult)
-        d1, d2 = sorted(tuple(sorted(d)) for d in key)
-        cls = _classify_structure(
-            (proj[d1[0]], proj[d1[1]]), (proj[d2[0]], proj[d2[1]]), p
+    # rectangles: any two unordered pairs with one sum
+    X, Y, bounds = _unordered_sums(A, p)
+    r = np.diff(bounds)
+    rectangles = int((r * (r - 1) // 2).sum())
+    if solutions != 8 * rectangles:
+        raise ArithmeticError(
+            f"{solutions} ordered solutions for {rectangles} rectangles, not 8 each"
         )
-        counts[cls] += 1
+    # the pair at sorted position t forms a rectangle with each later pair of
+    # its run
+    later = np.repeat(bounds[1:], r) - 1 - np.arange(len(X))
+    counts = np.zeros(len(RectangleClass), dtype=np.int64)
+    for t, rank in pair_blocks(later, _CENSUS_RECTANGLES):
+        counts += np.bincount(
+            _rectangle_classes(C, X[t], Y[t], X[t + 1 + rank], p),
+            minlength=len(counts),
+        )
+    ordinary, semi, degenerate = (int(c) for c in counts)
     return EnergyReport(
         energy=energy,
         corner_count=corner,
         size=n,
-        rectangles=len(census),
-        ordinary=counts[RectangleClass.ORDINARY],
-        semi_degenerate=counts[RectangleClass.SEMI_DEGENERATE],
-        degenerate=counts[RectangleClass.DEGENERATE],
+        rectangles=rectangles,
+        ordinary=ordinary,
+        semi_degenerate=semi,
+        degenerate=degenerate,
         k0=max_on_isotropic_line(corner_coords, p),
         quadric=quadric,
-        multiplicity_range=(min(mults), max(mults)) if mults else None,
+        multiplicity_range=(8, 8) if rectangles else None,
     )
 
 

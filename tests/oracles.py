@@ -7,6 +7,7 @@ the library is a genuine cross-check.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 
@@ -329,3 +330,39 @@ def isotropic_lines(pts, p):
         if c > best:
             best, witness = c, (base, d)
     return len(null), best, witness
+
+
+# ---------------------------------------------------------------------------
+# rectangle census: sum groups, one Counter key per rectangle and a
+# per-rectangle classification
+#
+# `corner` gives each point's corner coordinates (the horizontal projection
+# on the paraboloid, the point itself on a sphere).
+
+def rectangle_census(points, corner, p):
+    """(energy, rectangles, ordinary, semi-degenerate, degenerate,
+    (least, most) ordered solutions per rectangle or None)."""
+    proj = dict(zip(points, corner))
+    sums: dict = {}
+    for x in points:
+        for y in points:
+            sums.setdefault(tuple((a + b) % p for a, b in zip(x, y)), []).append((x, y))
+    energy = sum(len(v) ** 2 for v in sums.values())
+    census: Counter = Counter()
+    for pairs in sums.values():
+        for x, y in pairs:
+            for z, u in pairs:
+                if len({x, y, z, u}) == 4:
+                    census[frozenset((frozenset((x, y)), frozenset((z, u))))] += 1
+    classes = [0, 0, 0]
+    for key in census:
+        (x, y), (z, u) = sorted(tuple(sorted(d)) for d in key)
+        x, y, z, u = proj[x], proj[y], proj[z], proj[u]
+        iso_a = nsq(diff(x, z, p), p) == 0
+        iso_b = nsq(diff(y, z, p), p) == 0
+        if iso_a and iso_b and not (collinear(x, z, y, p) and collinear(x, z, u, p)):
+            raise ValueError("both sides isotropic but the vertices are not collinear")
+        classes[iso_a + iso_b] += 1
+    mults = census.values()
+    return (energy, len(census), *classes,
+            (min(mults), max(mults)) if census else None)

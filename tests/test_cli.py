@@ -112,6 +112,14 @@ class TestCountPipeline:
         assert code == 0
         assert text.splitlines()[1] == "point_line,7,l=1;q=3,3,nan,nan,"
 
+    def test_2d_restricted_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "plane.txt"
+        cfg.write_text("p=11 dim=2\n[points]\n0 0\n1 1\n[lines]\n0 0 1 1\n")
+        code, text = run(tmp_path, "count", str(cfg), "--restricted")
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 
 class TestOtherSubcommands:
@@ -128,6 +136,14 @@ class TestOtherSubcommands:
         code, text = run(tmp_path, "energy", str(cfg), "--quadric", "paraboloid")
         assert code == 0
         assert ",36," in text.splitlines()[1]
+
+    def test_energy_at_largest_modulus(self, tmp_path):
+        # p^3 is far above 2^62: the census keys on coordinate rows
+        cfg = tmp_path / "e.txt"
+        cfg.write_text("p=2147483647 dim=3\n[points]\n0 0 0\n1 0 1\n0 1 1\n1 1 2\n")
+        code, text = run(tmp_path, "energy", str(cfg), "--quadric", "paraboloid")
+        assert code == 0
+        assert text.splitlines()[1].split(",")[3] == "36"
 
     def test_forms(self, tmp_path):
         cfg = tmp_path / "f.txt"

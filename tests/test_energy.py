@@ -1,11 +1,19 @@
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_distinct_points, rng_for
+from fpgeom import energy
+from fpgeom.constructions import cylinder_set
 from fpgeom.energy import (
+    EnergyReport,
     NotARectangleError,
     RectangleClass,
     additive_energy,
@@ -18,7 +26,9 @@ from fpgeom.energy import (
     slice_energy_sum,
 )
 from fpgeom.geom import GeometryError
-from fpgeom.quadrics import Paraboloid, lines_on_sphere, paraboloid_lift
+from fpgeom.quadrics import Paraboloid, lines_on_sphere, paraboloid_lift, sphere_points
+
+BIG = 2147483647  # 2^31 - 1
 
 
 class TestAdditiveEnergy:
@@ -111,9 +121,10 @@ class TestParaboloidEnergy:
         p = 13
         base = random_distinct_points(rng, p, 2, 25)
         rep = rectangle_energy_paraboloid(paraboloid_lift(base, p), p)
-        if rep.multiplicity_range is not None:
-            lo, hi = rep.multiplicity_range
-            assert 4 <= lo <= hi <= 16
+        # two distinct pairs with one sum are disjoint, so every rectangle is
+        # hit by exactly 2 * 2 * 2 ordered solutions
+        assert rep.rectangles > 0
+        assert rep.multiplicity_range == (8, 8)
 
     def test_class_counts_sum(self):
         rng = rng_for("par-classes")
@@ -306,3 +317,185 @@ class TestMaxOnIsotropicLine:
         p = 5
         pts = [(t % p, 2 * t % p) for t in range(3)] + [(1, 0)]
         assert max_on_isotropic_line(pts, p) == 3
+
+
+# ---------------------------------------------------------------------------
+# the vectorised census against the pure-Python census in `oracles`
+
+def _expected(points, p, quadric):
+    """The EnergyReport the oracles give for a set on the quadric."""
+    pts = sorted(set(points))
+    corner = [q[:-1] for q in pts] if quadric == "paraboloid" else pts
+    energy_, rects, ordinary, semi, degenerate, mults = oracles.rectangle_census(
+        pts, corner, p)
+    k0 = len(pts) if len(pts) < 2 else max(1, oracles.isotropic_lines(corner, p)[1])
+    return EnergyReport(energy_, energy_, len(pts), rects, ordinary, semi, degenerate,
+                        k0, quadric, mults)
+
+
+def _report(points, p, quadric, t=None):
+    if quadric == "paraboloid":
+        return rectangle_energy_paraboloid(points, p)
+    return rectangle_energy_sphere(points, p, t)
+
+
+@st.composite
+def paraboloid_sets(draw):
+    """(p, points on the paraboloid in dimension 3 or 4): lifted free points
+    plus a few planted horizontal lines, so degenerate rectangles occur."""
+    p = draw(st.sampled_from((3, 5, 7, 13)))
+    d = draw(st.sampled_from((3, 4)))
+    vec = st.tuples(*(st.integers(0, p - 1) for _ in range(d - 1)))
+    base = set(draw(st.lists(vec, min_size=1, max_size=14)))
+    for h, u, ts in draw(st.lists(
+            st.tuples(vec, vec, st.sets(st.integers(0, p - 1), min_size=2)), max_size=2)):
+        base.update(tuple((a + t * b) % p for a, b in zip(h, u)) for t in ts)
+    return p, paraboloid_lift(sorted(base), p)
+
+
+_sphere_lines = functools.lru_cache(maxsize=None)(lines_on_sphere)
+
+
+@st.composite
+def sphere_sets(draw):
+    """(p, t, points on the sphere |x|^2 = t in dimension 3 or 4): a sample of
+    the sphere plus, for p <= 7, the points of a few lines on it (the line
+    scan takes seconds at p = 13, d = 4)."""
+    p = draw(st.sampled_from((3, 5, 7, 13)))
+    d = draw(st.sampled_from((3, 4)))
+    t = draw(st.integers(1, p - 1))
+    pool = sphere_points(p, d, t)
+    pts = {pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=14))}
+    lines = _sphere_lines(p, d, t) if p <= 7 else []
+    if lines:
+        for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
+            pts.update(lines[i].points())
+    return p, t, sorted(pts) or [pool[0]]
+
+
+class TestCensusAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(paraboloid_sets())
+    def test_paraboloid(self, case):
+        p, pts = case
+        assert rectangle_energy_paraboloid(pts, p) == _expected(pts, p, "paraboloid")
+
+    @settings(max_examples=60, deadline=None)
+    @given(sphere_sets())
+    def test_sphere(self, case):
+        p, t, pts = case
+        assert rectangle_energy_sphere(pts, p, t) == _expected(pts, p, "sphere")
+
+    @pytest.mark.parametrize("p, slope", [(5, 2), (13, 5)])  # 1 + slope^2 == 0
+    def test_full_isotropic_line(self, p, slope):
+        base = [(s, slope * s % p) for s in range(p)]
+        pts = paraboloid_lift(base, p)
+        rep = rectangle_energy_paraboloid(pts, p)
+        assert rep == _expected(pts, p, "paraboloid")
+        assert rep.degenerate == rep.rectangles > 0
+
+    def test_cylinder_set_semi_degenerate(self):
+        pts = cylinder_set(5, 1, 2, 2).points
+        rep = rectangle_energy_sphere(pts, 5, 1)
+        assert rep == _expected(pts, 5, "sphere")
+        assert rep.semi_degenerate > 0
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 13])
+    def test_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(energy, "_CENSUS_RECTANGLES", block)
+        cases = [
+            (Paraboloid(5, 3).points(), 5, "paraboloid", None),
+            (cylinder_set(5, 1, 2, 2).points, 5, "sphere", 1),
+            (sphere_points(7, 3, 3), 7, "sphere", 3),
+        ]
+        for pts, p, quadric, t in cases:
+            assert _report(pts, p, quadric, t) == _expected(pts, p, quadric)
+
+    def test_full_paraboloid_p17(self):
+        # the pinned census of the benchmark's paraboloid_energy workload
+        p = 17
+        tracemalloc.start()
+        try:
+            rep = rectangle_energy_paraboloid(Paraboloid(p, 3).points(), p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rep.energy, rep.corner_count, rep.rectangles) == (1498465, 1498465, 164152)
+        assert (rep.ordinary, rep.semi_degenerate, rep.degenerate) == (147968, 0, 16184)
+        assert rep.k0 == 17 and rep.multiplicity_range == (8, 8)
+        # the n^2 ordered pair sums (3 columns), their sort order and one
+        # sorted column set the peak (about 6 n^2 words); a frozenset key per
+        # rectangle took over 100 MB here
+        n = p * p
+        assert peak < 8 * n * n * 8, peak
+
+
+class TestCrossChecks:
+    PTS = Paraboloid(5, 3).points()
+
+    def test_corner_criterion_must_agree(self, monkeypatch):
+        monkeypatch.setattr(energy, "_corner_count", lambda A, C, p: 0)
+        with pytest.raises(ArithmeticError, match="energy mismatch"):
+            rectangle_energy_paraboloid(self.PTS, 5)
+
+    def test_eight_solutions_per_rectangle(self, monkeypatch):
+        # losing one pair of the unordered grouping breaks the identity
+        # between the two sorts
+        unordered = energy._unordered_sums
+
+        def lossy(A, p):
+            X, Y, bounds = unordered(A, p)
+            return X[:-1], Y[:-1], np.append(bounds[:-1], bounds[-1] - 1)
+
+        monkeypatch.setattr(energy, "_unordered_sums", lossy)
+        with pytest.raises(ArithmeticError, match="not 8 each"):
+            rectangle_energy_paraboloid(self.PTS, 5)
+
+
+class TestIsotropicSidesGuard:
+    # in F_5^4 the sides a = (1, 2, 0, 0) and b = (0, 0, 1, 2) are isotropic,
+    # orthogonal and not parallel
+    A, B = (1, 2, 0, 0), (0, 0, 1, 2)
+
+    def test_classes_raise_on_crafted_corner_coords(self):
+        C = np.array([self.A, self.B, (0, 0, 0, 0)], dtype=np.int64)
+        with pytest.raises(NotARectangleError, match="not collinear"):
+            energy._rectangle_classes(C, [0], [1], [2], 5)
+
+    def test_classify_rectangle_raises(self):
+        u = tuple((a + b) % 5 for a, b in zip(self.A, self.B))
+        with pytest.raises(NotARectangleError, match="not collinear"):
+            classify_rectangle(self.A, self.B, (0, 0, 0, 0), u, 5)
+
+    def test_parallel_isotropic_sides_are_degenerate(self):
+        C = np.array([(1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 0, 0)], dtype=np.int64)
+        assert energy._rectangle_classes(C, [0], [1], [2], 5).tolist() == [2]
+
+
+# residues near 0 and near p add up without wrapping or with it
+_BIG_COORD = st.one_of(st.sampled_from((0, 1, 2, 3, BIG - 1, BIG - 2)),
+                       st.integers(0, BIG - 1))
+
+
+class TestLargestModulus:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(_BIG_COORD, _BIG_COORD), min_size=1, max_size=12))
+    def test_paraboloid_d3(self, base):
+        pts = paraboloid_lift(sorted(set(base)), BIG)
+        rep = rectangle_energy_paraboloid(pts, BIG)
+        assert rep.energy == oracles.additive_energy(pts, pts, BIG)
+        assert rep == _expected(pts, BIG, "paraboloid")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sets(st.integers(0, 383), min_size=1, max_size=14))
+    def test_sphere_d4(self, picks):
+        # signed permutations of (1, 2, 3, 4) lie on |x|^2 = 30
+        frame = sorted(
+            tuple(s * c % BIG for s, c in zip(signs, perm))
+            for perm in itertools.permutations((1, 2, 3, 4))
+            for signs in itertools.product((1, -1), repeat=4)
+        )
+        pts = [frame[i] for i in sorted(picks)]
+        rep = rectangle_energy_sphere(pts, BIG, 30)
+        assert rep.energy == oracles.additive_energy(pts, pts, BIG)
+        assert rep == _expected(pts, BIG, "sphere")
