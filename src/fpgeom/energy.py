@@ -7,8 +7,8 @@ m^2.  For sets on the paraboloid or a sphere the same number is recomputed
 through the right-angle corner criterion, and the two routes are required
 to agree.  The corner form (x - z).(y - z) is expanded through the Gram
 matrix M = C C^T of the corner coordinates, so each corner z costs one
-n x n outer sum, and only the cells where it vanishes are tested for the
-fourth vertex x + y - z.
+n x n outer sum, and only the cells where it vanishes look up the fourth
+vertex x + y - z, in per-column prefix keys of the set built once.
 
 Geometric rectangles are the deduplicated, pairwise-distinct view.  Two
 distinct unordered pairs with one sum are disjoint, so a run of r pairs
@@ -134,39 +134,72 @@ def _rectangle_classes(C: np.ndarray, x, y, z, p: int) -> np.ndarray:
     return iso_a.astype(np.int64) + iso_b
 
 
+def gram_matrix(C: np.ndarray, p: int) -> np.ndarray:
+    """M = C C^T mod p, one dot product per pair of rows of C."""
+    M = np.zeros((len(C), len(C)), dtype=np.int64)
+    for col in C.T:
+        M += np.multiply.outer(col, col) % p
+        M %= p
+    return M
+
+
+def right_corners(M: np.ndarray, z: int, p: int) -> np.ndarray:
+    """The cells (x, y) with (x - z).(y - z) == 0, given the Gram matrix M.
+
+    The corner form is M[x, y] - M[z, x] - M[z, y] + M[z, z]; the row x == z
+    and the column y == z are always right.
+    """
+    v = M[z]
+    # T - M is congruent to -(x - z).(y - z) and lies in (-p, 2p), so the
+    # right corners are the cells where it is 0 or p
+    T = np.add.outer(v, (v - M[z, z]) % p)
+    T -= M
+    right = T == 0
+    right |= T == p
+    return right
+
+
+def _prefix_keys(A: np.ndarray, p: int) -> list[np.ndarray]:
+    """Per column c, the sorted distinct keys rank(row[:c]) * p + row[c] of
+    the rows of A, where rank is a row prefix's position among its column's
+    keys; every key stays below len(A) * p."""
+    rank = np.zeros(len(A), dtype=np.int64)
+    levels = []
+    for col in A.T:
+        keys, rank = np.unique(rank * p + col, return_inverse=True)
+        levels.append(keys)
+    return levels
+
+
+def _members(levels: list[np.ndarray], X: np.ndarray, p: int) -> np.ndarray:
+    """Which rows of X are rows of the set whose _prefix_keys are levels."""
+    rank = np.zeros(len(X), dtype=np.int64)
+    hit = np.ones(len(X), dtype=bool)
+    for keys, col in zip(levels, X.T):
+        key = rank * p + col
+        rank = np.searchsorted(keys, key)
+        rank[rank == len(keys)] = 0
+        hit &= keys[rank] == key
+    return hit
+
+
 def _corner_count(A: np.ndarray, C: np.ndarray, p: int) -> int:
     """Count triples (x, y, z) with a right corner at z (in corner coords C)
     whose fourth vertex x + y - z (in full coords A) is back in the set.
 
-    With M = C C^T mod p the corner form is
-    (x - z).(y - z) = M[x, y] - M[z, x] - M[z, y] + M[z, z], so each z costs
-    one n x n outer sum, and only its zero cells are tested for membership.
-    A's rows are distinct.
+    Each z costs one n x n outer sum of the Gram matrix of C, and only its
+    right corners are looked up, column by column, in prefix keys built
+    once from A.  A's rows are distinct.
     """
-    n = len(A)
-    M = np.zeros((n, n), dtype=np.int64)
-    for col in C.T:
-        M += np.multiply.outer(col, col) % p
-        M %= p
+    M = gram_matrix(C, p)
+    levels = _prefix_keys(A, p)
     total = 0
-    for z in range(n):
-        v = M[z]
-        # T - M is congruent to -(x - z).(y - z) and lies in (-p, 2p), so
-        # the right corners are the cells where it is 0 or p
-        T = np.add.outer(v, (v - M[z, z]) % p)
-        T -= M
-        right = T == 0
-        right |= T == p
-        xs, ys = np.nonzero(right)
+    for z in range(len(A)):
+        xs, ys = np.nonzero(right_corners(M, z, p))
         fourth = A[xs] + A[ys]
         fourth -= A[z]
         fourth %= p
-        # a run of equal rows holds a set row exactly when its first entry
-        # is one (the sort is stable), and then each further entry is a hit
-        order, bounds = _runs(np.concatenate([A, fourth]))
-        heads = bounds[:-1]
-        hit = order[heads] < n
-        total += int((np.diff(bounds)[hit] - 1).sum())
+        total += int(np.count_nonzero(_members(levels, fourth, p)))
     return total
 
 

@@ -4,33 +4,101 @@ reduction to weighted point-plane incidences, and right-triangle counts.
 All counts are exact; squared distance means the dot-square of the
 difference vector, so a "zero distance" can join distinct points when their
 difference is isotropic.
+
+Distances and form values come from one pair-value kernel that fills blocks
+of rows of the table s.u + a(s) + b(t) mod p: u = M t gives the form value
+s^T M t, and u = -2t with a = |s|^2, b = |t|^2 gives |s - t|^2.  Each row of
+a block is sorted into runs of equal values, so value sets, pinned counts,
+histograms and E_Delta are read from run heads and lengths, with memory
+O(block).  Every product is reduced mod p before the next sum, which keeps
+the tables exact in int64 for p < 2^31.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Prime
+import numpy as np
+
+from .counting import _NP_SAFE, _inverse, _line_census
+from .energy import _runs, gram_matrix, right_corners
+from .field import Prime, legendre
 from .geom import (
     AffineLine,
     AffinePlane,
     CoincidentPointsError,
+    DimensionMismatchError,
     GeometryError,
     ProjPlane,
     ProjPoint,
     Vec,
     as_vec,
-    dir_perp,
     dot,
-    isotropic_directions,
     norm_sq,
-    scale_canonical,
     vsub,
 )
 
 
 class NullPairError(GeometryError):
     """A construction that needs a non-null point pair received a null one."""
+
+
+# ---------------------------------------------------------------------------
+# the pair-value kernel
+
+# pair values computed per block of rows; a fixed size, not a tuning knob
+_BLOCK_CELLS = 1 << 20
+
+
+def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
+    """Yield (start, V) block by block, where
+    V[i, j] == S[start + i].U[j] + a[start + i] + b[j] mod p
+    (the offsets a and b only when given)."""
+    rows = max(1, _BLOCK_CELLS // max(1, len(U)))
+    for start in range(0, len(S), rows):
+        block = S[start : start + rows]
+        V = np.zeros((len(block), len(U)), dtype=np.int64)
+        if a is not None:
+            V += a[start : start + rows, None]
+            V += b
+        X = np.empty_like(V)
+        for s, u in zip(block.T, U.T):
+            np.multiply.outer(s, u, out=X)
+            X %= p
+            V += X
+            V %= p
+        del X  # free the scratch block while the caller reduces
+        yield start, V
+
+
+def _row_runs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort each row of V in place and return the flat positions of its runs
+    of equal values with their lengths; runs never cross rows."""
+    V.sort(axis=1)
+    head = np.ones(V.shape, dtype=bool)
+    head[:, 1:] = V[:, 1:] != V[:, :-1]
+    heads = np.flatnonzero(head)
+    return heads, np.diff(heads, append=V.size)
+
+
+def _distance_terms(P: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, norms) with |s - t|^2 == s.U[t] + norms[s] + norms[t] mod p."""
+    return -2 * P % p, (P * P % p).sum(axis=1) % p
+
+
+def _form_images(T: np.ndarray, form: "FormSpec") -> np.ndarray:
+    """Rows M t mod p for the rows t of T, so s.(M t) is the form value."""
+    p, M = form.p, np.array(form.matrix, dtype=np.int64)
+    U = np.zeros_like(T)
+    for col, m in zip(T.T, M.T):
+        U += np.multiply.outer(col, m) % p
+        U %= p
+    return U
+
+
+def _plane_points(points, p: int) -> np.ndarray:
+    pts = sorted({as_vec(q, p, 2) for q in points})
+    return np.array(pts, dtype=np.int64).reshape(len(pts), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -51,18 +119,41 @@ class DistanceReport:
 
 
 def supported_in_semi_isotropic_plane(points, p: int) -> bool:
-    """True when every point lies in one plane orthogonal to an isotropic direction."""
+    """True when every point lies in one plane orthogonal to an isotropic direction.
+
+    The isotropic y with y.(q - q0) == 0 for every q are the isotropic
+    vectors of W-perp, W the span of the differences q - q0: none for rank 3;
+    for rank 2 the one normal, if isotropic; for rank 1, W = <w>, the plane
+    w-perp holds one exactly when -w.w is zero or a square (the binary form
+    on w-perp has discriminant w.w), which Euler's criterion decides (at
+    p = 2 every residue is a square, and w-perp always meets the isotropic
+    plane (1, 1, 1)-perp); for rank 0, any isotropic vector of F_p^3.
+    """
     pts = [as_vec(q, p, 3) for q in points]
     if len(pts) <= 1:
         return True
-    for y in isotropic_directions(p, 3):
-        if len({dot(y, q, p) for q in pts}) == 1:
-            return True
-    return False
+    D = (np.array(pts[1:], dtype=np.int64) - pts[0]) % p
+    nonzero = D.any(axis=1)
+    if not nonzero.any():
+        return True  # every ternary form over F_p has an isotropic vector
+    w = D[nonzero.argmax()]
+    # the cross products q x w vanish exactly for the rows parallel to w
+    N = np.stack([
+        (D[:, (i + 1) % 3] * w[(i + 2) % 3] % p - D[:, (i + 2) % 3] * w[(i + 1) % 3] % p) % p
+        for i in range(3)
+    ], axis=1)
+    independent = N.any(axis=1)
+    if not independent.any():
+        return legendre(-norm_sq(tuple(w.tolist()), p), p) >= 0
+    normal = N[independent.argmax()]
+    if ((D * normal % p).sum(axis=1) % p).any():
+        return False
+    return norm_sq(tuple(normal.tolist()), p) == 0
 
 
 def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
-    """Exact distance set and per-point pinned counts, by double loop.
+    """Exact distance set and per-point pinned counts, from the sorted rows
+    of the squared-distance table.
 
     Pinned counts always see the zero distance from the point to itself;
     the nonzero variants drop the value 0 entirely.
@@ -71,27 +162,32 @@ def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
     pts = sorted({as_vec(q, p) for q in points})
     if len(pts) < 2:
         raise GeometryError("need at least two distinct points")
-    dim = len(pts[0])
-    values: set[int] = set()
-    pinned: list[int] = []
-    pinned_nz: list[int] = []
+    if len({len(q) for q in pts}) > 1:
+        raise DimensionMismatchError("points of different dimensions")
+    n, dim = len(pts), len(pts[0])
+    P = np.array(pts, dtype=np.int64)
+    U, norms = _distance_terms(P, p)
+    values = np.zeros(0, dtype=np.int64)
+    pinned = np.zeros(n, dtype=np.int64)
     zero_pairs = 0
-    for s in pts:
-        seen = {norm_sq(vsub(s, t, p), p) for t in pts}
-        values |= seen
-        pinned.append(len(seen))
-        pinned_nz.append(len(seen - {0}))
-        zero_pairs += sum(
-            1 for t in pts if t != s and norm_sq(vsub(s, t, p), p) == 0
-        )
+    for start, V in _pair_values(P, U, p, norms, norms):
+        heads, size = _row_runs(V)
+        value = V.reshape(-1)[heads]
+        pinned[start : start + len(V)] = np.bincount(heads // n, minlength=len(V))
+        # each row holds its own point at distance 0
+        zero_pairs += int(size[value == 0].sum()) - len(V)
+        values = np.union1d(values, value)
+    # 0 is in every row, so the nonzero pinned count is one less
+    pinned_nz = pinned - 1
     counts = pinned if include_zero else pinned_nz
+    values = frozenset(values.tolist())
     return DistanceReport(
-        values=frozenset(values),
-        nonzero_values=frozenset(values - {0}),
-        pinned_counts=tuple(pinned),
-        pinned_counts_nonzero=tuple(pinned_nz),
-        max_pinned=max(counts),
-        min_pinned=min(counts),
+        values=values,
+        nonzero_values=values - {0},
+        pinned_counts=tuple(pinned.tolist()),
+        pinned_counts_nonzero=tuple(pinned_nz.tolist()),
+        max_pinned=int(counts.max()),
+        min_pinned=int(counts.min()),
         zero_pairs=zero_pairs,
         in_semi_isotropic_plane=(
             supported_in_semi_isotropic_plane(pts, p) if dim == 3 else None
@@ -99,31 +195,38 @@ def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
     )
 
 
+def _equidistant(P, U, norms, I, J, p: int) -> int:
+    """Number of (g, s) with |s - P[I[g]]|^2 == |s - P[J[g]]|^2 != 0."""
+    total = 0
+    for (_, A), (_, B) in zip(_pair_values(P[I], U, p, norms[I], norms),
+                              _pair_values(P[J], U, p, norms[J], norms)):
+        total += int(np.count_nonzero((A == B) & (A != 0)))
+    return total
+
+
 def energy_delta(points, p: int, restricted: bool = False) -> int:
     """Number of triples (s, t, t') with |s-t|^2 == |s-t'|^2 != 0.
 
     The restricted variant additionally requires the pair (t, t') to be
-    non-null, dropping equidistant pairs with isotropic difference.
+    non-null, dropping equidistant pairs with isotropic difference.  A run
+    of c equal nonzero values in the row of s adds c^2; the restricted count
+    then subtracts, for each null pair t != t', the points s equidistant
+    from both.
     """
     p = int(Prime(p))
     pts = sorted({as_vec(q, p, 3) for q in points})
+    P = np.array(pts, dtype=np.int64).reshape(len(pts), 3)
+    U, norms = _distance_terms(P, p)
     total = 0
-    for s in pts:
-        groups: dict[int, list[Vec]] = {}
-        for t in pts:
-            groups.setdefault(norm_sq(vsub(s, t, p), p), []).append(t)
-        for r, members in groups.items():
-            if r == 0:
-                continue
-            if not restricted:
-                total += len(members) * len(members)
-            else:
-                total += sum(
-                    1
-                    for t in members
-                    for t2 in members
-                    if norm_sq(vsub(t, t2, p), p) != 0 or t == t2
-                )
+    for start, V in _pair_values(P, U, p, norms, norms):
+        if restricted:
+            I, J = np.nonzero(V == 0)
+            I += start
+            distinct = I != J
+            total -= _equidistant(P, U, norms, I[distinct], J[distinct], p)
+        heads, size = _row_runs(V)
+        size = size[V.reshape(-1)[heads] != 0]
+        total += int(np.dot(size, size))
     return total
 
 
@@ -184,25 +287,38 @@ def dot_form(p: int) -> FormSpec:
 
 def form_values(points, form: FormSpec) -> frozenset[int]:
     """Exact value set {form(s, t) : s, t in S}."""
-    p = form.p
-    pts = sorted({as_vec(q, p, 2) for q in points})
-    return frozenset(form.evaluate(s, t) for s in pts for t in pts)
+    P = _plane_points(points, form.p)
+    values = np.zeros(0, dtype=np.int64)
+    for _, V in _pair_values(P, _form_images(P, form), form.p):
+        flat = V.reshape(1, -1)
+        heads, _ = _row_runs(flat)
+        values = np.union1d(values, flat[0, heads])
+    return frozenset(values.tolist())
 
 
 def form_solution_count(
     s_points, t_points, form: FormSpec, include_zero: bool = False
 ) -> int:
     """Number of quadruples (s, s', t, t') in S x S x T x T with
-    form(s, t) == form(s', t'), nonzero values only unless include_zero."""
-    p = form.p
-    S = sorted({as_vec(q, p, 2) for q in s_points})
-    T = sorted({as_vec(q, p, 2) for q in t_points})
-    hist: dict[int, int] = {}
-    for s in S:
-        for t in T:
-            v = form.evaluate(s, t)
-            hist[v] = hist.get(v, 0) + 1
-    return sum(c * c for v, c in hist.items() if include_zero or v != 0)
+    form(s, t) == form(s', t'), nonzero values only unless include_zero.
+
+    The value histogram over S x T is merged block by block from the runs,
+    and its squares are summed in python ints once they could pass int64.
+    """
+    S, T = _plane_points(s_points, form.p), _plane_points(t_points, form.p)
+    values = counts = np.zeros(0, dtype=np.int64)
+    for _, V in _pair_values(S, _form_images(T, form), form.p):
+        flat = V.reshape(1, -1)
+        heads, size = _row_runs(flat)
+        values, slot = np.unique(np.concatenate([values, flat[0, heads]]), return_inverse=True)
+        merged = np.zeros(len(values), dtype=np.int64)
+        np.add.at(merged, slot, np.concatenate([counts, size]))
+        counts = merged
+    if not include_zero:
+        counts = counts[values != 0]
+    # the squares sum to at most (|S| |T|)^2
+    counts = counts.astype(np.int64 if (len(S) * len(T)) ** 2 < _NP_SAFE else object)
+    return int(np.dot(counts, counts))
 
 
 def wedge_solution_count(s_points, t_points, p: int) -> int:
@@ -282,32 +398,46 @@ class RightTriangleReport:
     tables: tuple[tuple[Vec, tuple[tuple[AffineLine, int], ...]], ...]
 
 
+def _perpendicular(D: np.ndarray, p: int) -> np.ndarray:
+    """Canonical directions orthogonal to the canonical planar directions D."""
+    Q = np.stack([-D[:, 1] % p, D[:, 0]], axis=1)
+    Q *= _inverse(Q[np.arange(len(Q)), (Q != 0).argmax(axis=1)], p)[:, None]
+    Q %= p
+    return Q
+
+
 def right_triangle_count(points, p: int) -> RightTriangleReport:
+    """Right-angle triples counted twice, independently: directly from the
+    Gram-matrix corner form, and by aggregating the line census."""
     p = int(Prime(p))
-    pts = sorted({as_vec(q, p, 2) for q in points})
-    if len(pts) < 3:
+    P = _plane_points(points, p)
+    n = len(P)
+    if n < 3:
         raise GeometryError("need at least three distinct points")
-    total = 0
+    # the 2n - 1 cells with x == z or y == z of each corner are right too
+    M = gram_matrix(P, p)
+    total = sum(int(np.count_nonzero(right_corners(M, z, p))) for z in range(n))
+    total -= n * (2 * n - 1)
     aggregated = 0
-    tables = []
-    for z in pts:
-        diffs = [vsub(x, z, p) for x in pts if x != z]
-        # direct evaluation of the right-angle condition at this corner
-        for dx in diffs:
-            for dy in diffs:
-                if (dx[0] * dy[0] + dx[1] * dy[1]) % p == 0:
-                    total += 1
-        groups: dict[Vec, int] = {}
-        for d in diffs:
-            cd = scale_canonical(d, p)
-            groups[cd] = groups.get(cd, 0) + 1
-        corner = 0
-        rows = []
-        for d, c in sorted(groups.items()):
-            corner += c * groups.get(dir_perp(d, p), 0)
-            rows.append((AffineLine(p, z, d), c))
-        aggregated += corner
-        tables.append((z, tuple(rows)))
+    groups = []
+    for base, _, count, D in _line_census(P, p, np.arange(n), all_partners=True):
+        # blocks hold whole bases, so a (base, direction) group and the group
+        # of its perpendicular direction meet in one run of two rows
+        rows = np.column_stack([base, D])
+        order, bounds = _runs(np.vstack([rows, np.column_stack([base, _perpendicular(D, p)])]))
+        pair = bounds[:-1][np.diff(bounds) == 2]
+        aggregated += int(np.dot(count[order[pair]], count[order[pair + 1] - len(rows)]))
+        groups.append(np.column_stack([rows, count]))
     if total != aggregated:
         raise ArithmeticError("right-triangle aggregation diverged from direct count")
-    return RightTriangleReport(total=total, aggregated=aggregated, tables=tuple(tables))
+    G = np.concatenate(groups)
+    G = G[np.lexsort(G[:, ::-1].T)].tolist()
+    pts = [tuple(q) for q in P.tolist()]
+    tables: dict[int, list] = {}
+    for z, d0, d1, c in G:
+        tables.setdefault(z, []).append((AffineLine(p, pts[z], (d0, d1)), c))
+    return RightTriangleReport(
+        total=total,
+        aggregated=aggregated,
+        tables=tuple((pts[z], tuple(rows)) for z, rows in tables.items()),
+    )

@@ -4,7 +4,7 @@ Generation is exhaustive (desk-scale p), backed by a per-prime square-root
 table.  Line detection scans candidate (base, direction) pairs: a line lies
 on a quadric exactly when all p of its points do, and a line on a sphere is
 forced to have an isotropic direction, which prunes the scan without losing
-candidates.  An unpruned scan is kept as the slow reference.
+candidates.
 """
 
 from __future__ import annotations
@@ -125,9 +125,10 @@ def lines_on_sphere(p: int, d: int, t: int) -> list[AffineLine]:
     p = int(Prime(p))
     t %= p
     sphere = Sphere(p, d, t)
+    directions = isotropic_directions(p, d)
     out: set[AffineLine] = set()
     for x in sphere.points():
-        for v in isotropic_directions(p, d):
+        for v in directions:
             if dot(x, v, p) != 0:
                 continue
             line = AffineLine(p, x, v)
@@ -143,22 +144,6 @@ def lines_on_sphere2(p: int, t: int) -> list[AffineLine]:
     if t % p == 0:
         raise GeometryError("use isotropic_cone_lines for the cone")
     return lines_on_sphere(p, 3, t)
-
-
-def lines_on_sphere_scan(p: int, d: int, t: int) -> list[AffineLine]:
-    """Slow reference: scan every canonical (base, direction) pair."""
-    p = int(Prime(p))
-    sphere = Sphere(p, d, t)
-    out: set[AffineLine] = set()
-    for v in canonical_directions(p, d):
-        j = next(i for i, c in enumerate(v) if c != 0)
-        for base in itertools.product(range(p), repeat=d):
-            if base[j] != 0:
-                continue  # one canonical base per line
-            line = AffineLine(p, base, v)
-            if all(sphere.contains(q) for q in line.points()):
-                out.add(line)
-    return sorted(out)
 
 
 def isotropic_cone_lines(p: int) -> list[AffineLine]:

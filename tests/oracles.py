@@ -151,6 +151,22 @@ def energy_delta(points, p, restricted=False) -> int:
     return total
 
 
+def zero_pairs(points, p) -> int:
+    """Ordered pairs of distinct points at squared distance 0."""
+    return sum(1 for s in points for t in points if s != t and nsq(diff(s, t, p), p) == 0)
+
+
+def semi_isotropic_plane(points, p) -> bool:
+    """Some nonzero isotropic y in F_p^3 has y.q constant over the points;
+    every y is enumerated, so p stays small."""
+    points = list(points)
+    for y in product(range(p), repeat=3):
+        if any(y) and nsq(y, p) == 0:
+            if len({sum(a * b for a, b in zip(y, q)) % p for q in points}) <= 1:
+                return True
+    return False
+
+
 def additive_energy(A, B, p) -> int:
     total = 0
     for x in A:
@@ -177,6 +193,19 @@ def right_triangles(points, p) -> int:
                 if (dx[0] * dy[0] + dx[1] * dy[1]) % p == 0:
                     total += 1
     return total
+
+
+def right_triangle_tables(points, p):
+    """(aggregated count, per-corner tables) over sorted distinct planar
+    points: for each corner z the rows (canonical line through z, other
+    points on it) in direction order, and the sum of n(l) * n(l-perp)."""
+    aggregated, tables = 0, []
+    for i, z in enumerate(points):
+        groups = direction_groups(points, i, [j for j in range(len(points)) if j != i], p)
+        for (a, b), c in groups.items():
+            aggregated += c * groups.get(canonical_direction((-b % p, a), p), 0)
+        tables.append((z, [(canonical_line(z, d, p), c) for d, c in sorted(groups.items())]))
+    return aggregated, tables
 
 
 def form_apply(m, s, t, p) -> int:
@@ -223,6 +252,23 @@ def engg_solutions(S, T, p) -> int:
 
 def sphere_scan(p, d, t) -> list[tuple[int, ...]]:
     return [x for x in product(range(p), repeat=d) if nsq(x, p) == t % p]
+
+
+def sphere_lines_scan(p, d, t) -> list:
+    """Canonical (base, direction) of every line on the sphere |x|^2 == t,
+    by scanning every canonical direction and every base zero at its
+    leading coordinate; sorted."""
+    out = []
+    for d_vec in product(range(p), repeat=d):
+        if not any(d_vec) or d_vec[next(i for i, c in enumerate(d_vec) if c)] != 1:
+            continue
+        j = next(i for i, c in enumerate(d_vec) if c)
+        for base in product(range(p), repeat=d):
+            if base[j] != 0:
+                continue  # one canonical base per line
+            if all(nsq(x, p) == t % p for x in line_points(base, d_vec, p)):
+                out.append((base, d_vec))
+    return sorted(out)
 
 
 def legendre_by_squares(a, p) -> int:

@@ -59,6 +59,10 @@ def _files() -> dict[str, str]:
         "sph3.txt": _config(5, 3, points=Sphere(5, 3, 1).points()),
         "sph4.txt": _config(5, 4, points=Sphere(5, 4, 1).points()[:40]),
         "off3.txt": _config(7, 3, points=[(1, 0, 0), (1, 1, 1)]),
+        # three points, where the semi-isotropic-plane test must not scan p^2
+        # directions
+        "mid3.txt": _config(10007, 3, points=[(0, 0, 0), (1, 2, 3), (5, 7, 11)]),
+        "big3.txt": _config(2147483647, 3, points=[(0, 0, 0), (1, 2, 3), (5, 7, 11)]),
         "forms2.txt": _config(13, 2, points=[(1, 0), (0, 1), (1, 1), (2, 3), (5, 7)]),
         "sweep_sphere.txt": "construction=sphere\ntheorem=T1,T1B\np=5,7\n",
         "sweep_coprime.txt": "construction=coprime\np=23,29\nN=2\n",
@@ -104,6 +108,8 @@ CASES = {
     "distances-exclude-zero": ["distances", "dist3.txt", "--exclude-zero",
                                "--theorem", "T42"],
     "distances-semi-isotropic": ["distances", "semi3.txt", "--theorem", "T42"],
+    "distances-p10007": ["distances", "mid3.txt", "--theorem", "T42"],
+    "distances-p2147483647": ["distances", "big3.txt", "--theorem", "T42"],
     "energy-paraboloid": ["energy", "par3.txt", "--quadric", "paraboloid"],
     "energy-paraboloid-T54": ["energy", "par3.txt", "--quadric", "paraboloid",
                               "--theorem", "T54"],

@@ -499,3 +499,21 @@ class TestLargestModulus:
         rep = rectangle_energy_sphere(pts, BIG, 30)
         assert rep.energy == oracles.additive_energy(pts, pts, BIG)
         assert rep == _expected(pts, BIG, "sphere")
+
+
+class TestMembershipByPrefixKeys:
+    """The fourth-vertex lookup of the corner count against a set of tuples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((3, 5, BIG)).flatmap(lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.tuples(*(st.sampled_from((0, 1, p - 1)),) * 3), min_size=1, unique=True),
+        st.lists(st.tuples(*(st.sampled_from((0, 1, 2, p - 1)),) * 3)))))
+    def test_members_match_tuple_lookup(self, case):
+        # few coordinate values, so rows share prefixes and candidates miss
+        # at every column
+        p, rows, candidates = case
+        A = np.array(rows, dtype=np.int64)
+        X = np.array(candidates, dtype=np.int64).reshape(len(candidates), 3) % p
+        got = energy._members(energy._prefix_keys(A, p), X, p)
+        assert got.tolist() == [tuple(int(c) for c in x) in set(rows) for x in X]

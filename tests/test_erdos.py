@@ -1,9 +1,13 @@
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_distinct_points, rng_for
+from fpgeom import erdos
 from fpgeom.erdos import (
     FormSpec,
     NullPairError,
@@ -253,3 +257,258 @@ class TestFormSolutionCount:
         assert form_solution_count(S, T, wedge_form(p), include_zero=True) == (
             oracles.wedge_solutions(S, T, p, include_zero=True)
         )
+
+
+# ---------------------------------------------------------------------------
+# the pair-value kernel against the per-pair loops in `oracles`
+
+BIG = 2147483647  # 2^31 - 1
+
+
+@st.composite
+def point_sets(draw, primes=(3, 5, 7, 13), dims=(2, 3), max_size=14, min_size=0):
+    """(p, sorted distinct points), with a planted isotropic line at times so
+    that null pairs and repeated distances occur."""
+    p = draw(st.sampled_from(primes))
+    dim = draw(st.sampled_from(dims))
+    vec = st.tuples(*(st.integers(0, p - 1) for _ in range(dim)))
+    pts = set(draw(st.lists(vec, min_size=min_size, max_size=max_size)))
+    if draw(st.booleans()):
+        base = draw(vec)
+        iso = [v for v in itertools.product(range(p), repeat=dim)
+               if any(v) and oracles.nsq(v, p) == 0]
+        if iso:
+            d = draw(st.sampled_from(iso))
+            for t in draw(st.sets(st.integers(0, p - 1), max_size=4)):
+                pts.add(tuple((b + t * c) % p for b, c in zip(base, d)))
+    return p, sorted(pts)
+
+
+def forms(p):
+    return st.tuples(*(st.integers(0, p - 1) for _ in range(4))).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p
+    ).map(lambda m: ((m[0], m[1]), (m[2], m[3])))
+
+
+def _isotropic_big():
+    """An isotropic (1, a, b) mod 2^31 - 1, which is 3 mod 4, so that
+    x^((p + 1) / 4) is a square root of a square x."""
+    a = next(a for a in range(1, 50) if pow(-1 - a * a, (BIG - 1) // 2, BIG) == 1)
+    return 1, a, pow(-1 - a * a, (BIG + 1) // 4, BIG)
+
+
+def _distance_oracle(pts, p):
+    pinned = oracles.pinned_counts(pts, p)
+    values = oracles.distance_values(pts, p)
+    return dict(
+        values=frozenset(values),
+        nonzero_values=frozenset(values - {0}),
+        pinned_counts=tuple(pinned),
+        pinned_counts_nonzero=tuple(
+            len({oracles.nsq(oracles.diff(s, t, p), p) for t in pts} - {0}) for s in pts),
+        zero_pairs=oracles.zero_pairs(pts, p),
+        in_semi_isotropic_plane=(
+            oracles.semi_isotropic_plane(pts, p) if len(pts[0]) == 3 else None),
+    )
+
+
+def _assert_distance_report(pts, p):
+    want = _distance_oracle(pts, p)
+    for include_zero, counts in ((True, "pinned_counts"), (False, "pinned_counts_nonzero")):
+        rep = distance_set(pts, p, include_zero=include_zero)
+        for field, value in want.items():
+            assert getattr(rep, field) == value, field
+        assert (rep.max_pinned, rep.min_pinned) == (max(want[counts]), min(want[counts]))
+
+
+def _sq_histogram(S, T, m, p, include_zero):
+    hist = {}
+    for s in S:
+        for t in T:
+            v = oracles.form_apply(m, s, t, p)
+            hist[v] = hist.get(v, 0) + 1
+    return sum(c * c for v, c in hist.items() if include_zero or v)
+
+
+class TestKernelAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(point_sets(min_size=2))
+    def test_distance_report(self, case):
+        p, pts = case
+        if len(pts) >= 2:
+            _assert_distance_report(pts, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_sets(dims=(3,), max_size=10))
+    def test_energy_delta(self, case):
+        p, pts = case
+        assert energy_delta(pts, p) == oracles.energy_delta(pts, p)
+        assert energy_delta(pts, p, restricted=True) == oracles.energy_delta(
+            pts, p, restricted=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((3, 5, 7, 13)).flatmap(
+        lambda p: st.tuples(st.just(p), forms(p), point_sets(primes=(p,), dims=(2,)),
+                            point_sets(primes=(p,), dims=(2,), max_size=8))))
+    def test_form_values_and_solutions(self, case):
+        p, m, (_, S), (_, T) = case
+        form = FormSpec(p, m)
+        assert form_values(S, form) == frozenset(oracles.form_values(S, m, p))
+        for include_zero in (False, True):
+            assert form_solution_count(S, T, form, include_zero=include_zero) == (
+                _sq_histogram(S, T, m, p, include_zero))
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_sets(dims=(2,), max_size=8), point_sets(dims=(2,), max_size=6))
+    def test_wedge_solutions(self, a, b):
+        p, S = a
+        T = sorted({tuple(c % p for c in q) for q in b[1]})
+        for include_zero in (False, True):
+            assert form_solution_count(S, T, wedge_form(p), include_zero=include_zero) == (
+                oracles.wedge_solutions(S, T, p, include_zero=include_zero))
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_sets(dims=(2,), min_size=3))
+    def test_right_triangles(self, case):
+        p, pts = case
+        if len(pts) < 3:
+            return
+        rep = right_triangle_count(pts, p)
+        aggregated, tables = oracles.right_triangle_tables(pts, p)
+        assert rep.total == oracles.right_triangles(pts, p) == aggregated == rep.aggregated
+        assert [(z, [((l.base, l.direction), c) for l, c in rows])
+                for z, rows in rep.tables] == tables
+
+    def test_exact_square_sum_route(self, monkeypatch):
+        # below the bound the squares are summed in int64; force python ints
+        p = 13
+        S = [(a, b) for a in range(p) for b in range(3)]
+        want = form_solution_count(S, S, dot_form(p))
+        monkeypatch.setattr(erdos, "_NP_SAFE", 1)
+        assert form_solution_count(S, S, dot_form(p)) == want == _sq_histogram(
+            S, S, ((1, 0), (0, 1)), p, False)
+
+
+class TestSemiIsotropicPlane:
+    @st.composite
+    def planted(draw):
+        """Points on one plane y.q == c (y possibly isotropic), on a line,
+        repeated, or free."""
+        p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+        coord = st.integers(0, p - 1)
+        vec = st.tuples(coord, coord, coord)
+        kind = draw(st.sampled_from(("plane", "line", "free")))
+        if kind == "free":
+            return p, draw(st.lists(vec, max_size=6))
+        base = draw(vec)
+        if kind == "line":
+            d = draw(vec)
+            return p, [tuple((b + t * c) % p for b, c in zip(base, d))
+                       for t in draw(st.lists(coord, min_size=1, max_size=5))]
+        y = draw(vec.filter(any))
+        u = next(v for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                 if (y[1] * v[2] - y[2] * v[1], y[2] * v[0] - y[0] * v[2],
+                     y[0] * v[1] - y[1] * v[0]) != (0, 0, 0))
+        # u x y and (u x y) x y span the plane y-perp when y is anisotropic;
+        # for isotropic y use u x y and y itself, which lies in y-perp
+        w1 = tuple(c % p for c in (u[1] * y[2] - u[2] * y[1], u[2] * y[0] - u[0] * y[2],
+                                  u[0] * y[1] - u[1] * y[0]))
+        w2 = y if oracles.nsq(y, p) == 0 else tuple(
+            c % p for c in (w1[1] * y[2] - w1[2] * y[1], w1[2] * y[0] - w1[0] * y[2],
+                            w1[0] * y[1] - w1[1] * y[0]))
+        pairs = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+        return p, [tuple((b + s * a1 + t * a2) % p for b, a1, a2 in zip(base, w1, w2))
+                   for s, t in pairs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted())
+    def test_rank_test_matches_enumeration(self, case):
+        p, pts = case
+        assert supported_in_semi_isotropic_plane(pts, p) == oracles.semi_isotropic_plane(pts, p)
+
+    @pytest.mark.parametrize("p", [10007, BIG])
+    def test_large_p_is_immediate(self, p):
+        # (1, 2, 3) x (5, 7, 11) = (1, 4, -3) has norm 26, not isotropic
+        assert not supported_in_semi_isotropic_plane([(0, 0, 0), (1, 2, 3), (5, 7, 11)], p)
+        # the plane (1, 1, 0)-perp holds an isotropic vector exactly when
+        # -2 is a square mod p
+        minus_two_square = pow(p - 2, (p - 1) // 2, p) == 1
+        assert supported_in_semi_isotropic_plane([(0, 0, 0), (1, 1, 0)], p) == minus_two_square
+
+    def test_isotropic_normal_at_large_p(self):
+        v = _isotropic_big()
+        # two points on an isotropic line and a third off it, in v-perp
+        u = (0, v[2], BIG - v[1])
+        assert supported_in_semi_isotropic_plane([(0, 0, 0), v, u], BIG) is (
+            oracles.nsq(v, BIG) == 0 and sum(a * b for a, b in zip(u, v)) % BIG == 0)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("cells", [1, 2, 5, 13])
+    def test_every_consumer_across_blocks(self, monkeypatch, cells):
+        monkeypatch.setattr(erdos, "_BLOCK_CELLS", cells)
+        rng = rng_for("erdos-blocks", cells)
+        for p, dim in ((5, 3), (7, 3), (13, 2), (5, 2)):
+            pts = random_distinct_points(rng, p, dim, 11)
+            _assert_distance_report(pts, p)
+            if dim == 3:
+                assert energy_delta(pts, p) == oracles.energy_delta(pts, p)
+                assert energy_delta(pts, p, restricted=True) == oracles.energy_delta(
+                    pts, p, restricted=True)
+            else:
+                m = ((1, 2), (3, 5))  # determinant -1
+                T = pts[:5]
+                assert form_values(pts, FormSpec(p, m)) == frozenset(
+                    oracles.form_values(pts, m, p))
+                for include_zero in (False, True):
+                    assert form_solution_count(pts, T, FormSpec(p, m), include_zero) == (
+                        _sq_histogram(pts, T, m, p, include_zero))
+
+
+class TestLargePrime:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(*(st.integers(0, BIG - 1),) * 3), min_size=2, max_size=8,
+                    unique=True))
+    def test_distance_set(self, pts):
+        pts = sorted(pts)
+        rep = distance_set(pts, BIG)
+        assert rep.values == frozenset(oracles.distance_values(pts, BIG))
+        assert list(rep.pinned_counts) == oracles.pinned_counts(pts, BIG)
+        assert rep.zero_pairs == oracles.zero_pairs(pts, BIG)
+
+    def test_distance_set_null_pairs(self):
+        line = [tuple(t * c % BIG for c in _isotropic_big()) for t in (0, 1, 2, 5, -3)]
+        pts = sorted(set(line) | {(1, 2, 3)})
+        rep = distance_set(pts, BIG)
+        assert rep.values == frozenset(oracles.distance_values(pts, BIG))
+        assert list(rep.pinned_counts) == oracles.pinned_counts(pts, BIG)
+        assert rep.zero_pairs == oracles.zero_pairs(pts, BIG) == 20
+        assert distance_set(line, BIG).in_semi_isotropic_plane is True
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, BIG - 1), st.integers(0, BIG - 1)),
+                    min_size=1, max_size=8, unique=True), forms(BIG))
+    def test_form_values(self, pts, m):
+        form = FormSpec(BIG, m)
+        assert form_values(pts, form) == frozenset(oracles.form_values(pts, m, BIG))
+        assert form_solution_count(pts, pts, form, include_zero=True) == _sq_histogram(
+            pts, pts, m, BIG, True)
+
+
+def test_distance_set_memory_is_bounded_by_the_block(monkeypatch):
+    from fpgeom.constructions import semi_isotropic_set
+
+    pts = semi_isotropic_set(20, 40, 101, seed=1).points
+    n = len(pts)
+    for cells in (erdos._BLOCK_CELLS, 1 << 14):
+        monkeypatch.setattr(erdos, "_BLOCK_CELLS", cells)
+        block = min(n, cells // n) * n
+        distance_set(pts, 101)
+        tracemalloc.start()
+        try:
+            distance_set(pts, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table, its product scratch and the run heads of one block
+        assert peak < 24 * block + 512 * n, (cells, peak)
