@@ -181,10 +181,11 @@ def _cmd_construct(args) -> int:
     if name == "sphere":
         pts, planes = sphere_config(p)
         doc.points = [(q, w) for q, w in zip(pts.points, pts.weights)]
-        plane_objs = list(planes.planes)
-        if args.planes and args.planes < len(plane_objs):
-            plane_objs = sorted(rng.sample(plane_objs, args.planes))
-        doc.planes = [(pl, 1) for pl in plane_objs]
+        if args.planes and args.planes < len(planes):
+            # sampling indices picks the planes a sample of the plane list would
+            chosen = rng.sample(range(len(planes)), args.planes)
+            planes = WeightedPlaneSet.of(planes.rows[chosen], p, dim=3)
+        doc.planes = [(pl, 1) for pl in planes.planes]
     elif name == "coprime":
         _need(args, "n")
         doc.dim = 2

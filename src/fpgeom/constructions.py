@@ -11,14 +11,16 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .counting import WeightedPlaneSet, WeightedPointSet
 from .field import Prime
 from .geom import (
     AffineLine,
     AffinePlane,
     Vec,
-    affine_planes,
     dot,
+    homogeneous_reps,
     isotropic_directions,
     norm_sq,
     scale_canonical,
@@ -36,7 +38,10 @@ def sphere_config(p: int) -> tuple[WeightedPointSet, WeightedPlaneSet]:
     """The unit sphere of F_p^3 against the complete affine plane family."""
     p = int(Prime(p))
     points = WeightedPointSet.of(sphere_points(p, 3, 1), p, dim=3)
-    planes = WeightedPlaneSet.of(affine_planes(p, 3), p, dim=3)
+    # every canonical normal with every offset, as rows normal + offset
+    normals = np.array(homogeneous_reps(p, 3), dtype=np.int64)
+    family = np.column_stack([np.repeat(normals, p, axis=0), np.tile(np.arange(p), len(normals))])
+    planes = WeightedPlaneSet.of(family, p, dim=3)
     return points, planes
 
 
@@ -142,8 +147,6 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
 
 def _orthogonal_anisotropic(y: Vec, p: int) -> Vec:
     # any vector of y-perp outside span(y) is automatically non-isotropic in F_p^3
-    from .geom import homogeneous_reps
-
     for x in homogeneous_reps(p, 3):
         if dot(x, y, p) != 0:
             continue

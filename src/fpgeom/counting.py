@@ -9,6 +9,7 @@ do not depend on input order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,110 +29,137 @@ from .geom import (
 _NP_SAFE = 1 << 62
 
 
-@dataclass(frozen=True)
-class WeightedPointSet:
-    """Distinct points with positive integer weights, canonically sorted.
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows and the bounds of its runs
+    of equal rows: run g is order[bounds[g]:bounds[g + 1]]."""
+    order = np.lexsort(rows.T[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for col in rows.T:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    return order, np.append(np.flatnonzero(new), len(order))
 
-    Duplicate input points are merged by summing weights, so a multiset is
+
+def _int_rows(items, p: int, dim: int | None, extra: int, what: str) -> tuple[int, np.ndarray]:
+    """(dim, rows): the items as an int64 array of rows reduced mod p, each
+    dim + extra long; dim defaults to the first item's."""
+    if not isinstance(items, np.ndarray):
+        items = [[int(c) % p for c in item] for item in items]
+    if dim is None:
+        if not len(items):
+            raise ValueError("empty set needs an explicit dimension")
+        dim = len(items[0]) - extra
+    width = dim + extra
+    if isinstance(items, np.ndarray):
+        if items.ndim != 2 or items.shape[1] != width:
+            raise DimensionMismatchError(f"{what} rows are not {dim}-dimensional")
+        return dim, items.astype(np.int64) % p
+    for item in items:
+        if len(item) != width:
+            raise DimensionMismatchError(f"{what} {item} is not {dim}-dimensional")
+    return dim, np.array(items, dtype=np.int64).reshape(len(items), width)
+
+
+@dataclass(frozen=True, eq=False)
+class _WeightedRows:
+    """Distinct canonical int64 rows with positive integer weights, in
+    lexicographic order; the rows are read-only.
+
+    Equal input rows merge by summing their weights, so a multiset is
     always represented the same way regardless of input order.
     """
 
     p: int
     dim: int
-    points: tuple[Vec, ...]
+    rows: np.ndarray
     weights: tuple[int, ...]
+
+    @classmethod
+    def _canonical(cls, p: int, dim: int, rows: np.ndarray, weights, what: str):
+        weights = [1] * len(rows) if weights is None else [int(w) for w in weights]
+        if len(weights) != len(rows):
+            raise ValueError(f"weights and {what} differ in length")
+        if min(weights, default=1) < 1:
+            raise ValueError(f"weights must be positive, got {min(weights)}")
+        order, bounds = _runs(rows)
+        # summed exactly: in int64 below _NP_SAFE, in python ints above it
+        w = np.array(weights, dtype=np.int64 if sum(weights) < _NP_SAFE else object)[order]
+        merged = np.add.reduceat(w, bounds[:-1]) if len(w) else w
+        rows = rows[order[bounds[:-1]]]
+        rows.flags.writeable = False
+        return cls(p, dim, rows, tuple(merged.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return (type(self) is type(other)
+                and (self.p, self.dim, self.weights) == (other.p, other.dim, other.weights)
+                and np.array_equal(self.rows, other.rows))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def total_weight(self) -> int:
+        return sum(self.weights)
+
+    def max_weight(self) -> int:
+        return max(self.weights, default=0)
+
+
+class WeightedPointSet(_WeightedRows):
+    """Distinct points with positive integer weights, canonically sorted;
+    a row of `rows` is one point."""
 
     @classmethod
     def of(cls, points, p: int, weights=None, dim: int | None = None) -> "WeightedPointSet":
+        """Points given as int sequences or as an int array with one point a row."""
         p = Prime(p)
-        pts = [as_vec(q, p) for q in points]
-        if weights is None:
-            weights = [1] * len(pts)
-        if len(weights) != len(pts):
-            raise ValueError("weights and points differ in length")
-        if dim is None:
-            if not pts:
-                raise ValueError("empty set needs an explicit dimension")
-            dim = len(pts[0])
-        merged: dict[Vec, int] = {}
-        for q, w in zip(pts, weights):
-            if len(q) != dim:
-                raise DimensionMismatchError(f"point {q} is not {dim}-dimensional")
-            w = int(w)
-            if w < 1:
-                raise ValueError(f"weights must be positive, got {w}")
-            merged[q] = merged.get(q, 0) + w
-        keys = sorted(merged)
-        return cls(p, dim, tuple(keys), tuple(merged[k] for k in keys))
+        dim, rows = _int_rows(points, p, dim, 0, "point")
+        return cls._canonical(p, dim, rows, weights, "points")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
-    def max_weight(self) -> int:
-        return max(self.weights, default=0)
+    @cached_property
+    def points(self) -> tuple[Vec, ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     def coords_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=np.int64).reshape(len(self.points), self.dim)
+        return self.rows
 
 
-@dataclass(frozen=True)
-class WeightedPlaneSet:
-    """Distinct affine hyperplanes with positive weights, canonically sorted."""
-
-    p: int
-    dim: int
-    planes: tuple[AffinePlane, ...]
-    weights: tuple[int, ...]
+class WeightedPlaneSet(_WeightedRows):
+    """Distinct affine hyperplanes with positive weights, canonically sorted;
+    a row of `rows` is a canonical normal followed by the offset."""
 
     @classmethod
     def of(cls, planes, p: int, weights=None, dim: int | None = None) -> "WeightedPlaneSet":
+        """Planes given as AffinePlanes, as (normal, offset) pairs, or as an
+        int array whose rows are a normal followed by an offset.  Each is
+        scaled so the first nonzero normal coordinate is 1."""
         p = Prime(p)
-        objs: list[AffinePlane] = []
-        for item in planes:
-            if isinstance(item, AffinePlane):
-                if item.p != p:
-                    raise ValueError("plane modulus differs from set modulus")
-                objs.append(item)
-            else:
-                normal, offset = item
-                objs.append(AffinePlane(p, tuple(normal), offset))
-        if weights is None:
-            weights = [1] * len(objs)
-        if len(weights) != len(objs):
-            raise ValueError("weights and planes differ in length")
-        if dim is None:
-            if not objs:
-                raise ValueError("empty set needs an explicit dimension")
-            dim = objs[0].dim
-        merged: dict[AffinePlane, int] = {}
-        for pl, w in zip(objs, weights):
-            if pl.dim != dim:
-                raise DimensionMismatchError(f"plane {pl} is not {dim}-dimensional")
-            w = int(w)
-            if w < 1:
-                raise ValueError(f"weights must be positive, got {w}")
-            merged[pl] = merged.get(pl, 0) + w
-        keys = sorted(merged)
-        return cls(p, dim, tuple(keys), tuple(merged[k] for k in keys))
+        if not isinstance(planes, np.ndarray):
+            planes = [_plane_row(item, p) for item in planes]
+        dim, rows = _int_rows(planes, p, dim, 1, "plane")
+        normal = rows[:, :dim] != 0
+        if not normal.any(axis=1).all():
+            raise GeometryError("plane normal must be nonzero")
+        rows *= _inverse(rows[np.arange(len(rows)), normal.argmax(axis=1)], p)[:, None]
+        rows %= p
+        return cls._canonical(p, dim, rows, weights, "planes")
 
-    def __len__(self) -> int:
-        return len(self.planes)
-
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
-    def max_weight(self) -> int:
-        return max(self.weights, default=0)
+    @cached_property
+    def planes(self) -> tuple[AffinePlane, ...]:
+        return tuple(AffinePlane(self.p, tuple(r[:-1]), r[-1]) for r in self.rows.tolist())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        normals = np.array([pl.normal for pl in self.planes], dtype=np.int64).reshape(
-            len(self.planes), self.dim
-        )
-        offsets = np.array([pl.offset for pl in self.planes], dtype=np.int64)
-        return normals, offsets
+        """(normals, offsets), read-only views of the rows."""
+        return self.rows[:, :-1], self.rows[:, -1]
+
+
+def _plane_row(item, p: int) -> tuple[int, ...]:
+    if isinstance(item, AffinePlane):
+        if item.p != p:
+            raise ValueError("plane modulus differs from set modulus")
+        return (*item.normal, item.offset)
+    normal, offset = item
+    return (*normal, offset)
 
 
 @dataclass(frozen=True)
@@ -420,19 +448,19 @@ def _collinearity(
     """(k, witness) over all lines and (k*, witness) over lines not in exclude,
     from one pass; the first line to reach each maximum in (base, first
     partner) order is its witness."""
-    pts, p, n = points.points, points.p, len(points)
+    P, p, n = points.coords_array(), points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
     best, witness = 1, None
     best_star, witness_star = 1, None
-    for base, _, count, D in _line_census(points.coords_array(), p, np.arange(n)):
+    for base, _, count, D in _line_census(P, p, np.arange(n)):
         size = count + 1
         top = int(size.argmax())
         if size[top] > best:
-            best, witness = int(size[top]), AffineLine(p, pts[base[top]], tuple(D[top]))
+            best, witness = int(size[top]), AffineLine(p, tuple(P[base[top]]), tuple(D[top]))
         # largest first, ties in census order, until a line outside exclude
         while size[top] > best_star:
-            line = AffineLine(p, pts[base[top]], tuple(D[top]))
+            line = AffineLine(p, tuple(P[base[top]]), tuple(D[top]))
             if line not in exclude:
                 best_star, witness_star = int(size[top]), line
                 break

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .counting import isotropic_lines, pair_blocks
+from .counting import _runs, isotropic_lines, pair_blocks
 from .field import Prime
 from .geom import GeometryError, Vec, as_vec, dot, vadd, vsub
 from .quadrics import Paraboloid, Sphere, slice_lift
@@ -87,18 +87,6 @@ def max_on_isotropic_line(points, p: int) -> int:
 
 # rectangles classified per block; a fixed size, not a tuning knob
 _CENSUS_RECTANGLES = 4096
-
-
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable lexicographic order of the rows and the bounds of its runs
-    of equal rows: run g is order[bounds[g]:bounds[g + 1]]."""
-    order = np.lexsort(rows.T[::-1])
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for col in rows.T:
-        col = col[order]
-        new[1:] |= col[1:] != col[:-1]
-    return order, np.append(np.flatnonzero(new), len(order))
 
 
 def _norm_sq(V: np.ndarray, p: int) -> np.ndarray:

@@ -16,12 +16,13 @@ the tables exact in int64 for p < 2^31.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .counting import _NP_SAFE, _inverse, _line_census
-from .energy import _runs, gram_matrix, right_corners
+from .counting import _NP_SAFE, _inverse, _line_census, _runs
+from .energy import gram_matrix, right_corners
 from .field import Prime, legendre
 from .geom import (
     AffineLine,
@@ -46,28 +47,34 @@ class NullPairError(GeometryError):
 # ---------------------------------------------------------------------------
 # the pair-value kernel
 
-# pair values computed per block of rows; a fixed size, not a tuning knob
+# pair values computed per block of rows, and products formed per slice of a
+# block; fixed sizes, not tuning knobs
 _BLOCK_CELLS = 1 << 20
+_SCRATCH_CELLS = 1 << 16
 
 
 def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
     """Yield (start, V) block by block, where
     V[i, j] == S[start + i].U[j] + a[start + i] + b[j] mod p
     (the offsets a and b only when given)."""
-    rows = max(1, _BLOCK_CELLS // max(1, len(U)))
+    width = max(1, len(U))
+    rows, step = max(1, _BLOCK_CELLS // width), max(1, _SCRATCH_CELLS // width)
+    X = np.empty((min(step, rows, len(S)), len(U)), dtype=np.int64)
     for start in range(0, len(S), rows):
         block = S[start : start + rows]
         V = np.zeros((len(block), len(U)), dtype=np.int64)
         if a is not None:
             V += a[start : start + rows, None]
             V += b
-        X = np.empty_like(V)
-        for s, u in zip(block.T, U.T):
-            np.multiply.outer(s, u, out=X)
-            X %= p
-            V += X
-            V %= p
-        del X  # free the scratch block while the caller reduces
+        # the products of a slice of rows pass through the small scratch X
+        for lo in range(0, len(block), step):
+            v = V[lo : lo + step]
+            x = X[: len(v)]
+            for s, u in zip(block[lo : lo + step].T, U.T):
+                np.multiply.outer(s, u, out=x)
+                x %= p
+                v += x
+                v %= p
         yield start, V
 
 
@@ -391,11 +398,24 @@ class RightTriangleReport:
     (x - z).(z - y) == 0.  For each corner z and each line l through z
     spanned by the set, n(l) is the number of other points on l; the
     aggregation of n(l) * n(l-perp) over corners reproduces total exactly.
+    The tables are built from the census groups when first read.
     """
 
     total: int
     aggregated: int
-    tables: tuple[tuple[Vec, tuple[tuple[AffineLine, int], ...]], ...]
+    p: int = field(repr=False, compare=False)
+    # the distinct points as rows, and the census groups as rows
+    # (corner index, direction, n(l)) in (corner, direction) order
+    corners: np.ndarray = field(repr=False, compare=False)
+    groups: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def tables(self) -> tuple[tuple[Vec, tuple[tuple[AffineLine, int], ...]], ...]:
+        pts = [tuple(q) for q in self.corners.tolist()]
+        tables: dict[int, list] = {}
+        for z, d0, d1, c in self.groups.tolist():
+            tables.setdefault(z, []).append((AffineLine(self.p, pts[z], (d0, d1)), c))
+        return tuple((pts[z], tuple(rows)) for z, rows in tables.items())
 
 
 def _perpendicular(D: np.ndarray, p: int) -> np.ndarray:
@@ -431,13 +451,4 @@ def right_triangle_count(points, p: int) -> RightTriangleReport:
     if total != aggregated:
         raise ArithmeticError("right-triangle aggregation diverged from direct count")
     G = np.concatenate(groups)
-    G = G[np.lexsort(G[:, ::-1].T)].tolist()
-    pts = [tuple(q) for q in P.tolist()]
-    tables: dict[int, list] = {}
-    for z, d0, d1, c in G:
-        tables.setdefault(z, []).append((AffineLine(p, pts[z], (d0, d1)), c))
-    return RightTriangleReport(
-        total=total,
-        aggregated=aggregated,
-        tables=tuple((pts[z], tuple(rows)) for z, rows in tables.items()),
-    )
+    return RightTriangleReport(total, aggregated, p, P, G[np.lexsort(G[:, ::-1].T)])

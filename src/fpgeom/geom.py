@@ -461,8 +461,3 @@ def proj_lines(p: int) -> list[PluckerLine]:
     pts = proj_points(p)
     out = {klein_map(a, b) for a, b in itertools.combinations(pts, 2)}
     return sorted(out)
-
-
-def affine_planes(p: int, d: int = 3) -> list[AffinePlane]:
-    """The complete affine hyperplane family of F_p^d."""
-    return [AffinePlane(p, n, off) for n in homogeneous_reps(p, d) for off in range(p)]

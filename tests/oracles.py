@@ -62,6 +62,33 @@ def diff(a, b, p):
 
 
 # ---------------------------------------------------------------------------
+# canonical weighted sets: the dict merge and tuple sort
+
+def _merge_sorted(keys, weights):
+    merged = {}
+    for key, w in zip(keys, weights):
+        merged[key] = merged.get(key, 0) + w
+    keys = sorted(merged)
+    return keys, [merged[k] for k in keys]
+
+
+def canonical_points(points, weights, p):
+    """(sorted distinct points, summed weights), coordinates reduced mod p."""
+    return _merge_sorted([tuple(c % p for c in q) for q in points], weights)
+
+
+def canonical_planes(planes, weights, p):
+    """(sorted distinct (normal, offset) planes, summed weights), each plane
+    scaled so the first nonzero normal coordinate is 1."""
+    keys = []
+    for normal, offset in planes:
+        normal = [c % p for c in normal]
+        s = pow(next(c for c in normal if c), p - 2, p)
+        keys.append((tuple(c * s % p for c in normal), offset * s % p))
+    return _merge_sorted(keys, weights)
+
+
+# ---------------------------------------------------------------------------
 # incidence counters
 
 def count_point_plane(points, weights_q, planes, weights_pi, p):

@@ -1,6 +1,9 @@
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_distinct_points, random_raw_lines, random_raw_planes, rng_for
@@ -55,6 +58,109 @@ class TestWeightedSets:
         # (1,1,1)=0 and (2,2,2)=0 are the same canonical plane
         Pi = WeightedPlaneSet.of([((1, 1, 1), 0), ((2, 2, 2), 0)], 7)
         assert len(Pi) == 1 and Pi.weights == (2,)
+
+
+BIG = 2147483647  # 2^31 - 1
+
+
+@st.composite
+def raw_sets(draw):
+    """(p, dim, points, planes, point weights, plane weights): unreduced
+    coordinates from a small pool, so duplicates and scaled copies of one
+    plane occur at every p; weights are None or include ones >= 2^62."""
+    p = draw(st.sampled_from((3, 5, 7, BIG)))
+    dim = draw(st.sampled_from((2, 3, 4)))
+    coord = st.sampled_from((0, 1, 2, -1, p + 1, p - 1, 2 * p + 3, -p))
+    vec = st.tuples(*(coord for _ in range(dim)))
+    points = draw(st.lists(vec, max_size=12))
+    planes = []
+    for normal, offset, scale in draw(st.lists(
+            st.tuples(vec, coord, st.sampled_from((1, 2, p - 1))), max_size=12)):
+        if any(c % p for c in normal):
+            planes.append((normal, offset))
+            planes.append((tuple(c * scale for c in normal), offset * scale))
+    weight = st.one_of(st.integers(1, 4), st.integers(2**62, 2**64))
+    weights = [draw(st.none() | st.lists(weight, min_size=n, max_size=n))
+               for n in (len(points), len(planes))]
+    return p, dim, points, planes, *weights
+
+
+class TestCanonicaliser:
+    """`.of` against the dict merge and tuple sort in `oracles`."""
+
+    @given(raw_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_merge(self, case):
+        p, dim, points, planes, wq, wp = case
+        Q = WeightedPointSet.of(points, p, weights=wq, dim=dim)
+        keys, merged = oracles.canonical_points(points, wq or [1] * len(points), p)
+        assert Q.points == tuple(keys) and Q.weights == tuple(merged)
+        assert Q.coords_array().tolist() == [list(k) for k in keys]
+        Pi = WeightedPlaneSet.of(planes, p, weights=wp, dim=dim)
+        keys, merged = oracles.canonical_planes(planes, wp or [1] * len(planes), p)
+        assert [(pl.normal, pl.offset) for pl in Pi.planes] == keys
+        assert Pi.weights == tuple(merged)
+        N, off = Pi.arrays()
+        assert [(tuple(n), c) for n, c in zip(N.tolist(), off.tolist())] == keys
+        # planes given as int rows, normal then offset, make the same set
+        # (every raw coordinate is below (2p + 3)(p - 1) < 2^63 in size)
+        rows = np.array([(*n, c) for n, c in planes], dtype=np.int64).reshape(-1, dim + 1)
+        assert WeightedPlaneSet.of(rows, p, weights=wp, dim=dim) == Pi
+
+    def test_scaled_duplicate_planes_merge(self):
+        # 2x + 2y = 2 and x + y = 1 are one line
+        Pi = WeightedPlaneSet.of([((2, 2), 2), ((1, 1), 1)], 7, weights=[3, 4])
+        assert [(pl.normal, pl.offset) for pl in Pi.planes] == [((1, 1), 1)]
+        assert Pi.weights == (7,)
+
+    def test_big_weights_sum_exactly(self):
+        Q = WeightedPointSet.of([(1, 2), (0, 0), (6, 2)], 5, weights=[2**62, 3, 2**62 + 1])
+        assert Q.points == ((0, 0), (1, 2))
+        assert Q.weights == (3, 2**63 + 1)
+        assert all(type(w) is int for w in Q.weights)
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: WeightedPlaneSet.of([((0, 0, 0), 1)], 7), GeometryError, "nonzero"),
+        (lambda: WeightedPlaneSet.of([((0, 7, 14), 1)], 7), GeometryError, "nonzero"),
+        (lambda: WeightedPointSet.of([(1, 2, 3), (1, 2)], 7),
+         DimensionMismatchError, "dimensional"),
+        (lambda: WeightedPointSet.of([(1, 2, 3)], 7, dim=2),
+         DimensionMismatchError, "dimensional"),
+        (lambda: WeightedPlaneSet.of([((1, 0, 0), 1), ((1, 0), 1)], 7),
+         DimensionMismatchError, "dimensional"),
+        (lambda: WeightedPointSet.of([(1, 2)], 7, weights=[-2]), ValueError, "positive"),
+        (lambda: WeightedPlaneSet.of([((1, 2), 0)], 7, weights=[0]), ValueError, "positive"),
+        (lambda: WeightedPointSet.of([(1, 2)], 7, weights=[1, 1]), ValueError, "length"),
+        (lambda: WeightedPlaneSet.of([((1, 2), 0)], 7, weights=[]), ValueError, "length"),
+        (lambda: WeightedPlaneSet.of([AffinePlane(5, (1, 2), 0)], 7), ValueError, "modulus"),
+    ], ids=["zero-normal", "zero-normal-mod-p", "ragged-points", "point-dim", "ragged-planes",
+            "negative-weight", "zero-weight", "long-weights", "short-weights", "other-modulus"])
+    def test_errors(self, build, error, match):
+        with pytest.raises(error, match=match) as caught:
+            build()
+        assert type(caught.value) is error
+
+    def test_sphere_family_builds_no_plane_objects(self, monkeypatch):
+        calls = []
+        post_init = AffinePlane.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(AffinePlane, "__post_init__", counted)
+        rep = count_point_plane(*sphere_config(31))
+        assert rep.pairs == len(sphere_config(31)[0]) * (31 * 31 + 31 + 1)
+        assert not calls
+        AffinePlane(31, (1, 0, 0), 0)
+        assert len(calls) == 1  # the patch does see plane construction
+
+    def test_stored_arrays_are_read_only(self):
+        Q, Pi = sphere_config(5)
+        for arr in (Q.coords_array(), *Pi.arrays()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] += 1
 
 
 class TestCountPointPlane:
@@ -144,12 +250,10 @@ class TestCountRestricted:
         assert count_restricted(Q, Pi, []).pairs == count_point_plane(Q, Pi).pairs
 
     def test_all_routed_through_single_line(self):
-        from fpgeom.geom import affine_planes
-
         p = 7
         line = AffineLine(p, (0, 0, 0), (1, 0, 0))
         pts = [(t, 0, 0) for t in range(p)]
-        pencil = [pl for pl in affine_planes(p, 3) if pl.contains_line(line)]
+        pencil = [pl for pl in sphere_config(p)[1].planes if pl.contains_line(line)]
         assert len(pencil) == p + 1
         Q = WeightedPointSet.of(pts, p)
         Pi = WeightedPlaneSet.of(pencil, p)

@@ -503,6 +503,7 @@ def test_distance_set_memory_is_bounded_by_the_block(monkeypatch):
     for cells in (erdos._BLOCK_CELLS, 1 << 14):
         monkeypatch.setattr(erdos, "_BLOCK_CELLS", cells)
         block = min(n, cells // n) * n
+        scratch = min(block, erdos._SCRATCH_CELLS // n * n)
         distance_set(pts, 101)
         tracemalloc.start()
         try:
@@ -510,5 +511,6 @@ def test_distance_set_memory_is_bounded_by_the_block(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the table, its product scratch and the run heads of one block
-        assert peak < 24 * block + 512 * n, (cells, peak)
+        # the table and its run-head masks (10 bytes a cell), the product
+        # scratch and the run heads of one block
+        assert peak < 10 * block + 8 * scratch + 512 * n, (cells, peak)
