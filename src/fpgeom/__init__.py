@@ -33,6 +33,7 @@ from .counting import (
     count_restricted,
     max_collinear,
     rich_lines,
+    weighted_incidences,
 )
 from .quadrics import (
     Paraboloid,

@@ -112,9 +112,22 @@ def parse_config(text: str) -> ConfigDoc:
     if doc is None:
         raise ConfigParseError("empty configuration: missing 'p=... dim=...' header", 0)
     doc.points = sorted(pts.items())
-    doc.planes = sorted(pls.items())
-    doc.lines = sorted(lns.items())
+    doc.planes = sorted(pls.items(), key=_plane_key)
+    doc.lines = sorted(lns.items(), key=_line_key)
     return doc
+
+
+# tuple keys give the objects' own field order (one document has one
+# modulus) without their generated comparison methods, which cost a python
+# call per comparison
+def _plane_key(item: tuple[AffinePlane, int]):
+    plane, weight = item
+    return plane.normal, plane.offset, weight
+
+
+def _line_key(item: tuple[AffineLine, int]):
+    line, weight = item
+    return line.base, line.direction, weight
 
 
 def _parse_header(line: str, lineno: int) -> ConfigDoc:
@@ -165,11 +178,11 @@ def emit_config(doc: ConfigDoc) -> str:
             out.append(_object_line(q, w))
     if doc.planes:
         out.append("[planes]")
-        for pl, w in sorted(doc.planes):
+        for pl, w in sorted(doc.planes, key=_plane_key):
             out.append(_object_line(pl.normal + (pl.offset,), w))
     if doc.lines:
         out.append("[lines]")
-        for ln, w in sorted(doc.lines):
+        for ln, w in sorted(doc.lines, key=_line_key):
             out.append(_object_line(ln.base + ln.direction, w))
     return "\n".join(out) + "\n"
 

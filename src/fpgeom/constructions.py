@@ -21,7 +21,7 @@ from .geom import (
     Vec,
     dot,
     homogeneous_reps,
-    isotropic_directions,
+    iter_homogeneous_reps,
     norm_sq,
     scale_canonical,
     smul,
@@ -120,10 +120,10 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
         raise ConstraintError(f"cannot place {l} distinct points on a line over F_{p}")
     if k >= p:
         raise ConstraintError(f"need k < p distinct line offsets, got k={k}")
-    iso = isotropic_directions(p, 3)
-    if not iso:
+    # the first isotropic direction in lex order, found without listing them all
+    y = next((v for v in iter_homogeneous_reps(p, 3) if norm_sq(v, p) == 0), None)
+    if y is None:
         raise ConstraintError(f"no isotropic direction available in F_{p}^3")
-    y = iso[0]
     x = _orthogonal_anisotropic(y, p)
     rng = random.Random(seed)
     points: list[Vec] = []
@@ -147,7 +147,7 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
 
 def _orthogonal_anisotropic(y: Vec, p: int) -> Vec:
     # any vector of y-perp outside span(y) is automatically non-isotropic in F_p^3
-    for x in homogeneous_reps(p, 3):
+    for x in iter_homogeneous_reps(p, 3):
         if dot(x, y, p) != 0:
             continue
         if scale_canonical(x, p) == scale_canonical(y, p):

@@ -61,6 +61,24 @@ def _int_rows(items, p: int, dim: int | None, extra: int, what: str) -> tuple[in
     return dim, np.array(items, dtype=np.int64).reshape(len(items), width)
 
 
+def _scale_canonical(rows: np.ndarray, p: int) -> np.ndarray:
+    """Scale each row of rows (reduced mod p) in place so its first nonzero
+    entry is 1 and return rows; zero rows stay zero.  The scale is the
+    entry's Fermat inverse a^(p-2), reduced after every product, so all
+    products stay below p^2 < 2^62."""
+    a = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    scale = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            scale = scale * a % p
+        a = a * a % p
+        e >>= 1
+    rows *= scale[:, None]
+    rows %= p
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class _WeightedRows:
     """Distinct canonical int64 rows with positive integer weights, in
@@ -137,12 +155,10 @@ class WeightedPlaneSet(_WeightedRows):
         if not isinstance(planes, np.ndarray):
             planes = [_plane_row(item, p) for item in planes]
         dim, rows = _int_rows(planes, p, dim, 1, "plane")
-        normal = rows[:, :dim] != 0
-        if not normal.any(axis=1).all():
+        if not rows[:, :dim].any(axis=1).all():
             raise GeometryError("plane normal must be nonzero")
-        rows *= _inverse(rows[np.arange(len(rows)), normal.argmax(axis=1)], p)[:, None]
-        rows %= p
-        return cls._canonical(p, dim, rows, weights, "planes")
+        # the normal comes first, so its leading coordinate leads the row
+        return cls._canonical(p, dim, _scale_canonical(rows, p), weights, "planes")
 
     @cached_property
     def planes(self) -> tuple[AffinePlane, ...]:
@@ -227,17 +243,19 @@ def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
         yield qi, pj
 
 
-def _weight_arrays(points, planes) -> tuple[np.ndarray, np.ndarray]:
+def weighted_incidences(points: WeightedPointSet, planes: WeightedPlaneSet) -> tuple[int, int]:
+    """(pairs, weighted) for points and affine hyperplanes of one dimension:
+    the incident pairs, and the sum of w(q) * w(pi) over them."""
+    if points.dim != planes.dim:
+        raise DimensionMismatchError("point and plane sets differ in dimension")
+    if points.p != planes.p:
+        raise ValueError("point and plane sets use different moduli")
     # int64 products and sums are exact while the weighted total stays below
     # _NP_SAFE; beyond it the weights are held as python ints
     dtype = np.int64 if points.total_weight() * planes.total_weight() < _NP_SAFE else object
-    return np.array(points.weights, dtype=dtype), np.array(planes.weights, dtype=dtype)
-
-
-def _totals(index_pairs, wq, wp) -> tuple[int, int]:
-    """(pairs, weighted) summed over (point index, plane index) arrays."""
+    wq, wp = np.array(points.weights, dtype=dtype), np.array(planes.weights, dtype=dtype)
     pairs = weighted = 0
-    for qi, pj in index_pairs:
+    for qi, pj in _incident_pairs(points.rows, *planes.arrays(), points.p):
         pairs += len(qi)
         weighted += int(np.dot(wq[qi], wp[pj]))
     return pairs, weighted
@@ -304,12 +322,7 @@ def count_point_plane(points: WeightedPointSet, planes: WeightedPlaneSet) -> Inc
     maximum number of collinear distinct points, ignoring weights.
     """
     _require_dim3(points, planes)
-    N, off = planes.arrays()
-    pairs, weighted = _totals(
-        _incident_pairs(points.coords_array(), N, off, points.p),
-        *_weight_arrays(points, planes),
-    )
-    return _report(points, planes, pairs, weighted)
+    return _report(points, planes, *weighted_incidences(points, planes))
 
 
 def count_restricted(
@@ -328,12 +341,11 @@ def count_restricted(
     for line in forb:
         if line.p != points.p or line.dim != points.dim:
             raise DimensionMismatchError("forbidden line does not match the sets")
-    P, (N, off) = points.coords_array(), planes.arrays()
-    wq, wp = _weight_arrays(points, planes)
-    pairs, weighted = _totals(_incident_pairs(P, N, off, points.p), wq, wp)
+    pairs, weighted = weighted_incidences(points, planes)
     # every forbidden pair is incident, so subtracting them is exact
-    lost, lost_weight = _totals([_forbidden_pairs(P, N, off, points.p, forb)], wq, wp)
-    return _report(points, planes, pairs - lost, weighted - lost_weight, forb)
+    qi, pj = _forbidden_pairs(points.rows, *planes.arrays(), points.p, forb)
+    lost = sum(points.weights[i] * planes.weights[j] for i, j in zip(qi.tolist(), pj.tolist()))
+    return _report(points, planes, pairs - len(qi), weighted - lost, forb)
 
 
 def count_point_plane_naive(
@@ -378,18 +390,6 @@ def _require_dim3(points, planes) -> None:
 _CENSUS_PAIRS = 2048
 
 
-def _inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise a^(p-2) mod p (Fermat), reducing after every product."""
-    out = np.ones_like(a)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * a % p
-        a = a * a % p
-        e >>= 1
-    return out
-
-
 def pair_blocks(per_base: np.ndarray, size: int):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
     base b in order, about `size` pairs a block and one base at least."""
@@ -423,9 +423,7 @@ def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
         D = P[J]
         D -= P[I]
         D %= p
-        lead = D[np.arange(len(D)), (D != 0).argmax(axis=1)]
-        D *= _inverse(lead, p)[:, None]
-        D %= p
+        _scale_canonical(D, p)
         # a stable sort by direction keeps the (i, j) order of the pairs within
         # one direction, so each (base, direction) group is a contiguous run
         # with its partners ascending
@@ -561,41 +559,30 @@ def isotropic_lines(points, p: int) -> tuple[int, int, AffineLine | None]:
 # ---------------------------------------------------------------------------
 # planar point-line incidences
 
+def _line_row(item, p: int) -> tuple[int, ...]:
+    """A planar line as the row (a, b, c) of a*x + b*y == c."""
+    if isinstance(item, AffineLine):
+        item = line_as_covector(item)
+    row = _plane_row(item, p) if isinstance(item, AffinePlane) else tuple(int(c) % p for c in item)
+    if len(row) != 3:
+        raise DimensionMismatchError(f"line {row} is not 2-dimensional")
+    return row
+
+
 def count_point_line_2d(points, lines, p: int) -> int:
     """Exact number of incidences between distinct planar points and lines.
 
-    Lines are given in covector form a*x + b*y == c (AffinePlane of
-    dimension 2) or as (a, b, c) triples.
+    Lines are given as AffineLines, in covector form a*x + b*y == c
+    (AffinePlane of dimension 2) or as (a, b, c) triples.
     """
-    pts = sorted({as_vec(q, p, 2) for q in points})
-    covs: list[AffinePlane] = []
-    for item in lines:
-        if isinstance(item, AffinePlane):
-            cov = item
-        elif isinstance(item, AffineLine):
-            cov = line_as_covector(item)
-        else:
-            a, b, c = item
-            cov = AffinePlane(p, (a, b), c)
-        if cov.dim != 2 or cov.p != p:
-            raise DimensionMismatchError("planar counting expects 2-dimensional lines")
-        covs.append(cov)
-    covs = sorted(set(covs))
-    P = np.array(pts, dtype=np.int64).reshape(len(pts), 2)
-    N = np.array([c.normal for c in covs], dtype=np.int64).reshape(len(covs), 2)
-    off = np.array([c.offset for c in covs], dtype=np.int64)
-    return sum(len(qi) for qi, _ in _incident_pairs(P, N, off, p))
+    rows = np.array([_line_row(item, p) for item in lines], dtype=np.int64).reshape(-1, 3)
+    pairs, _ = weighted_incidences(WeightedPointSet.of(points, p, dim=2),
+                                   WeightedPlaneSet.of(rows, p, dim=2))
+    return pairs
 
 
 def count_point_line_2d_naive(points, lines, p: int) -> int:
     """Reference loop for the planar counter."""
     pts = sorted({as_vec(q, p, 2) for q in points})
-    covs = sorted(
-        {
-            item
-            if isinstance(item, AffinePlane)
-            else AffinePlane(p, (item[0], item[1]), item[2])
-            for item in lines
-        }
-    )
+    covs = {AffinePlane(p, row[:2], row[2]) for row in (_line_row(item, p) for item in lines)}
     return sum(1 for q in pts for cov in covs if cov.contains(q))

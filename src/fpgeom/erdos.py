@@ -21,7 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .counting import _NP_SAFE, _inverse, _line_census, _runs
+from .counting import (
+    _NP_SAFE,
+    WeightedPlaneSet,
+    WeightedPointSet,
+    _line_census,
+    _runs,
+    _scale_canonical,
+)
 from .energy import gram_matrix, right_corners
 from .field import Prime, legendre
 from .geom import (
@@ -30,11 +37,8 @@ from .geom import (
     CoincidentPointsError,
     DimensionMismatchError,
     GeometryError,
-    ProjPlane,
-    ProjPoint,
     Vec,
     as_vec,
-    dot,
     norm_sq,
     vsub,
 )
@@ -104,8 +108,8 @@ def _form_images(T: np.ndarray, form: "FormSpec") -> np.ndarray:
 
 
 def _plane_points(points, p: int) -> np.ndarray:
-    pts = sorted({as_vec(q, p, 2) for q in points})
-    return np.array(pts, dtype=np.int64).reshape(len(pts), 2)
+    """The distinct planar points as sorted int64 rows."""
+    return WeightedPointSet.of(points, p, dim=2).rows
 
 
 # ---------------------------------------------------------------------------
@@ -336,55 +340,33 @@ def wedge_solution_count(s_points, t_points, p: int) -> int:
 # ---------------------------------------------------------------------------
 # the wedge equation as a weighted point-plane system
 
-@dataclass(frozen=True)
-class WedgeIncidenceSystem:
-    """Weighted projective points (s : t') and planes (t-perp : s'-perp)
-    whose weighted incidences count the solutions of s ^ t + t' ^ s' == 0."""
+def wedge_to_incidence(s_points, t_points, p: int) -> tuple[WeightedPointSet, WeightedPlaneSet]:
+    """The wedge equation as weighted points and planes of F_p^4.
 
-    p: int
-    points: tuple[tuple[ProjPoint, int], ...]
-    planes: tuple[tuple[ProjPlane, int], ...]
+    The point (s : t') takes every (s, t') in S x T and the plane
+    (t-perp : s'-perp) through the origin every (t, s') in T x S, where
+    (x, y)-perp = (y, -x); both are scaled so the first nonzero coordinate
+    is 1, so pairs that differ by a common dilation share a class, whose
+    weight is the number of pairs it absorbs.  Since
+    (s : t').(t-perp : s'-perp) == s ^ t - s' ^ t', the weighted incidences
+    count the quadruples with s ^ t == s' ^ t', the zero value included:
 
-    def total_point_weight(self) -> int:
-        return sum(w for _, w in self.points)
+        weighted == wedge_solution_count(S, T, p) + z^2
+                 == form_solution_count(S, T, wedge_form(p), include_zero=True),
 
-    def total_plane_weight(self) -> int:
-        return sum(w for _, w in self.planes)
-
-    def weighted_incidences(self) -> int:
-        p = self.p
-        total = 0
-        for q, wq in self.points:
-            for h, wh in self.planes:
-                if dot(q.coords, h.coords, p) == 0:
-                    total += wq * wh
-        return total
-
-
-def wedge_to_incidence(s_points, t_points, p: int) -> WedgeIncidenceSystem:
-    """Bundle (s, t') pairs into projective point classes and (t, s') pairs
-    into plane classes; scaling a pair by a common dilation keeps its class,
-    and the class weight is the number of pairs it absorbs."""
+    z the number of pairs (s, t) with s ^ t == 0.  Both total weights are
+    |S| |T|.
+    """
     p = int(Prime(p))
-    S = sorted({as_vec(q, p, 2) for q in s_points})
-    T = sorted({as_vec(q, p, 2) for q in t_points})
-    if (0, 0) in S or (0, 0) in T:
+    S, T = _plane_points(s_points, p), _plane_points(t_points, p)
+    if not (S.any(axis=1).all() and T.any(axis=1).all()):
         raise GeometryError("the reduction needs origin-free input sets")
-    pt_weights: dict[ProjPoint, int] = {}
-    pl_weights: dict[ProjPlane, int] = {}
-    for s in S:
-        for t2 in T:
-            q = ProjPoint(p, (s[0], s[1], t2[0], t2[1]))
-            pt_weights[q] = pt_weights.get(q, 0) + 1
-    for t in T:
-        for s2 in S:
-            h = ProjPlane(p, (t[1], -t[0] % p, s2[1], -s2[0] % p))
-            pl_weights[h] = pl_weights.get(h, 0) + 1
-    return WedgeIncidenceSystem(
-        p=p,
-        points=tuple(sorted(pt_weights.items())),
-        planes=tuple(sorted(pl_weights.items())),
-    )
+    points = np.hstack([np.repeat(S, len(T), axis=0), np.tile(T, (len(S), 1))])
+    perp_S, perp_T = (np.stack([X[:, 1], -X[:, 0] % p], axis=1) for X in (S, T))
+    planes = np.hstack([np.repeat(perp_T, len(S), axis=0), np.tile(perp_S, (len(T), 1)),
+                        np.zeros((len(S) * len(T), 1), dtype=np.int64)])
+    return (WeightedPointSet.of(_scale_canonical(points, p), p, dim=4),
+            WeightedPlaneSet.of(planes, p, dim=4))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +402,7 @@ class RightTriangleReport:
 
 def _perpendicular(D: np.ndarray, p: int) -> np.ndarray:
     """Canonical directions orthogonal to the canonical planar directions D."""
-    Q = np.stack([-D[:, 1] % p, D[:, 0]], axis=1)
-    Q *= _inverse(Q[np.arange(len(Q)), (Q != 0).argmax(axis=1)], p)[:, None]
-    Q %= p
-    return Q
+    return _scale_canonical(np.stack([-D[:, 1] % p, D[:, 0]], axis=1), p)
 
 
 def right_triangle_count(points, p: int) -> RightTriangleReport:

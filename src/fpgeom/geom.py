@@ -10,6 +10,7 @@ coordinate of a homogeneous tuple equals 1.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -430,14 +431,18 @@ def null_triangle_check(r: Vec, s: Vec, t: Vec, p: int) -> NullTriangleReport:
 # ---------------------------------------------------------------------------
 # exhaustive enumerations (desk-scale p)
 
-def homogeneous_reps(p: int, length: int) -> list[Vec]:
-    """All canonical projective representatives of nonzero tuples, in lex order."""
-    reps: list[Vec] = []
+def iter_homogeneous_reps(p: int, length: int) -> Iterator[Vec]:
+    """All canonical projective representatives of nonzero tuples, in lex
+    order, one at a time."""
     for lead in range(length):
         head = (0,) * lead + (1,)
         for tail in itertools.product(range(p), repeat=length - lead - 1):
-            reps.append(head + tail)
-    return reps
+            yield head + tail
+
+
+def homogeneous_reps(p: int, length: int) -> list[Vec]:
+    """All canonical projective representatives of nonzero tuples, in lex order."""
+    return list(iter_homogeneous_reps(p, length))
 
 
 def canonical_directions(p: int, d: int) -> list[Vec]:

@@ -259,6 +259,18 @@ def wedge_solutions(S, T, p, include_zero=False) -> int:
     return total
 
 
+def wedge_classes(S, T, p):
+    """The wedge reduction by dict merge over sorted distinct S and T:
+    ((point classes, weights), (plane classes, weights)), a point class the
+    projective scaling of (s : t') and a plane class that of
+    (t-perp : s'-perp), with (x, y)-perp = (y, -x)."""
+    S, T = sorted(set(S)), sorted(set(T))
+    points = [canonical_direction((*s, *t2), p) for s in S for t2 in T]
+    planes = [canonical_direction((t[1], -t[0] % p, s2[1], -s2[0] % p), p)
+              for t in T for s2 in S]
+    return _merge_sorted(points, [1] * len(points)), _merge_sorted(planes, [1] * len(planes))
+
+
 def engg_solutions(S, T, p) -> int:
     """Quadruples with s ^ t + t' ^ s' == 0, zero values included."""
     total = 0

@@ -26,6 +26,7 @@ from fpgeom.counting import (
     count_point_plane,
     count_restricted,
     max_collinear,
+    weighted_incidences,
 )
 from fpgeom.energy import (
     additive_energy,
@@ -311,10 +312,10 @@ def test_c08_wedge_reduction_weighted_incidences():
         T = [q for q in random_distinct_points(rng, p, 2, rng.randrange(2, 12)) if q != (0, 0)]
         if not S or not T:
             continue
-        sys = wedge_to_incidence(S, T, p)
-        assert sys.weighted_incidences() == oracles.engg_solutions(S, T, p)
-        assert sys.total_point_weight() == len(S) * len(T)
-        assert sys.total_plane_weight() == len(S) * len(T)
+        points, planes = wedge_to_incidence(S, T, p)
+        assert weighted_incidences(points, planes)[1] == oracles.engg_solutions(S, T, p)
+        assert points.total_weight() == len(S) * len(T)
+        assert planes.total_weight() == len(S) * len(T)
     announce(8, "weighted incidences of the wedge reduction equal the quadruple-loop solution count on 50 seeded pairs")
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from fpgeom.constructions import (
 )
 from fpgeom.counting import count_point_line_2d, max_collinear
 from fpgeom.erdos import distance_set
+from fpgeom.geom import homogeneous_reps, isotropic_directions
 from fpgeom.quadrics import Sphere
 from conftest import rng_for
 
@@ -124,6 +126,23 @@ class TestSemiIsotropicSet:
         assert oracles.nsq(built.cross_direction, 13) != 0
         d = sum(a * b for a, b in zip(built.isotropic_direction, built.cross_direction))
         assert d % 13 == 0
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 401])
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_directions_and_points_follow_the_full_listing(self, p, seed):
+        # the first isotropic direction of the whole lex-ordered listing, and
+        # the first listed direction orthogonal to it outside its span
+        reps = homogeneous_reps(p, 3)
+        y = isotropic_directions(p, 3)[0]
+        x = next(v for v in reps if sum(a * b for a, b in zip(v, y)) % p == 0 and v != y)
+        k, l = min(3, p - 1), min(4, p)
+        rng = random.Random(seed)
+        want = [tuple((a * xc + b * yc) % p for xc, yc in zip(x, y))
+                for a in range(1, k + 1)
+                for b in (range(1, l + 1) if seed is None else rng.sample(range(p), l))]
+        built = semi_isotropic_set(k, l, p, seed=seed)
+        assert (built.isotropic_direction, built.cross_direction) == (y, x)
+        assert built.points == tuple(want)
 
     def test_parameter_guards(self):
         with pytest.raises(ConstraintError):

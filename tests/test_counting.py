@@ -20,6 +20,7 @@ from fpgeom.counting import (
     max_collinear,
     rich_lines,
     spanned_lines,
+    weighted_incidences,
 )
 from fpgeom.geom import AffineLine, AffinePlane, DimensionMismatchError, GeometryError
 
@@ -497,6 +498,59 @@ class TestPointLine2D:
         got = count_point_line_2d(pts, triples, p)
         assert got == oracles.count_point_line_2d(pts, triples, p)
         assert got == count_point_line_2d_naive(pts, triples, p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_line_forms(self, seed):
+        rng = rng_for("ptline-forms", seed)
+        p = rng.choice([7, 11, 13])
+        pts = random_distinct_points(rng, p, 2, rng.randrange(1, 40))
+        lines = random_raw_lines(rng, p, 2, 12)
+        covs = [AffinePlane(p, (-d[1], d[0]), d[0] * b[1] - d[1] * b[0]) for b, d in lines]
+        triples = [(*c.normal, c.offset) for c in covs]
+        # every line three times, once in each form, with unreduced triples
+        mixed = ([AffineLine(p, b, d) for b, d in lines] + covs
+                 + [(a + p, b - p, c + 2 * p) for a, b, c in triples])
+        rng.shuffle(mixed)
+        want = oracles.count_point_line_2d(pts, sorted(set(triples)), p)
+        assert count_point_line_2d(pts, mixed, p) == want
+        assert count_point_line_2d_naive(pts, mixed, p) == want
+
+    @pytest.mark.parametrize("count", [count_point_line_2d, count_point_line_2d_naive])
+    def test_line_input_errors(self, count):
+        with pytest.raises(ValueError, match="^plane modulus differs from set modulus$"):
+            count([(0, 0)], [AffineLine(11, (0, 0), (1, 2))], 7)
+        with pytest.raises(ValueError, match="^plane modulus differs from set modulus$"):
+            count([(0, 0)], [AffinePlane(11, (1, 2), 3)], 7)
+        with pytest.raises(DimensionMismatchError):
+            count([(0, 0)], [AffinePlane(7, (1, 2, 3), 0)], 7)
+        with pytest.raises(DimensionMismatchError):
+            count([(0, 0)], [(1, 2)], 7)
+        with pytest.raises(DimensionMismatchError):
+            count([(0, 0)], [AffineLine(7, (0, 0, 0), (1, 2, 3))], 7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_weighted_incidences_in_the_plane(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 13]))
+        coord = st.integers(0, p - 1)
+        pts = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+        triples = data.draw(st.lists(st.tuples(coord, coord, coord).filter(
+            lambda t: t[0] or t[1]), min_size=1, max_size=30))
+        wq = data.draw(st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)))
+        wl = data.draw(st.lists(st.integers(1, 9), min_size=len(triples), max_size=len(triples)))
+        Q = WeightedPointSet.of(pts, p, weights=wq, dim=2)
+        L = WeightedPlaneSet.of([((a, b), c) for a, b, c in triples], p, weights=wl, dim=2)
+        pairs, weighted = weighted_incidences(Q, L)
+        assert pairs == count_point_line_2d_naive(pts, triples, p)
+        assert (pairs, weighted) == oracles.count_point_plane(
+            Q.points, Q.weights, [(pl.normal, pl.offset) for pl in L.planes], L.weights, p)
+
+    def test_weighted_incidences_checks_the_sets_agree(self):
+        Q = WeightedPointSet.of([(0, 0)], 7)
+        with pytest.raises(DimensionMismatchError):
+            weighted_incidences(Q, WeightedPlaneSet.of([((1, 0, 0), 0)], 7))
+        with pytest.raises(ValueError, match="^point and plane sets use different moduli$"):
+            weighted_incidences(Q, WeightedPlaneSet.of([((1, 0), 0)], 11))
 
 
 class TestRichLines:

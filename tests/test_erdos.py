@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_distinct_points, rng_for
 from fpgeom import erdos
+from fpgeom.counting import weighted_incidences
 from fpgeom.erdos import (
     FormSpec,
     NullPairError,
@@ -179,21 +180,21 @@ class TestWedgeSolutions:
 
 class TestWedgeToIncidence:
     def test_single_anisotropic_point(self):
-        sys = wedge_to_incidence([(1, 0)], [(1, 0)], 7)
-        assert len(sys.points) == 1 and len(sys.planes) == 1
-        assert sys.points[0][1] == 1 and sys.planes[0][1] == 1
-        assert sys.weighted_incidences() == 1
+        points, planes = wedge_to_incidence([(1, 0)], [(1, 0)], 7)
+        assert len(points) == 1 and len(planes) == 1
+        assert points.weights[0] == 1 and planes.weights[0] == 1
+        assert weighted_incidences(points, planes)[1] == 1
 
     def test_homothety_classes_collapse(self):
         p = 7
         S = [(1, 0), (0, 1), (2, 0)]
-        sys = wedge_to_incidence(S, S, p)
-        weights = sorted(w for _, w in sys.points)
+        points, planes = wedge_to_incidence(S, S, p)
+        weights = sorted(points.weights)
         # (1,0) x (2,0) and (2,0) x (4,0)=... share the projective class of
         # ((1,0),(2,0)); joint dilation classes produce a weight-2 class
         assert 2 in weights
-        assert sys.total_point_weight() == len(S) ** 2
-        assert sys.total_plane_weight() == len(S) ** 2
+        assert points.total_weight() == len(S) ** 2
+        assert planes.total_weight() == len(S) ** 2
 
     def test_origin_rejected(self):
         with pytest.raises(GeometryError):
@@ -207,10 +208,34 @@ class TestWedgeToIncidence:
         T = [q for q in random_distinct_points(rng, p, 2, rng.randrange(1, 11)) if q != (0, 0)]
         if not S or not T:
             return
-        sys = wedge_to_incidence(S, T, p)
-        assert sys.weighted_incidences() == oracles.engg_solutions(S, T, p)
-        assert sys.total_point_weight() == len(S) * len(T)
-        assert sys.total_plane_weight() == len(S) * len(T)
+        points, planes = wedge_to_incidence(S, T, p)
+        assert weighted_incidences(points, planes)[1] == oracles.engg_solutions(S, T, p)
+        assert points.total_weight() == len(S) * len(T)
+        assert planes.total_weight() == len(S) * len(T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_classes_and_count_match_oracles(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 13, BIG]))
+        vec = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any)
+        S = data.draw(st.lists(vec, min_size=1, max_size=6, unique=True))
+        T = data.draw(st.lists(vec, min_size=1, max_size=6, unique=True))
+        # a common dilation of both sets makes pairs share their classes
+        c = data.draw(st.integers(1, p - 1))
+        S = sorted(set(S) | {(c * x % p, c * y % p) for x, y in S})
+        T = sorted(set(T) | {(c * x % p, c * y % p) for x, y in T})
+        points, planes = wedge_to_incidence(S, T, p)
+        (pt_rows, pt_w), (pl_rows, pl_w) = oracles.wedge_classes(S, T, p)
+        assert points.dim == planes.dim == 4
+        assert points.points == tuple(pt_rows) and points.weights == tuple(pt_w)
+        assert [tuple(pl.normal) for pl in planes.planes] == pl_rows
+        assert planes.weights == tuple(pl_w)
+        assert not planes.rows[:, -1].any()
+        assert points.total_weight() == planes.total_weight() == len(S) * len(T)
+        _, weighted = weighted_incidences(points, planes)
+        assert weighted == form_solution_count(S, T, wedge_form(p), include_zero=True)
+        if p < 100:
+            assert weighted == oracles.engg_solutions(S, T, p)
 
 
 class TestRightTriangles:
