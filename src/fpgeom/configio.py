@@ -197,11 +197,6 @@ def load_config(path) -> ConfigDoc:
         return parse_config(fh.read())
 
 
-def save_config(doc: ConfigDoc, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_config(doc))
-
-
 # ---------------------------------------------------------------------------
 # report serialisation
 

@@ -79,6 +79,44 @@ def _scale_canonical(rows: np.ndarray, p: int) -> np.ndarray:
     return rows
 
 
+# products formed per slice of a table; a fixed size, not a tuning knob
+_SCRATCH_CELLS = 1 << 16
+
+
+def dot_mod(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """out[i, j] += A[i].B[j] mod p for rows of A and B with entries in
+    [0, p), into a new zero table when out is None; returns out.
+
+    Products pass through one scratch of at most _SCRATCH_CELLS cells and are
+    reduced once per column: a product below p^2 plus an entry below 2p stays
+    below 2^63 for p < 2^31, so entries of out given below 2p end below p.
+    """
+    if A.shape[1] != B.shape[1]:
+        raise DimensionMismatchError(f"rows of width {A.shape[1]} and {B.shape[1]}")
+    if out is None:
+        out = np.zeros((len(A), len(B)), dtype=np.int64)
+    step = max(1, _SCRATCH_CELLS // max(1, len(B)))
+    X = np.empty((min(step, len(A)), len(B)), dtype=np.int64)
+    for lo in range(0, len(A), step):
+        v = out[lo : lo + step]
+        x = X[: len(v)]
+        for a, b in zip(A[lo : lo + step].T, B.T):
+            np.multiply.outer(a, b, out=x)
+            v += x
+            v %= p
+    return out
+
+
+def norm_sq_rows(V: np.ndarray, p: int) -> np.ndarray:
+    """v.v mod p for every row v of V with entries in [0, p), reduced once
+    per column."""
+    out = np.zeros(len(V), dtype=np.int64)
+    for col in V.T:
+        out += col * col
+        out %= p
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class _WeightedRows:
     """Distinct canonical int64 rows with positive integer weights, in
@@ -140,6 +178,16 @@ class WeightedPointSet(_WeightedRows):
 
     def coords_array(self) -> np.ndarray:
         return self.rows
+
+
+def distinct_rows(points, p: int, dim: int | None = None) -> np.ndarray:
+    """The distinct points reduced mod p as sorted read-only int64 rows, from
+    int sequences or an int array; no points give (0, dim or input width) rows."""
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    if not len(points):
+        return np.zeros((0, dim or np.shape(points)[-1]), dtype=np.int64)
+    return WeightedPointSet.of(points, p, dim=dim).rows
 
 
 class WeightedPlaneSet(_WeightedRows):
@@ -230,9 +278,7 @@ def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
     row_keys = np.arange(u, dtype=np.int64) * p
     for start in range(0, len(P), rows):
         block = P[start : start + rows]
-        acc = np.zeros((len(block), u), dtype=np.int64)
-        for c in range(P.shape[1]):
-            acc = (acc + block[:, c : c + 1] * normals[:, c]) % p
+        acc = dot_mod(block, normals, p)
         acc += row_keys
         flat = acc.reshape(-1)
         pos = np.searchsorted(keys, flat)
@@ -274,10 +320,7 @@ def _forbidden_pairs(P, N, off, p: int, lines) -> tuple[np.ndarray, np.ndarray]:
         on_line = np.flatnonzero(((base + P[:, j : j + 1] * d) % p == P).all(axis=1))
         if not len(on_line):
             continue
-        nb = nd = np.zeros(len(N), dtype=np.int64)
-        for c in range(P.shape[1]):
-            nb = (nb + N[:, c] * base[c]) % p
-            nd = (nd + N[:, c] * d[c]) % p
+        nb, nd = dot_mod(np.stack([base, d]), N, p)
         in_plane = np.flatnonzero((nb == off) & (nd == 0))
         keys.append((on_line[:, None] * len(N) + in_plane).reshape(-1))
     # one pair can be routed through two forbidden lines
@@ -477,36 +520,32 @@ def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, Affin
     """
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
-    pts = sorted({as_vec(q, p) for q in points})
-    if len(pts) < 2:
+    P = distinct_rows(points, p)
+    if len(P) < 2:
         raise GeometryError("need at least two distinct points")
     # two distinct points and at least one base always give a witness line
-    if sample is not None and sample < len(pts):
+    if sample is not None and sample < len(P):
         import random
 
-        bases = sorted(random.Random(repr(("max-collinear", len(pts), sample))).sample(
-            range(len(pts)), sample))
-        P = np.array(pts, dtype=np.int64)
+        bases = sorted(random.Random(repr(("max-collinear", len(P), sample))).sample(
+            range(len(P)), sample))
         best, witness = 1, None
         for base, _, count, D in _line_census(P, p, bases, all_partners=True):
             top = int(count.argmax())
             if count[top] + 1 > best:
-                best, witness = int(count[top]) + 1, AffineLine(p, pts[base[top]], tuple(D[top]))
+                best, witness = int(count[top]) + 1, AffineLine(p, P[base[top]], D[top])
         return best, witness
-    ws = WeightedPointSet.of(pts, p)
-    (k, wit), _ = _collinearity(ws)
-    return k, wit
+    return _collinearity(WeightedPointSet.of(P, p))[0]
 
 
 def _spanned(points, p: int, least: int):
     """(line, exact point count) for every line through at least `least` of
     the points, seen once from its earliest point."""
-    pts = sorted({as_vec(q, p) for q in points})
-    P = np.array(pts, dtype=np.int64)
-    for base, first, count, D in _line_census(P, p, np.arange(len(pts)), all_partners=True):
+    P = distinct_rows(points, p)
+    for base, first, count, D in _line_census(P, p, np.arange(len(P)), all_partners=True):
         # a base is the earliest point of its line when no partner precedes it
         for g in np.flatnonzero((first > base) & (count + 1 >= least)):
-            yield AffineLine(p, pts[base[g]], tuple(D[g])), int(count[g]) + 1
+            yield AffineLine(p, P[base[g]], D[g]), int(count[g]) + 1
 
 
 def spanned_lines(points, p: int) -> dict[AffineLine, int]:
@@ -528,14 +567,12 @@ def isotropic_lines(points, p: int) -> tuple[int, int, AffineLine | None]:
     Isotropy of a difference does not depend on its scaling, so the census
     groups with norm_sq(direction) == 0 hold exactly the null pairs.
     """
-    pts = sorted({as_vec(q, p) for q in points})
-    if len(pts) < 2:
+    P = distinct_rows(points, p)
+    if len(P) < 2:
         return 0, 0, None
-    P = np.array(pts, dtype=np.int64)
     null_pairs, best, key = 0, 0, None
-    for base, _, count, D in _line_census(P, p, np.arange(len(pts))):
-        # each square is reduced before the sum, so no int64 sum overflows
-        iso = np.flatnonzero((D * D % p).sum(axis=1) % p == 0)
+    for base, _, count, D in _line_census(P, p, np.arange(len(P))):
+        iso = np.flatnonzero(norm_sq_rows(D, p) == 0)
         if not len(iso):
             continue
         null_pairs += int(count[iso].sum())
@@ -547,8 +584,7 @@ def isotropic_lines(points, p: int) -> tuple[int, int, AffineLine | None]:
         B, Dh = P[base[hit]], D[hit]
         # canonical base: zero at the direction's leading coordinate
         B = (B - B[np.arange(len(B)), (Dh != 0).argmax(axis=1)][:, None] * Dh) % p
-        rows = np.hstack([B, Dh])
-        low = tuple(int(c) for c in rows[np.lexsort(rows.T[::-1])[0]])
+        low = tuple(distinct_rows(np.hstack([B, Dh]), p)[0].tolist())
         if top > best or low < key:
             best, key = top, low
     dim = P.shape[1]

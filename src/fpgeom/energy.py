@@ -1,9 +1,9 @@
 """Additive energy on quadrics: rectangle criteria, taxonomy, slice energies
 and the Fourier restriction ratio at tiny p.
 
-Energy is the ordered-quadruple count of x + y == z + u: the n^2 ordered
-pair sums are sorted into runs of equal sums, and each run of size m adds
-m^2.  For sets on the paraboloid or a sphere the same number is recomputed
+Energy is the ordered-quadruple count of x + y == z + u: the ordered pair
+sums are sorted into runs of equal sums, and each run of size m adds m^2.
+For sets on the paraboloid or a sphere the same number is recomputed
 through the right-angle corner criterion, and the two routes are required
 to agree.  The corner form (x - z).(y - z) is expanded through the Gram
 matrix M = C C^T of the corner coordinates, so each corner z costs one
@@ -20,16 +20,23 @@ many of their two side directions are isotropic.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .counting import _runs, isotropic_lines, pair_blocks
+from .counting import (
+    _runs,
+    _scale_canonical,
+    distinct_rows,
+    dot_mod,
+    isotropic_lines,
+    norm_sq_rows,
+    pair_blocks,
+)
 from .field import Prime
-from .geom import GeometryError, Vec, as_vec, dot, vadd, vsub
-from .quadrics import Paraboloid, Sphere, slice_lift
+from .geom import DimensionMismatchError, GeometryError, Vec, as_vec, dot, vadd, vsub
+from .quadrics import Paraboloid, Sphere
 
 
 class RectangleClass(Enum):
@@ -61,10 +68,11 @@ class EnergyReport:
 def additive_energy(a_points, b_points, p: int) -> int:
     """Ordered quadruples (x, y, z, u) in A x B x A x B with x + y == z + u."""
     p = int(Prime(p))
-    A = sorted({as_vec(q, p) for q in a_points})
-    B = sorted({as_vec(q, p) for q in b_points})
-    sums = Counter(vadd(x, y, p) for x in A for y in B)
-    return sum(c * c for c in sums.values())
+    A, B = distinct_rows(a_points, p), distinct_rows(b_points, p)
+    if not len(A) or not len(B):
+        return 0
+    size = np.diff(_sum_runs(A, B, p)[1])
+    return int(np.dot(size, size))
 
 
 def max_on_isotropic_line(points, p: int) -> int:
@@ -73,10 +81,8 @@ def max_on_isotropic_line(points, p: int) -> int:
     Lines are spanned by point pairs; sets without a null pair score
     min(|A|, 1).
     """
-    n = len({as_vec(q, p) for q in points})
-    if n < 2:
-        return n
-    return max(1, isotropic_lines(points, p)[1])
+    P = distinct_rows(points, p)
+    return max(min(len(P), 1), isotropic_lines(P, p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +95,6 @@ def max_on_isotropic_line(points, p: int) -> int:
 _CENSUS_RECTANGLES = 4096
 
 
-def _norm_sq(V: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(len(V), dtype=np.int64)
-    for col in V.T:
-        out += col * col % p
-        out %= p
-    return out
-
-
 def _rectangle_classes(C: np.ndarray, x, y, z, p: int) -> np.ndarray:
     """Class codes (0 ordinary, 1 semi-degenerate, 2 degenerate) of the
     rectangles with diagonal {x, y} and corner z, given as rows of C.
@@ -107,28 +105,14 @@ def _rectangle_classes(C: np.ndarray, x, y, z, p: int) -> np.ndarray:
     a %= p
     b = C[y] - C[z]
     b %= p
-    iso_a = _norm_sq(a, p) == 0
-    iso_b = _norm_sq(b, p) == 0
+    iso_a = norm_sq_rows(a, p) == 0
+    iso_b = norm_sq_rows(b, p) == 0
     both = iso_a & iso_b
     # with both sides isotropic all four vertices lie on one line exactly
-    # when the sides are parallel: every 2x2 minor of (a, b) vanishes
-    a, b = a[both], b[both]
-    for i in range(C.shape[1]):
-        for j in range(i + 1, C.shape[1]):
-            if ((a[:, i] * b[:, j] - a[:, j] * b[:, i]) % p).any():
-                raise NotARectangleError(
-                    "both side directions isotropic but vertices are not collinear"
-                )
+    # when the (nonzero) sides are parallel: their canonical directions agree
+    if (_scale_canonical(a[both], p) != _scale_canonical(b[both], p)).any():
+        raise NotARectangleError("both side directions isotropic but vertices are not collinear")
     return iso_a.astype(np.int64) + iso_b
-
-
-def gram_matrix(C: np.ndarray, p: int) -> np.ndarray:
-    """M = C C^T mod p, one dot product per pair of rows of C."""
-    M = np.zeros((len(C), len(C)), dtype=np.int64)
-    for col in C.T:
-        M += np.multiply.outer(col, col) % p
-        M %= p
-    return M
 
 
 def right_corners(M: np.ndarray, z: int, p: int) -> np.ndarray:
@@ -179,7 +163,7 @@ def _corner_count(A: np.ndarray, C: np.ndarray, p: int) -> int:
     right corners are looked up, column by column, in prefix keys built
     once from A.  A's rows are distinct.
     """
-    M = gram_matrix(C, p)
+    M = dot_mod(C, C, p)
     levels = _prefix_keys(A, p)
     total = 0
     for z in range(len(A)):
@@ -191,13 +175,21 @@ def _corner_count(A: np.ndarray, C: np.ndarray, p: int) -> int:
     return total
 
 
+def _sum_runs(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs (order, bounds) of equal sums among the sums A[i] + B[j] mod
+    p, flattened at position i * len(B) + j."""
+    if A.shape[1] != B.shape[1]:
+        raise DimensionMismatchError(f"summands of dimensions {A.shape[1]} and {B.shape[1]}")
+    sums = A[:, None, :] + B
+    sums %= p
+    return _runs(sums.reshape(len(A) * len(B), -1))
+
+
 def _ordered_sums(A: np.ndarray, p: int) -> tuple[int, int]:
     """(energy, pairwise-distinct ordered solutions) from the n^2 ordered
     pair sums of the rows of A, grouped by one sort."""
     n = len(A)
-    sums = A[:, None, :] + A
-    sums %= p
-    order, bounds = _runs(sums.reshape(n * n, -1))
+    order, bounds = _sum_runs(A, A, p)
     size = np.diff(bounds)
     # x + y == x + u forces y == u, so the off-diagonal pairs of one sum are
     # disjoint and give off * (off - 2) pairwise-distinct solutions; the
@@ -238,10 +230,9 @@ def classify_rectangle(x: Vec, y: Vec, z: Vec, u: Vec, p: int) -> RectangleClass
     return list(RectangleClass)[int(code[0])]
 
 
-def _rectangle_report(points: list[Vec], corner_coords: list[Vec], p: int, quadric: str) -> EnergyReport:
-    n = len(points)
-    A = np.array(points, dtype=np.int64)
-    C = np.array(corner_coords, dtype=np.int64)
+def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> EnergyReport:
+    """The report for the distinct rows A on the quadric, with rectangles,
+    side isotropy and k0 read in the corner coordinates C."""
     energy, solutions = _ordered_sums(A, p)
     corner = _corner_count(A, C, p)
     if corner != energy:
@@ -269,12 +260,12 @@ def _rectangle_report(points: list[Vec], corner_coords: list[Vec], p: int, quadr
     return EnergyReport(
         energy=energy,
         corner_count=corner,
-        size=n,
+        size=len(A),
         rectangles=rectangles,
         ordinary=ordinary,
         semi_degenerate=semi,
         degenerate=degenerate,
-        k0=max_on_isotropic_line(corner_coords, p),
+        k0=max_on_isotropic_line(C, p),
         quadric=quadric,
         multiplicity_range=(8, 8) if rectangles else None,
     )
@@ -284,15 +275,12 @@ def rectangle_energy_paraboloid(points, p: int) -> EnergyReport:
     """Energy report for a set on the paraboloid; rectangles, side isotropy
     and k0 live in the horizontal projection."""
     p = int(Prime(p))
-    pts = sorted({as_vec(q, p) for q in points})
-    if not pts:
+    P = distinct_rows(points, p)
+    if not len(P):
         return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, "paraboloid", None)
-    par = Paraboloid(p, len(pts[0]))
-    for q in pts:
-        if not par.contains(q):
-            raise GeometryError(f"point {q} is not on the paraboloid")
-    horiz = [q[:-1] for q in pts]
-    return _rectangle_report(pts, horiz, p, "paraboloid")
+    Paraboloid(p, P.shape[1])  # checks the dimension
+    _require_on(P, norm_sq_rows(P[:, :-1], p) != P[:, -1], "paraboloid")
+    return _rectangle_report(P, P[:, :-1], p, "paraboloid")
 
 
 def rectangle_energy_sphere(points, p: int, t: int) -> EnergyReport:
@@ -300,14 +288,17 @@ def rectangle_energy_sphere(points, p: int, t: int) -> EnergyReport:
     p = int(Prime(p))
     if t % p == 0:
         raise GeometryError("sphere energy needs t != 0")
-    pts = sorted({as_vec(q, p) for q in points})
-    if not pts:
+    P = distinct_rows(points, p)
+    if not len(P):
         return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, "sphere", None)
-    sph = Sphere(p, len(pts[0]), t)
-    for q in pts:
-        if not sph.contains(q):
-            raise GeometryError(f"point {q} is not on the sphere")
-    return _rectangle_report(pts, pts, p, "sphere")
+    _require_on(P, norm_sq_rows(P, p) != Sphere(p, P.shape[1], t).t, "sphere")
+    return _rectangle_report(P, P, p, "sphere")
+
+
+def _require_on(P: np.ndarray, off: np.ndarray, quadric: str) -> None:
+    """Raise for the first row of P flagged in off."""
+    if off.any():
+        raise GeometryError(f"point {tuple(P[off.argmax()].tolist())} is not on the {quadric}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +316,13 @@ class SliceEnergyReport:
 def slice_energy_sum(points, p: int) -> SliceEnergyReport:
     """Energy of every lifted horizontal slice and the quarter-power total."""
     p = int(Prime(p))
-    pts = sorted({as_vec(q, p) for q in points})
+    P = distinct_rows(points, p)
     per: list[tuple[int, int]] = []
     total = 0.0
-    heights = sorted({q[-1] for q in pts})
-    for h in heights:
-        lifted = slice_lift(pts, h, p)
-        report = rectangle_energy_paraboloid(lifted, p)
+    for h in np.unique(P[:, -1:]).tolist():
+        # the height-h slice, re-lifted onto the paraboloid
+        U = P[P[:, -1] == h, :-1]
+        report = rectangle_energy_paraboloid(np.column_stack([U, norm_sq_rows(U, p)]), p)
         per.append((h, report.energy))
         total += report.energy ** 0.25
     return SliceEnergyReport(per_height=tuple(per), quarter_power_sum=total)
@@ -359,13 +350,11 @@ def fourier_transform(g, p: int, xis) -> np.ndarray:
     items = [(as_vec(x, p), complex(v)) for x, v in g.items() if v != 0]
     if not items:
         return np.zeros(len(list(xis)), dtype=complex)
-    X = np.array([x for x, _ in items], dtype=np.int64)
+    d = len(items[0][0])
+    X = np.array([as_vec(x, p, d) for x, _ in items], dtype=np.int64)
     vals = np.array([v for _, v in items], dtype=complex)
-    Xi = np.array([as_vec(x, p) for x in xis], dtype=np.int64)
-    phases = np.zeros((X.shape[0], Xi.shape[0]), dtype=np.int64)
-    for c in range(X.shape[1]):
-        phases = (phases + X[:, c : c + 1] * Xi[:, c]) % p
-    return vals @ np.exp(2j * math.pi * phases / p)
+    Xi = np.array([as_vec(x, p, d) for x in xis], dtype=np.int64).reshape(-1, d)
+    return vals @ np.exp(2j * math.pi * dot_mod(X, Xi, p) / p)
 
 
 def restriction_ratio(g, p: int, d: int) -> RestrictionReport:

@@ -10,8 +10,8 @@ of rows of the table s.u + a(s) + b(t) mod p: u = M t gives the form value
 s^T M t, and u = -2t with a = |s|^2, b = |t|^2 gives |s - t|^2.  Each row of
 a block is sorted into runs of equal values, so value sets, pinned counts,
 histograms and E_Delta are read from run heads and lengths, with memory
-O(block).  Every product is reduced mod p before the next sum, which keeps
-the tables exact in int64 for p < 2^31.
+O(block).  The products come from `counting.dot_mod`, which keeps the tables
+exact in int64 for p < 2^31.
 """
 
 from __future__ import annotations
@@ -28,14 +28,16 @@ from .counting import (
     _line_census,
     _runs,
     _scale_canonical,
+    distinct_rows,
+    dot_mod,
+    norm_sq_rows,
 )
-from .energy import gram_matrix, right_corners
+from .energy import right_corners
 from .field import Prime, legendre
 from .geom import (
     AffineLine,
     AffinePlane,
     CoincidentPointsError,
-    DimensionMismatchError,
     GeometryError,
     Vec,
     as_vec,
@@ -51,35 +53,19 @@ class NullPairError(GeometryError):
 # ---------------------------------------------------------------------------
 # the pair-value kernel
 
-# pair values computed per block of rows, and products formed per slice of a
-# block; fixed sizes, not tuning knobs
+# pair values computed per block of rows; a fixed size, not a tuning knob
 _BLOCK_CELLS = 1 << 20
-_SCRATCH_CELLS = 1 << 16
 
 
 def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
     """Yield (start, V) block by block, where
     V[i, j] == S[start + i].U[j] + a[start + i] + b[j] mod p
-    (the offsets a and b only when given)."""
-    width = max(1, len(U))
-    rows, step = max(1, _BLOCK_CELLS // width), max(1, _SCRATCH_CELLS // width)
-    X = np.empty((min(step, rows, len(S)), len(U)), dtype=np.int64)
+    (the offsets a and b, reduced mod p, only when given)."""
+    rows = max(1, _BLOCK_CELLS // max(1, len(U)))
     for start in range(0, len(S), rows):
         block = S[start : start + rows]
-        V = np.zeros((len(block), len(U)), dtype=np.int64)
-        if a is not None:
-            V += a[start : start + rows, None]
-            V += b
-        # the products of a slice of rows pass through the small scratch X
-        for lo in range(0, len(block), step):
-            v = V[lo : lo + step]
-            x = X[: len(v)]
-            for s, u in zip(block[lo : lo + step].T, U.T):
-                np.multiply.outer(s, u, out=x)
-                x %= p
-                v += x
-                v %= p
-        yield start, V
+        V = None if a is None else np.add.outer(a[start : start + rows], b)
+        yield start, dot_mod(block, U, p, V)
 
 
 def _row_runs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,22 +80,7 @@ def _row_runs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _distance_terms(P: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(U, norms) with |s - t|^2 == s.U[t] + norms[s] + norms[t] mod p."""
-    return -2 * P % p, (P * P % p).sum(axis=1) % p
-
-
-def _form_images(T: np.ndarray, form: "FormSpec") -> np.ndarray:
-    """Rows M t mod p for the rows t of T, so s.(M t) is the form value."""
-    p, M = form.p, np.array(form.matrix, dtype=np.int64)
-    U = np.zeros_like(T)
-    for col, m in zip(T.T, M.T):
-        U += np.multiply.outer(col, m) % p
-        U %= p
-    return U
-
-
-def _plane_points(points, p: int) -> np.ndarray:
-    """The distinct planar points as sorted int64 rows."""
-    return WeightedPointSet.of(points, p, dim=2).rows
+    return -2 * P % p, norm_sq_rows(P, p)
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +119,14 @@ def supported_in_semi_isotropic_plane(points, p: int) -> bool:
     if not nonzero.any():
         return True  # every ternary form over F_p has an isotropic vector
     w = D[nonzero.argmax()]
-    # the cross products q x w vanish exactly for the rows parallel to w
-    N = np.stack([
-        (D[:, (i + 1) % 3] * w[(i + 2) % 3] % p - D[:, (i + 2) % 3] * w[(i + 1) % 3] % p) % p
-        for i in range(3)
-    ], axis=1)
+    # the cross products q x w vanish exactly for the rows parallel to w;
+    # each is a difference of two products below p^2, exact in int64
+    N = np.cross(D, w) % p
     independent = N.any(axis=1)
     if not independent.any():
         return legendre(-norm_sq(tuple(w.tolist()), p), p) >= 0
     normal = N[independent.argmax()]
-    if ((D * normal % p).sum(axis=1) % p).any():
+    if dot_mod(D, normal[None], p).any():
         return False
     return norm_sq(tuple(normal.tolist()), p) == 0
 
@@ -170,13 +139,10 @@ def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
     the nonzero variants drop the value 0 entirely.
     """
     p = int(Prime(p))
-    pts = sorted({as_vec(q, p) for q in points})
-    if len(pts) < 2:
+    P = distinct_rows(points, p)
+    if len(P) < 2:
         raise GeometryError("need at least two distinct points")
-    if len({len(q) for q in pts}) > 1:
-        raise DimensionMismatchError("points of different dimensions")
-    n, dim = len(pts), len(pts[0])
-    P = np.array(pts, dtype=np.int64)
+    n, dim = P.shape
     U, norms = _distance_terms(P, p)
     values = np.zeros(0, dtype=np.int64)
     pinned = np.zeros(n, dtype=np.int64)
@@ -201,7 +167,7 @@ def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
         min_pinned=int(counts.min()),
         zero_pairs=zero_pairs,
         in_semi_isotropic_plane=(
-            supported_in_semi_isotropic_plane(pts, p) if dim == 3 else None
+            supported_in_semi_isotropic_plane(P, p) if dim == 3 else None
         ),
     )
 
@@ -225,8 +191,7 @@ def energy_delta(points, p: int, restricted: bool = False) -> int:
     from both.
     """
     p = int(Prime(p))
-    pts = sorted({as_vec(q, p, 3) for q in points})
-    P = np.array(pts, dtype=np.int64).reshape(len(pts), 3)
+    P = distinct_rows(points, p, 3)
     U, norms = _distance_terms(P, p)
     total = 0
     for start, V in _pair_values(P, U, p, norms, norms):
@@ -298,9 +263,10 @@ def dot_form(p: int) -> FormSpec:
 
 def form_values(points, form: FormSpec) -> frozenset[int]:
     """Exact value set {form(s, t) : s, t in S}."""
-    P = _plane_points(points, form.p)
+    P = distinct_rows(points, form.p, 2)
     values = np.zeros(0, dtype=np.int64)
-    for _, V in _pair_values(P, _form_images(P, form), form.p):
+    # the rows M t, so that s.(M t) is the form value
+    for _, V in _pair_values(P, dot_mod(P, np.array(form.matrix), form.p), form.p):
         flat = V.reshape(1, -1)
         heads, _ = _row_runs(flat)
         values = np.union1d(values, flat[0, heads])
@@ -316,9 +282,9 @@ def form_solution_count(
     The value histogram over S x T is merged block by block from the runs,
     and its squares are summed in python ints once they could pass int64.
     """
-    S, T = _plane_points(s_points, form.p), _plane_points(t_points, form.p)
+    S, T = distinct_rows(s_points, form.p, 2), distinct_rows(t_points, form.p, 2)
     values = counts = np.zeros(0, dtype=np.int64)
-    for _, V in _pair_values(S, _form_images(T, form), form.p):
+    for _, V in _pair_values(S, dot_mod(T, np.array(form.matrix), form.p), form.p):
         flat = V.reshape(1, -1)
         heads, size = _row_runs(flat)
         values, slot = np.unique(np.concatenate([values, flat[0, heads]]), return_inverse=True)
@@ -358,7 +324,7 @@ def wedge_to_incidence(s_points, t_points, p: int) -> tuple[WeightedPointSet, We
     |S| |T|.
     """
     p = int(Prime(p))
-    S, T = _plane_points(s_points, p), _plane_points(t_points, p)
+    S, T = distinct_rows(s_points, p, 2), distinct_rows(t_points, p, 2)
     if not (S.any(axis=1).all() and T.any(axis=1).all()):
         raise GeometryError("the reduction needs origin-free input sets")
     points = np.hstack([np.repeat(S, len(T), axis=0), np.tile(T, (len(S), 1))])
@@ -409,12 +375,12 @@ def right_triangle_count(points, p: int) -> RightTriangleReport:
     """Right-angle triples counted twice, independently: directly from the
     Gram-matrix corner form, and by aggregating the line census."""
     p = int(Prime(p))
-    P = _plane_points(points, p)
+    P = distinct_rows(points, p, 2)
     n = len(P)
     if n < 3:
         raise GeometryError("need at least three distinct points")
     # the 2n - 1 cells with x == z or y == z of each corner are right too
-    M = gram_matrix(P, p)
+    M = dot_mod(P, P, p)
     total = sum(int(np.count_nonzero(right_corners(M, z, p))) for z in range(n))
     total -= n * (2 * n - 1)
     aggregated = 0

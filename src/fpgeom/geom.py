@@ -388,9 +388,9 @@ class NullPairStats:
 
 def null_pair_stats(points, p: int) -> NullPairStats:
     # the line census lives in counting, which builds on this module
-    from .counting import isotropic_lines
+    from .counting import distinct_rows, isotropic_lines
 
-    n = len({as_vec(q, p) for q in points})
+    n = len(distinct_rows(points, p))
     if n < 2:
         raise GeometryError("need at least two points")
     null_pairs, best, witness = isotropic_lines(points, p)
@@ -443,10 +443,6 @@ def iter_homogeneous_reps(p: int, length: int) -> Iterator[Vec]:
 def homogeneous_reps(p: int, length: int) -> list[Vec]:
     """All canonical projective representatives of nonzero tuples, in lex order."""
     return list(iter_homogeneous_reps(p, length))
-
-
-def canonical_directions(p: int, d: int) -> list[Vec]:
-    return homogeneous_reps(p, d)
 
 
 def isotropic_directions(p: int, d: int) -> list[Vec]:

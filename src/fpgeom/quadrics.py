@@ -19,8 +19,8 @@ from .geom import (
     GeometryError,
     Vec,
     as_vec,
-    canonical_directions,
     dot,
+    homogeneous_reps,
     isotropic_directions,
     norm_sq,
     smul,
@@ -192,7 +192,7 @@ def isotropic_cylinder(line: AffineLine, x: Vec, sphere: Sphere) -> CylinderRepo
     u = line.direction
     shifts: list[tuple[Vec, int]] = []
     gens: set[AffineLine] = set()
-    for v in canonical_directions(p, 4):
+    for v in homogeneous_reps(p, 4):
         if dot(u, v, p) != 0:
             continue
         nv = norm_sq(v, p)

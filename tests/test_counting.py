@@ -17,7 +17,10 @@ from fpgeom.counting import (
     count_point_plane,
     count_point_plane_naive,
     count_restricted,
+    distinct_rows,
+    dot_mod,
     max_collinear,
+    norm_sq_rows,
     rich_lines,
     spanned_lines,
     weighted_incidences,
@@ -162,6 +165,99 @@ class TestCanonicaliser:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] += 1
+
+
+def _residues(p):
+    """Residues mod p, the extremes near 0 and p - 1 drawn often."""
+    return st.one_of(st.sampled_from((0, 1, 2, p - 1, p - 2)), st.integers(0, p - 1))
+
+
+@st.composite
+def dot_cases(draw):
+    """(p, A, B, out): rows of one width, either side possibly empty, and a
+    prefilled table with entries below 2p or None."""
+    p = draw(st.sampled_from((3, 5, 13, BIG)))
+    width = draw(st.integers(1, 4))
+    rows = st.lists(st.tuples(*(_residues(p) for _ in range(width))), max_size=6)
+    A, B = draw(rows), draw(rows)
+    out = draw(st.none() | st.lists(st.lists(st.integers(0, 2 * p - 1), min_size=len(B),
+                                             max_size=len(B)), min_size=len(A), max_size=len(A)))
+    return p, A, B, out
+
+
+def _int_array(rows, width):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def _python_dots(p, A, B, out):
+    return [[((out[i][j] if out else 0) + sum(a * b for a, b in zip(x, y))) % p
+             for j, y in enumerate(B)] for i, x in enumerate(A)]
+
+
+class TestRowLayer:
+    """`dot_mod`, `norm_sq_rows` and `distinct_rows` against python ints and
+    the oracles."""
+
+    @given(dot_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_dot_mod_matches_python_ints(self, case):
+        p, A, B, out = case
+        width = len((A or B or [(0,)])[0])
+        table = None if out is None else _int_array(out, len(B))
+        got = dot_mod(_int_array(A, width), _int_array(B, width), p, table)
+        assert got.shape == (len(A), len(B))
+        assert got.tolist() == _python_dots(p, A, B, out)
+        if table is not None:
+            assert got is table
+
+    @pytest.mark.parametrize("cells", [1, 2, 5, 13])
+    def test_dot_mod_across_scratch_slices(self, monkeypatch, cells):
+        monkeypatch.setattr(counting, "_SCRATCH_CELLS", cells)
+        rng = rng_for("dot-mod-scratch", cells)
+        for p in (3, 5, 13, BIG):
+            for n, m, width in ((7, 3, 3), (3, 7, 2), (11, 5, 4), (1, 9, 1)):
+                A = [tuple(rng.randrange(p) for _ in range(width)) for _ in range(n)]
+                B = [tuple(rng.randrange(p) for _ in range(width)) for _ in range(m)]
+                out = [[rng.randrange(2 * p) for _ in range(m)] for _ in range(n)]
+                got = dot_mod(_int_array(A, width), _int_array(B, width), p, _int_array(out, m))
+                assert got.tolist() == _python_dots(p, A, B, out)
+
+    def test_dot_mod_rejects_a_width_mismatch(self):
+        A, B = np.ones((2, 3), dtype=np.int64), np.ones((4, 2), dtype=np.int64)
+        with pytest.raises(DimensionMismatchError):
+            dot_mod(A, B, 5)
+        with pytest.raises(DimensionMismatchError):
+            dot_mod(B, A, 5)
+
+    @given(st.sampled_from((3, 5, 13, BIG)).flatmap(lambda p: st.tuples(
+        st.just(p), st.lists(st.tuples(*(_residues(p),) * 3), max_size=8))))
+    @settings(max_examples=100, deadline=None)
+    def test_norm_sq_rows_matches_oracle(self, case):
+        p, rows = case
+        assert norm_sq_rows(_int_array(rows, 3), p).tolist() == [oracles.nsq(v, p) for v in rows]
+
+    @given(raw_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_rows_matches_oracle(self, case):
+        p, dim, points, *_ = case
+        keys, _ = oracles.canonical_points(points, [1] * len(points), p)
+        expected = [list(k) for k in keys]
+        assert distinct_rows(points, p, dim).tolist() == expected
+        if points:
+            assert distinct_rows(points, p).tolist() == expected
+            assert distinct_rows(np.array(points, dtype=np.int64), p).tolist() == expected
+
+    def test_distinct_rows_of_no_points(self):
+        assert distinct_rows([], 7).shape == (0, 0)
+        assert distinct_rows([], 7, 3).shape == (0, 3)
+        assert distinct_rows(iter(()), 7, 2).dtype == np.int64
+        assert distinct_rows(np.zeros((0, 4), dtype=np.int64), 7).shape == (0, 4)
+
+    def test_distinct_rows_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            distinct_rows([(1, 2), (1, 2, 3)], 7)
+        with pytest.raises(DimensionMismatchError):
+            distinct_rows([(1, 2, 3)], 7, 2)
 
 
 class TestCountPointPlane:

@@ -25,10 +25,13 @@ from fpgeom.energy import (
     restriction_ratio,
     slice_energy_sum,
 )
-from fpgeom.geom import GeometryError
+from fpgeom.geom import DimensionMismatchError, GeometryError
 from fpgeom.quadrics import Paraboloid, lines_on_sphere, paraboloid_lift, sphere_points
 
 BIG = 2147483647  # 2^31 - 1
+# residues near 0 and near p add up without wrapping or with it
+_BIG_COORD = st.one_of(st.sampled_from((0, 1, 2, 3, BIG - 1, BIG - 2)),
+                       st.integers(0, BIG - 1))
 
 
 class TestAdditiveEnergy:
@@ -58,6 +61,20 @@ class TestAdditiveEnergy:
         v = (3, 7, 2)
         shifted = [tuple((c + w) % p for c, w in zip(q, v)) for q in A]
         assert additive_energy(A, A, p) == additive_energy(shifted, shifted, p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(_BIG_COORD, _BIG_COORD), max_size=7),
+           st.lists(st.tuples(_BIG_COORD, _BIG_COORD), max_size=7))
+    def test_largest_modulus_matches_quadruple_loop(self, A, B):
+        A, B = sorted(set(A)), sorted(set(B))
+        assert additive_energy(A, B, BIG) == oracles.additive_energy(A, B, BIG)
+
+    def test_empty_sets_give_zero(self):
+        assert additive_energy([], [(1, 2)], 7) == additive_energy([(1, 2)], [], 7) == 0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            additive_energy([(1, 2)], [(1, 2, 3)], 7)
 
 
 class TestParaboloidEnergy:
@@ -298,6 +315,19 @@ class TestRestriction:
         for xi, val in zip(xis, ghat):
             assert abs(val - oracles.dft_value(g, xi, p)) < 1e-9
 
+    def test_transform_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            fourier_transform({(1, 2): 1}, 7, [(1, 1, 5)])
+        with pytest.raises(DimensionMismatchError):
+            fourier_transform({(1, 2, 3): 1}, 7, [(1, 1)])
+        with pytest.raises(DimensionMismatchError):
+            fourier_transform({(1, 2, 3): 1, (1, 2): 1}, 7, [(1, 1, 1)])
+
+    def test_transform_of_no_frequencies(self):
+        for g in ({(1, 2, 3): 1}, {}):
+            ghat = fourier_transform(g, 7, [])
+            assert ghat.shape == (0,) and ghat.dtype == complex
+
     def test_ratio_positive_for_nonzero_g(self):
         rng = rng_for("ratio")
         for d in (3, 4):
@@ -470,11 +500,6 @@ class TestIsotropicSidesGuard:
     def test_parallel_isotropic_sides_are_degenerate(self):
         C = np.array([(1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 0, 0)], dtype=np.int64)
         assert energy._rectangle_classes(C, [0], [1], [2], 5).tolist() == [2]
-
-
-# residues near 0 and near p add up without wrapping or with it
-_BIG_COORD = st.one_of(st.sampled_from((0, 1, 2, 3, BIG - 1, BIG - 2)),
-                       st.integers(0, BIG - 1))
 
 
 class TestLargestModulus:

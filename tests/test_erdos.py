@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_distinct_points, rng_for
-from fpgeom import erdos
+from fpgeom import counting, erdos
 from fpgeom.counting import weighted_incidences
 from fpgeom.erdos import (
     FormSpec,
@@ -528,7 +528,7 @@ def test_distance_set_memory_is_bounded_by_the_block(monkeypatch):
     for cells in (erdos._BLOCK_CELLS, 1 << 14):
         monkeypatch.setattr(erdos, "_BLOCK_CELLS", cells)
         block = min(n, cells // n) * n
-        scratch = min(block, erdos._SCRATCH_CELLS // n * n)
+        scratch = min(block, counting._SCRATCH_CELLS // n * n)
         distance_set(pts, 101)
         tracemalloc.start()
         try:
