@@ -26,6 +26,7 @@ from .geom import (
 )
 from .counting import (
     IncidenceReport,
+    WeightedLineSet,
     WeightedPlaneSet,
     WeightedPointSet,
     count_point_line_2d,

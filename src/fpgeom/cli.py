@@ -14,6 +14,8 @@ import itertools
 import random
 import sys
 
+import numpy as np
+
 from . import bounds, configio, counting, erdos
 from .configio import ConfigDoc, ConfigParseError
 from .constructions import (
@@ -27,10 +29,10 @@ from .constructions import (
     semi_isotropic_set,
     sphere_config,
 )
-from .counting import WeightedPlaneSet, WeightedPointSet
+from .counting import WeightedLineSet, WeightedPlaneSet, WeightedPointSet
 from .energy import rectangle_energy_paraboloid, rectangle_energy_sphere
 from .field import Prime
-from .geom import GeometryError, line_as_covector
+from .geom import GeometryError
 
 
 class UsageError(Exception):
@@ -175,50 +177,37 @@ def _emit_rows(reports, args) -> int:
 
 def _cmd_construct(args) -> int:
     p = Prime(args.p)
-    doc = ConfigDoc(p=p, dim=3)
     rng = random.Random(args.seed)
     name = args.name
+    dim, points, planes, lines = 3, [], [], []
     if name == "sphere":
-        pts, planes = sphere_config(p)
-        doc.points = [(q, w) for q, w in zip(pts.points, pts.weights)]
+        pts, family = sphere_config(p)
+        points, planes = pts.rows, family.rows
         if args.planes and args.planes < len(planes):
             # sampling indices picks the planes a sample of the plane list would
-            chosen = rng.sample(range(len(planes)), args.planes)
-            planes = WeightedPlaneSet.of(planes.rows[chosen], p, dim=3)
-        doc.planes = [(pl, 1) for pl in planes.planes]
+            planes = planes[rng.sample(range(len(planes)), args.planes)]
     elif name == "coprime":
         _need(args, "n")
-        doc.dim = 2
-        doc.points = [(q, 1) for q in coprime_lattice(args.n, p)]
+        dim, points = 2, coprime_lattice(args.n, p)
     elif name == "elekes":
         _need(args, "n")
         grid = elekes_grid(args.n, p)
-        doc.dim = 2
-        doc.points = [(q, 1) for q in grid.points]
-        doc.planes = [(pl, 1) for pl in grid.lines]
+        dim, points, planes = 2, grid.points, grid.lines
     elif name == "semi-isotropic":
         _need(args, "k", "l")
-        built = semi_isotropic_set(args.k, args.l, p)
-        doc.dim = 3
-        doc.points = [(q, 1) for q in built.points]
+        points = semi_isotropic_set(args.k, args.l, p).points
     elif name == "cylinder":
         _need(args, "t", "k0", "m")
         built = cylinder_set(p, args.t, args.k0, args.m)
-        doc.dim = 4
-        doc.points = [(q, 1) for q in built.points]
-        doc.lines = [(ln, 1) for ln in built.generators]
+        dim, points, lines = 4, built.points, built.generators
     elif name == "random-3d":
-        doc.dim = 3
-        doc.points = [(q, 1) for q in random_points(p, 3, args.points, rng)]
-        doc.planes = [(pl, 1) for pl in random_planes(p, 3, args.planes, rng)]
-        doc.lines = [(ln, 1) for ln in random_lines(p, 3, args.lines, rng)]
+        points = random_points(p, 3, args.points, rng)
+        planes = random_planes(p, 3, args.planes, rng)
+        lines = random_lines(p, 3, args.lines, rng)
     else:  # random-2d
-        doc.dim = 2
-        doc.points = [(q, 1) for q in random_points(p, 2, args.points, rng)]
-        doc.lines = [(ln, 1) for ln in random_lines(p, 2, args.lines, rng)]
-    # merge duplicates the canonical way
-    doc = configio.parse_config(configio.emit_config(doc))
-    _write_out(configio.emit_config(doc), args)
+        dim, points = 2, random_points(p, 2, args.points, rng)
+        lines = random_lines(p, 2, args.lines, rng)
+    _write_out(configio.emit_config(ConfigDoc.of(p, dim, points, planes, lines)), args)
     return 0
 
 
@@ -268,9 +257,11 @@ def _incidences(p, pts, planes, theorem, forbidden=None, cell=None) -> bounds.Bo
 
 
 def _point_lines(p, points, covs, theorem, cell=None, **rhs_extra) -> bounds.BoundReport:
-    """Planar point-line incidences over distinct points and lines."""
+    """Planar point-line incidences over distinct points and covector lines."""
+    points = WeightedPointSet.of(points, p, dim=2).rows
+    covs = WeightedPlaneSet.of(covs, p, dim=2).rows
     count = counting.count_point_line_2d(points, covs, p)
-    params = {"q": len(set(points)), "l": len(set(covs))}
+    params = {"q": len(points), "l": len(covs)}
     rhs_args = _pick({**params, **rhs_extra}, theorem) if theorem else {}
     return _row(p, "point_line", theorem, {**params, **(cell or {})}, count, rhs_args)
 
@@ -333,25 +324,29 @@ def _forms(p, points, form, theorem, solutions=False, cell=None) -> bounds.Bound
 def _cmd_count(args) -> list[bounds.BoundReport]:
     doc = configio.load_config(args.config)
     if doc.dim == 3:
-        forbidden = doc.line_list() if args.restricted else None
-        return [_incidences(doc.p, *doc.weighted_sets(), args.theorem, forbidden)]
+        forbidden = doc.lines.rows if args.restricted else None
+        return [_incidences(doc.p, doc.points, doc.planes, args.theorem, forbidden)]
     if doc.dim == 2:
         if args.restricted:
             raise UsageError("count --restricted works on 3-dimensional configurations")
-        covs = [line_as_covector(ln) for ln in doc.line_list()] + doc.plane_list()
-        return [_point_lines(doc.p, doc.point_list(), covs, args.theorem)]
+        return [_point_lines(doc.p, doc.points.rows, _covectors(doc), args.theorem)]
     raise UsageError("count supports dim 2 and 3 configurations")
+
+
+def _covectors(doc: ConfigDoc):
+    """The rows (a, b, c) of a planar document's lines and planes."""
+    return np.vstack([doc.lines.covectors(), doc.planes.rows])
 
 
 def _cmd_distances(args) -> list[bounds.BoundReport]:
     doc = configio.load_config(args.config)
-    return [_distances(doc.p, doc.point_list(), args.theorem,
+    return [_distances(doc.p, doc.points.rows, args.theorem,
                        include_zero=not args.exclude_zero)]
 
 
 def _cmd_energy(args) -> list[bounds.BoundReport]:
     doc = configio.load_config(args.config)
-    return [_energy(doc.p, doc.point_list(), args.quadric, args.t, args.theorem)]
+    return [_energy(doc.p, doc.points.rows, args.quadric, args.t, args.theorem)]
 
 
 def _cmd_forms(args) -> list[bounds.BoundReport]:
@@ -360,7 +355,7 @@ def _cmd_forms(args) -> list[bounds.BoundReport]:
         raise UsageError("forms works on 2-dimensional configurations")
     m = args.matrix or (0, 1, -1, 0)
     form = erdos.FormSpec(doc.p, ((m[0], m[1]), (m[2], m[3])))
-    return [_forms(doc.p, doc.point_list(), form, args.theorem, args.solutions)]
+    return [_forms(doc.p, doc.points.rows, form, args.theorem, args.solutions)]
 
 
 # ---------------------------------------------------------------------------
@@ -372,29 +367,29 @@ def _cmd_verify(args) -> int:
     text1 = configio.emit_config(doc)
     text2 = configio.emit_config(configio.parse_config(text1))
     checks.append(("round-trip emission is stable", text1 == text2))
-    if doc.dim == 3 and doc.planes:
-        pts, planes = doc.weighted_sets()
-        rep = counting.count_point_plane(pts, planes)
-        pairs, weighted = counting.count_point_plane_naive(pts, planes)
+    if doc.dim == 3 and len(doc.planes):
+        rep = counting.count_point_plane(doc.points, doc.planes)
+        pairs, weighted = counting.count_point_plane_naive(doc.points, doc.planes)
         checks.append(("vectorised count matches the naive loop",
                        (rep.pairs, rep.weighted) == (pairs, weighted)))
-        if doc.lines:
-            rrep = counting.count_restricted(pts, planes, doc.line_list())
+        if len(doc.lines):
+            rrep = counting.count_restricted(doc.points, doc.planes, doc.lines.rows)
             rpairs, rweighted = counting.count_point_plane_naive(
-                pts, planes, tuple(doc.line_list()))
+                doc.points, doc.planes, doc.lines.lines)
             checks.append(("restricted count matches the naive loop",
                            (rrep.pairs, rrep.weighted) == (rpairs, rweighted)))
-    if doc.dim == 2 and (doc.lines or doc.planes):
-        covs = [line_as_covector(ln) for ln in doc.line_list()] + doc.plane_list()
-        fast = counting.count_point_line_2d(doc.point_list(), covs, doc.p)
-        slow = counting.count_point_line_2d_naive(doc.point_list(), covs, doc.p)
+    if doc.dim == 2 and (len(doc.lines) or len(doc.planes)):
+        # the naive loop takes the objects, so it checks the covector step too
+        fast = counting.count_point_line_2d(doc.points.rows, _covectors(doc), doc.p)
+        slow = counting.count_point_line_2d_naive(
+            doc.points.points, doc.lines.lines + doc.planes.planes, doc.p)
         checks.append(("planar count matches the naive loop", fast == slow))
     if args.quadric:
         from .quadrics import Paraboloid, Sphere
 
         quad = (Paraboloid(doc.p, doc.dim) if args.quadric == "paraboloid"
                 else Sphere(doc.p, doc.dim, args.t))
-        ok = all(quad.contains(q) for q in doc.point_list())
+        ok = all(quad.contains(q) for q in doc.points.points)
         checks.append((f"all points lie on the {args.quadric}", ok))
     lines = [f"{'ok' if ok else 'FAIL'}: {name}" for name, ok in checks]
     _write_out("\n".join(lines) + "\n", args)
@@ -444,8 +439,8 @@ def _random_3d_cell(cell, p, seed):
 def _random_2d_cell(cell, p, seed):
     rng = random.Random(repr((cell.get("seed", seed), int(p), "2d")))
     pts = random_points(p, 2, cell.get("points", 32), rng)
-    lines = random_lines(p, 2, cell.get("lines", 32), rng)
-    return _point_lines(p, pts, [line_as_covector(ln) for ln in lines], cell["theorem"])
+    lines = WeightedLineSet.of(random_lines(p, 2, cell.get("lines", 32), rng), p, dim=2)
+    return _point_lines(p, pts, lines.covectors(), cell["theorem"])
 
 
 # construction -> (the theorems it pairs with, the first the default; its cell)

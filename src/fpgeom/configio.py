@@ -10,20 +10,21 @@ Config grammar (UTF-8, '#' starts a comment anywhere):
     [lines]
     <dim ints (base)> <dim ints (direction)> [w=<int>]
 
-Objects are canonicalised on parse (duplicates merge by weight) and emitted
-sorted, so parse -> emit -> parse is the identity and emission is
-byte-stable.  Reports use the fixed column order
+Objects are canonicalised on parse by the weighted sets (duplicates merge by
+weight) and emitted in their sorted order, so parse -> emit -> parse is the
+identity and emission is byte-stable.  Reports use the fixed column order
 theorem,p,params,count,rhs,ratio,flags with 12-significant-digit floats.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .counting import WeightedPlaneSet, WeightedPointSet
+import numpy as np
+
+from .counting import WeightedLineSet, WeightedPlaneSet, WeightedPointSet
 from .field import Prime
-from .geom import AffineLine, AffinePlane, GeometryError, Vec
 
 
 class ConfigParseError(ValueError):
@@ -32,50 +33,53 @@ class ConfigParseError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigDoc:
     """Parsed configuration: weighted points, planes and lines over one field."""
 
     p: Prime
     dim: int
-    points: list[tuple[Vec, int]] = field(default_factory=list)
-    planes: list[tuple[AffinePlane, int]] = field(default_factory=list)
-    lines: list[tuple[AffineLine, int]] = field(default_factory=list)
+    points: WeightedPointSet
+    planes: WeightedPlaneSet
+    lines: WeightedLineSet
 
-    def point_list(self) -> list[Vec]:
-        return [q for q, _ in self.points]
-
-    def plane_list(self) -> list[AffinePlane]:
-        return [pl for pl, _ in self.planes]
-
-    def line_list(self) -> list[AffineLine]:
-        return [ln for ln, _ in self.lines]
-
-    def weighted_sets(self) -> tuple[WeightedPointSet, WeightedPlaneSet]:
-        """The weighted points and planes, as the incidence counters take them."""
-        return (
-            WeightedPointSet.of(self.point_list(), self.p,
-                                weights=[w for _, w in self.points], dim=self.dim),
-            WeightedPlaneSet.of(self.plane_list(), self.p,
-                                weights=[w for _, w in self.planes], dim=self.dim),
-        )
+    @classmethod
+    def of(cls, p, dim: int, points=(), planes=(), lines=(),
+           weights=(None, None, None)) -> "ConfigDoc":
+        """A document of anything the weighted sets' `of` take, with the
+        weights of each section (None: all 1); equal objects merge."""
+        wq, wpi, wl = weights
+        return cls(p, dim, WeightedPointSet.of(points, p, wq, dim),
+                   WeightedPlaneSet.of(planes, p, wpi, dim),
+                   WeightedLineSet.of(lines, p, wl, dim))
 
 
 _SECTIONS = ("points", "planes", "lines")
 
 
+def _section_rules(dim: int) -> dict[str, tuple]:
+    """section -> (row width, arity message, columns not all zero, zero message)"""
+    return {
+        "points": (dim, f"point needs {dim} coordinates", None, None),
+        "planes": (dim + 1, f"plane needs {dim} normal coordinates and an offset",
+                   slice(dim), "plane normal must be nonzero"),
+        "lines": (2 * dim, f"line needs {dim} base and {dim} direction coordinates",
+                  slice(dim, None), "zero vector has no canonical scaling"),
+    }
+
+
 def parse_config(text: str) -> ConfigDoc:
-    doc: ConfigDoc | None = None
+    header = None
     section: str | None = None
-    pts: dict[Vec, int] = {}
-    pls: dict[AffinePlane, int] = {}
-    lns: dict[AffineLine, int] = {}
+    rows: dict[str, list[list[int]]] = {name: [] for name in _SECTIONS}
+    weights: dict[str, list[int]] = {name: [] for name in _SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if doc is None:
-            doc = _parse_header(line, lineno)
+        if header is None:
+            header = p, dim = _parse_header(line, lineno)
+            rules = _section_rules(dim)
             continue
         if line.startswith("["):
             name = line.strip("[]").strip().lower()
@@ -85,52 +89,22 @@ def parse_config(text: str) -> ConfigDoc:
             continue
         if section is None:
             raise ConfigParseError("object before any section header", lineno)
-        values, weight = _parse_object_line(line, lineno)
-        p, dim = doc.p, doc.dim
-        try:
-            if section == "points":
-                if len(values) != dim:
-                    raise ConfigParseError(f"point needs {dim} coordinates", lineno)
-                key = tuple(v % p for v in values)
-                pts[key] = pts.get(key, 0) + weight
-            elif section == "planes":
-                if len(values) != dim + 1:
-                    raise ConfigParseError(
-                        f"plane needs {dim} normal coordinates and an offset", lineno
-                    )
-                pl = AffinePlane(p, tuple(values[:dim]), values[dim])
-                pls[pl] = pls.get(pl, 0) + weight
-            else:
-                if len(values) != 2 * dim:
-                    raise ConfigParseError(
-                        f"line needs {dim} base and {dim} direction coordinates", lineno
-                    )
-                ln = AffineLine(p, tuple(values[:dim]), tuple(values[dim:]))
-                lns[ln] = lns.get(ln, 0) + weight
-        except GeometryError as exc:
-            raise ConfigParseError(str(exc), lineno) from exc
-    if doc is None:
+        values, weight = _parse_object_line(line, lineno, p)
+        width, arity, nonzero, zero = rules[section]
+        if len(values) != width:
+            raise ConfigParseError(arity, lineno)
+        if zero and not any(values[nonzero]):
+            raise ConfigParseError(zero, lineno)
+        rows[section].append(values)
+        weights[section].append(weight)
+    if header is None:
         raise ConfigParseError("empty configuration: missing 'p=... dim=...' header", 0)
-    doc.points = sorted(pts.items())
-    doc.planes = sorted(pls.items(), key=_plane_key)
-    doc.lines = sorted(lns.items(), key=_line_key)
-    return doc
+    arrays = [np.array(rows[name], dtype=np.int64).reshape(len(rows[name]), rules[name][0])
+              for name in _SECTIONS]
+    return ConfigDoc.of(p, dim, *arrays, weights=[weights[name] for name in _SECTIONS])
 
 
-# tuple keys give the objects' own field order (one document has one
-# modulus) without their generated comparison methods, which cost a python
-# call per comparison
-def _plane_key(item: tuple[AffinePlane, int]):
-    plane, weight = item
-    return plane.normal, plane.offset, weight
-
-
-def _line_key(item: tuple[AffineLine, int]):
-    line, weight = item
-    return line.base, line.direction, weight
-
-
-def _parse_header(line: str, lineno: int) -> ConfigDoc:
+def _parse_header(line: str, lineno: int) -> tuple[Prime, int]:
     parts = line.split()
     if any("=" not in part for part in parts):
         raise ConfigParseError("header must be 'p=<int> dim=<int>'", lineno)
@@ -144,10 +118,11 @@ def _parse_header(line: str, lineno: int) -> ConfigDoc:
         raise ConfigParseError(str(exc), lineno) from exc
     if dim not in (2, 3, 4):
         raise ConfigParseError(f"dim must be 2, 3 or 4, got {dim}", lineno)
-    return ConfigDoc(p=p, dim=dim)
+    return p, dim
 
 
-def _parse_object_line(line: str, lineno: int) -> tuple[list[int], int]:
+def _parse_object_line(line: str, lineno: int, p: int) -> tuple[list[int], int]:
+    """(values reduced mod p, weight) of an object line."""
     weight = 1
     tokens = line.split()
     if tokens and tokens[-1].startswith("w="):
@@ -161,7 +136,7 @@ def _parse_object_line(line: str, lineno: int) -> tuple[list[int], int]:
     values = []
     for tok in tokens:
         try:
-            values.append(int(tok))
+            values.append(int(tok) % p)
         except ValueError:
             raise ConfigParseError(f"expected an integer, got {tok!r}", lineno)
     if not values:
@@ -170,26 +145,15 @@ def _parse_object_line(line: str, lineno: int) -> tuple[list[int], int]:
 
 
 def emit_config(doc: ConfigDoc) -> str:
-    """Canonical text: sorted objects, weights only when above 1."""
+    """Canonical text: objects in their sets' order, weights only when above 1."""
     out = [f"p={int(doc.p)} dim={doc.dim}"]
-    if doc.points:
-        out.append("[points]")
-        for q, w in sorted(doc.points):
-            out.append(_object_line(q, w))
-    if doc.planes:
-        out.append("[planes]")
-        for pl, w in sorted(doc.planes, key=_plane_key):
-            out.append(_object_line(pl.normal + (pl.offset,), w))
-    if doc.lines:
-        out.append("[lines]")
-        for ln, w in sorted(doc.lines, key=_line_key):
-            out.append(_object_line(ln.base + ln.direction, w))
+    for name, objects in zip(_SECTIONS, (doc.points, doc.planes, doc.lines)):
+        if len(objects):
+            out.append(f"[{name}]")
+            for row, w in zip(objects.rows.tolist(), objects.weights):
+                body = " ".join(map(str, row))
+                out.append(f"{body} w={w}" if w != 1 else body)
     return "\n".join(out) + "\n"
-
-
-def _object_line(values, weight: int) -> str:
-    body = " ".join(str(v) for v in values)
-    return f"{body} w={weight}" if weight != 1 else body
 
 
 def load_config(path) -> ConfigDoc:

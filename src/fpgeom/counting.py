@@ -41,16 +41,17 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.append(np.flatnonzero(new), len(order))
 
 
-def _int_rows(items, p: int, dim: int | None, extra: int, what: str) -> tuple[int, np.ndarray]:
+def _int_rows(items, p: int, dim: int | None, extra: int, what: str,
+              copies: int = 1) -> tuple[int, np.ndarray]:
     """(dim, rows): the items as an int64 array of rows reduced mod p, each
-    dim + extra long; dim defaults to the first item's."""
+    copies * dim + extra long; dim defaults to the first item's."""
     if not isinstance(items, np.ndarray):
         items = [[int(c) % p for c in item] for item in items]
     if dim is None:
         if not len(items):
             raise ValueError("empty set needs an explicit dimension")
-        dim = len(items[0]) - extra
-    width = dim + extra
+        dim = (len(items[0]) - extra) // copies
+    width = copies * dim + extra
     if isinstance(items, np.ndarray):
         if items.ndim != 2 or items.shape[1] != width:
             raise DimensionMismatchError(f"{what} rows are not {dim}-dimensional")
@@ -76,6 +77,18 @@ def _scale_canonical(rows: np.ndarray, p: int) -> np.ndarray:
         e >>= 1
     rows *= scale[:, None]
     rows %= p
+    return rows
+
+
+def _line_canonical(rows: np.ndarray, p: int) -> np.ndarray:
+    """Put rows base + nonzero direction (reduced mod p) in place into
+    AffineLine's canonical form and return them: the direction's first
+    nonzero entry scaled to 1, the base moved along the line to 0 there."""
+    dim = rows.shape[1] // 2
+    B, D = rows[:, :dim], rows[:, dim:]
+    _scale_canonical(D, p)
+    B -= B[np.arange(len(B)), (D != 0).argmax(axis=1)][:, None] * D
+    B %= p
     return rows
 
 
@@ -226,6 +239,45 @@ def _plane_row(item, p: int) -> tuple[int, ...]:
     return (*normal, offset)
 
 
+class WeightedLineSet(_WeightedRows):
+    """Distinct affine lines with positive weights, canonically sorted; a row
+    of `rows` is a base followed by a direction, in AffineLine's canonical
+    form."""
+
+    @classmethod
+    def of(cls, lines, p: int, weights=None, dim: int | None = None) -> "WeightedLineSet":
+        """Lines given as AffineLines, as (base, direction) pairs, or as an
+        int array whose rows are a base followed by a direction."""
+        p = Prime(p)
+        if not isinstance(lines, np.ndarray):
+            lines = [_line_items(item, p) for item in lines]
+        dim, rows = _int_rows(lines, p, dim, 0, "line", copies=2)
+        if not rows[:, dim:].any(axis=1).all():
+            raise GeometryError("line direction must be nonzero")
+        return cls._canonical(p, dim, _line_canonical(rows, p), weights, "lines")
+
+    @cached_property
+    def lines(self) -> tuple[AffineLine, ...]:
+        return tuple(AffineLine(self.p, r[: self.dim], r[self.dim :]) for r in self.rows.tolist())
+
+    def covectors(self) -> np.ndarray:
+        """Planar lines as rows (a, b, c) of a*x + b*y == c."""
+        if self.dim != 2:
+            raise DimensionMismatchError("covector form only defined for planar lines")
+        p, B, D = self.p, self.rows[:, :2], self.rows[:, 2:]
+        N = np.column_stack([-D[:, 1] % p, D[:, 0]])
+        return np.column_stack([N, (N * B).sum(axis=1) % p])
+
+
+def _line_items(item, p: int) -> tuple[int, ...]:
+    if isinstance(item, AffineLine):
+        if item.p != p:
+            raise ValueError("line modulus differs from set modulus")
+        return (*item.base, *item.direction)
+    base, direction = item
+    return (*base, *direction)
+
+
 @dataclass(frozen=True)
 class IncidenceReport:
     """Exact incidence counts with the collinearity statistics the bound
@@ -307,16 +359,15 @@ def weighted_incidences(points: WeightedPointSet, planes: WeightedPlaneSet) -> t
     return pairs, weighted
 
 
-def _forbidden_pairs(P, N, off, p: int, lines) -> tuple[np.ndarray, np.ndarray]:
+def _forbidden_pairs(P, N, off, p: int, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (point index, plane index) pairs with the point on some
-    forbidden line that lies inside the plane."""
+    forbidden line (a canonical row) that lies inside the plane."""
     keys = []
-    for line in lines:
-        base = np.array(line.base, dtype=np.int64)
-        d = np.array(line.direction, dtype=np.int64)
+    dim = P.shape[1]
+    for base, d in zip(lines[:, :dim], lines[:, dim:]):
         # canonical form: d[j] == 1 and base[j] == 0, so q is on the line
         # exactly when q == base + q[j] * d
-        j = next(i for i, c in enumerate(line.direction) if c)
+        j = int((d != 0).argmax())
         on_line = np.flatnonzero(((base + P[:, j : j + 1] * d) % p == P).all(axis=1))
         if not len(on_line):
             continue
@@ -330,8 +381,8 @@ def _forbidden_pairs(P, N, off, p: int, lines) -> tuple[np.ndarray, np.ndarray]:
 
 def _report(points, planes, pairs: int, weighted: int, forbidden=None) -> IncidenceReport:
     """The report of a count, with k from the line census; a restricted
-    count (forbidden given) also gets k* over lines outside the family."""
-    (k, wit), (k_star, wit_star) = _collinearity(points, exclude=frozenset(forbidden or ()))
+    count (forbidden line rows given) also gets k* over lines outside them."""
+    (k, wit), (k_star, wit_star) = _collinearity(points, () if forbidden is None else forbidden)
     p, restricted = points.p, forbidden is not None
     return IncidenceReport(
         pairs=pairs,
@@ -368,22 +419,22 @@ def count_point_plane(points: WeightedPointSet, planes: WeightedPlaneSet) -> Inc
     return _report(points, planes, *weighted_incidences(points, planes))
 
 
-def count_restricted(
-    points: WeightedPointSet,
-    planes: WeightedPlaneSet,
-    forbidden: list[AffineLine] | tuple[AffineLine, ...],
-) -> IncidenceReport:
+def count_restricted(points: WeightedPointSet, planes: WeightedPlaneSet,
+                     forbidden) -> IncidenceReport:
     """Incidence count discarding pairs (q, pi) routed through a forbidden line.
 
     A pair is discarded when some forbidden line contains q and lies inside
     pi.  k* is the largest number of points on any line outside the
-    forbidden family.
+    forbidden family.  Forbidden lines are anything WeightedLineSet.of takes.
     """
     _require_dim3(points, planes)
-    forb = tuple(sorted(set(forbidden)))
-    for line in forb:
-        if line.p != points.p or line.dim != points.dim:
-            raise DimensionMismatchError("forbidden line does not match the sets")
+    try:
+        forb = WeightedLineSet.of(forbidden, points.p, dim=points.dim).rows
+    except ValueError as exc:
+        if type(exc) is GeometryError:  # a zero direction: no line at all
+            raise
+        # AffineLines of another modulus, or lines of another dimension
+        raise DimensionMismatchError("forbidden line does not match the sets") from exc
     pairs, weighted = weighted_incidences(points, planes)
     # every forbidden pair is incident, so subtracting them is exact
     qi, pj = _forbidden_pairs(points.rows, *planes.arrays(), points.p, forb)
@@ -483,31 +534,32 @@ def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
         yield I[first], J[first], count[g], D[first]
 
 
-def _collinearity(
-    points: WeightedPointSet, exclude: frozenset[AffineLine] = frozenset()
-) -> tuple[tuple[int, AffineLine | None], tuple[int, AffineLine | None]]:
-    """(k, witness) over all lines and (k*, witness) over lines not in exclude,
-    from one pass; the first line to reach each maximum in (base, first
-    partner) order is its witness."""
-    P, p, n = points.coords_array(), points.p, len(points)
+def _collinearity(points: WeightedPointSet, exclude=(),
+                  bases=None) -> tuple[tuple[int, AffineLine | None], ...]:
+    """(k, witness) over all lines and (k*, witness) over lines not in exclude
+    (anything WeightedLineSet.of takes), from one pass; the first line to
+    reach each maximum in (base, first partner) order is its witness.  Given
+    bases, only lines through a base count, each base paired with every point."""
+    P, p, n = points.rows, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
-    best, witness = 1, None
-    best_star, witness_star = 1, None
-    for base, _, count, D in _line_census(P, p, np.arange(n)):
+    banned = set(map(tuple, WeightedLineSet.of(exclude, p, dim=points.dim).rows.tolist()))
+    best = best_star = (1, None)
+    sampled = bases is not None
+    for base, _, count, D in _line_census(P, p, bases if sampled else np.arange(n), sampled):
         size = count + 1
         top = int(size.argmax())
-        if size[top] > best:
-            best, witness = int(size[top]), AffineLine(p, tuple(P[base[top]]), tuple(D[top]))
+        if size[top] > best[0]:
+            best = int(size[top]), (P[base[top]], D[top])
         # largest first, ties in census order, until a line outside exclude
-        while size[top] > best_star:
-            line = AffineLine(p, tuple(P[base[top]]), tuple(D[top]))
-            if line not in exclude:
-                best_star, witness_star = int(size[top]), line
+        while size[top] > best_star[0]:
+            line = (P[base[top]], D[top])
+            if not banned or tuple(_line_canonical(np.hstack(line)[None], p)[0]) not in banned:
+                best_star = int(size[top]), line
                 break
             size[top] = 0
             top = int(size.argmax())
-    return (best, witness), (best_star, witness_star)
+    return tuple((k, line and AffineLine(p, *line)) for k, line in (best, best_star))
 
 
 def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, AffineLine]:
@@ -524,18 +576,13 @@ def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, Affin
     if len(P) < 2:
         raise GeometryError("need at least two distinct points")
     # two distinct points and at least one base always give a witness line
+    bases = None
     if sample is not None and sample < len(P):
         import random
 
         bases = sorted(random.Random(repr(("max-collinear", len(P), sample))).sample(
             range(len(P)), sample))
-        best, witness = 1, None
-        for base, _, count, D in _line_census(P, p, bases, all_partners=True):
-            top = int(count.argmax())
-            if count[top] + 1 > best:
-                best, witness = int(count[top]) + 1, AffineLine(p, P[base[top]], D[top])
-        return best, witness
-    return _collinearity(WeightedPointSet.of(P, p))[0]
+    return _collinearity(WeightedPointSet.of(P, p), bases=bases)[0]
 
 
 def _spanned(points, p: int, least: int):
@@ -581,10 +628,7 @@ def isotropic_lines(points, p: int) -> tuple[int, int, AffineLine | None]:
         if top < best:
             continue
         hit = iso[size == top]
-        B, Dh = P[base[hit]], D[hit]
-        # canonical base: zero at the direction's leading coordinate
-        B = (B - B[np.arange(len(B)), (Dh != 0).argmax(axis=1)][:, None] * Dh) % p
-        low = tuple(distinct_rows(np.hstack([B, Dh]), p)[0].tolist())
+        low = tuple(WeightedLineSet.of(np.hstack([P[base[hit]], D[hit]]), p).rows[0].tolist())
         if top > best or low < key:
             best, key = top, low
     dim = P.shape[1]
@@ -609,11 +653,13 @@ def count_point_line_2d(points, lines, p: int) -> int:
     """Exact number of incidences between distinct planar points and lines.
 
     Lines are given as AffineLines, in covector form a*x + b*y == c
-    (AffinePlane of dimension 2) or as (a, b, c) triples.
+    (AffinePlane of dimension 2), as (a, b, c) triples or as an int array
+    of such rows.
     """
-    rows = np.array([_line_row(item, p) for item in lines], dtype=np.int64).reshape(-1, 3)
+    if not isinstance(lines, np.ndarray):
+        lines = np.array([_line_row(item, p) for item in lines], dtype=np.int64).reshape(-1, 3)
     pairs, _ = weighted_incidences(WeightedPointSet.of(points, p, dim=2),
-                                   WeightedPlaneSet.of(rows, p, dim=2))
+                                   WeightedPlaneSet.of(lines, p, dim=2))
     return pairs
 
 

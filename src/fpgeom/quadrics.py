@@ -13,6 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .counting import WeightedLineSet
 from .field import Prime, inv, sqrt_mod
 from .geom import (
     AffineLine,
@@ -119,24 +120,16 @@ def lines_on_sphere(p: int, d: int, t: int) -> list[AffineLine]:
     """All lines fully contained in the sphere.
 
     Every candidate must be based at a sphere point with an isotropic
-    direction orthogonal to the base; each emitted line is still verified
-    pointwise.
+    direction orthogonal to the base; each distinct candidate line is still
+    verified pointwise.
     """
     p = int(Prime(p))
     t %= p
     sphere = Sphere(p, d, t)
     directions = isotropic_directions(p, d)
-    out: set[AffineLine] = set()
-    for x in sphere.points():
-        for v in directions:
-            if dot(x, v, p) != 0:
-                continue
-            line = AffineLine(p, x, v)
-            if line in out:
-                continue
-            if all(sphere.contains(q) for q in line.points()):
-                out.add(line)
-    return sorted(out)
+    candidates = [(x, v) for x in sphere.points() for v in directions if dot(x, v, p) == 0]
+    lines = WeightedLineSet.of(candidates, p, dim=d).lines
+    return [line for line in lines if all(sphere.contains(q) for q in line.points())]
 
 
 def lines_on_sphere2(p: int, t: int) -> list[AffineLine]:

@@ -4,8 +4,10 @@ import json
 import pytest
 
 from fpgeom import cli
+from conftest import rng_for
 from fpgeom.bounds import BoundReport
 from fpgeom.cli import main, parse_sweep_spec, run_experiment
+from fpgeom.geom import AffineLine, AffinePlane
 from fpgeom.quadrics import Paraboloid
 
 SWEEP = """\
@@ -120,6 +122,40 @@ class TestCountPipeline:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+
+
+class TestObjectCounts:
+    """Counts read the config's rows; objects are built only for k witnesses."""
+
+    def _built(self, monkeypatch, tmp_path, text, *args):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        built = {AffinePlane: 0, AffineLine: 0}
+        for cls in built:
+            def counted(obj, cls=cls, init=cls.__post_init__):
+                built[cls] += 1
+                init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        code, _ = run(tmp_path, "count", str(cfg), *args)
+        assert code == 0
+        return built[AffinePlane], built[AffineLine]
+
+    def test_restricted_count_builds_only_witness_lines(self, monkeypatch, tmp_path):
+        rng, p = rng_for("objects-3d"), 101
+        vec = lambda: " ".join(str(rng.randrange(p)) for _ in range(3))
+        text = (f"p={p} dim=3\n[points]\n" + "".join(f"{vec()}\n" for _ in range(300))
+                + "[planes]\n" + "".join(f"{vec()} {rng.randrange(p)}\n" for _ in range(3000))
+                + "[lines]\n" + "".join(f"{vec()} {vec()}\n" for _ in range(20)))
+        planes, lines = self._built(monkeypatch, tmp_path, text, "--restricted", "--theorem", "T1B")
+        assert planes == 0 and lines <= 2
+
+    def test_planar_count_builds_no_objects(self, monkeypatch, tmp_path):
+        rng, p = rng_for("objects-2d"), 101
+        vec = lambda: f"{rng.randrange(p)} {rng.randrange(p)}"
+        text = (f"p={p} dim=2\n[points]\n" + "".join(f"{vec()}\n" for _ in range(300))
+                + "[planes]\n" + "".join(f"{vec()} {rng.randrange(p)}\n" for _ in range(300))
+                + "[lines]\n" + "".join(f"{vec()} {vec()}\n" for _ in range(300)))
+        assert self._built(monkeypatch, tmp_path, text, "--theorem", "VINH") == (0, 0)
 
 
 class TestOtherSubcommands:

@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fpgeom.bounds import BoundReport
 from fpgeom.configio import (
     REPORT_COLUMNS,
@@ -13,6 +17,7 @@ from fpgeom.configio import (
     rows_to_csv,
     rows_to_json,
 )
+from fpgeom.counting import WeightedLineSet
 
 SAMPLE = """\
 # sample configuration
@@ -41,16 +46,16 @@ class TestParse:
 
     def test_duplicate_points_merge(self):
         doc = parse_config(SAMPLE)
-        assert ((1, 2, 3), 3) in doc.points
+        assert ((1, 2, 3), 3) in zip(doc.points.points, doc.points.weights)
 
     def test_normalisation(self):
         doc = parse_config("p=7 dim=2\n[points]\n-1 9\n")
-        assert doc.points == [((6, 2), 1)]
+        assert list(zip(doc.points.points, doc.points.weights)) == [((6, 2), 1)]
 
     def test_plane_canonicalisation_merges(self):
         text = "p=7 dim=3\n[planes]\n1 0 0 4\n2 0 0 1\n"
         doc = parse_config(text)
-        assert len(doc.planes) == 1 and doc.planes[0][1] == 2
+        assert len(doc.planes) == 1 and doc.planes.weights[0] == 2
 
     def test_emission_sorted(self):
         text = "p=7 dim=2\n[points]\n5 5\n0 1\n3 3\n"
@@ -82,6 +87,96 @@ class TestParse:
     def test_empty_config_rejected(self):
         with pytest.raises(ConfigParseError):
             parse_config("# nothing here\n")
+
+
+# Random configs: objects in [0, p) and their copies, shifted by multiples of
+# p (negative and >= p coordinates) and, for planes and lines, rescaled or
+# moved along the line, so copies merge only through canonical form.  Weights
+# near 2^61 make a section's total pass 2^62.
+
+@st.composite
+def _configs(draw):
+    dim = draw(st.sampled_from((2, 3, 4)))
+    p = draw(st.sampled_from((3, 7, 101, 2**31 - 1)))
+    vec = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    nonzero = vec.filter(any)
+    weight = st.one_of(st.integers(1, 3), st.integers(2**61, 2**61 + 5))
+
+    def shifted(values):
+        return [c + p * draw(st.integers(-1, 2)) for c in values]
+
+    def copies(objects, move):
+        out = []
+        for obj in objects:
+            for _ in range(draw(st.integers(1, 3))):
+                out.append((move(obj), draw(weight)))
+        return out
+
+    def move_plane(plane):
+        normal, offset = plane
+        s = draw(st.integers(1, p - 1))
+        return shifted([c * s for c in normal]), shifted([offset * s])[0]
+
+    def move_line(line):
+        base, direction = line
+        s, t = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+        return (shifted([b + t * c for b, c in zip(base, direction)]),
+                shifted([c * s for c in direction]))
+
+    points = copies(draw(st.lists(vec, max_size=5)), shifted)
+    planes = copies(draw(st.lists(st.tuples(nonzero, st.integers(0, p - 1)), max_size=5)),
+                    move_plane)
+    lines = copies(draw(st.lists(st.tuples(vec, nonzero), max_size=5)), move_line)
+    return p, dim, points, planes, lines
+
+
+def _config_text(p, dim, points, planes, lines):
+    out = [f"p={p} dim={dim}", "[points]"]
+    out += [" ".join(map(str, q)) + f" w={w}" for q, w in points]
+    out.append("[planes]")
+    out += [" ".join(map(str, [*n, c])) + f" w={w}" for (n, c), w in planes]
+    out.append("[lines]")
+    out += [" ".join(map(str, [*b, *d])) + f" w={w}" for (b, d), w in lines]
+    return "\n".join(out) + "\n"
+
+
+def _oracle_lines(lines, p):
+    return oracles._merge_sorted([oracles.canonical_line(b, d, p) for (b, d), _ in lines],
+                                 [w for _, w in lines])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_configs())
+def test_emission_matches_oracle(config):
+    p, dim, points, planes, lines = config
+    sections = (
+        ("points", oracles.canonical_points([q for q, _ in points], [w for _, w in points], p)),
+        ("planes", oracles.canonical_planes([pl for pl, _ in planes], [w for _, w in planes], p)),
+        ("lines", _oracle_lines(lines, p)),
+    )
+    flatten = {"points": list, "planes": lambda k: [*k[0], k[1]], "lines": lambda k: [*k[0], *k[1]]}
+    want = [f"p={p} dim={dim}"]
+    for name, (keys, weights) in sections:
+        if keys:
+            want.append(f"[{name}]")
+        for key, w in zip(keys, weights):
+            body = " ".join(map(str, flatten[name](key)))
+            want.append(body if w == 1 else f"{body} w={w}")
+    assert emit_config(parse_config(_config_text(*config))) == "\n".join(want) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_configs())
+def test_line_set_matches_oracle(config):
+    p, dim, _, _, lines = config
+    keys, weights = _oracle_lines(lines, p)
+    pairs, ws = [line for line, _ in lines], [w for _, w in lines]
+    got = WeightedLineSet.of(pairs, p, ws, dim=dim)
+    assert got.rows.tolist() == [[*b, *d] for b, d in keys]
+    assert got.weights == tuple(weights)
+    rows = np.array([[*b, *d] for b, d in pairs], dtype=np.int64).reshape(-1, 2 * dim)
+    assert WeightedLineSet.of(rows, p, ws, dim=dim) == got
+    assert [(ln.base, ln.direction) for ln in got.lines] == keys
 
 
 class TestReportSerialisation:

@@ -417,6 +417,22 @@ class TestCountRestricted:
         assert rep.k_star_witness not in forbidden
         assert sum(1 for q in pts if rep.k_star_witness.contains(q)) == k_star
 
+    @pytest.mark.parametrize("line", [
+        AffineLine(5, (0, 0, 0), (1, 0, 0)),  # another modulus
+        AffineLine(7, (0, 0), (1, 0)),        # another dimension
+    ], ids=["modulus", "dimension"])
+    def test_forbidden_line_must_match_the_sets(self, line):
+        Q = WeightedPointSet.of([(0, 0, 0), (1, 0, 0)], 7)
+        Pi = WeightedPlaneSet.of([((0, 0, 1), 0)], 7)
+        with pytest.raises(DimensionMismatchError, match="forbidden line does not match the sets"):
+            count_restricted(Q, Pi, [line])
+
+    def test_zero_direction_is_no_forbidden_line(self):
+        Q = WeightedPointSet.of([(0, 0, 0), (1, 0, 0)], 7)
+        Pi = WeightedPlaneSet.of([((0, 0, 1), 0)], 7)
+        with pytest.raises(GeometryError, match="^line direction must be nonzero$"):
+            count_restricted(Q, Pi, [((0, 0, 0), (7, 0, 14))])
+
     def test_pair_routed_through_two_lines_is_subtracted_once(self):
         p = 7
         x_axis = AffineLine(p, (0, 0, 0), (1, 0, 0))
