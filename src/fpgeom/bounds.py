@@ -191,16 +191,22 @@ _EVALUATORS = {
 THEOREM_IDS = tuple(sorted(_EVALUATORS))
 
 
+def parameters(theorem: str) -> tuple[str, ...]:
+    """The parameter names of one bound, in the order its rhs takes them."""
+    key = theorem.upper()
+    if key not in _EVALUATORS:
+        raise ValueError(f"unknown bound id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    return _EVALUATORS[key][1]
+
+
 def rhs(theorem: str, p: int, **params) -> RhsResult:
     """Evaluate the right-hand side of one bound with implied constant 1.
 
     Raises ValueError for unknown identifiers or missing parameters; extra
     parameters are rejected to catch typos.
     """
-    key = theorem.upper()
-    if key not in _EVALUATORS:
-        raise ValueError(f"unknown bound id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
-    fn, names = _EVALUATORS[key]
+    names, key = parameters(theorem), theorem.upper()
+    fn = _EVALUATORS[key][0]
     missing = [n for n in names if n not in params]
     if missing:
         raise ValueError(f"{key} needs parameters {names}, missing {missing}")

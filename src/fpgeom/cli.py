@@ -29,7 +29,7 @@ from .constructions import (
     semi_isotropic_set,
     sphere_config,
 )
-from .counting import WeightedLineSet, WeightedPlaneSet, WeightedPointSet
+from .counting import WeightedLineSet, WeightedPlaneSet
 from .energy import rectangle_energy_paraboloid, rectangle_energy_sphere
 from .field import Prime
 from .geom import GeometryError
@@ -176,177 +176,134 @@ def _emit_rows(reports, args) -> int:
 # construct
 
 def _cmd_construct(args) -> int:
-    p = Prime(args.p)
-    rng = random.Random(args.seed)
-    name = args.name
-    dim, points, planes, lines = 3, [], [], []
-    if name == "sphere":
-        pts, family = sphere_config(p)
-        points, planes = pts.rows, family.rows
-        if args.planes and args.planes < len(planes):
-            # sampling indices picks the planes a sample of the plane list would
-            planes = planes[rng.sample(range(len(planes)), args.planes)]
-    elif name == "coprime":
-        _need(args, "n")
-        dim, points = 2, coprime_lattice(args.n, p)
-    elif name == "elekes":
-        _need(args, "n")
-        grid = elekes_grid(args.n, p)
-        dim, points, planes = 2, grid.points, grid.lines
-    elif name == "semi-isotropic":
-        _need(args, "k", "l")
-        points = semi_isotropic_set(args.k, args.l, p).points
-    elif name == "cylinder":
-        _need(args, "t", "k0", "m")
-        built = cylinder_set(p, args.t, args.k0, args.m)
-        dim, points, lines = 4, built.points, built.generators
-    elif name == "random-3d":
-        points = random_points(p, 3, args.points, rng)
-        planes = random_planes(p, 3, args.planes, rng)
-        lines = random_lines(p, 3, args.lines, rng)
-    else:  # random-2d
-        dim, points = 2, random_points(p, 2, args.points, rng)
-        lines = random_lines(p, 2, args.lines, rng)
-    _write_out(configio.emit_config(ConfigDoc.of(p, dim, points, planes, lines)), args)
+    def get(key):
+        if key == "seed":
+            return None
+        value = getattr(args, key.lower())
+        if value is None:
+            raise UsageError(f"construct {args.name} needs --{key.lower()}")
+        return value
+
+    build = _CONSTRUCTIONS[args.name.replace("-", "_")][2]
+    doc = build(get, Prime(args.p), random.Random(args.seed))
+    _write_out(configio.emit_config(doc), args)
     return 0
 
 
-def _need(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"construct {args.name} needs --{name}")
-
-
 # ---------------------------------------------------------------------------
-# measurements, each shared by its subcommand and the sweep cells of its kind.
-# `cell` holds a sweep cell's construction parameters: a sweep row shows them
-# in place of the subcommand's detail fields.
+# measurements, each shared by its subcommand and the sweep cells of its kind:
+# a document and a theorem in, one report out.  `cell` holds a sweep cell's
+# required keys, which its row shows in place of the subcommand's details.
 
-def _row(p, label, theorem, params, count, rhs_args, flags=None) -> bounds.BoundReport:
-    """The count against the theorem's rhs when one is given, else a plain row."""
-    if theorem:
-        res = bounds.rhs(theorem, p, **rhs_args)
-        return bounds.BoundReport.build(res, p, params, count, extra_flags=flags)
-    return bounds.BoundReport(
-        theorem=label, p=int(p), params=dict(params), count=count,
-        rhs=float("nan"), ratio=None, flags=dict(flags or {}))
+def _row(p, label, theorem, params, count, known, flags=None) -> bounds.BoundReport:
+    """The count against the theorem's rhs, its parameters taken from the
+    quantities `known`, when a theorem is given; else a plain row."""
+    if not theorem:
+        return bounds.BoundReport(
+            theorem=label, p=int(p), params=dict(params), count=count,
+            rhs=float("nan"), ratio=None, flags=dict(flags or {}))
+    names = bounds.parameters(theorem)
+    missing = [name for name in names if name not in known]
+    if missing:
+        raise UsageError(f"{theorem.upper()} needs parameters {missing} not derivable here")
+    res = bounds.rhs(theorem, p, **{name: known[name] for name in names})
+    return bounds.BoundReport.build(res, p, params, count, extra_flags=flags)
 
 
-def _incidences(p, pts, planes, theorem, forbidden=None, cell=None) -> bounds.BoundReport:
-    """Point-plane incidences, restricted when `forbidden` lines are given;
-    T1C weighs them, the other theorems count pairs."""
-    if forbidden is None:
-        rep, label = counting.count_point_plane(pts, planes), "point_plane"
+def _count(doc, theorem, cell=None, restricted=False, **extra) -> bounds.BoundReport:
+    """Point-plane incidences in dimension 3 (restricted along the [lines]
+    section on request; T1C weighs them), point-line incidences in the plane,
+    where `extra` adds quantities the construction knows (a grid's a and b)."""
+    if doc.dim == 2:
+        if restricted:
+            raise UsageError("count --restricted works on 3-dimensional configurations")
+        lines = _planar_lines(doc)
+        count = counting.count_point_line_2d(doc.points, lines, doc.p)
+        params = {"q": len(doc.points), "l": len(lines)}
+        return _row(doc.p, "point_line", theorem, {**params, **(cell or {})}, count,
+                    {**params, **extra})
+    if doc.dim != 3:
+        raise UsageError("count supports dim 2 and 3 configurations")
+    if restricted:
+        rep = counting.count_restricted(doc.points, doc.planes, doc.lines.rows)
+        label = "point_plane_restricted"
     else:
-        rep, label = counting.count_restricted(pts, planes, forbidden), "point_plane_restricted"
+        rep, label = counting.count_point_plane(doc.points, doc.planes), "point_plane"
     params = {"q": rep.distinct_points, "pi": rep.distinct_planes, "k": rep.k}
     params.update({"weighted": rep.weighted} if cell is None else cell)
     if rep.k_star is not None:
         params["kstar"] = rep.k_star
     t = (theorem or "").upper()
+    known = {"q": rep.distinct_points, "pi": rep.distinct_planes, "W": rep.point_weight,
+             "w0": max(rep.max_point_weight, rep.max_plane_weight, 1),
+             "k": rep.k_star if (t == "T1B" and rep.k_star is not None) else rep.k}
     if t == "T1C":
-        count = rep.weighted
-        w0 = max(rep.max_point_weight, rep.max_plane_weight, 1)
-        rhs_args = {"W": rep.point_weight, "w0": w0, "k": rep.k}
         params["weights_balanced"] = int(rep.point_weight == rep.plane_weight)
-    else:
-        count = rep.pairs
-        k = rep.k_star if (t == "T1B" and rep.k_star is not None) else rep.k
-        rhs_args = {"q": rep.distinct_points, "pi": rep.distinct_planes, "k": k}
-    return _row(p, label, theorem, params, count, rhs_args, rep.flags)
+    count = rep.weighted if t == "T1C" else rep.pairs
+    return _row(doc.p, label, theorem, params, count, known, rep.flags)
 
 
-def _point_lines(p, points, covs, theorem, cell=None, **rhs_extra) -> bounds.BoundReport:
-    """Planar point-line incidences over distinct points and covector lines."""
-    points = WeightedPointSet.of(points, p, dim=2).rows
-    covs = WeightedPlaneSet.of(covs, p, dim=2).rows
-    count = counting.count_point_line_2d(points, covs, p)
-    params = {"q": len(points), "l": len(covs)}
-    rhs_args = _pick({**params, **rhs_extra}, theorem) if theorem else {}
-    return _row(p, "point_line", theorem, {**params, **(cell or {})}, count, rhs_args)
+def _planar_lines(doc: ConfigDoc) -> WeightedPlaneSet:
+    """A planar document's lines and planes as one set of covectors (a, b, c)."""
+    return WeightedPlaneSet.of(np.vstack([doc.lines.covectors(), doc.planes.rows]),
+                               doc.p, dim=2)
 
 
-def _pick(params: dict, theorem: str) -> dict:
-    wanted = {
-        "T2": ("a", "b", "l"), "T3": ("q", "l"), "VINH": ("q", "l"),
-        "COR21": ("q", "l", "k"), "KRICH": ("n", "k"),
-    }.get(theorem.upper())
-    if wanted is None:
-        return params
-    missing = [w for w in wanted if w not in params]
-    if missing:
-        raise UsageError(f"{theorem} needs parameters {missing} not derivable here")
-    return {w: params[w] for w in wanted}
-
-
-def _distances(p, points, theorem, include_zero=True, cell=None) -> bounds.BoundReport:
+def _distances(doc, theorem, cell=None, include_zero=True) -> bounds.BoundReport:
     """The largest pinned distance count."""
-    rep = erdos.distance_set(points, p, include_zero=include_zero)
-    params, flags = {"s": len(points)}, {}
+    rep = erdos.distance_set(doc.points.rows, doc.p, include_zero=include_zero)
+    params, flags = {"s": len(doc.points)}, {}
     if cell is not None:
         params.update(cell)
     else:
         params["values"] = len(rep.values)
         if rep.in_semi_isotropic_plane is not None:
             flags["outside_semi_isotropic_plane"] = not rep.in_semi_isotropic_plane
-    return _row(p, "pinned_distances", theorem, params, rep.max_pinned,
-                {"s": len(points)}, flags)
+    return _row(doc.p, "pinned_distances", theorem, params, rep.max_pinned,
+                {"s": len(doc.points)}, flags)
 
 
-def _energy(p, points, quadric, t, theorem, cell=None) -> bounds.BoundReport:
+def _energy(doc, theorem, cell=None, quadric="paraboloid", t=1) -> bounds.BoundReport:
     """Rectangle energy on the paraboloid or on the sphere of radius-square t."""
     if quadric == "paraboloid":
-        rep = rectangle_energy_paraboloid(points, p)
+        rep = rectangle_energy_paraboloid(doc.points.rows, doc.p)
     else:
-        rep = rectangle_energy_sphere(points, p, t)
-    params = {"a": rep.size, "k0": rep.k0}
-    params.update(cell if cell is not None else {
-        "rectangles": rep.rectangles, "ordinary": rep.ordinary,
-        "semi_degenerate": rep.semi_degenerate, "degenerate": rep.degenerate,
-    })
-    return _row(p, f"energy_{quadric}", theorem, params, rep.energy,
-                {"a": rep.size, "k0": rep.k0})
+        rep = rectangle_energy_sphere(doc.points.rows, doc.p, t)
+    known = {"a": rep.size, "k0": rep.k0}
+    # the measured k0 replaces a cylinder cell's key of that name
+    params = {**(cell or {}), **known}
+    if cell is None:
+        params.update(rectangles=rep.rectangles, ordinary=rep.ordinary,
+                      semi_degenerate=rep.semi_degenerate, degenerate=rep.degenerate)
+    return _row(doc.p, f"energy_{quadric}", theorem, params, rep.energy, known)
 
 
-def _forms(p, points, form, theorem, solutions=False, cell=None) -> bounds.BoundReport:
+def _forms(doc, theorem, cell=None, form=None, solutions=False) -> bounds.BoundReport:
     """Distinct values of a bilinear form, or its value collisions."""
+    points = doc.points.rows
     if solutions:
         count, label = erdos.form_solution_count(points, points, form), "form_solutions"
     else:
         count, label = len(erdos.form_values(points, form)), "form_values"
-    params = {"s": len(points), **(cell or {})}
-    return _row(p, label, theorem, params, count, {"s": len(points)})
+    return _row(doc.p, label, theorem, {"s": len(points), **(cell or {})}, count,
+                {"s": len(points)})
 
 
 # ---------------------------------------------------------------------------
 # measurement subcommands
 
 def _cmd_count(args) -> list[bounds.BoundReport]:
-    doc = configio.load_config(args.config)
-    if doc.dim == 3:
-        forbidden = doc.lines.rows if args.restricted else None
-        return [_incidences(doc.p, doc.points, doc.planes, args.theorem, forbidden)]
-    if doc.dim == 2:
-        if args.restricted:
-            raise UsageError("count --restricted works on 3-dimensional configurations")
-        return [_point_lines(doc.p, doc.points.rows, _covectors(doc), args.theorem)]
-    raise UsageError("count supports dim 2 and 3 configurations")
-
-
-def _covectors(doc: ConfigDoc):
-    """The rows (a, b, c) of a planar document's lines and planes."""
-    return np.vstack([doc.lines.covectors(), doc.planes.rows])
+    return [_count(configio.load_config(args.config), args.theorem, restricted=args.restricted)]
 
 
 def _cmd_distances(args) -> list[bounds.BoundReport]:
     doc = configio.load_config(args.config)
-    return [_distances(doc.p, doc.points.rows, args.theorem,
-                       include_zero=not args.exclude_zero)]
+    return [_distances(doc, args.theorem, include_zero=not args.exclude_zero)]
 
 
 def _cmd_energy(args) -> list[bounds.BoundReport]:
     doc = configio.load_config(args.config)
-    return [_energy(doc.p, doc.points.rows, args.quadric, args.t, args.theorem)]
+    return [_energy(doc, args.theorem, quadric=args.quadric, t=args.t)]
 
 
 def _cmd_forms(args) -> list[bounds.BoundReport]:
@@ -355,7 +312,7 @@ def _cmd_forms(args) -> list[bounds.BoundReport]:
         raise UsageError("forms works on 2-dimensional configurations")
     m = args.matrix or (0, 1, -1, 0)
     form = erdos.FormSpec(doc.p, ((m[0], m[1]), (m[2], m[3])))
-    return [_forms(doc.p, doc.points.rows, form, args.theorem, args.solutions)]
+    return [_forms(doc, args.theorem, form=form, solutions=args.solutions)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +337,7 @@ def _cmd_verify(args) -> int:
                            (rrep.pairs, rrep.weighted) == (rpairs, rweighted)))
     if doc.dim == 2 and (len(doc.lines) or len(doc.planes)):
         # the naive loop takes the objects, so it checks the covector step too
-        fast = counting.count_point_line_2d(doc.points.rows, _covectors(doc), doc.p)
+        fast = counting.count_point_line_2d(doc.points, _planar_lines(doc), doc.p)
         slow = counting.count_point_line_2d_naive(
             doc.points.points, doc.lines.lines + doc.planes.planes, doc.p)
         checks.append(("planar count matches the naive loop", fast == slow))
@@ -397,65 +354,69 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep / run_experiment: each construction builds its set from the cell's
-# keys (p already a Prime) and hands it to the measurement of its kind
+# constructions: a builder reads its keys through `get`, draws from `rng` and
+# returns the document that `construct` emits and a sweep cell measures.
+#
+# Seeding stays with the callers, because the golden bytes pin it: construct
+# draws from Random(--seed) and gets seed None, so a semi-isotropic set keeps
+# its offsets 1..l; a sweep cell draws from Random(repr((seed, p, tag))), tag
+# the last word of the construction's name ("3d", "2d"), and gets its seed.
 
-def _sphere_cell(cell, p, seed):
-    return _incidences(p, *sphere_config(p), cell["theorem"], cell={})
-
-
-def _coprime_cell(cell, p, seed):
-    n = _cell_need(cell, "N", "n")
-    return _forms(p, coprime_lattice(n, p), erdos.dot_form(p), cell["theorem"],
-                  cell={"N": n})
-
-
-def _elekes_cell(cell, p, seed):
-    n = _cell_need(cell, "n")
-    grid = elekes_grid(n, p)
-    return _point_lines(p, grid.points, grid.lines, cell["theorem"], cell={"n": n},
-                        a=n, b=2 * n * n)
+def _sphere(get, p, rng) -> ConfigDoc:
+    return ConfigDoc(p, 3, *sphere_config(p, get("planes"), rng), WeightedLineSet.of((), p, dim=3))
 
 
-def _semi_isotropic_cell(cell, p, seed):
-    k, l = _cell_need(cell, "k"), _cell_need(cell, "l")
-    built = semi_isotropic_set(k, l, p, seed=cell.get("seed", seed))
-    return _distances(p, built.points, cell["theorem"], cell={"k": k, "l": l})
+def _elekes(get, p, rng) -> ConfigDoc:
+    grid = elekes_grid(get("n"), p)
+    return ConfigDoc.of(p, 2, grid.points, grid.lines)
 
 
-def _cylinder_cell(cell, p, seed):
-    t, k0, m = _cell_need(cell, "t"), _cell_need(cell, "k0"), _cell_need(cell, "m")
-    return _energy(p, cylinder_set(p, t, k0, m).points, "sphere", t, cell["theorem"],
-                   cell={"t": t, "m": m})
+def _cylinder(get, p, rng) -> ConfigDoc:
+    built = cylinder_set(p, get("t"), get("k0"), get("m"))
+    return ConfigDoc.of(p, 4, built.points, (), built.generators)
 
 
-def _random_3d_cell(cell, p, seed):
-    rng = random.Random(repr((cell.get("seed", seed), int(p), "3d")))
-    pts = WeightedPointSet.of(random_points(p, 3, cell.get("points", 32), rng), p, dim=3)
-    planes = WeightedPlaneSet.of(random_planes(p, 3, cell.get("planes", 32), rng), p, dim=3)
-    return _incidences(p, pts, planes, cell["theorem"], cell={})
+def _random_3d(get, p, rng) -> ConfigDoc:
+    return ConfigDoc.of(p, 3, random_points(p, 3, get("points"), rng),
+                        random_planes(p, 3, get("planes"), rng),
+                        random_lines(p, 3, get("lines"), rng))
 
 
-def _random_2d_cell(cell, p, seed):
-    rng = random.Random(repr((cell.get("seed", seed), int(p), "2d")))
-    pts = random_points(p, 2, cell.get("points", 32), rng)
-    lines = WeightedLineSet.of(random_lines(p, 2, cell.get("lines", 32), rng), p, dim=2)
-    return _point_lines(p, pts, lines.covectors(), cell["theorem"])
+def _random_2d(get, p, rng) -> ConfigDoc:
+    return ConfigDoc.of(p, 2, random_points(p, 2, get("points"), rng), (),
+                        random_lines(p, 2, get("lines"), rng))
 
 
-# construction -> (the theorems it pairs with, the first the default; its cell)
+# construction -> (the theorems it pairs with, the first the default; the keys
+# it reads, each with its sweep default, None when required; its builder; its
+# measurement, given the document, the theorem and the cell's required keys)
 _CONSTRUCTIONS = {
-    "sphere": (("T1", "T1B"), _sphere_cell),
-    "coprime": (("T41",), _coprime_cell),
-    "elekes": (("T2", "T3", "VINH"), _elekes_cell),
-    "semi_isotropic": (("T42",), _semi_isotropic_cell),
-    "cylinder": (("T56",), _cylinder_cell),
-    "random_3d": (("T1", "T1B"), _random_3d_cell),
-    "random_2d": (("VINH", "T3"), _random_2d_cell),
+    "sphere": (("T1", "T1B"), {"planes": 0}, _sphere, _count),
+    "coprime": (("T41",), {"N": None},
+                lambda get, p, rng: ConfigDoc.of(p, 2, coprime_lattice(get("N"), p)),
+                lambda doc, theorem, cell: _forms(doc, theorem, cell, erdos.dot_form(doc.p))),
+    "elekes": (("T2", "T3", "VINH"), {"n": None}, _elekes,
+               lambda doc, theorem, cell: _count(doc, theorem, cell,
+                                                 a=cell["n"], b=2 * cell["n"] ** 2)),
+    "semi_isotropic": (("T42",), {"k": None, "l": None},
+                       lambda get, p, rng: ConfigDoc.of(p, 3, semi_isotropic_set(
+                           get("k"), get("l"), p, seed=get("seed")).points),
+                       _distances),
+    "cylinder": (("T56",), {"t": None, "k0": None, "m": None}, _cylinder,
+                 lambda doc, theorem, cell: _energy(doc, theorem, cell, "sphere", cell["t"])),
+    "random_3d": (("T1", "T1B"), {"points": 32, "planes": 32, "lines": 0}, _random_3d, _count),
+    "random_2d": (("VINH", "T3"), {"points": 32, "lines": 32}, _random_2d, _count),
 }
 
-_SWEEP_KEYS = {"construction", "theorem", "p", "n", "N", "k", "l", "t", "k0", "m",
-               "points", "planes", "lines", "seed"}
+
+def _reads(construction: str) -> set[str]:
+    """The sweep keys a construction reads, `n` standing in for coprime's `N`."""
+    return {k for key in _CONSTRUCTIONS[construction][1] for k in (key, key.lower())}
+
+
+# keys every spec may hold; any other key must be read by one of its constructions
+_SPEC_KEYS = {"construction", "theorem", "p", "seed"}
+_SWEEP_KEYS = _SPEC_KEYS.union(*map(_reads, _CONSTRUCTIONS))
 
 
 def parse_sweep_spec(text: str) -> list[dict]:
@@ -481,13 +442,17 @@ def parse_sweep_spec(text: str) -> list[dict]:
         raise ConfigParseError("sweep spec needs a 'p' key", 0)
     constructions = entries.pop("construction")
     theorems = entries.pop("theorem", [None])
+    names = [c.replace("-", "_") for c in constructions]
+    for construction, cname in zip(constructions, names):
+        if cname not in _CONSTRUCTIONS:
+            raise ConfigParseError(f"unknown construction {construction!r}", 0)
+    unused = sorted(set(entries) - _SPEC_KEYS.union(*map(_reads, names)))
+    if unused:
+        raise ConfigParseError(f"no construction in this spec reads {unused[0]!r}", 0)
     cells = []
     numeric_keys = sorted(entries)
     value_lists = [entries[k] for k in numeric_keys]
-    for construction in constructions:
-        cname = construction.replace("-", "_")
-        if cname not in _CONSTRUCTIONS:
-            raise ConfigParseError(f"unknown construction {construction!r}", 0)
+    for construction, cname in zip(constructions, names):
         allowed = _CONSTRUCTIONS[cname][0]
         for theorem in theorems:
             tid = (theorem or allowed[0]).upper()
@@ -505,18 +470,26 @@ def parse_sweep_spec(text: str) -> list[dict]:
     return cells
 
 
-def _cell_need(cell: dict, *names: str) -> int:
-    for n in names:
-        if n in cell:
-            return cell[n]
-    raise ConfigParseError(f"sweep cell needs a value for {names[0]!r}", 0)
-
-
 def run_experiment(spec_text: str, seed: int = 0) -> list[bounds.BoundReport]:
     """Execute construct -> measure -> rhs for every cell of a sweep spec,
     in the spec's expansion order."""
-    return [_CONSTRUCTIONS[cell["construction"]][1](cell, Prime(cell["p"]), seed)
-            for cell in parse_sweep_spec(spec_text)]
+    reports = []
+    for cell in parse_sweep_spec(spec_text):
+        name = cell["construction"]
+        _, keys, build, measure = _CONSTRUCTIONS[name]
+        values = {**keys, **cell, "seed": cell.get("seed", seed)}
+
+        def get(key):
+            value = values[key] if values[key] is not None else values.get(key.lower())
+            if value is None:
+                raise ConfigParseError(f"sweep cell needs a value for {key!r}", 0)
+            return value
+
+        shown = {key: get(key) for key, default in keys.items() if default is None}
+        p = Prime(cell["p"])
+        rng = random.Random(repr((values["seed"], int(p), name.rpartition("_")[2])))
+        reports.append(measure(build(get, p, rng), cell["theorem"], shown))
+    return reports
 
 
 def run_experiment_file(path, seed: int = 0) -> list[bounds.BoundReport]:

@@ -34,15 +34,26 @@ class ConstraintError(ValueError):
     """A generator precondition (wraparound bound, feasibility) failed."""
 
 
-def sphere_config(p: int) -> tuple[WeightedPointSet, WeightedPlaneSet]:
-    """The unit sphere of F_p^3 against the complete affine plane family."""
+def _nonnegative(count: int, what: str) -> int:
+    """A requested object count, which must not be negative."""
+    if count < 0:
+        raise ConstraintError(f"need a nonnegative {what} count, got {count}")
+    return count
+
+
+def sphere_config(p: int, planes: int = 0, rng=None) -> tuple[WeightedPointSet, WeightedPlaneSet]:
+    """The unit sphere of F_p^3 against the complete affine plane family, or
+    against `planes` of its planes drawn by rng when 0 < planes < its size."""
     p = int(Prime(p))
     points = WeightedPointSet.of(sphere_points(p, 3, 1), p, dim=3)
     # every canonical normal with every offset, as rows normal + offset
     normals = np.array(homogeneous_reps(p, 3), dtype=np.int64)
     family = np.column_stack([np.repeat(normals, p, axis=0), np.tile(np.arange(p), len(normals))])
-    planes = WeightedPlaneSet.of(family, p, dim=3)
-    return points, planes
+    family = WeightedPlaneSet.of(family, p, dim=3)
+    if 0 < _nonnegative(planes, "plane") < len(family):
+        # sampling indices picks the planes a sample of the plane list would
+        family = WeightedPlaneSet.of(family.rows[rng.sample(range(len(family)), planes)], p, dim=3)
+    return points, family
 
 
 def coprime_lattice(n_max: int, p: int) -> list[Vec]:
@@ -218,11 +229,13 @@ def cylinder_set(p: int, t: int, k0: int, m: int, seed: int | None = None) -> Cy
 
 def random_points(p: int, dim: int, count: int, rng: random.Random) -> list[Vec]:
     p = int(Prime(p))
+    _nonnegative(count, "point")
     return [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(count)]
 
 
 def random_planes(p: int, dim: int, count: int, rng: random.Random) -> list[AffinePlane]:
     p = int(Prime(p))
+    _nonnegative(count, "plane")
     out = []
     while len(out) < count:
         normal = tuple(rng.randrange(p) for _ in range(dim))
@@ -234,6 +247,7 @@ def random_planes(p: int, dim: int, count: int, rng: random.Random) -> list[Affi
 
 def random_lines(p: int, dim: int, count: int, rng: random.Random) -> list[AffineLine]:
     p = int(Prime(p))
+    _nonnegative(count, "line")
     out = []
     while len(out) < count:
         direction = tuple(rng.randrange(p) for _ in range(dim))

@@ -653,14 +653,17 @@ def count_point_line_2d(points, lines, p: int) -> int:
     """Exact number of incidences between distinct planar points and lines.
 
     Lines are given as AffineLines, in covector form a*x + b*y == c
-    (AffinePlane of dimension 2), as (a, b, c) triples or as an int array
-    of such rows.
+    (AffinePlane of dimension 2), as (a, b, c) triples, as an int array of
+    such rows or as a WeightedPlaneSet; a WeightedPointSet or
+    WeightedPlaneSet is used as it is.
     """
-    if not isinstance(lines, np.ndarray):
-        lines = np.array([_line_row(item, p) for item in lines], dtype=np.int64).reshape(-1, 3)
-    pairs, _ = weighted_incidences(WeightedPointSet.of(points, p, dim=2),
-                                   WeightedPlaneSet.of(lines, p, dim=2))
-    return pairs
+    if not isinstance(points, WeightedPointSet):
+        points = WeightedPointSet.of(points, p, dim=2)
+    if not isinstance(lines, WeightedPlaneSet):
+        if not isinstance(lines, np.ndarray):
+            lines = np.array([_line_row(item, p) for item in lines], dtype=np.int64).reshape(-1, 3)
+        lines = WeightedPlaneSet.of(lines, p, dim=2)
+    return weighted_incidences(points, lines)[0]
 
 
 def count_point_line_2d_naive(points, lines, p: int) -> int:

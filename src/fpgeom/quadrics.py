@@ -13,7 +13,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .counting import WeightedLineSet
+import numpy as np
+
+from .counting import WeightedLineSet, dot_mod
 from .field import Prime, inv, sqrt_mod
 from .geom import (
     AffineLine,
@@ -126,9 +128,10 @@ def lines_on_sphere(p: int, d: int, t: int) -> list[AffineLine]:
     p = int(Prime(p))
     t %= p
     sphere = Sphere(p, d, t)
-    directions = isotropic_directions(p, d)
-    candidates = [(x, v) for x in sphere.points() for v in directions if dot(x, v, p) == 0]
-    lines = WeightedLineSet.of(candidates, p, dim=d).lines
+    S = np.array(sphere.points(), dtype=np.int64).reshape(-1, d)
+    V = np.array(isotropic_directions(p, d), dtype=np.int64).reshape(-1, d)
+    x, v = np.nonzero(dot_mod(S, V, p) == 0)
+    lines = WeightedLineSet.of(np.hstack([S[x], V[v]]), p, dim=d).lines
     return [line for line in lines if all(sphere.contains(q) for q in line.points())]
 
 

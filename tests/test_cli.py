@@ -7,6 +7,8 @@ from fpgeom import cli
 from conftest import rng_for
 from fpgeom.bounds import BoundReport
 from fpgeom.cli import main, parse_sweep_spec, run_experiment
+from fpgeom.configio import ConfigParseError, emit_config
+from fpgeom.counting import WeightedPlaneSet, WeightedPointSet
 from fpgeom.geom import AffineLine, AffinePlane
 from fpgeom.quadrics import Paraboloid
 
@@ -53,6 +55,16 @@ class TestConstruct:
     def test_missing_parameter_is_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "construct", "elekes", "--p", "23")
         assert code == 1
+
+    # the golden runs cover `construct sphere --planes -2` and a negative sweep count
+    @pytest.mark.parametrize("argv, what", [
+        (["random-3d", "--p", "7", "--points", "-3"], "point count, got -3"),
+        (["random-2d", "--p", "7", "--points", "2", "--lines", "-1"], "line count, got -1"),
+    ])
+    def test_negative_count_is_constraint_violation(self, tmp_path, capsys, argv, what):
+        code, text = run(tmp_path, "construct", *argv)
+        assert code == 3 and text == ""
+        assert capsys.readouterr().err == f"constraint violation: need a nonnegative {what}\n"
 
 
 class TestCountPipeline:
@@ -157,6 +169,21 @@ class TestObjectCounts:
                 + "[lines]\n" + "".join(f"{vec()} {vec()}\n" for _ in range(300)))
         assert self._built(monkeypatch, tmp_path, text, "--theorem", "VINH") == (0, 0)
 
+    def test_planar_count_canonicalises_each_set_once(self, monkeypatch, tmp_path):
+        # the config's points and planes, then the merged covector lines
+        calls = {WeightedPointSet: 0, WeightedPlaneSet: 0}
+        for cls in calls:
+            def counted(owner, *args, cls=cls, of=cls.of.__func__, **kwargs):
+                calls[cls] += 1
+                return of(owner, *args, **kwargs)
+            monkeypatch.setattr(cls, "of", classmethod(counted))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("p=11 dim=2\n[points]\n0 1\n1 3\n2 5\n3 4\n"
+                       "[planes]\n2 10 1\n1 1 0\n[lines]\n0 0 1 1\n")
+        code, _ = run(tmp_path, "count", str(cfg), "--theorem", "VINH")
+        assert code == 0
+        assert calls == {WeightedPointSet: 1, WeightedPlaneSet: 2}
+
 
 class TestOtherSubcommands:
     def test_distances(self, tmp_path):
@@ -238,6 +265,44 @@ class TestSweep:
         rows = run_experiment("construction=semi_isotropic\np=13\nk=2\nl=3\n")
         assert len(rows) == 1
         assert rows[0].theorem == "T42" and rows[0].count <= 3
+
+    @pytest.mark.parametrize("spec", [
+        "construction=sphere\np=5\nn=2\n",
+        "construction=random_2d\np=11\nplanes=3\n",
+    ])
+    def test_key_no_construction_reads_is_parse_error(self, spec):
+        with pytest.raises(ConfigParseError, match="no construction in this spec reads"):
+            parse_sweep_spec(spec)
+
+    def test_keys_are_checked_per_spec(self):
+        # random_3d reads planes, random_2d does not; coprime reads n as N
+        assert len(parse_sweep_spec("construction=random_3d,random_2d\np=11\nplanes=3\n")) == 2
+        assert run_experiment("construction=coprime\np=23\nn=2\n")[0].params["N"] == 2
+
+    @pytest.mark.parametrize("construct_argv, spec", [
+        (["sphere", "--p", "5"], "construction=sphere\np=5\n"),
+        (["coprime", "--p", "23", "--n", "2"], "construction=coprime\np=23\nN=2\n"),
+        (["elekes", "--p", "23", "--n", "2"], "construction=elekes\np=23\nn=2\n"),
+        (["cylinder", "--p", "5", "--t", "1", "--k0", "2", "--m", "2"],
+         "construction=cylinder\np=5\nt=1\nk0=2\nm=2\n"),
+    ])
+    def test_sweep_measures_the_constructed_document(self, tmp_path, monkeypatch,
+                                                     construct_argv, spec):
+        code, emitted = run(tmp_path, "construct", *construct_argv)
+        assert code == 0
+        measured = []
+
+        def recording(measure):
+            def record(doc, theorem, cell):
+                measured.append(doc)
+                return measure(doc, theorem, cell)
+            return record
+
+        monkeypatch.setattr(cli, "_CONSTRUCTIONS", {
+            name: (theorems, keys, build, recording(measure))
+            for name, (theorems, keys, build, measure) in cli._CONSTRUCTIONS.items()})
+        run_experiment(spec)
+        assert [emit_config(doc) for doc in measured] == [emitted]
 
     def test_empty_spec_is_error(self, tmp_path):
         spec = tmp_path / "empty.txt"

@@ -74,6 +74,11 @@ def _files() -> dict[str, str]:
                              "points=12\nplanes=8\nlines=8\n"),
         "sweep_bad_pair.txt": "construction=sphere\ntheorem=T41\np=7\n",
         "sweep_missing.txt": "construction=elekes\np=23\n",
+        # sphere reads planes as `construct sphere --planes` does
+        "sweep_sphere_planes.txt": "construction=sphere\np=5\nplanes=10\n",
+        # no construction of the spec reads planes
+        "sweep_unused_key.txt": "construction=semi_isotropic\np=13\nk=2\nl=3\nplanes=5\n",
+        "sweep_negative.txt": "construction=random_2d\np=11\npoints=-4\n",
     }
 
 
@@ -87,6 +92,7 @@ CASES = {
                                  "--k", "2", "--l", "3"],
     "construct-cylinder": ["construct", "cylinder", "--p", "5", "--t", "1",
                            "--k0", "2", "--m", "2"],
+    "construct-sphere-negative-planes": ["construct", "sphere", "--p", "5", "--planes", "-2"],
     "construct-random-3d": ["--seed", "3", "construct", "random-3d", "--p", "11",
                             "--points", "10", "--planes", "5", "--lines", "2"],
     "construct-random-2d": ["--seed", "3", "construct", "random-2d", "--p", "11",
@@ -95,6 +101,7 @@ CASES = {
     "count-T1": ["count", "w3.txt", "--theorem", "T1"],
     "count-T1B": ["count", "w3.txt", "--theorem", "t1b"],
     "count-T1C": ["count", "w3.txt", "--theorem", "T1C"],
+    "count-T2": ["count", "w3.txt", "--theorem", "T2"],
     "count-restricted": ["count", "w3.txt", "--restricted"],
     "count-restricted-T1B": ["count", "w3.txt", "--restricted", "--theorem", "T1B"],
     "count-restricted-T1C": ["count", "w3.txt", "--restricted", "--theorem", "T1C"],
@@ -136,6 +143,9 @@ CASES = {
     "sweep-random": ["--seed", "4", "sweep", "sweep_random.txt"],
     "sweep-bad-pairing": ["sweep", "sweep_bad_pair.txt"],
     "sweep-missing-key": ["sweep", "sweep_missing.txt"],
+    "sweep-sphere-planes": ["--seed", "2", "sweep", "sweep_sphere_planes.txt"],
+    "sweep-unused-key": ["sweep", "sweep_unused_key.txt"],
+    "sweep-negative-count": ["sweep", "sweep_negative.txt"],
 }
 
 VARIANTS = {"": [], "[json]": ["--format", "json"], "[strict]": ["--strict"]}

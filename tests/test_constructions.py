@@ -37,6 +37,14 @@ class TestSphereConfig:
         k, _ = max_collinear(Q.points, 7)
         assert k == 2
 
+    def test_sampled_planes(self):
+        _, Pi = sphere_config(5)
+        _, sample = sphere_config(5, 10, random.Random(2))
+        assert len(sample) == 10 and set(sample.planes) <= set(Pi.planes)
+        assert sphere_config(5, len(Pi), random.Random(2))[1].planes == Pi.planes
+        with pytest.raises(ConstraintError, match="nonnegative"):
+            sphere_config(5, -2, random.Random(2))
+
     def test_membership(self):
         Q, _ = sphere_config(5)
         sph = Sphere(5, 3, 1)
@@ -190,6 +198,11 @@ class TestCylinderSet:
 
 
 class TestRandomGenerators:
+    @pytest.mark.parametrize("make", [random_points, random_planes, random_lines])
+    def test_negative_count_is_constraint_error(self, make):
+        with pytest.raises(ConstraintError, match="nonnegative"):
+            make(11, 3, -1, rng_for("x"))
+
     def test_deterministic_under_seed(self):
         assert random_points(11, 3, 5, rng_for("x")) == random_points(11, 3, 5, rng_for("x"))
         assert random_planes(11, 3, 5, rng_for("x")) == random_planes(11, 3, 5, rng_for("x"))

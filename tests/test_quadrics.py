@@ -114,6 +114,13 @@ class TestLinesOnSphere2:
             lines_on_sphere2(7, 0)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("p, t", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2),
+                                  (7, 0), (7, 1), (7, 3)])
+def test_lines_on_sphere_match_the_unrestricted_scan(d, p, t):
+    assert _raw(lines_on_sphere(p, d, t)) == oracles.sphere_lines_scan(p, d, t)
+
+
 class TestLinesOnSphere3:
     def test_matches_unrestricted_scan_p3(self):
         for t in (1, 2):
