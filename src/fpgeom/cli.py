@@ -176,10 +176,10 @@ def _emit_rows(reports, args) -> int:
 # construct
 
 def _cmd_construct(args) -> int:
-    def get(key):
+    def get(key, default=None):
         if key == "seed":
             return None
-        value = getattr(args, key.lower())
+        value = getattr(args, key.lower())  # the flags are lowercase: --n sets N
         if value is None:
             raise UsageError(f"construct {args.name} needs --{key.lower()}")
         return value
@@ -198,16 +198,14 @@ def _cmd_construct(args) -> int:
 def _row(p, label, theorem, params, count, known, flags=None) -> bounds.BoundReport:
     """The count against the theorem's rhs, its parameters taken from the
     quantities `known`, when a theorem is given; else a plain row."""
-    if not theorem:
-        return bounds.BoundReport(
-            theorem=label, p=int(p), params=dict(params), count=count,
-            rhs=float("nan"), ratio=None, flags=dict(flags or {}))
-    names = bounds.parameters(theorem)
-    missing = [name for name in names if name not in known]
-    if missing:
-        raise UsageError(f"{theorem.upper()} needs parameters {missing} not derivable here")
-    res = bounds.rhs(theorem, p, **{name: known[name] for name in names})
-    return bounds.BoundReport.build(res, p, params, count, extra_flags=flags)
+    res = bounds.RhsResult(label, float("nan"), {})
+    if theorem:
+        names = bounds.parameters(theorem)
+        missing = [name for name in names if name not in known]
+        if missing:
+            raise UsageError(f"{theorem.upper()} needs parameters {missing} not derivable here")
+        res = bounds.rhs(theorem, p, **{name: known[name] for name in names})
+    return bounds.BoundReport.build(res, int(p), params, count, extra_flags=flags)
 
 
 def _count(doc, theorem, cell=None, restricted=False, **extra) -> bounds.BoundReport:
@@ -263,7 +261,7 @@ def _distances(doc, theorem, cell=None, include_zero=True) -> bounds.BoundReport
                 {"s": len(doc.points)}, flags)
 
 
-def _energy(doc, theorem, cell=None, quadric="paraboloid", t=1) -> bounds.BoundReport:
+def _energy(doc, theorem, quadric, t, cell=None) -> bounds.BoundReport:
     """Rectangle energy on the paraboloid or on the sphere of radius-square t."""
     if quadric == "paraboloid":
         rep = rectangle_energy_paraboloid(doc.points.rows, doc.p)
@@ -278,7 +276,7 @@ def _energy(doc, theorem, cell=None, quadric="paraboloid", t=1) -> bounds.BoundR
     return _row(doc.p, f"energy_{quadric}", theorem, params, rep.energy, known)
 
 
-def _forms(doc, theorem, cell=None, form=None, solutions=False) -> bounds.BoundReport:
+def _forms(doc, theorem, form, cell=None, solutions=False) -> bounds.BoundReport:
     """Distinct values of a bilinear form, or its value collisions."""
     points = doc.points.rows
     if solutions:
@@ -303,7 +301,7 @@ def _cmd_distances(args) -> list[bounds.BoundReport]:
 
 def _cmd_energy(args) -> list[bounds.BoundReport]:
     doc = configio.load_config(args.config)
-    return [_energy(doc, args.theorem, quadric=args.quadric, t=args.t)]
+    return [_energy(doc, args.theorem, args.quadric, args.t)]
 
 
 def _cmd_forms(args) -> list[bounds.BoundReport]:
@@ -312,7 +310,7 @@ def _cmd_forms(args) -> list[bounds.BoundReport]:
         raise UsageError("forms works on 2-dimensional configurations")
     m = args.matrix or (0, 1, -1, 0)
     form = erdos.FormSpec(doc.p, ((m[0], m[1]), (m[2], m[3])))
-    return [_forms(doc, args.theorem, form=form, solutions=args.solutions)]
+    return [_forms(doc, args.theorem, form, solutions=args.solutions)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +377,7 @@ def _cylinder(get, p, rng) -> ConfigDoc:
 def _random_3d(get, p, rng) -> ConfigDoc:
     return ConfigDoc.of(p, 3, random_points(p, 3, get("points"), rng),
                         random_planes(p, 3, get("planes"), rng),
-                        random_lines(p, 3, get("lines"), rng))
+                        random_lines(p, 3, get("lines", 0), rng))
 
 
 def _random_2d(get, p, rng) -> ConfigDoc:
@@ -387,14 +385,14 @@ def _random_2d(get, p, rng) -> ConfigDoc:
                         random_lines(p, 2, get("lines"), rng))
 
 
-# construction -> (the theorems it pairs with, the first the default; the keys
-# it reads, each with its sweep default, None when required; its builder; its
+# construction -> (the theorems it pairs with, the first the default; the sweep
+# keys it reads, each with its default, None when required; its builder; its
 # measurement, given the document, the theorem and the cell's required keys)
 _CONSTRUCTIONS = {
     "sphere": (("T1", "T1B"), {"planes": 0}, _sphere, _count),
     "coprime": (("T41",), {"N": None},
                 lambda get, p, rng: ConfigDoc.of(p, 2, coprime_lattice(get("N"), p)),
-                lambda doc, theorem, cell: _forms(doc, theorem, cell, erdos.dot_form(doc.p))),
+                lambda doc, theorem, cell: _forms(doc, theorem, erdos.dot_form(doc.p), cell)),
     "elekes": (("T2", "T3", "VINH"), {"n": None}, _elekes,
                lambda doc, theorem, cell: _count(doc, theorem, cell,
                                                  a=cell["n"], b=2 * cell["n"] ** 2)),
@@ -403,20 +401,17 @@ _CONSTRUCTIONS = {
                            get("k"), get("l"), p, seed=get("seed")).points),
                        _distances),
     "cylinder": (("T56",), {"t": None, "k0": None, "m": None}, _cylinder,
-                 lambda doc, theorem, cell: _energy(doc, theorem, cell, "sphere", cell["t"])),
-    "random_3d": (("T1", "T1B"), {"points": 32, "planes": 32, "lines": 0}, _random_3d, _count),
+                 lambda doc, theorem, cell: _energy(doc, theorem, "sphere", cell["t"], cell)),
+    "random_3d": (("T1", "T1B"), {"points": 32, "planes": 32}, _random_3d, _count),
     "random_2d": (("VINH", "T3"), {"points": 32, "lines": 32}, _random_2d, _count),
 }
 
 
-def _reads(construction: str) -> set[str]:
-    """The sweep keys a construction reads, `n` standing in for coprime's `N`."""
-    return {k for key in _CONSTRUCTIONS[construction][1] for k in (key, key.lower())}
-
-
+_ALIASES = {"N": "n"}  # a spec may write coprime's N as n, as `construct coprime --n` does
+_READS = {c: {*row[1], *map(_ALIASES.get, row[1])} - {None} for c, row in _CONSTRUCTIONS.items()}
 # keys every spec may hold; any other key must be read by one of its constructions
 _SPEC_KEYS = {"construction", "theorem", "p", "seed"}
-_SWEEP_KEYS = _SPEC_KEYS.union(*map(_reads, _CONSTRUCTIONS))
+_SWEEP_KEYS = _SPEC_KEYS.union(*_READS.values())
 
 
 def parse_sweep_spec(text: str) -> list[dict]:
@@ -446,7 +441,7 @@ def parse_sweep_spec(text: str) -> list[dict]:
     for construction, cname in zip(constructions, names):
         if cname not in _CONSTRUCTIONS:
             raise ConfigParseError(f"unknown construction {construction!r}", 0)
-    unused = sorted(set(entries) - _SPEC_KEYS.union(*map(_reads, names)))
+    unused = sorted(set(entries) - _SPEC_KEYS.union(*(_READS[n] for n in names)))
     if unused:
         raise ConfigParseError(f"no construction in this spec reads {unused[0]!r}", 0)
     cells = []
@@ -477,10 +472,11 @@ def run_experiment(spec_text: str, seed: int = 0) -> list[bounds.BoundReport]:
     for cell in parse_sweep_spec(spec_text):
         name = cell["construction"]
         _, keys, build, measure = _CONSTRUCTIONS[name]
-        values = {**keys, **cell, "seed": cell.get("seed", seed)}
+        values = {k: cell.get(k, cell.get(_ALIASES.get(k), d)) for k, d in keys.items()}
+        values["seed"] = cell.get("seed", seed)
 
-        def get(key):
-            value = values[key] if values[key] is not None else values.get(key.lower())
+        def get(key, default=None):
+            value = values.get(key, default)
             if value is None:
                 raise ConfigParseError(f"sweep cell needs a value for {key!r}", 0)
             return value

@@ -228,14 +228,12 @@ def cylinder_set(p: int, t: int, k0: int, m: int, seed: int | None = None) -> Cy
 # seeded random configurations (CLI construct / sweep fodder)
 
 def random_points(p: int, dim: int, count: int, rng: random.Random) -> list[Vec]:
-    p = int(Prime(p))
-    _nonnegative(count, "point")
+    p, count = int(Prime(p)), _nonnegative(count, "point")
     return [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(count)]
 
 
 def random_planes(p: int, dim: int, count: int, rng: random.Random) -> list[AffinePlane]:
-    p = int(Prime(p))
-    _nonnegative(count, "plane")
+    p, count = int(Prime(p)), _nonnegative(count, "plane")
     out = []
     while len(out) < count:
         normal = tuple(rng.randrange(p) for _ in range(dim))
@@ -246,8 +244,7 @@ def random_planes(p: int, dim: int, count: int, rng: random.Random) -> list[Affi
 
 
 def random_lines(p: int, dim: int, count: int, rng: random.Random) -> list[AffineLine]:
-    p = int(Prime(p))
-    _nonnegative(count, "line")
+    p, count = int(Prime(p)), _nonnegative(count, "line")
     out = []
     while len(out) < count:
         direction = tuple(rng.randrange(p) for _ in range(dim))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import WeightedLineSet, dot_mod
+from .counting import _SCRATCH_CELLS, WeightedLineSet, dot_mod
 from .field import Prime, inv, sqrt_mod
 from .geom import (
     AffineLine,
@@ -121,17 +121,24 @@ def slice_lift(points, h: int, p: int) -> list[Vec]:
 def lines_on_sphere(p: int, d: int, t: int) -> list[AffineLine]:
     """All lines fully contained in the sphere.
 
-    Every candidate must be based at a sphere point with an isotropic
-    direction orthogonal to the base; each distinct candidate line is still
-    verified pointwise.
+    A line through a sphere point x with an isotropic direction v, x.v == 0,
+    lies on the sphere, so one candidate per line is kept: x its canonical
+    base (0 at v's first nonzero entry), found over blocks of sphere rows.
+    Each candidate line is still verified pointwise.
     """
     p = int(Prime(p))
     t %= p
     sphere = Sphere(p, d, t)
     S = np.array(sphere.points(), dtype=np.int64).reshape(-1, d)
     V = np.array(isotropic_directions(p, d), dtype=np.int64).reshape(-1, d)
-    x, v = np.nonzero(dot_mod(S, V, p) == 0)
-    lines = WeightedLineSet.of(np.hstack([S[x], V[v]]), p, dim=d).lines
+    lead = (V != 0).argmax(axis=1)
+    step = max(1, _SCRATCH_CELLS // max(1, len(V)))
+    rows = [np.empty((0, 2 * d), dtype=np.int64)]
+    for lo in range(0, len(S), step):
+        block = S[lo : lo + step]
+        x, v = np.nonzero((dot_mod(block, V, p) == 0) & (block[:, lead] == 0))
+        rows.append(np.hstack([block[x], V[v]]))
+    lines = WeightedLineSet.of(np.vstack(rows), p, dim=d).lines
     return [line for line in lines if all(sphere.contains(q) for q in line.points())]
 
 

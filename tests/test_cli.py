@@ -269,6 +269,7 @@ class TestSweep:
     @pytest.mark.parametrize("spec", [
         "construction=sphere\np=5\nn=2\n",
         "construction=random_2d\np=11\nplanes=3\n",
+        "construction=random_3d\np=11\nlines=8\n",  # no sweep cell measures lines
     ])
     def test_key_no_construction_reads_is_parse_error(self, spec):
         with pytest.raises(ConfigParseError, match="no construction in this spec reads"):
@@ -278,6 +279,8 @@ class TestSweep:
         # random_3d reads planes, random_2d does not; coprime reads n as N
         assert len(parse_sweep_spec("construction=random_3d,random_2d\np=11\nplanes=3\n")) == 2
         assert run_experiment("construction=coprime\np=23\nn=2\n")[0].params["N"] == 2
+        coprime, elekes = run_experiment("construction=coprime,elekes\np=23\nN=2\nn=3\n")
+        assert coprime.params["N"] == 2 and elekes.params["n"] == 3
 
     @pytest.mark.parametrize("construct_argv, spec", [
         (["sphere", "--p", "5"], "construction=sphere\np=5\n"),
