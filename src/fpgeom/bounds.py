@@ -27,13 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-# Flags that name the branch of a bound in use; they report, they are no
-# hypothesis, so a False value violates nothing.
-INFORMATIONAL_FLAGS = frozenset({"small_set_branch"})
-
-
 @dataclass(frozen=True)
 class RhsResult:
+    """A bound's rhs, its hypothesis flags, and the branch it took ("small"
+    or "large") for the bounds that branch on the set size."""
+
     theorem: str
     value: float
     flags: dict[str, bool]
@@ -42,7 +40,8 @@ class RhsResult:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One empirical count against one bound: ratio plus hypothesis flags."""
+    """One empirical count against one bound: ratio plus hypothesis flags,
+    and the bound's branch when it has two."""
 
     theorem: str
     p: int
@@ -51,6 +50,7 @@ class BoundReport:
     rhs: float
     ratio: float | None
     flags: dict[str, bool]
+    branch: str | None = None
 
     @classmethod
     def build(cls, rhs_result: RhsResult, p: int, params, count, extra_flags=None):
@@ -65,6 +65,7 @@ class BoundReport:
             rhs=rhs_result.value,
             ratio=(count / rhs_result.value) if rhs_result.value > 0 else None,
             flags=flags,
+            branch=rhs_result.branch,
         )
 
 
@@ -152,16 +153,16 @@ def _t54(p, a, k0):
     small = a < p ** (26 / 21)
     base = a * k0 * k0
     if small:
-        return base + a ** (17 / 7), {"small_set_branch": True}, "small"
-    return base + a ** 3 / p + a * a * p ** 0.5, {"small_set_branch": False}, "large"
+        return base + a ** (17 / 7), {}, "small"
+    return base + a ** 3 / p + a * a * p ** 0.5, {}, "large"
 
 
 def _t55(p, a, k0):
     small = a < p ** (15 / 11)
     base = a * k0 * k0
     if small:
-        return base + a ** (37 / 15), {"small_set_branch": True}, "small"
-    return base + a ** 3 / p + a * a * p ** 0.5, {"small_set_branch": False}, "large"
+        return base + a ** (37 / 15), {}, "small"
+    return base + a ** 3 / p + a * a * p ** 0.5, {}, "large"
 
 
 def _t56(p, a, k0):

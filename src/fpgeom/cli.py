@@ -44,6 +44,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# construct's flags, each a key some builder reads: flag -> (default, help)
+_CONSTRUCT_FLAGS = {
+    "n": (None, "grid size (elekes) or lattice bound (coprime)"),
+    "k": (None, "parallel line count (semi-isotropic)"),
+    "l": (None, "points per line (semi-isotropic)"),
+    "t": (None, "sphere radius-square (cylinder)"),
+    "k0": (None, "points per generator (cylinder)"),
+    "m": (None, "generator count (cylinder)"),
+    "points": (0, "random point count"),
+    "planes": (0, "random plane count; for 'sphere', sample size of the plane family"),
+    "lines": (0, "random line count"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fpgeom", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomised steps")
@@ -58,16 +72,8 @@ def build_parser() -> _Parser:
         "sphere", "coprime", "elekes", "semi-isotropic", "cylinder",
         "random-3d", "random-2d"))
     c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n", type=int, help="grid size (elekes) or lattice bound (coprime)")
-    c.add_argument("--k", type=int, help="parallel line count (semi-isotropic)")
-    c.add_argument("--l", type=int, help="points per line (semi-isotropic)")
-    c.add_argument("--t", type=int, help="sphere radius-square (cylinder)")
-    c.add_argument("--k0", type=int, help="points per generator (cylinder)")
-    c.add_argument("--m", type=int, help="generator count (cylinder)")
-    c.add_argument("--points", type=int, default=0, help="random point count")
-    c.add_argument("--planes", type=int, default=0,
-                   help="random plane count; for 'sphere', sample size of the plane family")
-    c.add_argument("--lines", type=int, default=0, help="random line count")
+    for flag, (default, text) in _CONSTRUCT_FLAGS.items():
+        c.add_argument(f"--{flag}", type=int, default=default, help=text)
 
     for name, extra in (
         ("count", lambda s: (
@@ -161,12 +167,7 @@ def _emit_rows(reports, args) -> int:
     rows = [configio.report_row(r) for r in reports]
     text = configio.rows_to_csv(rows) if args.format == "csv" else configio.rows_to_json(rows)
     _write_out(text, args)
-    if args.strict and any(
-        not ok
-        for r in reports
-        for name, ok in r.flags.items()
-        if name not in bounds.INFORMATIONAL_FLAGS
-    ):
+    if args.strict and not all(ok for r in reports for ok in r.flags.values()):
         print("strict mode: hypothesis flag violated", file=sys.stderr)
         return 3
     return 0
@@ -176,16 +177,23 @@ def _emit_rows(reports, args) -> int:
 # construct
 
 def _cmd_construct(args) -> int:
+    read = set()
+
     def get(key, default=None):
         if key == "seed":
             return None
-        value = getattr(args, key.lower())  # the flags are lowercase: --n sets N
+        flag = key.lower()  # the flags are lowercase: --n sets N
+        read.add(flag)
+        value = getattr(args, flag)
         if value is None:
-            raise UsageError(f"construct {args.name} needs --{key.lower()}")
+            raise UsageError(f"construct {args.name} needs --{flag}")
         return value
 
     build = _CONSTRUCTIONS[args.name.replace("-", "_")][2]
     doc = build(get, Prime(args.p), random.Random(args.seed))
+    for flag, (default, _) in _CONSTRUCT_FLAGS.items():
+        if flag not in read and getattr(args, flag) != default:
+            raise UsageError(f"construct {args.name} does not read --{flag}")
     _write_out(configio.emit_config(doc), args)
     return 0
 
@@ -415,8 +423,12 @@ _SWEEP_KEYS = _SPEC_KEYS.union(*_READS.values())
 
 
 def parse_sweep_spec(text: str) -> list[dict]:
-    """Expand a key=value sweep file into one cell per parameter combination."""
+    """Expand a key=value sweep file into one cell per parameter combination.
+
+    An error names the line of the key it concerns; a spec without a
+    'construction' or 'p' key is reported at line 0."""
     entries: dict[str, list[str]] = {}
+    at: dict[str, int] = {}  # the line of each key
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -429,6 +441,7 @@ def parse_sweep_spec(text: str) -> list[dict]:
         if key in entries:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
         entries[key] = [v.strip() for v in value.split(",") if v.strip()]
+        at[key] = lineno
         if not entries[key]:
             raise ConfigParseError(f"empty value for {key!r}", lineno)
     if "construction" not in entries:
@@ -440,10 +453,15 @@ def parse_sweep_spec(text: str) -> list[dict]:
     names = [c.replace("-", "_") for c in constructions]
     for construction, cname in zip(constructions, names):
         if cname not in _CONSTRUCTIONS:
-            raise ConfigParseError(f"unknown construction {construction!r}", 0)
+            raise ConfigParseError(f"unknown construction {construction!r}", at["construction"])
+        for key, default in _CONSTRUCTIONS[cname][1].items():
+            if default is None and key not in entries and _ALIASES.get(key) not in entries:
+                raise ConfigParseError(f"sweep cell needs a value for {key!r}",
+                                       at["construction"])
     unused = sorted(set(entries) - _SPEC_KEYS.union(*(_READS[n] for n in names)))
     if unused:
-        raise ConfigParseError(f"no construction in this spec reads {unused[0]!r}", 0)
+        raise ConfigParseError(f"no construction in this spec reads {unused[0]!r}",
+                               at[unused[0]])
     cells = []
     numeric_keys = sorted(entries)
     value_lists = [entries[k] for k in numeric_keys]
@@ -453,14 +471,15 @@ def parse_sweep_spec(text: str) -> list[dict]:
             tid = (theorem or allowed[0]).upper()
             if tid not in allowed:
                 raise ConfigParseError(
-                    f"theorem {tid} does not pair with construction {construction}", 0)
+                    f"theorem {tid} does not pair with construction {construction}",
+                    at["theorem"])
             for combo in itertools.product(*value_lists):
                 cell = {"construction": cname, "theorem": tid}
                 for key, val in zip(numeric_keys, combo):
                     try:
                         cell[key] = int(val)
                     except ValueError:
-                        raise ConfigParseError(f"non-integer value {val!r} for {key}", 0)
+                        raise ConfigParseError(f"non-integer value {val!r} for {key}", at[key])
                 cells.append(cell)
     return cells
 
@@ -472,19 +491,13 @@ def run_experiment(spec_text: str, seed: int = 0) -> list[bounds.BoundReport]:
     for cell in parse_sweep_spec(spec_text):
         name = cell["construction"]
         _, keys, build, measure = _CONSTRUCTIONS[name]
+        # parsing made sure every required key has a value
         values = {k: cell.get(k, cell.get(_ALIASES.get(k), d)) for k, d in keys.items()}
         values["seed"] = cell.get("seed", seed)
-
-        def get(key, default=None):
-            value = values.get(key, default)
-            if value is None:
-                raise ConfigParseError(f"sweep cell needs a value for {key!r}", 0)
-            return value
-
-        shown = {key: get(key) for key, default in keys.items() if default is None}
+        shown = {key: values[key] for key, default in keys.items() if default is None}
         p = Prime(cell["p"])
         rng = random.Random(repr((values["seed"], int(p), name.rpartition("_")[2])))
-        reports.append(measure(build(get, p, rng), cell["theorem"], shown))
+        reports.append(measure(build(values.get, p, rng), cell["theorem"], shown))
     return reports
 
 

@@ -189,7 +189,11 @@ def _flags_field(flags: dict) -> str:
 
 
 def report_row(report) -> dict[str, str]:
-    """Flatten a BoundReport-like object into the fixed CSV schema."""
+    """Flatten a BoundReport-like object into the fixed CSV schema; a bound's
+    branch is written among the flags as small_set_branch=1|0."""
+    flags = dict(report.flags)
+    if report.branch is not None:
+        flags["small_set_branch"] = report.branch == "small"
     return {
         "theorem": report.theorem,
         "p": str(report.p),
@@ -197,7 +201,7 @@ def report_row(report) -> dict[str, str]:
         "count": format_number(report.count),
         "rhs": format_number(report.rhs),
         "ratio": format_number(report.ratio),
-        "flags": _flags_field(report.flags),
+        "flags": _flags_field(flags),
     }
 
 

@@ -120,6 +120,21 @@ def dot_mod(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = None)
     return out
 
 
+# cells of one blocked table; a fixed size, not a tuning knob
+_BLOCK_CELLS = 1 << 20
+
+
+def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
+    """Yield (start, V), the S x U table in blocks of whole rows of about
+    _BLOCK_CELLS cells: V[i, j] == S[start + i].U[j] + a[start + i] + b[j]
+    mod p (the offsets a and b, reduced mod p, only when given)."""
+    rows = max(1, _BLOCK_CELLS // max(1, len(U)))
+    for start in range(0, len(S), rows):
+        block = S[start : start + rows]
+        V = None if a is None else np.add.outer(a[start : start + rows], b)
+        yield start, dot_mod(block, U, p, V)
+
+
 def norm_sq_rows(V: np.ndarray, p: int) -> np.ndarray:
     """v.v mod p for every row v of V with entries in [0, p), reduced once
     per column."""
@@ -308,35 +323,29 @@ class IncidenceReport:
 # int64 keys normal_id * p + offset, never against a dense table, so memory
 # is O(|planes| + block) and every step stays exact in int64 for p < 2^31.
 
-# residues computed per block of points; a fixed size, not a tuning knob
-_BLOCK_CELLS = 1 << 20
-
-
 def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
     """Yield (point index, plane index) arrays of incident pairs, block by block.
 
-    P holds points as rows, N and off the canonical normals and offsets of
-    distinct hyperplanes, so each residue matches at most one plane.
+    P holds points as rows, N and off the normals and offsets of a
+    WeightedPlaneSet in its sorted order, so the keys normal_id * p + offset
+    ascend as they are, each residue matches at most one, and a key's
+    position is its plane's index.
     """
     if not len(P) or not len(N):
         return
-    normals, nid = np.unique(N, axis=0, return_inverse=True)
-    nid = nid.reshape(-1)
-    keys = nid * p + off
-    order = np.argsort(keys)
-    keys = keys[order]
+    new = np.ones(len(N), dtype=bool)
+    new[1:] = (N[1:] != N[:-1]).any(axis=1)
+    normals = N[new]
+    keys = (np.cumsum(new) - 1) * p + off
     u = len(normals)
-    rows = max(1, _BLOCK_CELLS // u)
     row_keys = np.arange(u, dtype=np.int64) * p
-    for start in range(0, len(P), rows):
-        block = P[start : start + rows]
-        acc = dot_mod(block, normals, p)
+    for start, acc in _pair_values(P, normals, p):
         acc += row_keys
         flat = acc.reshape(-1)
         pos = np.searchsorted(keys, flat)
         pos[pos == len(keys)] = 0
         hit = np.flatnonzero(keys[pos] == flat)
-        qi, pj = hit // u + start, order[pos[hit]]
+        qi, pj = hit // u + start, pos[hit]
         del acc, flat, pos, hit  # free the block while the caller reduces
         yield qi, pj
 
@@ -518,20 +527,13 @@ def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
         D -= P[I]
         D %= p
         _scale_canonical(D, p)
-        # a stable sort by direction keeps the (i, j) order of the pairs within
-        # one direction, so each (base, direction) group is a contiguous run
-        # with its partners ascending
-        order = np.lexsort(D.T[::-1])
-        Ds, Is = D[order], I[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (Is[1:] != Is[:-1]) | (Ds[1:] != Ds[:-1]).any(axis=1)
-        heads = np.flatnonzero(new)
-        count = np.diff(np.append(heads, len(order)))
-        # pairs run in (i, j) order, so a group's first pair gives its rank
-        first = order[heads]
-        g = np.argsort(first)
-        first = first[g]
-        yield I[first], J[first], count[g], D[first]
+        # the runs are stable, so a group's head is its first pair, and the
+        # heads in (i, j) order are the groups in (base, first partner) order
+        order, bounds = _runs(np.column_stack([I, D]))
+        count = np.zeros(len(I), dtype=np.int64)
+        count[order[bounds[:-1]]] = np.diff(bounds)
+        first = np.flatnonzero(count)
+        yield I[first], J[first], count[first], D[first]
 
 
 def _collinearity(points: WeightedPointSet, exclude=(),

@@ -5,13 +5,14 @@ All counts are exact; squared distance means the dot-square of the
 difference vector, so a "zero distance" can join distinct points when their
 difference is isotropic.
 
-Distances and form values come from one pair-value kernel that fills blocks
-of rows of the table s.u + a(s) + b(t) mod p: u = M t gives the form value
-s^T M t, and u = -2t with a = |s|^2, b = |t|^2 gives |s - t|^2.  Each row of
-a block is sorted into runs of equal values, so value sets, pinned counts,
-histograms and E_Delta are read from run heads and lengths, with memory
-O(block).  The products come from `counting.dot_mod`, which keeps the tables
-exact in int64 for p < 2^31.
+Distances and form values come from one pair-value kernel that reads blocks
+of rows of the table s.u + a(s) + b(t) mod p from `counting._pair_values`,
+the blocked-table generator the incidence engine also iterates: u = M t
+gives the form value s^T M t, and u = -2t with a = |s|^2, b = |t|^2 gives
+|s - t|^2.  Each row of a block is sorted into runs of equal values, so
+value sets, pinned counts, histograms and E_Delta are read from run heads
+and lengths, with memory O(block).  The tables stay exact in int64 for
+p < 2^31.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .counting import (
     WeightedPlaneSet,
     WeightedPointSet,
     _line_census,
+    _pair_values,
     _runs,
     _scale_canonical,
     distinct_rows,
@@ -52,21 +54,6 @@ class NullPairError(GeometryError):
 
 # ---------------------------------------------------------------------------
 # the pair-value kernel
-
-# pair values computed per block of rows; a fixed size, not a tuning knob
-_BLOCK_CELLS = 1 << 20
-
-
-def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
-    """Yield (start, V) block by block, where
-    V[i, j] == S[start + i].U[j] + a[start + i] + b[j] mod p
-    (the offsets a and b, reduced mod p, only when given)."""
-    rows = max(1, _BLOCK_CELLS // max(1, len(U)))
-    for start in range(0, len(S), rows):
-        block = S[start : start + rows]
-        V = None if a is None else np.add.outer(a[start : start + rows], b)
-        yield start, dot_mod(block, U, p, V)
-
 
 def _row_runs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort each row of V in place and return the flat positions of its runs

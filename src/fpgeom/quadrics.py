@@ -1,10 +1,11 @@
 """Spheres, the paraboloid, the isotropic cone, and lines living on them.
 
 Generation is exhaustive (desk-scale p), backed by a per-prime square-root
-table.  Line detection scans candidate (base, direction) pairs: a line lies
-on a quadric exactly when all p of its points do, and a line on a sphere is
-forced to have an isotropic direction, which prunes the scan without losing
-candidates.
+table.  Line detection scans candidate (base, direction) pairs: for odd p a
+line b + s v lies on the sphere |x|^2 == t, that is all p of its points do,
+exactly when |b|^2 == t, b.v == 0 and v.v == 0, so only isotropic
+directions are scanned and every line found is checked against these three
+identities on its canonical row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _SCRATCH_CELLS, WeightedLineSet, dot_mod
+from .counting import WeightedLineSet, _pair_values, norm_sq_rows
 from .field import Prime, inv, sqrt_mod
 from .geom import (
     AffineLine,
@@ -121,25 +122,31 @@ def slice_lift(points, h: int, p: int) -> list[Vec]:
 def lines_on_sphere(p: int, d: int, t: int) -> list[AffineLine]:
     """All lines fully contained in the sphere.
 
-    A line through a sphere point x with an isotropic direction v, x.v == 0,
-    lies on the sphere, so one candidate per line is kept: x its canonical
-    base (0 at v's first nonzero entry), found over blocks of sphere rows.
-    Each candidate line is still verified pointwise.
+    For odd p the line b + s v lies on the sphere exactly when |b|^2 == t,
+    b.v == 0 and v.v == 0.  One candidate per line is read from the blocked
+    table of sphere rows b against isotropic directions v: b.v == 0 with b
+    the canonical base (0 at v's first nonzero entry).  A canonical row
+    failing the three identities raises ArithmeticError.
     """
     p = int(Prime(p))
     t %= p
-    sphere = Sphere(p, d, t)
-    S = np.array(sphere.points(), dtype=np.int64).reshape(-1, d)
+    S = np.array(sphere_points(p, d, t), dtype=np.int64).reshape(-1, d)
     V = np.array(isotropic_directions(p, d), dtype=np.int64).reshape(-1, d)
     lead = (V != 0).argmax(axis=1)
-    step = max(1, _SCRATCH_CELLS // max(1, len(V)))
     rows = [np.empty((0, 2 * d), dtype=np.int64)]
-    for lo in range(0, len(S), step):
-        block = S[lo : lo + step]
-        x, v = np.nonzero((dot_mod(block, V, p) == 0) & (block[:, lead] == 0))
+    for start, X in _pair_values(S, V, p):
+        block = S[start : start + len(X)]
+        x, v = np.nonzero((X == 0) & (block == 0)[:, lead])
         rows.append(np.hstack([block[x], V[v]]))
-    lines = WeightedLineSet.of(np.vstack(rows), p, dim=d).lines
-    return [line for line in lines if all(sphere.contains(q) for q in line.points())]
+    lines = WeightedLineSet.of(np.vstack(rows), p, dim=d)
+    B, D = lines.rows[:, :d], lines.rows[:, d:]
+    bv = np.zeros(len(B), dtype=np.int64)
+    for b, v in zip(B.T, D.T):
+        bv += b * v
+        bv %= p
+    if not ((norm_sq_rows(B, p) == t) & (bv == 0) & (norm_sq_rows(D, p) == 0)).all():
+        raise ArithmeticError("a candidate line is not on the sphere")
+    return list(lines.lines)
 
 
 def lines_on_sphere2(p: int, t: int) -> list[AffineLine]:

@@ -56,6 +56,25 @@ class TestConstruct:
         code, _ = run(tmp_path, "construct", "elekes", "--p", "23")
         assert code == 1
 
+    # the golden runs cover `construct coprime --planes 5`
+    @pytest.mark.parametrize("argv, flag", [
+        (["sphere", "--p", "5", "--n", "2"], "n"),
+        (["cylinder", "--p", "5", "--t", "1", "--k0", "2", "--m", "2", "--points", "3"],
+         "points"),
+        (["random-2d", "--p", "7", "--points", "2", "--planes", "1"], "planes"),
+        (["elekes", "--p", "23", "--n", "2", "--k", "1", "--l", "1"], "k"),
+    ])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
+        code, text = run(tmp_path, "construct", *argv)
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == (
+            f"usage error: construct {argv[0]} does not read --{flag}\n")
+
+    def test_unread_flag_at_its_default_is_allowed(self, tmp_path):
+        assert run(tmp_path, "construct", "coprime", "--p", "23", "--n", "2",
+                   "--planes", "0") == run(tmp_path, "construct", "coprime", "--p", "23",
+                                           "--n", "2")
+
     # the golden runs cover `construct sphere --planes -2` and a negative sweep count
     @pytest.mark.parametrize("argv, what", [
         (["random-3d", "--p", "7", "--points", "-3"], "point count, got -3"),
@@ -261,6 +280,20 @@ class TestSweep:
         with pytest.raises(Exception):
             parse_sweep_spec("construction=sphere\ntheorem=T41\np=7\n")  # bad pairing
 
+    @pytest.mark.parametrize("spec, line, what", [
+        ("construction=sphere\np=5\nplanes=x\n", 3, "non-integer value 'x' for planes"),
+        ("p=5\n# comment\nconstruction=torus\n", 3, "unknown construction 'torus'"),
+        ("p=23\nconstruction=coprime,elekes\nN=2\n", 2, "sweep cell needs a value for 'n'"),
+        ("theorem=T41\nconstruction=sphere\np=7\n", 1, "does not pair"),
+        ("construction=sphere\np=5\nk=2\n", 3, "no construction in this spec reads 'k'"),
+        ("p=5\n", 0, "needs a 'construction' key"),
+        ("construction=sphere\n", 0, "needs a 'p' key"),
+    ])
+    def test_errors_name_the_line_of_their_key(self, spec, line, what):
+        with pytest.raises(ConfigParseError, match=what) as exc:
+            parse_sweep_spec(spec)
+        assert exc.value.line == line
+
     def test_run_experiment_semi_isotropic(self):
         rows = run_experiment("construction=semi_isotropic\np=13\nk=2\nl=3\n")
         assert len(rows) == 1
@@ -340,7 +373,7 @@ class TestSweep:
     @pytest.mark.parametrize("hypothesis_holds, expected", [(True, 0), (False, 3)])
     def test_strict_reads_hypotheses_beside_branch_flag(self, capsys, hypothesis_holds, expected):
         report = BoundReport(theorem="T54", p=5, params={}, count=1, rhs=1.0, ratio=1.0,
-                             flags={"small_set_branch": False, "s_le_p2": hypothesis_holds})
+                             flags={"s_le_p2": hypothesis_holds}, branch="large")
         args = argparse.Namespace(format="csv", out="-", strict=True)
         assert cli._emit_rows([report], args) == expected
         assert capsys.readouterr().out.endswith(",1,s_le_p2=%d;small_set_branch=0\n"

@@ -93,6 +93,7 @@ CASES = {
     "construct-cylinder": ["construct", "cylinder", "--p", "5", "--t", "1",
                            "--k0", "2", "--m", "2"],
     "construct-sphere-negative-planes": ["construct", "sphere", "--p", "5", "--planes", "-2"],
+    "construct-unread-flag": ["construct", "coprime", "--p", "23", "--n", "2", "--planes", "5"],
     "construct-random-3d": ["--seed", "3", "construct", "random-3d", "--p", "11",
                             "--points", "10", "--planes", "5", "--lines", "2"],
     "construct-random-2d": ["--seed", "3", "construct", "random-2d", "--p", "11",

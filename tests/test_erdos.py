@@ -471,7 +471,7 @@ class TestSemiIsotropicPlane:
 class TestBlockBoundaries:
     @pytest.mark.parametrize("cells", [1, 2, 5, 13])
     def test_every_consumer_across_blocks(self, monkeypatch, cells):
-        monkeypatch.setattr(erdos, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
         rng = rng_for("erdos-blocks", cells)
         for p, dim in ((5, 3), (7, 3), (13, 2), (5, 2)):
             pts = random_distinct_points(rng, p, dim, 11)
@@ -525,8 +525,8 @@ def test_distance_set_memory_is_bounded_by_the_block(monkeypatch):
 
     pts = semi_isotropic_set(20, 40, 101, seed=1).points
     n = len(pts)
-    for cells in (erdos._BLOCK_CELLS, 1 << 14):
-        monkeypatch.setattr(erdos, "_BLOCK_CELLS", cells)
+    for cells in (counting._BLOCK_CELLS, 1 << 14):
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
         block = min(n, cells // n) * n
         scratch = min(block, counting._SCRATCH_CELLS // n * n)
         distance_set(pts, 101)

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 import oracles
+from fpgeom import counting, quadrics
 from fpgeom.field import legendre
-from fpgeom.geom import AffineLine, GeometryError, dot, isotropic_directions
+from fpgeom.geom import AffineLine, GeometryError, dot, homogeneous_reps, isotropic_directions
 from fpgeom.quadrics import (
     CylinderReport,
     Paraboloid,
@@ -119,6 +120,24 @@ class TestLinesOnSphere2:
                                   (7, 0), (7, 1), (7, 3)])
 def test_lines_on_sphere_match_the_unrestricted_scan(d, p, t):
     assert _raw(lines_on_sphere(p, d, t)) == oracles.sphere_lines_scan(p, d, t)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lines_on_sphere_across_blocks(monkeypatch, d, p):
+    for t in (0, 1, p - 1):
+        expected = oracles.sphere_lines_scan(p, d, t)
+        # one sphere row a block, or a few rows with blocks ending mid-set
+        for cells in (1, 7, 40):
+            monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+            assert _raw(lines_on_sphere(p, d, t)) == expected
+
+
+def test_lines_on_sphere_raises_on_a_row_off_the_sphere(monkeypatch):
+    # every direction as a candidate: a row with v.v != 0 fails the check
+    monkeypatch.setattr(quadrics, "isotropic_directions", homogeneous_reps)
+    with pytest.raises(ArithmeticError, match="not on the sphere"):
+        lines_on_sphere(5, 3, 1)
 
 
 class TestLinesOnSphere3:
