@@ -92,36 +92,30 @@ def _line_canonical(rows: np.ndarray, p: int) -> np.ndarray:
     return rows
 
 
-# products formed per slice of a table; a fixed size, not a tuning knob
-_SCRATCH_CELLS = 1 << 16
+# the row layer's one memory bound: a blocked kernel (the S x U table, the
+# line census, the rectangle census) keeps its int64 temporaries near
+# _BLOCK_CELLS cells; a fixed size, not a tuning knob
+_BLOCK_CELLS = 1 << 16
 
 
 def dot_mod(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """out[i, j] += A[i].B[j] mod p for rows of A and B with entries in
     [0, p), into a new zero table when out is None; returns out.
 
-    Products pass through one scratch of at most _SCRATCH_CELLS cells and are
-    reduced once per column: a product below p^2 plus an entry below 2p stays
-    below 2^63 for p < 2^31, so entries of out given below 2p end below p.
+    Each column's products are formed in one temporary shaped like out and
+    reduced once: a product below p^2 plus an entry below 2p stays below
+    2^63 for p < 2^31, so entries of out given below 2p end below p.
     """
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(f"rows of width {A.shape[1]} and {B.shape[1]}")
     if out is None:
         out = np.zeros((len(A), len(B)), dtype=np.int64)
-    step = max(1, _SCRATCH_CELLS // max(1, len(B)))
-    X = np.empty((min(step, len(A)), len(B)), dtype=np.int64)
-    for lo in range(0, len(A), step):
-        v = out[lo : lo + step]
-        x = X[: len(v)]
-        for a, b in zip(A[lo : lo + step].T, B.T):
-            np.multiply.outer(a, b, out=x)
-            v += x
-            v %= p
+    x = np.empty_like(out)
+    for a, b in zip(A.T, B.T):
+        np.multiply.outer(a, b, out=x)
+        out += x
+        out %= p
     return out
-
-
-# cells of one blocked table; a fixed size, not a tuning knob
-_BLOCK_CELLS = 1 << 20
 
 
 def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
@@ -321,7 +315,8 @@ class IncidenceReport:
 # residue n.q mod p, taken once per distinct normal, picks out the single
 # plane of that pencil through it.  Residues are matched against the sorted
 # int64 keys normal_id * p + offset, never against a dense table, so memory
-# is O(|planes| + block) and every step stays exact in int64 for p < 2^31.
+# is O(|points| + |planes|) plus a few int64 temporaries of one _BLOCK_CELLS
+# block, and every step stays exact in int64 for p < 2^31.
 
 def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
     """Yield (point index, plane index) arrays of incident pairs, block by block.
@@ -486,16 +481,16 @@ def _require_dim3(points, planes) -> None:
 # spanned and rich lines, isotropic-line maxima) reads one census.  A block
 # of bases is paired with its partners, each difference is scaled to its
 # canonical direction (first nonzero coordinate 1) and the pairs are grouped
-# by (base, direction) with a sort, so memory is O(block).  All products stay
-# below p^2 < 2^62, which keeps the census exact in int64 for p < 2^31.
+# by (base, direction) with a sort, in blocks from pair_blocks, so memory is
+# near _BLOCK_CELLS cells.  All products stay below p^2 < 2^62, which keeps
+# the census exact in int64 for p < 2^31.
 
-# point pairs handled per block of bases; a fixed size, not a tuning knob
-_CENSUS_PAIRS = 2048
-
-
-def pair_blocks(per_base: np.ndarray, size: int):
+def pair_blocks(per_base: np.ndarray):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
-    base b in order, about `size` pairs a block and one base at least."""
+    base b in order, about _BLOCK_CELLS // 16 pairs a block and one base at
+    least."""
+    # a census pair or a rectangle carries about 16 int64 cells of temporaries
+    size = _BLOCK_CELLS // 16
     ends = np.cumsum(per_base)
     start = 0
     while start < len(per_base):
@@ -520,7 +515,7 @@ def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
     n = len(P)
     bases = np.asarray(bases, dtype=np.int64)
     per_base = np.full(len(bases), n - 1) if all_partners else n - 1 - bases
-    for b, rank in pair_blocks(per_base, _CENSUS_PAIRS):
+    for b, rank in pair_blocks(per_base):
         I = bases[b]
         J = rank + (rank >= I) if all_partners else I + 1 + rank
         D = P[J]

@@ -91,10 +91,6 @@ def max_on_isotropic_line(points, p: int) -> int:
 # Coordinates stay below p < 2^31 and every product is reduced mod p before
 # the next sum, so all of it is exact in int64.
 
-# rectangles classified per block; a fixed size, not a tuning knob
-_CENSUS_RECTANGLES = 4096
-
-
 def _rectangle_classes(C: np.ndarray, x, y, z, p: int) -> np.ndarray:
     """Class codes (0 ordinary, 1 semi-degenerate, 2 degenerate) of the
     rectangles with diagonal {x, y} and corner z, given as rows of C.
@@ -251,7 +247,7 @@ def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> Ene
     # its run
     later = np.repeat(bounds[1:], r) - 1 - np.arange(len(X))
     counts = np.zeros(len(RectangleClass), dtype=np.int64)
-    for t, rank in pair_blocks(later, _CENSUS_RECTANGLES):
+    for t, rank in pair_blocks(later):
         counts += np.bincount(
             _rectangle_classes(C, X[t], Y[t], X[t + 1 + rank], p),
             minlength=len(counts),
@@ -317,14 +313,17 @@ def slice_energy_sum(points, p: int) -> SliceEnergyReport:
     """Energy of every lifted horizontal slice and the quarter-power total."""
     p = int(Prime(p))
     P = distinct_rows(points, p)
+    if len(P):
+        Paraboloid(p, P.shape[1])  # checks the dimension
     per: list[tuple[int, int]] = []
     total = 0.0
     for h in np.unique(P[:, -1:]).tolist():
         # the height-h slice, re-lifted onto the paraboloid
         U = P[P[:, -1] == h, :-1]
-        report = rectangle_energy_paraboloid(np.column_stack([U, norm_sq_rows(U, p)]), p)
-        per.append((h, report.energy))
-        total += report.energy ** 0.25
+        lifted = np.column_stack([U, norm_sq_rows(U, p)])
+        energy = additive_energy(lifted, lifted, p)
+        per.append((h, energy))
+        total += energy ** 0.25
     return SliceEnergyReport(per_height=tuple(per), quarter_power_sum=total)
 
 

@@ -102,7 +102,8 @@ def test_census_matches_direction_group_loop(case, picks, sample):
 
 @pytest.mark.parametrize("block", [1, 2, 5, 13])
 def test_block_boundaries(monkeypatch, block):
-    monkeypatch.setattr(counting, "_CENSUS_PAIRS", block)
+    # pair_blocks takes _BLOCK_CELLS // 16 pairs a block
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 16 * block)
     for dim, p in ((2, 5), (3, 7), (4, 3)):
         rng = random.Random(repr(("census-blocks", block, dim)))
         pts = {tuple(rng.randrange(p) for _ in range(dim)) for _ in range(14)}
@@ -112,9 +113,9 @@ def test_block_boundaries(monkeypatch, block):
         _check_all(p, pts, picks=[(1, 2), (3, 5)], sample=4)
 
 
-@pytest.mark.parametrize("block", [1, 2, 5, 13, counting._CENSUS_PAIRS])
+@pytest.mark.parametrize("block", [1, 2, 5, 13, counting._BLOCK_CELLS // 16])
 def test_isotropic_witness_is_smallest_line_across_blocks(monkeypatch, block):
-    monkeypatch.setattr(counting, "_CENSUS_PAIRS", block)
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 16 * block)
     p = 5
     # two isotropic 3-point lines: the first one the census meets, from (1, 0),
     # is not the smaller line, which has base (0, 0)
@@ -160,7 +161,8 @@ def test_census_memory_is_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert k == 2  # the pinned sweep row: no line lies on the unit sphere at p = 31
-    # about 240 bytes per pair of a block, plus a few int64 arrays over the points
-    assert peak < 512 * counting._CENSUS_PAIRS + 64 * n
+    # about 240 bytes per pair of a block of _BLOCK_CELLS // 16 pairs, plus a
+    # few int64 arrays over the points
+    assert peak < 32 * counting._BLOCK_CELLS + 64 * n
     # one int64 direction array over every pair would need n(n-1)/2 * 3 * 8 bytes
     assert peak < n * (n - 1) // 2 * 24 // 8

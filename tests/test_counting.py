@@ -211,16 +211,24 @@ class TestRowLayer:
             assert got is table
 
     @pytest.mark.parametrize("cells", [1, 2, 5, 13])
-    def test_dot_mod_across_scratch_slices(self, monkeypatch, cells):
-        monkeypatch.setattr(counting, "_SCRATCH_CELLS", cells)
-        rng = rng_for("dot-mod-scratch", cells)
+    def test_pair_values_across_blocks(self, monkeypatch, cells):
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        rng = rng_for("pair-values-blocks", cells)
         for p in (3, 5, 13, BIG):
             for n, m, width in ((7, 3, 3), (3, 7, 2), (11, 5, 4), (1, 9, 1)):
                 A = [tuple(rng.randrange(p) for _ in range(width)) for _ in range(n)]
                 B = [tuple(rng.randrange(p) for _ in range(width)) for _ in range(m)]
-                out = [[rng.randrange(2 * p) for _ in range(m)] for _ in range(n)]
-                got = dot_mod(_int_array(A, width), _int_array(B, width), p, _int_array(out, m))
-                assert got.tolist() == _python_dots(p, A, B, out)
+                a = [rng.randrange(p) for _ in range(n)]
+                b = [rng.randrange(p) for _ in range(m)]
+                offsets = [[x + y for y in b] for x in a]
+                for args, out in (((), None), ((np.array(a), np.array(b)), offsets)):
+                    rows, starts = [], []
+                    for start, V in counting._pair_values(
+                            _int_array(A, width), _int_array(B, width), p, *args):
+                        starts.append(start)
+                        rows += V.tolist()
+                    assert starts == list(range(0, n, max(1, cells // m)))
+                    assert rows == _python_dots(p, A, B, out)
 
     def test_dot_mod_rejects_a_width_mismatch(self):
         A, B = np.ones((2, 3), dtype=np.int64), np.ones((4, 2), dtype=np.int64)
@@ -532,6 +540,25 @@ class TestEngine:
         # every point of F_p^3 lies on p^2 + p + 1 planes of the complete family
         assert rep.pairs == len(Q) * (p * p + p + 1)
         assert peak < dense // 3
+
+    @pytest.mark.parametrize("cells", [counting._BLOCK_CELLS, 1 << 12])
+    def test_sphere_memory_is_bounded_by_the_block(self, monkeypatch, cells):
+        p = 31
+        Q, Pi = sphere_config(p)
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        tracemalloc.start()
+        try:
+            pairs, _ = weighted_incidences(Q, Pi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs == len(Q) * (p * p + p + 1)
+        # c = 8 int64 cells a block cell: against the complete plane family
+        # every residue is a hit, so the residue table, its product temporary,
+        # the lookup positions, the hit positions and the hit point and plane
+        # indices with their weights are all block-sized; the keys and the
+        # distinct normals add a few int64 arrays over the planes and points
+        assert peak < 8 * 8 * counting._BLOCK_CELLS + 64 * (len(Q) + len(Pi))
 
 
 class TestMaxCollinear:

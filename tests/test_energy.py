@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_distinct_points, rng_for
-from fpgeom import energy
+from fpgeom import counting, energy
 from fpgeom.constructions import cylinder_set
 from fpgeom.energy import (
     EnergyReport,
@@ -269,13 +269,20 @@ class TestSliceEnergy:
 
     def test_random_slices_match_oracle(self):
         p, rng = 7, rng_for("slices")
-        pts = random_distinct_points(rng, p, 3, 25)
-        rep = slice_energy_sum(pts, p)
-        for h, e in rep.per_height:
-            lifted = sorted(
-                {(q[0], q[1], (q[0] ** 2 + q[1] ** 2) % p) for q in pts if q[2] == h}
-            )
-            assert e == oracles.additive_energy(lifted, lifted, p)
+        for d in (3, 4):
+            pts = random_distinct_points(rng, p, d, 25)
+            rep = slice_energy_sum(pts, p)
+            assert [h for h, _ in rep.per_height] == sorted({q[-1] for q in pts})
+            for h, e in rep.per_height:
+                lifted = sorted(
+                    {q[:-1] + (sum(c * c for c in q[:-1]) % p,) for q in pts if q[-1] == h}
+                )
+                assert e == oracles.additive_energy(lifted, lifted, p)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_other_dimensions_raise(self, d):
+        with pytest.raises(GeometryError):
+            slice_energy_sum([(1,) * d], 7)
 
 
 class TestRestriction:
@@ -432,7 +439,8 @@ class TestCensusAgainstOracle:
 
     @pytest.mark.parametrize("block", [1, 2, 5, 13])
     def test_block_boundaries(self, monkeypatch, block):
-        monkeypatch.setattr(energy, "_CENSUS_RECTANGLES", block)
+        # pair_blocks takes _BLOCK_CELLS // 16 rectangles a block
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", 16 * block)
         cases = [
             (Paraboloid(5, 3).points(), 5, "paraboloid", None),
             (cylinder_set(5, 1, 2, 2).points, 5, "sphere", 1),

@@ -225,6 +225,17 @@ class TestIsotropicCylinder:
             }
             assert {q for q in section if sph.contains(q)} == axis_pts
 
+    @pytest.mark.parametrize("p, t", [(p, t) for p in (3, 5, 7, 11, 13) for t in (1, 2, 3)
+                                      if t % p])
+    def test_generators_are_the_parallel_lines_orthogonal_to_the_axis(self, p, t):
+        sph = Sphere(p, 4, t)
+        lines = lines_on_sphere(p, 4, t)
+        axis = lines[0]
+        x, u = axis.base, axis.direction
+        expected = {l for l in lines if l.direction == u
+                    and dot(tuple(b - c for b, c in zip(l.base, x)), u, p) == 0}
+        assert set(isotropic_cylinder(axis, x, sph).generators) | {axis} == expected
+
     def test_precondition_errors(self):
         sph, axis = self._setup()
         p = sph.p
