@@ -68,39 +68,20 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="emit a configuration file")
-    c.add_argument("name", choices=(
-        "sphere", "coprime", "elekes", "semi-isotropic", "cylinder",
-        "random-3d", "random-2d"))
+    c.add_argument("name", choices=[name.replace("_", "-") for name in _CONSTRUCTIONS])
     c.add_argument("--p", type=int, required=True)
     for flag, (default, text) in _CONSTRUCT_FLAGS.items():
         c.add_argument(f"--{flag}", type=int, default=default, help=text)
 
-    for name, extra in (
-        ("count", lambda s: (
-            s.add_argument("--restricted", action="store_true",
-                           help="discount incidences along the [lines] section"),
-        )),
-        ("distances", lambda s: (
-            s.add_argument("--exclude-zero", action="store_true"),
-        )),
-        ("energy", lambda s: (
-            s.add_argument("--quadric", choices=("paraboloid", "sphere"), required=True),
-            s.add_argument("--t", type=int, default=1),
-        )),
-        ("forms", lambda s: (
-            s.add_argument("--matrix", type=int, nargs=4, metavar=("M00", "M01", "M10", "M11")),
-            s.add_argument("--solutions", action="store_true",
-                           help="count value collisions instead of distinct values"),
-        )),
-        ("verify", lambda s: (
-            s.add_argument("--quadric", choices=("paraboloid", "sphere")),
-            s.add_argument("--t", type=int, default=1),
-        )),
-    ):
+    subcommands = {name: flags for name, (_, flags) in _MEASUREMENTS.items()}
+    subcommands["verify"] = [("--quadric", {"choices": ("paraboloid", "sphere")}),
+                             ("--t", {"type": int, "default": 1})]
+    for name, flags in subcommands.items():
         sp = sub.add_parser(name)
         sp.add_argument("config", help="configuration file path")
         sp.add_argument("--theorem", help="bound id for the rhs/ratio columns")
-        extra(sp)
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
 
     sw = sub.add_parser("sweep", help="run an experiment specification")
     sw.add_argument("spec", help="experiment spec path")
@@ -146,13 +127,9 @@ def _dispatch(args) -> int:
         return _cmd_verify(args)
     if args.command == "sweep":
         return _emit_rows(run_experiment_file(args.spec, seed=args.seed), args)
-    handler = {
-        "count": _cmd_count,
-        "distances": _cmd_distances,
-        "energy": _cmd_energy,
-        "forms": _cmd_forms,
-    }[args.command]
-    return _emit_rows(handler(args), args)
+    measure = _MEASUREMENTS[args.command][0]
+    doc = configio.load_config(args.config)
+    return _emit_rows([measure(doc, args.theorem, vars(args).get)], args)
 
 
 def _write_out(text: str, args) -> None:
@@ -200,8 +177,9 @@ def _cmd_construct(args) -> int:
 
 # ---------------------------------------------------------------------------
 # measurements, each shared by its subcommand and the sweep cells of its kind:
-# a document and a theorem in, one report out.  `cell` holds a sweep cell's
-# required keys, which its row shows in place of the subcommand's details.
+# a document, a theorem and `opt`, which reads an option by its argparse dest,
+# in; one report out.  `cell` holds a sweep cell's required keys, which its
+# row shows in place of the subcommand's details.
 
 def _row(p, label, theorem, params, count, known, flags=None) -> bounds.BoundReport:
     """The count against the theorem's rhs, its parameters taken from the
@@ -216,21 +194,24 @@ def _row(p, label, theorem, params, count, known, flags=None) -> bounds.BoundRep
     return bounds.BoundReport.build(res, int(p), params, count, extra_flags=flags)
 
 
-def _count(doc, theorem, cell=None, restricted=False, **extra) -> bounds.BoundReport:
+def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     """Point-plane incidences in dimension 3 (restricted along the [lines]
     section on request; T1C weighs them), point-line incidences in the plane,
-    where `extra` adds quantities the construction knows (a grid's a and b)."""
+    where points forming a grid A x B give T2 its a and b."""
     if doc.dim == 2:
-        if restricted:
+        if opt("restricted"):
             raise UsageError("count --restricted works on 3-dimensional configurations")
         lines = _planar_lines(doc)
         count = counting.count_point_line_2d(doc.points, lines, doc.p)
         params = {"q": len(doc.points), "l": len(lines)}
+        # T2's grid A x B: the distinct x and y values, when their product is q
+        a, b = (len(np.unique(col)) for col in doc.points.rows.T)
+        grid = {"a": a, "b": b} if a * b == len(doc.points) else {}
         return _row(doc.p, "point_line", theorem, {**params, **(cell or {})}, count,
-                    {**params, **extra})
+                    {**params, **grid})
     if doc.dim != 3:
         raise UsageError("count supports dim 2 and 3 configurations")
-    if restricted:
+    if opt("restricted"):
         rep = counting.count_restricted(doc.points, doc.planes, doc.lines.rows)
         label = "point_plane_restricted"
     else:
@@ -255,9 +236,9 @@ def _planar_lines(doc: ConfigDoc) -> WeightedPlaneSet:
                                doc.p, dim=2)
 
 
-def _distances(doc, theorem, cell=None, include_zero=True) -> bounds.BoundReport:
+def _distances(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     """The largest pinned distance count."""
-    rep = erdos.distance_set(doc.points.rows, doc.p, include_zero=include_zero)
+    rep = erdos.distance_set(doc.points.rows, doc.p, include_zero=not opt("exclude_zero"))
     params, flags = {"s": len(doc.points)}, {}
     if cell is not None:
         params.update(cell)
@@ -269,12 +250,13 @@ def _distances(doc, theorem, cell=None, include_zero=True) -> bounds.BoundReport
                 {"s": len(doc.points)}, flags)
 
 
-def _energy(doc, theorem, quadric, t, cell=None) -> bounds.BoundReport:
+def _energy(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     """Rectangle energy on the paraboloid or on the sphere of radius-square t."""
+    quadric = opt("quadric")
     if quadric == "paraboloid":
         rep = rectangle_energy_paraboloid(doc.points.rows, doc.p)
     else:
-        rep = rectangle_energy_sphere(doc.points.rows, doc.p, t)
+        rep = rectangle_energy_sphere(doc.points.rows, doc.p, opt("t"))
     known = {"a": rep.size, "k0": rep.k0}
     # the measured k0 replaces a cylinder cell's key of that name
     params = {**(cell or {}), **known}
@@ -284,10 +266,15 @@ def _energy(doc, theorem, quadric, t, cell=None) -> bounds.BoundReport:
     return _row(doc.p, f"energy_{quadric}", theorem, params, rep.energy, known)
 
 
-def _forms(doc, theorem, form, cell=None, solutions=False) -> bounds.BoundReport:
-    """Distinct values of a bilinear form, or its value collisions."""
+def _forms(doc, theorem, opt, cell=None) -> bounds.BoundReport:
+    """Distinct values of a bilinear form (the wedge unless a matrix is
+    given), or its value collisions."""
+    if doc.dim != 2:
+        raise UsageError("forms works on 2-dimensional configurations")
+    m = opt("matrix") or (0, 1, -1, 0)
+    form = erdos.FormSpec(doc.p, ((m[0], m[1]), (m[2], m[3])))
     points = doc.points.rows
-    if solutions:
+    if opt("solutions"):
         count, label = erdos.form_solution_count(points, points, form), "form_solutions"
     else:
         count, label = len(erdos.form_values(points, form)), "form_values"
@@ -295,30 +282,18 @@ def _forms(doc, theorem, form, cell=None, solutions=False) -> bounds.BoundReport
                 {"s": len(points)})
 
 
-# ---------------------------------------------------------------------------
-# measurement subcommands
-
-def _cmd_count(args) -> list[bounds.BoundReport]:
-    return [_count(configio.load_config(args.config), args.theorem, restricted=args.restricted)]
-
-
-def _cmd_distances(args) -> list[bounds.BoundReport]:
-    doc = configio.load_config(args.config)
-    return [_distances(doc, args.theorem, include_zero=not args.exclude_zero)]
-
-
-def _cmd_energy(args) -> list[bounds.BoundReport]:
-    doc = configio.load_config(args.config)
-    return [_energy(doc, args.theorem, args.quadric, args.t)]
-
-
-def _cmd_forms(args) -> list[bounds.BoundReport]:
-    doc = configio.load_config(args.config)
-    if doc.dim != 2:
-        raise UsageError("forms works on 2-dimensional configurations")
-    m = args.matrix or (0, 1, -1, 0)
-    form = erdos.FormSpec(doc.p, ((m[0], m[1]), (m[2], m[3])))
-    return [_forms(doc, args.theorem, form, solutions=args.solutions)]
+# subcommand -> (its measurement, its own flags as (flag, argparse kwargs))
+_MEASUREMENTS = {
+    "count": (_count, [("--restricted", {
+        "action": "store_true", "help": "discount incidences along the [lines] section"})]),
+    "distances": (_distances, [("--exclude-zero", {"action": "store_true"})]),
+    "energy": (_energy, [("--quadric", {"choices": ("paraboloid", "sphere"), "required": True}),
+                         ("--t", {"type": int, "default": 1})]),
+    "forms": (_forms, [
+        ("--matrix", {"type": int, "nargs": 4, "metavar": ("M00", "M01", "M10", "M11")}),
+        ("--solutions", {"action": "store_true",
+                         "help": "count value collisions instead of distinct values"})]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -394,24 +369,22 @@ def _random_2d(get, p, rng) -> ConfigDoc:
 
 
 # construction -> (the theorems it pairs with, the first the default; the sweep
-# keys it reads, each with its default, None when required; its builder; its
-# measurement, given the document, the theorem and the cell's required keys)
+# keys it reads, each with its default, None when required; its builder; the
+# subcommand that measures it and the options it fixes there)
 _CONSTRUCTIONS = {
-    "sphere": (("T1", "T1B"), {"planes": 0}, _sphere, _count),
+    "sphere": (("T1", "T1B"), {"planes": 0}, _sphere, "count", {}),
     "coprime": (("T41",), {"N": None},
                 lambda get, p, rng: ConfigDoc.of(p, 2, coprime_lattice(get("N"), p)),
-                lambda doc, theorem, cell: _forms(doc, theorem, erdos.dot_form(doc.p), cell)),
-    "elekes": (("T2", "T3", "VINH"), {"n": None}, _elekes,
-               lambda doc, theorem, cell: _count(doc, theorem, cell,
-                                                 a=cell["n"], b=2 * cell["n"] ** 2)),
+                "forms", {"matrix": (1, 0, 0, 1)}),
+    "elekes": (("T2", "T3", "VINH"), {"n": None}, _elekes, "count", {}),
     "semi_isotropic": (("T42",), {"k": None, "l": None},
                        lambda get, p, rng: ConfigDoc.of(p, 3, semi_isotropic_set(
                            get("k"), get("l"), p, seed=get("seed")).points),
-                       _distances),
+                       "distances", {}),
     "cylinder": (("T56",), {"t": None, "k0": None, "m": None}, _cylinder,
-                 lambda doc, theorem, cell: _energy(doc, theorem, "sphere", cell["t"], cell)),
-    "random_3d": (("T1", "T1B"), {"points": 32, "planes": 32}, _random_3d, _count),
-    "random_2d": (("VINH", "T3"), {"points": 32, "lines": 32}, _random_2d, _count),
+                 "energy", {"quadric": "sphere"}),
+    "random_3d": (("T1", "T1B"), {"points": 32, "planes": 32}, _random_3d, "count", {}),
+    "random_2d": (("VINH", "T3"), {"points": 32, "lines": 32}, _random_2d, "count", {}),
 }
 
 
@@ -427,7 +400,7 @@ def parse_sweep_spec(text: str) -> list[dict]:
 
     An error names the line of the key it concerns; a spec without a
     'construction' or 'p' key is reported at line 0."""
-    entries: dict[str, list[str]] = {}
+    entries: dict[str, list] = {}
     at: dict[str, int] = {}  # the line of each key
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -440,10 +413,12 @@ def parse_sweep_spec(text: str) -> list[dict]:
             raise ConfigParseError(f"unknown sweep key {key!r}", lineno)
         if key in entries:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
-        entries[key] = [v.strip() for v in value.split(",") if v.strip()]
-        at[key] = lineno
-        if not entries[key]:
+        values = [v.strip() for v in value.split(",") if v.strip()]
+        if not values:
             raise ConfigParseError(f"empty value for {key!r}", lineno)
+        if key not in ("construction", "theorem"):
+            values = [_sweep_number(key, v, lineno) for v in values]
+        entries[key], at[key] = values, lineno
     if "construction" not in entries:
         raise ConfigParseError("sweep spec needs a 'construction' key", 0)
     if "p" not in entries:
@@ -463,8 +438,7 @@ def parse_sweep_spec(text: str) -> list[dict]:
         raise ConfigParseError(f"no construction in this spec reads {unused[0]!r}",
                                at[unused[0]])
     cells = []
-    numeric_keys = sorted(entries)
-    value_lists = [entries[k] for k in numeric_keys]
+    keys = sorted(entries)
     for construction, cname in zip(constructions, names):
         allowed = _CONSTRUCTIONS[cname][0]
         for theorem in theorems:
@@ -473,15 +447,21 @@ def parse_sweep_spec(text: str) -> list[dict]:
                 raise ConfigParseError(
                     f"theorem {tid} does not pair with construction {construction}",
                     at["theorem"])
-            for combo in itertools.product(*value_lists):
-                cell = {"construction": cname, "theorem": tid}
-                for key, val in zip(numeric_keys, combo):
-                    try:
-                        cell[key] = int(val)
-                    except ValueError:
-                        raise ConfigParseError(f"non-integer value {val!r} for {key}", at[key])
-                cells.append(cell)
+            for combo in itertools.product(*(entries[k] for k in keys)):
+                cells.append({"construction": cname, "theorem": tid, **dict(zip(keys, combo))})
     return cells
+
+
+def _sweep_number(key: str, value: str, lineno: int) -> int:
+    """One value of a numeric sweep key, each p a Prime."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise ConfigParseError(f"non-integer value {value!r} for {key}", lineno) from None
+    try:
+        return Prime(number) if key == "p" else number
+    except ValueError as exc:
+        raise ConfigParseError(str(exc), lineno) from None
 
 
 def run_experiment(spec_text: str, seed: int = 0) -> list[bounds.BoundReport]:
@@ -490,14 +470,15 @@ def run_experiment(spec_text: str, seed: int = 0) -> list[bounds.BoundReport]:
     reports = []
     for cell in parse_sweep_spec(spec_text):
         name = cell["construction"]
-        _, keys, build, measure = _CONSTRUCTIONS[name]
-        # parsing made sure every required key has a value
+        _, keys, build, command, options = _CONSTRUCTIONS[name]
+        # parsing made sure every required key has a value and each p is prime
         values = {k: cell.get(k, cell.get(_ALIASES.get(k), d)) for k, d in keys.items()}
         values["seed"] = cell.get("seed", seed)
         shown = {key: values[key] for key, default in keys.items() if default is None}
-        p = Prime(cell["p"])
+        p = cell["p"]
         rng = random.Random(repr((values["seed"], int(p), name.rpartition("_")[2])))
-        reports.append(measure(build(values.get, p, rng), cell["theorem"], shown))
+        reports.append(_MEASUREMENTS[command][0](build(values.get, p, rng), cell["theorem"],
+                                                 {**values, **options}.get, shown))
     return reports
 
 

@@ -121,11 +121,17 @@ def dot_mod(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = None)
 def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
     """Yield (start, V), the S x U table in blocks of whole rows of about
     _BLOCK_CELLS cells: V[i, j] == S[start + i].U[j] + a[start + i] + b[j]
-    mod p (the offsets a and b, reduced mod p, only when given)."""
+    mod p (the offsets a and b, reduced mod p, only when given).  Every block
+    is written into one table, so the next block overwrites V."""
     rows = max(1, _BLOCK_CELLS // max(1, len(U)))
+    table = np.empty((min(rows, len(S)), len(U)), dtype=np.int64)
     for start in range(0, len(S), rows):
         block = S[start : start + rows]
-        V = None if a is None else np.add.outer(a[start : start + rows], b)
+        V = table[: len(block)]
+        if a is None:
+            V.fill(0)
+        else:
+            np.add.outer(a[start : start + rows], b, out=V)
         yield start, dot_mod(block, U, p, V)
 
 
@@ -341,7 +347,7 @@ def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
         pos[pos == len(keys)] = 0
         hit = np.flatnonzero(keys[pos] == flat)
         qi, pj = hit // u + start, pos[hit]
-        del acc, flat, pos, hit  # free the block while the caller reduces
+        del pos, hit  # free the block's temporaries while the caller reduces
         yield qi, pj
 
 

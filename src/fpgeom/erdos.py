@@ -248,16 +248,35 @@ def dot_form(p: int) -> FormSpec:
     return FormSpec(p, ((1, 0), (0, 1)))
 
 
+def _form_histogram(S: np.ndarray, T: np.ndarray, form: FormSpec):
+    """(values, counts): the distinct values of form(s, t) over S x T and
+    their multiplicities.  The blocks' runs are merged once they outnumber
+    a block's cells, and once after the last block."""
+    held = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    size = 0
+    # the rows M t, so that s.(M t) is the form value
+    for _, V in _pair_values(S, dot_mod(T, np.array(form.matrix), form.p), form.p):
+        flat = V.reshape(1, -1)
+        heads, runs = _row_runs(flat)
+        held.append((flat[0, heads], runs))
+        size += len(heads)
+        if size > V.size:
+            held, size = [_merge_runs(held)], 0
+    return _merge_runs(held)
+
+
+def _merge_runs(held) -> tuple[np.ndarray, np.ndarray]:
+    """One histogram of (values, counts) pairs whose values may repeat."""
+    values, slot = np.unique(np.concatenate([v for v, _ in held]), return_inverse=True)
+    counts = np.zeros(len(values), dtype=np.int64)
+    np.add.at(counts, slot, np.concatenate([c for _, c in held]))
+    return values, counts
+
+
 def form_values(points, form: FormSpec) -> frozenset[int]:
     """Exact value set {form(s, t) : s, t in S}."""
     P = distinct_rows(points, form.p, 2)
-    values = np.zeros(0, dtype=np.int64)
-    # the rows M t, so that s.(M t) is the form value
-    for _, V in _pair_values(P, dot_mod(P, np.array(form.matrix), form.p), form.p):
-        flat = V.reshape(1, -1)
-        heads, _ = _row_runs(flat)
-        values = np.union1d(values, flat[0, heads])
-    return frozenset(values.tolist())
+    return frozenset(_form_histogram(P, P, form)[0].tolist())
 
 
 def form_solution_count(
@@ -266,18 +285,11 @@ def form_solution_count(
     """Number of quadruples (s, s', t, t') in S x S x T x T with
     form(s, t) == form(s', t'), nonzero values only unless include_zero.
 
-    The value histogram over S x T is merged block by block from the runs,
-    and its squares are summed in python ints once they could pass int64.
+    The squares of the value histogram over S x T are summed in python ints
+    once they could pass int64.
     """
     S, T = distinct_rows(s_points, form.p, 2), distinct_rows(t_points, form.p, 2)
-    values = counts = np.zeros(0, dtype=np.int64)
-    for _, V in _pair_values(S, dot_mod(T, np.array(form.matrix), form.p), form.p):
-        flat = V.reshape(1, -1)
-        heads, size = _row_runs(flat)
-        values, slot = np.unique(np.concatenate([values, flat[0, heads]]), return_inverse=True)
-        merged = np.zeros(len(values), dtype=np.int64)
-        np.add.at(merged, slot, np.concatenate([counts, size]))
-        counts = merged
+    values, counts = _form_histogram(S, T, form)
     if not include_zero:
         counts = counts[values != 0]
     # the squares sum to at most (|S| |T|)^2

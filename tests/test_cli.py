@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fpgeom import cli
+from fpgeom import cli, configio
 from conftest import rng_for
 from fpgeom.bounds import BoundReport
 from fpgeom.cli import main, parse_sweep_spec, run_experiment
@@ -25,6 +25,22 @@ def run(tmp_path, *argv):
     code = main(["--out", str(out), *argv])
     text = out.read_text() if out.exists() else ""
     return code, text
+
+
+def record_measured(monkeypatch) -> list:
+    """Make every measurement append the document it measures to the list
+    returned."""
+    measured = []
+
+    def recording(measure):
+        def record(doc, theorem, opt, cell=None):
+            measured.append(doc)
+            return measure(doc, theorem, opt, cell)
+        return record
+
+    for command, (measure, flags) in list(cli._MEASUREMENTS.items()):
+        monkeypatch.setitem(cli._MEASUREMENTS, command, (recording(measure), flags))
+    return measured
 
 
 class TestConstruct:
@@ -144,6 +160,18 @@ class TestCountPipeline:
         code, text = run(tmp_path, "count", str(cfg))
         assert code == 0
         assert text.splitlines()[1] == "point_line,7,l=1;q=3,3,nan,nan,"
+
+    @pytest.mark.parametrize("points, row", [
+        ("", "T2,7,l=0;q=0,0,0,nan,a_le_b=1;al_lt_p2=1"),
+        ("[points]\n3 4\n", "T2,7,l=0;q=1,0,1,0,a_le_b=1;al_lt_p2=1"),
+    ])
+    def test_2d_T2_reads_the_grid_of_the_points(self, tmp_path, points, row):
+        # an empty set is the grid of no x and no y values, a point the 1 x 1 grid
+        cfg = tmp_path / "grid.txt"
+        cfg.write_text("p=7 dim=2\n" + points)
+        code, text = run(tmp_path, "count", str(cfg), "--theorem", "T2")
+        assert code == 0
+        assert text.splitlines()[1] == row
 
     def test_2d_restricted_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "plane.txt"
@@ -282,6 +310,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("spec, line, what", [
         ("construction=sphere\np=5\nplanes=x\n", 3, "non-integer value 'x' for planes"),
+        ("construction=sphere\np=5,4\n", 2, "modulus must be prime, got 4"),
         ("p=5\n# comment\nconstruction=torus\n", 3, "unknown construction 'torus'"),
         ("p=23\nconstruction=coprime,elekes\nN=2\n", 2, "sweep cell needs a value for 'n'"),
         ("theorem=T41\nconstruction=sphere\np=7\n", 1, "does not pair"),
@@ -326,19 +355,47 @@ class TestSweep:
                                                      construct_argv, spec):
         code, emitted = run(tmp_path, "construct", *construct_argv)
         assert code == 0
-        measured = []
-
-        def recording(measure):
-            def record(doc, theorem, cell):
-                measured.append(doc)
-                return measure(doc, theorem, cell)
-            return record
-
-        monkeypatch.setattr(cli, "_CONSTRUCTIONS", {
-            name: (theorems, keys, build, recording(measure))
-            for name, (theorems, keys, build, measure) in cli._CONSTRUCTIONS.items()})
+        measured = record_measured(monkeypatch)
         run_experiment(spec)
         assert [emit_config(doc) for doc in measured] == [emitted]
+
+    # one cell of each construction, with the subcommand run that measures it
+    SUBCOMMAND_RUNS = {
+        "sphere": ("construction=sphere\np=7\nplanes=20\n", ["count"]),
+        "coprime": ("construction=coprime\np=101\nN=4\n",
+                    ["forms", "--matrix", "1", "0", "0", "1"]),
+        "elekes": ("construction=elekes\np=101\nn=5\n", ["count"]),
+        "semi_isotropic": ("construction=semi_isotropic\np=13\nk=2\nl=4\n", ["distances"]),
+        "cylinder": ("construction=cylinder\np=5\nt=1\nk0=2\nm=2\n",
+                     ["energy", "--quadric", "sphere", "--t", "1"]),
+        "random_3d": ("construction=random_3d\np=11\npoints=20\nplanes=12\n", ["count"]),
+        "random_2d": ("construction=random_2d\np=13\npoints=20\nlines=12\n", ["count"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(cli._CONSTRUCTIONS))
+    def test_sweep_row_matches_its_subcommand(self, tmp_path, monkeypatch, name):
+        # the subcommand measures the document the sweep cell built, with each
+        # theorem the construction pairs with
+        spec, argv = self.SUBCOMMAND_RUNS[name]
+        theorems, _, _, command, _ = cli._CONSTRUCTIONS[name]
+        assert argv[0] == command
+        measured = record_measured(monkeypatch)
+        reports = run_experiment(spec + "theorem=" + ",".join(theorems) + "\n")
+        monkeypatch.undo()
+        assert len(measured) == len(reports) == len(theorems)
+        cfg = tmp_path / "doc.txt"
+        for doc, theorem, report in zip(measured, theorems, reports):
+            cfg.write_text(emit_config(doc))
+            code, text = run(tmp_path, argv[0], str(cfg), *argv[1:], "--theorem", theorem)
+            assert code == 0
+            got = text.splitlines()[1].split(",")
+            want = [str(v) for v in configio.report_row(report).values()]
+            assert got[3:5] == want[3:5]  # count and rhs
+            sweep_flags, flags = (dict(f.split("=") for f in row[6].split(";") if f)
+                                  for row in (want, got))
+            # the subcommand adds its own details beside the sweep row's flags
+            assert sweep_flags.items() <= flags.items()
+            assert set(flags) - set(sweep_flags) <= {"outside_semi_isotropic_plane"}
 
     def test_empty_spec_is_error(self, tmp_path):
         spec = tmp_path / "empty.txt"
@@ -382,10 +439,10 @@ class TestSweep:
 
 class TestInternalErrors:
     def test_unexpected_exception_is_one_line_exit_4(self, tmp_path, monkeypatch, capsys):
-        def broken(args):
+        def broken(doc, theorem, opt, cell=None):
             raise TypeError("unsupported operand")
 
-        monkeypatch.setattr(cli, "_cmd_energy", broken)
+        monkeypatch.setitem(cli._MEASUREMENTS, "energy", (broken, cli._MEASUREMENTS["energy"][1]))
         cfg = tmp_path / "e.txt"
         cfg.write_text("p=7 dim=3\n[points]\n0 0 0\n")
         code, _ = run(tmp_path, "energy", str(cfg), "--quadric", "paraboloid")

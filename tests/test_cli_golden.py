@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from fpgeom.cli import main
-from fpgeom.constructions import semi_isotropic_set
+from fpgeom.configio import ConfigDoc, emit_config
+from fpgeom.constructions import elekes_grid, semi_isotropic_set
 from fpgeom.quadrics import Paraboloid, Sphere
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -38,6 +39,7 @@ def _config(p: int, dim: int, points=(), planes=(), lines=()) -> str:
 
 
 def _files() -> dict[str, str]:
+    grid = elekes_grid(2, 23)
     return {
         # weighted 3-D set with a forbidden line carrying four points
         "w3.txt": _config(7, 3, points=["0 0 0 w=2", "1 0 0", "2 0 0", "3 0 0", "0 1 0",
@@ -64,6 +66,7 @@ def _files() -> dict[str, str]:
         "mid3.txt": _config(10007, 3, points=[(0, 0, 0), (1, 2, 3), (5, 7, 11)]),
         "big3.txt": _config(2147483647, 3, points=[(0, 0, 0), (1, 2, 3), (5, 7, 11)]),
         "forms2.txt": _config(13, 2, points=[(1, 0), (0, 1), (1, 1), (2, 3), (5, 7)]),
+        "elekes2.txt": emit_config(ConfigDoc.of(23, 2, grid.points, grid.lines)),
         "sweep_sphere.txt": "construction=sphere\ntheorem=T1,T1B\np=5,7\n",
         "sweep_coprime.txt": "construction=coprime\np=23,29\nN=2\n",
         "sweep_elekes.txt": "construction=elekes\ntheorem=T2,T3,VINH\np=23\nn=2,3\n",
@@ -79,6 +82,7 @@ def _files() -> dict[str, str]:
         # no construction of the spec reads planes
         "sweep_unused_key.txt": "construction=semi_isotropic\np=13\nk=2\nl=3\nplanes=5\n",
         "sweep_negative.txt": "construction=random_2d\np=11\npoints=-4\n",
+        "sweep_nonprime.txt": "construction=sphere\np=5,4\n",
     }
 
 
@@ -110,6 +114,7 @@ CASES = {
     "count-2d-T3": ["count", "plane2.txt", "--theorem", "T3"],
     "count-2d-VINH": ["count", "plane2.txt", "--theorem", "VINH"],
     "count-2d-T2": ["count", "plane2.txt", "--theorem", "T2"],
+    "count-2d-grid-T2": ["count", "elekes2.txt", "--theorem", "T2"],
     "count-2d-shared-line": ["count", "dup2.txt", "--theorem", "VINH"],
     "count-dim4": ["count", "dim4.txt"],
     "distances": ["distances", "dist3.txt"],
@@ -147,6 +152,7 @@ CASES = {
     "sweep-sphere-planes": ["--seed", "2", "sweep", "sweep_sphere_planes.txt"],
     "sweep-unused-key": ["sweep", "sweep_unused_key.txt"],
     "sweep-negative-count": ["sweep", "sweep_negative.txt"],
+    "sweep-nonprime-p": ["sweep", "sweep_nonprime.txt"],
 }
 
 VARIANTS = {"": [], "[json]": ["--format", "json"], "[strict]": ["--strict"]}

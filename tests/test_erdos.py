@@ -535,9 +535,8 @@ def test_distance_set_memory_is_bounded_by_the_block(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 24 bytes a cell while a block is formed: its table, the product
-        # temporary of the same shape, and the previous block's table, still
-        # bound to the loop variable; its run-head masks (2 bytes a cell) come
-        # after the temporary is freed; the run heads and per-point arrays
-        # stay within 512 bytes a point
-        assert peak < 24 * block + 512 * n, (cells, peak)
+        # 16 bytes a cell while a block is formed: the one table every block
+        # is written into and the product temporary of the same shape; its
+        # run-head masks (2 bytes a cell) come after the temporary is freed;
+        # the run heads and per-point arrays stay within 512 bytes a point
+        assert peak < 16 * block + 512 * n, (cells, peak)
