@@ -239,13 +239,10 @@ def _planar_lines(doc: ConfigDoc) -> WeightedPlaneSet:
 def _distances(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     """The largest pinned distance count."""
     rep = erdos.distance_set(doc.points.rows, doc.p, include_zero=not opt("exclude_zero"))
-    params, flags = {"s": len(doc.points)}, {}
-    if cell is not None:
-        params.update(cell)
-    else:
-        params["values"] = len(rep.values)
-        if rep.in_semi_isotropic_plane is not None:
-            flags["outside_semi_isotropic_plane"] = not rep.in_semi_isotropic_plane
+    params = {"s": len(doc.points), **({"values": len(rep.values)} if cell is None else cell)}
+    flags = {}
+    if rep.in_semi_isotropic_plane is not None:
+        flags["outside_semi_isotropic_plane"] = not rep.in_semi_isotropic_plane
     return _row(doc.p, "pinned_distances", theorem, params, rep.max_pinned,
                 {"s": len(doc.points)}, flags)
 

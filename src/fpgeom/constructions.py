@@ -27,7 +27,7 @@ from .geom import (
     smul,
     vadd,
 )
-from .quadrics import Sphere, isotropic_cylinder, lines_on_sphere, sphere_points
+from .quadrics import lines_on_sphere, sphere_points
 
 
 class ConstraintError(ValueError):
@@ -197,12 +197,11 @@ def cylinder_set(p: int, t: int, k0: int, m: int, seed: int | None = None) -> Cy
     if not lines:
         raise ConstraintError(f"the sphere t={t} over F_{p} contains no isotropic line")
     axis = lines[0]
-    sphere = Sphere(p, 4, t)
-    cyl = isotropic_cylinder(axis, axis.base, sphere)
-    gens = list(cyl.generators)
-    if axis not in gens:
-        gens.append(axis)
-        gens.sort()
+    # the cylinder's generators are the lines b + s u on the sphere with
+    # (b - x).u == 0, x and u the axis's base and direction; b.u == 0 on
+    # every line b + s u on the sphere, the axis too, so they are all the
+    # lines parallel to the axis
+    gens = [line for line in lines if line.direction == axis.direction]
     if len(gens) < m:
         raise ConstraintError(
             f"cylinder offers only {len(gens)} generators, asked for {m}"

@@ -135,12 +135,12 @@ def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
         yield start, dot_mod(block, U, p, V)
 
 
-def norm_sq_rows(V: np.ndarray, p: int) -> np.ndarray:
-    """v.v mod p for every row v of V with entries in [0, p), reduced once
-    per column."""
+def dot_rows(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
+    """U[i].V[i] mod p for every row index i of U and V with entries in
+    [0, p), reduced once per column."""
     out = np.zeros(len(V), dtype=np.int64)
-    for col in V.T:
-        out += col * col
+    for a, b in zip(U.T, V.T, strict=True):
+        out += a * b
         out %= p
     return out
 
@@ -281,7 +281,7 @@ class WeightedLineSet(_WeightedRows):
             raise DimensionMismatchError("covector form only defined for planar lines")
         p, B, D = self.p, self.rows[:, :2], self.rows[:, 2:]
         N = np.column_stack([-D[:, 1] % p, D[:, 0]])
-        return np.column_stack([N, (N * B).sum(axis=1) % p])
+        return np.column_stack([N, dot_rows(N, B, p)])
 
 
 def _line_items(item, p: int) -> tuple[int, ...]:
@@ -351,6 +351,20 @@ def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
         yield qi, pj
 
 
+def _weigh(points, planes, blocks) -> tuple[int, int]:
+    """(pairs, weighted) over blocks of (point index, plane index) arrays:
+    the number of pairs, and the sum of w(q) * w(pi) over them."""
+    # int64 products and sums are exact while the weighted total stays below
+    # _NP_SAFE; beyond it the weights are held as python ints
+    dtype = np.int64 if points.total_weight() * planes.total_weight() < _NP_SAFE else object
+    wq, wp = np.array(points.weights, dtype=dtype), np.array(planes.weights, dtype=dtype)
+    pairs = weighted = 0
+    for qi, pj in blocks:
+        pairs += len(qi)
+        weighted += int(np.dot(wq[qi], wp[pj]))
+    return pairs, weighted
+
+
 def weighted_incidences(points: WeightedPointSet, planes: WeightedPlaneSet) -> tuple[int, int]:
     """(pairs, weighted) for points and affine hyperplanes of one dimension:
     the incident pairs, and the sum of w(q) * w(pi) over them."""
@@ -358,15 +372,7 @@ def weighted_incidences(points: WeightedPointSet, planes: WeightedPlaneSet) -> t
         raise DimensionMismatchError("point and plane sets differ in dimension")
     if points.p != planes.p:
         raise ValueError("point and plane sets use different moduli")
-    # int64 products and sums are exact while the weighted total stays below
-    # _NP_SAFE; beyond it the weights are held as python ints
-    dtype = np.int64 if points.total_weight() * planes.total_weight() < _NP_SAFE else object
-    wq, wp = np.array(points.weights, dtype=dtype), np.array(planes.weights, dtype=dtype)
-    pairs = weighted = 0
-    for qi, pj in _incident_pairs(points.rows, *planes.arrays(), points.p):
-        pairs += len(qi)
-        weighted += int(np.dot(wq[qi], wp[pj]))
-    return pairs, weighted
+    return _weigh(points, planes, _incident_pairs(points.rows, *planes.arrays(), points.p))
 
 
 def _forbidden_pairs(P, N, off, p: int, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,9 +453,9 @@ def count_restricted(points: WeightedPointSet, planes: WeightedPlaneSet,
         raise DimensionMismatchError("forbidden line does not match the sets") from exc
     pairs, weighted = weighted_incidences(points, planes)
     # every forbidden pair is incident, so subtracting them is exact
-    qi, pj = _forbidden_pairs(points.rows, *planes.arrays(), points.p, forb)
-    lost = sum(points.weights[i] * planes.weights[j] for i, j in zip(qi.tolist(), pj.tolist()))
-    return _report(points, planes, pairs - len(qi), weighted - lost, forb)
+    lost_pairs, lost = _weigh(points, planes,
+                              [_forbidden_pairs(points.rows, *planes.arrays(), points.p, forb)])
+    return _report(points, planes, pairs - lost_pairs, weighted - lost, forb)
 
 
 def count_point_plane_naive(
@@ -622,7 +628,7 @@ def isotropic_lines(points, p: int) -> tuple[int, int, AffineLine | None]:
         return 0, 0, None
     null_pairs, best, key = 0, 0, None
     for base, _, count, D in _line_census(P, p, np.arange(len(P))):
-        iso = np.flatnonzero(norm_sq_rows(D, p) == 0)
+        iso = np.flatnonzero(dot_rows(D, D, p) == 0)
         if not len(iso):
             continue
         null_pairs += int(count[iso].sum())

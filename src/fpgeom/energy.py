@@ -30,8 +30,8 @@ from .counting import (
     _scale_canonical,
     distinct_rows,
     dot_mod,
+    dot_rows,
     isotropic_lines,
-    norm_sq_rows,
     pair_blocks,
 )
 from .field import Prime
@@ -101,8 +101,8 @@ def _rectangle_classes(C: np.ndarray, x, y, z, p: int) -> np.ndarray:
     a %= p
     b = C[y] - C[z]
     b %= p
-    iso_a = norm_sq_rows(a, p) == 0
-    iso_b = norm_sq_rows(b, p) == 0
+    iso_a = dot_rows(a, a, p) == 0
+    iso_b = dot_rows(b, b, p) == 0
     both = iso_a & iso_b
     # with both sides isotropic all four vertices lie on one line exactly
     # when the (nonzero) sides are parallel: their canonical directions agree
@@ -275,7 +275,7 @@ def rectangle_energy_paraboloid(points, p: int) -> EnergyReport:
     if not len(P):
         return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, "paraboloid", None)
     Paraboloid(p, P.shape[1])  # checks the dimension
-    _require_on(P, norm_sq_rows(P[:, :-1], p) != P[:, -1], "paraboloid")
+    _require_on(P, dot_rows(P[:, :-1], P[:, :-1], p) != P[:, -1], "paraboloid")
     return _rectangle_report(P, P[:, :-1], p, "paraboloid")
 
 
@@ -287,7 +287,7 @@ def rectangle_energy_sphere(points, p: int, t: int) -> EnergyReport:
     P = distinct_rows(points, p)
     if not len(P):
         return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, "sphere", None)
-    _require_on(P, norm_sq_rows(P, p) != Sphere(p, P.shape[1], t).t, "sphere")
+    _require_on(P, dot_rows(P, P, p) != Sphere(p, P.shape[1], t).t, "sphere")
     return _rectangle_report(P, P, p, "sphere")
 
 
@@ -320,7 +320,7 @@ def slice_energy_sum(points, p: int) -> SliceEnergyReport:
     for h in np.unique(P[:, -1:]).tolist():
         # the height-h slice, re-lifted onto the paraboloid
         U = P[P[:, -1] == h, :-1]
-        lifted = np.column_stack([U, norm_sq_rows(U, p)])
+        lifted = np.column_stack([U, dot_rows(U, U, p)])
         energy = additive_energy(lifted, lifted, p)
         per.append((h, energy))
         total += energy ** 0.25
@@ -377,13 +377,9 @@ def restriction_ratio(g, p: int, d: int) -> RestrictionReport:
         if key in support:
             raise ValueError(f"two support points reduce to the same residue {key}")
         support[key] = v
-    slice_rep = (
-        slice_energy_sum(list(support), p)
-        if support
-        else SliceEnergyReport((), 0.0)
-    )
     if not support:
         return RestrictionReport(0.0, 0.0, None, 0, (), _NORMALIZATION)
+    slice_rep = slice_energy_sum(list(support), p)
     par = Paraboloid(p, d)
     xis = par.points()
     ghat = fourier_transform(support, p, xis)

@@ -32,7 +32,7 @@ from .counting import (
     _scale_canonical,
     distinct_rows,
     dot_mod,
-    norm_sq_rows,
+    dot_rows,
 )
 from .energy import right_corners
 from .field import Prime, legendre
@@ -55,19 +55,42 @@ class NullPairError(GeometryError):
 # ---------------------------------------------------------------------------
 # the pair-value kernel
 
-def _row_runs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_runs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort each row of V in place and return the flat positions of its runs
-    of equal values with their lengths; runs never cross rows."""
+    of equal values, their values and their lengths; runs never cross rows."""
     V.sort(axis=1)
     head = np.ones(V.shape, dtype=bool)
     head[:, 1:] = V[:, 1:] != V[:, :-1]
     heads = np.flatnonzero(head)
-    return heads, np.diff(heads, append=V.size)
+    return heads, V.reshape(-1)[heads], np.diff(heads, append=V.size)
+
+
+def _histogram(runs) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts): the histogram of the (values, counts) pairs in runs,
+    whose values may repeat.  Held runs are merged into the histogram once
+    they outnumber it, so each run is merged O(log) times and memory stays
+    near one block plus twice the histogram."""
+    merged = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    held, size = [], 0
+    for run in runs:
+        held.append(run)
+        size += len(run[0])
+        if size > len(merged[0]):
+            merged, held, size = _merge_runs([merged, *held]), [], 0
+    return _merge_runs([merged, *held])
+
+
+def _merge_runs(held) -> tuple[np.ndarray, np.ndarray]:
+    """One histogram of (values, counts) pairs whose values may repeat."""
+    values, slot = np.unique(np.concatenate([v for v, _ in held]), return_inverse=True)
+    counts = np.zeros(len(values), dtype=np.int64)
+    np.add.at(counts, slot, np.concatenate([c for _, c in held]))
+    return values, counts
 
 
 def _distance_terms(P: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(U, norms) with |s - t|^2 == s.U[t] + norms[s] + norms[t] mod p."""
-    return -2 * P % p, norm_sq_rows(P, p)
+    return -2 * P % p, dot_rows(P, P, p)
 
 
 # ---------------------------------------------------------------------------
@@ -131,27 +154,28 @@ def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
         raise GeometryError("need at least two distinct points")
     n, dim = P.shape
     U, norms = _distance_terms(P, p)
-    values = np.zeros(0, dtype=np.int64)
     pinned = np.zeros(n, dtype=np.int64)
-    zero_pairs = 0
-    for start, V in _pair_values(P, U, p, norms, norms):
-        heads, size = _row_runs(V)
-        value = V.reshape(-1)[heads]
-        pinned[start : start + len(V)] = np.bincount(heads // n, minlength=len(V))
-        # each row holds its own point at distance 0
-        zero_pairs += int(size[value == 0].sum()) - len(V)
-        values = np.union1d(values, value)
-    # 0 is in every row, so the nonzero pinned count is one less
+
+    def row_runs():
+        for start, V in _pair_values(P, U, p, norms, norms):
+            heads, value, size = _row_runs(V)
+            pinned[start : start + len(V)] = np.bincount(heads // n, minlength=len(V))
+            yield value, size
+
+    values, counts = _histogram(row_runs())
+    # 0 is in every row, at least once for the point itself, so it is the
+    # least value, and the nonzero pinned count is one less
+    zero_pairs = int(counts[0]) - n
     pinned_nz = pinned - 1
-    counts = pinned if include_zero else pinned_nz
+    pinned_counts = pinned if include_zero else pinned_nz
     values = frozenset(values.tolist())
     return DistanceReport(
         values=values,
         nonzero_values=values - {0},
         pinned_counts=tuple(pinned.tolist()),
         pinned_counts_nonzero=tuple(pinned_nz.tolist()),
-        max_pinned=int(counts.max()),
-        min_pinned=int(counts.min()),
+        max_pinned=int(pinned_counts.max()),
+        min_pinned=int(pinned_counts.min()),
         zero_pairs=zero_pairs,
         in_semi_isotropic_plane=(
             supported_in_semi_isotropic_plane(P, p) if dim == 3 else None
@@ -187,8 +211,8 @@ def energy_delta(points, p: int, restricted: bool = False) -> int:
             I += start
             distinct = I != J
             total -= _equidistant(P, U, norms, I[distinct], J[distinct], p)
-        heads, size = _row_runs(V)
-        size = size[V.reshape(-1)[heads] != 0]
+        _, value, size = _row_runs(V)
+        size = size[value != 0]
         total += int(np.dot(size, size))
     return total
 
@@ -250,27 +274,10 @@ def dot_form(p: int) -> FormSpec:
 
 def _form_histogram(S: np.ndarray, T: np.ndarray, form: FormSpec):
     """(values, counts): the distinct values of form(s, t) over S x T and
-    their multiplicities.  The blocks' runs are merged once they outnumber
-    a block's cells, and once after the last block."""
-    held = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
-    size = 0
+    their multiplicities, each block sorted as one row."""
     # the rows M t, so that s.(M t) is the form value
-    for _, V in _pair_values(S, dot_mod(T, np.array(form.matrix), form.p), form.p):
-        flat = V.reshape(1, -1)
-        heads, runs = _row_runs(flat)
-        held.append((flat[0, heads], runs))
-        size += len(heads)
-        if size > V.size:
-            held, size = [_merge_runs(held)], 0
-    return _merge_runs(held)
-
-
-def _merge_runs(held) -> tuple[np.ndarray, np.ndarray]:
-    """One histogram of (values, counts) pairs whose values may repeat."""
-    values, slot = np.unique(np.concatenate([v for v, _ in held]), return_inverse=True)
-    counts = np.zeros(len(values), dtype=np.int64)
-    np.add.at(counts, slot, np.concatenate([c for _, c in held]))
-    return values, counts
+    U = dot_mod(T, np.array(form.matrix), form.p)
+    return _histogram(_row_runs(V.reshape(1, -1))[1:] for _, V in _pair_values(S, U, form.p))
 
 
 def form_values(points, form: FormSpec) -> frozenset[int]:

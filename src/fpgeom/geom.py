@@ -111,18 +111,11 @@ class AffinePlane:
     offset: int
 
     def __post_init__(self):
-        n = tuple(int(c) % self.p for c in self.normal)
-        if is_zero(n):
+        if is_zero(int(c) % self.p for c in self.normal):
             raise GeometryError("plane normal must be nonzero")
-        off = int(self.offset) % self.p
-        for c in n:
-            if c != 0:
-                if c != 1:
-                    s = inv(c, self.p)
-                    n = smul(s, n, self.p)
-                    off = off * s % self.p
-                break
-        object.__setattr__(self, "normal", n)
+        # the normal leads the row, so its first nonzero entry is scaled to 1
+        *n, off = scale_canonical((*self.normal, self.offset), self.p)
+        object.__setattr__(self, "normal", tuple(n))
         object.__setattr__(self, "offset", off)
 
     @property

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import WeightedLineSet, _pair_values, norm_sq_rows
+from .counting import WeightedLineSet, _pair_values, dot_rows
 from .field import Prime, inv, sqrt_mod
 from .geom import (
     AffineLine,
@@ -138,15 +138,17 @@ def lines_on_sphere(p: int, d: int, t: int) -> list[AffineLine]:
         block = S[start : start + len(X)]
         x, v = np.nonzero((X == 0) & (block == 0)[:, lead])
         rows.append(np.hstack([block[x], V[v]]))
-    lines = WeightedLineSet.of(np.vstack(rows), p, dim=d)
+    return list(_checked_on_sphere(WeightedLineSet.of(np.vstack(rows), p, dim=d), t))
+
+
+def _checked_on_sphere(lines: WeightedLineSet, t: int) -> tuple[AffineLine, ...]:
+    """The lines of the set, each canonical row b + s v checked against
+    |b|^2 == t, b.v == 0 and v.v == 0; a row failing raises ArithmeticError."""
+    p, d = lines.p, lines.dim
     B, D = lines.rows[:, :d], lines.rows[:, d:]
-    bv = np.zeros(len(B), dtype=np.int64)
-    for b, v in zip(B.T, D.T):
-        bv += b * v
-        bv %= p
-    if not ((norm_sq_rows(B, p) == t) & (bv == 0) & (norm_sq_rows(D, p) == 0)).all():
-        raise ArithmeticError("a candidate line is not on the sphere")
-    return list(lines.lines)
+    if not ((dot_rows(B, B, p) == t) & (dot_rows(B, D, p) == 0) & (dot_rows(D, D, p) == 0)).all():
+        raise ArithmeticError("a line is not on the sphere")
+    return lines.lines
 
 
 def lines_on_sphere2(p: int, t: int) -> list[AffineLine]:
@@ -183,7 +185,8 @@ def isotropic_cylinder(line: AffineLine, x: Vec, sphere: Sphere) -> CylinderRepo
     For each direction v orthogonal to the axis with v.v != 0, the point
     x + beta(v) * v with beta(v) = -2(x.v)/(v.v) is back on the sphere and
     generates a line parallel to the axis.  Preconditions (isotropic axis
-    contained in the sphere, x on both) are checked individually.
+    contained in the sphere, x on both) are checked individually; the
+    generators pass the row check of lines_on_sphere.
     """
     p = sphere.p
     if sphere.dim != 4:
@@ -201,26 +204,18 @@ def isotropic_cylinder(line: AffineLine, x: Vec, sphere: Sphere) -> CylinderRepo
         raise GeometryError("base point is not on the sphere")
     u = line.direction
     shifts: list[tuple[Vec, int]] = []
-    gens: set[AffineLine] = set()
     for v in homogeneous_reps(p, 4):
         if dot(u, v, p) != 0:
             continue
         nv = norm_sq(v, p)
         if nv == 0:
             continue
-        beta = -2 * dot(x, v, p) * inv(nv, p) % p
-        q = vadd(x, smul(beta, v, p), p)
-        gen = AffineLine(p, q, u)
-        if not sphere.contains(q) or not all(sphere.contains(w) for w in gen.points()):
-            raise ArithmeticError("cylinder generator left the sphere")  # unreachable
-        if not gen.is_isotropic():
-            raise ArithmeticError("cylinder generator is not isotropic")  # unreachable
-        shifts.append((v, beta))
-        gens.add(gen)
+        shifts.append((v, -2 * dot(x, v, p) * inv(nv, p) % p))
+    gens = WeightedLineSet.of([(vadd(x, smul(beta, v, p), p), u) for v, beta in shifts], p, dim=4)
     return CylinderReport(
         axis=line,
         point=x,
         t=sphere.t,
         shifts=tuple(shifts),
-        generators=tuple(sorted(gens)),
+        generators=_checked_on_sphere(gens, sphere.t),
     )

@@ -18,7 +18,7 @@ from fpgeom.constructions import (
 from fpgeom.counting import count_point_line_2d, max_collinear
 from fpgeom.erdos import distance_set
 from fpgeom.geom import homogeneous_reps, isotropic_directions
-from fpgeom.quadrics import Sphere
+from fpgeom.quadrics import Sphere, isotropic_cylinder
 from conftest import rng_for
 
 
@@ -190,6 +190,16 @@ class TestCylinderSet:
             cylinder_set(5, 1, 9, 1)  # k0 > p
         with pytest.raises(ConstraintError):
             cylinder_set(5, 1, 2, 10**6)  # more generators than exist
+
+    @pytest.mark.parametrize("p, t", [(p, t) for p in (3, 5, 7, 11, 13, 17, 19, 23)
+                                      for t in (1, 2, 3) if t % p])
+    def test_generators_match_isotropic_cylinder(self, p, t):
+        # the construction reads its generators from the sphere's lines;
+        # isotropic_cylinder shifts the axis's base along each direction
+        axis = cylinder_set(p, t, 1, 1).axis
+        rep = isotropic_cylinder(axis, axis.base, Sphere(p, 4, t))
+        expected = tuple(sorted(set(rep.generators) | {axis}))
+        assert cylinder_set(p, t, 1, len(expected)).generators == expected
 
     def test_seeded_variant(self):
         a = cylinder_set(5, 1, 2, 2, seed=4)

@@ -19,8 +19,8 @@ from fpgeom.counting import (
     count_restricted,
     distinct_rows,
     dot_mod,
+    dot_rows,
     max_collinear,
-    norm_sq_rows,
     rich_lines,
     spanned_lines,
     weighted_incidences,
@@ -195,7 +195,7 @@ def _python_dots(p, A, B, out):
 
 
 class TestRowLayer:
-    """`dot_mod`, `norm_sq_rows` and `distinct_rows` against python ints and
+    """`dot_mod`, `dot_rows` and `distinct_rows` against python ints and
     the oracles."""
 
     @given(dot_cases())
@@ -237,12 +237,17 @@ class TestRowLayer:
         with pytest.raises(DimensionMismatchError):
             dot_mod(B, A, 5)
 
-    @given(st.sampled_from((3, 5, 13, BIG)).flatmap(lambda p: st.tuples(
-        st.just(p), st.lists(st.tuples(*(_residues(p),) * 3), max_size=8))))
+    @given(st.tuples(st.sampled_from((3, 5, 13, BIG)), st.integers(1, 4),
+                     st.integers(0, 8)).flatmap(lambda c: st.tuples(
+        *map(st.just, c[:2]),
+        *(st.lists(st.tuples(*(_residues(c[0]),) * c[1]), min_size=c[2], max_size=c[2]),) * 2)))
     @settings(max_examples=100, deadline=None)
-    def test_norm_sq_rows_matches_oracle(self, case):
-        p, rows = case
-        assert norm_sq_rows(_int_array(rows, 3), p).tolist() == [oracles.nsq(v, p) for v in rows]
+    def test_dot_rows_matches_python_ints(self, case):
+        p, width, U, V = case
+        got = dot_rows(_int_array(U, width), _int_array(V, width), p)
+        assert got.tolist() == [sum(a * b for a, b in zip(u, v)) % p for u, v in zip(U, V)]
+        assert dot_rows(_int_array(V, width), _int_array(V, width), p).tolist() == [
+            oracles.nsq(v, p) for v in V]
 
     @given(raw_sets())
     @settings(max_examples=100, deadline=None)

@@ -519,6 +519,27 @@ class TestLargePrime:
         assert form_solution_count(pts, pts, form, include_zero=True) == _sq_histogram(
             pts, pts, m, BIG, True)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_histogram_merges_logarithmically_often(self, monkeypatch, dim):
+        # no value repeats at 2^31 - 1, so the histogram grows with every
+        # block; merging once the held runs outnumber it merges O(log) times
+        cells = 1 << 10
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        merge, calls = erdos._merge_runs, []
+        monkeypatch.setattr(erdos, "_merge_runs", lambda held: calls.append(1) or merge(held))
+        pts = random_distinct_points(rng_for("histogram-merges", dim), BIG, dim, 300)
+        blocks = -(-len(pts) // (cells // len(pts)))
+        if dim == 3:
+            rep = distance_set(pts, BIG)
+            assert rep.values == frozenset(oracles.distance_values(pts, BIG))
+            assert rep.zero_pairs == oracles.zero_pairs(pts, BIG)
+            assert calls
+        else:
+            m = ((1, 2), (3, 5))
+            assert form_values(pts, FormSpec(BIG, m)) == frozenset(
+                oracles.form_values(pts, m, BIG))
+        assert len(calls) <= 2 * blocks.bit_length() + 2, (len(calls), blocks)
+
 
 def test_distance_set_memory_is_bounded_by_the_block(monkeypatch):
     from fpgeom.constructions import semi_isotropic_set

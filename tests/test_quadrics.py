@@ -236,6 +236,12 @@ class TestIsotropicCylinder:
                     and dot(tuple(b - c for b, c in zip(l.base, x)), u, p) == 0}
         assert set(isotropic_cylinder(axis, x, sph).generators) | {axis} == expected
 
+    def test_a_wrong_shift_fails_the_row_check(self, monkeypatch):
+        sph, axis = self._setup()
+        monkeypatch.setattr(quadrics, "inv", lambda a, p: 1)
+        with pytest.raises(ArithmeticError, match="not on the sphere"):
+            isotropic_cylinder(axis, axis.base, sph)
+
     def test_precondition_errors(self):
         sph, axis = self._setup()
         p = sph.p
