@@ -5,25 +5,8 @@ distance and additive-energy statistics, extremal constructions, and
 bound-ratio reporting, all at desk-scale odd primes.
 """
 
-from .field import FieldElement, Prime, inv, legendre, sqrt_mod
-from .geom import (
-    AffineLine,
-    AffinePlane,
-    PlaneType,
-    PluckerLine,
-    ProjPlane,
-    ProjPoint,
-    alpha_beta_meet,
-    classify_plane4,
-    dir_perp,
-    incident,
-    is_isotropic,
-    klein_map,
-    line_through,
-    null_pair_stats,
-    null_triangle_check,
-    plucker_points,
-)
+from .field import Prime, inv, legendre, sqrt_mod
+from .geom import AffineLine, AffinePlane
 from .counting import (
     IncidenceReport,
     WeightedLineSet,
@@ -36,15 +19,7 @@ from .counting import (
     rich_lines,
     weighted_incidences,
 )
-from .quadrics import (
-    Paraboloid,
-    Sphere,
-    isotropic_cylinder,
-    lines_on_sphere2,
-    paraboloid_lift,
-    slice_lift,
-    sphere_points,
-)
+from .quadrics import Paraboloid, Sphere, paraboloid_lift, sphere_points
 from .erdos import (
     DistanceReport,
     FormSpec,
@@ -59,12 +34,8 @@ from .erdos import (
 from .energy import (
     EnergyReport,
     RectangleClass,
-    additive_energy,
-    classify_rectangle,
     rectangle_energy_paraboloid,
     rectangle_energy_sphere,
-    restriction_ratio,
-    slice_energy_sum,
 )
 from .constructions import (
     ConstraintError,

@@ -27,7 +27,7 @@ from .geom import (
     smul,
     vadd,
 )
-from .quadrics import lines_on_sphere, sphere_points
+from .quadrics import _sphere_lines, sphere_points
 
 
 class ConstraintError(ValueError):
@@ -193,22 +193,24 @@ def cylinder_set(p: int, t: int, k0: int, m: int, seed: int | None = None) -> Cy
         raise ConstraintError("need k0 >= 1 and m >= 1")
     if k0 > p:
         raise ConstraintError(f"a line over F_{p} has only {p} points, asked for {k0}")
-    lines = lines_on_sphere(p, 4, t)
-    if not lines:
+    lines = _sphere_lines(p, 4, t)
+    if not len(lines):
         raise ConstraintError(f"the sphere t={t} over F_{p} contains no isotropic line")
-    axis = lines[0]
-    # the cylinder's generators are the lines b + s u on the sphere with
-    # (b - x).u == 0, x and u the axis's base and direction; b.u == 0 on
-    # every line b + s u on the sphere, the axis too, so they are all the
-    # lines parallel to the axis
-    gens = [line for line in lines if line.direction == axis.direction]
-    if len(gens) < m:
+    # the axis is the first line on the sphere; with x and u its base and
+    # direction, the cylinder's generators are the lines b + s u on the
+    # sphere with (b - x).u == 0.  b.u == 0 on every line b + s u on the
+    # sphere, the axis too, so they are all the lines parallel to the axis,
+    # the axis first, and only the m kept become AffineLines
+    rows = lines.rows
+    parallel = rows[(rows[:, 4:] == rows[0, 4:]).all(axis=1)]
+    if len(parallel) < m:
         raise ConstraintError(
-            f"cylinder offers only {len(gens)} generators, asked for {m}"
+            f"cylinder offers only {len(parallel)} generators, asked for {m}"
         )
+    gens = [AffineLine(lines.p, r[:4], r[4:]) for r in parallel[:m].tolist()]
     rng = random.Random(seed)
     points: list[Vec] = []
-    for line in gens[:m]:
+    for line in gens:
         params = range(k0) if seed is None else rng.sample(range(p), k0)
         for s in params:
             points.append(vadd(line.base, smul(s, line.direction, p), p))
@@ -218,8 +220,8 @@ def cylinder_set(p: int, t: int, k0: int, m: int, seed: int | None = None) -> Cy
         k0=k0,
         generator_count=m,
         points=tuple(points),
-        generators=tuple(gens[:m]),
-        axis=axis,
+        generators=tuple(gens),
+        axis=gens[0],
     )
 
 

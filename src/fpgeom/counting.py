@@ -489,13 +489,14 @@ def _require_dim3(points, planes) -> None:
 # ---------------------------------------------------------------------------
 # collinearity statistics: the line census
 #
-# Every statistic about lines through two or more points (k, k*, sampled k,
-# spanned and rich lines, isotropic-line maxima) reads one census.  A block
-# of bases is paired with its partners, each difference is scaled to its
-# canonical direction (first nonzero coordinate 1) and the pairs are grouped
-# by (base, direction) with a sort, in blocks from pair_blocks, so memory is
-# near _BLOCK_CELLS cells.  All products stay below p^2 < 2^62, which keeps
-# the census exact in int64 for p < 2^31.
+# Every statistic about lines through two or more points (k and k*, spanned
+# and rich lines, the right-triangle tables and energy's k0, the most points
+# on one isotropic line) reads one census.  A block of bases is paired with
+# its partners, each difference is scaled to its canonical direction (first
+# nonzero coordinate 1) and the pairs are grouped by (base, direction) with
+# a sort, in blocks from pair_blocks, so memory is near _BLOCK_CELLS cells.
+# All products stay below p^2 < 2^62, which keeps the census exact in int64
+# for p < 2^31.
 
 def pair_blocks(per_base: np.ndarray):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
@@ -516,19 +517,18 @@ def pair_blocks(per_base: np.ndarray):
             yield base, rank
 
 
-def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
+def _line_census(P: np.ndarray, p: int, all_partners: bool = False):
     """Yield (base, first partner, count, direction) arrays, block by block.
 
     A group gathers the partners j of base i whose difference P[j] - P[i]
     has one canonical direction, so count + 1 rows of P lie on that line
-    through P[i].  Partners are the later rows j > i, or every j != i with
-    all_partners.  Groups come in (base, first partner) order.
+    through P[i].  Every row is a base; its partners are the later rows
+    j > i, or every j != i with all_partners.  Groups come in (base, first
+    partner) order.
     """
     n = len(P)
-    bases = np.asarray(bases, dtype=np.int64)
-    per_base = np.full(len(bases), n - 1) if all_partners else n - 1 - bases
-    for b, rank in pair_blocks(per_base):
-        I = bases[b]
+    per_base = np.full(n, n - 1) if all_partners else np.arange(n - 1, -1, -1)
+    for I, rank in pair_blocks(per_base):
         J = rank + (rank >= I) if all_partners else I + 1 + rank
         D = P[J]
         D -= P[I]
@@ -543,19 +543,17 @@ def _line_census(P: np.ndarray, p: int, bases, all_partners: bool = False):
         yield I[first], J[first], count[first], D[first]
 
 
-def _collinearity(points: WeightedPointSet, exclude=(),
-                  bases=None) -> tuple[tuple[int, AffineLine | None], ...]:
+def _collinearity(points: WeightedPointSet,
+                  exclude=()) -> tuple[tuple[int, AffineLine | None], ...]:
     """(k, witness) over all lines and (k*, witness) over lines not in exclude
     (anything WeightedLineSet.of takes), from one pass; the first line to
-    reach each maximum in (base, first partner) order is its witness.  Given
-    bases, only lines through a base count, each base paired with every point."""
+    reach each maximum in (base, first partner) order is its witness."""
     P, p, n = points.rows, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
     banned = set(map(tuple, WeightedLineSet.of(exclude, p, dim=points.dim).rows.tolist()))
     best = best_star = (1, None)
-    sampled = bases is not None
-    for base, _, count, D in _line_census(P, p, bases if sampled else np.arange(n), sampled):
+    for base, _, count, D in _line_census(P, p):
         size = count + 1
         top = int(size.argmax())
         if size[top] > best[0]:
@@ -571,34 +569,21 @@ def _collinearity(points: WeightedPointSet, exclude=(),
     return tuple((k, line and AffineLine(p, *line)) for k, line in (best, best_star))
 
 
-def max_collinear(points, p: int, sample: int | None = None) -> tuple[int, AffineLine]:
-    """Largest number of collinear points and a witness line achieving it.
-
-    The exact pass takes every point as a base of the line census.  For
-    very large sets, `sample` restricts the bases to a seeded random subset
-    paired with every other point; the result is then a lower bound for k
-    and is never used where exactness is required.
-    """
-    if sample is not None and sample < 1:
-        raise ValueError("sample must be at least 1")
+def max_collinear(points, p: int) -> tuple[int, AffineLine]:
+    """Largest number of collinear points and a witness line achieving it:
+    the first line to reach it in (base, first partner) order."""
     P = distinct_rows(points, p)
     if len(P) < 2:
         raise GeometryError("need at least two distinct points")
-    # two distinct points and at least one base always give a witness line
-    bases = None
-    if sample is not None and sample < len(P):
-        import random
-
-        bases = sorted(random.Random(repr(("max-collinear", len(P), sample))).sample(
-            range(len(P)), sample))
-    return _collinearity(WeightedPointSet.of(P, p), bases=bases)[0]
+    # two distinct points always give a witness line
+    return _collinearity(WeightedPointSet.of(P, p))[0]
 
 
 def _spanned(points, p: int, least: int):
     """(line, exact point count) for every line through at least `least` of
     the points, seen once from its earliest point."""
     P = distinct_rows(points, p)
-    for base, first, count, D in _line_census(P, p, np.arange(len(P)), all_partners=True):
+    for base, first, count, D in _line_census(P, p, all_partners=True):
         # a base is the earliest point of its line when no partner precedes it
         for g in np.flatnonzero((first > base) & (count + 1 >= least)):
             yield AffineLine(p, P[base[g]], D[g]), int(count[g]) + 1
@@ -614,35 +599,6 @@ def rich_lines(points, k: int, p: int) -> list[tuple[AffineLine, int]]:
     if k < 2:
         raise ValueError("richness threshold must be at least 2")
     return sorted(_spanned(points, p, k), key=lambda item: (-item[1], item[0]))
-
-
-def isotropic_lines(points, p: int) -> tuple[int, int, AffineLine | None]:
-    """(point pairs with isotropic difference, most points on one isotropic
-    line, the smallest line holding that many), over distinct points.
-
-    Isotropy of a difference does not depend on its scaling, so the census
-    groups with norm_sq(direction) == 0 hold exactly the null pairs.
-    """
-    P = distinct_rows(points, p)
-    if len(P) < 2:
-        return 0, 0, None
-    null_pairs, best, key = 0, 0, None
-    for base, _, count, D in _line_census(P, p, np.arange(len(P))):
-        iso = np.flatnonzero(dot_rows(D, D, p) == 0)
-        if not len(iso):
-            continue
-        null_pairs += int(count[iso].sum())
-        size = count[iso] + 1
-        top = int(size.max())
-        if top < best:
-            continue
-        hit = iso[size == top]
-        low = tuple(WeightedLineSet.of(np.hstack([P[base[hit]], D[hit]]), p).rows[0].tolist())
-        if top > best or low < key:
-            best, key = top, low
-    dim = P.shape[1]
-    witness = None if key is None else AffineLine(p, key[:dim], key[dim:])
-    return null_pairs, best, witness
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Additive energy on quadrics: rectangle criteria, taxonomy, slice energies
-and the Fourier restriction ratio at tiny p.
+"""Additive energy on quadrics: the rectangle criteria and taxonomy.
 
 Energy is the ordered-quadruple count of x + y == z + u: the ordered pair
 sums are sorted into runs of equal sums, and each run of size m adds m^2.
@@ -19,23 +18,22 @@ many of their two side directions are isotropic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .counting import (
+    _line_census,
     _runs,
     _scale_canonical,
     distinct_rows,
     dot_mod,
     dot_rows,
-    isotropic_lines,
     pair_blocks,
 )
 from .field import Prime
-from .geom import DimensionMismatchError, GeometryError, Vec, as_vec, dot, vadd, vsub
+from .geom import GeometryError
 from .quadrics import Paraboloid, Sphere
 
 
@@ -65,24 +63,21 @@ class EnergyReport:
     multiplicity_range: tuple[int, int] | None
 
 
-def additive_energy(a_points, b_points, p: int) -> int:
-    """Ordered quadruples (x, y, z, u) in A x B x A x B with x + y == z + u."""
-    p = int(Prime(p))
-    A, B = distinct_rows(a_points, p), distinct_rows(b_points, p)
-    if not len(A) or not len(B):
-        return 0
-    size = np.diff(_sum_runs(A, B, p)[1])
-    return int(np.dot(size, size))
-
-
 def max_on_isotropic_line(points, p: int) -> int:
     """Largest number of the points collected by one isotropic line.
 
     Lines are spanned by point pairs; sets without a null pair score
-    min(|A|, 1).
+    min(|A|, 1).  Isotropy of a difference does not depend on its scaling,
+    so the line census groups with an isotropic direction are the lines of
+    the null pairs.
     """
     P = distinct_rows(points, p)
-    return max(min(len(P), 1), isotropic_lines(P, p)[1])
+    best = min(len(P), 1)
+    for _, _, count, D in _line_census(P, p):
+        iso = dot_rows(D, D, p) == 0
+        if iso.any():
+            best = max(best, int(count[iso].max()) + 1)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +166,14 @@ def _corner_count(A: np.ndarray, C: np.ndarray, p: int) -> int:
     return total
 
 
-def _sum_runs(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The runs (order, bounds) of equal sums among the sums A[i] + B[j] mod
-    p, flattened at position i * len(B) + j."""
-    if A.shape[1] != B.shape[1]:
-        raise DimensionMismatchError(f"summands of dimensions {A.shape[1]} and {B.shape[1]}")
-    sums = A[:, None, :] + B
-    sums %= p
-    return _runs(sums.reshape(len(A) * len(B), -1))
-
-
 def _ordered_sums(A: np.ndarray, p: int) -> tuple[int, int]:
     """(energy, pairwise-distinct ordered solutions) from the n^2 ordered
-    pair sums of the rows of A, grouped by one sort."""
+    pair sums A[i] + A[j] mod p, flattened at position i * n + j and grouped
+    by one sort."""
     n = len(A)
-    order, bounds = _sum_runs(A, A, p)
+    sums = A[:, None, :] + A
+    sums %= p
+    order, bounds = _runs(sums.reshape(n * n, -1))
     size = np.diff(bounds)
     # x + y == x + u forces y == u, so the off-diagonal pairs of one sum are
     # disjoint and give off * (off - 2) pairwise-distinct solutions; the
@@ -203,27 +191,6 @@ def _unordered_sums(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.n
     sums %= p
     order, bounds = _runs(sums)
     return I[order], J[order], bounds
-
-
-def classify_rectangle(x: Vec, y: Vec, z: Vec, u: Vec, p: int) -> RectangleClass:
-    """Classify the rectangle with diagonals {x, y} and {z, u}.
-
-    The quadruple must satisfy x + y == z + u with pairwise distinct
-    vertices and a right angle at every vertex; otherwise
-    NotARectangleError is raised.
-    """
-    p = int(Prime(p))
-    x, y = as_vec(x, p), as_vec(y, p, len(x))
-    z, u = as_vec(z, p, len(x)), as_vec(u, p, len(x))
-    if len({x, y, z, u}) != 4:
-        raise NotARectangleError("rectangle vertices must be pairwise distinct")
-    if vadd(x, y, p) != vadd(z, u, p):
-        raise NotARectangleError("diagonals do not share a midpoint-sum")
-    for corner, n1, n2 in ((z, x, y), (u, x, y), (x, z, u), (y, z, u)):
-        if dot(vsub(n1, corner, p), vsub(n2, corner, p), p) != 0:
-            raise NotARectangleError(f"no right angle at vertex {corner}")
-    code = _rectangle_classes(np.array([x, y, z], dtype=np.int64), [0], [1], [2], p)
-    return list(RectangleClass)[int(code[0])]
 
 
 def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> EnergyReport:
@@ -295,104 +262,3 @@ def _require_on(P: np.ndarray, off: np.ndarray, quadric: str) -> None:
     """Raise for the first row of P flagged in off."""
     if off.any():
         raise GeometryError(f"point {tuple(P[off.argmax()].tolist())} is not on the {quadric}")
-
-
-# ---------------------------------------------------------------------------
-# slice energies and the restriction-norm ratio
-
-@dataclass(frozen=True)
-class SliceEnergyReport:
-    per_height: tuple[tuple[int, int], ...]  # (h, energy of the lifted slice)
-    quarter_power_sum: float
-
-    def energies(self) -> dict[int, int]:
-        return dict(self.per_height)
-
-
-def slice_energy_sum(points, p: int) -> SliceEnergyReport:
-    """Energy of every lifted horizontal slice and the quarter-power total."""
-    p = int(Prime(p))
-    P = distinct_rows(points, p)
-    if len(P):
-        Paraboloid(p, P.shape[1])  # checks the dimension
-    per: list[tuple[int, int]] = []
-    total = 0.0
-    for h in np.unique(P[:, -1:]).tolist():
-        # the height-h slice, re-lifted onto the paraboloid
-        U = P[P[:, -1] == h, :-1]
-        lifted = np.column_stack([U, dot_rows(U, U, p)])
-        energy = additive_energy(lifted, lifted, p)
-        per.append((h, energy))
-        total += energy ** 0.25
-    return SliceEnergyReport(per_height=tuple(per), quarter_power_sum=total)
-
-
-@dataclass(frozen=True)
-class RestrictionReport:
-    lhs: float
-    rhs: float
-    ratio: float | None
-    support_size: int
-    slice_energies: tuple[tuple[int, int], ...]
-    normalization: str
-
-
-_NORMALIZATION = (
-    "ghat(xi) = sum_x g(x) exp(2*pi*i*(x.xi)/p); "
-    "|ghat|_{L2}^2 = p^-(d-1) * sum over the p^(d-1) paraboloid points"
-)
-
-
-def fourier_transform(g, p: int, xis) -> np.ndarray:
-    """Character sums ghat(xi) = sum_x g(x) e_p(x . xi) over the given xi list."""
-    p = int(Prime(p))
-    items = [(as_vec(x, p), complex(v)) for x, v in g.items() if v != 0]
-    if not items:
-        return np.zeros(len(list(xis)), dtype=complex)
-    d = len(items[0][0])
-    X = np.array([as_vec(x, p, d) for x, _ in items], dtype=np.int64)
-    vals = np.array([v for _, v in items], dtype=complex)
-    Xi = np.array([as_vec(x, p, d) for x in xis], dtype=np.int64).reshape(-1, d)
-    return vals @ np.exp(2j * math.pi * dot_mod(X, Xi, p) / p)
-
-
-def restriction_ratio(g, p: int, d: int) -> RestrictionReport:
-    """Restriction norm of ghat on the dual paraboloid against the slice-energy bound.
-
-    g maps points of F_p^d to complex values with sup norm at most 1.  The
-    right-hand side is |S|^(1/2) + |S|^(3/8) * p^(-(d-2)/8) * sqrt of the
-    quarter-power slice-energy sum; implied constant fixed at 1.
-    """
-    p = int(Prime(p))
-    if d not in (3, 4):
-        raise GeometryError("restriction ratio supports d = 3 and 4")
-    support = {}
-    for x, v in g.items():
-        v = complex(v)
-        if v == 0:
-            continue
-        if abs(v) > 1 + 1e-12:
-            raise ValueError(f"sup norm exceeded at {x}: |{v}| > 1")
-        key = as_vec(x, p, d)
-        if key in support:
-            raise ValueError(f"two support points reduce to the same residue {key}")
-        support[key] = v
-    if not support:
-        return RestrictionReport(0.0, 0.0, None, 0, (), _NORMALIZATION)
-    slice_rep = slice_energy_sum(list(support), p)
-    par = Paraboloid(p, d)
-    xis = par.points()
-    ghat = fourier_transform(support, p, xis)
-    lhs = math.sqrt(float(np.sum(np.abs(ghat) ** 2)) / p ** (d - 1))
-    s = len(support)
-    rhs = s ** 0.5 + s ** 0.375 * p ** (-(d - 2) / 8) * math.sqrt(
-        slice_rep.quarter_power_sum
-    )
-    return RestrictionReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs if rhs > 0 else None,
-        support_size=s,
-        slice_energies=slice_rep.per_height,
-        normalization=_NORMALIZATION,
-    )

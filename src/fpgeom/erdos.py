@@ -255,21 +255,9 @@ class FormSpec:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "matrix", m)
 
-    def evaluate(self, s: Vec, t: Vec) -> int:
-        p, m = self.p, self.matrix
-        s, t = as_vec(s, p, 2), as_vec(t, p, 2)
-        return (
-            s[0] * (m[0][0] * t[0] + m[0][1] * t[1])
-            + s[1] * (m[1][0] * t[0] + m[1][1] * t[1])
-        ) % p
-
 
 def wedge_form(p: int) -> FormSpec:
     return FormSpec(p, ((0, 1), (-1, 0)))
-
-
-def dot_form(p: int) -> FormSpec:
-    return FormSpec(p, ((1, 0), (0, 1)))
 
 
 def _form_histogram(S: np.ndarray, T: np.ndarray, form: FormSpec):
@@ -391,7 +379,7 @@ def right_triangle_count(points, p: int) -> RightTriangleReport:
     total -= n * (2 * n - 1)
     aggregated = 0
     groups = []
-    for base, _, count, D in _line_census(P, p, np.arange(n), all_partners=True):
+    for base, _, count, D in _line_census(P, p, all_partners=True):
         # blocks hold whole bases, so a (base, direction) group and the group
         # of its perpendicular direction meet in one run of two rows
         rows = np.column_stack([base, D])

@@ -114,82 +114,3 @@ def _tonelli_shanks(a: int, p: int) -> int:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-class FieldElement:
-    """Canonical residue in [0, p) with overloaded field arithmetic.
-
-    Convenience wrapper for interactive use; the bulk data structures in
-    this package keep raw ints for speed.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.p = Prime(p)
-        self.value = int(value) % self.p
-
-    def _other(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other.value
-        return int(other) % self.p
-
-    def __add__(self, other):
-        return FieldElement(self.value + self._other(other), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.value - self._other(other), self.p)
-
-    def __rsub__(self, other):
-        return FieldElement(self._other(other) - self.value, self.p)
-
-    def __mul__(self, other):
-        return FieldElement(self.value * self._other(other), self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.value * inv(self._other(other), self.p), self.p)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return FieldElement(pow(inv(self.value, self.p), -e, self.p), self.p)
-        return FieldElement(pow(self.value, e, self.p), self.p)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.p)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, int(self.p)))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {int(self.p)})"
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(inv(self.value, self.p), self.p)
-
-    def legendre(self) -> int:
-        return legendre(self.value, self.p)
-
-    def sqrt(self) -> tuple["FieldElement", ...] | None:
-        roots = sqrt_mod(self.value, self.p)
-        if roots is None:
-            return None
-        return tuple(FieldElement(r, self.p) for r in roots)
-
-    def is_square(self) -> bool:
-        return legendre(self.value, self.p) >= 0

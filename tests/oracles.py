@@ -310,6 +310,24 @@ def sphere_lines_scan(p, d, t) -> list:
     return sorted(out)
 
 
+def cylinder_generators(base, u, p) -> list:
+    """Canonical (base, direction) of the isotropic cylinder's generators
+    around the axis base + s u on the 3-sphere, sorted: the axis, and for
+    each direction v with u.v == 0 and v.v != 0 the line through
+    base + beta v parallel to the axis, beta = -2 (base.v) / (v.v) putting
+    that point back on the sphere."""
+    lines = {canonical_line(base, u, p)}
+    for lead in range(len(u)):
+        for tail in product(range(p), repeat=len(u) - lead - 1):
+            v = (0,) * lead + (1,) + tail
+            vv = nsq(v, p)
+            if sum(a * b for a, b in zip(u, v)) % p or vv == 0:
+                continue
+            beta = -2 * sum(a * b for a, b in zip(base, v)) * pow(vv, p - 2, p) % p
+            lines.add(canonical_line(tuple((b + beta * c) % p for b, c in zip(base, v)), u, p))
+    return sorted(lines)
+
+
 def legendre_by_squares(a, p) -> int:
     a %= p
     if a == 0:
@@ -321,17 +339,6 @@ def sqrt_by_squares(a, p):
     a %= p
     roots = tuple(sorted(x for x in range(p) if x * x % p == a))
     return roots if roots else None
-
-
-def dft_value(g, xi, p) -> complex:
-    """Direct character sum, written independently of the library."""
-    import cmath
-
-    total = 0j
-    for x, v in g.items():
-        phase = sum(a * b for a, b in zip(x, xi)) % p
-        total += v * cmath.exp(2j * cmath.pi * phase / p)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +389,6 @@ def collinearity(pts, p, exclude=()):
             if c + 1 > best_star and line not in banned:
                 best_star, witness_star = c + 1, line
     return (best, witness), (best_star, witness_star)
-
-
-def sampled_collinear(pts, p, bases):
-    """(k, witness) with only the given bases, each against every other point."""
-    best, witness = 1, None
-    for i in bases:
-        others = [j for j in range(len(pts)) if j != i]
-        for d, c in direction_groups(pts, i, others, p).items():
-            if c + 1 > best:
-                best, witness = c + 1, canonical_line(pts[i], d, p)
-    return best, witness
 
 
 def spanned_lines(pts, p) -> dict:

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from fpgeom.cli import main, parse_sweep_spec, run_experiment
 from fpgeom.configio import ConfigParseError, emit_config
 from fpgeom.counting import WeightedPlaneSet, WeightedPointSet
 from fpgeom.geom import AffineLine, AffinePlane
-from fpgeom.quadrics import Paraboloid
+from fpgeom.quadrics import paraboloid_lift
 
 SWEEP = """\
 # unit-sphere incidence sweep
@@ -419,7 +420,8 @@ class TestSweep:
         # reports the branch and violates no hypothesis
         cfg = tmp_path / "par.txt"
         cfg.write_text("p=5 dim=3\n[points]\n" + "".join(
-            " ".join(map(str, q)) + "\n" for q in Paraboloid(5, 3).points()))
+            " ".join(map(str, q)) + "\n"
+            for q in paraboloid_lift(itertools.product(range(5), repeat=2), 5)))
         code, text = run(tmp_path, "--strict", "energy", str(cfg),
                          "--quadric", "paraboloid", "--theorem", "T54")
         assert code == 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ import pytest
 from fpgeom.cli import main
 from fpgeom.configio import ConfigDoc, emit_config
 from fpgeom.constructions import elekes_grid, semi_isotropic_set
-from fpgeom.quadrics import Paraboloid, Sphere
+from fpgeom.quadrics import paraboloid_lift, sphere_points
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -36,6 +37,10 @@ def _config(p: int, dim: int, points=(), planes=(), lines=()) -> str:
             out.extend(" ".join(map(str, row)) if not isinstance(row, str) else row
                        for row in rows)
     return "\n".join(out) + "\n"
+
+
+def _paraboloid(p: int, dim: int) -> list:
+    return paraboloid_lift(itertools.product(range(p), repeat=dim - 1), p)
 
 
 def _files() -> dict[str, str]:
@@ -56,10 +61,10 @@ def _files() -> dict[str, str]:
         "dist3.txt": _config(7, 3, points=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 3),
                                            (4, 4, 4)]),
         "semi3.txt": _config(13, 3, points=semi_isotropic_set(2, 3, 13).points),
-        "par3.txt": _config(5, 3, points=Paraboloid(5, 3).points()),
-        "par4.txt": _config(5, 4, points=Paraboloid(5, 4).points()[:40]),
-        "sph3.txt": _config(5, 3, points=Sphere(5, 3, 1).points()),
-        "sph4.txt": _config(5, 4, points=Sphere(5, 4, 1).points()[:40]),
+        "par3.txt": _config(5, 3, points=_paraboloid(5, 3)),
+        "par4.txt": _config(5, 4, points=_paraboloid(5, 4)[:40]),
+        "sph3.txt": _config(5, 3, points=sphere_points(5, 3, 1)),
+        "sph4.txt": _config(5, 4, points=sphere_points(5, 4, 1)[:40]),
         "off3.txt": _config(7, 3, points=[(1, 0, 0), (1, 1, 1)]),
         # three points, where the semi-isotropic-plane test must not scan p^2
         # directions

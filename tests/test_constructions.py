@@ -17,8 +17,8 @@ from fpgeom.constructions import (
 )
 from fpgeom.counting import count_point_line_2d, max_collinear
 from fpgeom.erdos import distance_set
-from fpgeom.geom import homogeneous_reps, isotropic_directions
-from fpgeom.quadrics import Sphere, isotropic_cylinder
+from fpgeom.geom import dot, homogeneous_reps, isotropic_directions
+from fpgeom.quadrics import Sphere, lines_on_sphere
 from conftest import rng_for
 
 
@@ -183,7 +183,7 @@ class TestCylinderSet:
         assert all(sph.contains(q) for q in built.points)
         for gen in built.generators:
             assert gen.direction == built.axis.direction
-            assert gen.is_isotropic()
+            assert oracles.nsq(gen.direction, 5) == 0
 
     def test_infeasible_parameters(self):
         with pytest.raises(ConstraintError):
@@ -194,12 +194,40 @@ class TestCylinderSet:
     @pytest.mark.parametrize("p, t", [(p, t) for p in (3, 5, 7, 11, 13, 17, 19, 23)
                                       for t in (1, 2, 3) if t % p])
     def test_generators_match_isotropic_cylinder(self, p, t):
-        # the construction reads its generators from the sphere's lines;
-        # isotropic_cylinder shifts the axis's base along each direction
+        # the construction reads its generators from the sphere's lines; the
+        # oracle shifts the axis's base along each direction instead
         axis = cylinder_set(p, t, 1, 1).axis
-        rep = isotropic_cylinder(axis, axis.base, Sphere(p, 4, t))
-        expected = tuple(sorted(set(rep.generators) | {axis}))
-        assert cylinder_set(p, t, 1, len(expected)).generators == expected
+        expected = oracles.cylinder_generators(axis.base, axis.direction, p)
+        built = cylinder_set(p, t, 1, len(expected))
+        assert [(g.base, g.direction) for g in built.generators] == expected
+        assert built.axis == axis
+
+    @pytest.mark.parametrize("p, t", [(p, t) for p in (3, 5, 7, 11, 13) for t in (1, 2, 3)
+                                      if t % p])
+    def test_generators_are_the_parallel_lines_orthogonal_to_the_axis(self, p, t):
+        # the lines b + s u on the sphere with (b - x).u == 0 are every line
+        # on the sphere parallel to the axis x + s u
+        lines = lines_on_sphere(p, 4, t)
+        x, u = lines[0].base, lines[0].direction
+        expected = [l for l in lines if l.direction == u
+                    and dot(tuple(b - c for b, c in zip(l.base, x)), u, p) == 0]
+        assert expected == [l for l in lines if l.direction == u]
+        assert list(cylinder_set(p, t, 1, len(expected)).generators) == expected
+
+    def test_axis_is_the_first_line_on_the_sphere(self):
+        for p, t in ((5, 1), (7, 3), (11, 2)):
+            built = cylinder_set(p, t, 3, 2)
+            assert built.axis == built.generators[0] == lines_on_sphere(p, 4, t)[0]
+            assert built.points[:3] == tuple(
+                oracles.line_points(built.axis.base, built.axis.direction, p)[:3])
+
+    def test_precondition_errors(self):
+        with pytest.raises(ConstraintError, match="t != 0"):
+            cylinder_set(5, 5, 1, 1)
+        with pytest.raises(ConstraintError, match="k0 >= 1"):
+            cylinder_set(5, 1, 0, 1)
+        with pytest.raises(ConstraintError, match="k0 >= 1"):
+            cylinder_set(5, 1, 1, 0)
 
     def test_seeded_variant(self):
         a = cylinder_set(5, 1, 2, 2, seed=4)

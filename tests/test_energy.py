@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -15,18 +14,12 @@ from fpgeom.constructions import cylinder_set
 from fpgeom.energy import (
     EnergyReport,
     NotARectangleError,
-    RectangleClass,
-    additive_energy,
-    classify_rectangle,
-    fourier_transform,
     max_on_isotropic_line,
     rectangle_energy_paraboloid,
     rectangle_energy_sphere,
-    restriction_ratio,
-    slice_energy_sum,
 )
-from fpgeom.geom import DimensionMismatchError, GeometryError
-from fpgeom.quadrics import Paraboloid, lines_on_sphere, paraboloid_lift, sphere_points
+from fpgeom.geom import GeometryError
+from fpgeom.quadrics import lines_on_sphere, paraboloid_lift, sphere_points
 
 BIG = 2147483647  # 2^31 - 1
 # residues near 0 and near p add up without wrapping or with it
@@ -34,47 +27,12 @@ _BIG_COORD = st.one_of(st.sampled_from((0, 1, 2, 3, BIG - 1, BIG - 2)),
                        st.integers(0, BIG - 1))
 
 
-class TestAdditiveEnergy:
-    def test_singleton(self):
-        assert additive_energy([(0, 0, 0)], [(0, 0, 0)], 7) == 1
+def _full_paraboloid(p):
+    return paraboloid_lift(itertools.product(range(p), repeat=2), p)
 
-    def test_two_scalars(self):
-        A = [(0,), (1,)]
-        assert additive_energy(A, A, 5) == 6
 
-    def test_full_line_is_p_cubed(self):
-        p = 7
-        A = [(x,) for x in range(p)]
-        assert additive_energy(A, A, p) == p ** 3
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_quadruple_loop(self, seed):
-        rng = rng_for("addenergy", seed)
-        p = rng.choice([5, 7])
-        A = random_distinct_points(rng, p, 2, rng.randrange(1, 9))
-        B = random_distinct_points(rng, p, 2, rng.randrange(1, 9))
-        assert additive_energy(A, B, p) == oracles.additive_energy(A, B, p)
-
-    def test_translation_invariance(self):
-        p, rng = 11, rng_for("trans")
-        A = random_distinct_points(rng, p, 3, 12)
-        v = (3, 7, 2)
-        shifted = [tuple((c + w) % p for c, w in zip(q, v)) for q in A]
-        assert additive_energy(A, A, p) == additive_energy(shifted, shifted, p)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(_BIG_COORD, _BIG_COORD), max_size=7),
-           st.lists(st.tuples(_BIG_COORD, _BIG_COORD), max_size=7))
-    def test_largest_modulus_matches_quadruple_loop(self, A, B):
-        A, B = sorted(set(A)), sorted(set(B))
-        assert additive_energy(A, B, BIG) == oracles.additive_energy(A, B, BIG)
-
-    def test_empty_sets_give_zero(self):
-        assert additive_energy([], [(1, 2)], 7) == additive_energy([(1, 2)], [], 7) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            additive_energy([(1, 2)], [(1, 2, 3)], 7)
+def _line_points(line):
+    return oracles.line_points(line.base, line.direction, line.p)
 
 
 class TestParaboloidEnergy:
@@ -171,8 +129,7 @@ class TestSphereEnergy:
     def test_full_isotropic_line_cubes(self):
         p = 5
         t = next(t for t in range(1, p) if lines_on_sphere(p, 4, t))
-        line = lines_on_sphere(p, 4, t)[0]
-        A = line.points()
+        A = _line_points(lines_on_sphere(p, 4, t)[0])
         rep = rectangle_energy_sphere(A, p, t)
         assert rep.energy == p ** 3
         assert rep.degenerate == rep.rectangles > 0
@@ -181,11 +138,20 @@ class TestSphereEnergy:
     def test_isotropic_line_subset_all_degenerate(self):
         p = 5
         t = next(t for t in range(1, p) if lines_on_sphere(p, 4, t))
-        line = lines_on_sphere(p, 4, t)[0]
-        A = line.points()[:4]
+        A = _line_points(lines_on_sphere(p, 4, t)[0])[:4]
         rep = rectangle_energy_sphere(A, p, t)
         assert rep.energy == oracles.additive_energy(A, A, p)
         assert rep.degenerate == rep.rectangles > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_quadruple_loop(self, seed):
+        rng = rng_for("sphere-oracle", seed)
+        p, d = rng.choice([5, 7, 13]), rng.choice([3, 4])
+        t = rng.randrange(1, p)
+        pool = sphere_points(p, d, t)
+        A = sorted(rng.sample(pool, min(len(pool), rng.randrange(1, 13))))
+        rep = rectangle_energy_sphere(A, p, t)
+        assert rep.energy == oracles.additive_energy(A, A, p)
 
     def test_off_sphere_rejected(self):
         with pytest.raises(GeometryError):
@@ -195,7 +161,7 @@ class TestSphereEnergy:
         # degenerate rectangles need four collinear points of one isotropic line
         p = 5
         t = next(t for t in range(1, p) if lines_on_sphere(p, 4, t))
-        pts = lines_on_sphere(p, 4, t)[0].points()[:3]
+        pts = _line_points(lines_on_sphere(p, 4, t)[0])[:3]
         rep = rectangle_energy_sphere(pts, p, t)
         iso_lines = 1
         assert rep.degenerate <= iso_lines * rep.k0 ** 3
@@ -221,129 +187,10 @@ class TestSphereEnergy:
                     iso_lines.add(AffineLine(p, A[i], d))
         assert rep.degenerate <= max(1, len(iso_lines)) * rep.k0 ** 3
 
-
-class TestClassifyRectangle:
-    def test_ordinary_square(self):
-        # unit square in the plane: diagonals {(0,0),(1,1)} and {(1,0),(0,1)}
-        assert (
-            classify_rectangle((0, 0), (1, 1), (1, 0), (0, 1), 7)
-            == RectangleClass.ORDINARY
-        )
-
-    def test_degenerate_collinear_isotropic(self):
-        p = 5
-        pts = [(t % p, 2 * t % p) for t in range(4)]  # on isotropic direction (1,2)
-        x, y, z, u = pts[0], pts[3], pts[1], pts[2]  # x+y == z+u on the line
-        assert classify_rectangle(x, y, z, u, p) == RectangleClass.DEGENERATE
-
     def test_semi_degenerate_cross_lines(self):
-        from fpgeom.constructions import cylinder_set
-
         built = cylinder_set(5, 1, 2, 2)
         rep = rectangle_energy_sphere(built.points, 5, 1)
         assert rep.semi_degenerate >= 1
-
-    def test_not_a_rectangle_errors(self):
-        p = 7
-        with pytest.raises(NotARectangleError):
-            classify_rectangle((0, 0), (1, 0), (0, 1), (1, 1), p)  # sums differ
-        with pytest.raises(NotARectangleError):
-            classify_rectangle((0, 0), (3, 1), (1, 0), (2, 1), p)  # no right angle
-        with pytest.raises(NotARectangleError):
-            classify_rectangle((0, 0), (1, 1), (0, 0), (1, 1), p)  # repeated vertex
-
-
-class TestSliceEnergy:
-    def test_single_height_concentration(self):
-        p = 7
-        pts = [(x, y, 3) for x in range(3) for y in range(2)]
-        rep = slice_energy_sum(pts, p)
-        assert len(rep.per_height) == 1
-        h, e = rep.per_height[0]
-        assert h == 3
-        assert rep.quarter_power_sum == pytest.approx(e ** 0.25)
-
-    def test_empty(self):
-        rep = slice_energy_sum([], 7)
-        assert rep.per_height == () and rep.quarter_power_sum == 0.0
-
-    def test_random_slices_match_oracle(self):
-        p, rng = 7, rng_for("slices")
-        for d in (3, 4):
-            pts = random_distinct_points(rng, p, d, 25)
-            rep = slice_energy_sum(pts, p)
-            assert [h for h, _ in rep.per_height] == sorted({q[-1] for q in pts})
-            for h, e in rep.per_height:
-                lifted = sorted(
-                    {q[:-1] + (sum(c * c for c in q[:-1]) % p,) for q in pts if q[-1] == h}
-                )
-                assert e == oracles.additive_energy(lifted, lifted, p)
-
-    @pytest.mark.parametrize("d", [2, 5])
-    def test_other_dimensions_raise(self, d):
-        with pytest.raises(GeometryError):
-            slice_energy_sum([(1,) * d], 7)
-
-
-class TestRestriction:
-    def test_single_point_support_lhs_is_one(self):
-        g = {(1, 2, 3): 1.0}
-        rep = restriction_ratio(g, 5, 3)
-        assert rep.lhs == pytest.approx(1.0, abs=1e-9)
-        assert rep.ratio is not None and rep.ratio > 0
-
-    def test_zero_function(self):
-        rep = restriction_ratio({}, 5, 3)
-        assert rep.lhs == 0.0 and rep.ratio is None
-
-    def test_sup_norm_guard(self):
-        with pytest.raises(ValueError):
-            restriction_ratio({(0, 0, 0): 2.0}, 5, 3)
-
-    def test_parseval(self):
-        import itertools
-
-        p, d, rng = 5, 3, rng_for("parseval")
-        support = random_distinct_points(rng, p, d, 40)
-        g = {x: complex(rng.uniform(-1, 1) * 0.5, rng.uniform(-1, 1) * 0.5) for x in support}
-        all_xi = list(itertools.product(range(p), repeat=d))
-        ghat = fourier_transform(g, p, all_xi)
-        lhs = float(np.sum(np.abs(ghat) ** 2)) / p ** d
-        rhs = sum(abs(v) ** 2 for v in g.values())
-        assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    def test_transform_matches_independent_sum(self):
-        p, d, rng = 5, 3, rng_for("dft")
-        support = random_distinct_points(rng, p, d, 20)
-        g = {x: 1.0 if rng.random() < 0.5 else 0.5 for x in support}
-        par = Paraboloid(p, d)
-        xis = par.points()
-        ghat = fourier_transform(g, p, xis)
-        for xi, val in zip(xis, ghat):
-            assert abs(val - oracles.dft_value(g, xi, p)) < 1e-9
-
-    def test_transform_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            fourier_transform({(1, 2): 1}, 7, [(1, 1, 5)])
-        with pytest.raises(DimensionMismatchError):
-            fourier_transform({(1, 2, 3): 1}, 7, [(1, 1)])
-        with pytest.raises(DimensionMismatchError):
-            fourier_transform({(1, 2, 3): 1, (1, 2): 1}, 7, [(1, 1, 1)])
-
-    def test_transform_of_no_frequencies(self):
-        for g in ({(1, 2, 3): 1}, {}):
-            ghat = fourier_transform(g, 7, [])
-            assert ghat.shape == (0,) and ghat.dtype == complex
-
-    def test_ratio_positive_for_nonzero_g(self):
-        rng = rng_for("ratio")
-        for d in (3, 4):
-            p = 5
-            support = random_distinct_points(rng, p, d, 10)
-            g = {x: 1.0 for x in support}
-            rep = restriction_ratio(g, p, d)
-            assert rep.ratio is not None and rep.ratio > 0
-            assert math.isfinite(rep.ratio)
 
 
 class TestMaxOnIsotropicLine:
@@ -406,7 +253,7 @@ def sphere_sets(draw):
     lines = _sphere_lines(p, d, t) if p <= 7 else []
     if lines:
         for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
-            pts.update(lines[i].points())
+            pts.update(_line_points(lines[i]))
     return p, t, sorted(pts) or [pool[0]]
 
 
@@ -442,7 +289,7 @@ class TestCensusAgainstOracle:
         # pair_blocks takes _BLOCK_CELLS // 16 rectangles a block
         monkeypatch.setattr(counting, "_BLOCK_CELLS", 16 * block)
         cases = [
-            (Paraboloid(5, 3).points(), 5, "paraboloid", None),
+            (_full_paraboloid(5), 5, "paraboloid", None),
             (cylinder_set(5, 1, 2, 2).points, 5, "sphere", 1),
             (sphere_points(7, 3, 3), 7, "sphere", 3),
         ]
@@ -454,7 +301,7 @@ class TestCensusAgainstOracle:
         p = 17
         tracemalloc.start()
         try:
-            rep = rectangle_energy_paraboloid(Paraboloid(p, 3).points(), p)
+            rep = rectangle_energy_paraboloid(_full_paraboloid(p), p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -469,7 +316,7 @@ class TestCensusAgainstOracle:
 
 
 class TestCrossChecks:
-    PTS = Paraboloid(5, 3).points()
+    PTS = _full_paraboloid(5)
 
     def test_corner_criterion_must_agree(self, monkeypatch):
         monkeypatch.setattr(energy, "_corner_count", lambda A, C, p: 0)
@@ -499,11 +346,6 @@ class TestIsotropicSidesGuard:
         C = np.array([self.A, self.B, (0, 0, 0, 0)], dtype=np.int64)
         with pytest.raises(NotARectangleError, match="not collinear"):
             energy._rectangle_classes(C, [0], [1], [2], 5)
-
-    def test_classify_rectangle_raises(self):
-        u = tuple((a + b) % 5 for a, b in zip(self.A, self.B))
-        with pytest.raises(NotARectangleError, match="not collinear"):
-            classify_rectangle(self.A, self.B, (0, 0, 0, 0), u, 5)
 
     def test_parallel_isotropic_sides_are_degenerate(self):
         C = np.array([(1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 0, 0)], dtype=np.int64)

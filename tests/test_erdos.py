@@ -14,7 +14,6 @@ from fpgeom.erdos import (
     NullPairError,
     bisector_plane,
     distance_set,
-    dot_form,
     energy_delta,
     form_solution_count,
     form_values,
@@ -133,7 +132,7 @@ class TestBisectorPlane:
 
 class TestForms:
     def test_dot_on_axes(self):
-        assert form_values([(1, 0), (0, 1)], dot_form(7)) == frozenset({0, 1})
+        assert form_values([(1, 0), (0, 1)], FormSpec(7, ((1, 0), (0, 1)))) == frozenset({0, 1})
 
     def test_wedge_on_axes(self):
         assert form_values([(1, 0), (0, 1)], wedge_form(7)) == frozenset({0, 1, 6})
@@ -408,10 +407,11 @@ class TestKernelAgainstOracles:
         # below the bound the squares are summed in int64; force python ints
         p = 13
         S = [(a, b) for a in range(p) for b in range(3)]
-        want = form_solution_count(S, S, dot_form(p))
+        dot = FormSpec(p, ((1, 0), (0, 1)))
+        want = form_solution_count(S, S, dot)
         monkeypatch.setattr(erdos, "_NP_SAFE", 1)
-        assert form_solution_count(S, S, dot_form(p)) == want == _sq_histogram(
-            S, S, ((1, 0), (0, 1)), p, False)
+        assert form_solution_count(S, S, dot) == want == _sq_histogram(
+            S, S, dot.matrix, p, False)
 
 
 class TestSemiIsotropicPlane:

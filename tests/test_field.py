@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fpgeom.field import FieldElement, Prime, inv, is_prime, legendre, sqrt_mod
+from fpgeom.field import Prime, inv, is_prime, legendre, sqrt_mod
 
 PRIMES_TO_100 = [q for q in range(3, 100) if is_prime(q)]
 
@@ -90,30 +90,3 @@ class TestInv:
     def test_definition(self, p):
         for a in range(1, p):
             assert a * inv(a, p) % p == 1
-
-
-class TestFieldElement:
-    def test_arithmetic(self):
-        a = FieldElement(5, 7)
-        b = FieldElement(4, 7)
-        assert (a + b).value == 2
-        assert (a - b).value == 1
-        assert (a * b).value == 6
-        assert (a / b).value == 3  # 3 * 4 == 12 == 5
-        assert (-a).value == 2
-        assert (a ** 2).value == 4
-        assert a + 9 == FieldElement(0, 7)
-
-    def test_normalisation_and_eq(self):
-        assert FieldElement(-1, 7) == FieldElement(6, 7) == 6
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            FieldElement(1, 5) + FieldElement(1, 7)
-
-    def test_quadratic_helpers(self):
-        e = FieldElement(2, 7)
-        assert e.legendre() == 1
-        assert {int(r) for r in e.sqrt()} == {3, 4}
-        assert FieldElement(3, 5).sqrt() is None
-        assert e.inverse() == 4

@@ -1,45 +1,30 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
 import oracles
-from conftest import random_distinct_points, rng_for
+from conftest import rng_for
 from fpgeom.geom import (
     AffineLine,
     AffinePlane,
-    CoincidentPointsError,
     DimensionMismatchError,
     GeometryError,
-    PlaneType,
-    PluckerLine,
-    ProjPlane,
-    ProjPoint,
-    alpha_beta_meet,
-    classify_plane4,
-    dir_perp,
     dot,
     homogeneous_reps,
-    incident,
-    is_isotropic,
     isotropic_directions,
-    klein_map,
-    line_through,
-    null_pair_stats,
-    null_triangle_check,
-    proj_incident,
-    proj_lines,
-    proj_planes,
-    proj_points,
-    scale_canonical,
+    line_as_covector,
 )
+
+
+def _through(q1, q2, p):
+    return AffineLine(p, q1, oracles.diff(q2, q1, p))
 
 
 class TestIncidence:
     def test_origin_on_z_plane(self):
         pl = AffinePlane(7, (0, 0, 1), 0)
-        assert incident((0, 0, 0), pl)
-        assert not incident((0, 0, 1), pl)
+        assert pl.contains((0, 0, 0))
+        assert not pl.contains((0, 0, 1))
 
     def test_random_agrees_with_dot_evaluation(self):
         p, rng = 31, rng_for("incidence")
@@ -49,22 +34,43 @@ class TestIncidence:
             if not any(normal):
                 continue
             off = rng.randrange(p)
-            assert incident(q, AffinePlane(p, normal, off)) == oracles.on_plane(
+            assert AffinePlane(p, normal, off).contains(q) == oracles.on_plane(
                 q, normal, off, p
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            incident((0, 0), AffinePlane(7, (0, 0, 1), 0))
+            AffinePlane(7, (0, 0, 1), 0).contains((0, 0))
+
+
+class TestAffinePlane:
+    def test_contains_line_matches_enumeration(self):
+        p, rng = 5, rng_for("plane-contains-line")
+        seen = set()
+        for _ in range(200):
+            normal = tuple(rng.randrange(p) for _ in range(3))
+            if not any(normal):
+                continue
+            off = rng.randrange(p)
+            base = tuple(rng.randrange(p) for _ in range(3))
+            d = tuple(rng.randrange(p) for _ in range(3))
+            if not any(d):
+                continue
+            plane = AffinePlane(p, normal, off)
+            inside = all(oracles.on_plane(q, normal, off, p)
+                         for q in oracles.line_points(base, d, p))
+            assert plane.contains_line(AffineLine(p, base, d)) == inside
+            seen.add(inside)
+        assert seen == {False, True}
 
 
 class TestAffineLine:
     def test_axis_line(self):
-        l = line_through((0, 0, 0), (1, 0, 0), 7)
+        l = _through((0, 0, 0), (1, 0, 0), 7)
         assert l.base == (0, 0, 0) and l.direction == (1, 0, 0)
 
     def test_canonical_scaling(self):
-        l = line_through((0, 0, 0), (2, 2, 2), 5)
+        l = _through((0, 0, 0), (2, 2, 2), 5)
         assert l.direction == (1, 1, 1)
 
     def test_membership_of_spanning_points(self):
@@ -74,20 +80,21 @@ class TestAffineLine:
             q2 = tuple(rng.randrange(p) for _ in range(3))
             if q1 == q2:
                 continue
-            l = line_through(q1, q2, p)
+            l = _through(q1, q2, p)
             assert l.contains(q1) and l.contains(q2)
 
     def test_point_set_equality(self):
         p = 7
-        l1 = line_through((1, 2, 3), (4, 5, 6), p)
-        l2 = line_through((4, 5, 6), (1, 2, 3), p)
+        l1 = _through((1, 2, 3), (4, 5, 6), p)
+        l2 = _through((4, 5, 6), (1, 2, 3), p)
         l3 = AffineLine(p, (1, 2, 3), (6, 6, 6))
         assert l1 == l2 == l3
-        assert set(l1.points()) == set(l3.points())
+        assert set(oracles.line_points(l1.base, l1.direction, p)) == set(
+            oracles.line_points((1, 2, 3), (6, 6, 6), p))
 
-    def test_coincident_rejected(self):
-        with pytest.raises(CoincidentPointsError):
-            line_through((1, 1, 1), (1, 1, 1), 7)
+    def test_zero_direction_rejected(self):
+        with pytest.raises(GeometryError):
+            AffineLine(7, (1, 1, 1), (0, 0, 0))
 
     def test_contains_matches_enumeration(self):
         p, rng = 5, rng_for("line-contains")
@@ -103,115 +110,19 @@ class TestAffineLine:
                 assert l.contains(q) == (q in pts)
 
 
-class TestKleinMap:
-    def test_coordinate_axes_span(self):
-        p = 3
-        a = ProjPoint(p, (1, 0, 0, 0))
-        b = ProjPoint(p, (0, 1, 0, 0))
-        assert klein_map(a, b).coords == (1, 0, 0, 0, 0, 0)
-
-    def test_relation_holds(self):
-        p = 5
-        a = ProjPoint(p, (1, 0, 0, 0))
-        b = ProjPoint(p, (1, 1, 1, 1))
-        assert klein_map(a, b).quadric_residual() == 0
-
-    def test_spanning_pair_independence_exhaustive_p3(self):
-        p = 3
-        pts = proj_points(p)
-        by_pointset: dict[frozenset, set] = {}
-        for a, b in itertools.combinations(pts, 2):
-            image = klein_map(a, b)
-            # the line as a set of projective points
-            span = frozenset(
-                ProjPoint(p, tuple((la * x + mb * y) % p for x, y in zip(a.coords, b.coords)))
-                for la, mb in homogeneous_reps(p, 2)
-            )
-            by_pointset.setdefault(span, set()).add(image)
-        assert all(len(images) == 1 for images in by_pointset.values())
-        assert len(by_pointset) == 130
-
-    def test_injective_on_lines_p3(self):
-        lines = proj_lines(3)
-        assert len(lines) == 130
-        assert len({l.coords for l in lines}) == 130
-
-    def test_plucker_decoding_round_trip(self):
-        from fpgeom.geom import klein_map, plucker_points
-
-        for p in (3, 5):
-            for line in proj_lines(p):
-                a, b = plucker_points(line)
-                assert klein_map(a, b) == line
-
-    def test_coincident_points_rejected(self):
-        a = ProjPoint(5, (1, 2, 3, 4))
-        b = ProjPoint(5, (2, 4, 6, 8))
-        with pytest.raises(CoincidentPointsError):
-            klein_map(a, b)
-
-    def test_bad_plucker_tuple_rejected(self):
-        with pytest.raises(GeometryError):
-            PluckerLine(5, (1, 0, 0, 0, 0, 1))
-
-
-class TestAlphaBetaMeet:
-    def test_containment_case(self):
-        p = 3
-        q = ProjPoint(p, (0, 0, 0, 1))
-        h = ProjPlane(p, (1, 0, 0, 0))
-        assert proj_incident(q, h)
-        image = alpha_beta_meet(q, h)
-        assert image is not None and image.quadric_residual() == 0
-
-    def test_non_containment(self):
-        p = 3
-        q = ProjPoint(p, (1, 0, 0, 0))
-        h = ProjPlane(p, (1, 0, 0, 0))
-        assert alpha_beta_meet(q, h) is None
-
-    def test_exhaustive_equivalence_p3(self):
-        p = 3
-        for q in proj_points(p):
-            for h in proj_planes(p):
-                image = alpha_beta_meet(q, h)
-                assert (image is not None) == proj_incident(q, h)
-                if image is not None:
-                    assert image.quadric_residual() == 0
-
-    def test_witness_line_passes_through_point_inside_plane(self):
-        # decode the Klein point and check it really is a pencil member
-        from fpgeom.geom import plucker_points
-
-        p = 5
-        rng = rng_for("abm-witness")
-        points, planes = proj_points(p), proj_planes(p)
-        checked = 0
-        while checked < 60:
-            q = rng.choice(points)
-            h = rng.choice(planes)
-            image = alpha_beta_meet(q, h)
-            if image is None:
-                continue
-            a, b = plucker_points(image)
-            span = {
-                ProjPoint(p, tuple((la * x + mb * y) % p for x, y in zip(a.coords, b.coords)))
-                for la, mb in homogeneous_reps(p, 2)
-            }
-            assert q in span
-            assert all(proj_incident(pt, h) for pt in span)
-            checked += 1
-
-
 class TestIsotropy:
-    def test_examples(self):
-        assert not is_isotropic((1, 0, 0), 7)
-        assert is_isotropic((1, 2), 5)  # 1 + 4 == 0 mod 5
-        assert is_isotropic((1, 1, 1), 3)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(GeometryError):
-            is_isotropic((0, 0, 0), 7)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_isotropic_directions_match_scan(self, p, d):
+        # one representative per null direction, first nonzero entry 1; there
+        # are 1 + (-1|p) of them in the plane, p + 1 in F_p^3, (p + 1)^2 in F_p^4
+        scan = [v for v in itertools.product(range(p), repeat=d)
+                if any(v) and v[next(i for i, c in enumerate(v) if c)] == 1
+                and oracles.nsq(v, p) == 0]
+        got = isotropic_directions(p, d)
+        assert sorted(got) == scan
+        assert len(got) == {2: 1 + oracles.legendre_by_squares(-1, p),
+                            3: p + 1, 4: (p + 1) ** 2}[d]
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_no_orthogonal_isotropic_pair_in_dim3(self, p):
@@ -220,184 +131,20 @@ class TestIsotropy:
             assert dot(u, v, p) != 0
 
 
-class TestClassifyPlane4:
-    def test_coordinate_plane_ordinary(self):
-        assert classify_plane4((1, 0, 0, 0), (0, 1, 0, 0), 5) == PlaneType.ORDINARY
-
-    def test_fully_isotropic(self):
-        # iota = 2 satisfies iota^2 == -1 mod 5
-        u, v = (1, 2, 0, 0), (0, 0, 1, 2)
-        assert classify_plane4(u, v, 5) == PlaneType.FULLY_ISOTROPIC
-
-    def test_semi_isotropic(self):
-        assert classify_plane4((1, 2, 0, 0), (0, 0, 1, 0), 5) == PlaneType.SEMI_ISOTROPIC
-
-    def test_dependent_rejected(self):
-        with pytest.raises(GeometryError):
-            classify_plane4((1, 2, 3, 4), (2, 4, 6, 8), 5)
-
-    @pytest.mark.parametrize("p", [5, 13])
-    def test_matches_bruteforce_radical(self, p):
-        rng = rng_for("plane4", p)
-        for _ in range(40):
-            u = tuple(rng.randrange(p) for _ in range(4))
-            v = tuple(rng.randrange(p) for _ in range(4))
-            try:
-                got = classify_plane4(u, v, p)
-            except GeometryError:
-                continue
-            # brute-force radical of the restricted form over all p^2 members
-            radical = 0
-            for a in range(p):
-                for b in range(p):
-                    w = tuple((a * x + b * y) % p for x, y in zip(u, v))
-                    if all(
-                        sum(wc * zc for wc, zc in zip(w, z)) % p == 0
-                        for z in (u, v)
-                    ):
-                        radical += 1
-            if radical == p * p:
-                expected = PlaneType.FULLY_ISOTROPIC
-            elif radical == p:
-                expected = PlaneType.SEMI_ISOTROPIC
-            else:
-                expected = PlaneType.ORDINARY
-            assert got == expected
-
-
-class TestNullPairStats:
-    def test_all_on_isotropic_line(self):
-        p = 5
-        pts = [(0, 0, 0), (1, 2, 0), (2, 4, 0)]  # direction (1,2,0) is isotropic
-        stats = null_pair_stats(pts, p)
-        assert stats.fraction == Fraction(1)
-        assert stats.max_on_isotropic_line == 3
-
-    def test_no_isotropic_differences(self):
-        stats = null_pair_stats([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 7)
-        assert stats.fraction == 0
-        assert stats.max_on_isotropic_line == 0
-
-    def test_random_matches_pairwise_oracle(self):
-        p, rng = 11, rng_for("nullpairs")
-        pts = random_distinct_points(rng, p, 3, 40)
-        stats = null_pair_stats(pts, p)
-        expected = sum(
-            1
-            for a in pts
-            for b in pts
-            if a != b and oracles.nsq(oracles.diff(a, b, p), p) == 0
-        )
-        assert stats.ordered_null_pairs == expected
-        assert stats.fraction == Fraction(expected, len(pts) * (len(pts) - 1))
-
-    def test_on_three_sphere_sample(self):
-        from fpgeom.quadrics import sphere_points
-
-        p, rng = 5, rng_for("nullpairs-sphere")
-        pool = sphere_points(p, 4, 1)
-        pts = sorted(rng.sample(pool, 25))
-        stats = null_pair_stats(pts, p)
-        expected = sum(
-            1
-            for a in pts
-            for b in pts
-            if a != b and oracles.nsq(oracles.diff(a, b, p), p) == 0
-        )
-        assert stats.ordered_null_pairs == expected
-        if stats.witness is not None:
-            assert stats.witness.is_isotropic()
-
-
-class TestNullTriangle:
-    def test_collinear_null_triple(self):
-        p = 5
-        rep = null_triangle_check((0, 0, 0), (1, 2, 0), (2, 4, 0), p)
-        assert rep.is_null_triangle and rep.collinear
-        assert rep.line is not None and rep.line.is_isotropic()
-
-    def test_non_null_side(self):
-        rep = null_triangle_check((0, 0, 0), (1, 0, 0), (0, 1, 0), 7)
-        assert not rep.is_null_triangle
-
-    def test_exhaustive_p5_no_noncollinear_null_triangle(self):
-        # triangles in the null-pair graph of F_5^3, via neighbourhood intersection
-        p = 5
-        pts = list(itertools.product(range(p), repeat=3))
-        nbrs = {a: set() for a in pts}
-        for i, a in enumerate(pts):
-            for b in pts[i + 1 :]:
-                if oracles.nsq(oracles.diff(a, b, p), p) == 0:
-                    nbrs[a].add(b)
-                    nbrs[b].add(a)
-        for a in pts:
-            for b in nbrs[a]:
-                if b <= a:
-                    continue
-                for c in nbrs[a] & nbrs[b]:
-                    if c <= b:
-                        continue
-                    rep = null_triangle_check(a, b, c, p)
-                    assert rep.is_null_triangle and rep.collinear
-
-    def test_coincident_rejected(self):
-        with pytest.raises(CoincidentPointsError):
-            null_triangle_check((0, 0, 0), (0, 0, 0), (1, 1, 1), 5)
-
-
-class TestDirPerp:
-    def test_axis(self):
-        assert dir_perp((1, 0), 5) == (0, 1)
-
-    def test_orthogonality_and_canonical(self):
-        p = 5
-        d = (1, 2)
-        perp = dir_perp(d, p)
-        assert dot(d, perp, p) == 0
-        assert perp == scale_canonical(perp, p)
-
-    def test_involution(self):
-        p = 13
-        for d in homogeneous_reps(p, 2):
-            assert dir_perp(dir_perp(d, p), p) == scale_canonical(d, p)
-
-    def test_isotropic_direction_is_fixed(self):
-        p = 5  # 1 mod 4, so isotropic directions exist
-        for d in isotropic_directions(p, 2):
-            assert dir_perp(d, p) == d
-
-    def test_zero_rejected(self):
-        with pytest.raises(GeometryError):
-            dir_perp((0, 0), 7)
-
-
 class TestCovectorConversion:
-    def test_round_trip(self):
-        from fpgeom.geom import covector_as_line, line_as_covector
-
+    def test_covector_holds_exactly_the_line(self):
         p, rng = 11, rng_for("covector")
+        plane = list(itertools.product(range(p), repeat=2))
         for _ in range(50):
             base = (rng.randrange(p), rng.randrange(p))
             d = (rng.randrange(p), rng.randrange(p))
             if d == (0, 0):
                 continue
-            line = AffineLine(p, base, d)
-            cov = line_as_covector(line)
-            assert covector_as_line(cov) == line
-            for q in line.points():
-                assert cov.contains(q)
+            cov = line_as_covector(AffineLine(p, base, d))
+            assert {q for q in plane if cov.contains(q)} == set(oracles.line_points(base, d, p))
 
 
 class TestEnumerations:
-    def test_p3_object_counts(self):
-        assert len(proj_points(3)) == 40
-        assert len(proj_planes(3)) == 40
-
     def test_projective_point_count_formula(self):
         for p in (3, 5):
-            assert len(proj_points(p)) == p**3 + p**2 + p + 1
-
-    def test_klein_images_on_quadric(self):
-        for p in (3, 5):
-            for line in proj_lines(p):
-                assert line.quadric_residual() == 0
+            assert len(homogeneous_reps(p, 4)) == p**3 + p**2 + p + 1

@@ -11,20 +11,15 @@ from fpgeom.counting import (
     count_point_plane,
     count_restricted,
 )
-from fpgeom.energy import additive_energy
-from fpgeom.geom import (
-    AffineLine,
-    AffinePlane,
-    dir_perp,
-    dot,
-    scale_canonical,
-)
+from fpgeom.energy import rectangle_energy_paraboloid, rectangle_energy_sphere
+from fpgeom.geom import AffineLine, AffinePlane, scale_canonical
+from fpgeom.quadrics import paraboloid_lift, sphere_points
 
 P = 13
 
 coords3 = st.tuples(*(st.integers(0, P - 1) for _ in range(3)))
 nonzero3 = coords3.filter(lambda v: any(v))
-nonzero2 = st.tuples(st.integers(0, P - 1), st.integers(0, P - 1)).filter(lambda v: any(v))
+coords2 = st.tuples(st.integers(0, P - 1), st.integers(0, P - 1))
 
 
 @given(nonzero3, st.integers(1, P - 1))
@@ -49,18 +44,26 @@ def test_line_canonical_form_is_point_set_invariant(base, direction, shift):
     assert l1 == l2
 
 
-@given(nonzero2)
-def test_dir_perp_involution_and_orthogonality(d):
-    perp = dir_perp(d, P)
-    assert dot(d, perp, P) == 0
-    assert dir_perp(perp, P) == scale_canonical(d, P)
-
-
-@given(st.lists(coords3, min_size=1, max_size=12), coords3)
+@given(st.lists(coords2, min_size=1, max_size=12, unique=True), coords2)
 @settings(max_examples=40)
-def test_energy_translation_invariance(points, shift):
-    moved = [tuple((c + s) % P for c, s in zip(q, shift)) for q in points]
-    assert additive_energy(points, points, P) == additive_energy(moved, moved, P)
+def test_paraboloid_energy_translation_invariance(base, shift):
+    # (u + s, |u + s|^2) is an affine image of (u, |u|^2), so a translation
+    # of the base set keeps every additive quadruple of the lift
+    moved = [tuple((c + a) % P for c, a in zip(u, shift)) for u in base]
+    assert (rectangle_energy_paraboloid(paraboloid_lift(base, P), P).energy
+            == rectangle_energy_paraboloid(paraboloid_lift(moved, P), P).energy)
+
+
+@given(st.integers(1, P - 1), st.data())
+@settings(max_examples=40)
+def test_sphere_energy_is_invariant_under_signed_permutations(t, data):
+    pool = sphere_points(P, 3, t)
+    points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    perm = data.draw(st.permutations(range(3)))
+    signs = data.draw(st.tuples(*(st.sampled_from((1, -1)) for _ in range(3))))
+    moved = [tuple(s * q[i] % P for i, s in zip(perm, signs)) for q in points]
+    assert (rectangle_energy_sphere(points, P, t).energy
+            == rectangle_energy_sphere(moved, P, t).energy)
 
 
 @given(

@@ -7,17 +7,17 @@ from fpgeom import counting, quadrics
 from fpgeom.field import legendre
 from fpgeom.geom import AffineLine, GeometryError, dot, homogeneous_reps, isotropic_directions
 from fpgeom.quadrics import (
-    CylinderReport,
     Paraboloid,
     Sphere,
     isotropic_cone_lines,
-    isotropic_cylinder,
     lines_on_sphere,
-    lines_on_sphere2,
     paraboloid_lift,
-    slice_lift,
     sphere_points,
 )
+
+
+def _points(line):
+    return oracles.line_points(line.base, line.direction, line.p)
 
 
 class TestSpherePoints:
@@ -35,7 +35,7 @@ class TestSpherePoints:
         assert len(lines) == 4
         covered = set()
         for l in lines:
-            covered |= set(l.points())
+            covered |= set(_points(l))
         assert covered == set(pts)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -72,9 +72,17 @@ class TestParaboloid:
             assert par.contains(q)
         assert not par.contains((1, 2, 6))
 
-    def test_point_count(self):
-        assert len(Paraboloid(5, 3).points()) == 25
-        assert len(Paraboloid(3, 4).points()) == 27
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_full_lift_is_the_paraboloid(self, p, d):
+        # lifting all of F_p^(d-1) gives the p^(d-1) points x with
+        # x_d == x_1^2 + ... + x_(d-1)^2, and contains() holds on those only
+        grid = list(itertools.product(range(p), repeat=d))
+        scan = [x for x in grid if x[-1] == oracles.nsq(x[:-1], p)]
+        lifted = paraboloid_lift(itertools.product(range(p), repeat=d - 1), p)
+        assert lifted == scan and len(lifted) == p ** (d - 1)
+        par = Paraboloid(p, d)
+        assert [x for x in grid if par.contains(x)] == scan
 
 
 def _raw(lines):
@@ -82,37 +90,35 @@ def _raw(lines):
 
 
 class TestLinesOnSphere2:
+    """Lines on the 2-sphere |x|^2 == t != 0 in F_p^3."""
+
     def test_unruled_when_minus_t_nonsquare(self):
         assert legendre(-1, 7) == -1
-        assert lines_on_sphere2(7, 1) == []
+        assert lines_on_sphere(7, 3, 1) == []
 
     def test_ruled_case_regression_count(self):
         # -6 == 1 is a square mod 7; the doubly ruled sphere holds 2(p+1) lines
-        lines = lines_on_sphere2(7, 6)
+        lines = lines_on_sphere(7, 3, 6)
         assert len(lines) == 16
         sph = Sphere(7, 3, 6)
         for l in lines:
-            assert all(sph.contains(q) for q in l.points())
-            assert l.is_isotropic()
+            assert all(sph.contains(q) for q in _points(l))
+            assert oracles.nsq(l.direction, 7) == 0
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_p3_hand_scale(self, t):
-        fast = lines_on_sphere2(3, t)
+        fast = lines_on_sphere(3, 3, t)
         assert _raw(fast) == oracles.sphere_lines_scan(3, 3, t)
         assert (len(fast) > 0) == (legendre(-t, 3) == 1)
 
     @pytest.mark.parametrize("p,t", [(5, 1), (5, 2), (5, 3), (5, 4), (7, 6)])
     def test_matches_unrestricted_scan(self, p, t):
-        assert _raw(lines_on_sphere2(p, t)) == oracles.sphere_lines_scan(p, 3, t)
+        assert _raw(lines_on_sphere(p, 3, t)) == oracles.sphere_lines_scan(p, 3, t)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_ruling_criterion(self, p):
         for t in range(1, p):
-            assert (len(lines_on_sphere2(p, t)) > 0) == (legendre(-t, p) == 1)
-
-    def test_cone_rejected(self):
-        with pytest.raises(GeometryError):
-            lines_on_sphere2(7, 0)
+            assert (len(lines_on_sphere(p, 3, t)) > 0) == (legendre(-t, p) == 1)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -155,65 +161,21 @@ class TestLinesOnSphere3:
             lines = lines_on_sphere(p, 4, t)
             by_point: dict[tuple, list[AffineLine]] = {}
             for l in lines:
-                for q in l.points():
+                for q in _points(l):
                     by_point.setdefault(q, []).append(l)
             for q, through in by_point.items():
                 for l1, l2 in itertools.combinations(through, 2):
                     assert dot(l1.direction, l2.direction, p) != 0
 
-
-class TestSliceLift:
-    def test_empty_slice(self):
-        assert slice_lift([(1, 2, 3)], 0, 7) == []
-
-    def test_single_point(self):
-        assert slice_lift([(1, 2, 4)], 4, 7) == [(1, 2, 5)]
-
-    def test_partition_by_height(self):
-        pts = [(x, y, h) for x in range(3) for y in range(2) for h in (0, 2, 4)]
-        total = sum(len(slice_lift(pts, h, 5)) for h in range(5))
-        assert total == len(pts)
-
-
-class TestIsotropicCylinder:
-    def _setup(self, p=5):
-        for t in range(1, p):
-            lines = lines_on_sphere(p, 4, t)
-            if lines:
-                return Sphere(p, 4, t), lines[0]
-        raise AssertionError("no ruled 3-sphere found")
-
-    def test_generators_verified(self):
-        sph, axis = self._setup()
-        rep = isotropic_cylinder(axis, axis.base, sph)
-        assert isinstance(rep, CylinderReport)
-        assert rep.generators
-        for gen in rep.generators:
-            assert gen.direction == axis.direction
-            assert gen.is_isotropic()
-            assert all(sph.contains(q) for q in gen.points())
-
-    def test_zero_shift_when_orthogonal_to_base(self):
-        sph, axis = self._setup()
-        x = axis.base
-        p = sph.p
-        for v, beta in isotropic_cylinder(axis, x, sph).shifts:
-            if dot(x, v, p) == 0:
-                assert beta == 0
-
-    def test_axis_is_a_generator(self):
-        sph, axis = self._setup()
-        rep = isotropic_cylinder(axis, axis.base, sph)
-        assert axis in rep.generators
-
     def test_fully_isotropic_plane_meets_sphere_in_one_line(self):
-        # exhaustive at p=5: through the axis, a fully isotropic plane cuts
-        # the sphere exactly along the axis itself
-        sph, axis = self._setup(5)
-        p = sph.p
+        # exhaustive at p=5: through an isotropic line on the sphere, a fully
+        # isotropic plane cuts the sphere exactly along that line
+        p = 5
+        t = next(t for t in range(1, p) if lines_on_sphere(p, 4, t))
+        sph, axis = Sphere(p, 4, t), lines_on_sphere(p, 4, t)[0]
         u = axis.direction
         x = axis.base
-        axis_pts = set(axis.points())
+        axis_pts = set(_points(axis))
         for w in isotropic_directions(p, 4):
             if w == u or dot(w, u, p) != 0:
                 continue
@@ -224,29 +186,3 @@ class TestIsotropicCylinder:
                 for b in range(p)
             }
             assert {q for q in section if sph.contains(q)} == axis_pts
-
-    @pytest.mark.parametrize("p, t", [(p, t) for p in (3, 5, 7, 11, 13) for t in (1, 2, 3)
-                                      if t % p])
-    def test_generators_are_the_parallel_lines_orthogonal_to_the_axis(self, p, t):
-        sph = Sphere(p, 4, t)
-        lines = lines_on_sphere(p, 4, t)
-        axis = lines[0]
-        x, u = axis.base, axis.direction
-        expected = {l for l in lines if l.direction == u
-                    and dot(tuple(b - c for b, c in zip(l.base, x)), u, p) == 0}
-        assert set(isotropic_cylinder(axis, x, sph).generators) | {axis} == expected
-
-    def test_a_wrong_shift_fails_the_row_check(self, monkeypatch):
-        sph, axis = self._setup()
-        monkeypatch.setattr(quadrics, "inv", lambda a, p: 1)
-        with pytest.raises(ArithmeticError, match="not on the sphere"):
-            isotropic_cylinder(axis, axis.base, sph)
-
-    def test_precondition_errors(self):
-        sph, axis = self._setup()
-        p = sph.p
-        with pytest.raises(GeometryError):
-            isotropic_cylinder(AffineLine(p, (0, 0, 0, 0), (1, 0, 0, 0)), (0, 0, 0, 0), sph)
-        with pytest.raises(GeometryError):
-            off_axis = tuple((c + 1) % p for c in axis.base)
-            isotropic_cylinder(axis, off_axis, sph)
