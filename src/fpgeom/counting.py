@@ -93,7 +93,7 @@ def _line_canonical(rows: np.ndarray, p: int) -> np.ndarray:
 
 
 # the row layer's one memory bound: a blocked kernel (the S x U table, the
-# line census, the rectangle census) keeps its int64 temporaries near
+# two censuses, the rectangle census) keeps its int64 temporaries near
 # _BLOCK_CELLS cells; a fixed size, not a tuning knob
 _BLOCK_CELLS = 1 << 16
 
@@ -133,6 +133,11 @@ def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
         else:
             np.add.outer(a[start : start + rows], b, out=V)
         yield start, dot_mod(block, U, p, V)
+
+
+def _distance_terms(P: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, norms) with |s - t|^2 == s.U[t] + norms[s] + norms[t] mod p."""
+    return -2 * P % p, dot_rows(P, P, p)
 
 
 def dot_rows(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
@@ -203,9 +208,6 @@ class WeightedPointSet(_WeightedRows):
     @cached_property
     def points(self) -> tuple[Vec, ...]:
         return tuple(map(tuple, self.rows.tolist()))
-
-    def coords_array(self) -> np.ndarray:
-        return self.rows
 
 
 def distinct_rows(points, p: int, dim: int | None = None) -> np.ndarray:
@@ -490,13 +492,17 @@ def _require_dim3(points, planes) -> None:
 # collinearity statistics: the line census
 #
 # Every statistic about lines through two or more points (k and k*, spanned
-# and rich lines, the right-triangle tables and energy's k0, the most points
-# on one isotropic line) reads one census.  A block of bases is paired with
-# its partners, each difference is scaled to its canonical direction (first
-# nonzero coordinate 1) and the pairs are grouped by (base, direction) with
-# a sort, in blocks from pair_blocks, so memory is near _BLOCK_CELLS cells.
-# All products stay below p^2 < 2^62, which keeps the census exact in int64
-# for p < 2^31.
+# and rich lines, the right-triangle tables) reads the line census.  A block
+# of bases is paired with its partners, each difference is scaled to its
+# canonical direction (first nonzero coordinate 1) and the pairs are grouped
+# by (base, direction) with a sort, in blocks from pair_blocks, so memory is
+# near _BLOCK_CELLS cells.  The isotropic census groups the same way only the
+# pairs with |x - y|^2 == 0, read as zeros of the blocked squared-distance
+# table: energy's k0, the most points on one isotropic line, reads it on any
+# set, and so does k on a central sphere x.x == c (every row of one norm)
+# when nothing is excluded, since a line b + s.v with v.v != 0 meets such a
+# sphere in at most two points.  All products stay below p^2 < 2^62, which
+# keeps both censuses exact in int64 for p < 2^31.
 
 def pair_blocks(per_base: np.ndarray):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
@@ -517,6 +523,23 @@ def pair_blocks(per_base: np.ndarray):
             yield base, rank
 
 
+def _groups(P: np.ndarray, I: np.ndarray, J: np.ndarray, p: int):
+    """(base, first partner, count, direction) arrays of the pairs (I, J),
+    given in (i, j) order with every pair of a base, grouped by base and the
+    canonical direction of P[j] - P[i]."""
+    D = P[J]
+    D -= P[I]
+    D %= p
+    _scale_canonical(D, p)
+    # the runs are stable, so a group's head is its first pair, and the heads
+    # in (i, j) order are the groups in (base, first partner) order
+    order, bounds = _runs(np.column_stack([I, D]))
+    count = np.zeros(len(I), dtype=np.int64)
+    count[order[bounds[:-1]]] = np.diff(bounds)
+    first = np.flatnonzero(count)
+    return I[first], J[first], count[first], D[first]
+
+
 def _line_census(P: np.ndarray, p: int, all_partners: bool = False):
     """Yield (base, first partner, count, direction) arrays, block by block.
 
@@ -530,30 +553,46 @@ def _line_census(P: np.ndarray, p: int, all_partners: bool = False):
     per_base = np.full(n, n - 1) if all_partners else np.arange(n - 1, -1, -1)
     for I, rank in pair_blocks(per_base):
         J = rank + (rank >= I) if all_partners else I + 1 + rank
-        D = P[J]
-        D -= P[I]
-        D %= p
-        _scale_canonical(D, p)
-        # the runs are stable, so a group's head is its first pair, and the
-        # heads in (i, j) order are the groups in (base, first partner) order
-        order, bounds = _runs(np.column_stack([I, D]))
-        count = np.zeros(len(I), dtype=np.int64)
-        count[order[bounds[:-1]]] = np.diff(bounds)
-        first = np.flatnonzero(count)
-        yield I[first], J[first], count[first], D[first]
+        yield _groups(P, I, J, p)
+
+
+def _isotropic_census(P: np.ndarray, p: int):
+    """Yield _line_census(P, p)'s groups whose direction is isotropic, block
+    by block: the pairs i < j with |P[i] - P[j]|^2 == 0, grouped."""
+    U, norms = _distance_terms(P, p)
+    for start, V in _pair_values(P, U, p, norms, norms):
+        I, J = np.nonzero(V == 0)
+        later = J > I + start
+        I, J = I[later], J[later]
+        # grouped in pair_blocks' chunks of whole bases, as the line census
+        # groups, so a table of isotropic pairs stays near its memory
+        heads = np.searchsorted(I, np.arange(len(V)))
+        for b, rank in pair_blocks(np.bincount(I, minlength=len(V))):
+            t = heads[b] + rank
+            yield _groups(P, I[t] + start, J[t], p)
 
 
 def _collinearity(points: WeightedPointSet,
                   exclude=()) -> tuple[tuple[int, AffineLine | None], ...]:
     """(k, witness) over all lines and (k*, witness) over lines not in exclude
     (anything WeightedLineSet.of takes), from one pass; the first line to
-    reach each maximum in (base, first partner) order is its witness."""
+    reach each maximum in (base, first partner) order is its witness.
+
+    With nothing excluded and every row of one norm, the lines through three
+    or more rows are isotropic, so only the isotropic census is read, and
+    k == 2 keeps the line through rows 0 and 1, the full census's first."""
     P, p, n = points.rows, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
     banned = set(map(tuple, WeightedLineSet.of(exclude, p, dim=points.dim).rows.tolist()))
-    best = best_star = (1, None)
-    for base, _, count, D in _line_census(P, p):
+    norms = dot_rows(P, P, p)
+    if not banned and (norms == norms[0]).all():
+        census = _isotropic_census(P, p)
+        best = best_star = (2, (P[0], (P[1] - P[0]) % p))
+    else:
+        census = _line_census(P, p)
+        best = best_star = (1, None)
+    for base, _, count, D in census:
         size = count + 1
         top = int(size.argmax())
         if size[top] > best[0]:

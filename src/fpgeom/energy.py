@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .counting import (
-    _line_census,
+    _isotropic_census,
     _runs,
     _scale_canonical,
     distinct_rows,
@@ -67,16 +67,13 @@ def max_on_isotropic_line(points, p: int) -> int:
     """Largest number of the points collected by one isotropic line.
 
     Lines are spanned by point pairs; sets without a null pair score
-    min(|A|, 1).  Isotropy of a difference does not depend on its scaling,
-    so the line census groups with an isotropic direction are the lines of
-    the null pairs.
+    min(|A|, 1).  The isotropic census groups the null pairs by base and
+    direction, so a group of count c is a line through c + 1 of the points.
     """
     P = distinct_rows(points, p)
     best = min(len(P), 1)
-    for _, _, count, D in _line_census(P, p):
-        iso = dot_rows(D, D, p) == 0
-        if iso.any():
-            best = max(best, int(count[iso].max()) + 1)
+    for _, _, count, _ in _isotropic_census(P, p):
+        best = max(best, int(count.max()) + 1)
     return best
 
 

@@ -26,13 +26,13 @@ from .counting import (
     _NP_SAFE,
     WeightedPlaneSet,
     WeightedPointSet,
+    _distance_terms,
     _line_census,
     _pair_values,
     _runs,
     _scale_canonical,
     distinct_rows,
     dot_mod,
-    dot_rows,
 )
 from .energy import right_corners
 from .field import Prime, legendre
@@ -86,11 +86,6 @@ def _merge_runs(held) -> tuple[np.ndarray, np.ndarray]:
     counts = np.zeros(len(values), dtype=np.int64)
     np.add.at(counts, slot, np.concatenate([c for _, c in held]))
     return values, counts
-
-
-def _distance_terms(P: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(U, norms) with |s - t|^2 == s.U[t] + norms[s] + norms[t] mod p."""
-    return -2 * P % p, dot_rows(P, P, p)
 
 
 # ---------------------------------------------------------------------------

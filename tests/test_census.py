@@ -2,11 +2,15 @@
 
 Every user of the census (k and k* with their witnesses, spanned and rich
 lines and the isotropic-line maximum) is held to the loop it replaced, on hypothesis-generated sets in dimensions 2, 3
-and 4, across block boundaries, at p = 2^31 - 1, and for its memory.
+and 4, across block boundaries, at p = 2^31 - 1, and for its memory.  The
+isotropic census, which k reads on sets of one norm and k0 reads always, is
+held to the isotropic groups of the full census and to the same loops.
 """
 
 import random
 import tracemalloc
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,9 @@ from fpgeom import counting
 from fpgeom.constructions import sphere_config
 from fpgeom.counting import WeightedPointSet, max_collinear, rich_lines, spanned_lines
 from fpgeom.energy import max_on_isotropic_line
+from fpgeom.field import legendre
 from fpgeom.geom import AffineLine
+from fpgeom.quadrics import sphere_points
 
 BIG = 2147483647  # 2^31 - 1
 
@@ -134,19 +140,194 @@ def test_k_and_witness_at_largest_modulus(pts):
     assert (k, _raw(wit)) == oracles.collinearity(pts, BIG)[0]
 
 
-def test_census_memory_is_bounded_by_block():
-    p = 31
-    Q, _ = sphere_config(p)
-    n = len(Q)
+def _census_peak(Q):
+    """(k, tracemalloc peak) of _collinearity(Q)."""
     tracemalloc.start()
     try:
         (k, _), _ = counting._collinearity(Q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return k, peak
+
+
+def test_census_memory_is_bounded_by_block(census_calls):
+    p = 31
+    Q, _ = sphere_config(p)
+    n = len(Q)
+    k, peak = _census_peak(Q)
+    assert census_calls == ["_isotropic_census"]
     assert k == 2  # the pinned sweep row: no line lies on the unit sphere at p = 31
     # about 240 bytes per pair of a block of _BLOCK_CELLS // 16 pairs, plus a
     # few int64 arrays over the points
     assert peak < 32 * counting._BLOCK_CELLS + 64 * n
     # one int64 direction array over every pair would need n(n-1)/2 * 3 * 8 bytes
     assert peak < n * (n - 1) // 2 * 24 // 8
+
+
+def test_full_census_memory_is_bounded_by_block(census_calls):
+    Q = _moved_off(sphere_config(31)[0])
+    n = len(Q)
+    _, peak = _census_peak(Q)
+    assert census_calls == ["_line_census"]
+    assert peak < 32 * counting._BLOCK_CELLS + 64 * n
+    assert peak < n * (n - 1) // 2 * 24 // 8
+
+
+# ---------------------------------------------------------------------------
+# the isotropic census: only the pairs with |x - y|^2 == 0
+#
+# On a central sphere x.x == t (the cone t == 0 included) a line through
+# three points is isotropic, so _collinearity reads only the isotropic
+# census there; every other set takes the full census.
+
+@pytest.fixture
+def census_calls(monkeypatch):
+    """The names of the censuses _collinearity reads, in call order."""
+    calls = []
+    for name in ("_line_census", "_isotropic_census"):
+        real = getattr(counting, name)
+        monkeypatch.setattr(counting, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    return calls
+
+
+def _nonsquare(p):
+    return next(a for a in range(2, p) if legendre(a, p) == -1)
+
+
+@cache
+def _sphere(p, d, t):
+    return tuple(sphere_points(p, d, t))
+
+
+def _moved_off(Q):
+    """Q with its first row moved off the sphere of the others."""
+    p, rows = Q.p, Q.rows.copy()
+    norm = int(rows[1] @ rows[1]) % p
+    rows[0, 0] = next(x for x in range(p)
+                      if (x * x + int(rows[0, 1:] @ rows[0, 1:])) % p != norm
+                      and not (rows[1:] == [x, *rows[0, 1:]]).all(axis=1).any())
+    return WeightedPointSet.of(rows, p)
+
+
+def _full_census_isotropic_groups(P, p):
+    """The full census's groups with an isotropic direction, in its order."""
+    out = []
+    for base, first, count, D in counting._line_census(P, p):
+        iso = counting.dot_rows(D, D, p) == 0
+        out += zip(base[iso].tolist(), first[iso].tolist(), count[iso].tolist(),
+                   map(tuple, D[iso].tolist()))
+    return out
+
+
+def _isotropic_groups(P, p):
+    return [(b, f, c, tuple(d)) for base, first, count, D in counting._isotropic_census(P, p)
+            for b, f, c, d in zip(base.tolist(), first.tolist(), count.tolist(), D.tolist())]
+
+
+def _check_both_routes(p, pts):
+    """k, witness and k0 of pts, a set of one norm, from the isotropic route
+    equal the full census's and the oracles'; returns the isotropic route's
+    ((k, witness), (k*, witness*))."""
+    ws = WeightedPointSet.of(pts, p)
+    dim = ws.dim
+    got = counting._collinearity(ws)
+    # excluding a line sends k through the full census; k* then skips it
+    full = counting._collinearity(ws, exclude=[((0,) * dim, (1,) + (0,) * (dim - 1))])[0]
+    expect = oracles.collinearity(list(ws.points), p)[0]
+    assert [(k, _raw(w)) for k, w in got] == [expect, expect]
+    assert (full[0], _raw(full[1])) == expect
+    assert _isotropic_groups(ws.rows, p) == _full_census_isotropic_groups(ws.rows, p)
+    assert max_on_isotropic_line(pts, p) == max(1, oracles.isotropic_lines(ws.points, p)[1])
+    return got
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17])
+@pytest.mark.parametrize("kind", ["cone", "unit", "nonsquare"])
+def test_sphere_and_cone_routes(census_calls, p, kind):
+    t = {"cone": 0, "unit": 1, "nonsquare": _nonsquare(p)}[kind]
+    for d in (3, 4) if p <= 5 else (3,):
+        census_calls.clear()
+        (k, wit), _ = _check_both_routes(p, _sphere(p, d, t))
+        assert census_calls[0] == "_isotropic_census"
+        if d == 3:
+            # a line through three points lies on the sphere, and x.x == t
+            # holds lines exactly when -t is a square or zero
+            assert k == (p if legendre(-t, p) >= 0 else 2)
+
+
+@st.composite
+def sphere_subsets(draw):
+    """(p, sorted points of one sphere): a free subset, or one capped so no
+    three of its points are collinear."""
+    p = draw(st.sampled_from((3, 5, 7, 13)))
+    d = draw(st.sampled_from((3, 4) if p <= 5 else (3,)))
+    sphere = _sphere(p, d, draw(st.sampled_from((0, 1, _nonsquare(p)))))
+    pts = draw(st.lists(st.sampled_from(sphere), min_size=2, max_size=24, unique=True))
+    if draw(st.booleans()):
+        capped = []
+        for q in pts:
+            if not any(oracles.collinear(a, b, q, p) for a, b in combinations(capped, 2)):
+                capped.append(q)
+        pts = capped
+    return p, sorted(pts)
+
+
+@given(sphere_subsets())
+@settings(max_examples=150, deadline=None)
+def test_sphere_subsets_match_full_census(case):
+    p, pts = case
+    _check_both_routes(p, pts)
+
+
+def test_isotropic_pairs_without_three_collinear_keep_first_pair(census_calls):
+    p = 13
+    # the unit sphere capped greedily in lex order: no three points collinear,
+    # but isotropic pairs remain
+    pts = []
+    for q in _sphere(p, 3, 1):
+        if not any(oracles.collinear(a, b, q, p) for a, b in combinations(pts, 2)):
+            pts.append(q)
+    assert oracles.isotropic_lines(pts, p)[0] > 0
+    assert oracles.nsq(oracles.diff(pts[1], pts[0], p), p) != 0
+    (k, wit), _ = _check_both_routes(p, pts)
+    assert census_calls[0] == "_isotropic_census"
+    assert k == 2 and wit == AffineLine(p, pts[0], oracles.diff(pts[1], pts[0], p))
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_row_off_the_sphere_takes_full_route(census_calls, p):
+    Q = _moved_off(WeightedPointSet.of(_sphere(p, 3, 1), p))
+    (k, wit), _ = counting._collinearity(Q)
+    assert census_calls == ["_line_census"]
+    assert (k, _raw(wit)) == oracles.collinearity(list(Q.points), p)[0]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 500])
+def test_isotropic_census_across_row_blocks(monkeypatch, cells):
+    # _pair_values holds about _BLOCK_CELLS // n rows a block, one at least
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+    for p, t in ((5, 0), (13, 1), (13, 2)):
+        pts = _sphere(p, 3, t)
+        _check_both_routes(p, pts)
+        _check_both_routes(p, pts[::3])
+
+
+def test_isotropic_census_memory_when_every_pair_is_isotropic():
+    # a totally isotropic plane of F_29^4 (12^2 == -1 mod 29): every pair of
+    # its 841 points is isotropic, so every cell of the table is a pair to group
+    p, i = 29, 12
+    pts = [(a, a * i % p, b, b * i % p) for a in range(p) for b in range(p)]
+    Q = WeightedPointSet.of(pts, p)
+    tracemalloc.start()
+    try:
+        (k, _), _ = counting._collinearity(Q)
+        k0 = max_on_isotropic_line(Q.rows, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k == k0 == p
+    # the table block and its zero cells, with the pairs grouped in chunks
+    # no larger than the line census's
+    assert peak < 64 * counting._BLOCK_CELLS + 64 * len(pts)

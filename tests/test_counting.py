@@ -99,7 +99,7 @@ class TestCanonicaliser:
         Q = WeightedPointSet.of(points, p, weights=wq, dim=dim)
         keys, merged = oracles.canonical_points(points, wq or [1] * len(points), p)
         assert Q.points == tuple(keys) and Q.weights == tuple(merged)
-        assert Q.coords_array().tolist() == [list(k) for k in keys]
+        assert Q.rows.tolist() == [list(k) for k in keys]
         Pi = WeightedPlaneSet.of(planes, p, weights=wp, dim=dim)
         keys, merged = oracles.canonical_planes(planes, wp or [1] * len(planes), p)
         assert [(pl.normal, pl.offset) for pl in Pi.planes] == keys
@@ -161,7 +161,7 @@ class TestCanonicaliser:
 
     def test_stored_arrays_are_read_only(self):
         Q, Pi = sphere_config(5)
-        for arr in (Q.coords_array(), *Pi.arrays()):
+        for arr in (Q.rows, *Pi.arrays()):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] += 1
