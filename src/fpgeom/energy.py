@@ -4,31 +4,35 @@ Energy is the ordered-quadruple count of x + y == z + u: the ordered pair
 sums are sorted into runs of equal sums, and each run of size m adds m^2.
 For sets on the paraboloid or a sphere the same number is recomputed
 through the right-angle corner criterion, and the two routes are required
-to agree.  The corner form (x - z).(y - z) is expanded through the Gram
-matrix M = C C^T of the corner coordinates, so each corner z costs one
-n x n outer sum, and only the cells where it vanishes look up the fourth
-vertex x + y - z, in per-column prefix keys of the set built once.
+to agree.  A right corner at z whose fourth vertex u = x + y - z is in the
+set is a pair of ordered pairs (z, x), (y, u) with one difference and one
+corner value, so the corner count is one more sort of the n^2 ordered
+pairs, keyed block by block from the pair-value table of the corner
+coordinates.
 
 Geometric rectangles are the deduplicated, pairwise-distinct view.  Two
 distinct unordered pairs with one sum are disjoint, so a run of r pairs
 i < j with one sum holds exactly C(r, 2) rectangles, each hit by 8 ordered
 solutions; they are enumerated in fixed-size blocks and classified by how
-many of their two side directions are isotropic.
+many of their two side directions are isotropic, read by two gathers from
+one n x n isotropy table.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .counting import (
+    _distance_terms,
     _isotropic_census,
+    _pair_values,
     _runs,
     _scale_canonical,
     distinct_rows,
-    dot_mod,
     dot_rows,
     pair_blocks,
 )
@@ -83,84 +87,67 @@ def max_on_isotropic_line(points, p: int) -> int:
 # Coordinates stay below p < 2^31 and every product is reduced mod p before
 # the next sum, so all of it is exact in int64.
 
-def _rectangle_classes(C: np.ndarray, x, y, z, p: int) -> np.ndarray:
+def _isotropy(C: np.ndarray, p: int) -> np.ndarray:
+    """The n x n table iso[x, z] of |C[x] - C[z]|^2 == 0 mod p: the zeros of
+    the blocked squared-distance table, one byte a cell."""
+    iso = np.empty((len(C), len(C)), dtype=bool)
+    U, norms = _distance_terms(C, p)
+    for start, V in _pair_values(C, U, p, norms, norms):
+        np.equal(V, 0, out=iso[start : start + len(V)])
+    return iso
+
+
+def _rectangle_classes(C: np.ndarray, iso: np.ndarray, x, y, z, p: int) -> np.ndarray:
     """Class codes (0 ordinary, 1 semi-degenerate, 2 degenerate) of the
-    rectangles with diagonal {x, y} and corner z, given as rows of C.
+    rectangles with diagonal {x, y} and corner z, given as index arrays into
+    the rows of C and its _isotropy table iso.
 
     The sides are x - z and y - z; the code counts the isotropic ones.
     """
-    a = C[x] - C[z]
-    a %= p
-    b = C[y] - C[z]
-    b %= p
-    iso_a = dot_rows(a, a, p) == 0
-    iso_b = dot_rows(b, b, p) == 0
-    both = iso_a & iso_b
-    # with both sides isotropic all four vertices lie on one line exactly
-    # when the (nonzero) sides are parallel: their canonical directions agree
-    if (_scale_canonical(a[both], p) != _scale_canonical(b[both], p)).any():
-        raise NotARectangleError("both side directions isotropic but vertices are not collinear")
-    return iso_a.astype(np.int64) + iso_b
-
-
-def right_corners(M: np.ndarray, z: int, p: int) -> np.ndarray:
-    """The cells (x, y) with (x - z).(y - z) == 0, given the Gram matrix M.
-
-    The corner form is M[x, y] - M[z, x] - M[z, y] + M[z, z]; the row x == z
-    and the column y == z are always right.
-    """
-    v = M[z]
-    # T - M is congruent to -(x - z).(y - z) and lies in (-p, 2p), so the
-    # right corners are the cells where it is 0 or p
-    T = np.add.outer(v, (v - M[z, z]) % p)
-    T -= M
-    right = T == 0
-    right |= T == p
-    return right
-
-
-def _prefix_keys(A: np.ndarray, p: int) -> list[np.ndarray]:
-    """Per column c, the sorted distinct keys rank(row[:c]) * p + row[c] of
-    the rows of A, where rank is a row prefix's position among its column's
-    keys; every key stays below len(A) * p."""
-    rank = np.zeros(len(A), dtype=np.int64)
-    levels = []
-    for col in A.T:
-        keys, rank = np.unique(rank * p + col, return_inverse=True)
-        levels.append(keys)
-    return levels
-
-
-def _members(levels: list[np.ndarray], X: np.ndarray, p: int) -> np.ndarray:
-    """Which rows of X are rows of the set whose _prefix_keys are levels."""
-    rank = np.zeros(len(X), dtype=np.int64)
-    hit = np.ones(len(X), dtype=bool)
-    for keys, col in zip(levels, X.T):
-        key = rank * p + col
-        rank = np.searchsorted(keys, key)
-        rank[rank == len(keys)] = 0
-        hit &= keys[rank] == key
-    return hit
+    iso_a = iso[x, z]
+    iso_b = iso[y, z]
+    both = np.flatnonzero(iso_a & iso_b)
+    if len(both):
+        # with both sides isotropic all four vertices lie on one line exactly
+        # when the (nonzero) sides are parallel: their canonical directions agree
+        a = C[x[both]] - C[z[both]]
+        a %= p
+        b = C[y[both]] - C[z[both]]
+        b %= p
+        if (_scale_canonical(a, p) != _scale_canonical(b, p)).any():
+            raise NotARectangleError(
+                "both side directions isotropic but vertices are not collinear")
+    return np.add(iso_a, iso_b, dtype=np.int64)
 
 
 def _corner_count(A: np.ndarray, C: np.ndarray, p: int) -> int:
     """Count triples (x, y, z) with a right corner at z (in corner coords C)
-    whose fourth vertex x + y - z (in full coords A) is back in the set.
+    whose fourth vertex u = x + y - z (in full coords A) is back in the set.
 
-    Each z costs one n x n outer sum of the Gram matrix of C, and only its
-    right corners are looked up, column by column, in prefix keys built
-    once from A.  A's rows are distinct.
+    Such a triple is a pair of ordered pairs (z, x) and (y, u) with one
+    difference v = x - z = u - y, and since (x - z).(y - z) is
+    C(v).C(y) - C(v).C(z), one corner value as well.  So each ordered pair
+    (a, b) is keyed by (A[b] - A[a], C[a].C[b] - |C[a]|^2) mod p, and the
+    count is the sum of size^2 over the runs of equal keys.  The key's base-p
+    digits are packed into as few int64 columns as hold them, written block
+    by block from the pair-value table.  A's rows are distinct.
     """
-    M = dot_mod(C, C, p)
-    levels = _prefix_keys(A, p)
-    total = 0
-    for z in range(len(A)):
-        xs, ys = np.nonzero(right_corners(M, z, p))
-        fourth = A[xs] + A[ys]
-        fourth -= A[z]
-        fourth %= p
-        total += int(np.count_nonzero(_members(levels, fourth, p)))
-    return total
+    n, d = A.shape
+    per = 1  # base-p digits per key column, so a column stays below 2^63
+    while p ** (per + 1) < 1 << 63:
+        per += 1
+    keys = np.zeros((-(-(d + 1) // per), n * n), dtype=np.int64)
+    offsets = -dot_rows(C, C, p) % p
+    for start, V in _pair_values(C, C, p, offsets, np.zeros(n, dtype=np.int64)):
+        rows = A[start : start + len(V)]
+        diffs = ((A[:, c] - rows[:, c, None]) % p for c in range(d))
+        for c, digit in enumerate(itertools.chain(diffs, [V])):
+            key = keys[c // per, start * n : (start + len(V)) * n].reshape(V.shape)
+            key *= p
+            key += digit
+    _, bounds = _runs(keys.T)
+    size = np.diff(bounds)
+    return int((size * size).sum())
 
 
 def _ordered_sums(A: np.ndarray, p: int) -> tuple[int, int]:
@@ -190,6 +177,25 @@ def _unordered_sums(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.n
     return I[order], J[order], bounds
 
 
+def _class_counts(C: np.ndarray, X: np.ndarray, Y: np.ndarray, bounds: np.ndarray,
+                  p: int) -> tuple[int, int, int]:
+    """(ordinary, semi-degenerate, degenerate) rectangles among the pairs
+    (X, Y) in runs of equal sums given by bounds, classified in the corner
+    coordinates C from one isotropy table."""
+    iso = _isotropy(C, p)
+    # the pair at sorted position t forms a rectangle with each later pair of
+    # its run
+    later = np.repeat(bounds[1:], np.diff(bounds)) - 1 - np.arange(len(X))
+    counts = np.zeros(len(RectangleClass), dtype=np.int64)
+    for t, rank in pair_blocks(later):
+        counts += np.bincount(
+            _rectangle_classes(C, iso, X[t], Y[t], X[t + 1 + rank], p),
+            minlength=len(counts),
+        )
+    ordinary, semi, degenerate = counts.tolist()
+    return ordinary, semi, degenerate
+
+
 def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> EnergyReport:
     """The report for the distinct rows A on the quadric, with rectangles,
     side isotropy and k0 read in the corner coordinates C."""
@@ -207,16 +213,7 @@ def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> Ene
         raise ArithmeticError(
             f"{solutions} ordered solutions for {rectangles} rectangles, not 8 each"
         )
-    # the pair at sorted position t forms a rectangle with each later pair of
-    # its run
-    later = np.repeat(bounds[1:], r) - 1 - np.arange(len(X))
-    counts = np.zeros(len(RectangleClass), dtype=np.int64)
-    for t, rank in pair_blocks(later):
-        counts += np.bincount(
-            _rectangle_classes(C, X[t], Y[t], X[t + 1 + rank], p),
-            minlength=len(counts),
-        )
-    ordinary, semi, degenerate = (int(c) for c in counts)
+    ordinary, semi, degenerate = _class_counts(C, X, Y, bounds, p)
     return EnergyReport(
         energy=energy,
         corner_count=corner,

@@ -34,7 +34,6 @@ from .counting import (
     distinct_rows,
     dot_mod,
 )
-from .energy import right_corners
 from .field import Prime, legendre
 from .geom import (
     AffineLine,
@@ -358,6 +357,22 @@ class RightTriangleReport:
 def _perpendicular(D: np.ndarray, p: int) -> np.ndarray:
     """Canonical directions orthogonal to the canonical planar directions D."""
     return _scale_canonical(np.stack([-D[:, 1] % p, D[:, 0]], axis=1), p)
+
+
+def right_corners(M: np.ndarray, z: int, p: int) -> np.ndarray:
+    """The cells (x, y) with (x - z).(y - z) == 0, given the Gram matrix M.
+
+    The corner form is M[x, y] - M[z, x] - M[z, y] + M[z, z]; the row x == z
+    and the column y == z are always right.
+    """
+    v = M[z]
+    # T - M is congruent to -(x - z).(y - z) and lies in (-p, 2p), so the
+    # right corners are the cells where it is 0 or p
+    T = np.add.outer(v, (v - M[z, z]) % p)
+    T -= M
+    right = T == 0
+    right |= T == p
+    return right
 
 
 def right_triangle_count(points, p: int) -> RightTriangleReport:

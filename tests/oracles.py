@@ -206,6 +206,24 @@ def additive_energy(A, B, p) -> int:
     return total
 
 
+def corner_count(A, C, p) -> int:
+    """Triples (x, y, z) of the rows of A whose corner coordinates (the rows
+    of C) have (x - z).(y - z) == 0 and whose fourth vertex x + y - z is a
+    row of A."""
+    A = [tuple(int(c) for c in a) for a in A]
+    C = [tuple(int(c) for c in row) for row in C]
+    rows = set(A)
+    total = 0
+    for x, cx in zip(A, C):
+        for y, cy in zip(A, C):
+            for z, cz in zip(A, C):
+                if sum((a - c) * (b - c) for a, b, c in zip(cx, cy, cz)) % p:
+                    continue
+                if tuple((a + b - c) % p for a, b, c in zip(x, y, z)) in rows:
+                    total += 1
+    return total
+
+
 def right_triangles(points, p) -> int:
     total = 0
     for z in points:

@@ -18,6 +18,7 @@ from fpgeom.energy import (
     rectangle_energy_paraboloid,
     rectangle_energy_sphere,
 )
+from fpgeom.field import legendre
 from fpgeom.geom import GeometryError
 from fpgeom.quadrics import lines_on_sphere, paraboloid_lift, sphere_points
 
@@ -345,11 +346,12 @@ class TestIsotropicSidesGuard:
     def test_classes_raise_on_crafted_corner_coords(self):
         C = np.array([self.A, self.B, (0, 0, 0, 0)], dtype=np.int64)
         with pytest.raises(NotARectangleError, match="not collinear"):
-            energy._rectangle_classes(C, [0], [1], [2], 5)
+            energy._rectangle_classes(C, energy._isotropy(C, 5), *np.array([[0], [1], [2]]), 5)
 
     def test_parallel_isotropic_sides_are_degenerate(self):
         C = np.array([(1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 0, 0)], dtype=np.int64)
-        assert energy._rectangle_classes(C, [0], [1], [2], 5).tolist() == [2]
+        iso = energy._isotropy(C, 5)
+        assert energy._rectangle_classes(C, iso, *np.array([[0], [1], [2]]), 5).tolist() == [2]
 
 
 class TestLargestModulus:
@@ -376,19 +378,115 @@ class TestLargestModulus:
         assert rep == _expected(pts, BIG, "sphere")
 
 
-class TestMembershipByPrefixKeys:
-    """The fourth-vertex lookup of the corner count against a set of tuples."""
+@st.composite
+def corner_cases(draw):
+    """(p, distinct rows A, corner coordinates C): arbitrary rows with few
+    coordinate values, so fourth vertices often land back in the set, and C
+    all of A or a slice of its columns."""
+    p = draw(st.sampled_from((3, 5, 13, BIG)))
+    d = draw(st.sampled_from((2, 3, 4)))
+    values = st.sampled_from((0, 1, 2, p - 1, p - 2)) if p > 5 else st.integers(0, p - 1)
+    A = np.array(draw(st.lists(st.tuples(*(values,) * d), min_size=1, max_size=12,
+                               unique=True)), dtype=np.int64)
+    if draw(st.booleans()):
+        return p, A, A
+    lo = draw(st.integers(0, d - 1))
+    return p, A, A[:, lo : draw(st.integers(lo + 1, d))]
+
+
+class TestCornerCount:
+    """The grouped corner count against the triple loop of its definition."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(corner_cases(), st.sampled_from((1, 7, 64, counting._BLOCK_CELLS)))
+    def test_matches_triple_loop(self, case, cells):
+        p, A, C = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_BLOCK_CELLS", cells)
+            assert energy._corner_count(A, C, p) == oracles.corner_count(A, C, p)
+
+    def test_counts_differ_from_energy_off_quadrics(self):
+        # off any quadric the corner count is its own number, not the energy
+        p = 5
+        A = np.array(random_distinct_points(rng_for("corner-off"), p, 3, 12), dtype=np.int64)
+        corner = energy._corner_count(A, A, p)
+        assert corner == oracles.corner_count(A, A, p)
+        assert corner != oracles.additive_energy(A.tolist(), A.tolist(), p)
+
+
+def _nonsquare(p):
+    return next(a for a in range(2, p) if legendre(a, p) == -1)
+
+
+@st.composite
+def d4_quadric_sets(draw):
+    """(p, points of the sphere |x|^2 = t in F_p^4, the cone t = 0
+    included): a sample plus the points of a few lines on it, and on the
+    cone some points of the totally isotropic plane spanned by
+    a = (x, y, 1, 0) and b = (y, -x, 0, 1) with x^2 + y^2 = -1."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    t = draw(st.sampled_from((0, 1, _nonsquare(p))))
+    pool = sphere_points(p, 4, t)
+    pts = {pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))}
+    lines = _sphere_lines(p, 4, t)
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
+        pts.update(_line_points(lines[i]))
+    if t == 0:
+        x, y = next((x, y) for x in range(p) for y in range(p) if (x * x + y * y + 1) % p == 0)
+        for s, r in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                                  max_size=6)):
+            pts.add(tuple((s * a + r * b) % p for a, b in zip((x, y, 1, 0), (y, -x, 0, 1))))
+    return p, sorted(pts) or [pool[0]]
+
+
+class TestClassCensus:
+    """Rectangle classes from the isotropy table against the per-rectangle
+    classification of `oracles.rectangle_census`."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from((3, 5, BIG)).flatmap(lambda p: st.tuples(
-        st.just(p),
-        st.lists(st.tuples(*(st.sampled_from((0, 1, p - 1)),) * 3), min_size=1, unique=True),
-        st.lists(st.tuples(*(st.sampled_from((0, 1, 2, p - 1)),) * 3)))))
-    def test_members_match_tuple_lookup(self, case):
-        # few coordinate values, so rows share prefixes and candidates miss
-        # at every column
-        p, rows, candidates = case
-        A = np.array(rows, dtype=np.int64)
-        X = np.array(candidates, dtype=np.int64).reshape(len(candidates), 3) % p
-        got = energy._members(energy._prefix_keys(A, p), X, p)
-        assert got.tolist() == [tuple(int(c) for c in x) in set(rows) for x in X]
+    @given(d4_quadric_sets(), st.sampled_from((1, 16, 100, counting._BLOCK_CELLS)))
+    def test_matches_oracle_on_spheres_and_cones(self, case, cells):
+        # on the cone two isotropic sides need not be parallel: the census
+        # must raise exactly when the oracle does
+        p, pts = case
+        P = np.array(pts, dtype=np.int64)
+        try:
+            _, rects, *classes, _ = oracles.rectangle_census(pts, pts, p)
+        except ValueError:
+            rects = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_BLOCK_CELLS", cells)
+            X, Y, bounds = energy._unordered_sums(P, p)
+            if rects is None:
+                with pytest.raises(NotARectangleError):
+                    energy._class_counts(P, X, Y, bounds, p)
+                return
+            r = np.diff(bounds)
+            assert int((r * (r - 1) // 2).sum()) == rects
+            assert list(energy._class_counts(P, X, Y, bounds, p)) == classes
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["paraboloid17", "sphere7"])
+def test_corner_count_and_class_census_memory(case):
+    # neither the corner count nor the class census may outgrow the n^2
+    # ordered pair sums that the energy itself takes
+    if case == "paraboloid17":
+        p, A = 17, np.array(_full_paraboloid(17), dtype=np.int64)
+        C = A[:, :-1]
+    else:
+        p, A = 7, np.array(sphere_points(7, 4, 1), dtype=np.int64)
+        C = A
+    ordered = _traced_peak(lambda: energy._ordered_sums(A, p))
+    corner = _traced_peak(lambda: energy._corner_count(A, C, p))
+    classes = _traced_peak(lambda: energy._class_counts(C, *energy._unordered_sums(A, p), p))
+    assert corner <= ordered, (corner, ordered)
+    assert classes <= ordered, (classes, ordered)
