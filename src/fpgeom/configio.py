@@ -69,6 +69,78 @@ def _section_rules(dim: int) -> dict[str, tuple]:
 
 
 def parse_config(text: str) -> ConfigDoc:
+    """The document of a config text.  Each section's object lines are read
+    with one integer conversion; on any fault the text is read again line by
+    line, which raises at the first faulty line."""
+    doc = _parse_sections(text)
+    return _parse_lines(text) if doc is None else doc
+
+
+def _parse_sections(text: str) -> ConfigDoc | None:
+    """parse_config's document, or None when any line is faulty."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = [line.strip() for line in lines]
+    first = next((i for i, line in enumerate(lines) if line), None)
+    if first is None:
+        return None
+    p, dim = _parse_header(lines[first], first + 1)
+    heads = [i for i, line in enumerate(lines) if line.startswith("[")]
+    if any(lines[first + 1 : heads[0] if heads else len(lines)]):
+        return None  # an object before any section header
+    body: dict[str, list[str]] = {name: [] for name in _SECTIONS}
+    for head, end in zip(heads, heads[1:] + [len(lines)]):
+        name = lines[head].strip("[]").strip().lower()
+        if name not in body:
+            return None
+        body[name] += filter(None, lines[head + 1 : end])
+    rules = _section_rules(dim)
+    arrays, weights = [], []
+    for name in _SECTIONS:
+        width, _, nonzero, _ = rules[name]
+        section = _section_rows(body[name], int(p), width, nonzero)
+        if section is None:
+            return None
+        arrays.append(section[0])
+        weights.append(section[1])
+    return ConfigDoc.of(p, dim, *arrays, weights=weights)
+
+
+def _section_rows(lines: list[str], p: int, width: int, nonzero: slice | None):
+    """(rows reduced mod p, weights or None for all 1) of one section's
+    object lines, or None when any of them is faulty; the columns `nonzero`
+    may not all be zero."""
+    weights = [] if any("w=" in line for line in lines) else None
+    try:
+        values = np.fromiter(map(int, _object_tokens(lines, width, weights)),
+                             dtype=np.int64, count=len(lines) * width)
+    except (ValueError, OverflowError):
+        return None
+    if weights and min(weights) < 1:
+        return None
+    rows = values.reshape(len(lines), width) % p
+    if nonzero is not None and not rows[:, nonzero].any(axis=1).all():
+        return None
+    return rows, weights
+
+
+def _object_tokens(lines: list[str], width: int, weights: list[int] | None):
+    """Yield the value tokens of object lines of `width` values each, one
+    line at a time, appending each line's weight (1 when it has no w= token)
+    to `weights` unless it is None; raises ValueError at a faulty line."""
+    for line in lines:
+        tokens = line.split()
+        if weights is not None:
+            weights.append(int(tokens.pop()[2:]) if tokens[-1].startswith("w=") else 1)
+        if len(tokens) != width:
+            raise ValueError(f"{len(tokens)} values, not {width}")
+        yield from tokens
+
+
+def _parse_lines(text: str) -> ConfigDoc:
+    """parse_config line by line, raising ConfigParseError at the first
+    faulty line."""
     header = None
     section: str | None = None
     rows: dict[str, list[list[int]]] = {name: [] for name in _SECTIONS}

@@ -8,6 +8,7 @@ do not depend on input order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,12 +32,26 @@ _NP_SAFE = 1 << 62
 
 def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stable lexicographic order of the rows and the bounds of its runs
-    of equal rows: run g is order[bounds[g]:bounds[g + 1]]."""
-    order = np.lexsort(rows.T[::-1])
+    of equal rows: run g is order[bounds[g]:bounds[g + 1]].
+
+    Entries must be non-negative.  When the product of the column radices
+    (largest entry + 1) is below 2^63, each row is packed into one int64 key,
+    whose numeric order is the rows' lexicographic order, and the keys are
+    sorted once, stably; otherwise the columns are lexsorted."""
+    radices = [int(col.max()) + 1 for col in rows.T] if len(rows) else []
+    if math.prod(radices) < 1 << 63:
+        key = np.zeros(len(rows), dtype=np.int64)
+        for col, radix in zip(rows.T, radices):
+            key *= radix
+            key += col
+        order = np.argsort(key, kind="stable")
+        cols = [key[order]]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        cols = (col[order] for col in rows.T)
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
-    for col in rows.T:
-        col = col[order]
+    for col in cols:
         new[1:] |= col[1:] != col[:-1]
     return order, np.append(np.flatnonzero(new), len(order))
 
@@ -102,20 +117,34 @@ def dot_mod(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = None)
     """out[i, j] += A[i].B[j] mod p for rows of A and B with entries in
     [0, p), into a new zero table when out is None; returns out.
 
-    Each column's products are formed in one temporary shaped like out and
-    reduced once: a product below p^2 plus an entry below 2p stays below
-    2^63 for p < 2^31, so entries of out given below 2p end below p.
+    Each column's products are formed in one temporary shaped like out.  A
+    product is below p^2 and an entry of out given below 2p, so while
+    width * p^2 + 2p stays below 2^63 the columns are summed and reduced
+    once; above it out is reduced after every column, which stays below 2^63
+    for p < 2^31.  Either way entries of out given below 2p end below p.
     """
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(f"rows of width {A.shape[1]} and {B.shape[1]}")
     if out is None:
         out = np.zeros((len(A), len(B)), dtype=np.int64)
     x = np.empty_like(out)
+    once = A.shape[1] * p * p + 2 * p < 1 << 63
     for a, b in zip(A.T, B.T):
         np.multiply.outer(a, b, out=x)
         out += x
-        out %= p
+        if not once:
+            _reduce(out, p, x)
+    if once:
+        _reduce(out, p, x)
     return out
+
+
+def _reduce(out: np.ndarray, p: int, tmp: np.ndarray) -> None:
+    """out %= p in place for non-negative int64 out, through tmp: numpy
+    divides by a scalar about twice as fast as it takes remainders."""
+    np.floor_divide(out, p, out=tmp)
+    tmp *= p
+    out -= tmp
 
 
 def _pair_values(S: np.ndarray, U: np.ndarray, p: int, a=None, b=None):
@@ -321,36 +350,62 @@ class IncidenceReport:
 #
 # Planes sharing a canonical normal form a parallel pencil, so a point's
 # residue n.q mod p, taken once per distinct normal, picks out the single
-# plane of that pencil through it.  Residues are matched against the sorted
-# int64 keys normal_id * p + offset, never against a dense table, so memory
-# is O(|points| + |planes|) plus a few int64 temporaries of one _BLOCK_CELLS
-# block, and every step stays exact in int64 for p < 2^31.
+# plane of that pencil through it.  The distinct normals are taken in blocks
+# of b = _BLOCK_CELLS // (4p) (one at least), and each block fills one int32
+# pencil table of b * p cells, local normal * p + offset -> plane index or
+# -1, so a residue finds its plane with one gather.  When one normal's
+# table would not fit a block (p > _BLOCK_CELLS), the residues are matched
+# against the sorted int64 keys normal_id * p + offset by binary search
+# instead.  Either way memory is O(|points| + |planes|) plus a few
+# temporaries of one _BLOCK_CELLS block, and every step stays exact in int64
+# for p < 2^31.
 
 def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
     """Yield (point index, plane index) arrays of incident pairs, block by block.
 
     P holds points as rows, N and off the normals and offsets of a
-    WeightedPlaneSet in its sorted order, so the keys normal_id * p + offset
-    ascend as they are, each residue matches at most one, and a key's
-    position is its plane's index.
+    WeightedPlaneSet in its sorted order, so the planes of one normal are
+    adjacent, the keys normal_id * p + offset ascend as they are, and a key's
+    position among a block's keys is its plane's index less the block's first.
     """
     if not len(P) or not len(N):
         return
     new = np.ones(len(N), dtype=bool)
     new[1:] = (N[1:] != N[:-1]).any(axis=1)
     normals = N[new]
-    keys = (np.cumsum(new) - 1) * p + off
+    ids = np.cumsum(new) - 1
+    heads = np.append(np.flatnonzero(new), len(N))
     u = len(normals)
-    row_keys = np.arange(u, dtype=np.int64) * p
-    for start, acc in _pair_values(P, normals, p):
-        acc += row_keys
-        flat = acc.reshape(-1)
-        pos = np.searchsorted(keys, flat)
-        pos[pos == len(keys)] = 0
-        hit = np.flatnonzero(keys[pos] == flat)
-        qi, pj = hit // u + start, pos[hit]
-        del pos, hit  # free the block's temporaries while the caller reduces
-        yield qi, pj
+    table = None
+    if p <= _BLOCK_CELLS:
+        b = max(1, _BLOCK_CELLS // (4 * p))
+        table = np.empty(min(b, u) * p, dtype=np.int32)
+    else:
+        b = u  # one block of every normal, searched
+    for s in range(0, u, b):
+        block = normals[s : s + b]
+        lo, hi = heads[s], heads[s + len(block)]
+        keys = (ids[lo:hi] - s) * p + off[lo:hi]
+        if table is not None:
+            table.fill(-1)
+            table[keys] = np.arange(lo, hi)
+        row_keys = np.arange(len(block), dtype=np.int64) * p
+        for start, acc in _pair_values(P, block, p):
+            acc += row_keys
+            flat = acc.reshape(-1)
+            if table is None:
+                pos = np.searchsorted(keys, flat)
+                pos[pos == len(keys)] = 0
+                hit = np.flatnonzero(keys[pos] == flat)
+                pj = lo + pos[hit]
+                del pos
+            else:
+                pj = table[flat]
+                hit = np.flatnonzero(pj >= 0)
+                pj = pj[hit]
+            qi = hit // len(block) + start
+            del hit  # free the block's temporaries while the caller reduces
+            yield qi, pj
 
 
 def _weigh(points, planes, blocks) -> tuple[int, int]:

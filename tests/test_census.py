@@ -12,6 +12,7 @@ import tracemalloc
 from functools import cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,20 @@ pairs = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3)
 def test_census_matches_direction_group_loop(case, picks):
     p, pts = case
     _check_all(p, pts, picks)
+
+
+@given(point_sets().filter(lambda s: s[1]), pairs)
+@settings(max_examples=60, deadline=None)
+def test_census_witnesses_on_the_lexsort_route(case, picks):
+    # the census's (base, direction) rows pack into one key at these moduli;
+    # a constant column of 2^62 sends _runs down its lexsort route instead,
+    # and every k, witness and line count stays the loop's
+    p, pts = case
+    runs = counting._runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_runs", lambda rows: runs(
+            np.column_stack([rows, np.full(len(rows), 1 << 62)])))
+        _check_all(p, pts, picks)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 13])

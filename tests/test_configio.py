@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fpgeom import configio
 from fpgeom.bounds import BoundReport
 from fpgeom.configio import (
     REPORT_COLUMNS,
@@ -87,6 +88,24 @@ class TestParse:
     def test_empty_config_rejected(self):
         with pytest.raises(ConfigParseError):
             parse_config("# nothing here\n")
+
+    @pytest.mark.parametrize("bad", [
+        "p=7 dim=3\n[stuff]\n", "p=7 dim=3\n1 2 3\n", "p=7 dim=3\n[points]\n1 2\n",
+        "p=7 dim=3\n[points]\n1 2 x\n", "p=7 dim=3\n[points]\n1 2 3 w=0\n",
+        "p=7 dim=3\n[planes]\n0 0 0 1\n", "p=7 dim=3\n[lines]\n0 0 0 0 0 0\n",
+        "p=7 dim=2\n[points]\n1 w=2 2\n", "p=7 dim=2\n[points]\n1 2 w=\n",
+        "p=7 dim=2\n[points]\nw=3\n", "p=7 dim=2\n[points]\n1 2\n1 2 3\n3\n",
+    ])
+    def test_sections_hand_faulty_lines_to_the_line_parser(self, bad):
+        assert configio._parse_sections(bad) is None
+        with pytest.raises(ConfigParseError):
+            parse_config(bad)
+
+    def test_sections_read_large_coordinates_through_the_line_parser(self):
+        text = "p=7 dim=2\n[points]\n99999999999999999999 -99999999999999999999\n"
+        assert configio._parse_sections(text) is None
+        assert parse_config(text).points.points == (
+            (99999999999999999999 % 7, -99999999999999999999 % 7),)
 
 
 # Random configs: objects in [0, p) and their copies, shifted by multiples of
@@ -217,3 +236,42 @@ class TestReportSerialisation:
         assert float(row["ratio"]) == pytest.approx(
             float(row["count"]) / float(row["rhs"]), rel=1e-10
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_configs())
+def test_sections_read_every_config_the_lines_do(config):
+    text = _config_text(*config)
+    doc = configio._parse_sections(text)
+    assert doc is not None
+    assert emit_config(doc) == emit_config(configio._parse_lines(text))
+
+
+# Texts from a mix of good and faulty lines: the section reader and the line
+# reader give one document, or parse_config raises the line reader's error.
+_TOKENS = ("0", "1", "6", "-3", "13", "+4", "1_0", "x", "1e3", "w=2", "w=1", "w=0", "w=x",
+           "w=", "99999999999999999999", "[points]", "#", "# note")
+_LINES = st.one_of(
+    st.sampled_from(("", "  ", "[points]", "[planes]", "[lines]", " [ Lines ] ", "[stuff]",
+                     "p=7 dim=2", "# only a comment")),
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=7).map(" ".join),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return emit_config(parse(text))
+    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("p=7 dim=2", "p=7 dim=3", "  p=5 dim=2 # c", "p=8 dim=2", "")),
+       st.lists(_LINES, max_size=12))
+def test_sections_agree_with_the_line_reader(header, lines):
+    text = "\n".join([header, *lines]) + "\n"
+    want = _outcome(configio._parse_lines, text)
+    assert _outcome(parse_config, text) == want
+    doc = None if header.startswith("p=8") or not header else configio._parse_sections(text)
+    if doc is not None:
+        assert emit_config(doc) == want

@@ -273,6 +273,81 @@ class TestRowLayer:
             distinct_rows([(1, 2, 3)], 7, 2)
 
 
+def _python_runs(rows):
+    """(order, bounds) of _runs by python's stable sort of row tuples."""
+    keys = [tuple(r) for r in rows.tolist()]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    bounds = [g for g in range(len(order)) if not g or keys[order[g]] != keys[order[g - 1]]]
+    return order, bounds + [len(order)]
+
+
+def _lexsorted_runs(rows):
+    """_runs through its lexsort route: a constant last column of 2^62 keeps
+    the order and the runs but lifts the radix product to 2^63 or more."""
+    return counting._runs(np.column_stack([rows, np.full(len(rows), 1 << 62)]))
+
+
+@st.composite
+def run_rows(draw):
+    """Non-negative int64 rows with many ties, entries small or up to 2^63 - 1."""
+    width = draw(st.integers(1, 4))
+    top = draw(st.sampled_from((0, 2, 100, (1 << 31) - 1, (1 << 63) - 1)))
+    entry = st.one_of(st.integers(0, min(top, 2)), st.just(top), st.integers(0, top))
+    rows = draw(st.lists(st.tuples(*(entry,) * width), max_size=30))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+class TestRuns:
+    """`_runs`' packed-key and lexsort routes against python's stable sort."""
+
+    @pytest.fixture
+    def lexsorts(self, monkeypatch):
+        calls, lexsort = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        return calls
+
+    @given(run_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_both_routes_match_a_stable_sort(self, rows):
+        want = _python_runs(rows)
+        for order, bounds in (counting._runs(rows), _lexsorted_runs(rows)):
+            assert (order.tolist(), bounds.tolist()) == want
+
+    @pytest.mark.parametrize("maxima, packed", [
+        ((2**63 - 2,), True),                 # radix 2^63 - 1
+        ((2**63 - 1,), False),                # radix 2^63
+        ((2**31 - 1, 2**32 - 2), True),       # 2^31 (2^32 - 1) = 2^63 - 2^31
+        ((2**31 - 1, 2**32 - 1), False),      # 2^31 2^32 = 2^63
+        ((100, 100, 100), True),
+    ])
+    def test_radix_product_picks_the_route(self, lexsorts, maxima, packed):
+        rng = rng_for("runs-radix", maxima)
+        # ties in every column, the maxima present, rows shuffled
+        rows = [[rng.choice((0, 1, m, m - 1)) for m in maxima] for _ in range(40)]
+        rows.append(list(maxima))
+        rows = np.array(rows, dtype=np.int64)
+        order, bounds = counting._runs(rows)
+        assert bool(lexsorts) != packed
+        assert (order.tolist(), bounds.tolist()) == _python_runs(rows)
+
+    def test_ties_keep_input_order(self, lexsorts):
+        rows = np.array([[2, 1], [0, 5], [2, 1], [0, 5], [2, 0], [2, 1]])
+        for order, bounds in (counting._runs(rows), _lexsorted_runs(rows)):
+            assert order.tolist() == [1, 3, 4, 0, 2, 5]
+            assert bounds.tolist() == [0, 2, 3, 6]
+        assert len(lexsorts) == 1
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_no_rows(self, width):
+        order, bounds = counting._runs(np.zeros((0, width), dtype=np.int64))
+        assert order.tolist() == [] and bounds.tolist() == [0]
+
+    def test_one_column(self):
+        order, bounds = counting._runs(np.array([[3], [1], [3], [0], [1]]))
+        assert order.tolist() == [3, 1, 4, 0, 2]
+        assert bounds.tolist() == [0, 1, 3, 5]
+
+
 class TestCountPointPlane:
     def test_empty_points(self):
         Q = WeightedPointSet.of([], 7, dim=3)
@@ -503,6 +578,51 @@ class TestBigWeights:
         assert rep.pairs < count_point_plane(Q, Pi).pairs
 
 
+def _route_cells(p):
+    """_BLOCK_CELLS values that send the engine at modulus p through the
+    pencil table with many normals a block, through the table with one normal
+    a block, and through the key search (one normal's table over a block)."""
+    return (1 << 16, 4 * p, p - 1) if p <= 1 << 16 else (1 << 16,)
+
+
+def _cross(u, v, p):
+    return tuple((u[i] * v[j] - u[j] * v[i]) % p for i, j in ((1, 2), (2, 0), (0, 1)))
+
+
+@st.composite
+def engine_cases(draw, dim):
+    """(p, points, point weights, planes, plane weights, forbidden lines):
+    planes that are random, through a point, or (in 3-D) through a forbidden
+    line, so incidences and routed pairs occur at every modulus."""
+    p = draw(st.sampled_from((3, 5, 13, BIG)))
+    vec = st.tuples(*(_residues(p),) * dim)
+    pts = draw(st.lists(vec, min_size=1, max_size=16, unique=True))
+    pick = st.sampled_from(pts)
+    lines = []
+    if dim == 3:
+        for _ in range(draw(st.integers(0, 3))):
+            base, d = draw(pick), draw(vec.filter(any))
+            lines.append((base, d))
+    planes = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(("random", "point", "line") if lines else ("random", "point")))
+        if kind == "line":
+            base, d = draw(st.sampled_from(lines))
+            normal = _cross(d, draw(vec), p)
+            if not any(normal):
+                continue
+        else:
+            normal = draw(vec.filter(any))
+            base = draw(pick)
+        offset = (draw(_residues(p)) if kind == "random"
+                  else sum(a * b for a, b in zip(normal, base)) % p)
+        planes.append((normal, offset))
+    weights = st.integers(1, 9)
+    wq = draw(st.lists(weights, min_size=len(pts), max_size=len(pts)))
+    wp = draw(st.lists(weights, min_size=len(planes), max_size=len(planes)))
+    return p, pts, wq, planes, wp, lines
+
+
 class TestEngine:
     """The normal-pencil engine across block boundaries, and its memory."""
 
@@ -565,6 +685,84 @@ class TestEngine:
         # indices with their weights are all block-sized; the keys and the
         # distinct normals add a few int64 arrays over the planes and points
         assert peak < 8 * 8 * counting._BLOCK_CELLS + 64 * (len(Q) + len(Pi))
+
+    @pytest.mark.parametrize("p", [3, 13, 101])
+    def test_routes_agree_on_the_same_sets(self, monkeypatch, p):
+        rng = rng_for("engine-routes", p)
+        Q, Pi = make_sets(rng, p, 60, 4 * p, max_w=5)
+        searches, widths = [], []
+        search, pair_values = np.searchsorted, counting._pair_values
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *a, **k: searches.append(1) or search(*a, **k))
+        monkeypatch.setattr(counting, "_pair_values",
+                            lambda P, U, p: widths.append(len(U)) or pair_values(P, U, p))
+        normals = len(np.unique(Pi.rows[:, :-1], axis=0))
+        counts = []
+        # normals a block: b = cells // 4p on the table routes, all on the search
+        blocked = min(normals, (1 << 16) // (4 * p))
+        for cells, searched, width in zip(_route_cells(p), (False, False, True),
+                                          (blocked, 1, normals)):
+            monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+            searches.clear(), widths.clear()
+            counts.append(weighted_incidences(Q, Pi))
+            assert bool(searches) == searched
+            assert max(widths) == width
+        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
+        assert counts == [oracles.count_point_plane(Q.points, Q.weights, raw, Pi.weights, p)] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine_cases(3))
+    def test_3d_counts_match_oracles_on_every_route(self, case):
+        p, pts, wq, planes, wp, lines = case
+        Q = WeightedPointSet.of(pts, p, weights=wq, dim=3)
+        Pi = WeightedPlaneSet.of(planes, p, weights=wp, dim=3)
+        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
+        plain = oracles.count_point_plane(Q.points, Q.weights, raw, Pi.weights, p)
+        restricted = oracles.count_restricted(
+            Q.points, Q.weights, raw, Pi.weights, lines, p,
+            on_line=oracles.on_line_by_minors, line_in_plane=oracles.line_in_plane_by_two_points)
+        for cells in _route_cells(p):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counting, "_BLOCK_CELLS", cells)
+                assert weighted_incidences(Q, Pi) == plain
+                rep = count_restricted(Q, Pi, lines)
+                assert (rep.pairs, rep.weighted) == restricted
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine_cases(2))
+    def test_planar_counts_match_oracles_on_every_route(self, case):
+        p, pts, wq, planes, wp, _ = case
+        triples = sorted({(*pl.normal, pl.offset)
+                          for pl in WeightedPlaneSet.of(planes, p, dim=2).planes})
+        Q = WeightedPointSet.of(pts, p, weights=wq, dim=2)
+        L = WeightedPlaneSet.of(planes, p, weights=wp, dim=2)
+        raw = [(pl.normal, pl.offset) for pl in L.planes]
+        for cells in _route_cells(p):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counting, "_BLOCK_CELLS", cells)
+                assert count_point_line_2d(pts, triples, p) == oracles.count_point_line_2d(
+                    pts, triples, p)
+                assert weighted_incidences(Q, L) == oracles.count_point_plane(
+                    Q.points, Q.weights, raw, L.weights, p)
+
+    def test_planar_memory_with_the_pencil_table(self):
+        # shaped like the benchmark's planar count: about 4,000 points and
+        # 4,000 lines at p = 1009, about 1,000 distinct normals
+        p = 1009
+        rng = np.random.default_rng(1)
+        pts = rng.integers(0, p, (4000, 2))
+        lines = rng.integers(0, p, (4000, 3))
+        lines = lines[lines[:, :2].any(axis=1)]
+        tracemalloc.start()
+        try:
+            got = count_point_line_2d(pts, lines, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_BLOCK_CELLS", p - 1)  # the key search
+            assert count_point_line_2d(pts, lines, p) == got
 
 
 class TestMaxCollinear:
