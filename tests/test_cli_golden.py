@@ -88,6 +88,15 @@ def _files() -> dict[str, str]:
         "sweep_unused_key.txt": "construction=semi_isotropic\np=13\nk=2\nl=3\nplanes=5\n",
         "sweep_negative.txt": "construction=random_2d\np=11\npoints=-4\n",
         "sweep_nonprime.txt": "construction=sphere\np=5,4\n",
+        # parse errors exit 2 and name the first faulty line
+        "bad_token.txt": _config(7, 3, points=["1 2 3", "1 2 x"]),
+        "bad_section.txt": _config(7, 3, points=["1 2 3"]) + "[stuff]\n1 2 3\n",
+        "zero_normal.txt": _config(7, 3, planes=["1 0 0 1", "0 0 0 1"]),
+        # a [planes] row of three values before a [points] row with a bad token
+        "two_faults.txt": _config(7, 3, planes=["1 0 0"]) + "[points]\n1 2 x\n",
+        # coordinates beyond int64 are valid and reduced mod p
+        "huge.txt": _config(7, 3, points=["99999999999999999999 -99999999999999999999 3"],
+                            planes=["1 0 0 99999999999999999999"]),
     }
 
 
@@ -122,6 +131,11 @@ CASES = {
     "count-2d-grid-T2": ["count", "elekes2.txt", "--theorem", "T2"],
     "count-2d-shared-line": ["count", "dup2.txt", "--theorem", "VINH"],
     "count-dim4": ["count", "dim4.txt"],
+    "count-bad-token": ["count", "bad_token.txt"],
+    "count-unknown-section": ["count", "bad_section.txt"],
+    "count-zero-normal": ["count", "zero_normal.txt"],
+    "count-first-of-two-faults": ["count", "two_faults.txt"],
+    "count-huge-coordinates": ["count", "huge.txt"],
     "distances": ["distances", "dist3.txt"],
     "distances-exclude-zero": ["distances", "dist3.txt", "--exclude-zero",
                                "--theorem", "T42"],
