@@ -75,7 +75,7 @@ def build_parser() -> _Parser:
 
     subcommands = {name: flags for name, (_, flags) in _MEASUREMENTS.items()}
     subcommands["verify"] = [("--quadric", {"choices": ("paraboloid", "sphere")}),
-                             ("--t", {"type": int, "default": 1})]
+                             ("--t", {"type": int})]
     for name, flags in subcommands.items():
         sp = sub.add_parser(name)
         sp.add_argument("config", help="configuration file path")
@@ -121,6 +121,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command in ("energy", "verify") and args.t is not None and args.quadric != "sphere":
+        raise UsageError(f"{args.command} reads --t only with --quadric sphere")
     if args.command == "construct":
         return _cmd_construct(args)
     if args.command == "verify":
@@ -253,7 +255,8 @@ def _energy(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     if quadric == "paraboloid":
         rep = rectangle_energy_paraboloid(doc.points.rows, doc.p)
     else:
-        rep = rectangle_energy_sphere(doc.points.rows, doc.p, opt("t"))
+        t = opt("t")
+        rep = rectangle_energy_sphere(doc.points.rows, doc.p, 1 if t is None else t)
     known = {"a": rep.size, "k0": rep.k0}
     # the measured k0 replaces a cylinder cell's key of that name
     params = {**(cell or {}), **known}
@@ -285,7 +288,7 @@ _MEASUREMENTS = {
         "action": "store_true", "help": "discount incidences along the [lines] section"})]),
     "distances": (_distances, [("--exclude-zero", {"action": "store_true"})]),
     "energy": (_energy, [("--quadric", {"choices": ("paraboloid", "sphere"), "required": True}),
-                         ("--t", {"type": int, "default": 1})]),
+                         ("--t", {"type": int})]),
     "forms": (_forms, [
         ("--matrix", {"type": int, "nargs": 4, "metavar": ("M00", "M01", "M10", "M11")}),
         ("--solutions", {"action": "store_true",
@@ -323,7 +326,7 @@ def _cmd_verify(args) -> int:
         from .quadrics import Paraboloid, Sphere
 
         quad = (Paraboloid(doc.p, doc.dim) if args.quadric == "paraboloid"
-                else Sphere(doc.p, doc.dim, args.t))
+                else Sphere(doc.p, doc.dim, 1 if args.t is None else args.t))
         ok = all(quad.contains(q) for q in doc.points.points)
         checks.append((f"all points lie on the {args.quadric}", ok))
     lines = [f"{'ok' if ok else 'FAIL'}: {name}" for name, ok in checks]

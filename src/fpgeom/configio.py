@@ -18,7 +18,9 @@ theorem,p,params,count,rhs,ratio,flags with 12-significant-digit floats.
 
 from __future__ import annotations
 
+import contextlib
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,111 +71,116 @@ def _section_rules(dim: int) -> dict[str, tuple]:
 
 
 def parse_config(text: str) -> ConfigDoc:
-    """The document of a config text.  Each section's object lines are read
-    with one integer conversion; on any fault the text is read again line by
-    line, which raises at the first faulty line."""
-    doc = _parse_sections(text)
-    return _parse_lines(text) if doc is None else doc
-
-
-def _parse_sections(text: str) -> ConfigDoc | None:
-    """parse_config's document, or None when any line is faulty."""
+    """The document of a config text, read once.  The header and the section
+    heads are found in one walk; each section's object lines are streamed
+    into one int64 conversion that checks each line's weight and width as it
+    reads it (a section holding a value beyond int64 is converted again,
+    each value reduced mod p as it is read), and nonzero normals and
+    directions are checked once per section.  Faults are located only after
+    a conversion fails; ConfigParseError names the first faulty line."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     lines = [line.strip() for line in lines]
     first = next((i for i, line in enumerate(lines) if line), None)
     if first is None:
-        return None
+        raise ConfigParseError("empty configuration: missing 'p=... dim=...' header", 0)
     p, dim = _parse_header(lines[first], first + 1)
     heads = [i for i, line in enumerate(lines) if line.startswith("[")]
-    if any(lines[first + 1 : heads[0] if heads else len(lines)]):
-        return None  # an object before any section header
-    body: dict[str, list[str]] = {name: [] for name in _SECTIONS}
+    stray = next((i for i in range(first + 1, heads[0] if heads else len(lines)) if lines[i]),
+                 None)
+    if stray is not None:
+        raise ConfigParseError("object before any section header", stray + 1)
+    spans: dict[str, list[slice]] = {name: [] for name in _SECTIONS}
+    faults = []  # (line number, message); the earliest is raised
     for head, end in zip(heads, heads[1:] + [len(lines)]):
         name = lines[head].strip("[]").strip().lower()
-        if name not in body:
-            return None
-        body[name] += filter(None, lines[head + 1 : end])
+        if name not in spans:
+            faults.append((head + 1, f"unknown section [{name}]"))
+            break
+        spans[name].append(slice(head + 1, end))
     rules = _section_rules(dim)
     arrays, weights = [], []
     for name in _SECTIONS:
-        width, _, nonzero, _ = rules[name]
-        section = _section_rows(body[name], int(p), width, nonzero)
-        if section is None:
-            return None
-        arrays.append(section[0])
-        weights.append(section[1])
+        body = [line for span in spans[name] for line in lines[span] if line]
+        rows, section_weights, fault = _section_rows(body, int(p), *rules[name])
+        if fault is not None:
+            numbers = [i + 1 for span in spans[name]
+                       for i in range(span.start, span.stop) if lines[i]]
+            faults.append((numbers[fault[0]], fault[1]))
+        arrays.append(rows)
+        weights.append(section_weights)
+    if faults:
+        line, message = min(faults)
+        raise ConfigParseError(message, line)
     return ConfigDoc.of(p, dim, *arrays, weights=weights)
 
 
-def _section_rows(lines: list[str], p: int, width: int, nonzero: slice | None):
-    """(rows reduced mod p, weights or None for all 1) of one section's
-    object lines, or None when any of them is faulty; the columns `nonzero`
-    may not all be zero."""
-    weights = [] if any("w=" in line for line in lines) else None
+def _section_rows(lines: list[str], p: int, width: int, arity: str,
+                  nonzero: slice | None, zero: str | None):
+    """(rows reduced mod p, weights or None for all 1, fault) of one
+    section's object lines.  The fault is None or the index and message of
+    the first faulty line: a line that does not read, or a row whose columns
+    `nonzero` are all zero.  The rows are those of the lines that read."""
     try:
-        values = np.fromiter(map(int, _object_tokens(lines, width, weights)),
-                             dtype=np.int64, count=len(lines) * width)
-    except (ValueError, OverflowError):
-        return None
-    if weights and min(weights) < 1:
-        return None
-    rows = values.reshape(len(lines), width) % p
-    if nonzero is not None and not rows[:, nonzero].any(axis=1).all():
-        return None
-    return rows, weights
+        values, weights = _convert(lines, width)
+    except OverflowError:
+        values, weights = _convert(lines, width, p)
+    n = len(values) // width
+    rows = np.frombuffer(values, dtype=np.int64)[: n * width].reshape(n, width) % p
+    fault = None if n == len(lines) else (n, _line_fault(lines[n], arity))
+    if nonzero is not None:
+        ok = rows[:, nonzero].any(axis=1)
+        if not ok.all():
+            fault = int(ok.argmin()), zero
+    return rows, weights, fault
+
+
+def _convert(lines: list[str], width: int, p: int | None = None):
+    """(int64 values, each reduced mod p unless p is None, weights or None)
+    of object lines of `width` values each, up to the first faulty line;
+    raises OverflowError at a value beyond int64."""
+    weights = [] if any("w=" in line for line in lines) else None
+    values = array("q")
+    ints = map(int, _object_tokens(lines, width, weights))
+    with contextlib.suppress(ValueError):
+        values.extend(ints if p is None else map(p.__rmod__, ints))
+    return values, weights
 
 
 def _object_tokens(lines: list[str], width: int, weights: list[int] | None):
     """Yield the value tokens of object lines of `width` values each, one
     line at a time, appending each line's weight (1 when it has no w= token)
-    to `weights` unless it is None; raises ValueError at a faulty line."""
+    to `weights` unless it is None; raises ValueError at a faulty weight or
+    width."""
     for line in lines:
         tokens = line.split()
         if weights is not None:
             weights.append(int(tokens.pop()[2:]) if tokens[-1].startswith("w=") else 1)
+            if weights[-1] < 1:
+                raise ValueError("weights must be positive")
         if len(tokens) != width:
             raise ValueError(f"{len(tokens)} values, not {width}")
         yield from tokens
 
 
-def _parse_lines(text: str) -> ConfigDoc:
-    """parse_config line by line, raising ConfigParseError at the first
-    faulty line."""
-    header = None
-    section: str | None = None
-    rows: dict[str, list[list[int]]] = {name: [] for name in _SECTIONS}
-    weights: dict[str, list[int]] = {name: [] for name in _SECTIONS}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            header = p, dim = _parse_header(line, lineno)
-            rules = _section_rules(dim)
-            continue
-        if line.startswith("["):
-            name = line.strip("[]").strip().lower()
-            if name not in _SECTIONS:
-                raise ConfigParseError(f"unknown section [{name}]", lineno)
-            section = name
-            continue
-        if section is None:
-            raise ConfigParseError("object before any section header", lineno)
-        values, weight = _parse_object_line(line, lineno, p)
-        width, arity, nonzero, zero = rules[section]
-        if len(values) != width:
-            raise ConfigParseError(arity, lineno)
-        if zero and not any(values[nonzero]):
-            raise ConfigParseError(zero, lineno)
-        rows[section].append(values)
-        weights[section].append(weight)
-    if header is None:
-        raise ConfigParseError("empty configuration: missing 'p=... dim=...' header", 0)
-    arrays = [np.array(rows[name], dtype=np.int64).reshape(len(rows[name]), rules[name][0])
-              for name in _SECTIONS]
-    return ConfigDoc.of(p, dim, *arrays, weights=[weights[name] for name in _SECTIONS])
+def _line_fault(line: str, arity: str) -> str:
+    """The message of a faulty object line: its weight token, then its
+    integer tokens, then its width."""
+    tokens = line.split()
+    if tokens[-1].startswith("w="):
+        weight = tokens.pop()
+        try:
+            if int(weight[2:]) < 1:
+                return "weights must be positive"
+        except ValueError:
+            return f"bad weight token {weight!r}"
+    for token in tokens:
+        try:
+            int(token)
+        except ValueError:
+            return f"expected an integer, got {token!r}"
+    return arity if tokens else "empty object line"
 
 
 def _parse_header(line: str, lineno: int) -> tuple[Prime, int]:
@@ -191,29 +198,6 @@ def _parse_header(line: str, lineno: int) -> tuple[Prime, int]:
     if dim not in (2, 3, 4):
         raise ConfigParseError(f"dim must be 2, 3 or 4, got {dim}", lineno)
     return p, dim
-
-
-def _parse_object_line(line: str, lineno: int, p: int) -> tuple[list[int], int]:
-    """(values reduced mod p, weight) of an object line."""
-    weight = 1
-    tokens = line.split()
-    if tokens and tokens[-1].startswith("w="):
-        try:
-            weight = int(tokens[-1][2:])
-        except ValueError:
-            raise ConfigParseError(f"bad weight token {tokens[-1]!r}", lineno)
-        if weight < 1:
-            raise ConfigParseError("weights must be positive", lineno)
-        tokens = tokens[:-1]
-    values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok) % p)
-        except ValueError:
-            raise ConfigParseError(f"expected an integer, got {tok!r}", lineno)
-    if not values:
-        raise ConfigParseError("empty object line", lineno)
-    return values, weight
 
 
 def emit_config(doc: ConfigDoc) -> str:

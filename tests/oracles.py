@@ -2,13 +2,18 @@
 
 Everything here works on raw integer tuples and literal definitions only;
 no counting or geometry code from the package is reused, so agreement with
-the library is a genuine cross-check.
+the library is a genuine cross-check.  (The config line reader at the end
+builds the package's document; it pins how object lines are read.)
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+
+import numpy as np
+
+from fpgeom.configio import ConfigDoc, ConfigParseError, _parse_header
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +470,84 @@ def rectangle_census(points, corner, p):
     mults = census.values()
     return (energy, len(census), *classes,
             (min(mults), max(mults)) if census else None)
+
+
+# ---------------------------------------------------------------------------
+# config text, read line by line: the reference for configio.parse_config.
+# It shares the header parser, the error type and the document (whose `of`
+# canonicalises) with the package; what it pins is the reading of object
+# lines, each on its own, and the first faulty line and its message.
+
+_SECTIONS = ("points", "planes", "lines")
+
+
+def _section_rules(dim: int) -> dict[str, tuple]:
+    """section -> (row width, arity message, columns not all zero, zero message)"""
+    return {
+        "points": (dim, f"point needs {dim} coordinates", None, None),
+        "planes": (dim + 1, f"plane needs {dim} normal coordinates and an offset",
+                   slice(dim), "plane normal must be nonzero"),
+        "lines": (2 * dim, f"line needs {dim} base and {dim} direction coordinates",
+                  slice(dim, None), "zero vector has no canonical scaling"),
+    }
+
+
+def parse_config_lines(text: str):
+    """parse_config line by line, raising ConfigParseError at the first
+    faulty line."""
+    header = None
+    section: str | None = None
+    rows: dict[str, list[list[int]]] = {name: [] for name in _SECTIONS}
+    weights: dict[str, list[int]] = {name: [] for name in _SECTIONS}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            header = p, dim = _parse_header(line, lineno)
+            rules = _section_rules(dim)
+            continue
+        if line.startswith("["):
+            name = line.strip("[]").strip().lower()
+            if name not in _SECTIONS:
+                raise ConfigParseError(f"unknown section [{name}]", lineno)
+            section = name
+            continue
+        if section is None:
+            raise ConfigParseError("object before any section header", lineno)
+        values, weight = _parse_object_line(line, lineno, p)
+        width, arity, nonzero, zero = rules[section]
+        if len(values) != width:
+            raise ConfigParseError(arity, lineno)
+        if zero and not any(values[nonzero]):
+            raise ConfigParseError(zero, lineno)
+        rows[section].append(values)
+        weights[section].append(weight)
+    if header is None:
+        raise ConfigParseError("empty configuration: missing 'p=... dim=...' header", 0)
+    arrays = [np.array(rows[name], dtype=np.int64).reshape(len(rows[name]), rules[name][0])
+              for name in _SECTIONS]
+    return ConfigDoc.of(p, dim, *arrays, weights=[weights[name] for name in _SECTIONS])
+
+
+def _parse_object_line(line: str, lineno: int, p: int) -> tuple[list[int], int]:
+    """(values reduced mod p, weight) of an object line."""
+    weight = 1
+    tokens = line.split()
+    if tokens and tokens[-1].startswith("w="):
+        try:
+            weight = int(tokens[-1][2:])
+        except ValueError:
+            raise ConfigParseError(f"bad weight token {tokens[-1]!r}", lineno)
+        if weight < 1:
+            raise ConfigParseError("weights must be positive", lineno)
+        tokens = tokens[:-1]
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok) % p)
+        except ValueError:
+            raise ConfigParseError(f"expected an integer, got {tok!r}", lineno)
+    if not values:
+        raise ConfigParseError("empty object line", lineno)
+    return values, weight

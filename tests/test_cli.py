@@ -277,6 +277,29 @@ class TestOtherSubcommands:
         assert code == 3
         assert any(line.startswith("FAIL:") for line in text.splitlines())
 
+    # only the sphere reads --t; anywhere else it is a usage error
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--quadric", "paraboloid", "--t", "5"],
+        ["verify", "--t", "5"],
+        ["verify", "--quadric", "paraboloid", "--t", "1"],
+    ])
+    def test_unread_t_is_a_usage_error(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "e.txt"
+        cfg.write_text("p=7 dim=3\n")
+        code, text = run(tmp_path, argv[0], str(cfg), *argv[1:])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == (
+            f"usage error: {argv[0]} reads --t only with --quadric sphere\n")
+
+    @pytest.mark.parametrize("command", ["energy", "verify"])
+    def test_sphere_reads_t_and_defaults_to_1(self, tmp_path, command):
+        cfg = tmp_path / "s.txt"
+        cfg.write_text("p=7 dim=3\n[points]\n1 0 0\n0 1 0\n")
+        default = run(tmp_path, command, str(cfg), "--quadric", "sphere")
+        assert default == run(tmp_path, command, str(cfg), "--quadric", "sphere", "--t", "1")
+        assert default[0] == 0
+        assert run(tmp_path, command, str(cfg), "--quadric", "sphere", "--t", "2")[0] != 0
+
 
 class TestSweep:
     def test_rows_per_parameter(self, tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -95,17 +96,45 @@ class TestParse:
         "p=7 dim=3\n[planes]\n0 0 0 1\n", "p=7 dim=3\n[lines]\n0 0 0 0 0 0\n",
         "p=7 dim=2\n[points]\n1 w=2 2\n", "p=7 dim=2\n[points]\n1 2 w=\n",
         "p=7 dim=2\n[points]\nw=3\n", "p=7 dim=2\n[points]\n1 2\n1 2 3\n3\n",
+        # the earliest fault wins: across sections in any order, a zero row
+        # before a bad token, a bad token after a value beyond int64
+        "p=7 dim=3\n[planes]\n1 0 0\n[points]\n1 2 x\n",
+        "p=7 dim=3\n[lines]\n1 1 1 7 14 0\n[planes]\n1 0 0 w=0\n",
+        "p=7 dim=2\n[points]\n1 1\n[stuff]\n[planes]\n0 0 1\n",
+        "p=7 dim=2\n[planes]\n1 1 1\n7 0 1\n1 x 1\n",
+        "p=7 dim=2\n[points]\n99999999999999999999 1\n1 x\n",
+        # a section read in two blocks, its fault in the second
+        "p=7 dim=2\n[points]\n1 1\n[planes]\n1 1 1\n[points]\n\n2 2\n1 x\n",
     ])
-    def test_sections_hand_faulty_lines_to_the_line_parser(self, bad):
-        assert configio._parse_sections(bad) is None
-        with pytest.raises(ConfigParseError):
+    def test_faulty_lines_raise_as_the_line_reader_does(self, bad):
+        with pytest.raises(ConfigParseError) as want:
+            oracles.parse_config_lines(bad)
+        with pytest.raises(ConfigParseError) as got:
             parse_config(bad)
+        assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
 
-    def test_sections_read_large_coordinates_through_the_line_parser(self):
-        text = "p=7 dim=2\n[points]\n99999999999999999999 -99999999999999999999\n"
-        assert configio._parse_sections(text) is None
-        assert parse_config(text).points.points == (
-            (99999999999999999999 % 7, -99999999999999999999 % 7),)
+    def test_large_coordinates_read_as_the_line_reader_does(self):
+        text = ("p=7 dim=2\n[points]\n99999999999999999999 -99999999999999999999\n"
+                "[planes]\n1 2 3\n[points]\n1 1 w=99999999999999999999\n")
+        doc = parse_config(text)
+        assert doc.points.points == ((1, 1), (99999999999999999999 % 7, -99999999999999999999 % 7))
+        assert doc.points.weights == (99999999999999999999, 1)
+        assert emit_config(doc) == emit_config(oracles.parse_config_lines(text))
+
+    @pytest.mark.parametrize("text, conversions", [
+        (SAMPLE, 3),
+        ("p=7 dim=3\n[points]\n1 2 x\n[planes]\n0 0 0 1\n", 3),
+        ("p=7 dim=2\n[points]\n99999999999999999999 1\n[lines]\n0 0 1 1\n", 4),
+    ])
+    def test_each_section_is_converted_once(self, monkeypatch, text, conversions):
+        # valid or faulty, each section is converted once; a section holding
+        # a value beyond int64 once more, reducing each value as it is read
+        calls = []
+        convert = configio._convert
+        monkeypatch.setattr(configio, "_convert", lambda *a: calls.append(a) or convert(*a))
+        with contextlib.suppress(ConfigParseError):
+            parse_config(text)
+        assert len(calls) == conversions
 
 
 # Random configs: objects in [0, p) and their copies, shifted by multiples of
@@ -240,21 +269,24 @@ class TestReportSerialisation:
 
 @settings(max_examples=80, deadline=None)
 @given(_configs())
-def test_sections_read_every_config_the_lines_do(config):
+def test_reader_reads_every_config_the_line_reader_does(config):
     text = _config_text(*config)
-    doc = configio._parse_sections(text)
-    assert doc is not None
-    assert emit_config(doc) == emit_config(configio._parse_lines(text))
+    assert emit_config(parse_config(text)) == emit_config(oracles.parse_config_lines(text))
 
 
-# Texts from a mix of good and faulty lines: the section reader and the line
-# reader give one document, or parse_config raises the line reader's error.
-_TOKENS = ("0", "1", "6", "-3", "13", "+4", "1_0", "x", "1e3", "w=2", "w=1", "w=0", "w=x",
-           "w=", "99999999999999999999", "[points]", "#", "# note")
+# Texts from a mix of good and faulty lines: parse_config and the line reader
+# give one document, or one error with one message and line.  The tokens
+# cover what int() reads and the int64 conversion may not (coordinates and
+# weights beyond int64, a non-ASCII digit) and multiples of p, which reduce
+# to a zero normal or direction.
+_TOKENS = ("0", "1", "6", "-3", "13", "+4", "1_0", "x", "1e3", "0x1", "1.0", "\u0663", "7",
+           "-5", "w=2", "w=1", "w=0", "w=x", "w=", "w=+2", "w=99999999999999999999",
+           "99999999999999999999", "-99999999999999999999", "[points]", "#", "# note")
 _LINES = st.one_of(
     st.sampled_from(("", "  ", "[points]", "[planes]", "[lines]", " [ Lines ] ", "[stuff]",
-                     "p=7 dim=2", "# only a comment")),
+                     "p=7 dim=2", "# only a comment", "7 -14 1", "7 -14 0 1", "10 5 3")),
     st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=7).map(" ".join),
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=7).map("\t".join),
 )
 
 
@@ -268,10 +300,6 @@ def _outcome(parse, text):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(("p=7 dim=2", "p=7 dim=3", "  p=5 dim=2 # c", "p=8 dim=2", "")),
        st.lists(_LINES, max_size=12))
-def test_sections_agree_with_the_line_reader(header, lines):
+def test_reader_agrees_with_the_line_reader(header, lines):
     text = "\n".join([header, *lines]) + "\n"
-    want = _outcome(configio._parse_lines, text)
-    assert _outcome(parse_config, text) == want
-    doc = None if header.startswith("p=8") or not header else configio._parse_sections(text)
-    if doc is not None:
-        assert emit_config(doc) == want
+    assert _outcome(parse_config, text) == _outcome(oracles.parse_config_lines, text)
