@@ -63,6 +63,9 @@ def _files() -> dict[str, str]:
         "semi3.txt": _config(13, 3, points=semi_isotropic_set(2, 3, 13).points),
         "par3.txt": _config(5, 3, points=_paraboloid(5, 3)),
         "par4.txt": _config(5, 4, points=_paraboloid(5, 4)[:40]),
+        # the full paraboloid of F_5^3 with its point (1, 1, 2) moved to (1, 1, 3)
+        "paroff3.txt": _config(5, 3, points=[(1, 1, 3) if q == (1, 1, 2) else q
+                                             for q in _paraboloid(5, 3)]),
         "sph3.txt": _config(5, 3, points=sphere_points(5, 3, 1)),
         "sph4.txt": _config(5, 4, points=sphere_points(5, 4, 1)[:40]),
         "off3.txt": _config(7, 3, points=[(1, 0, 0), (1, 1, 1)]),
@@ -147,6 +150,7 @@ CASES = {
                               "--theorem", "T54"],
     "energy-paraboloid-T53": ["energy", "par4.txt", "--quadric", "paraboloid",
                               "--theorem", "T53"],
+    "energy-off-paraboloid": ["energy", "paroff3.txt", "--quadric", "paraboloid"],
     "energy-sphere-T55": ["energy", "sph3.txt", "--quadric", "sphere", "--theorem", "T55"],
     "energy-sphere-T56": ["energy", "sph4.txt", "--quadric", "sphere", "--t", "1",
                           "--theorem", "T56"],
@@ -159,6 +163,8 @@ CASES = {
     "verify-ok-2d": ["verify", "plane2.txt"],
     "verify-ok-sphere": ["verify", "sph3.txt", "--quadric", "sphere", "--t", "1"],
     "verify-fail": ["verify", "off3.txt", "--quadric", "sphere", "--t", "1"],
+    "verify-ok-paraboloid": ["verify", "par3.txt", "--quadric", "paraboloid"],
+    "verify-fail-paraboloid": ["verify", "paroff3.txt", "--quadric", "paraboloid"],
     "sweep-sphere": ["sweep", "sweep_sphere.txt"],
     "sweep-coprime": ["sweep", "sweep_coprime.txt"],
     "sweep-elekes": ["sweep", "sweep_elekes.txt"],
