@@ -5,7 +5,7 @@ distance and additive-energy statistics, extremal constructions, and
 bound-ratio reporting, all at desk-scale odd primes.
 """
 
-from .field import Prime, inv, legendre, sqrt_mod
+from .field import Prime, inv, legendre
 from .geom import AffineLine, AffinePlane
 from .counting import (
     IncidenceReport,

@@ -33,6 +33,7 @@ from .counting import WeightedLineSet, WeightedPlaneSet
 from .energy import rectangle_energy_paraboloid, rectangle_energy_sphere
 from .field import Prime
 from .geom import GeometryError
+from .quadrics import Paraboloid, Sphere
 
 
 class UsageError(Exception):
@@ -323,11 +324,9 @@ def _cmd_verify(args) -> int:
             doc.points.points, doc.lines.lines + doc.planes.planes, doc.p)
         checks.append(("planar count matches the naive loop", fast == slow))
     if args.quadric:
-        from .quadrics import Paraboloid, Sphere
-
         quad = (Paraboloid(doc.p, doc.dim) if args.quadric == "paraboloid"
                 else Sphere(doc.p, doc.dim, 1 if args.t is None else args.t))
-        ok = all(quad.contains(q) for q in doc.points.points)
+        ok = not quad.outside(doc.points.rows).any()
         checks.append((f"all points lie on the {args.quadric}", ok))
     lines = [f"{'ok' if ok else 'FAIL'}: {name}" for name, ok in checks]
     _write_out("\n".join(lines) + "\n", args)

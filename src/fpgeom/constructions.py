@@ -15,18 +15,7 @@ import numpy as np
 
 from .counting import WeightedPlaneSet, WeightedPointSet
 from .field import Prime
-from .geom import (
-    AffineLine,
-    AffinePlane,
-    Vec,
-    dot,
-    homogeneous_reps,
-    iter_homogeneous_reps,
-    norm_sq,
-    scale_canonical,
-    smul,
-    vadd,
-)
+from .geom import AffineLine, AffinePlane, Vec, dot, homogeneous_reps, iter_homogeneous_reps
 from .quadrics import _sphere_lines, sphere_points
 
 
@@ -132,27 +121,22 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
     if k >= p:
         raise ConstraintError(f"need k < p distinct line offsets, got k={k}")
     # the first isotropic direction in lex order, found without listing them all
-    y = next((v for v in iter_homogeneous_reps(p, 3) if norm_sq(v, p) == 0), None)
+    y = next((v for v in iter_homogeneous_reps(p, 3) if dot(v, v, p) == 0), None)
     if y is None:
         raise ConstraintError(f"no isotropic direction available in F_{p}^3")
     x = _orthogonal_anisotropic(y, p)
     rng = random.Random(seed)
-    points: list[Vec] = []
-    for a in range(1, k + 1):
-        if seed is None:
-            offsets = range(1, l + 1)
-        else:
-            offsets = rng.sample(range(p), l)
-        for b in offsets:
-            points.append(vadd(smul(a, x, p), smul(b, y, p), p))
+    # the offsets b of the l points a x + b y on each line a = 1..k
+    offsets = [range(1, l + 1) if seed is None else rng.sample(range(p), l) for _ in range(k)]
+    points = (np.outer(np.repeat(np.arange(1, k + 1), l), x) + np.outer(offsets, y)) % p
     return SemiIsotropicSet(
         p=p,
         k=k,
         line_count=k,
-        points=tuple(points),
+        points=tuple(map(tuple, points.tolist())),
         isotropic_direction=y,
         cross_direction=x,
-        cross_norm=norm_sq(x, p),
+        cross_norm=dot(x, x, p),
     )
 
 
@@ -161,9 +145,9 @@ def _orthogonal_anisotropic(y: Vec, p: int) -> Vec:
     for x in iter_homogeneous_reps(p, 3):
         if dot(x, y, p) != 0:
             continue
-        if scale_canonical(x, p) == scale_canonical(y, p):
+        if x == y:  # both are canonical representatives
             continue
-        if norm_sq(x, p) == 0:
+        if dot(x, x, p) == 0:
             raise ArithmeticError("two orthogonal isotropic directions in F_p^3")
         return x
     raise ConstraintError("no anisotropic vector orthogonal to the isotropic direction")
@@ -207,19 +191,19 @@ def cylinder_set(p: int, t: int, k0: int, m: int, seed: int | None = None) -> Cy
         raise ConstraintError(
             f"cylinder offers only {len(parallel)} generators, asked for {m}"
         )
-    gens = [AffineLine(lines.p, r[:4], r[4:]) for r in parallel[:m].tolist()]
+    kept = parallel[:m]
+    gens = [AffineLine(lines.p, r[:4], r[4:]) for r in kept.tolist()]
     rng = random.Random(seed)
-    points: list[Vec] = []
-    for line in gens:
-        params = range(k0) if seed is None else rng.sample(range(p), k0)
-        for s in params:
-            points.append(vadd(line.base, smul(s, line.direction, p), p))
+    # the parameters s of the k0 points b + s u on each kept line b + s u
+    params = [range(k0) if seed is None else rng.sample(range(p), k0) for _ in range(m)]
+    points = (np.repeat(kept[:, :4], k0, axis=0)
+              + np.ravel(params)[:, None] * np.repeat(kept[:, 4:], k0, axis=0)) % p
     return CylinderSet(
         p=p,
         t=t,
         k0=k0,
         generator_count=m,
-        points=tuple(points),
+        points=tuple(map(tuple, points.tolist())),
         generators=tuple(gens),
         axis=gens[0],
     )
@@ -233,24 +217,25 @@ def random_points(p: int, dim: int, count: int, rng: random.Random) -> list[Vec]
     return [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(count)]
 
 
-def random_planes(p: int, dim: int, count: int, rng: random.Random) -> list[AffinePlane]:
+def random_planes(p: int, dim: int, count: int, rng: random.Random) -> list[tuple[Vec, int]]:
+    """count drawn planes as raw (normal, offset) pairs, for WeightedPlaneSet.of."""
     p, count = int(Prime(p)), _nonnegative(count, "plane")
     out = []
     while len(out) < count:
         normal = tuple(rng.randrange(p) for _ in range(dim))
         if all(c == 0 for c in normal):
             continue
-        out.append(AffinePlane(p, normal, rng.randrange(p)))
+        out.append((normal, rng.randrange(p)))
     return out
 
 
-def random_lines(p: int, dim: int, count: int, rng: random.Random) -> list[AffineLine]:
+def random_lines(p: int, dim: int, count: int, rng: random.Random) -> list[tuple[Vec, Vec]]:
+    """count drawn lines as raw (base, direction) pairs, for WeightedLineSet.of."""
     p, count = int(Prime(p)), _nonnegative(count, "line")
     out = []
     while len(out) < count:
         direction = tuple(rng.randrange(p) for _ in range(dim))
         if all(c == 0 for c in direction):
             continue
-        base = tuple(rng.randrange(p) for _ in range(dim))
-        out.append(AffineLine(p, base, direction))
+        out.append((tuple(rng.randrange(p) for _ in range(dim)), direction))
     return out

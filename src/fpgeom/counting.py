@@ -80,18 +80,21 @@ def _int_rows(items, p: int, dim: int | None, extra: int, what: str,
 def _scale_canonical(rows: np.ndarray, p: int) -> np.ndarray:
     """Scale each row of rows (reduced mod p) in place so its first nonzero
     entry is 1 and return rows; zero rows stay zero.  The scale is the
-    entry's Fermat inverse a^(p-2), reduced after every product, so all
-    products stay below p^2 < 2^62."""
+    entry's Fermat inverse a^(p-2), reduced by _reduce after every product,
+    so all products stay below p^2 < 2^62."""
     a = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     scale = np.ones_like(a)
+    tmp = np.empty_like(a)
     e = p - 2
     while e:
         if e & 1:
-            scale = scale * a % p
-        a = a * a % p
+            scale *= a
+            _reduce(scale, p, tmp)
+        a *= a
+        _reduce(a, p, tmp)
         e >>= 1
     rows *= scale[:, None]
-    rows %= p
+    _reduce(rows, p, np.empty_like(rows))
     return rows
 
 

@@ -233,10 +233,10 @@ def rectangle_energy_paraboloid(points, p: int) -> EnergyReport:
     and k0 live in the horizontal projection."""
     p = int(Prime(p))
     P = distinct_rows(points, p)
+    if P.shape[1]:  # a plain [] has no width to check
+        _require_on(P, Paraboloid(p, P.shape[1]))
     if not len(P):
         return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, "paraboloid", None)
-    Paraboloid(p, P.shape[1])  # checks the dimension
-    _require_on(P, dot_rows(P[:, :-1], P[:, :-1], p) != P[:, -1], "paraboloid")
     return _rectangle_report(P, P[:, :-1], p, "paraboloid")
 
 
@@ -246,13 +246,16 @@ def rectangle_energy_sphere(points, p: int, t: int) -> EnergyReport:
     if t % p == 0:
         raise GeometryError("sphere energy needs t != 0")
     P = distinct_rows(points, p)
+    if P.shape[1]:  # a plain [] has no width to check
+        _require_on(P, Sphere(p, P.shape[1], t))
     if not len(P):
         return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, "sphere", None)
-    _require_on(P, dot_rows(P, P, p) != Sphere(p, P.shape[1], t).t, "sphere")
     return _rectangle_report(P, P, p, "sphere")
 
 
-def _require_on(P: np.ndarray, off: np.ndarray, quadric: str) -> None:
-    """Raise for the first row of P flagged in off."""
+def _require_on(P: np.ndarray, quadric: Paraboloid | Sphere) -> None:
+    """Raise for the first row of P off the quadric."""
+    off = quadric.outside(P)
     if off.any():
-        raise GeometryError(f"point {tuple(P[off.argmax()].tolist())} is not on the {quadric}")
+        raise GeometryError(f"point {tuple(P[off.argmax()].tolist())} is not on the "
+                            f"{type(quadric).__name__.lower()}")

@@ -27,24 +27,17 @@ from .counting import (
     WeightedPlaneSet,
     WeightedPointSet,
     _distance_terms,
+    _int_rows,
     _line_census,
     _pair_values,
     _runs,
     _scale_canonical,
     distinct_rows,
     dot_mod,
+    dot_rows,
 )
 from .field import Prime, legendre
-from .geom import (
-    AffineLine,
-    AffinePlane,
-    CoincidentPointsError,
-    GeometryError,
-    Vec,
-    as_vec,
-    norm_sq,
-    vsub,
-)
+from .geom import AffineLine, AffinePlane, CoincidentPointsError, GeometryError, Vec
 
 
 class NullPairError(GeometryError):
@@ -115,24 +108,24 @@ def supported_in_semi_isotropic_plane(points, p: int) -> bool:
     p = 2 every residue is a square, and w-perp always meets the isotropic
     plane (1, 1, 1)-perp); for rank 0, any isotropic vector of F_p^3.
     """
-    pts = [as_vec(q, p, 3) for q in points]
-    if len(pts) <= 1:
+    _, P = _int_rows(points, p, 3, 0, "point")
+    if len(P) <= 1:
         return True
-    D = (np.array(pts[1:], dtype=np.int64) - pts[0]) % p
+    D = (P[1:] - P[0]) % p
     nonzero = D.any(axis=1)
     if not nonzero.any():
         return True  # every ternary form over F_p has an isotropic vector
-    w = D[nonzero.argmax()]
+    w = D[nonzero.argmax()][None]
     # the cross products q x w vanish exactly for the rows parallel to w;
     # each is a difference of two products below p^2, exact in int64
     N = np.cross(D, w) % p
     independent = N.any(axis=1)
     if not independent.any():
-        return legendre(-norm_sq(tuple(w.tolist()), p), p) >= 0
-    normal = N[independent.argmax()]
-    if dot_mod(D, normal[None], p).any():
+        return legendre(-int(dot_rows(w, w, p)[0]), p) >= 0
+    normal = N[independent.argmax()][None]
+    if dot_mod(D, normal, p).any():
         return False
-    return norm_sq(tuple(normal.tolist()), p) == 0
+    return not dot_rows(normal, normal, p).any()
 
 
 def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
@@ -218,15 +211,15 @@ def bisector_plane(t1: Vec, t2: Vec, p: int) -> AffinePlane:
     degenerates (it then contains the pair itself).
     """
     p = int(Prime(p))
-    t1, t2 = as_vec(t1, p, 3), as_vec(t2, p, 3)
-    if t1 == t2:
+    _, T = _int_rows((t1, t2), p, 3, 0, "point")
+    d = (T[:1] - T[1:]) % p
+    if not d.any():
         raise CoincidentPointsError("equidistance plane needs two distinct points")
-    d = vsub(t1, t2, p)
-    if norm_sq(d, p) == 0:
-        raise NullPairError(f"pair with isotropic difference {d} has a degenerate bisector")
-    normal = tuple(2 * c % p for c in d)
-    offset = (norm_sq(t1, p) - norm_sq(t2, p)) % p
-    return AffinePlane(p, normal, offset)
+    if not dot_rows(d, d, p).any():
+        raise NullPairError(
+            f"pair with isotropic difference {tuple(d[0].tolist())} has a degenerate bisector")
+    n1, n2 = dot_rows(T, T, p).tolist()
+    return AffinePlane(p, tuple((2 * d[0] % p).tolist()), (n1 - n2) % p)
 
 
 # ---------------------------------------------------------------------------

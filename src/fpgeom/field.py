@@ -1,9 +1,8 @@
 """Exact arithmetic in the prime field of odd characteristic.
 
 Downstream geometry stores field elements as plain ints reduced into
-[0, p).  This module owns validation of the modulus and the
-quadratic-residue machinery (Legendre symbol, Tonelli-Shanks square
-roots) that every isotropy predicate is built on.
+[0, p).  This module owns validation of the modulus, the Legendre symbol
+and the scalar inverse.
 """
 
 from __future__ import annotations
@@ -74,43 +73,3 @@ def inv(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {p}")
     return pow(a, -1, p)
-
-
-def sqrt_mod(a: int, p: int) -> tuple[int, ...] | None:
-    """All square roots of a mod p, sorted; None when a is a non-residue.
-
-    Returns (0,) for a == 0 and the pair (r, p - r) otherwise.  The root
-    is re-verified by squaring before it is returned.
-    """
-    a %= p
-    if a == 0:
-        return (0,)
-    if legendre(a, p) != 1:
-        return None
-    r = _tonelli_shanks(a, p)
-    if r * r % p != a:
-        raise ArithmeticError(f"square root of {a} mod {p} failed verification")
-    return tuple(sorted((r, p - r)))
-
-
-def _tonelli_shanks(a: int, p: int) -> int:
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r

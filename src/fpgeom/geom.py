@@ -62,10 +62,6 @@ def dot(u: Vec, v: Vec, p: int) -> int:
     return sum(a * b for a, b in zip(u, v)) % p
 
 
-def norm_sq(v: Vec, p: int) -> int:
-    return sum(a * a for a in v) % p
-
-
 def is_zero(v: Vec) -> bool:
     return all(c == 0 for c in v)
 
@@ -170,6 +166,3 @@ def homogeneous_reps(p: int, length: int) -> list[Vec]:
     """All canonical projective representatives of nonzero tuples, in lex order."""
     return list(iter_homogeneous_reps(p, length))
 
-
-def isotropic_directions(p: int, d: int) -> list[Vec]:
-    return [v for v in homogeneous_reps(p, d) if norm_sq(v, p) == 0]

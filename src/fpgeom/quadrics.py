@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import WeightedLineSet, _pair_values, dot_rows
-from .field import Prime, sqrt_mod
-from .geom import AffineLine, GeometryError, Vec, as_vec, isotropic_directions, norm_sq
+from .counting import WeightedLineSet, _int_rows, _pair_values, dot_rows
+from .field import Prime
+from .geom import AffineLine, GeometryError, Vec, homogeneous_reps
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,10 @@ class Sphere:
         if self.dim not in (3, 4):
             raise GeometryError("spheres are generated in dimensions 3 and 4")
 
-    def contains(self, x: Vec) -> bool:
-        return norm_sq(as_vec(x, self.p, self.dim), self.p) == self.t
+    def outside(self, rows) -> np.ndarray:
+        """The mask of the rows (int sequences or an int array) off the sphere."""
+        _, X = _int_rows(rows, self.p, self.dim, 0, "point")
+        return dot_rows(X, X, self.p) != self.t
 
 
 @dataclass(frozen=True)
@@ -51,14 +53,21 @@ class Paraboloid:
         if self.dim not in (3, 4):
             raise GeometryError("the paraboloid is generated in dimensions 3 and 4")
 
-    def contains(self, x: Vec) -> bool:
-        x = as_vec(x, self.p, self.dim)
-        return x[-1] == norm_sq(x[:-1], self.p)
+    def outside(self, rows) -> np.ndarray:
+        """The mask of the rows (int sequences or an int array) off the paraboloid."""
+        _, X = _int_rows(rows, self.p, self.dim, 0, "point")
+        U = X[:, :-1]
+        return dot_rows(U, U, self.p) != X[:, -1]
 
 
 @functools.lru_cache(maxsize=None)
 def _sqrt_table(p: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(sqrt_mod(r, p) or () for r in range(p))
+    """The square roots of each residue mod p in increasing order: (0,) for
+    0, the pair (r, p - r) for a nonzero square, () for a non-square."""
+    roots = [[] for _ in range(p)]
+    for x in range(p):
+        roots[x * x % p].append(x)
+    return tuple(map(tuple, roots))
 
 
 def sphere_points(p: int, d: int, t: int) -> list[Vec]:
@@ -77,8 +86,20 @@ def sphere_points(p: int, d: int, t: int) -> list[Vec]:
 
 
 def paraboloid_lift(points, p: int) -> list[Vec]:
-    """Append the dot-square coordinate to each point, preserving order."""
-    return [as_vec(u, p) + (norm_sq(as_vec(u, p), p),) for u in points]
+    """Append the dot-square coordinate to each point, preserving order; the
+    points must share one width."""
+    p, points = int(Prime(p)), list(points)
+    if not points:
+        return []
+    _, U = _int_rows(points, p, None, 0, "point")
+    return list(map(tuple, np.column_stack([U, dot_rows(U, U, p)]).tolist()))
+
+
+def isotropic_directions(p: int, d: int) -> np.ndarray:
+    """The canonical directions v of F_p^d with v.v == 0, as rows in the
+    order of homogeneous_reps."""
+    V = np.array(homogeneous_reps(p, d), dtype=np.int64)
+    return V[dot_rows(V, V, p) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +123,7 @@ def _sphere_lines(p: int, d: int, t: int) -> WeightedLineSet:
     p = int(Prime(p))
     t %= p
     S = np.array(sphere_points(p, d, t), dtype=np.int64).reshape(-1, d)
-    V = np.array(isotropic_directions(p, d), dtype=np.int64).reshape(-1, d)
+    V = isotropic_directions(p, d)
     lead = (V != 0).argmax(axis=1)
     rows = [np.empty((0, 2 * d), dtype=np.int64)]
     for start, X in _pair_values(S, V, p):
@@ -119,4 +140,4 @@ def _sphere_lines(p: int, d: int, t: int) -> WeightedLineSet:
 def isotropic_cone_lines(p: int) -> list[AffineLine]:
     """The lines through the origin forming the nonzero part of the cone in F_p^3."""
     p = int(Prime(p))
-    return sorted(AffineLine(p, (0, 0, 0), v) for v in isotropic_directions(p, 3))
+    return sorted(AffineLine(p, (0, 0, 0), v) for v in isotropic_directions(p, 3).tolist())

@@ -300,6 +300,27 @@ class TestOtherSubcommands:
         assert default[0] == 0
         assert run(tmp_path, command, str(cfg), "--quadric", "sphere", "--t", "2")[0] != 0
 
+    # the quadric's dimension is checked on an empty set as on any other
+    @pytest.mark.parametrize("command", ["energy", "verify"])
+    @pytest.mark.parametrize("quadric, name", [("sphere", "spheres"),
+                                               ("paraboloid", "the paraboloid")])
+    def test_empty_set_of_the_wrong_dimension(self, tmp_path, capsys, command, quadric, name):
+        cfg = tmp_path / "e.txt"
+        cfg.write_text("p=7 dim=2\n")
+        code, text = run(tmp_path, command, str(cfg), "--quadric", quadric)
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: {name} {'are' if quadric == 'sphere' else 'is'} generated in "
+            "dimensions 3 and 4\n")
+
+    @pytest.mark.parametrize("quadric", ["sphere", "paraboloid"])
+    def test_empty_energy_in_a_quadric_dimension(self, tmp_path, quadric):
+        cfg = tmp_path / "e.txt"
+        cfg.write_text("p=7 dim=3\n")
+        code, text = run(tmp_path, "energy", str(cfg), "--quadric", quadric)
+        assert code == 0
+        assert text.splitlines()[1].startswith(f"energy_{quadric},7,a=0;")
+
 
 class TestSweep:
     def test_rows_per_parameter(self, tmp_path):

@@ -69,6 +69,7 @@ def _files() -> dict[str, str]:
         "sph3.txt": _config(5, 3, points=sphere_points(5, 3, 1)),
         "sph4.txt": _config(5, 4, points=sphere_points(5, 4, 1)[:40]),
         "off3.txt": _config(7, 3, points=[(1, 0, 0), (1, 1, 1)]),
+        "empty2.txt": _config(7, 2),
         # three points, where the semi-isotropic-plane test must not scan p^2
         # directions
         "mid3.txt": _config(10007, 3, points=[(0, 0, 0), (1, 2, 3), (5, 7, 11)]),
@@ -151,6 +152,7 @@ CASES = {
     "energy-paraboloid-T53": ["energy", "par4.txt", "--quadric", "paraboloid",
                               "--theorem", "T53"],
     "energy-off-paraboloid": ["energy", "paroff3.txt", "--quadric", "paraboloid"],
+    "energy-empty-dim2": ["energy", "empty2.txt", "--quadric", "sphere"],
     "energy-sphere-T55": ["energy", "sph3.txt", "--quadric", "sphere", "--theorem", "T55"],
     "energy-sphere-T56": ["energy", "sph4.txt", "--quadric", "sphere", "--t", "1",
                           "--theorem", "T56"],

@@ -25,7 +25,13 @@ from fpgeom.counting import (
     spanned_lines,
     weighted_incidences,
 )
-from fpgeom.geom import AffineLine, AffinePlane, DimensionMismatchError, GeometryError
+from fpgeom.geom import (
+    AffineLine,
+    AffinePlane,
+    DimensionMismatchError,
+    GeometryError,
+    scale_canonical,
+)
 
 
 def make_sets(rng, p, nq, npl, max_w=1):
@@ -248,6 +254,21 @@ class TestRowLayer:
         assert got.tolist() == [sum(a * b for a, b in zip(u, v)) % p for u, v in zip(U, V)]
         assert dot_rows(_int_array(V, width), _int_array(V, width), p).tolist() == [
             oracles.nsq(v, p) for v in V]
+
+    @pytest.mark.parametrize("p", [3, 101, 65537, BIG])
+    def test_scale_canonical_matches_the_scalar_form(self, p):
+        rng = rng_for("scale-canonical", p)
+        rows = [[rng.randrange(p) for _ in range(4)] for _ in range(60)]
+        # zero rows stay zero; rows with zero leading columns scale from later ones
+        rows += [[0, 0, 0, 0], [0, 0, 0, p - 1], [0, 1, 0, 0], [0, 0, 2, 1], [p - 1] * 4]
+        rows += [[0] + r[1:] for r in rows[:10]] + [[0, 0] + r[2:] for r in rows[10:20]]
+        want = [list(scale_canonical(r, p)) if any(r) else r for r in rows]
+        got = counting._scale_canonical(np.array(rows, dtype=np.int64), p)
+        assert got.tolist() == want
+        # a column slice is scaled in place, the other columns left alone
+        wide = np.array([[7, *r] for r in rows], dtype=np.int64)
+        counting._scale_canonical(wide[:, 1:], p)
+        assert wide.tolist() == [[7, *r] for r in want]
 
     @given(raw_sets())
     @settings(max_examples=100, deadline=None)

@@ -169,7 +169,7 @@ class TestSphereEnergy:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_degenerate_budget_random_sets(self, seed):
-        from fpgeom.geom import AffineLine, norm_sq, vsub
+        from fpgeom.geom import AffineLine
         from fpgeom.quadrics import sphere_points
 
         rng = rng_for("deg-budget", seed)
@@ -183,8 +183,8 @@ class TestSphereEnergy:
         iso_lines = set()
         for i in range(len(A)):
             for j in range(i + 1, len(A)):
-                d = vsub(A[j], A[i], p)
-                if norm_sq(d, p) == 0:
+                d = oracles.diff(A[j], A[i], p)
+                if oracles.nsq(d, p) == 0:
                     iso_lines.add(AffineLine(p, A[i], d))
         assert rep.degenerate <= max(1, len(iso_lines)) * rep.k0 ** 3
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fpgeom.field import Prime, inv, is_prime, legendre, sqrt_mod
+from fpgeom.field import Prime, inv, is_prime, legendre
 
 PRIMES_TO_100 = [q for q in range(3, 100) if is_prime(q)]
 
@@ -48,30 +48,6 @@ class TestLegendre:
         p = 43
         for a in range(1, p):
             assert legendre(a, p) * legendre(inv(a, p), p) == 1
-
-
-class TestSqrtMod:
-    def test_examples(self):
-        assert sqrt_mod(4, 11) == (2, 9)
-        assert sqrt_mod(0, 13) == (0,)
-        assert sqrt_mod(2, 5) is None  # squares mod 5 are {0, 1, 4}
-
-    @pytest.mark.parametrize("p", PRIMES_TO_100)
-    def test_matches_trial_squaring(self, p):
-        for a in range(p):
-            assert sqrt_mod(a, p) == oracles.sqrt_by_squares(a, p)
-
-    def test_roots_square_back(self):
-        for p in (3, 13, 17, 101, 257):
-            for a in range(p):
-                roots = sqrt_mod(a, p)
-                if roots is not None:
-                    for r in roots:
-                        assert r * r % p == a
-
-    def test_tonelli_shanks_one_mod_four(self):
-        # p = 1 mod 4 exercises the full loop, not the shortcut
-        assert sqrt_mod(10, 13) == (6, 7)
 
 
 class TestInv:

@@ -9,9 +9,7 @@ from fpgeom.geom import (
     AffinePlane,
     DimensionMismatchError,
     GeometryError,
-    dot,
     homogeneous_reps,
-    isotropic_directions,
     line_as_covector,
 )
 
@@ -108,27 +106,6 @@ class TestAffineLine:
             for _ in range(10):
                 q = tuple(rng.randrange(p) for _ in range(3))
                 assert l.contains(q) == (q in pts)
-
-
-class TestIsotropy:
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    def test_isotropic_directions_match_scan(self, p, d):
-        # one representative per null direction, first nonzero entry 1; there
-        # are 1 + (-1|p) of them in the plane, p + 1 in F_p^3, (p + 1)^2 in F_p^4
-        scan = [v for v in itertools.product(range(p), repeat=d)
-                if any(v) and v[next(i for i, c in enumerate(v) if c)] == 1
-                and oracles.nsq(v, p) == 0]
-        got = isotropic_directions(p, d)
-        assert sorted(got) == scan
-        assert len(got) == {2: 1 + oracles.legendre_by_squares(-1, p),
-                            3: p + 1, 4: (p + 1) ** 2}[d]
-
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    def test_no_orthogonal_isotropic_pair_in_dim3(self, p):
-        iso = isotropic_directions(p, 3)
-        for u, v in itertools.combinations(iso, 2):
-            assert dot(u, v, p) != 0
 
 
 class TestCovectorConversion:

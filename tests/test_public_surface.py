@@ -26,9 +26,9 @@ WAITING = {
     "energy_delta": "item 4: verify checks E_Delta against the bisector-plane incidences",
     "bisector_plane": "item 4: verify checks E_Delta against the bisector-plane incidences",
     "right_triangle_count": "item 4: verify --quadric may report the right-triangle identity",
-    "rich_lines": "item 6: KRICH counts the k-rich lines",
-    "max_collinear": "item 6: the k of KRICH and COR21, the paper's collinearity parameter",
-    "paraboloid_lift": "item 3: the quadric construction draws a-subsets of the paraboloid",
+    "rich_lines": "item 5: KRICH counts the k-rich lines",
+    "max_collinear": "item 5: the k of KRICH and COR21, the paper's collinearity parameter",
+    "paraboloid_lift": "item 2: the quadric construction draws a-subsets of the paraboloid",
 }
 
 

@@ -1,30 +1,102 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import oracles
 from fpgeom import counting, quadrics
-from fpgeom.field import legendre
-from fpgeom.geom import AffineLine, GeometryError, dot, homogeneous_reps, isotropic_directions
+from fpgeom.field import is_prime, legendre
+from fpgeom.geom import (
+    AffineLine,
+    DimensionMismatchError,
+    GeometryError,
+    dot,
+    homogeneous_reps,
+)
 from fpgeom.quadrics import (
     Paraboloid,
     Sphere,
+    _sqrt_table,
     isotropic_cone_lines,
+    isotropic_directions,
     lines_on_sphere,
     paraboloid_lift,
     sphere_points,
 )
+
+PRIMES_TO_100 = [q for q in range(3, 100) if is_prime(q)]
 
 
 def _points(line):
     return oracles.line_points(line.base, line.direction, line.p)
 
 
+class TestSqrtTable:
+    def test_examples(self):
+        assert _sqrt_table(11)[4] == (2, 9)
+        assert _sqrt_table(13)[0] == (0,)
+        assert _sqrt_table(5)[2] == ()  # squares mod 5 are {0, 1, 4}
+        assert _sqrt_table(13)[10] == (6, 7)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_100)
+    def test_matches_trial_squaring(self, p):
+        roots = _sqrt_table(p)
+        assert len(roots) == p
+        for a in range(p):
+            assert roots[a] == (oracles.sqrt_by_squares(a, p) or ())
+
+
+class TestOutside:
+    def test_sphere_flags_the_rows_off_it(self):
+        sph = Sphere(7, 3, 1)
+        rows = [(1, 0, 0), (1, 1, 1), (8, 7, 7), (0, 0, 6)]
+        assert sph.outside(rows).tolist() == [False, True, False, False]
+        assert sph.outside(np.array(rows)).tolist() == [False, True, False, False]
+
+    def test_paraboloid_flags_the_rows_off_it(self):
+        par = Paraboloid(7, 3)
+        rows = paraboloid_lift([(1, 2), (3, 4), (6, 6)], 7) + [(1, 2, 6)]
+        assert par.outside(rows).tolist() == [False, False, False, True]
+
+    def test_no_rows(self):
+        assert Sphere(7, 4, 1).outside(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
+        assert Paraboloid(7, 4).outside([]).shape == (0,)
+
+    @pytest.mark.parametrize("quadric", [Sphere(7, 3, 1), Paraboloid(7, 3)])
+    def test_wrong_width_is_a_dimension_mismatch(self, quadric):
+        with pytest.raises(DimensionMismatchError):
+            quadric.outside(np.zeros((2, 4), dtype=np.int64))
+        with pytest.raises(DimensionMismatchError):
+            quadric.outside([(0, 0, 0), (0, 0)])
+
+
+class TestIsotropicDirections:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_match_scan(self, p, d):
+        # one representative per null direction, first nonzero entry 1; there
+        # are 1 + (-1|p) of them in the plane, p + 1 in F_p^3, (p + 1)^2 in F_p^4
+        scan = [v for v in itertools.product(range(p), repeat=d)
+                if any(v) and v[next(i for i, c in enumerate(v) if c)] == 1
+                and oracles.nsq(v, p) == 0]
+        got = isotropic_directions(p, d)
+        assert got.shape == (len(scan), d)
+        assert sorted(map(tuple, got.tolist())) == scan
+        assert len(got) == {2: 1 + oracles.legendre_by_squares(-1, p),
+                            3: p + 1, 4: (p + 1) ** 2}[d]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_no_orthogonal_isotropic_pair_in_dim3(self, p):
+        iso = isotropic_directions(p, 3).tolist()
+        for u, v in itertools.combinations(iso, 2):
+            assert dot(u, v, p) != 0
+
+
 class TestSpherePoints:
     def test_unit_sphere_p3(self):
         pts = sphere_points(3, 3, 1)
         assert len(pts) == 6
-        assert all(Sphere(3, 3, 1).contains(q) for q in pts)
+        assert not Sphere(3, 3, 1).outside(pts).any()
 
     def test_cone_p3(self):
         pts = sphere_points(3, 3, 0)
@@ -66,23 +138,25 @@ class TestParaboloid:
         pts = [(x, y) for x in range(5) for y in range(5)]
         assert [q[:-1] for q in paraboloid_lift(pts, 5)] == pts
 
-    def test_membership(self):
-        par = Paraboloid(7, 3)
-        for q in paraboloid_lift([(1, 2), (3, 4), (6, 6)], 7):
-            assert par.contains(q)
-        assert not par.contains((1, 2, 6))
+    def test_lift_of_nothing_is_empty(self):
+        assert paraboloid_lift([], 7) == []
+        assert paraboloid_lift(iter(()), 7) == []
+
+    def test_lift_rejects_mixed_widths(self):
+        with pytest.raises(DimensionMismatchError):
+            paraboloid_lift([(1, 2), (3, 4, 5)], 7)
 
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_full_lift_is_the_paraboloid(self, p, d):
         # lifting all of F_p^(d-1) gives the p^(d-1) points x with
-        # x_d == x_1^2 + ... + x_(d-1)^2, and contains() holds on those only
+        # x_d == x_1^2 + ... + x_(d-1)^2, and outside() is false on those only
         grid = list(itertools.product(range(p), repeat=d))
         scan = [x for x in grid if x[-1] == oracles.nsq(x[:-1], p)]
         lifted = paraboloid_lift(itertools.product(range(p), repeat=d - 1), p)
         assert lifted == scan and len(lifted) == p ** (d - 1)
-        par = Paraboloid(p, d)
-        assert [x for x in grid if par.contains(x)] == scan
+        off = Paraboloid(p, d).outside(grid)
+        assert [x for x, o in zip(grid, off) if not o] == scan
 
 
 def _raw(lines):
@@ -102,7 +176,7 @@ class TestLinesOnSphere2:
         assert len(lines) == 16
         sph = Sphere(7, 3, 6)
         for l in lines:
-            assert all(sph.contains(q) for q in _points(l))
+            assert not sph.outside(_points(l)).any()
             assert oracles.nsq(l.direction, 7) == 0
 
     @pytest.mark.parametrize("t", [1, 2])
@@ -141,7 +215,8 @@ def test_lines_on_sphere_across_blocks(monkeypatch, d, p):
 
 def test_lines_on_sphere_raises_on_a_row_off_the_sphere(monkeypatch):
     # every direction as a candidate: a row with v.v != 0 fails the check
-    monkeypatch.setattr(quadrics, "isotropic_directions", homogeneous_reps)
+    monkeypatch.setattr(quadrics, "isotropic_directions",
+                        lambda p, d: np.array(homogeneous_reps(p, d)))
     with pytest.raises(ArithmeticError, match="not on the sphere"):
         lines_on_sphere(5, 3, 1)
 
@@ -176,7 +251,7 @@ class TestLinesOnSphere3:
         u = axis.direction
         x = axis.base
         axis_pts = set(_points(axis))
-        for w in isotropic_directions(p, 4):
+        for w in map(tuple, isotropic_directions(p, 4).tolist()):
             if w == u or dot(w, u, p) != 0:
                 continue
             # plane x + span(u, w) is fully isotropic
@@ -185,4 +260,5 @@ class TestLinesOnSphere3:
                 for a in range(p)
                 for b in range(p)
             }
-            assert {q for q in section if sph.contains(q)} == axis_pts
+            section = sorted(section)
+            assert {q for q, o in zip(section, sph.outside(section)) if not o} == axis_pts
