@@ -120,7 +120,8 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
         raise ConstraintError(f"cannot place {l} distinct points on a line over F_{p}")
     if k >= p:
         raise ConstraintError(f"need k < p distinct line offsets, got k={k}")
-    # the first isotropic direction in lex order, found without listing them all
+    # the first isotropic direction in the leading-one order of
+    # iter_homogeneous_reps, found without listing them all
     y = next((v for v in iter_homogeneous_reps(p, 3) if dot(v, v, p) == 0), None)
     if y is None:
         raise ConstraintError(f"no isotropic direction available in F_{p}^3")

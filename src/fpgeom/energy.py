@@ -1,25 +1,34 @@
 """Additive energy on quadrics: the rectangle criteria and taxonomy.
 
-Energy is the ordered-quadruple count of x + y == z + u: the ordered pair
-sums are sorted into runs of equal sums, and each run of size m adds m^2.
-For sets on the paraboloid or a sphere the same number is recomputed
-through the right-angle corner criterion, and the two routes are required
-to agree.  A right corner at z whose fourth vertex u = x + y - z is in the
-set is a pair of ordered pairs (z, x), (y, u) with one difference and one
-corner value, so the corner count is one more sort of the n^2 ordered
-pairs, keyed block by block from the pair-value table of the corner
-coordinates.
+Energy is the ordered-quadruple count of x + y == z + u.  Every report field
+comes from one of two routes, chosen by the size of the set against p^d.
 
-Geometric rectangles are the deduplicated, pairwise-distinct view.  Two
-distinct unordered pairs with one sum are disjoint, so a run of r pairs
-i < j with one sum holds exactly C(r, 2) rectangles, each hit by 8 ordered
-solutions; they are enumerated in fixed-size blocks and classified by how
-many of their two side directions are isotropic, read by two gathers from
-one n x n isotropy table.
+The pair route sorts the n^2 ordered pair sums into runs of equal sums, and
+each run of size m adds m^2.  For sets on the paraboloid or a sphere the same
+number is recomputed through the right-angle corner criterion, and the two
+are required to agree.  A right corner at z whose fourth vertex
+u = x + y - z is in the set is a pair of ordered pairs (z, x), (y, u) with one
+difference and one corner value, so the corner count is one more sort of the
+n^2 ordered pairs, keyed block by block from the pair-value table of the
+corner coordinates.  Geometric rectangles are the deduplicated,
+pairwise-distinct view.  Two distinct unordered pairs with one sum are
+disjoint, so a run of r pairs i < j with one sum holds exactly C(r, 2)
+rectangles, each hit by 8 ordered solutions; they are enumerated in
+fixed-size blocks and classified by how many of their two side directions are
+isotropic, read by two gathers from one n x n isotropy table.
+
+The table route reads the same numbers from the sum and difference tables
+r(s) = #{(a, b): a + b == s} and D(v) = #{(a, b): b - a == v} on all of
+F_p^d, the Fourier side of energy: E(A) = p^-d sum_xi |F(xi)|^4.  The
+transforms are taken modulo a prime q == 1 mod p above n, so every table
+entry comes out exactly, with integers only.  Sum D^2 stands in for the
+corner count, and the rectangle classes come from D on the isotropic
+differences together with 1-D counts on the isotropic lines.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -33,12 +42,13 @@ from .counting import (
     _runs,
     _scale_canonical,
     distinct_rows,
+    dot_mod,
     dot_rows,
     pair_blocks,
 )
-from .field import Prime
+from .field import MAX_MODULUS, Prime, is_prime
 from .geom import GeometryError
-from .quadrics import Paraboloid, Sphere
+from .quadrics import Paraboloid, Sphere, isotropic_directions
 
 
 class RectangleClass(Enum):
@@ -196,9 +206,10 @@ def _class_counts(C: np.ndarray, X: np.ndarray, Y: np.ndarray, bounds: np.ndarra
     return ordinary, semi, degenerate
 
 
-def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> EnergyReport:
-    """The report for the distinct rows A on the quadric, with rectangles,
-    side isotropy and k0 read in the corner coordinates C."""
+def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
+    """(energy, corner count, rectangles, ordinary, semi-degenerate,
+    degenerate, k0) for the distinct rows A on the quadric, read from tables
+    of the n^2 pairs."""
     energy, solutions = _ordered_sums(A, p)
     corner = _corner_count(A, C, p)
     if corner != energy:
@@ -213,16 +224,199 @@ def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> Ene
         raise ArithmeticError(
             f"{solutions} ordered solutions for {rectangles} rectangles, not 8 each"
         )
-    ordinary, semi, degenerate = _class_counts(C, X, Y, bounds, p)
+    classes = _class_counts(C, X, Y, bounds, p)
+    return (energy, corner, rectangles, *classes, max_on_isotropic_line(C, p))
+
+
+# ---------------------------------------------------------------------------
+# the table route
+
+# The table route runs when the p^d-cell tables stay below _TABLE_CELLS and
+# its d p^(d+1) transform products stay below _TABLE_RATIO n^2.
+_TABLE_CELLS = 1 << 20
+_TABLE_RATIO = 8
+
+
+def _transform_modulus(p: int, bound: int) -> tuple[int, int]:
+    """(q, w): the least prime q == 1 mod p above bound, and w of order p
+    mod q.  Raises ValueError when q would reach 2^31."""
+    k = bound // p + 1
+    q = (k + k % 2) * p + 1  # kp + 1 is odd exactly when k is even
+    while not is_prime(q):
+        q += 2 * p
+    if q >= MAX_MODULUS:
+        raise ValueError(f"no prime q == 1 mod {p} in ({bound}, 2**31)")
+    # w = g^((q - 1) / p) has order dividing p, so order p unless it is 1
+    for g in itertools.count(2):
+        w = pow(g, (q - 1) // p, q)
+        if w != 1:
+            return q, w
+
+
+def _transform(F: np.ndarray, W: np.ndarray, q: int) -> None:
+    """Transform the table F on F_p^d (shape (p,) * d, entries in [0, q)) by
+    W along every axis mod q, in place: one dot_mod per axis turns the
+    leading axis and writes it back as the last."""
+    rows = F.reshape(len(W), -1)
+    for _ in range(F.ndim):
+        rows.reshape(-1, len(W))[...] = dot_mod(W, rows.T, q).T
+
+
+def _sum_tables(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables r and D on F_p^d (shape (p,) * d) of the distinct rows A:
+    r[s] = #{(a, b): a + b == s} and D[v] = #{(a, b): b - a == v}.
+
+    With F the transform of the indicator of A by W[a, b] = w^(ab) mod q,
+    r is the inverse transform of F^2 and D that of F(xi) F(-xi), each divided
+    by p^d mod q.  Every entry is at most n < q, so both are exact."""
+    n, d = A.shape
+    q, w = _transform_modulus(p, n)
+    powers = np.array([pow(w, e, q) for e in range(p)], dtype=np.int64)
+    ab = np.multiply.outer(np.arange(p), np.arange(p)) % p
+    F = np.zeros((p,) * d, dtype=np.int64)
+    F[tuple(A.T)] = 1
+    _transform(F, powers[ab], q)
+    neg = -np.arange(p) % p
+    D = F[np.ix_(*(neg,) * d)]
+    D *= F
+    r = F
+    r *= F
+    scale = pow(p**d, -1, q)
+    for T in (r, D):
+        T %= q
+        _transform(T, powers[-ab % p], q)
+        T *= scale
+        T %= q
+    return r, D
+
+
+def _line_counts(C: np.ndarray, p: int) -> tuple[int, int, int]:
+    """(k0, degenerate, progressions) over the isotropic lines of the corner
+    coordinates C: the most points of C on one line, the rectangles inside
+    one line, and the triples (a, v), v != 0, with a, a + v, a + 2v on one
+    line, v and -v both counted.
+
+    For each isotropic direction w, with w[j] == 1, the rows of C with one
+    base C - C[:, j] w lie on one line parallel to w, at parameters C[:, j];
+    one sort of the bases' digits, parameter last, groups them.  With the
+    parameter sets of the lines holding two points or more as an indicator
+    L, the 1-D pair sums give the rectangles, and each ordered pair a != b
+    whose midpoint is in L is one progression a, (a + b) / 2, b."""
+    n, dc = C.shape
+    k0, degenerate, progressions = min(n, 1), 0, 0
+    x = np.arange(p)
+    # digits[u, c p + s] = (c - s u) mod p: the coordinate c at parameter s
+    # moved back to parameter 0 along a direction whose entry is u
+    digits = ((x[None, :, None] - np.multiply.outer(x, x)[:, None, :]) % p).reshape(p, p * p)
+    index = C * p
+    s_minus_a = (x[:, None] - x) % p
+    halves = x * ((p + 1) // 2) % p
+    for w in isotropic_directions(p, dc):
+        j = int((w != 0).argmax())
+        s = C[:, j]
+        key = np.zeros(n, dtype=np.int64)
+        for c in range(dc):
+            if c != j:  # the base is 0 at j
+                key *= p
+                key += digits[w[c], index[:, c] + s]
+        key *= p
+        key += s
+        key.sort()
+        line, param = np.divmod(key, p)
+        size = np.diff(np.flatnonzero(np.diff(line, prepend=-1, append=-1)))
+        k0 = max(k0, int(size.max()))
+        rich = size > 1
+        if not rich.any():
+            continue
+        L = np.zeros((rich.sum(), p), dtype=np.int64)
+        L[np.repeat(np.arange(len(L)), size[rich]), param[np.repeat(rich, size)]] = 1
+        # off[:, t] pairs (a, b) of one line with a != b and a + b == t
+        off = np.einsum("ia,ita->it", L, L[:, s_minus_a])
+        mid = L[:, halves]
+        off -= mid
+        m = off // 2
+        degenerate += int((m * (m - 1) // 2).sum())
+        progressions += int((mid * off).sum())
+    return k0, degenerate, progressions
+
+
+def _table_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
+    """(energy, corner count, rectangles, ordinary, semi-degenerate,
+    degenerate, k0) for the distinct rows A on the quadric, read from the
+    sum and difference tables; C is a leading-column slice of A.
+
+    energy = sum r^2, and the corner count is sum D^2, which counts the same
+    quadruples (x + y == z + u exactly when x - z == u - y) and must agree.
+    With off = r - [s in 2A], the unordered pairs of one sum number off / 2.
+
+    Classes.  The ordered pairs of ordered pairs (z, x), (y, u) with one
+    difference v, C(v) isotropic and v != 0, number sum (D(v)^2 - D(v)).  Such
+    a pair with y == x or u == z is a 3-term progression along v, counted
+    twice; every other one is a rectangle {x, y}, {z, u} with side v, and a
+    rectangle with sides a, b is hit 4 times by each isotropic one of +-a,
+    +-b.  So semi-degenerate + 2 degenerate, the isotropic sides of all
+    rectangles, is (sum (D^2 - D) - 2T) / 4 for T progressions.
+
+    Degenerate rectangles are the rectangles inside one isotropic line.  Two
+    isotropic sides a, b meet at a right angle (on the quadric a.b == 0), so
+    they span a totally isotropic subspace.  In dimension <= 3 (the
+    paraboloid's corner coordinates, the 2-sphere) such subspaces are lines,
+    so a and b are parallel.  In F_p^4 a totally isotropic plane W has
+    W-perp == W, and the corner z of a sphere rectangle is orthogonal to both
+    sides (|z + a|^2 == |z|^2), so z in W and |z|^2 == 0 != t.  So every
+    degenerate rectangle has four collinear points on an isotropic line, and
+    the pair route's NotARectangleError cannot arise here.
+    """
+    d = A.shape[1]
+    r, D = _sum_tables(A, p)
+    energy, corner = int(np.vdot(r, r)), int(np.vdot(D, D))
+    if corner != energy:
+        raise ArithmeticError(
+            f"energy mismatch: sum table {energy} vs difference table {corner}"
+        )
+    off = r
+    off[tuple((2 * A % p).T)] -= 1
+    if (off < 0).any() or (off % 2).any():
+        raise ArithmeticError("the sum table is not a table of pair counts")
+    m = off // 2
+    rectangles = int((m * (m - 1) // 2).sum())
+    # the cells v != 0 of F_p^d with |C(v)|^2 == 0
+    norm = functools.reduce(np.add.outer, [np.arange(p) ** 2] * C.shape[1]) % p
+    isotropic = np.empty((p,) * d, dtype=bool)
+    isotropic[...] = (norm == 0).reshape(norm.shape + (1,) * (d - C.shape[1]))
+    isotropic.flat[0] = False
+    Dv = D[isotropic]
+    k0, degenerate, progressions = _line_counts(C, p)
+    sides, rest = divmod(int((Dv * (Dv - 1)).sum()) - 2 * progressions, 4)
+    if rest:
+        raise ArithmeticError(
+            f"isotropic difference count {4 * sides + rest} is not 4 per rectangle side")
+    semi = sides - 2 * degenerate
+    ordinary = rectangles - semi - degenerate
+    if min(semi, ordinary) < 0:
+        raise ArithmeticError(
+            f"negative rectangle classes: ordinary {ordinary}, semi-degenerate {semi}")
+    return energy, corner, rectangles, ordinary, semi, degenerate, k0
+
+
+def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> EnergyReport:
+    """The report for the distinct rows A on the quadric, with rectangles,
+    side isotropy and k0 read in the corner coordinates C: on the table route
+    when its p^d tables are small and its transforms cheaper than the n^2
+    pairs, on the pair route otherwise."""
+    n, d = A.shape
+    table = p**d <= _TABLE_CELLS and d * p ** (d + 1) <= _TABLE_RATIO * n * n
+    route = _table_route if table else _pair_route
+    energy, corner, rectangles, ordinary, semi, degenerate, k0 = route(A, C, p)
     return EnergyReport(
         energy=energy,
         corner_count=corner,
-        size=len(A),
+        size=n,
         rectangles=rectangles,
         ordinary=ordinary,
         semi_degenerate=semi,
         degenerate=degenerate,
-        k0=max_on_isotropic_line(C, p),
+        k0=k0,
         quadric=quadric,
         multiplicity_range=(8, 8) if rectangles else None,
     )

@@ -154,8 +154,10 @@ def line_as_covector(line: AffineLine) -> AffinePlane:
 # exhaustive enumerations (desk-scale p)
 
 def iter_homogeneous_reps(p: int, length: int) -> Iterator[Vec]:
-    """All canonical projective representatives of nonzero tuples, in lex
-    order, one at a time."""
+    """All canonical projective representatives of nonzero tuples, one at a
+    time, in leading-one order: grouped by the position of the leading 1,
+    earliest first, each group in lex order of the entries after the 1.  So
+    (1, 0, 0) comes first and (0, ..., 0, 1) last."""
     for lead in range(length):
         head = (0,) * lead + (1,)
         for tail in itertools.product(range(p), repeat=length - lead - 1):
@@ -163,6 +165,7 @@ def iter_homogeneous_reps(p: int, length: int) -> Iterator[Vec]:
 
 
 def homogeneous_reps(p: int, length: int) -> list[Vec]:
-    """All canonical projective representatives of nonzero tuples, in lex order."""
+    """All canonical projective representatives of nonzero tuples, in the
+    leading-one order of iter_homogeneous_reps."""
     return list(iter_homogeneous_reps(p, length))
 

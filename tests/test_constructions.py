@@ -137,7 +137,7 @@ class TestSemiIsotropicSet:
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 401])
     @pytest.mark.parametrize("seed", [None, 4])
     def test_directions_and_points_follow_the_full_listing(self, p, seed):
-        # the first isotropic direction of the whole lex-ordered listing, and
+        # the first isotropic direction of the whole leading-one listing, and
         # the first listed direction orthogonal to it outside its span
         reps = homogeneous_reps(p, 3)
         y = tuple(isotropic_directions(p, 3)[0].tolist())

@@ -36,6 +36,20 @@ def _line_points(line):
     return oracles.line_points(line.base, line.direction, line.p)
 
 
+def _nonsquare(p):
+    return next(a for a in range(2, p) if legendre(a, p) == -1)
+
+
+def _traced(f):
+    """(f(), the peak of the memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestParaboloidEnergy:
     def test_grid_hand_value(self):
         A = paraboloid_lift([(0, 0), (1, 0), (0, 1), (1, 1)], 7)
@@ -298,31 +312,41 @@ class TestCensusAgainstOracle:
             assert _report(pts, p, quadric, t) == _expected(pts, p, quadric)
 
     def test_full_paraboloid_p17(self):
-        # the pinned census of the benchmark's paraboloid_energy workload
+        # the pinned census of the benchmark's paraboloid_energy workload,
+        # which takes the table route
         p = 17
-        tracemalloc.start()
-        try:
-            rep = rectangle_energy_paraboloid(_full_paraboloid(p), p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        pts = _full_paraboloid(p)
+        rep, peak = _traced(lambda: rectangle_energy_paraboloid(pts, p))
         assert (rep.energy, rep.corner_count, rep.rectangles) == (1498465, 1498465, 164152)
         assert (rep.ordinary, rep.semi_degenerate, rep.degenerate) == (147968, 0, 16184)
         assert rep.k0 == 17 and rep.multiplicity_range == (8, 8)
-        # the n^2 ordered pair sums (3 columns), their sort order and one
-        # sorted column set the peak (about 6 n^2 words); a frozenset key per
-        # rectangle took over 100 MB here
+        A = np.array(pts, dtype=np.int64)
+        pair, pair_peak = _traced(lambda: energy._pair_route(A, A[:, :-1], p))
+        assert pair == (1498465, 1498465, 164152, 147968, 0, 16184, 17)
+        # on the pair route the n^2 ordered pair sums (3 columns), their sort
+        # order and one sorted column set the peak (about 6 n^2 words, near
+        # 4 MB here); a frozenset key per rectangle took over 100 MB
         n = p * p
-        assert peak < 8 * n * n * 8, peak
+        assert pair_peak < 8 * n * n * 8, pair_peak
+        # the table route holds a few p^d-cell tables and the n points
+        assert peak < 1 << 20, peak
 
 
 class TestCrossChecks:
-    PTS = _full_paraboloid(5)
+    # the full paraboloid over F_5 takes the table route through the public
+    # functions, so the pair route's checks call it directly
+    A = np.array(_full_paraboloid(5), dtype=np.int64)
+
+    def pair_route(self):
+        return energy._pair_route(self.A, self.A[:, :-1], 5)
+
+    def table_route(self):
+        return energy._table_route(self.A, self.A[:, :-1], 5)
 
     def test_corner_criterion_must_agree(self, monkeypatch):
         monkeypatch.setattr(energy, "_corner_count", lambda A, C, p: 0)
         with pytest.raises(ArithmeticError, match="energy mismatch"):
-            rectangle_energy_paraboloid(self.PTS, 5)
+            self.pair_route()
 
     def test_eight_solutions_per_rectangle(self, monkeypatch):
         # losing one pair of the unordered grouping breaks the identity
@@ -335,11 +359,160 @@ class TestCrossChecks:
 
         monkeypatch.setattr(energy, "_unordered_sums", lossy)
         with pytest.raises(ArithmeticError, match="not 8 each"):
-            rectangle_energy_paraboloid(self.PTS, 5)
+            self.pair_route()
+
+    def test_difference_table_must_agree(self, monkeypatch):
+        sum_tables = energy._sum_tables
+
+        def corrupted(A, p):
+            r, D = sum_tables(A, p)
+            D.flat[1] += 1
+            return r, D
+
+        monkeypatch.setattr(energy, "_sum_tables", corrupted)
+        with pytest.raises(ArithmeticError, match="energy mismatch"):
+            self.table_route()
+
+    def test_sum_table_must_count_pairs(self, monkeypatch):
+        # the sums of this set have 4 or 9 pairs and the differences 0, 5 or
+        # 25: a sum count 4 -> 5 and a difference count 0 -> 3 both add 9, so
+        # the energies still agree, but 5 - 1 off-diagonal pairs is odd
+        sum_tables = energy._sum_tables
+
+        def corrupted(A, p):
+            r, D = sum_tables(A, p)
+            r.flat[int((r.reshape(-1) == 4).argmax())] = 5
+            D.flat[int((D.reshape(-1) == 0).argmax())] = 3
+            return r, D
+
+        monkeypatch.setattr(energy, "_sum_tables", corrupted)
+        with pytest.raises(ArithmeticError, match="not a table of pair counts"):
+            self.table_route()
+
+    def test_class_identity_must_divide_by_four(self, monkeypatch):
+        line_counts = energy._line_counts
+
+        def one_more_progression(C, p):
+            k0, degenerate, progressions = line_counts(C, p)
+            return k0, degenerate, progressions + 1
+
+        monkeypatch.setattr(energy, "_line_counts", one_more_progression)
+        with pytest.raises(ArithmeticError, match="not 4 per rectangle side"):
+            self.table_route()
+
+    def test_classes_must_not_go_negative(self, monkeypatch):
+        line_counts = energy._line_counts
+
+        def too_many_degenerate(C, p):
+            k0, degenerate, progressions = line_counts(C, p)
+            return k0, degenerate + 10**6, progressions
+
+        monkeypatch.setattr(energy, "_line_counts", too_many_degenerate)
+        with pytest.raises(ArithmeticError, match="negative rectangle classes"):
+            self.table_route()
+
+
+def _rows_and_corner(points, quadric):
+    A = np.array(sorted(set(map(tuple, points))), dtype=np.int64)
+    return A, (A[:, :-1] if quadric == "paraboloid" else A)
+
+
+def _case(label, p, points, quadric):
+    return pytest.param(p, points, quadric, id=label)
+
+
+def _route_cases():
+    """pytest params (p, points, quadric): full and seeded-half paraboloids
+    and spheres in d = 3 and 4, the spheres at a square and a non-square t,
+    full isotropic lines and cylinder sets."""
+    for p in (3, 5, 7, 11, 13):
+        rng = rng_for("routes", p)
+        for d in (3, 4) if p <= 7 else (3,):
+            full = paraboloid_lift(itertools.product(range(p), repeat=d - 1), p)
+            yield _case(f"paraboloid-{p}-{d}", p, full, "paraboloid")
+            half = rng.sample(full, len(full) // 2)
+            yield _case(f"half-paraboloid-{p}-{d}", p, half, "paraboloid")
+            for t in (1, _nonsquare(p)):
+                pool = sphere_points(p, d, t)
+                yield _case(f"sphere-{p}-{d}-{t}", p, pool, "sphere")
+                half = rng.sample(pool, len(pool) // 2)
+                yield _case(f"half-sphere-{p}-{d}-{t}", p, half, "sphere")
+    for p, slope in ((5, 2), (13, 5)):  # 1 + slope^2 == 0
+        line = paraboloid_lift([(s, slope * s % p) for s in range(p)], p)
+        yield _case(f"isotropic-line-{p}", p, line, "paraboloid")
+    yield _case("sphere-line-5", 5, _line_points(lines_on_sphere(5, 4, 1)[0]), "sphere")
+    yield _case("cylinder-5", 5, cylinder_set(5, 1, 2, 2).points, "sphere")
+    yield _case("cylinder-13", 13, cylinder_set(13, 1, 3, 4).points, "sphere")
+
+
+class TestRoutesAgree:
+    """The table route against the pair route, field by field."""
+
+    @pytest.mark.parametrize("p, points, quadric", list(_route_cases()))
+    def test_every_field(self, p, points, quadric):
+        A, C = _rows_and_corner(points, quadric)
+        assert energy._table_route(A, C, p) == energy._pair_route(A, C, p)
+
+    def test_cases_have_every_class(self):
+        # the cases above are not all ordinary: semi-degenerate and
+        # degenerate rectangles both occur
+        totals = np.zeros(3, dtype=np.int64)
+        for case in _route_cases():
+            p, points, quadric = case.values
+            if p <= 5:
+                A, C = _rows_and_corner(points, quadric)
+                totals += np.array(energy._table_route(A, C, p)[3:6]) > 0
+        assert (totals > 0).all()
+
+    def test_rule_sends_full_sets_to_the_tables(self, monkeypatch):
+        # d p^(d+1) == 1875 <= 8 n^2 == 5000 for the full paraboloid over F_5
+        def refuse(A, C, p):
+            raise AssertionError("pair route")
+
+        monkeypatch.setattr(energy, "_pair_route", refuse)
+        rep = rectangle_energy_paraboloid(_full_paraboloid(5), 5)
+        assert rep == _expected(_full_paraboloid(5), 5, "paraboloid")
+
+    @pytest.mark.parametrize("points, p", [
+        (_full_paraboloid(5)[:8], 5),  # d p^(d+1) > 8 n^2
+        ([(1, 2, 5), (3, 4, 25)], BIG),  # p^d above the table cap
+    ])
+    def test_rule_keeps_small_sets_and_large_p_on_pairs(self, monkeypatch, points, p):
+        def refuse(A, C, p):
+            raise AssertionError("table route")
+
+        monkeypatch.setattr(energy, "_table_route", refuse)
+        assert rectangle_energy_paraboloid(points, p) == _expected(points, p, "paraboloid")
+
+
+class TestSumTables:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31, 97])
+    def test_transform_modulus(self, p):
+        for bound in (1, p, p**3, 1 << 20):
+            q, w = energy._transform_modulus(p, bound)
+            assert bound < q < 2**31 and q % p == 1
+            assert all(q % f for f in range(2, int(q**0.5) + 1))
+            assert w != 1 and pow(w, p, q) == 1
+
+    def test_no_modulus_past_the_field_cap(self):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            energy._transform_modulus(3, 2**31)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tables_count_sums_and_differences(self, seed):
+        rng = rng_for("sum-tables", seed)
+        p, d = rng.choice([(3, 2), (5, 3), (7, 3), (3, 4)])
+        pts = random_distinct_points(rng, p, d, rng.randrange(1, 30))
+        r, D = energy._sum_tables(np.array(pts, dtype=np.int64), p)
+        sums, diffs = np.zeros_like(r), np.zeros_like(D)
+        for a, b in itertools.product(pts, repeat=2):
+            sums[tuple((x + y) % p for x, y in zip(a, b))] += 1
+            diffs[oracles.diff(b, a, p)] += 1
+        assert (r == sums).all() and (D == diffs).all()
 
 
 class TestIsotropicSidesGuard:
-    # in F_5^4 the sides a = (1, 2, 0, 0) and b = (0, 0, 1, 2) are isotropic,
+    # the pair route's class census; in F_5^4 the sides a = (1, 2, 0, 0) and b = (0, 0, 1, 2) are isotropic,
     # orthogonal and not parallel
     A, B = (1, 2, 0, 0), (0, 0, 1, 2)
 
@@ -414,10 +587,6 @@ class TestCornerCount:
         assert corner != oracles.additive_energy(A.tolist(), A.tolist(), p)
 
 
-def _nonsquare(p):
-    return next(a for a in range(2, p) if legendre(a, p) == -1)
-
-
 @st.composite
 def d4_quadric_sets(draw):
     """(p, points of the sphere |x|^2 = t in F_p^4, the cone t = 0
@@ -467,18 +636,13 @@ class TestClassCensus:
 
 
 def _traced_peak(f):
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _traced(f)[1]
 
 
 @pytest.mark.parametrize("case", ["paraboloid17", "sphere7"])
 def test_corner_count_and_class_census_memory(case):
-    # neither the corner count nor the class census may outgrow the n^2
-    # ordered pair sums that the energy itself takes
+    # on the pair route, neither the corner count nor the class census may
+    # outgrow the n^2 ordered pair sums that the energy itself takes
     if case == "paraboloid17":
         p, A = 17, np.array(_full_paraboloid(17), dtype=np.int64)
         C = A[:, :-1]
