@@ -15,7 +15,7 @@ import numpy as np
 
 from .counting import WeightedPlaneSet, WeightedPointSet
 from .field import Prime
-from .geom import AffineLine, AffinePlane, Vec, dot, homogeneous_reps, iter_homogeneous_reps
+from .geom import AffineLine, AffinePlane, Vec, dot, iter_homogeneous_reps
 from .quadrics import _sphere_lines, sphere_points
 
 
@@ -35,10 +35,14 @@ def sphere_config(p: int, planes: int = 0, rng=None) -> tuple[WeightedPointSet, 
     against `planes` of its planes drawn by rng when 0 < planes < its size."""
     p = int(Prime(p))
     points = WeightedPointSet.of(sphere_points(p, 3, 1), p, dim=3)
-    # every canonical normal with every offset, as rows normal + offset
-    normals = np.array(homogeneous_reps(p, 3), dtype=np.int64)
-    family = np.column_stack([np.repeat(normals, p, axis=0), np.tile(np.arange(p), len(normals))])
-    family = WeightedPlaneSet.of(family, p, dim=3)
+    # each canonical normal with each offset c, in the set's own order:
+    # (0, 0, 1, c), then (0, 1, b, c), then (1, a, b, c)
+    family = np.zeros((p * p + p + 1, p, 4), dtype=np.int64)
+    family[..., 3] = np.arange(p)
+    family[0, :, 2] = family[1 : p + 1, :, 1] = family[p + 1 :, :, 0] = 1
+    family[1:, :, 2] = np.arange(p * p + p)[:, None] % p
+    family[p + 1 :, :, 1] = np.arange(p * p)[:, None] // p
+    family = WeightedPlaneSet.of(family.reshape(-1, 4), p, dim=3)
     if 0 < _nonnegative(planes, "plane") < len(family):
         # sampling indices picks the planes a sample of the plane list would
         family = WeightedPlaneSet.of(family.rows[rng.sample(range(len(family)), planes)], p, dim=3)

@@ -45,21 +45,22 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             key *= radix
             key += col
         order = np.argsort(key, kind="stable")
-        cols = [key[order]]
+        key = key[order]
+        cols = [key]
     else:
         order = np.lexsort(rows.T[::-1])
         cols = (col[order] for col in rows.T)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
+    new = np.zeros(len(order) + 1, dtype=bool)
+    new[[0, -1]] = True  # the first run's head and the last run's end
     for col in cols:
-        new[1:] |= col[1:] != col[:-1]
-    return order, np.append(np.flatnonzero(new), len(order))
+        new[1:-1] |= col[1:] != col[:-1]
+    return order, np.flatnonzero(new)
 
 
 def _int_rows(items, p: int, dim: int | None, extra: int, what: str,
               copies: int = 1) -> tuple[int, np.ndarray]:
-    """(dim, rows): the items as an int64 array of rows reduced mod p, each
-    copies * dim + extra long; dim defaults to the first item's."""
+    """(dim, rows): the items as a new int64 array of rows reduced mod p,
+    each copies * dim + extra long; dim defaults to the first item's."""
     if not isinstance(items, np.ndarray):
         items = [[int(c) % p for c in item] for item in items]
     if dim is None:
@@ -70,7 +71,9 @@ def _int_rows(items, p: int, dim: int | None, extra: int, what: str,
     if isinstance(items, np.ndarray):
         if items.ndim != 2 or items.shape[1] != width:
             raise DimensionMismatchError(f"{what} rows are not {dim}-dimensional")
-        return dim, items.astype(np.int64) % p
+        rows = items.astype(np.int64, order="C")
+        rows %= p
+        return dim, rows
     for item in items:
         if len(item) != width:
             raise DimensionMismatchError(f"{what} {item} is not {dim}-dimensional")
@@ -94,7 +97,7 @@ def _scale_canonical(rows: np.ndarray, p: int) -> np.ndarray:
         _reduce(a, p, tmp)
         e >>= 1
     rows *= scale[:, None]
-    _reduce(rows, p, np.empty_like(rows))
+    rows %= p  # in place, where _reduce would need a temporary like rows
     return rows
 
 
@@ -112,7 +115,9 @@ def _line_canonical(rows: np.ndarray, p: int) -> np.ndarray:
 
 # the row layer's one memory bound: a blocked kernel (the S x U table, the
 # two censuses, the rectangle census) keeps its int64 temporaries near
-# _BLOCK_CELLS cells; a fixed size, not a tuning knob
+# _BLOCK_CELLS cells; a fixed size, not a tuning knob.  An engine block is
+# weighed from its plane-index table: a cell holds an int64 residue, its
+# product or gathered plane weight, an int32 plane index and a hit flag
 _BLOCK_CELLS = 1 << 16
 
 
@@ -198,18 +203,22 @@ class _WeightedRows:
 
     @classmethod
     def _canonical(cls, p: int, dim: int, rows: np.ndarray, weights, what: str):
-        weights = [1] * len(rows) if weights is None else [int(w) for w in weights]
-        if len(weights) != len(rows):
+        w = (np.ones(len(rows), dtype=np.int64) if weights is None
+             else np.array([int(x) for x in weights], dtype=object))
+        if len(w) != len(rows):
             raise ValueError(f"weights and {what} differ in length")
-        if min(weights, default=1) < 1:
-            raise ValueError(f"weights must be positive, got {min(weights)}")
-        order, bounds = _runs(rows)
+        if w.min(initial=1) < 1:
+            raise ValueError(f"weights must be positive, got {w.min()}")
         # summed exactly: in int64 below _NP_SAFE, in python ints above it
-        w = np.array(weights, dtype=np.int64 if sum(weights) < _NP_SAFE else object)[order]
-        merged = np.add.reduceat(w, bounds[:-1]) if len(w) else w
-        rows = rows[order[bounds[:-1]]]
+        w = w.astype(np.int64 if w.sum() < _NP_SAFE else object, copy=False)
+        order, bounds = _runs(rows)
+        # rows (a new int64 array) already sorted and distinct are kept as is
+        if len(bounds) <= len(rows) or (order != np.arange(len(rows))).any():
+            w = np.add.reduceat(w[order], bounds[:-1]) if len(w) else w
+            rows = rows[order[bounds[:-1]]]
+        del order, bounds  # freed before the weights become python ints
         rows.flags.writeable = False
-        return cls(p, dim, rows, tuple(merged.tolist()))
+        return cls(p, dim, rows, tuple(w.tolist()))
 
     def __eq__(self, other) -> bool:
         return (type(self) is type(other)
@@ -356,15 +365,16 @@ class IncidenceReport:
 # plane of that pencil through it.  The distinct normals are taken in blocks
 # of b = _BLOCK_CELLS // (4p) (one at least), and each block fills one int32
 # pencil table of b * p cells, local normal * p + offset -> plane index or
-# -1, so a residue finds its plane with one gather.  When one normal's
-# table would not fit a block (p > _BLOCK_CELLS), the residues are matched
-# against the sorted int64 keys normal_id * p + offset by binary search
-# instead.  Either way memory is O(|points| + |planes|) plus a few
-# temporaries of one _BLOCK_CELLS block, and every step stays exact in int64
-# for p < 2^31.
+# -1, so a block of residues becomes its plane-index table J with one
+# gather.  When one normal's table would not fit a block (p > _BLOCK_CELLS),
+# the residues are matched against the sorted int64 keys normal_id * p +
+# offset by binary search instead.  Either way memory is O(|points| +
+# |planes|) plus a few temporaries of one _BLOCK_CELLS block, and every step
+# stays exact in int64 for p < 2^31.
 
 def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
-    """Yield (point index, plane index) arrays of incident pairs, block by block.
+    """Yield (rows, J) block by block, rows a slice of the points: J[i, j]
+    is the plane of the block's normal j through point rows[i], or -1.
 
     P holds points as rows, N and off the normals and offsets of a
     WeightedPlaneSet in its sorted order, so the planes of one normal are
@@ -376,7 +386,6 @@ def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
     new = np.ones(len(N), dtype=bool)
     new[1:] = (N[1:] != N[:-1]).any(axis=1)
     normals = N[new]
-    ids = np.cumsum(new) - 1
     heads = np.append(np.flatnonzero(new), len(N))
     u = len(normals)
     table = None
@@ -388,40 +397,35 @@ def _incident_pairs(P: np.ndarray, N: np.ndarray, off: np.ndarray, p: int):
     for s in range(0, u, b):
         block = normals[s : s + b]
         lo, hi = heads[s], heads[s + len(block)]
-        keys = (ids[lo:hi] - s) * p + off[lo:hi]
+        row_keys = np.arange(len(block), dtype=np.int64) * p
+        keys = np.repeat(row_keys, np.diff(heads[s : s + len(block) + 1])) + off[lo:hi]
         if table is not None:
             table.fill(-1)
             table[keys] = np.arange(lo, hi)
-        row_keys = np.arange(len(block), dtype=np.int64) * p
         for start, acc in _pair_values(P, block, p):
             acc += row_keys
-            flat = acc.reshape(-1)
             if table is None:
-                pos = np.searchsorted(keys, flat)
-                pos[pos == len(keys)] = 0
-                hit = np.flatnonzero(keys[pos] == flat)
-                pj = lo + pos[hit]
+                pos = np.searchsorted(keys, acc)  # len(keys) clips to a smaller key
+                J = np.where(keys.take(pos, mode="clip") == acc, lo + pos, -1)
                 del pos
             else:
-                pj = table[flat]
-                hit = np.flatnonzero(pj >= 0)
-                pj = pj[hit]
-            qi = hit // len(block) + start
-            del hit  # free the block's temporaries while the caller reduces
-            yield qi, pj
+                J = table[acc]
+            yield slice(start, start + len(acc)), J
+        del acc, J  # free this block's tables before the next block's are made
 
 
 def _weigh(points, planes, blocks) -> tuple[int, int]:
-    """(pairs, weighted) over blocks of (point index, plane index) arrays:
-    the number of pairs, and the sum of w(q) * w(pi) over them."""
+    """(pairs, weighted) over blocks of (rows, J), J[i] the plane indices of
+    point rows[i] or -1: the pairs, and the sum of w(q) * w(pi) over them."""
     # int64 products and sums are exact while the weighted total stays below
     # _NP_SAFE; beyond it the weights are held as python ints
     dtype = np.int64 if points.total_weight() * planes.total_weight() < _NP_SAFE else object
-    wq, wp = np.array(points.weights, dtype=dtype), np.array(planes.weights, dtype=dtype)
+    wq, wp0 = np.array(points.weights, dtype=dtype), np.zeros(len(planes) + 1, dtype=dtype)
+    wp0[:-1] = planes.weights  # and index -1 reads weight 0
     pairs = weighted = 0
-    for qi, pj in blocks:
-        pairs += len(qi)
-        weighted += int(np.dot(wq[qi], wp[pj]))
+    for rows, J in blocks:
+        pairs += int(np.count_nonzero(J >= 0))
+        weighted += int(np.dot(wq[rows], wp0[J].sum(axis=1)))
     return pairs, weighted
 
 
@@ -436,8 +440,8 @@ def weighted_incidences(points: WeightedPointSet, planes: WeightedPlaneSet) -> t
 
 
 def _forbidden_pairs(P, N, off, p: int, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (point index, plane index) pairs with the point on some
-    forbidden line (a canonical row) that lies inside the plane."""
+    """The distinct pairs of a point on some forbidden line (a canonical row)
+    and a plane holding that line, as one _weigh block."""
     keys = []
     dim = P.shape[1]
     for base, d in zip(lines[:, :dim], lines[:, dim:]):
@@ -452,7 +456,7 @@ def _forbidden_pairs(P, N, off, p: int, lines: np.ndarray) -> tuple[np.ndarray, 
         keys.append((on_line[:, None] * len(N) + in_plane).reshape(-1))
     # one pair can be routed through two forbidden lines
     keys = np.unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
-    return keys // len(N), keys % len(N)
+    return keys // len(N), (keys % len(N))[:, None]
 
 
 def _report(points, planes, pairs: int, weighted: int, forbidden=None) -> IncidenceReport:

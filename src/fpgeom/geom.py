@@ -163,9 +163,3 @@ def iter_homogeneous_reps(p: int, length: int) -> Iterator[Vec]:
         for tail in itertools.product(range(p), repeat=length - lead - 1):
             yield head + tail
 
-
-def homogeneous_reps(p: int, length: int) -> list[Vec]:
-    """All canonical projective representatives of nonzero tuples, in the
-    leading-one order of iter_homogeneous_reps."""
-    return list(iter_homogeneous_reps(p, length))
-

@@ -18,7 +18,7 @@ import numpy as np
 
 from .counting import WeightedLineSet, _int_rows, _pair_values, dot_rows
 from .field import Prime
-from .geom import AffineLine, GeometryError, Vec, homogeneous_reps
+from .geom import AffineLine, GeometryError, Vec, iter_homogeneous_reps
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ def paraboloid_lift(points, p: int) -> list[Vec]:
 
 def isotropic_directions(p: int, d: int) -> np.ndarray:
     """The canonical directions v of F_p^d with v.v == 0, as rows in the
-    order of homogeneous_reps."""
-    V = np.array(homogeneous_reps(p, d), dtype=np.int64)
+    order of iter_homogeneous_reps."""
+    V = np.array(list(iter_homogeneous_reps(p, d)), dtype=np.int64)
     return V[dot_rows(V, V, p) == 0]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ from fpgeom.constructions import (
 )
 from fpgeom.counting import count_point_line_2d, max_collinear
 from fpgeom.erdos import distance_set
-from fpgeom.geom import dot, homogeneous_reps
+from fpgeom.geom import dot, iter_homogeneous_reps
 from fpgeom.quadrics import Sphere, isotropic_directions, lines_on_sphere
 from conftest import rng_for
 
@@ -48,6 +49,17 @@ class TestSphereConfig:
     def test_membership(self):
         Q, _ = sphere_config(5)
         assert not Sphere(5, 3, 1).outside(Q.rows).any()
+
+    def test_memory_is_a_few_plane_sets(self):
+        tracemalloc.start()
+        try:
+            _, Pi = sphere_config(31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the family written once, its reduced copy in `of` and the sort's
+        # key, order and run bounds over it: about 3.1 times the rows' bytes
+        assert peak < 4 * Pi.rows.nbytes
 
 
 class TestCoprimeLattice:
@@ -139,7 +151,7 @@ class TestSemiIsotropicSet:
     def test_directions_and_points_follow_the_full_listing(self, p, seed):
         # the first isotropic direction of the whole leading-one listing, and
         # the first listed direction orthogonal to it outside its span
-        reps = homogeneous_reps(p, 3)
+        reps = list(iter_homogeneous_reps(p, 3))
         y = tuple(isotropic_directions(p, 3)[0].tolist())
         x = next(v for v in reps if sum(a * b for a, b in zip(v, y)) % p == 0 and v != y)
         k, l = min(3, p - 1), min(4, p)

@@ -172,6 +172,35 @@ class TestCanonicaliser:
             with pytest.raises(ValueError):
                 arr[0] += 1
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["points", "planes"])
+    def test_sorted_input_and_a_shuffled_copy_agree(self, which):
+        p = 5
+        cls = (WeightedPointSet, WeightedPlaneSet)[which]
+        rows = sphere_config(p)[which].rows  # sorted, distinct and canonical
+        weights = list(range(2, len(rows) + 2))
+        # a shuffled copy in which every third row comes twice, its weight
+        # split between the copies; a plane's second copy is scaled by 2
+        rng = rng_for("sorted-input", which)
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        raw, raw_weights = [], []
+        for i in order:
+            if i % 3:
+                raw += [rows[i]]
+                raw_weights += [weights[i]]
+            else:
+                raw += [rows[i], rows[i] * (1 + which) % p]
+                raw_weights += [1, weights[i] - 1]
+        kept = cls.of(rows, p, weights=weights)  # sorted: no gather
+        merged = cls.of(np.array(raw), p, weights=raw_weights)  # gathered and merged
+        assert kept == merged
+        assert np.array_equal(kept.rows, rows) and kept.weights == tuple(weights)
+        assert cls.of(rows, p).weights == (1,) * len(rows)
+        for s in (kept, merged):
+            assert not s.rows.flags.writeable
+            with pytest.raises(ValueError):
+                s.rows[0, 0] = 1
+
 
 def _residues(p):
     """Residues mod p, the extremes near 0 and p - 1 drawn often."""
@@ -700,12 +729,16 @@ class TestEngine:
         finally:
             tracemalloc.stop()
         assert pairs == len(Q) * (p * p + p + 1)
-        # c = 8 int64 cells a block cell: against the complete plane family
-        # every residue is a hit, so the residue table, its product temporary,
-        # the lookup positions, the hit positions and the hit point and plane
-        # indices with their weights are all block-sized; the keys and the
-        # distinct normals add a few int64 arrays over the planes and points
-        assert peak < 8 * 8 * counting._BLOCK_CELLS + 64 * (len(Q) + len(Pi))
+        # against the complete plane family every residue is a hit, and a
+        # block cell holds about 24 bytes: the int64 residue table (8), its
+        # product temporary or the plane weights gathered from the
+        # plane-index table (8), the int32 plane-index table itself (4), its
+        # hit mask (1) and the pencil table and keys of the block's normals
+        # (3), where copying each block's hits into index and weight arrays
+        # would need about 42.  A point or plane holds 16 bytes at most: the
+        # plane weights with a trailing 0, the point weights and a mask of
+        # the normals' heads
+        assert peak < 28 * counting._BLOCK_CELLS + 16 * (len(Q) + len(Pi))
 
     @pytest.mark.parametrize("p", [3, 13, 101])
     def test_routes_agree_on_the_same_sets(self, monkeypatch, p):

@@ -11,7 +11,7 @@ from fpgeom.geom import (
     DimensionMismatchError,
     GeometryError,
     dot,
-    homogeneous_reps,
+    iter_homogeneous_reps,
 )
 from fpgeom.quadrics import (
     Paraboloid,
@@ -216,7 +216,7 @@ def test_lines_on_sphere_across_blocks(monkeypatch, d, p):
 def test_lines_on_sphere_raises_on_a_row_off_the_sphere(monkeypatch):
     # every direction as a candidate: a row with v.v != 0 fails the check
     monkeypatch.setattr(quadrics, "isotropic_directions",
-                        lambda p, d: np.array(homogeneous_reps(p, d)))
+                        lambda p, d: np.array(list(iter_homogeneous_reps(p, d))))
     with pytest.raises(ArithmeticError, match="not on the sphere"):
         lines_on_sphere(5, 3, 1)
 
