@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import pytest
 
 from fpgeom.cli import main
 from fpgeom.configio import ConfigDoc, emit_config
-from fpgeom.constructions import elekes_grid, semi_isotropic_set
+from fpgeom.constructions import cylinder_set, elekes_grid, semi_isotropic_set
 from fpgeom.quadrics import paraboloid_lift, sphere_points
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -45,6 +46,11 @@ def _paraboloid(p: int, dim: int) -> list:
 
 def _files() -> dict[str, str]:
     grid = elekes_grid(2, 23)
+    cylinder = cylinder_set(13, 1, 3, 4)
+    # the full isotropic line (1, 2, 3) + s (1, 5, 0) of F_13^3 (1 + 5^2 == 0)
+    # and 20 seeded points, lifted to the paraboloid of F_13^4
+    line = [((1 + s) % 13, (2 + 5 * s) % 13, 3) for s in range(13)]
+    free = random.Random(3).sample(list(itertools.product(range(13), repeat=3)), 20)
     return {
         # weighted 3-D set with a forbidden line carrying four points
         "w3.txt": _config(7, 3, points=["0 0 0 w=2", "1 0 0", "2 0 0", "3 0 0", "0 1 0",
@@ -68,6 +74,12 @@ def _files() -> dict[str, str]:
                                              for q in _paraboloid(5, 3)]),
         "sph3.txt": _config(5, 3, points=sphere_points(5, 3, 1)),
         "sph4.txt": _config(5, 4, points=sphere_points(5, 4, 1)[:40]),
+        # sets too small against p^d for the sum and difference tables, so
+        # energy takes its pair route
+        "cyl13.txt": emit_config(ConfigDoc.of(13, 4, cylinder.points, (), cylinder.generators)),
+        "sph4_7.txt": _config(7, 4, points=sorted(random.Random(1).sample(
+            sphere_points(7, 4, 1), 40))),
+        "parline4.txt": _config(13, 4, points=paraboloid_lift(sorted(set(line + free)), 13)),
         "off3.txt": _config(7, 3, points=[(1, 0, 0), (1, 1, 1)]),
         "empty2.txt": _config(7, 2),
         # three points, where the semi-isotropic-plane test must not scan p^2
@@ -156,6 +168,11 @@ CASES = {
     "energy-sphere-T55": ["energy", "sph3.txt", "--quadric", "sphere", "--theorem", "T55"],
     "energy-sphere-T56": ["energy", "sph4.txt", "--quadric", "sphere", "--t", "1",
                           "--theorem", "T56"],
+    "energy-cylinder-pairs": ["energy", "cyl13.txt", "--quadric", "sphere", "--t", "1"],
+    "energy-sphere-subset-pairs": ["energy", "sph4_7.txt", "--quadric", "sphere", "--t", "1",
+                                   "--theorem", "T56"],
+    "energy-paraboloid-line-pairs": ["energy", "parline4.txt", "--quadric", "paraboloid",
+                                     "--theorem", "T53"],
     "forms": ["forms", "forms2.txt"],
     "forms-solutions": ["forms", "forms2.txt", "--solutions"],
     "forms-matrix-T41": ["forms", "forms2.txt", "--matrix", "1", "0", "0", "1",
