@@ -33,7 +33,6 @@ from .erdos import (
 )
 from .energy import (
     EnergyReport,
-    RectangleClass,
     rectangle_energy_paraboloid,
     rectangle_energy_sphere,
 )

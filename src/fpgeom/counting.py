@@ -114,10 +114,10 @@ def _line_canonical(rows: np.ndarray, p: int) -> np.ndarray:
 
 
 # the row layer's one memory bound: a blocked kernel (the S x U table, the
-# two censuses, the rectangle census) keeps its int64 temporaries near
-# _BLOCK_CELLS cells; a fixed size, not a tuning knob.  An engine block is
-# weighed from its plane-index table: a cell holds an int64 residue, its
-# product or gathered plane weight, an int32 plane index and a hit flag
+# two censuses) keeps its int64 temporaries near _BLOCK_CELLS cells; a fixed
+# size, not a tuning knob.  An engine block is weighed from its plane-index
+# table: a cell holds an int64 residue, its product or gathered plane weight,
+# an int32 plane index and a hit flag
 _BLOCK_CELLS = 1 << 16
 
 
@@ -561,16 +561,17 @@ def _require_dim3(points, planes) -> None:
 # near _BLOCK_CELLS cells.  The isotropic census groups the same way only the
 # pairs with |x - y|^2 == 0, read as zeros of the blocked squared-distance
 # table: energy's k0, the most points on one isotropic line, reads it on any
-# set, and so does k on a central sphere x.x == c (every row of one norm)
-# when nothing is excluded, since a line b + s.v with v.v != 0 meets such a
-# sphere in at most two points.  All products stay below p^2 < 2^62, which
-# keeps both censuses exact in int64 for p < 2^31.
+# set (and energy's pair route reads those pairs too), and so does k on a
+# central sphere x.x == c (every row of one norm) when nothing is excluded,
+# since a line b + s.v with v.v != 0 meets such a sphere in at most two
+# points.  All products stay below p^2 < 2^62, which keeps both censuses
+# exact in int64 for p < 2^31.
 
 def pair_blocks(per_base: np.ndarray):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
     base b in order, about _BLOCK_CELLS // 16 pairs a block and one base at
     least."""
-    # a census pair or a rectangle carries about 16 int64 cells of temporaries
+    # a census pair carries about 16 int64 cells of temporaries
     size = _BLOCK_CELLS // 16
     ends = np.cumsum(per_base)
     start = 0
@@ -618,20 +619,31 @@ def _line_census(P: np.ndarray, p: int, all_partners: bool = False):
         yield _groups(P, I, J, p)
 
 
-def _isotropic_census(P: np.ndarray, p: int):
-    """Yield _line_census(P, p)'s groups whose direction is isotropic, block
-    by block: the pairs i < j with |P[i] - P[j]|^2 == 0, grouped."""
+def _isotropic_pairs(P: np.ndarray, p: int):
+    """Yield (I, J) arrays, block by block: the pairs i < j of rows of P with
+    |P[i] - P[j]|^2 == 0 mod p, the zeros of the blocked squared-distance
+    table, in (i, j) order."""
     U, norms = _distance_terms(P, p)
     for start, V in _pair_values(P, U, p, norms, norms):
         I, J = np.nonzero(V == 0)
-        later = J > I + start
-        I, J = I[later], J[later]
+        I += start
+        later = J > I
+        yield I[later], J[later]
+
+
+def _isotropic_census(P: np.ndarray, p: int):
+    """Yield _line_census(P, p)'s groups whose direction is isotropic, block
+    by block: the pairs of _isotropic_pairs, grouped."""
+    for I, J in _isotropic_pairs(P, p):
+        if not len(I):
+            continue
         # grouped in pair_blocks' chunks of whole bases, as the line census
         # groups, so a table of isotropic pairs stays near its memory
-        heads = np.searchsorted(I, np.arange(len(V)))
-        for b, rank in pair_blocks(np.bincount(I, minlength=len(V))):
+        per_base = np.bincount(I - I[0])
+        heads = np.cumsum(per_base) - per_base
+        for b, rank in pair_blocks(per_base):
             t = heads[b] + rank
-            yield _groups(P, I[t] + start, J[t], p)
+            yield _groups(P, I[t], J[t], p)
 
 
 def _collinearity(points: WeightedPointSet,

@@ -1,29 +1,25 @@
 """Additive energy on quadrics: the rectangle criteria and taxonomy.
 
 Energy is the ordered-quadruple count of x + y == z + u.  Every report field
-comes from one of two routes, chosen by the size of the set against p^d.
+comes from one algebra on the sum and difference counts
+r(s) = #{(a, b): a + b == s} and D(v) = #{(a, b): b - a == v}: energy is
+sum r^2 and the corner count sum D^2; the rectangles, the geometric
+pairwise-distinct view, are the pairs of unordered pairs with one sum; and
+their classes by the number of isotropic sides come from D on the isotropic
+differences together with counts on the isotropic lines.  On the
+paraboloid or a sphere the corner value of a pair (z, x) depends only on
+x - z, so sum D^2 is also the number of right corners at z whose fourth
+vertex x + y - z is in the set.
 
-The pair route sorts the n^2 ordered pair sums into runs of equal sums, and
-each run of size m adds m^2.  For sets on the paraboloid or a sphere the same
-number is recomputed through the right-angle corner criterion, and the two
-are required to agree.  A right corner at z whose fourth vertex
-u = x + y - z is in the set is a pair of ordered pairs (z, x), (y, u) with one
-difference and one corner value, so the corner count is one more sort of the
-n^2 ordered pairs, keyed block by block from the pair-value table of the
-corner coordinates.  Geometric rectangles are the deduplicated,
-pairwise-distinct view.  Two distinct unordered pairs with one sum are
-disjoint, so a run of r pairs i < j with one sum holds exactly C(r, 2)
-rectangles, each hit by 8 ordered solutions; they are enumerated in
-fixed-size blocks and classified by how many of their two side directions are
-isotropic, read by two gathers from one n x n isotropy table.
-
-The table route reads the same numbers from the sum and difference tables
-r(s) = #{(a, b): a + b == s} and D(v) = #{(a, b): b - a == v} on all of
-F_p^d, the Fourier side of energy: E(A) = p^-d sum_xi |F(xi)|^4.  The
-transforms are taken modulo a prime q == 1 mod p above n, so every table
-entry comes out exactly, with integers only.  Sum D^2 stands in for the
-corner count, and the rectangle classes come from D on the isotropic
-differences together with 1-D counts on the isotropic lines.
+Two routes get r, D and the line counts, chosen by the size of the set
+against p^d.  The table route reads r and D on all of F_p^d, the Fourier
+side of energy: E(A) = p^-d sum_xi |F(xi)|^4.  The transforms are taken
+modulo a prime q == 1 mod p above n, so every table entry comes out
+exactly, with integers only, and 1-D counts on each isotropic line give the
+line counts.  The pair route sorts the n^2 ordered pair sums and the n^2
+ordered differences, whose runs are the nonzero entries of r and D, and
+reads the line counts from the isotropic pairs, the zeros of the blocked
+squared-distance table.
 """
 
 from __future__ import annotations
@@ -31,34 +27,21 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .counting import (
-    _distance_terms,
     _isotropic_census,
-    _pair_values,
+    _isotropic_pairs,
     _runs,
     _scale_canonical,
     distinct_rows,
     dot_mod,
     dot_rows,
-    pair_blocks,
 )
 from .field import MAX_MODULUS, Prime, is_prime
 from .geom import GeometryError
 from .quadrics import Paraboloid, Sphere, isotropic_directions
-
-
-class RectangleClass(Enum):
-    ORDINARY = "ordinary"
-    SEMI_DEGENERATE = "semi-degenerate"
-    DEGENERATE = "degenerate"
-
-
-class NotARectangleError(GeometryError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -92,140 +75,115 @@ def max_on_isotropic_line(points, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rectangle machinery
+# the report from the sum and difference counts
+
+def _report_fields(r: np.ndarray, off: np.ndarray, D: np.ndarray, Dv: np.ndarray,
+                   k0: int, degenerate: int, progressions: int) -> tuple[int, ...]:
+    """(energy, corner count, rectangles, ordinary, semi-degenerate,
+    degenerate, k0) from the sum counts r, their off-diagonal parts off, the
+    difference counts D (each given on any cells that hold the nonzero
+    ones), D on the isotropic differences v != 0, and the isotropic-line
+    counts k0, degenerate and progressions.
+
+    energy = sum r^2, and the corner count is sum D^2, which counts the same
+    quadruples (x + y == z + u exactly when x - z == u - y) and must agree.
+    With off = r - [s in 2A], the unordered pairs of one sum number off / 2.
+
+    Classes.  The ordered pairs of ordered pairs (z, x), (y, u) with one
+    difference v, C(v) isotropic and v != 0, number sum (D(v)^2 - D(v)).  Such
+    a pair with y == x or u == z is a 3-term progression along v, counted
+    twice; every other one is a rectangle {x, y}, {z, u} with side v, and a
+    rectangle with sides a, b is hit 4 times by each isotropic one of +-a,
+    +-b.  So semi-degenerate + 2 degenerate, the isotropic sides of all
+    rectangles, is (sum (D^2 - D) - 2T) / 4 for T progressions.
+
+    Degenerate rectangles are the rectangles inside one isotropic line.  Two
+    isotropic sides a, b meet at a right angle (on the quadric a.b == 0), so
+    they span a totally isotropic subspace.  In dimension <= 3 (the
+    paraboloid's corner coordinates, the 2-sphere) such subspaces are lines,
+    so a and b are parallel.  In F_p^4 a totally isotropic plane W has
+    W-perp == W, and the corner z of a sphere rectangle is orthogonal to both
+    sides (|z + a|^2 == |z|^2), so z in W and |z|^2 == 0 != t.  So every
+    rectangle with two isotropic sides has four collinear points on an
+    isotropic line.
+    """
+    energy, corner = int(np.vdot(r, r)), int(np.vdot(D, D))
+    if corner != energy:
+        raise ArithmeticError(
+            f"energy mismatch: sum table {energy} vs difference table {corner}"
+        )
+    if (off < 0).any() or (off % 2).any():
+        raise ArithmeticError("the sum table is not a table of pair counts")
+    m = off // 2
+    rectangles = (int(np.vdot(m, m)) - int(m.sum())) // 2  # sum C(m, 2)
+    sides, rest = divmod(int((Dv * (Dv - 1)).sum()) - 2 * progressions, 4)
+    if rest:
+        raise ArithmeticError(
+            f"isotropic difference count {4 * sides + rest} is not 4 per rectangle side")
+    semi = sides - 2 * degenerate
+    ordinary = rectangles - semi - degenerate
+    if min(semi, ordinary) < 0:
+        raise ArithmeticError(
+            f"negative rectangle classes: ordinary {ordinary}, semi-degenerate {semi}")
+    return energy, corner, rectangles, ordinary, semi, degenerate, k0
+
+
+# ---------------------------------------------------------------------------
+# the pair route
 #
 # Coordinates stay below p < 2^31 and every product is reduced mod p before
 # the next sum, so all of it is exact in int64.
 
-def _isotropy(C: np.ndarray, p: int) -> np.ndarray:
-    """The n x n table iso[x, z] of |C[x] - C[z]|^2 == 0 mod p: the zeros of
-    the blocked squared-distance table, one byte a cell."""
-    iso = np.empty((len(C), len(C)), dtype=bool)
-    U, norms = _distance_terms(C, p)
-    for start, V in _pair_values(C, U, p, norms, norms):
-        np.equal(V, 0, out=iso[start : start + len(V)])
-    return iso
-
-
-def _rectangle_classes(C: np.ndarray, iso: np.ndarray, x, y, z, p: int) -> np.ndarray:
-    """Class codes (0 ordinary, 1 semi-degenerate, 2 degenerate) of the
-    rectangles with diagonal {x, y} and corner z, given as index arrays into
-    the rows of C and its _isotropy table iso.
-
-    The sides are x - z and y - z; the code counts the isotropic ones.
-    """
-    iso_a = iso[x, z]
-    iso_b = iso[y, z]
-    both = np.flatnonzero(iso_a & iso_b)
-    if len(both):
-        # with both sides isotropic all four vertices lie on one line exactly
-        # when the (nonzero) sides are parallel: their canonical directions agree
-        a = C[x[both]] - C[z[both]]
-        a %= p
-        b = C[y[both]] - C[z[both]]
-        b %= p
-        if (_scale_canonical(a, p) != _scale_canonical(b, p)).any():
-            raise NotARectangleError(
-                "both side directions isotropic but vertices are not collinear")
-    return np.add(iso_a, iso_b, dtype=np.int64)
-
-
-def _corner_count(A: np.ndarray, C: np.ndarray, p: int) -> int:
-    """Count triples (x, y, z) with a right corner at z (in corner coords C)
-    whose fourth vertex u = x + y - z (in full coords A) is back in the set.
-
-    Such a triple is a pair of ordered pairs (z, x) and (y, u) with one
-    difference v = x - z = u - y, and since (x - z).(y - z) is
-    C(v).C(y) - C(v).C(z), one corner value as well.  So each ordered pair
-    (a, b) is keyed by (A[b] - A[a], C[a].C[b] - |C[a]|^2) mod p, and the
-    count is the sum of size^2 over the runs of equal keys.  The key's base-p
-    digits are packed into as few int64 columns as hold them, written block
-    by block from the pair-value table.  A's rows are distinct.
-    """
-    n, d = A.shape
-    per = 1  # base-p digits per key column, so a column stays below 2^63
-    while p ** (per + 1) < 1 << 63:
-        per += 1
-    keys = np.zeros((-(-(d + 1) // per), n * n), dtype=np.int64)
-    offsets = -dot_rows(C, C, p) % p
-    for start, V in _pair_values(C, C, p, offsets, np.zeros(n, dtype=np.int64)):
-        rows = A[start : start + len(V)]
-        diffs = ((A[:, c] - rows[:, c, None]) % p for c in range(d))
-        for c, digit in enumerate(itertools.chain(diffs, [V])):
-            key = keys[c // per, start * n : (start + len(V)) * n].reshape(V.shape)
-            key *= p
-            key += digit
-    _, bounds = _runs(keys.T)
-    size = np.diff(bounds)
-    return int((size * size).sum())
-
-
-def _ordered_sums(A: np.ndarray, p: int) -> tuple[int, int]:
-    """(energy, pairwise-distinct ordered solutions) from the n^2 ordered
-    pair sums A[i] + A[j] mod p, flattened at position i * n + j and grouped
-    by one sort."""
+def _pair_runs(A: np.ndarray, sign: int, p: int) -> tuple[np.ndarray, ...]:
+    """(rows, order, bounds): the n^2 rows A[j] + sign A[i] mod p of the
+    ordered pairs (i, j) of rows of A, flattened at position i n + j, and the
+    order and bounds of their runs of equal rows."""
     n = len(A)
-    sums = A[:, None, :] + A
-    sums %= p
-    order, bounds = _runs(sums.reshape(n * n, -1))
-    size = np.diff(bounds)
-    # x + y == x + u forces y == u, so the off-diagonal pairs of one sum are
-    # disjoint and give off * (off - 2) pairwise-distinct solutions; the
-    # diagonal pair (i, i) sits at the flat position i * (n + 1)
-    off = size - np.add.reduceat(order % (n + 1) == 0, bounds[:-1], dtype=np.int64)
-    return int((size * size).sum()), int((off * (off - 2)).sum())
+    rows = sign * A[:, None, :] + A
+    rows %= p
+    rows = rows.reshape(n * n, -1)
+    return (rows, *_runs(rows))
 
 
-def _unordered_sums(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs i < j of rows of A as (I, J) sorted by A[i] + A[j] mod p,
-    and the bounds of their runs of equal sums."""
-    I, J = np.triu_indices(len(A), 1)
-    sums = A[I]
-    sums += A[J]
-    sums %= p
-    order, bounds = _runs(sums)
-    return I[order], J[order], bounds
+def _line_pairs(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, int]:
+    """(degenerate, progressions) from the pairs i < j of rows of A whose
+    corner coordinates C differ by an isotropic vector.
 
-
-def _class_counts(C: np.ndarray, X: np.ndarray, Y: np.ndarray, bounds: np.ndarray,
-                  p: int) -> tuple[int, int, int]:
-    """(ordinary, semi-degenerate, degenerate) rectangles among the pairs
-    (X, Y) in runs of equal sums given by bounds, classified in the corner
-    coordinates C from one isotropy table."""
-    iso = _isotropy(C, p)
-    # the pair at sorted position t forms a rectangle with each later pair of
-    # its run
-    later = np.repeat(bounds[1:], np.diff(bounds)) - 1 - np.arange(len(X))
-    counts = np.zeros(len(RectangleClass), dtype=np.int64)
-    for t, rank in pair_blocks(later):
-        counts += np.bincount(
-            _rectangle_classes(C, iso, X[t], Y[t], X[t + 1 + rank], p),
-            minlength=len(counts),
-        )
-    ordinary, semi, degenerate = counts.tolist()
-    return ordinary, semi, degenerate
+    Two such pairs with one sum and one canonical direction lie on one
+    isotropic line, through their common midpoint, so a run of c of them
+    holds C(c, 2) degenerate rectangles.  A pair whose midpoint
+    (A[i] + A[j]) (p + 1) / 2 is a row of A is a progression both ways."""
+    I, J = (np.concatenate(x) for x in zip(*_isotropic_pairs(C, p)))
+    S = A[I] + A[J]
+    S %= p
+    W = C[J] - C[I]
+    W %= p
+    _, bounds = _runs(np.column_stack([S, _scale_canonical(W, p)]))
+    c = np.diff(bounds)
+    S *= (p + 1) // 2
+    S %= p
+    # the sort is stable, so the row of A in a run comes first
+    order, bounds = _runs(np.concatenate([A, S]))
+    mids = np.diff(bounds) - 1
+    return int((c * (c - 1) // 2).sum()), 2 * int(mids[order[bounds[:-1]] < len(A)].sum())
 
 
 def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     """(energy, corner count, rectangles, ordinary, semi-degenerate,
-    degenerate, k0) for the distinct rows A on the quadric, read from tables
-    of the n^2 pairs."""
-    energy, solutions = _ordered_sums(A, p)
-    corner = _corner_count(A, C, p)
-    if corner != energy:
-        raise ArithmeticError(
-            f"energy mismatch: sum grouping {energy} vs corner criterion {corner}"
-        )
-    # rectangles: any two unordered pairs with one sum
-    X, Y, bounds = _unordered_sums(A, p)
+    degenerate, k0) for the distinct rows A on the quadric, with the sum and
+    difference counts read from sorts of the n^2 ordered pairs."""
+    n = len(A)
+    order, bounds = _pair_runs(A, 1, p)[1:]
     r = np.diff(bounds)
-    rectangles = int((r * (r - 1) // 2).sum())
-    if solutions != 8 * rectangles:
-        raise ArithmeticError(
-            f"{solutions} ordered solutions for {rectangles} rectangles, not 8 each"
-        )
-    classes = _class_counts(C, X, Y, bounds, p)
-    return (energy, corner, rectangles, *classes, max_on_isotropic_line(C, p))
+    # the diagonal pair (i, i) sits at the flat position i * (n + 1)
+    off = r - np.add.reduceat(order % (n + 1) == 0, bounds[:-1], dtype=np.int64)
+    del order
+    V, order, bounds = _pair_runs(A, -1, p)
+    D = np.diff(bounds)
+    # the zero difference sorts first; the run heads after it are the v != 0
+    V = V[order[bounds[1:-1]], : C.shape[1]]
+    Dv = D[1:][dot_rows(V, V, p) == 0]
+    return _report_fields(r, off, D, Dv, max_on_isotropic_line(C, p), *_line_pairs(A, C, p))
 
 
 # ---------------------------------------------------------------------------
@@ -343,60 +301,20 @@ def _line_counts(C: np.ndarray, p: int) -> tuple[int, int, int]:
 def _table_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     """(energy, corner count, rectangles, ordinary, semi-degenerate,
     degenerate, k0) for the distinct rows A on the quadric, read from the
-    sum and difference tables; C is a leading-column slice of A.
-
-    energy = sum r^2, and the corner count is sum D^2, which counts the same
-    quadruples (x + y == z + u exactly when x - z == u - y) and must agree.
-    With off = r - [s in 2A], the unordered pairs of one sum number off / 2.
-
-    Classes.  The ordered pairs of ordered pairs (z, x), (y, u) with one
-    difference v, C(v) isotropic and v != 0, number sum (D(v)^2 - D(v)).  Such
-    a pair with y == x or u == z is a 3-term progression along v, counted
-    twice; every other one is a rectangle {x, y}, {z, u} with side v, and a
-    rectangle with sides a, b is hit 4 times by each isotropic one of +-a,
-    +-b.  So semi-degenerate + 2 degenerate, the isotropic sides of all
-    rectangles, is (sum (D^2 - D) - 2T) / 4 for T progressions.
-
-    Degenerate rectangles are the rectangles inside one isotropic line.  Two
-    isotropic sides a, b meet at a right angle (on the quadric a.b == 0), so
-    they span a totally isotropic subspace.  In dimension <= 3 (the
-    paraboloid's corner coordinates, the 2-sphere) such subspaces are lines,
-    so a and b are parallel.  In F_p^4 a totally isotropic plane W has
-    W-perp == W, and the corner z of a sphere rectangle is orthogonal to both
-    sides (|z + a|^2 == |z|^2), so z in W and |z|^2 == 0 != t.  So every
-    degenerate rectangle has four collinear points on an isotropic line, and
-    the pair route's NotARectangleError cannot arise here.
-    """
+    sum and difference tables; C is a leading-column slice of A."""
     d = A.shape[1]
-    r, D = _sum_tables(A, p)
-    energy, corner = int(np.vdot(r, r)), int(np.vdot(D, D))
-    if corner != energy:
-        raise ArithmeticError(
-            f"energy mismatch: sum table {energy} vs difference table {corner}"
-        )
-    off = r
-    off[tuple((2 * A % p).T)] -= 1
-    if (off < 0).any() or (off % 2).any():
-        raise ArithmeticError("the sum table is not a table of pair counts")
-    m = off // 2
-    rectangles = int((m * (m - 1) // 2).sum())
-    # the cells v != 0 of F_p^d with |C(v)|^2 == 0
+    # the cells v != 0 of F_p^d with |C(v)|^2 == 0, and the line counts,
+    # taken before the tables so that their temporaries never meet them
     norm = functools.reduce(np.add.outer, [np.arange(p) ** 2] * C.shape[1]) % p
     isotropic = np.empty((p,) * d, dtype=bool)
     isotropic[...] = (norm == 0).reshape(norm.shape + (1,) * (d - C.shape[1]))
     isotropic.flat[0] = False
-    Dv = D[isotropic]
-    k0, degenerate, progressions = _line_counts(C, p)
-    sides, rest = divmod(int((Dv * (Dv - 1)).sum()) - 2 * progressions, 4)
-    if rest:
-        raise ArithmeticError(
-            f"isotropic difference count {4 * sides + rest} is not 4 per rectangle side")
-    semi = sides - 2 * degenerate
-    ordinary = rectangles - semi - degenerate
-    if min(semi, ordinary) < 0:
-        raise ArithmeticError(
-            f"negative rectangle classes: ordinary {ordinary}, semi-degenerate {semi}")
-    return energy, corner, rectangles, ordinary, semi, degenerate, k0
+    del norm
+    lines = _line_counts(C, p)
+    r, D = _sum_tables(A, p)
+    off = r.copy()
+    off[tuple((2 * A % p).T)] -= 1
+    return _report_fields(r, off, D, D[isotropic], *lines)
 
 
 def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> EnergyReport:

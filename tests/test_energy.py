@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import tracemalloc
@@ -13,7 +14,6 @@ from fpgeom import counting, energy
 from fpgeom.constructions import cylinder_set
 from fpgeom.energy import (
     EnergyReport,
-    NotARectangleError,
     max_on_isotropic_line,
     rectangle_energy_paraboloid,
     rectangle_energy_sphere,
@@ -38,6 +38,22 @@ def _line_points(line):
 
 def _nonsquare(p):
     return next(a for a in range(2, p) if legendre(a, p) == -1)
+
+
+ROUTES = ("_pair_route", "_table_route")
+
+
+@contextlib.contextmanager
+def _route(name):
+    """Send the public energy functions down one route, and yield the
+    monkeypatch: no p^d table fits in 0 cells, and every set with p^d under
+    the table cap passes a ratio of 2^62."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "_pair_route":
+            mp.setattr(energy, "_TABLE_CELLS", 0)
+        else:
+            mp.setattr(energy, "_TABLE_RATIO", 1 << 62)
+        yield mp
 
 
 def _traced(f):
@@ -301,7 +317,8 @@ class TestCensusAgainstOracle:
 
     @pytest.mark.parametrize("block", [1, 2, 5, 13])
     def test_block_boundaries(self, monkeypatch, block):
-        # pair_blocks takes _BLOCK_CELLS // 16 rectangles a block
+        # the squared-distance table takes about _BLOCK_CELLS cells a block
+        # and the isotropic census _BLOCK_CELLS // 16 pairs
         monkeypatch.setattr(counting, "_BLOCK_CELLS", 16 * block)
         cases = [
             (_full_paraboloid(5), 5, "paraboloid", None),
@@ -321,95 +338,54 @@ class TestCensusAgainstOracle:
         assert (rep.ordinary, rep.semi_degenerate, rep.degenerate) == (147968, 0, 16184)
         assert rep.k0 == 17 and rep.multiplicity_range == (8, 8)
         A = np.array(pts, dtype=np.int64)
-        pair, pair_peak = _traced(lambda: energy._pair_route(A, A[:, :-1], p))
+        pair = energy._pair_route(A, A[:, :-1], p)
         assert pair == (1498465, 1498465, 164152, 147968, 0, 16184, 17)
-        # on the pair route the n^2 ordered pair sums (3 columns), their sort
-        # order and one sorted column set the peak (about 6 n^2 words, near
-        # 4 MB here); a frozenset key per rectangle took over 100 MB
-        n = p * p
-        assert pair_peak < 8 * n * n * 8, pair_peak
         # the table route holds a few p^d-cell tables and the n points
         assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("route", ROUTES)
 class TestCrossChecks:
-    # the full paraboloid over F_5 takes the table route through the public
-    # functions, so the pair route's checks call it directly
+    """Each guard of the shared report arithmetic, reached through both
+    routes on the full paraboloid over F_5 by corrupting one of its inputs
+    (r, off, D, Dv, k0, degenerate, progressions)."""
+
     A = np.array(_full_paraboloid(5), dtype=np.int64)
 
-    def pair_route(self):
-        return energy._pair_route(self.A, self.A[:, :-1], 5)
+    def run(self, monkeypatch, route, edit):
+        fields = energy._report_fields
+        monkeypatch.setattr(energy, "_report_fields", lambda *args: fields(*edit(*args)))
+        return getattr(energy, route)(self.A, self.A[:, :-1], 5)
 
-    def table_route(self):
-        return energy._table_route(self.A, self.A[:, :-1], 5)
+    def test_difference_table_must_agree(self, monkeypatch, route):
+        # one more difference count of 1 adds 1 to sum D^2
+        def edit(r, off, D, *rest):
+            return (r, off, np.append(D, 1), *rest)
 
-    def test_corner_criterion_must_agree(self, monkeypatch):
-        monkeypatch.setattr(energy, "_corner_count", lambda A, C, p: 0)
         with pytest.raises(ArithmeticError, match="energy mismatch"):
-            self.pair_route()
+            self.run(monkeypatch, route, edit)
 
-    def test_eight_solutions_per_rectangle(self, monkeypatch):
-        # losing one pair of the unordered grouping breaks the identity
-        # between the two sorts
-        unordered = energy._unordered_sums
+    def test_sum_table_must_count_pairs(self, monkeypatch, route):
+        # one sum with an odd number of off-diagonal ordered pairs
+        def edit(r, off, *rest):
+            return (r, np.append(off, 1), *rest)
 
-        def lossy(A, p):
-            X, Y, bounds = unordered(A, p)
-            return X[:-1], Y[:-1], np.append(bounds[:-1], bounds[-1] - 1)
-
-        monkeypatch.setattr(energy, "_unordered_sums", lossy)
-        with pytest.raises(ArithmeticError, match="not 8 each"):
-            self.pair_route()
-
-    def test_difference_table_must_agree(self, monkeypatch):
-        sum_tables = energy._sum_tables
-
-        def corrupted(A, p):
-            r, D = sum_tables(A, p)
-            D.flat[1] += 1
-            return r, D
-
-        monkeypatch.setattr(energy, "_sum_tables", corrupted)
-        with pytest.raises(ArithmeticError, match="energy mismatch"):
-            self.table_route()
-
-    def test_sum_table_must_count_pairs(self, monkeypatch):
-        # the sums of this set have 4 or 9 pairs and the differences 0, 5 or
-        # 25: a sum count 4 -> 5 and a difference count 0 -> 3 both add 9, so
-        # the energies still agree, but 5 - 1 off-diagonal pairs is odd
-        sum_tables = energy._sum_tables
-
-        def corrupted(A, p):
-            r, D = sum_tables(A, p)
-            r.flat[int((r.reshape(-1) == 4).argmax())] = 5
-            D.flat[int((D.reshape(-1) == 0).argmax())] = 3
-            return r, D
-
-        monkeypatch.setattr(energy, "_sum_tables", corrupted)
         with pytest.raises(ArithmeticError, match="not a table of pair counts"):
-            self.table_route()
+            self.run(monkeypatch, route, edit)
 
-    def test_class_identity_must_divide_by_four(self, monkeypatch):
-        line_counts = energy._line_counts
+    def test_class_identity_must_divide_by_four(self, monkeypatch, route):
+        def edit(*args):
+            return (*args[:-1], args[-1] + 1)  # one more progression
 
-        def one_more_progression(C, p):
-            k0, degenerate, progressions = line_counts(C, p)
-            return k0, degenerate, progressions + 1
-
-        monkeypatch.setattr(energy, "_line_counts", one_more_progression)
         with pytest.raises(ArithmeticError, match="not 4 per rectangle side"):
-            self.table_route()
+            self.run(monkeypatch, route, edit)
 
-    def test_classes_must_not_go_negative(self, monkeypatch):
-        line_counts = energy._line_counts
+    def test_classes_must_not_go_negative(self, monkeypatch, route):
+        def edit(*args):
+            return (*args[:-2], args[-2] + 10**6, args[-1])  # more degenerate
 
-        def too_many_degenerate(C, p):
-            k0, degenerate, progressions = line_counts(C, p)
-            return k0, degenerate + 10**6, progressions
-
-        monkeypatch.setattr(energy, "_line_counts", too_many_degenerate)
         with pytest.raises(ArithmeticError, match="negative rectangle classes"):
-            self.table_route()
+            self.run(monkeypatch, route, edit)
 
 
 def _rows_and_corner(points, quadric):
@@ -511,22 +487,6 @@ class TestSumTables:
         assert (r == sums).all() and (D == diffs).all()
 
 
-class TestIsotropicSidesGuard:
-    # the pair route's class census; in F_5^4 the sides a = (1, 2, 0, 0) and b = (0, 0, 1, 2) are isotropic,
-    # orthogonal and not parallel
-    A, B = (1, 2, 0, 0), (0, 0, 1, 2)
-
-    def test_classes_raise_on_crafted_corner_coords(self):
-        C = np.array([self.A, self.B, (0, 0, 0, 0)], dtype=np.int64)
-        with pytest.raises(NotARectangleError, match="not collinear"):
-            energy._rectangle_classes(C, energy._isotropy(C, 5), *np.array([[0], [1], [2]]), 5)
-
-    def test_parallel_isotropic_sides_are_degenerate(self):
-        C = np.array([(1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 0, 0)], dtype=np.int64)
-        iso = energy._isotropy(C, 5)
-        assert energy._rectangle_classes(C, iso, *np.array([[0], [1], [2]]), 5).tolist() == [2]
-
-
 class TestLargestModulus:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(_BIG_COORD, _BIG_COORD), min_size=1, max_size=12))
@@ -551,106 +511,68 @@ class TestLargestModulus:
         assert rep == _expected(pts, BIG, "sphere")
 
 
-@st.composite
-def corner_cases(draw):
-    """(p, distinct rows A, corner coordinates C): arbitrary rows with few
-    coordinate values, so fourth vertices often land back in the set, and C
-    all of A or a slice of its columns."""
-    p = draw(st.sampled_from((3, 5, 13, BIG)))
-    d = draw(st.sampled_from((2, 3, 4)))
-    values = st.sampled_from((0, 1, 2, p - 1, p - 2)) if p > 5 else st.integers(0, p - 1)
-    A = np.array(draw(st.lists(st.tuples(*(values,) * d), min_size=1, max_size=12,
-                               unique=True)), dtype=np.int64)
-    if draw(st.booleans()):
-        return p, A, A
-    lo = draw(st.integers(0, d - 1))
-    return p, A, A[:, lo : draw(st.integers(lo + 1, d))]
-
-
 class TestCornerCount:
-    """The grouped corner count against the triple loop of its definition."""
+    """corner_count, sum D^2 on both routes, is the right-corner count of
+    `oracles.corner_count` on the quadric."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(corner_cases(), st.sampled_from((1, 7, 64, counting._BLOCK_CELLS)))
-    def test_matches_triple_loop(self, case, cells):
-        p, A, C = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(counting, "_BLOCK_CELLS", cells)
-            assert energy._corner_count(A, C, p) == oracles.corner_count(A, C, p)
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=20, deadline=None)
+    @given(paraboloid_sets())
+    def test_paraboloid(self, route, case):
+        p, pts = case
+        with _route(route):
+            rep = rectangle_energy_paraboloid(pts, p)
+        assert rep.corner_count == oracles.corner_count(pts, [q[:-1] for q in pts], p)
 
-    def test_counts_differ_from_energy_off_quadrics(self):
-        # off any quadric the corner count is its own number, not the energy
-        p = 5
-        A = np.array(random_distinct_points(rng_for("corner-off"), p, 3, 12), dtype=np.int64)
-        corner = energy._corner_count(A, A, p)
-        assert corner == oracles.corner_count(A, A, p)
-        assert corner != oracles.additive_energy(A.tolist(), A.tolist(), p)
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=20, deadline=None)
+    @given(sphere_sets())
+    def test_sphere(self, route, case):
+        p, t, pts = case
+        with _route(route):
+            rep = rectangle_energy_sphere(pts, p, t)
+        assert rep.corner_count == oracles.corner_count(pts, pts, p)
 
 
 @st.composite
-def d4_quadric_sets(draw):
-    """(p, points of the sphere |x|^2 = t in F_p^4, the cone t = 0
-    included): a sample plus the points of a few lines on it, and on the
-    cone some points of the totally isotropic plane spanned by
-    a = (x, y, 1, 0) and b = (y, -x, 0, 1) with x^2 + y^2 = -1."""
+def d4_sphere_sets(draw):
+    """(p, t, points of the sphere |x|^2 = t in F_p^4, t a square or not): a
+    sample plus the points of a few lines on it."""
     p = draw(st.sampled_from((3, 5, 7)))
-    t = draw(st.sampled_from((0, 1, _nonsquare(p))))
+    t = draw(st.sampled_from((1, _nonsquare(p))))
     pool = sphere_points(p, 4, t)
     pts = {pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))}
     lines = _sphere_lines(p, 4, t)
     for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
         pts.update(_line_points(lines[i]))
-    if t == 0:
-        x, y = next((x, y) for x in range(p) for y in range(p) if (x * x + y * y + 1) % p == 0)
-        for s, r in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
-                                  max_size=6)):
-            pts.add(tuple((s * a + r * b) % p for a, b in zip((x, y, 1, 0), (y, -x, 0, 1))))
-    return p, sorted(pts) or [pool[0]]
+    return p, t, sorted(pts) or [pool[0]]
 
 
 class TestClassCensus:
-    """Rectangle classes from the isotropy table against the per-rectangle
-    classification of `oracles.rectangle_census`."""
+    """Rectangle classes on both routes against the per-rectangle
+    classification of `oracles.rectangle_census`, across block sizes."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(d4_quadric_sets(), st.sampled_from((1, 16, 100, counting._BLOCK_CELLS)))
-    def test_matches_oracle_on_spheres_and_cones(self, case, cells):
-        # on the cone two isotropic sides need not be parallel: the census
-        # must raise exactly when the oracle does
-        p, pts = case
-        P = np.array(pts, dtype=np.int64)
-        try:
-            _, rects, *classes, _ = oracles.rectangle_census(pts, pts, p)
-        except ValueError:
-            rects = None
-        with pytest.MonkeyPatch.context() as mp:
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=40, deadline=None)
+    @given(d4_sphere_sets(), st.sampled_from((1, 16, 100, counting._BLOCK_CELLS)))
+    def test_matches_oracle_on_spheres(self, route, case, cells):
+        p, t, pts = case
+        with _route(route) as mp:
             mp.setattr(counting, "_BLOCK_CELLS", cells)
-            X, Y, bounds = energy._unordered_sums(P, p)
-            if rects is None:
-                with pytest.raises(NotARectangleError):
-                    energy._class_counts(P, X, Y, bounds, p)
-                return
-            r = np.diff(bounds)
-            assert int((r * (r - 1) // 2).sum()) == rects
-            assert list(energy._class_counts(P, X, Y, bounds, p)) == classes
-
-
-def _traced_peak(f):
-    return _traced(f)[1]
+            rep = rectangle_energy_sphere(pts, p, t)
+        assert rep == _expected(pts, p, "sphere")
 
 
 @pytest.mark.parametrize("case", ["paraboloid17", "sphere7"])
-def test_corner_count_and_class_census_memory(case):
-    # on the pair route, neither the corner count nor the class census may
-    # outgrow the n^2 ordered pair sums that the energy itself takes
+def test_pair_route_memory(case):
+    # the pair route holds one table of the n^2 ordered pair sums or
+    # differences at a time, with its sort order and its sorted keys
     if case == "paraboloid17":
         p, A = 17, np.array(_full_paraboloid(17), dtype=np.int64)
         C = A[:, :-1]
     else:
         p, A = 7, np.array(sphere_points(7, 4, 1), dtype=np.int64)
         C = A
-    ordered = _traced_peak(lambda: energy._ordered_sums(A, p))
-    corner = _traced_peak(lambda: energy._corner_count(A, C, p))
-    classes = _traced_peak(lambda: energy._class_counts(C, *energy._unordered_sums(A, p), p))
-    assert corner <= ordered, (corner, ordered)
-    assert classes <= ordered, (classes, ordered)
+    n = len(A)
+    peak = _traced(lambda: energy._pair_route(A, C, p))[1]
+    assert peak < 8 * n * n * 8, (peak, 64 * n * n)
