@@ -145,27 +145,30 @@ def _pair_runs(A: np.ndarray, sign: int, p: int) -> tuple[np.ndarray, ...]:
     return (rows, *_runs(rows))
 
 
-def _line_pairs(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, int]:
+def _line_pairs(A: np.ndarray, C: np.ndarray, p: int, halves: np.ndarray) -> tuple[int, int]:
     """(degenerate, progressions) from the pairs i < j of rows of A whose
-    corner coordinates C differ by an isotropic vector.
+    corner coordinates C differ by an isotropic vector; halves[i n + j] tells
+    whether the midpoint of A[i] and A[j] is a row of A.
 
     Two such pairs with one sum and one canonical direction lie on one
     isotropic line, through their common midpoint, so a run of c of them
-    holds C(c, 2) degenerate rectangles.  A pair whose midpoint
-    (A[i] + A[j]) (p + 1) / 2 is a row of A is a progression both ways."""
+    holds C(c, 2) degenerate rectangles.  A pair whose midpoint is a row of
+    A is a progression both ways."""
     I, J = (np.concatenate(x) for x in zip(*_isotropic_pairs(C, p)))
-    S = A[I] + A[J]
-    S %= p
-    W = C[J] - C[I]
-    W %= p
-    _, bounds = _runs(np.column_stack([S, _scale_canonical(W, p)]))
-    c = np.diff(bounds)
-    S *= (p + 1) // 2
-    S %= p
-    # the sort is stable, so the row of A in a run comes first
-    order, bounds = _runs(np.concatenate([A, S]))
-    mids = np.diff(bounds) - 1
-    return int((c * (c - 1) // 2).sum()), 2 * int(mids[order[bounds[:-1]] < len(A)].sum())
+    progressions = 2 * int(np.count_nonzero(halves[I * len(A) + J]))
+    # one row (A[i] + A[j], C[j] - C[i]) per pair, filled in place so that
+    # at most one d-column temporary meets it
+    d = A.shape[1]
+    rows = np.empty((len(I), d + C.shape[1]), dtype=np.int64)
+    rows[:, :d] = A[I]
+    rows[:, :d] += A[J]
+    rows[:, d:] = C[J]
+    rows[:, d:] -= C[I]
+    del I, J
+    rows %= p
+    _scale_canonical(rows[:, d:], p)
+    c = np.diff(_runs(rows)[1])
+    return int((c * (c - 1) // 2).sum()), progressions
 
 
 def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
@@ -175,15 +178,23 @@ def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     n = len(A)
     order, bounds = _pair_runs(A, 1, p)[1:]
     r = np.diff(bounds)
-    # the diagonal pair (i, i) sits at the flat position i * (n + 1)
-    off = r - np.add.reduceat(order % (n + 1) == 0, bounds[:-1], dtype=np.int64)
-    del order
+    # the diagonal pair (i, i) sits at the flat position i * (n + 1); a sum
+    # run holds it when its sum is in 2A, that is when the midpoint of each
+    # of its pairs is in A (p is odd)
+    halves = np.zeros(n * n, dtype=bool)
+    halves[:: n + 1] = True
+    diagonal = np.add.reduceat(halves[order], bounds[:-1], dtype=np.int64)
+    off = r - diagonal
+    halves[order] = np.repeat(diagonal > 0, r)
+    del order, bounds, diagonal
     V, order, bounds = _pair_runs(A, -1, p)
     D = np.diff(bounds)
     # the zero difference sorts first; the run heads after it are the v != 0
     V = V[order[bounds[1:-1]], : C.shape[1]]
+    del order, bounds
     Dv = D[1:][dot_rows(V, V, p) == 0]
-    return _report_fields(r, off, D, Dv, max_on_isotropic_line(C, p), *_line_pairs(A, C, p))
+    lines = _line_pairs(A, C, p, halves)
+    return _report_fields(r, off, D, Dv, max_on_isotropic_line(C, p), *lines)
 
 
 # ---------------------------------------------------------------------------

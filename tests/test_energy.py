@@ -563,16 +563,24 @@ class TestClassCensus:
         assert rep == _expected(pts, p, "sphere")
 
 
-@pytest.mark.parametrize("case", ["paraboloid17", "sphere7"])
+@pytest.mark.parametrize("case", ["paraboloid17", "sphere7", "isotropic_line401"])
 def test_pair_route_memory(case):
     # the pair route holds one table of the n^2 ordered pair sums or
-    # differences at a time, with its sort order and its sorted keys
+    # differences at a time, with its sort order and its sorted keys, and one
+    # row per isotropic pair; on the full isotropic line (1, i, 3) + s (1, i, 0)
+    # of F_401^3, i^2 == -1, lifted to the paraboloid, every one of the
+    # n (n - 1) / 2 corner pairs is isotropic
     if case == "paraboloid17":
         p, A = 17, np.array(_full_paraboloid(17), dtype=np.int64)
         C = A[:, :-1]
-    else:
+    elif case == "sphere7":
         p, A = 7, np.array(sphere_points(7, 4, 1), dtype=np.int64)
         C = A
+    else:
+        p, i = 401, 20
+        assert i * i % p == p - 1
+        A = np.array(paraboloid_lift([(s, i * s % p, 3) for s in range(p)], p), dtype=np.int64)
+        C = A[:, :-1]
     n = len(A)
     peak = _traced(lambda: energy._pair_route(A, C, p))[1]
     assert peak < 8 * n * n * 8, (peak, 64 * n * n)
