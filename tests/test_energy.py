@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -509,6 +510,23 @@ class TestLargestModulus:
         rep = rectangle_energy_sphere(pts, BIG, 30)
         assert rep.energy == oracles.additive_energy(pts, pts, BIG)
         assert rep == _expected(pts, BIG, "sphere")
+
+    def test_isotropic_lines_paraboloid_d4(self):
+        # (1, 2, 2041534867) is isotropic in F_p^3: 40 points of one line
+        # along it and 12 of a parallel one, among 30 random points, lifted
+        # to the paraboloid of F_p^4; the CI pins the same set's report row
+        rng = random.Random(11)
+        w = (1, 2, 2041534867)
+        assert sum(c * c for c in w) % BIG == 0
+        base = []
+        for size in (40, 12):
+            c = [rng.randrange(BIG) for _ in range(3)]
+            base += [[(x + s * y) % BIG for x, y in zip(c, w)] for s in range(size)]
+        base += [[rng.randrange(BIG) for _ in range(3)] for _ in range(30)]
+        pts = paraboloid_lift(base, BIG)
+        rep = rectangle_energy_paraboloid(pts, BIG)
+        assert (rep.degenerate, rep.k0) == (4845, 40)
+        assert rep == _expected(pts, BIG, "paraboloid")
 
 
 class TestCornerCount:
