@@ -560,12 +560,10 @@ def _require_dim3(points, planes) -> None:
 # by (base, direction) with a sort, in blocks from pair_blocks, so memory is
 # near _BLOCK_CELLS cells.  The isotropic census groups the same way only the
 # pairs with |x - y|^2 == 0, read as zeros of the blocked squared-distance
-# table: energy's k0, the most points on one isotropic line, reads it on any
-# set (and energy's pair route reads those pairs too), and so does k on a
-# central sphere x.x == c (every row of one norm) when nothing is excluded,
-# since a line b + s.v with v.v != 0 meets such a sphere in at most two
-# points.  All products stay below p^2 < 2^62, which keeps both censuses
-# exact in int64 for p < 2^31.
+# table: k reads it on a central sphere x.x == c (every row of one norm) when
+# nothing is excluded, since a line b + s.v with v.v != 0 meets such a sphere
+# in at most two points.  All products stay below p^2 < 2^62, which keeps
+# both censuses exact in int64 for p < 2^31.
 
 def pair_blocks(per_base: np.ndarray):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
@@ -619,22 +617,16 @@ def _line_census(P: np.ndarray, p: int, all_partners: bool = False):
         yield _groups(P, I, J, p)
 
 
-def _isotropic_pairs(P: np.ndarray, p: int):
-    """Yield (I, J) arrays, block by block: the pairs i < j of rows of P with
-    |P[i] - P[j]|^2 == 0 mod p, the zeros of the blocked squared-distance
-    table, in (i, j) order."""
+def _isotropic_census(P: np.ndarray, p: int):
+    """Yield _line_census(P, p)'s groups whose direction is isotropic, block
+    by block: the pairs i < j with |P[i] - P[j]|^2 == 0 mod p, the zeros of
+    the blocked squared-distance table, grouped."""
     U, norms = _distance_terms(P, p)
     for start, V in _pair_values(P, U, p, norms, norms):
         I, J = np.nonzero(V == 0)
         I += start
         later = J > I
-        yield I[later], J[later]
-
-
-def _isotropic_census(P: np.ndarray, p: int):
-    """Yield _line_census(P, p)'s groups whose direction is isotropic, block
-    by block: the pairs of _isotropic_pairs, grouped."""
-    for I, J in _isotropic_pairs(P, p):
+        I, J = I[later], J[later]
         if not len(I):
             continue
         # grouped in pair_blocks' chunks of whole bases, as the line census

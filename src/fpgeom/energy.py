@@ -11,6 +11,12 @@ paraboloid or a sphere the corner value of a pair (z, x) depends only on
 x - z, so sum D^2 is also the number of right corners at z whose fourth
 vertex x + y - z is in the set.
 
+For a, b on the quadric, m = (a + b) / 2 (p is odd) and u half their corner
+difference, |a|^2 + |b|^2 == 2|m|^2 + 2|u|^2 on the sphere and
+a_d + b_d == 2|m'|^2 + 2|u|^2 on the paraboloid.  So b - a is isotropic in
+the corner coordinates exactly when m is on the quadric: isotropy depends
+only on a + b, and a pair whose midpoint is in the set is isotropic.
+
 Two routes get r, D and the line counts, chosen by the size of the set
 against p^d.  The table route reads r and D on all of F_p^d, the Fourier
 side of energy: E(A) = p^-d sum_xi |F(xi)|^4.  The transforms are taken
@@ -18,8 +24,7 @@ modulo a prime q == 1 mod p above n, so every table entry comes out
 exactly, with integers only, and 1-D counts on each isotropic line give the
 line counts.  The pair route sorts the n^2 ordered pair sums and the n^2
 ordered differences, whose runs are the nonzero entries of r and D, and
-reads the line counts from the isotropic pairs, the zeros of the blocked
-squared-distance table.
+reads the line counts from the pairs of the isotropic sum runs.
 """
 
 from __future__ import annotations
@@ -30,15 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (
-    _isotropic_census,
-    _isotropic_pairs,
-    _runs,
-    _scale_canonical,
-    distinct_rows,
-    dot_mod,
-    dot_rows,
-)
+from .counting import _runs, _scale_canonical, distinct_rows, dot_mod, dot_rows
 from .field import MAX_MODULUS, Prime, is_prime
 from .geom import GeometryError
 from .quadrics import Paraboloid, Sphere, isotropic_directions
@@ -60,34 +57,20 @@ class EnergyReport:
     multiplicity_range: tuple[int, int] | None
 
 
-def max_on_isotropic_line(points, p: int) -> int:
-    """Largest number of the points collected by one isotropic line.
-
-    Lines are spanned by point pairs; sets without a null pair score
-    min(|A|, 1).  The isotropic census groups the null pairs by base and
-    direction, so a group of count c is a line through c + 1 of the points.
-    """
-    P = distinct_rows(points, p)
-    best = min(len(P), 1)
-    for _, _, count, _ in _isotropic_census(P, p):
-        best = max(best, int(count.max()) + 1)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # the report from the sum and difference counts
 
-def _report_fields(r: np.ndarray, off: np.ndarray, D: np.ndarray, Dv: np.ndarray,
-                   k0: int, degenerate: int, progressions: int) -> tuple[int, ...]:
+def _report_fields(r: np.ndarray, diag: np.ndarray, D: np.ndarray, Dv: np.ndarray,
+                   k0: int, degenerate: int) -> tuple[int, ...]:
     """(energy, corner count, rectangles, ordinary, semi-degenerate,
-    degenerate, k0) from the sum counts r, their off-diagonal parts off, the
-    difference counts D (each given on any cells that hold the nonzero
-    ones), D on the isotropic differences v != 0, and the isotropic-line
-    counts k0, degenerate and progressions.
+    degenerate, k0) from the sum counts r and the mask diag = [s in 2A] of
+    their diagonal pairs, the difference counts D (each given on any cells
+    that hold the nonzero ones), D on the isotropic differences v != 0, and the
+    isotropic-line counts k0 and degenerate.
 
     energy = sum r^2, and the corner count is sum D^2, which counts the same
     quadruples (x + y == z + u exactly when x - z == u - y) and must agree.
-    With off = r - [s in 2A], the unordered pairs of one sum number off / 2.
+    With off = r - diag, the unordered pairs of one sum number off / 2.
 
     Classes.  The ordered pairs of ordered pairs (z, x), (y, u) with one
     difference v, C(v) isotropic and v != 0, number sum (D(v)^2 - D(v)).  Such
@@ -95,7 +78,9 @@ def _report_fields(r: np.ndarray, off: np.ndarray, D: np.ndarray, Dv: np.ndarray
     twice; every other one is a rectangle {x, y}, {z, u} with side v, and a
     rectangle with sides a, b is hit 4 times by each isotropic one of +-a,
     +-b.  So semi-degenerate + 2 degenerate, the isotropic sides of all
-    rectangles, is (sum (D^2 - D) - 2T) / 4 for T progressions.
+    rectangles, is (sum (D^2 - D) - 2T) / 4 for T progressions.  A pair
+    whose midpoint x is in A is isotropic (see the module docstring), so T
+    is the number of such ordered pairs a != b, sum off(2x) over x in A.
 
     Degenerate rectangles are the rectangles inside one isotropic line.  Two
     isotropic sides a, b meet at a right angle (on the quadric a.b == 0), so
@@ -112,9 +97,11 @@ def _report_fields(r: np.ndarray, off: np.ndarray, D: np.ndarray, Dv: np.ndarray
         raise ArithmeticError(
             f"energy mismatch: sum table {energy} vs difference table {corner}"
         )
+    off = r - diag
     if (off < 0).any() or (off % 2).any():
         raise ArithmeticError("the sum table is not a table of pair counts")
-    m = off // 2
+    progressions = int(off[diag].sum())
+    m = np.floor_divide(off, 2, out=off)  # in place: the unordered pairs of each sum
     rectangles = (int(np.vdot(m, m)) - int(m.sum())) // 2  # sum C(m, 2)
     sides, rest = divmod(int((Dv * (Dv - 1)).sum()) - 2 * progressions, 4)
     if rest:
@@ -145,56 +132,54 @@ def _pair_runs(A: np.ndarray, sign: int, p: int) -> tuple[np.ndarray, ...]:
     return (rows, *_runs(rows))
 
 
-def _line_pairs(A: np.ndarray, C: np.ndarray, p: int, halves: np.ndarray) -> tuple[int, int]:
-    """(degenerate, progressions) from the pairs i < j of rows of A whose
-    corner coordinates C differ by an isotropic vector; halves[i n + j] tells
-    whether the midpoint of A[i] and A[j] is a row of A.
-
-    Two such pairs with one sum and one canonical direction lie on one
-    isotropic line, through their common midpoint, so a run of c of them
-    holds C(c, 2) degenerate rectangles.  A pair whose midpoint is a row of
-    A is a progression both ways."""
-    I, J = (np.concatenate(x) for x in zip(*_isotropic_pairs(C, p)))
-    progressions = 2 * int(np.count_nonzero(halves[I * len(A) + J]))
-    # one row (A[i] + A[j], C[j] - C[i]) per pair, filled in place so that
-    # at most one d-column temporary meets it
-    d = A.shape[1]
-    rows = np.empty((len(I), d + C.shape[1]), dtype=np.int64)
-    rows[:, :d] = A[I]
-    rows[:, :d] += A[J]
-    rows[:, d:] = C[J]
-    rows[:, d:] -= C[I]
-    del I, J
-    rows %= p
-    _scale_canonical(rows[:, d:], p)
-    c = np.diff(_runs(rows)[1])
-    return int((c * (c - 1) // 2).sum()), progressions
-
-
 def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     """(energy, corner count, rectangles, ordinary, semi-degenerate,
     degenerate, k0) for the distinct rows A on the quadric, with the sum and
-    difference counts read from sorts of the n^2 ordered pairs."""
+    difference counts read from sorts of the n^2 ordered pairs.
+
+    Isotropy depends only on the sum, so it is read once a sum run, on the
+    run's head pair, and the pairs i < j of the isotropic runs are the
+    isotropic pairs.  Two of them with one sum and one canonical direction
+    lie on one isotropic line, through their common midpoint, so a run of c
+    of them holds C(c, 2) degenerate rectangles.  The c partners j > i of one
+    i along one direction lie on one line with it, and the first point of a
+    line has all the others for partners, so k0 is 1 + the longest such run."""
     n = len(A)
     order, bounds = _pair_runs(A, 1, p)[1:]
     r = np.diff(bounds)
-    # the diagonal pair (i, i) sits at the flat position i * (n + 1); a sum
-    # run holds it when its sum is in 2A, that is when the midpoint of each
-    # of its pairs is in A (p is odd)
-    halves = np.zeros(n * n, dtype=bool)
-    halves[:: n + 1] = True
-    diagonal = np.add.reduceat(halves[order], bounds[:-1], dtype=np.int64)
-    off = r - diagonal
-    halves[order] = np.repeat(diagonal > 0, r)
-    del order, bounds, diagonal
+    # the diagonal pair (i, i) sits at the flat position i (n + 1), alone in
+    # its run since 2a == 2b only for a == b (p is odd)
+    diag = np.logical_or.reduceat(order % (n + 1) == 0, bounds[:-1])
+    I, J = np.divmod(order[bounds[:-1]], n)
+    V = C[J] - C[I]
+    V %= p
+    iso = dot_rows(V, V, p) == 0
+    I, J = np.divmod(order[np.repeat(iso, r)], n)
+    run = np.repeat(np.flatnonzero(iso), r[iso])
+    del order, bounds, V
+    later = I < J
+    I, J, run = I[later], J[later], run[later]
+    # one row (run, C[j] - C[i]) per pair, filled in place so that at most
+    # one corner-width temporary meets it
+    rows = np.empty((len(I), 1 + C.shape[1]), dtype=np.int64)
+    rows[:, 0] = run
+    rows[:, 1:] = C[J]
+    rows[:, 1:] -= C[I]
+    del J, run, later
+    rows[:, 1:] %= p
+    _scale_canonical(rows[:, 1:], p)
+    c = np.diff(_runs(rows)[1])
+    degenerate = int((c * (c - 1) // 2).sum())
+    rows[:, 0] = I
+    k0 = 1 + int(np.diff(_runs(rows)[1]).max(initial=0))
+    del I, rows
     V, order, bounds = _pair_runs(A, -1, p)
     D = np.diff(bounds)
     # the zero difference sorts first; the run heads after it are the v != 0
     V = V[order[bounds[1:-1]], : C.shape[1]]
     del order, bounds
     Dv = D[1:][dot_rows(V, V, p) == 0]
-    lines = _line_pairs(A, C, p, halves)
-    return _report_fields(r, off, D, Dv, max_on_isotropic_line(C, p), *lines)
+    return _report_fields(r, diag, D, Dv, k0, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +244,25 @@ def _sum_tables(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return r, D
 
 
-def _line_counts(C: np.ndarray, p: int) -> tuple[int, int, int]:
-    """(k0, degenerate, progressions) over the isotropic lines of the corner
-    coordinates C: the most points of C on one line, the rectangles inside
-    one line, and the triples (a, v), v != 0, with a, a + v, a + 2v on one
-    line, v and -v both counted.
+def _line_counts(C: np.ndarray, p: int) -> tuple[int, int]:
+    """(k0, degenerate) over the isotropic lines of the corner coordinates C:
+    the most points of C on one line, and the rectangles inside one line.
 
     For each isotropic direction w, with w[j] == 1, the rows of C with one
     base C - C[:, j] w lie on one line parallel to w, at parameters C[:, j];
     one sort of the bases' digits, parameter last, groups them.  With the
     parameter sets of the lines holding two points or more as an indicator
-    L, the 1-D pair sums give the rectangles, and each ordered pair a != b
-    whose midpoint is in L is one progression a, (a + b) / 2, b."""
+    L, the 1-D ordered pair sums give the rectangles: a sum t holds the
+    diagonal pair exactly when t / 2 is in L, so its unordered pairs a != b
+    number the floor of half its ordered pairs."""
     n, dc = C.shape
-    k0, degenerate, progressions = min(n, 1), 0, 0
+    k0, degenerate = min(n, 1), 0
     x = np.arange(p)
     # digits[u, c p + s] = (c - s u) mod p: the coordinate c at parameter s
     # moved back to parameter 0 along a direction whose entry is u
     digits = ((x[None, :, None] - np.multiply.outer(x, x)[:, None, :]) % p).reshape(p, p * p)
     index = C * p
     s_minus_a = (x[:, None] - x) % p
-    halves = x * ((p + 1) // 2) % p
     for w in isotropic_directions(p, dc):
         j = int((w != 0).argmax())
         s = C[:, j]
@@ -299,14 +282,10 @@ def _line_counts(C: np.ndarray, p: int) -> tuple[int, int, int]:
             continue
         L = np.zeros((rich.sum(), p), dtype=np.int64)
         L[np.repeat(np.arange(len(L)), size[rich]), param[np.repeat(rich, size)]] = 1
-        # off[:, t] pairs (a, b) of one line with a != b and a + b == t
-        off = np.einsum("ia,ita->it", L, L[:, s_minus_a])
-        mid = L[:, halves]
-        off -= mid
-        m = off // 2
+        # the ordered pairs (a, b) of one line with a + b == t
+        m = np.einsum("ia,ita->it", L, L[:, s_minus_a]) // 2
         degenerate += int((m * (m - 1) // 2).sum())
-        progressions += int((mid * off).sum())
-    return k0, degenerate, progressions
+    return k0, degenerate
 
 
 def _table_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
@@ -323,9 +302,9 @@ def _table_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     del norm
     lines = _line_counts(C, p)
     r, D = _sum_tables(A, p)
-    off = r.copy()
-    off[tuple((2 * A % p).T)] -= 1
-    return _report_fields(r, off, D, D[isotropic], *lines)
+    diag = np.zeros(r.shape, dtype=bool)
+    diag[tuple((2 * A % p).T)] = True
+    return _report_fields(r, diag, D, D[isotropic], *lines)
 
 
 def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> EnergyReport:
@@ -336,19 +315,8 @@ def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> Ene
     n, d = A.shape
     table = p**d <= _TABLE_CELLS and d * p ** (d + 1) <= _TABLE_RATIO * n * n
     route = _table_route if table else _pair_route
-    energy, corner, rectangles, ordinary, semi, degenerate, k0 = route(A, C, p)
-    return EnergyReport(
-        energy=energy,
-        corner_count=corner,
-        size=n,
-        rectangles=rectangles,
-        ordinary=ordinary,
-        semi_degenerate=semi,
-        degenerate=degenerate,
-        k0=k0,
-        quadric=quadric,
-        multiplicity_range=(8, 8) if rectangles else None,
-    )
+    energy, corner, *counts = route(A, C, p)  # rectangles first, k0 last
+    return EnergyReport(energy, corner, n, *counts, quadric, (8, 8) if counts[0] else None)
 
 
 def rectangle_energy_paraboloid(points, p: int) -> EnergyReport:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from fpgeom import counting
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 
@@ -43,3 +45,12 @@ def random_raw_lines(rng: random.Random, p: int, dim: int, count: int):
 @pytest.fixture
 def rng():
     return rng_for("default")
+
+
+def isotropic_line_max(points, p: int) -> int:
+    """The most points on one isotropic line, read from the isotropic census:
+    a group of count c is a line through c + 1 of the points; sets without a
+    null pair score min(|A|, 1)."""
+    P = counting.distinct_rows(points, p)
+    groups = counting._isotropic_census(P, p)
+    return max((int(count.max()) + 1 for _, _, count, _ in groups), default=min(len(P), 1))

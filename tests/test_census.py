@@ -1,10 +1,12 @@
 """The line census against the per-pair direction-group loop in `oracles`.
 
 Every user of the census (k and k* with their witnesses, spanned and rich
-lines and the isotropic-line maximum) is held to the loop it replaced, on hypothesis-generated sets in dimensions 2, 3
-and 4, across block boundaries, at p = 2^31 - 1, and for its memory.  The
-isotropic census, which k reads on sets of one norm and k0 reads always, is
-held to the isotropic groups of the full census and to the same loops.
+lines) is held to the loop it replaced, on hypothesis-generated sets in
+dimensions 2, 3 and 4, across block boundaries, at p = 2^31 - 1, and for its
+memory.  The isotropic census, which k reads on sets of one norm, is held to
+the isotropic groups of the full census, and the most points on one
+isotropic line read from its groups (`conftest.isotropic_line_max`) to the
+loops' isotropic-line maximum.
 """
 
 import random
@@ -18,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import isotropic_line_max
 from fpgeom import counting
 from fpgeom.constructions import sphere_config
 from fpgeom.counting import WeightedPointSet, max_collinear, rich_lines, spanned_lines
-from fpgeom.energy import max_on_isotropic_line
 from fpgeom.field import legendre
 from fpgeom.geom import AffineLine
 from fpgeom.quadrics import sphere_points
@@ -72,7 +74,7 @@ def _check_all(p, pts, picks=()):
     _check_collinearity(p, pts, [])
     _check_collinearity(p, pts, _exclusions(p, pts, picks))
     if len(pts) < 2:
-        assert max_on_isotropic_line(pts, p) == len(pts)
+        assert isotropic_line_max(pts, p) == len(pts)
         return
     k, wit = max_collinear(pts, p)
     assert (k, _raw(wit)) == oracles.collinearity(pts, p)[0]
@@ -80,7 +82,7 @@ def _check_all(p, pts, picks=()):
     assert got == list(oracles.spanned_lines(pts, p).items())
     rich = [(_raw(line), c) for line, c in rich_lines(pts, 3, p)]
     assert rich == sorted(((l, c) for l, c in got if c >= 3), key=lambda x: (-x[1], x[0]))
-    assert max_on_isotropic_line(pts, p) == max(1, oracles.isotropic_lines(pts, p)[1])
+    assert isotropic_line_max(pts, p) == max(1, oracles.isotropic_lines(pts, p)[1])
 
 
 pairs = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3)
@@ -129,8 +131,8 @@ def test_isotropic_maximum_across_blocks(monkeypatch, block):
     first = [(1, 0), (2, 2), (4, 1)]
     larger = [(1, 3), (2, 1), (3, 4), (4, 2)]
     pts = sorted(first + larger)
-    assert max_on_isotropic_line(pts, p) == oracles.isotropic_lines(pts, p)[1] == 4
-    assert max_on_isotropic_line(first, p) == 3
+    assert isotropic_line_max(pts, p) == oracles.isotropic_lines(pts, p)[1] == 4
+    assert isotropic_line_max(first, p) == 3
 
 
 @st.composite
@@ -254,7 +256,7 @@ def _check_both_routes(p, pts):
     assert [(k, _raw(w)) for k, w in got] == [expect, expect]
     assert (full[0], _raw(full[1])) == expect
     assert _isotropic_groups(ws.rows, p) == _full_census_isotropic_groups(ws.rows, p)
-    assert max_on_isotropic_line(pts, p) == max(1, oracles.isotropic_lines(ws.points, p)[1])
+    assert isotropic_line_max(pts, p) == max(1, oracles.isotropic_lines(ws.points, p)[1])
     return got
 
 
@@ -338,7 +340,7 @@ def test_isotropic_census_memory_when_every_pair_is_isotropic():
     tracemalloc.start()
     try:
         (k, _), _ = counting._collinearity(Q)
-        k0 = max_on_isotropic_line(Q.rows, p)
+        k0 = isotropic_line_max(Q.rows, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

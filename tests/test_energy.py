@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_distinct_points, rng_for
+from conftest import isotropic_line_max, random_distinct_points, rng_for
 from fpgeom import counting, energy
 from fpgeom.constructions import cylinder_set
 from fpgeom.energy import (
     EnergyReport,
-    max_on_isotropic_line,
     rectangle_energy_paraboloid,
     rectangle_energy_sphere,
 )
@@ -227,12 +226,12 @@ class TestSphereEnergy:
 
 class TestMaxOnIsotropicLine:
     def test_no_null_pairs(self):
-        assert max_on_isotropic_line([(0, 0), (1, 0), (0, 1)], 7) == 1
+        assert isotropic_line_max([(0, 0), (1, 0), (0, 1)], 7) == 1
 
     def test_counts_line_membership(self):
         p = 5
         pts = [(t % p, 2 * t % p) for t in range(3)] + [(1, 0)]
-        assert max_on_isotropic_line(pts, p) == 3
+        assert isotropic_line_max(pts, p) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +348,7 @@ class TestCensusAgainstOracle:
 class TestCrossChecks:
     """Each guard of the shared report arithmetic, reached through both
     routes on the full paraboloid over F_5 by corrupting one of its inputs
-    (r, off, D, Dv, k0, degenerate, progressions)."""
+    (r, diag, D, Dv, k0, degenerate)."""
 
     A = np.array(_full_paraboloid(5), dtype=np.int64)
 
@@ -360,30 +359,34 @@ class TestCrossChecks:
 
     def test_difference_table_must_agree(self, monkeypatch, route):
         # one more difference count of 1 adds 1 to sum D^2
-        def edit(r, off, D, *rest):
-            return (r, off, np.append(D, 1), *rest)
+        def edit(r, diag, D, *rest):
+            return (r, diag, np.append(D, 1), *rest)
 
         with pytest.raises(ArithmeticError, match="energy mismatch"):
             self.run(monkeypatch, route, edit)
 
     def test_sum_table_must_count_pairs(self, monkeypatch, route):
-        # one sum with an odd number of off-diagonal ordered pairs
-        def edit(r, off, *rest):
-            return (r, np.append(off, 1), *rest)
+        # a diagonal pair more or less at the first sum leaves it an odd
+        # number of off-diagonal ordered pairs, or a negative one
+        def edit(r, diag, *rest):
+            diag = diag.copy()
+            diag.flat[0] = not diag.flat[0]
+            return (r, diag, *rest)
 
         with pytest.raises(ArithmeticError, match="not a table of pair counts"):
             self.run(monkeypatch, route, edit)
 
     def test_class_identity_must_divide_by_four(self, monkeypatch, route):
-        def edit(*args):
-            return (*args[:-1], args[-1] + 1)  # one more progression
+        # one more isotropic difference count of 2 adds 2 to sum (Dv^2 - Dv)
+        def edit(r, diag, D, Dv, *rest):
+            return (r, diag, D, np.append(Dv, 2), *rest)
 
         with pytest.raises(ArithmeticError, match="not 4 per rectangle side"):
             self.run(monkeypatch, route, edit)
 
     def test_classes_must_not_go_negative(self, monkeypatch, route):
         def edit(*args):
-            return (*args[:-2], args[-2] + 10**6, args[-1])  # more degenerate
+            return (*args[:-1], args[-1] + 10**6)  # more degenerate
 
         with pytest.raises(ArithmeticError, match="negative rectangle classes"):
             self.run(monkeypatch, route, edit)
@@ -527,6 +530,91 @@ class TestLargestModulus:
         rep = rectangle_energy_paraboloid(pts, BIG)
         assert (rep.degenerate, rep.k0) == (4845, 40)
         assert rep == _expected(pts, BIG, "paraboloid")
+
+
+@st.composite
+def big_quadric_sets(draw):
+    """(points, quadric) at p = 2^31 - 1: lifted random points with a
+    planted run of the isotropic line c + s (1, 2, 2041534867) on the
+    paraboloid of F_p^4, lifted random points on that of F_p^3 (-1 is not a
+    square, so no corner pair is isotropic), or signed permutations of
+    (1, 2, 2), (1, 2, 3), (0, 1, 2, 3) or (1, 2, 3, 4) on the spheres of
+    radius-square 9, 14, 14 and 30 (squares: 9, 30)."""
+    if draw(st.booleans()):
+        d = draw(st.sampled_from((3, 4)))
+        vec = st.lists(_BIG_COORD, min_size=d - 1, max_size=d - 1)
+        base = draw(st.lists(vec, min_size=1, max_size=8))
+        if d == 4:
+            c = draw(vec)
+            base += [[(x + s * y) % BIG for x, y in zip(c, (1, 2, 2041534867))]
+                     for s in draw(st.sets(st.integers(0, 9), max_size=6))]
+        return paraboloid_lift(base, BIG), "paraboloid"
+    v = draw(st.sampled_from(((1, 2, 2), (1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 4))))
+    frame = sorted({tuple(s * c % BIG for s, c in zip(signs, perm))
+                    for perm in itertools.permutations(v)
+                    for signs in itertools.product((1, -1), repeat=len(v))})
+    picks = draw(st.sets(st.integers(0, len(frame) - 1), min_size=1, max_size=16))
+    return [frame[i] for i in sorted(picks)], "sphere"
+
+
+def _check_midpoints(points, p, quadric):
+    """For every pair a != b of the points on the quadric: b - a is isotropic
+    in the corner coordinates exactly when (a + b) / 2 is on the quadric."""
+    half = (p + 1) // 2
+    t = oracles.nsq(points[0], p)  # the sphere's radius-square
+    for a, b in itertools.combinations(points, 2):
+        m = tuple((x + y) * half % p for x, y in zip(a, b))
+        if quadric == "paraboloid":
+            isotropic = oracles.nsq(oracles.diff(b[:-1], a[:-1], p), p) == 0
+            on = oracles.nsq(m[:-1], p) == m[-1]
+        else:
+            isotropic = oracles.nsq(oracles.diff(b, a, p), p) == 0
+            on = oracles.nsq(m, p) == t
+        assert isotropic == on, (a, b)
+
+
+class TestMidpointIdentity:
+    """Energy reads isotropy from sums alone: on the quadric, b - a is
+    isotropic in the corner coordinates exactly when the midpoint of a and b
+    is on the quadric."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(paraboloid_sets())
+    def test_paraboloid(self, case):
+        p, pts = case
+        _check_midpoints(pts, p, "paraboloid")
+
+    @settings(max_examples=40, deadline=None)
+    @given(sphere_sets())
+    def test_sphere(self, case):
+        p, t, pts = case
+        _check_midpoints(pts, p, "sphere")
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_quadric_sets())
+    def test_largest_modulus(self, case):
+        pts, quadric = case
+        _check_midpoints(pts, BIG, quadric)
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_both_sides_occur(self, p):
+        # the full paraboloid over F_p, p == 1 mod 4, has isotropic and
+        # non-isotropic pairs, so neither side of the identity is vacuous
+        pts = _full_paraboloid(p)
+        _check_midpoints(pts, p, "paraboloid")
+        corner = [q[:-1] for q in pts]
+        assert 0 < oracles.isotropic_lines(corner, p)[0] < len(pts) * (len(pts) - 1)
+
+
+def test_pair_route_reads_no_pair_value_table(monkeypatch):
+    # the pair route reads its isotropic pairs from the sum sort, not from
+    # the blocked squared-distance table
+    calls = []
+    real = counting._pair_values
+    monkeypatch.setattr(counting, "_pair_values", lambda *a: calls.append(a) or real(*a))
+    A = np.array(sphere_points(7, 4, 1), dtype=np.int64)
+    assert energy._pair_route(A, A, 7)[5:] == (8064, 7)
+    assert calls == []
 
 
 class TestCornerCount:
