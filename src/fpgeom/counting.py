@@ -22,6 +22,7 @@ from .geom import (
     GeometryError,
     Vec,
     as_vec,
+    iter_homogeneous_reps,
     line_as_covector,
 )
 
@@ -36,24 +37,30 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Entries must be non-negative.  When the product of the column radices
     (largest entry + 1) is below 2^63, each row is packed into one int64 key,
-    whose numeric order is the rows' lexicographic order, and the keys are
-    sorted once, stably; otherwise the columns are lexsorted."""
+    whose numeric order is the rows' lexicographic order, and _key_runs sorts
+    the keys; otherwise the columns are lexsorted."""
     radices = [int(col.max()) + 1 for col in rows.T] if len(rows) else []
-    if math.prod(radices) < 1 << 63:
-        key = np.zeros(len(rows), dtype=np.int64)
-        for col, radix in zip(rows.T, radices):
-            key *= radix
-            key += col
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        cols = [key]
-    else:
+    if math.prod(radices) >= 1 << 63:
         order = np.lexsort(rows.T[::-1])
-        cols = (col[order] for col in rows.T)
-    new = np.zeros(len(order) + 1, dtype=bool)
-    new[[0, -1]] = True  # the first run's head and the last run's end
-    for col in cols:
-        new[1:-1] |= col[1:] != col[:-1]
+        new = np.zeros(len(order) + 1, dtype=bool)
+        new[[0, -1]] = True  # the first run's head and the last run's end
+        for col in rows.T:
+            col = col[order]
+            new[1:-1] |= col[1:] != col[:-1]
+        return order, np.flatnonzero(new)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for col, radix in zip(rows.T, radices):
+        key *= radix
+        key += col
+    return _key_runs(key)
+
+
+def _key_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_runs of rows packed into int64 keys, which are sorted in place."""
+    order = np.argsort(key, kind="stable")
+    key.sort()
+    new = np.ones(len(key) + 1, dtype=bool)  # the first head and the last end stay set
+    np.not_equal(key[1:], key[:-1], out=new[1:-1])
     return order, np.flatnonzero(new)
 
 
@@ -558,12 +565,13 @@ def _require_dim3(points, planes) -> None:
 # of bases is paired with its partners, each difference is scaled to its
 # canonical direction (first nonzero coordinate 1) and the pairs are grouped
 # by (base, direction) with a sort, in blocks from pair_blocks, so memory is
-# near _BLOCK_CELLS cells.  The isotropic census groups the same way only the
-# pairs with |x - y|^2 == 0, read as zeros of the blocked squared-distance
-# table: k reads it on a central sphere x.x == c (every row of one norm) when
-# nothing is excluded, since a line b + s.v with v.v != 0 meets such a sphere
-# in at most two points.  All products stay below p^2 < 2^62, which keeps
-# both censuses exact in int64 for p < 2^31.
+# near _BLOCK_CELLS cells.  One census of the isotropic lines, read by
+# direction, gives energy's k0 and degenerate rectangles, lines_on_sphere,
+# and k on a central sphere x.x == c (every row of one norm, no line
+# excluded), which a line b + s.v with v.v != 0 meets in at most two points;
+# past its size rule k reads the isotropic pair census instead, the zeros of
+# the blocked squared-distance table grouped as the line census groups.  All
+# products stay below p^2 < 2^62: every census is exact in int64 for p < 2^31.
 
 def pair_blocks(per_base: np.ndarray):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
@@ -638,6 +646,49 @@ def _isotropic_census(P: np.ndarray, p: int):
             yield _groups(P, I[t], J[t], p)
 
 
+def isotropic_directions(p: int, d: int) -> np.ndarray:
+    """The canonical directions v.v == 0 of F_p^d, as rows in iter_homogeneous_reps order."""
+    V = np.array(list(iter_homogeneous_reps(p, d)), dtype=np.int64)
+    return V[dot_rows(V, V, p) == 0]
+
+
+def _isotropic_lines(C: np.ndarray, p: int):
+    """Yield (I, s, bounds, W) arrays, block by block: line g of a block holds
+    the rows I[bounds[g]:bounds[g + 1]] of C, increasing, at parameters s
+    along its canonical isotropic direction W[g]; every line comes once.
+
+    From _pair_values' table C.w in blocks of whole directions w, row a lies
+    on the line of base a - a[j] w at parameter a[j] (w[j] == 1 leads w); one
+    sort of the keys (direction, base) groups a block.  When every row has
+    one norm only the zeros a.w == 0 are kept: |a + s w|^2 == |a|^2 + 2 s a.w,
+    so rows share an isotropic line only when it lies in their sphere."""
+    W = isotropic_directions(p, C.shape[1])
+    lead = (W != 0).argmax(axis=1)
+    central = np.ptp(dot_rows(C, C, p)) == 0
+    for start, V in _pair_values(W, C, p):
+        v, I = np.nonzero(V == 0) if central else np.indices(V.shape).reshape(2, -1)
+        v += start
+        s = C[I, lead[v]]
+        base = C[I] - s[:, None] * W[v]
+        base %= p
+        order, bounds = _runs(np.column_stack([v, base]))
+        yield I[order], s[order], bounds, W[v[order[bounds[:-1]]]]
+
+
+def _isotropic_groups(P: np.ndarray, p: int):
+    """Yield the lines of _isotropic_lines(P, p) through three rows or more as
+    one block of _line_census groups, base and first partner its least rows."""
+    groups = [np.zeros((0, 3 + P.shape[1]), dtype=np.int64)]
+    for I, _, bounds, W in _isotropic_lines(P, p):
+        rich = np.diff(bounds) > 2
+        head = bounds[:-1][rich]
+        groups.append(np.column_stack([I[head], I[head + 1], np.diff(bounds)[rich] - 1, W[rich]]))
+    G = np.concatenate(groups)
+    G = G[np.lexsort((G[:, 1], G[:, 0]))]
+    if len(G):
+        yield G[:, 0], G[:, 1], G[:, 2], G[:, 3:]
+
+
 def _collinearity(points: WeightedPointSet,
                   exclude=()) -> tuple[tuple[int, AffineLine | None], ...]:
     """(k, witness) over all lines and (k*, witness) over lines not in exclude
@@ -645,15 +696,16 @@ def _collinearity(points: WeightedPointSet,
     reach each maximum in (base, first partner) order is its witness.
 
     With nothing excluded and every row of one norm, the lines through three
-    or more rows are isotropic, so only the isotropic census is read, and
-    k == 2 keeps the line through rows 0 and 1, the full census's first."""
+    or more rows are isotropic, so only they are read (by direction while the
+    p^(d-1) directions cost no more than the n^2 / 2 pairs), and k == 2 keeps
+    the line through rows 0 and 1, the full census's first."""
     P, p, n = points.rows, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
     banned = set(map(tuple, WeightedLineSet.of(exclude, p, dim=points.dim).rows.tolist()))
-    norms = dot_rows(P, P, p)
-    if not banned and (norms == norms[0]).all():
-        census = _isotropic_census(P, p)
+    if not banned and np.ptp(dot_rows(P, P, p)) == 0:
+        by_direction = 2 * p ** (points.dim - 1) <= n * n
+        census = (_isotropic_groups if by_direction else _isotropic_census)(P, p)
         best = best_star = (2, (P[0], (P[1] - P[0]) % p))
     else:
         census = _line_census(P, p)

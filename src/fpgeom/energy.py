@@ -19,26 +19,26 @@ only on a + b, and a pair whose midpoint is in the set is isotropic.
 
 Two routes get r, D and the line counts, chosen by the size of the set
 against p^d.  The table route reads r and D on all of F_p^d, the Fourier
-side of energy: E(A) = p^-d sum_xi |F(xi)|^4.  The transforms are taken
-modulo a prime q == 1 mod p above n, so every table entry comes out
-exactly, with integers only, and 1-D counts on each isotropic line give the
-line counts.  The pair route sorts the n^2 ordered pair sums and the n^2
-ordered differences, whose runs are the nonzero entries of r and D, and
-reads the line counts from the pairs of the isotropic sum runs.
+side of energy, E(A) = p^-d sum_xi |F(xi)|^4, exactly from transforms
+modulo a prime q == 1 mod p above n, and the line counts from 1-D sums on
+the lines of the census of isotropic lines in `counting`.  The pair route
+sorts the n^2 ordered pair sums and differences, packed into int64 keys,
+whose runs are the nonzero entries of r and D, and reads the line counts
+from the pairs of the isotropic sum runs.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _runs, _scale_canonical, distinct_rows, dot_mod, dot_rows
+from .counting import (_BLOCK_CELLS, _isotropic_lines, _key_runs, _runs, _scale_canonical,
+                       distinct_rows, dot_mod, dot_rows, isotropic_directions)
 from .field import MAX_MODULUS, Prime, is_prime
 from .geom import GeometryError
-from .quadrics import Paraboloid, Sphere, isotropic_directions
+from .quadrics import Paraboloid, Sphere
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,25 @@ def _report_fields(r: np.ndarray, diag: np.ndarray, D: np.ndarray, Dv: np.ndarra
 # Coordinates stay below p < 2^31 and every product is reduced mod p before
 # the next sum, so all of it is exact in int64.
 
-def _pair_runs(A: np.ndarray, sign: int, p: int) -> tuple[np.ndarray, ...]:
-    """(rows, order, bounds): the n^2 rows A[j] + sign A[i] mod p of the
-    ordered pairs (i, j) of rows of A, flattened at position i n + j, and the
-    order and bounds of their runs of equal rows."""
-    n = len(A)
-    rows = sign * A[:, None, :] + A
-    rows %= p
-    rows = rows.reshape(n * n, -1)
-    return (rows, *_runs(rows))
+def _pair_runs(A: np.ndarray, sign: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): the stable order of the n^2 values A[j] + sign A[i]
+    mod p of the ordered pairs (i, j) of rows of A, flattened at position
+    i n + j, and its run bounds.  Below p^d == 2^63 the values are packed,
+    radix p, into n x n int64 keys through one n x n scratch."""
+    n, d = A.shape
+    if p**d >= 1 << 63:
+        rows = sign * A[:, None, :] + A
+        rows %= p
+        return _runs(rows.reshape(n * n, d))
+    key = np.zeros((n, n), dtype=np.int64)
+    scratch = np.empty_like(key)
+    for col in A.T:
+        np.add.outer(sign * col, col, out=scratch)
+        scratch %= p
+        key *= p
+        key += scratch
+    del scratch
+    return _key_runs(key.reshape(-1))
 
 
 def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
@@ -145,7 +155,7 @@ def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     i along one direction lie on one line with it, and the first point of a
     line has all the others for partners, so k0 is 1 + the longest such run."""
     n = len(A)
-    order, bounds = _pair_runs(A, 1, p)[1:]
+    order, bounds = _pair_runs(A, 1, p)
     r = np.diff(bounds)
     # the diagonal pair (i, i) sits at the flat position i (n + 1), alone in
     # its run since 2a == 2b only for a == b (p is odd)
@@ -173,11 +183,13 @@ def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     rows[:, 0] = I
     k0 = 1 + int(np.diff(_runs(rows)[1]).max(initial=0))
     del I, rows
-    V, order, bounds = _pair_runs(A, -1, p)
+    order, bounds = _pair_runs(A, -1, p)
     D = np.diff(bounds)
-    # the zero difference sorts first; the run heads after it are the v != 0
-    V = V[order[bounds[1:-1]], : C.shape[1]]
+    # the zero difference sorts first; later heads (i, j) have C[j] - C[i] != 0
+    I, J = np.divmod(order[bounds[1:-1]], n)
     del order, bounds
+    V = C[J] - C[I]
+    V %= p
     Dv = D[1:][dot_rows(V, V, p) == 0]
     return _report_fields(r, diag, D, Dv, k0, degenerate)
 
@@ -244,91 +256,41 @@ def _sum_tables(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return r, D
 
 
-def _line_counts(C: np.ndarray, p: int) -> tuple[int, int]:
-    """(k0, degenerate) over the isotropic lines of the corner coordinates C:
-    the most points of C on one line, and the rectangles inside one line.
-
-    For each isotropic direction w, with w[j] == 1, the rows of C with one
-    base C - C[:, j] w lie on one line parallel to w, at parameters C[:, j];
-    one sort of the bases' digits, parameter last, groups them.  With the
-    parameter sets of the lines holding two points or more as an indicator
-    L, the 1-D ordered pair sums give the rectangles: a sum t holds the
-    diagonal pair exactly when t / 2 is in L, so its unordered pairs a != b
-    number the floor of half its ordered pairs."""
-    n, dc = C.shape
-    k0, degenerate = min(n, 1), 0
-    x = np.arange(p)
-    # digits[u, c p + s] = (c - s u) mod p: the coordinate c at parameter s
-    # moved back to parameter 0 along a direction whose entry is u
-    digits = ((x[None, :, None] - np.multiply.outer(x, x)[:, None, :]) % p).reshape(p, p * p)
-    index = C * p
-    s_minus_a = (x[:, None] - x) % p
-    for w in isotropic_directions(p, dc):
-        j = int((w != 0).argmax())
-        s = C[:, j]
-        key = np.zeros(n, dtype=np.int64)
-        for c in range(dc):
-            if c != j:  # the base is 0 at j
-                key *= p
-                key += digits[w[c], index[:, c] + s]
-        key *= p
-        key += s
-        key.sort()
-        line, param = np.divmod(key, p)
-        size = np.diff(np.flatnonzero(np.diff(line, prepend=-1, append=-1)))
-        k0 = max(k0, int(size.max()))
-        rich = size > 1
-        if not rich.any():
-            continue
-        L = np.zeros((rich.sum(), p), dtype=np.int64)
-        L[np.repeat(np.arange(len(L)), size[rich]), param[np.repeat(rich, size)]] = 1
-        # the ordered pairs (a, b) of one line with a + b == t
-        m = np.einsum("ia,ita->it", L, L[:, s_minus_a]) // 2
-        degenerate += int((m * (m - 1) // 2).sum())
-    return k0, degenerate
-
-
 def _table_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     """(energy, corner count, rectangles, ordinary, semi-degenerate,
     degenerate, k0) for the distinct rows A on the quadric, read from the
     sum and difference tables; C is a leading-column slice of A."""
-    d = A.shape[1]
-    # the cells v != 0 of F_p^d with |C(v)|^2 == 0, and the line counts,
-    # taken before the tables so that their temporaries never meet them
-    norm = functools.reduce(np.add.outer, [np.arange(p) ** 2] * C.shape[1]) % p
-    isotropic = np.empty((p,) * d, dtype=bool)
-    isotropic[...] = (norm == 0).reshape(norm.shape + (1,) * (d - C.shape[1]))
-    isotropic.flat[0] = False
-    del norm
-    lines = _line_counts(C, p)
+    # the cells v != 0 with |C(v)|^2 == 0 (multiples of isotropic directions)
+    # and the line counts, taken before the tables so no temporaries meet them
+    cells = np.arange(1, p)[:, None, None] * isotropic_directions(p, C.shape[1]) % p
+    isotropic = np.zeros((p,) * A.shape[1], dtype=bool)
+    isotropic[tuple(cells.reshape(-1, C.shape[1]).T)] = True
+    del cells
+    # the rectangles inside lines of four points or more, from 1-D pair sums
+    # of their parameter indicators L in blocks of lines: a sum t holds the
+    # diagonal pair exactly when t / 2 is in L, so its unordered pairs a != b
+    # number the floor of half its ordered pairs
+    k0, degenerate = min(len(C), 1), 0
+    t_minus_a = np.subtract.outer(np.arange(p), np.arange(p)) % p
+    for _, s, bounds, _ in _isotropic_lines(C, p):
+        size = np.diff(bounds)
+        k0 = max(k0, int(size.max(initial=0)))
+        rich = size > 3
+        L = np.zeros((rich.sum(), p), dtype=np.int64)
+        L[np.repeat(np.arange(len(L)), size[rich]), s[np.repeat(rich, size)]] = 1
+        for B in np.split(L, range(0, len(L), max(1, _BLOCK_CELLS // (p * p)))[1:]):
+            m = np.einsum("ia,ita->it", B, B[:, t_minus_a]) // 2
+            degenerate += int((m * (m - 1) // 2).sum())
     r, D = _sum_tables(A, p)
     diag = np.zeros(r.shape, dtype=bool)
     diag[tuple((2 * A % p).T)] = True
-    return _report_fields(r, diag, D, D[isotropic], *lines)
-
-
-def _rectangle_report(A: np.ndarray, C: np.ndarray, p: int, quadric: str) -> EnergyReport:
-    """The report for the distinct rows A on the quadric, with rectangles,
-    side isotropy and k0 read in the corner coordinates C: on the table route
-    when its p^d tables are small and its transforms cheaper than the n^2
-    pairs, on the pair route otherwise."""
-    n, d = A.shape
-    table = p**d <= _TABLE_CELLS and d * p ** (d + 1) <= _TABLE_RATIO * n * n
-    route = _table_route if table else _pair_route
-    energy, corner, *counts = route(A, C, p)  # rectangles first, k0 last
-    return EnergyReport(energy, corner, n, *counts, quadric, (8, 8) if counts[0] else None)
+    return _report_fields(r, diag, D, D[isotropic], k0, degenerate)
 
 
 def rectangle_energy_paraboloid(points, p: int) -> EnergyReport:
     """Energy report for a set on the paraboloid; rectangles, side isotropy
     and k0 live in the horizontal projection."""
-    p = int(Prime(p))
-    P = distinct_rows(points, p)
-    if P.shape[1]:  # a plain [] has no width to check
-        _require_on(P, Paraboloid(p, P.shape[1]))
-    if not len(P):
-        return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, "paraboloid", None)
-    return _rectangle_report(P, P[:, :-1], p, "paraboloid")
+    return _quadric_report(points, int(Prime(p)), None)
 
 
 def rectangle_energy_sphere(points, p: int, t: int) -> EnergyReport:
@@ -336,17 +298,24 @@ def rectangle_energy_sphere(points, p: int, t: int) -> EnergyReport:
     p = int(Prime(p))
     if t % p == 0:
         raise GeometryError("sphere energy needs t != 0")
-    P = distinct_rows(points, p)
-    if P.shape[1]:  # a plain [] has no width to check
-        _require_on(P, Sphere(p, P.shape[1], t))
-    if not len(P):
-        return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, "sphere", None)
-    return _rectangle_report(P, P, p, "sphere")
+    return _quadric_report(points, p, t)
 
 
-def _require_on(P: np.ndarray, quadric: Paraboloid | Sphere) -> None:
-    """Raise for the first row of P off the quadric."""
-    off = quadric.outside(P)
-    if off.any():
-        raise GeometryError(f"point {tuple(P[off.argmax()].tolist())} is not on the "
-                            f"{type(quadric).__name__.lower()}")
+def _quadric_report(points, p: int, t: int | None) -> EnergyReport:
+    """The report for the points, checked on the paraboloid (t None) or the
+    sphere |x|^2 == t, read in the corner coordinates: on the table route when
+    its p^d tables are small and its transforms cheaper than the n^2 pairs,
+    on the pair route otherwise."""
+    A = distinct_rows(points, p)
+    n, d = A.shape
+    quadric = "paraboloid" if t is None else "sphere"
+    if d:  # a plain [] has no width to check
+        off = (Paraboloid(p, d) if t is None else Sphere(p, d, t)).outside(A)
+        if off.any():
+            raise GeometryError(f"point {tuple(A[off.argmax()].tolist())} is not on the {quadric}")
+    if not n:
+        return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, quadric, None)
+    table = p**d <= _TABLE_CELLS and d * p ** (d + 1) <= _TABLE_RATIO * n * n
+    route = _table_route if table else _pair_route
+    energy, corner, *counts = route(A, A[:, :-1] if t is None else A, p)
+    return EnergyReport(energy, corner, n, *counts, quadric, (8, 8) if counts[0] else None)

@@ -1,10 +1,10 @@
-"""Spheres, the paraboloid, the isotropic cone, and lines living on them.
+"""Spheres, the paraboloid, the isotropic cone x.x == 0, and lines living on them.
 
 Generation is exhaustive (desk-scale p), backed by a per-prime square-root
-table.  Line detection scans candidate (base, direction) pairs: for odd p a
-line b + s v lies on the sphere |x|^2 == t, that is all p of its points do,
-exactly when |b|^2 == t, b.v == 0 and v.v == 0, so only isotropic
-directions are scanned and every line found is checked against these three
+table.  For odd p a line b + s v lies on the sphere |x|^2 == t, that is all
+p of its points do, exactly when |b|^2 == t, b.v == 0 and v.v == 0, so the
+lines on a sphere are the isotropic lines of its points that the census in
+`counting` finds, and every line found is checked against these three
 identities on its canonical row.
 """
 
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import WeightedLineSet, _int_rows, _pair_values, dot_rows
+from .counting import WeightedLineSet, _int_rows, _isotropic_lines, dot_rows
 from .field import Prime
-from .geom import AffineLine, GeometryError, Vec, iter_homogeneous_reps
+from .geom import AffineLine, GeometryError, Vec
 
 
 @dataclass(frozen=True)
@@ -95,25 +95,15 @@ def paraboloid_lift(points, p: int) -> list[Vec]:
     return list(map(tuple, np.column_stack([U, dot_rows(U, U, p)]).tolist()))
 
 
-def isotropic_directions(p: int, d: int) -> np.ndarray:
-    """The canonical directions v of F_p^d with v.v == 0, as rows in the
-    order of iter_homogeneous_reps."""
-    V = np.array(list(iter_homogeneous_reps(p, d)), dtype=np.int64)
-    return V[dot_rows(V, V, p) == 0]
-
-
 # ---------------------------------------------------------------------------
 # lines on quadrics
 
 def lines_on_sphere(p: int, d: int, t: int) -> list[AffineLine]:
     """All lines fully contained in the sphere.
 
-    For odd p the line b + s v lies on the sphere exactly when |b|^2 == t,
-    b.v == 0 and v.v == 0.  One candidate per line is read from the blocked
-    table of sphere rows b against isotropic directions v: b.v == 0 with b
-    the canonical base (0 at v's first nonzero entry).  A canonical row
-    failing the three identities raises ArithmeticError.
-    """
+    The isotropic lines of its points, from counting's census (at t == 0 the
+    cone's lines); a row failing the module docstring's identities raises
+    ArithmeticError."""
     return list(_sphere_lines(p, d, t).lines)
 
 
@@ -121,23 +111,11 @@ def _sphere_lines(p: int, d: int, t: int) -> WeightedLineSet:
     """The lines of lines_on_sphere as checked canonical rows, before any
     AffineLine is built."""
     p = int(Prime(p))
-    t %= p
     S = np.array(sphere_points(p, d, t), dtype=np.int64).reshape(-1, d)
-    V = isotropic_directions(p, d)
-    lead = (V != 0).argmax(axis=1)
-    rows = [np.empty((0, 2 * d), dtype=np.int64)]
-    for start, X in _pair_values(S, V, p):
-        block = S[start : start + len(X)]
-        x, v = np.nonzero((X == 0) & (block == 0)[:, lead])
-        rows.append(np.hstack([block[x], V[v]]))
-    lines = WeightedLineSet.of(np.vstack(rows), p, dim=d)
+    rows = [np.hstack([S[I[bounds[:-1]]], W]) for I, _, bounds, W in _isotropic_lines(S, p)]
+    lines = WeightedLineSet.of(np.vstack([np.zeros((0, 2 * d), dtype=np.int64), *rows]), p, dim=d)
     B, D = lines.rows[:, :d], lines.rows[:, d:]
-    if not ((dot_rows(B, B, p) == t) & (dot_rows(B, D, p) == 0) & (dot_rows(D, D, p) == 0)).all():
+    if (dot_rows(B, B, p) != t % p).any() or dot_rows(B, D, p).any() or dot_rows(D, D, p).any():
         raise ArithmeticError("a line is not on the sphere")
     return lines
 
-
-def isotropic_cone_lines(p: int) -> list[AffineLine]:
-    """The lines through the origin forming the nonzero part of the cone in F_p^3."""
-    p = int(Prime(p))
-    return sorted(AffineLine(p, (0, 0, 0), v) for v in isotropic_directions(p, 3).tolist())

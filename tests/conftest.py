@@ -2,6 +2,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fpgeom import counting
@@ -48,9 +49,9 @@ def rng():
 
 
 def isotropic_line_max(points, p: int) -> int:
-    """The most points on one isotropic line, read from the isotropic census:
-    a group of count c is a line through c + 1 of the points; sets without a
-    null pair score min(|A|, 1)."""
+    """The most points on one isotropic line, read from the census of the
+    isotropic lines; sets without a null pair score min(|A|, 1)."""
     P = counting.distinct_rows(points, p)
-    groups = counting._isotropic_census(P, p)
-    return max((int(count.max()) + 1 for _, _, count, _ in groups), default=min(len(P), 1))
+    lines = counting._isotropic_lines(P, p) if len(P) else ()
+    return max((int(np.diff(bounds).max(initial=1)) for _, _, bounds, _ in lines),
+               default=min(len(P), 1))

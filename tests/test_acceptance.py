@@ -38,7 +38,6 @@ from fpgeom.erdos import (
 from fpgeom.field import is_prime, legendre
 from fpgeom.geom import AffineLine, AffinePlane
 from fpgeom.quadrics import (
-    isotropic_cone_lines,
     lines_on_sphere,
     paraboloid_lift,
     sphere_points,
@@ -167,7 +166,7 @@ def test_c03_sphere_ruling_and_cone():
         for t in range(1, p):
             ruled = len(lines_on_sphere(p, 3, t)) > 0
             assert ruled == (legendre(-t, p) == 1), (p, t)
-        cone = isotropic_cone_lines(p)
+        cone = lines_on_sphere(p, 3, 0)
         assert len(cone) == p + 1
         covered = set()
         for line in cone:

@@ -3,10 +3,12 @@
 Every user of the census (k and k* with their witnesses, spanned and rich
 lines) is held to the loop it replaced, on hypothesis-generated sets in
 dimensions 2, 3 and 4, across block boundaries, at p = 2^31 - 1, and for its
-memory.  The isotropic census, which k reads on sets of one norm, is held to
-the isotropic groups of the full census, and the most points on one
-isotropic line read from its groups (`conftest.isotropic_line_max`) to the
-loops' isotropic-line maximum.
+memory.  On sets of one norm k reads only isotropic lines: from the census
+of the isotropic lines by direction, or past its size rule from the isotropic
+pair census, which is held to the isotropic groups of the full census.  The
+census by direction is held to the lines of the loops' null pairs, and the
+most points on one isotropic line read from it
+(`conftest.isotropic_line_max`) to the loops' isotropic-line maximum.
 """
 
 import random
@@ -173,7 +175,7 @@ def test_census_memory_is_bounded_by_block(census_calls):
     Q, _ = sphere_config(p)
     n = len(Q)
     k, peak = _census_peak(Q)
-    assert census_calls == ["_isotropic_census"]
+    assert census_calls == ["_isotropic_lines"]
     assert k == 2  # the pinned sweep row: no line lies on the unit sphere at p = 31
     # about 240 bytes per pair of a block of _BLOCK_CELLS // 16 pairs, plus a
     # few int64 arrays over the points
@@ -192,17 +194,19 @@ def test_full_census_memory_is_bounded_by_block(census_calls):
 
 
 # ---------------------------------------------------------------------------
-# the isotropic census: only the pairs with |x - y|^2 == 0
+# the isotropic censuses: only the isotropic lines
 #
 # On a central sphere x.x == t (the cone t == 0 included) a line through
-# three points is isotropic, so _collinearity reads only the isotropic
-# census there; every other set takes the full census.
+# three points is isotropic, so _collinearity reads only isotropic lines
+# there: by direction while the p^(d-1) directions are no more than the
+# n^2 / 2 pairs, from the pairs with |x - y|^2 == 0 past that; every other
+# set takes the full census.
 
 @pytest.fixture
 def census_calls(monkeypatch):
     """The names of the censuses _collinearity reads, in call order."""
     calls = []
-    for name in ("_line_census", "_isotropic_census"):
+    for name in ("_line_census", "_isotropic_census", "_isotropic_lines"):
         real = getattr(counting, name)
         monkeypatch.setattr(counting, name,
                             lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
@@ -244,8 +248,9 @@ def _isotropic_groups(P, p):
 
 
 def _check_both_routes(p, pts):
-    """k, witness and k0 of pts, a set of one norm, from the isotropic route
-    equal the full census's and the oracles'; returns the isotropic route's
+    """k, witness and k0 of pts, a set of one norm, from the isotropic
+    lines equal the full census's and the oracles', and the isotropic pair
+    census groups as the full census does; returns the isotropic route's
     ((k, witness), (k*, witness*))."""
     ws = WeightedPointSet.of(pts, p)
     dim = ws.dim
@@ -267,7 +272,7 @@ def test_sphere_and_cone_routes(census_calls, p, kind):
     for d in (3, 4) if p <= 5 else (3,):
         census_calls.clear()
         (k, wit), _ = _check_both_routes(p, _sphere(p, d, t))
-        assert census_calls[0] == "_isotropic_census"
+        assert census_calls[0] == "_isotropic_lines"
         if d == 3:
             # a line through three points lies on the sphere, and x.x == t
             # holds lines exactly when -t is a square or zero
@@ -309,7 +314,7 @@ def test_isotropic_pairs_without_three_collinear_keep_first_pair(census_calls):
     assert oracles.isotropic_lines(pts, p)[0] > 0
     assert oracles.nsq(oracles.diff(pts[1], pts[0], p), p) != 0
     (k, wit), _ = _check_both_routes(p, pts)
-    assert census_calls[0] == "_isotropic_census"
+    assert census_calls[0] == "_isotropic_lines"
     assert k == 2 and wit == AffineLine(p, pts[0], oracles.diff(pts[1], pts[0], p))
 
 
@@ -348,3 +353,115 @@ def test_isotropic_census_memory_when_every_pair_is_isotropic():
     # the table block and its zero cells, with the pairs grouped in chunks
     # no larger than the line census's
     assert peak < 64 * counting._BLOCK_CELLS + 64 * len(pts)
+
+
+def test_central_set_at_largest_modulus_reads_the_pair_census(census_calls):
+    # two isotropic lines through the origin of the cone x.x == 0 in F_p^3,
+    # p = 2^31 - 1: the p^2 directions cannot be listed, so k reads the pairs
+    c = 2041534867  # c^2 == -5, so (1, 2, c) and (2, 1, c) are isotropic
+    pts = sorted({tuple(s * x % BIG for x in w) for w, m in (((1, 2, c), 5), ((2, 1, c), 3))
+                  for s in range(m)})
+    (k, wit), _ = counting._collinearity(WeightedPointSet.of(pts, BIG))
+    assert census_calls == ["_isotropic_census"]
+    assert (k, _raw(wit)) == oracles.collinearity(pts, BIG)[0]
+    assert k == 5
+
+
+def test_small_subset_of_a_sphere_reads_the_pair_census(census_calls):
+    # 2 p^2 == 338 directions' worth against n^2 == 100 pairs' worth
+    pts = _sphere(13, 3, 1)[::20][:10]
+    (k, wit), _ = counting._collinearity(WeightedPointSet.of(pts, 13))
+    assert census_calls == ["_isotropic_census"]
+    assert (k, _raw(wit)) == oracles.collinearity(list(pts), 13)[0]
+
+
+# ---------------------------------------------------------------------------
+# the census of the isotropic lines against the loops' null pairs
+
+def _census_lines(pts, p):
+    """canonical line -> its points, for every line of the census through two
+    points or more; checks each line's rows, parameters and direction."""
+    P = np.array(pts, dtype=np.int64).reshape(len(pts), -1)
+    out = {}
+    for I, s, bounds, W in counting._isotropic_lines(P, p):
+        for g, w in enumerate(map(tuple, W.tolist())):
+            rows, params = I[bounds[g] : bounds[g + 1]], s[bounds[g] : bounds[g + 1]]
+            assert oracles.nsq(w, p) == 0 and w == oracles.canonical_direction(w, p)
+            assert (np.diff(rows) > 0).all()
+            assert (params == P[rows, w.index(1)]).all()
+            line = oracles.canonical_line(tuple(P[rows[0]].tolist()), w, p)
+            assert line not in out
+            if len(rows) > 1:
+                out[line] = [tuple(P[i].tolist()) for i in rows]
+    return out
+
+
+def _oracle_lines(pts, p):
+    """The same from the loops: the lines spanned by null pairs, each with
+    the points on it."""
+    lines = {oracles.canonical_line(a, oracles.diff(b, a, p), p) for a in pts for b in pts
+             if a != b and oracles.nsq(oracles.diff(b, a, p), p) == 0}
+    return {line: [q for q in pts if oracles.on_line_by_minors(q, *line, p)] for line in lines}
+
+
+def _check_census(pts, p):
+    pts = sorted(set(pts))
+    assert _census_lines(pts, p) == _oracle_lines(pts, p)
+    assert isotropic_line_max(pts, p) == max(min(len(pts), 1), oracles.isotropic_lines(pts, p)[1])
+
+
+def _census_cases():
+    """pytest params (p, points): full and seeded-half spheres and cones in
+    d = 3 and 4, and the corner sets of the paraboloid in d = 3 and 4 (all of
+    F_p^2 or F_p^3)."""
+    for p, dims in ((3, (3, 4)), (5, (3, 4)), (7, (3,)), (13, (3,))):
+        rng = random.Random(repr(("census-cases", p)))
+        for d in dims:
+            for t in (0, 1, _nonsquare(p)):
+                pool = list(_sphere(p, d, t))
+                yield pytest.param(p, pool, id=f"sphere-{p}-{d}-{t}")
+                half = rng.sample(pool, len(pool) // 2)
+                yield pytest.param(p, half, id=f"half-sphere-{p}-{d}-{t}")
+            corner = [tuple(c) for c in np.ndindex(*(p,) * (d - 1))]
+            yield pytest.param(p, corner, id=f"corner-{p}-{d}")
+            yield pytest.param(p, rng.sample(corner, len(corner) // 2), id=f"half-corner-{p}-{d}")
+
+
+@pytest.mark.parametrize("p, pts", list(_census_cases()))
+def test_isotropic_lines_match_null_pair_loop(p, pts):
+    _check_census(pts, p)
+
+
+@st.composite
+def corner_sets(draw):
+    """(p, points of F_p^2 or F_p^3): free points plus a few planted lines
+    along isotropic directions, as the paraboloid's corner coordinates."""
+    p = draw(st.sampled_from((3, 5, 7, 13)))
+    dim = draw(st.sampled_from((2, 3) if p <= 7 else (2,)))
+    directions = counting.isotropic_directions(p, dim).tolist()
+    vec = st.tuples(*(st.integers(0, p - 1) for _ in range(dim)))
+    pts = set(draw(st.lists(vec, min_size=1, max_size=16)))
+    if directions:
+        for base, w, ts in draw(st.lists(st.tuples(
+                vec, st.sampled_from(directions), st.sets(st.integers(0, p - 1), min_size=2)),
+                max_size=3)):
+            pts.update(tuple((b + s * c) % p for b, c in zip(base, w)) for s in ts)
+    return p, sorted(pts)
+
+
+@given(st.one_of(corner_sets(), sphere_subsets()))
+@settings(max_examples=150, deadline=None)
+def test_isotropic_lines_of_subsets(case):
+    p, pts = case
+    _check_census(pts, p)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 500])
+def test_isotropic_lines_across_direction_blocks(monkeypatch, cells):
+    # _pair_values holds about _BLOCK_CELLS // n directions a block, one at least
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+    for p, d, t in ((5, 3, 0), (5, 4, 1), (13, 3, 2)):
+        pts = list(_sphere(p, d, t))
+        _check_census(pts, p)
+        _check_census(pts[::3], p)
+    _check_census([tuple(c) for c in np.ndindex(5, 5, 5)], 5)

@@ -16,10 +16,10 @@ from fpgeom.constructions import (
     semi_isotropic_set,
     sphere_config,
 )
-from fpgeom.counting import count_point_line_2d, max_collinear
+from fpgeom.counting import count_point_line_2d, isotropic_directions, max_collinear
 from fpgeom.erdos import distance_set
 from fpgeom.geom import dot, iter_homogeneous_reps
-from fpgeom.quadrics import Sphere, isotropic_directions, lines_on_sphere
+from fpgeom.quadrics import Sphere, lines_on_sphere
 from conftest import rng_for
 
 

@@ -317,8 +317,8 @@ class TestCensusAgainstOracle:
 
     @pytest.mark.parametrize("block", [1, 2, 5, 13])
     def test_block_boundaries(self, monkeypatch, block):
-        # the squared-distance table takes about _BLOCK_CELLS cells a block
-        # and the isotropic census _BLOCK_CELLS // 16 pairs
+        # the census of isotropic lines takes about _BLOCK_CELLS table cells a
+        # block of directions, and its sum counts _BLOCK_CELLS // p^2 lines
         monkeypatch.setattr(counting, "_BLOCK_CELLS", 16 * block)
         cases = [
             (_full_paraboloid(5), 5, "paraboloid", None),
@@ -690,3 +690,59 @@ def test_pair_route_memory(case):
     n = len(A)
     peak = _traced(lambda: energy._pair_route(A, C, p))[1]
     assert peak < 8 * n * n * 8, (peak, 64 * n * n)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_pair_route_packs_its_keys(p):
+    # each ordered pair's sum or difference is packed into one int64 key of
+    # an n x n table, so the route holds about three n^2 words: the keys,
+    # their order and one n x n scratch, or the run bounds
+    A = np.array(sphere_points(p, 4, 1), dtype=np.int64)
+    n = len(A)
+    rep, peak = _traced(lambda: energy._pair_route(A, A, p))
+    assert rep == energy._table_route(A, A, p)
+    assert peak <= 3.5 * n * n * 8, (peak, peak / (8 * n * n))
+
+
+def _table_cases():
+    """pytest params (p, points, quadric): full and seeded-half paraboloids
+    and spheres in d = 3 and 4 small enough for the oracles' census."""
+    for p, d in ((5, 3), (13, 3), (3, 4), (5, 4)):
+        rng = rng_for("table-census", p, d)
+        full = paraboloid_lift(itertools.product(range(p), repeat=d - 1), p)
+        sets = [("paraboloid", full)]
+        if d == 3 or p == 3:
+            sets += [("sphere", sphere_points(p, d, t)) for t in (1, _nonsquare(p))]
+        for quadric, pts in sets:
+            yield _case(f"{quadric}-{p}-{d}-{len(pts)}", p, pts, quadric)
+            half = rng.sample(pts, len(pts) // 2)
+            yield _case(f"half-{quadric}-{p}-{d}-{len(pts)}", p, half, quadric)
+
+
+class TestTableRouteLineCensus:
+    """k0 and degenerate on the table route, read from the census of the
+    isotropic lines, against `oracles.rectangle_census` and
+    `oracles.isotropic_lines`."""
+
+    @pytest.mark.parametrize("p, points, quadric", list(_table_cases()))
+    def test_full_and_half_sets(self, p, points, quadric):
+        t = None if quadric == "paraboloid" else sum(c * c for c in points[0]) % p
+        with _route("_table_route"):
+            rep = _report(points, p, quadric, t)
+        assert rep == _expected(points, p, quadric)
+
+    @settings(max_examples=40, deadline=None)
+    @given(paraboloid_sets())
+    def test_paraboloid(self, case):
+        p, pts = case
+        with _route("_table_route"):
+            rep = rectangle_energy_paraboloid(pts, p)
+        assert rep == _expected(pts, p, "paraboloid")
+
+    @settings(max_examples=40, deadline=None)
+    @given(sphere_sets())
+    def test_sphere(self, case):
+        p, t, pts = case
+        with _route("_table_route"):
+            rep = rectangle_energy_sphere(pts, p, t)
+        assert rep == _expected(pts, p, "sphere")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fpgeom import counting, quadrics
+from fpgeom import counting
 from fpgeom.field import is_prime, legendre
 from fpgeom.geom import (
     AffineLine,
@@ -17,8 +17,6 @@ from fpgeom.quadrics import (
     Paraboloid,
     Sphere,
     _sqrt_table,
-    isotropic_cone_lines,
-    isotropic_directions,
     lines_on_sphere,
     paraboloid_lift,
     sphere_points,
@@ -79,7 +77,7 @@ class TestIsotropicDirections:
         scan = [v for v in itertools.product(range(p), repeat=d)
                 if any(v) and v[next(i for i, c in enumerate(v) if c)] == 1
                 and oracles.nsq(v, p) == 0]
-        got = isotropic_directions(p, d)
+        got = counting.isotropic_directions(p, d)
         assert got.shape == (len(scan), d)
         assert sorted(map(tuple, got.tolist())) == scan
         assert len(got) == {2: 1 + oracles.legendre_by_squares(-1, p),
@@ -87,7 +85,7 @@ class TestIsotropicDirections:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_no_orthogonal_isotropic_pair_in_dim3(self, p):
-        iso = isotropic_directions(p, 3).tolist()
+        iso = counting.isotropic_directions(p, 3).tolist()
         for u, v in itertools.combinations(iso, 2):
             assert dot(u, v, p) != 0
 
@@ -103,7 +101,7 @@ class TestSpherePoints:
         assert len(pts) == 9 and (0, 0, 0) in pts
         nonzero = [q for q in pts if q != (0, 0, 0)]
         assert len(nonzero) == 8
-        lines = isotropic_cone_lines(3)
+        lines = lines_on_sphere(3, 3, 0)
         assert len(lines) == 4
         covered = set()
         for l in lines:
@@ -207,7 +205,7 @@ def test_lines_on_sphere_match_the_unrestricted_scan(d, p, t):
 def test_lines_on_sphere_across_blocks(monkeypatch, d, p):
     for t in (0, 1, p - 1):
         expected = oracles.sphere_lines_scan(p, d, t)
-        # one sphere row a block, or a few rows with blocks ending mid-set
+        # one direction a block, or a few directions with blocks ending mid-set
         for cells in (1, 7, 40):
             monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
             assert _raw(lines_on_sphere(p, d, t)) == expected
@@ -215,7 +213,7 @@ def test_lines_on_sphere_across_blocks(monkeypatch, d, p):
 
 def test_lines_on_sphere_raises_on_a_row_off_the_sphere(monkeypatch):
     # every direction as a candidate: a row with v.v != 0 fails the check
-    monkeypatch.setattr(quadrics, "isotropic_directions",
+    monkeypatch.setattr(counting, "isotropic_directions",
                         lambda p, d: np.array(list(iter_homogeneous_reps(p, d))))
     with pytest.raises(ArithmeticError, match="not on the sphere"):
         lines_on_sphere(5, 3, 1)
@@ -251,7 +249,7 @@ class TestLinesOnSphere3:
         u = axis.direction
         x = axis.base
         axis_pts = set(_points(axis))
-        for w in map(tuple, isotropic_directions(p, 4).tolist()):
+        for w in map(tuple, counting.isotropic_directions(p, 4).tolist()):
             if w == u or dot(w, u, p) != 0:
                 continue
             # plane x + span(u, w) is fully isotropic
