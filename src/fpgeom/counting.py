@@ -22,7 +22,6 @@ from .geom import (
     GeometryError,
     Vec,
     as_vec,
-    iter_homogeneous_reps,
     line_as_covector,
 )
 
@@ -567,10 +566,10 @@ def _require_dim3(points, planes) -> None:
 # by (base, direction) with a sort, in blocks from pair_blocks, so memory is
 # near _BLOCK_CELLS cells.  One census of the isotropic lines, read by
 # direction, gives energy's k0 and degenerate rectangles, lines_on_sphere,
-# and k on a central sphere x.x == c (every row of one norm, no line
-# excluded), which a line b + s.v with v.v != 0 meets in at most two points;
-# past its size rule k reads the isotropic pair census instead, the zeros of
-# the blocked squared-distance table grouped as the line census groups.  All
+# and k on a central sphere x.x == c with no line excluded (a line b + s.v
+# with v.v != 0 meets it in two points at most); below its size rule
+# (p = 2^31 - 1 included) k reads the isotropic pair census, the zeros of the
+# blocked squared-distance table grouped as the line census groups.  All
 # products stay below p^2 < 2^62: every census is exact in int64 for p < 2^31.
 
 def pair_blocks(per_base: np.ndarray):
@@ -646,23 +645,42 @@ def _isotropic_census(P: np.ndarray, p: int):
             yield _groups(P, I[t], J[t], p)
 
 
+def _sqrt_table(p: int) -> np.ndarray:
+    """The square roots of each residue mod p (odd) as a (p, 2) table, the
+    smaller first and -1 where there is none."""
+    x = np.arange(p)
+    root = np.full((p, 2), -1)
+    root[x * x % p, 2 * x // p] = x
+    return root
+
+
+def _norm_rows(p: int, m: int, t: int) -> np.ndarray:
+    """The rows x of F_p^m with x.x == t, in lex order: every head of m - 1
+    entries with each root y of y^2 == t - head.head."""
+    H = np.arange(p ** (m - 1))[:, None] // p ** np.arange(m - 2, -1, -1) % p
+    y = _sqrt_table(p)[(t - (H * H % p).sum(axis=1)) % p].ravel()
+    return np.column_stack([np.repeat(H, 2, axis=0), y])[y >= 0]
+
+
 def isotropic_directions(p: int, d: int) -> np.ndarray:
-    """The canonical directions v.v == 0 of F_p^d, as rows in iter_homogeneous_reps order."""
-    V = np.array(list(iter_homogeneous_reps(p, d)), dtype=np.int64)
-    return V[dot_rows(V, V, p) == 0]
+    """The canonical directions v.v == 0 of F_p^d, about p^(d-2) rows in
+    iter_homogeneous_reps order: a leading 1 before each tail of norm -1."""
+    rows = [np.zeros((0, d), dtype=np.int64)]
+    for lead in range(d - 1):
+        T = _norm_rows(p, d - lead - 1, -1)
+        rows.append(np.column_stack([np.zeros((len(T), lead), int), np.ones(len(T), int), T]))
+    return np.concatenate(rows)
 
 
-def _isotropic_lines(C: np.ndarray, p: int):
+def _isotropic_lines(C: np.ndarray, p: int, W: np.ndarray):
     """Yield (I, s, bounds, W) arrays, block by block: line g of a block holds
     the rows I[bounds[g]:bounds[g + 1]] of C, increasing, at parameters s
-    along its canonical isotropic direction W[g]; every line comes once.
-
-    From _pair_values' table C.w in blocks of whole directions w, row a lies
-    on the line of base a - a[j] w at parameter a[j] (w[j] == 1 leads w); one
-    sort of the keys (direction, base) groups a block.  When every row has
-    one norm only the zeros a.w == 0 are kept: |a + s w|^2 == |a|^2 + 2 s a.w,
-    so rows share an isotropic line only when it lies in their sphere."""
-    W = isotropic_directions(p, C.shape[1])
+    along its direction W[g], one of the isotropic_directions W given; every
+    line comes once.  Row a lies on the line of base a - a[j] w at parameter
+    a[j] (w[j] == 1 leads w), so one sort of the keys (direction, base) groups
+    a block of _pair_values' table C.w of whole directions w.  When every row
+    has one norm only the zeros a.w == 0 are kept: |a + s w|^2 == |a|^2 +
+    2 s a.w, so rows share an isotropic line only when it lies in their sphere."""
     lead = (W != 0).argmax(axis=1)
     central = np.ptp(dot_rows(C, C, p)) == 0
     for start, V in _pair_values(W, C, p):
@@ -679,7 +697,7 @@ def _isotropic_groups(P: np.ndarray, p: int):
     """Yield the lines of _isotropic_lines(P, p) through three rows or more as
     one block of _line_census groups, base and first partner its least rows."""
     groups = [np.zeros((0, 3 + P.shape[1]), dtype=np.int64)]
-    for I, _, bounds, W in _isotropic_lines(P, p):
+    for I, _, bounds, W in _isotropic_lines(P, p, isotropic_directions(p, P.shape[1])):
         rich = np.diff(bounds) > 2
         head = bounds[:-1][rich]
         groups.append(np.column_stack([I[head], I[head + 1], np.diff(bounds)[rich] - 1, W[rich]]))
@@ -696,15 +714,16 @@ def _collinearity(points: WeightedPointSet,
     reach each maximum in (base, first partner) order is its witness.
 
     With nothing excluded and every row of one norm, the lines through three
-    or more rows are isotropic, so only they are read (by direction while the
-    p^(d-1) directions cost no more than the n^2 / 2 pairs), and k == 2 keeps
-    the line through rows 0 and 1, the full census's first."""
+    or more rows are isotropic, so only they are read, and k == 2 keeps the
+    line through rows 0 and 1, the full census's first.  They are read by
+    direction when n >= 4 p^(d-2) and 4p, where the n x p^(d-2) table took a
+    quarter to half the pairs' time (as measured) and the root table is below n."""
     P, p, n = points.rows, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
     banned = set(map(tuple, WeightedLineSet.of(exclude, p, dim=points.dim).rows.tolist()))
     if not banned and np.ptp(dot_rows(P, P, p)) == 0:
-        by_direction = 2 * p ** (points.dim - 1) <= n * n
+        by_direction = 4 * p ** max(points.dim - 2, 1) <= n
         census = (_isotropic_groups if by_direction else _isotropic_census)(P, p)
         best = best_star = (2, (P[0], (P[1] - P[0]) % p))
     else:

@@ -262,17 +262,16 @@ def _table_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     sum and difference tables; C is a leading-column slice of A."""
     # the cells v != 0 with |C(v)|^2 == 0 (multiples of isotropic directions)
     # and the line counts, taken before the tables so no temporaries meet them
-    cells = np.arange(1, p)[:, None, None] * isotropic_directions(p, C.shape[1]) % p
+    W = isotropic_directions(p, C.shape[1])
     isotropic = np.zeros((p,) * A.shape[1], dtype=bool)
-    isotropic[tuple(cells.reshape(-1, C.shape[1]).T)] = True
-    del cells
+    isotropic[tuple((np.arange(1, p)[:, None, None] * W % p).reshape(-1, C.shape[1]).T)] = True
     # the rectangles inside lines of four points or more, from 1-D pair sums
     # of their parameter indicators L in blocks of lines: a sum t holds the
     # diagonal pair exactly when t / 2 is in L, so its unordered pairs a != b
     # number the floor of half its ordered pairs
     k0, degenerate = min(len(C), 1), 0
     t_minus_a = np.subtract.outer(np.arange(p), np.arange(p)) % p
-    for _, s, bounds, _ in _isotropic_lines(C, p):
+    for _, s, bounds, _ in _isotropic_lines(C, p, W):
         size = np.diff(bounds)
         k0 = max(k0, int(size.max(initial=0)))
         rich = size > 3

@@ -1,22 +1,20 @@
 """Spheres, the paraboloid, the isotropic cone x.x == 0, and lines living on them.
 
-Generation is exhaustive (desk-scale p), backed by a per-prime square-root
-table.  For odd p a line b + s v lies on the sphere |x|^2 == t, that is all
-p of its points do, exactly when |b|^2 == t, b.v == 0 and v.v == 0, so the
-lines on a sphere are the isotropic lines of its points that the census in
-`counting` finds, and every line found is checked against these three
-identities on its canonical row.
+Generation is exhaustive (desk-scale p), read from a table of square roots.
+For odd p the line b + s v lies on the sphere |x|^2 == t (all p of its
+points do) exactly when |b|^2 == t, b.v == 0 and v.v == 0: the lines on a
+sphere are the isotropic lines of its points that counting's census finds,
+each checked against these three identities on its canonical row.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import WeightedLineSet, _int_rows, _isotropic_lines, dot_rows
+from .counting import (WeightedLineSet, _int_rows, _isotropic_lines, _norm_rows, dot_rows,
+                       isotropic_directions)
 from .field import Prime
 from .geom import AffineLine, GeometryError, Vec
 
@@ -60,29 +58,12 @@ class Paraboloid:
         return dot_rows(U, U, self.p) != X[:, -1]
 
 
-@functools.lru_cache(maxsize=None)
-def _sqrt_table(p: int) -> tuple[tuple[int, ...], ...]:
-    """The square roots of each residue mod p in increasing order: (0,) for
-    0, the pair (r, p - r) for a nonzero square, () for a non-square."""
-    roots = [[] for _ in range(p)]
-    for x in range(p):
-        roots[x * x % p].append(x)
-    return tuple(map(tuple, roots))
-
-
 def sphere_points(p: int, d: int, t: int) -> list[Vec]:
     """Every solution of x_1^2 + ... + x_d^2 == t, in lex order."""
     p = int(Prime(p))
     if d not in (3, 4):
         raise GeometryError("spheres are generated in dimensions 3 and 4")
-    t %= p
-    roots = _sqrt_table(p)
-    pts: list[Vec] = []
-    for head in itertools.product(range(p), repeat=d - 1):
-        r = (t - sum(c * c for c in head)) % p
-        for z in roots[r]:
-            pts.append(head + (z,))
-    return pts
+    return list(map(tuple, _norm_rows(p, d, t).tolist()))
 
 
 def paraboloid_lift(points, p: int) -> list[Vec]:
@@ -112,7 +93,8 @@ def _sphere_lines(p: int, d: int, t: int) -> WeightedLineSet:
     AffineLine is built."""
     p = int(Prime(p))
     S = np.array(sphere_points(p, d, t), dtype=np.int64).reshape(-1, d)
-    rows = [np.hstack([S[I[bounds[:-1]]], W]) for I, _, bounds, W in _isotropic_lines(S, p)]
+    census = _isotropic_lines(S, p, isotropic_directions(p, d))
+    rows = [np.hstack([S[I[bounds[:-1]]], W]) for I, _, bounds, W in census]
     lines = WeightedLineSet.of(np.vstack([np.zeros((0, 2 * d), dtype=np.int64), *rows]), p, dim=d)
     B, D = lines.rows[:, :d], lines.rows[:, d:]
     if (dot_rows(B, B, p) != t % p).any() or dot_rows(B, D, p).any() or dot_rows(D, D, p).any():

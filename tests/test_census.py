@@ -198,9 +198,8 @@ def test_full_census_memory_is_bounded_by_block(census_calls):
 #
 # On a central sphere x.x == t (the cone t == 0 included) a line through
 # three points is isotropic, so _collinearity reads only isotropic lines
-# there: by direction while the p^(d-1) directions are no more than the
-# n^2 / 2 pairs, from the pairs with |x - y|^2 == 0 past that; every other
-# set takes the full census.
+# there: by direction when n >= 4 p^(d-2) (and 4p), from the pairs with
+# |x - y|^2 == 0 below that; every other set takes the full census.
 
 @pytest.fixture
 def census_calls(monkeypatch):
@@ -211,6 +210,11 @@ def census_calls(monkeypatch):
         monkeypatch.setattr(counting, name,
                             lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     return calls
+
+
+def _rule_census(p, d, n):
+    """The isotropic census _collinearity reads for n points of one norm in F_p^d."""
+    return "_isotropic_lines" if 4 * p ** max(d - 2, 1) <= n else "_isotropic_census"
 
 
 def _nonsquare(p):
@@ -272,7 +276,7 @@ def test_sphere_and_cone_routes(census_calls, p, kind):
     for d in (3, 4) if p <= 5 else (3,):
         census_calls.clear()
         (k, wit), _ = _check_both_routes(p, _sphere(p, d, t))
-        assert census_calls[0] == "_isotropic_lines"
+        assert census_calls[0] == _rule_census(p, d, len(_sphere(p, d, t)))
         if d == 3:
             # a line through three points lies on the sphere, and x.x == t
             # holds lines exactly when -t is a square or zero
@@ -314,7 +318,7 @@ def test_isotropic_pairs_without_three_collinear_keep_first_pair(census_calls):
     assert oracles.isotropic_lines(pts, p)[0] > 0
     assert oracles.nsq(oracles.diff(pts[1], pts[0], p), p) != 0
     (k, wit), _ = _check_both_routes(p, pts)
-    assert census_calls[0] == "_isotropic_lines"
+    assert census_calls[0] == _rule_census(p, 3, len(pts))
     assert k == 2 and wit == AffineLine(p, pts[0], oracles.diff(pts[1], pts[0], p))
 
 
@@ -336,9 +340,36 @@ def test_isotropic_census_across_row_blocks(monkeypatch, cells):
         _check_both_routes(p, pts[::3])
 
 
-def test_isotropic_census_memory_when_every_pair_is_isotropic():
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("p, d, n", [(13, 3, 51), (13, 3, 52), (5, 4, 99), (5, 4, 100)])
+def test_collinearity_on_both_sides_of_the_rule(census_calls, p, d, t, n):
+    # seeded subsets of spheres and cones just below and at n == 4 p^max(d-2, 1),
+    # each with the oracle's k and witness
+    pts = sorted(random.Random(repr(("rule", p, d, t, n))).sample(_sphere(p, d, t), n))
+    _check_both_routes(p, pts)
+    assert census_calls[0] == _rule_census(p, d, n)
+
+
+def test_pair_census_memory_is_bounded_by_block():
+    # the isotropic pair census, traced alone on the p = 31 unit sphere that
+    # _collinearity reads by direction
+    Q, _ = sphere_config(31)
+    n = len(Q)
+    tracemalloc.start()
+    try:
+        groups = sum(len(base) for base, *_ in counting._isotropic_census(Q.rows, 31))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert groups == 0  # no line lies on the unit sphere at p = 31
+    assert peak < 32 * counting._BLOCK_CELLS + 64 * n
+    assert peak < n * (n - 1) // 2 * 24 // 8
+
+
+def test_isotropic_census_memory_when_every_pair_is_isotropic(census_calls):
     # a totally isotropic plane of F_29^4 (12^2 == -1 mod 29): every pair of
-    # its 841 points is isotropic, so every cell of the table is a pair to group
+    # its 841 points is isotropic, so every cell of the table is a pair to
+    # group; n < 4 p^2, so k reads the pair census and k0 the lines census
     p, i = 29, 12
     pts = [(a, a * i % p, b, b * i % p) for a in range(p) for b in range(p)]
     Q = WeightedPointSet.of(pts, p)
@@ -349,6 +380,7 @@ def test_isotropic_census_memory_when_every_pair_is_isotropic():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert census_calls == ["_isotropic_census", "_isotropic_lines"]
     assert k == k0 == p
     # the table block and its zero cells, with the pairs grouped in chunks
     # no larger than the line census's
@@ -368,7 +400,7 @@ def test_central_set_at_largest_modulus_reads_the_pair_census(census_calls):
 
 
 def test_small_subset_of_a_sphere_reads_the_pair_census(census_calls):
-    # 2 p^2 == 338 directions' worth against n^2 == 100 pairs' worth
+    # n == 10 points, below 4p == 52
     pts = _sphere(13, 3, 1)[::20][:10]
     (k, wit), _ = counting._collinearity(WeightedPointSet.of(pts, 13))
     assert census_calls == ["_isotropic_census"]
@@ -383,7 +415,8 @@ def _census_lines(pts, p):
     points or more; checks each line's rows, parameters and direction."""
     P = np.array(pts, dtype=np.int64).reshape(len(pts), -1)
     out = {}
-    for I, s, bounds, W in counting._isotropic_lines(P, p):
+    directions = counting.isotropic_directions(p, P.shape[1])
+    for I, s, bounds, W in counting._isotropic_lines(P, p, directions):
         for g, w in enumerate(map(tuple, W.tolist())):
             rows, params = I[bounds[g] : bounds[g + 1]], s[bounds[g] : bounds[g + 1]]
             assert oracles.nsq(w, p) == 0 and w == oracles.canonical_direction(w, p)

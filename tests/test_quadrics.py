@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fpgeom import counting
+from fpgeom import counting, quadrics
 from fpgeom.field import is_prime, legendre
 from fpgeom.geom import (
     AffineLine,
@@ -16,7 +16,6 @@ from fpgeom.geom import (
 from fpgeom.quadrics import (
     Paraboloid,
     Sphere,
-    _sqrt_table,
     lines_on_sphere,
     paraboloid_lift,
     sphere_points,
@@ -30,18 +29,21 @@ def _points(line):
 
 
 class TestSqrtTable:
+    # counting._sqrt_table: both roots of each residue, the smaller first, -1 for none
     def test_examples(self):
-        assert _sqrt_table(11)[4] == (2, 9)
-        assert _sqrt_table(13)[0] == (0,)
-        assert _sqrt_table(5)[2] == ()  # squares mod 5 are {0, 1, 4}
-        assert _sqrt_table(13)[10] == (6, 7)
+        assert counting._sqrt_table(11)[4].tolist() == [2, 9]
+        assert counting._sqrt_table(13)[0].tolist() == [0, -1]
+        assert counting._sqrt_table(5)[2].tolist() == [-1, -1]  # squares mod 5 are {0, 1, 4}
+        assert counting._sqrt_table(13)[10].tolist() == [6, 7]
 
     @pytest.mark.parametrize("p", PRIMES_TO_100)
     def test_matches_trial_squaring(self, p):
-        roots = _sqrt_table(p)
-        assert len(roots) == p
+        roots = counting._sqrt_table(p)
+        assert roots.shape == (p, 2)
         for a in range(p):
-            assert roots[a] == (oracles.sqrt_by_squares(a, p) or ())
+            got = [r for r in roots[a].tolist() if r >= 0]
+            assert got == list(oracles.sqrt_by_squares(a, p) or ())
+            assert roots[a].tolist() == got + [-1] * (2 - len(got))
 
 
 class TestOutside:
@@ -213,7 +215,7 @@ def test_lines_on_sphere_across_blocks(monkeypatch, d, p):
 
 def test_lines_on_sphere_raises_on_a_row_off_the_sphere(monkeypatch):
     # every direction as a candidate: a row with v.v != 0 fails the check
-    monkeypatch.setattr(counting, "isotropic_directions",
+    monkeypatch.setattr(quadrics, "isotropic_directions",
                         lambda p, d: np.array(list(iter_homogeneous_reps(p, d))))
     with pytest.raises(ArithmeticError, match="not on the sphere"):
         lines_on_sphere(5, 3, 1)
