@@ -4,7 +4,9 @@ Subcommands: construct, count, distances, energy, forms, verify, sweep.
 Global flags: --seed, --format {csv,json}, --out, --strict.
 Exit codes: 0 success, 1 usage, 2 parse error, 3 constraint violation,
 4 internal error (overflow or an unexpected failure).  All output is
-deterministic for a fixed seed.
+deterministic for a fixed seed; `--format json verify` gives one
+{check, ok} row per check.  Parsing the command line loads no numpy: each
+subcommand loads only the layers it reads.
 """
 
 from __future__ import annotations
@@ -14,26 +16,7 @@ import itertools
 import random
 import sys
 
-import numpy as np
-
-from . import bounds, configio, counting, erdos
-from .configio import ConfigDoc, ConfigParseError
-from .constructions import (
-    ConstraintError,
-    coprime_lattice,
-    cylinder_set,
-    elekes_grid,
-    random_lines,
-    random_planes,
-    random_points,
-    semi_isotropic_set,
-    sphere_config,
-)
-from .counting import WeightedLineSet, WeightedPlaneSet
-from .energy import rectangle_energy_paraboloid, rectangle_energy_sphere
-from .field import Prime
-from .geom import GeometryError
-from .quadrics import Paraboloid, Sphere
+from . import bounds, configio, constructions, counting, energy, erdos, field, geom, quadrics
 
 
 class UsageError(Exception):
@@ -101,19 +84,19 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ConfigParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ConstraintError as exc:
-        print(f"constraint violation: {exc}", file=sys.stderr)
-        return 3
     except OverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
+    except OSError as exc:  # before the layers' errors, whose lookup would load them
         print(f"cannot read or write: {exc}", file=sys.stderr)
         return 1
-    except (GeometryError, ValueError) as exc:
+    except configio.ConfigParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except constructions.ConstraintError as exc:
+        print(f"constraint violation: {exc}", file=sys.stderr)
+        return 3
+    except (geom.GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # the CLI boundary: one line, never a traceback
@@ -170,7 +153,7 @@ def _cmd_construct(args) -> int:
         return value
 
     build = _CONSTRUCTIONS[args.name.replace("-", "_")][2]
-    doc = build(get, Prime(args.p), random.Random(args.seed))
+    doc = build(get, field.Prime(args.p), random.Random(args.seed))
     for flag, (default, _) in _CONSTRUCT_FLAGS.items():
         if flag not in read and getattr(args, flag) != default:
             raise UsageError(f"construct {args.name} does not read --{flag}")
@@ -201,6 +184,8 @@ def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     """Point-plane incidences in dimension 3 (restricted along the [lines]
     section on request; T1C weighs them), point-line incidences in the plane,
     where points forming a grid A x B give T2 its a and b."""
+    import numpy as np
+
     if doc.dim == 2:
         if opt("restricted"):
             raise UsageError("count --restricted works on 3-dimensional configurations")
@@ -233,10 +218,12 @@ def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     return _row(doc.p, label, theorem, params, count, known, rep.flags)
 
 
-def _planar_lines(doc: ConfigDoc) -> WeightedPlaneSet:
+def _planar_lines(doc: configio.ConfigDoc) -> counting.WeightedPlaneSet:
     """A planar document's lines and planes as one set of covectors (a, b, c)."""
-    return WeightedPlaneSet.of(np.vstack([doc.lines.covectors(), doc.planes.rows]),
-                               doc.p, dim=2)
+    import numpy as np
+
+    return counting.WeightedPlaneSet.of(np.vstack([doc.lines.covectors(), doc.planes.rows]),
+                                        doc.p, dim=2)
 
 
 def _distances(doc, theorem, opt, cell=None) -> bounds.BoundReport:
@@ -254,10 +241,10 @@ def _energy(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     """Rectangle energy on the paraboloid or on the sphere of radius-square t."""
     quadric = opt("quadric")
     if quadric == "paraboloid":
-        rep = rectangle_energy_paraboloid(doc.points.rows, doc.p)
+        rep = energy.rectangle_energy_paraboloid(doc.points.rows, doc.p)
     else:
         t = opt("t")
-        rep = rectangle_energy_sphere(doc.points.rows, doc.p, 1 if t is None else t)
+        rep = energy.rectangle_energy_sphere(doc.points.rows, doc.p, 1 if t is None else t)
     known = {"a": rep.size, "k0": rep.k0}
     # the measured k0 replaces a cylinder cell's key of that name
     params = {**(cell or {}), **known}
@@ -324,12 +311,15 @@ def _cmd_verify(args) -> int:
             doc.points.points, doc.lines.lines + doc.planes.planes, doc.p)
         checks.append(("planar count matches the naive loop", fast == slow))
     if args.quadric:
-        quad = (Paraboloid(doc.p, doc.dim) if args.quadric == "paraboloid"
-                else Sphere(doc.p, doc.dim, 1 if args.t is None else args.t))
+        quad = (quadrics.Paraboloid(doc.p, doc.dim) if args.quadric == "paraboloid"
+                else quadrics.Sphere(doc.p, doc.dim, 1 if args.t is None else args.t))
         ok = not quad.outside(doc.points.rows).any()
         checks.append((f"all points lie on the {args.quadric}", ok))
-    lines = [f"{'ok' if ok else 'FAIL'}: {name}" for name, ok in checks]
-    _write_out("\n".join(lines) + "\n", args)
+    if args.format == "json":
+        text = configio.rows_to_json([{"check": name, "ok": ok} for name, ok in checks])
+    else:
+        text = "".join(f"{'ok' if ok else 'FAIL'}: {name}\n" for name, ok in checks)
+    _write_out(text, args)
     return 0 if all(ok for _, ok in checks) else 3
 
 
@@ -342,29 +332,30 @@ def _cmd_verify(args) -> int:
 # its offsets 1..l; a sweep cell draws from Random(repr((seed, p, tag))), tag
 # the last word of the construction's name ("3d", "2d"), and gets its seed.
 
-def _sphere(get, p, rng) -> ConfigDoc:
-    return ConfigDoc(p, 3, *sphere_config(p, get("planes"), rng), WeightedLineSet.of((), p, dim=3))
+def _sphere(get, p, rng) -> configio.ConfigDoc:
+    return configio.ConfigDoc(p, 3, *constructions.sphere_config(p, get("planes"), rng),
+                              counting.WeightedLineSet.of((), p, dim=3))
 
 
-def _elekes(get, p, rng) -> ConfigDoc:
-    grid = elekes_grid(get("n"), p)
-    return ConfigDoc.of(p, 2, grid.points, grid.lines)
+def _elekes(get, p, rng) -> configio.ConfigDoc:
+    grid = constructions.elekes_grid(get("n"), p)
+    return configio.ConfigDoc.of(p, 2, grid.points, grid.lines)
 
 
-def _cylinder(get, p, rng) -> ConfigDoc:
-    built = cylinder_set(p, get("t"), get("k0"), get("m"))
-    return ConfigDoc.of(p, 4, built.points, (), built.generators)
+def _cylinder(get, p, rng) -> configio.ConfigDoc:
+    built = constructions.cylinder_set(p, get("t"), get("k0"), get("m"))
+    return configio.ConfigDoc.of(p, 4, built.points, (), built.generators)
 
 
-def _random_3d(get, p, rng) -> ConfigDoc:
-    return ConfigDoc.of(p, 3, random_points(p, 3, get("points"), rng),
-                        random_planes(p, 3, get("planes"), rng),
-                        random_lines(p, 3, get("lines", 0), rng))
+def _random_3d(get, p, rng) -> configio.ConfigDoc:
+    return configio.ConfigDoc.of(p, 3, constructions.random_points(p, 3, get("points"), rng),
+                                 constructions.random_planes(p, 3, get("planes"), rng),
+                                 constructions.random_lines(p, 3, get("lines", 0), rng))
 
 
-def _random_2d(get, p, rng) -> ConfigDoc:
-    return ConfigDoc.of(p, 2, random_points(p, 2, get("points"), rng), (),
-                        random_lines(p, 2, get("lines"), rng))
+def _random_2d(get, p, rng) -> configio.ConfigDoc:
+    return configio.ConfigDoc.of(p, 2, constructions.random_points(p, 2, get("points"), rng),
+                                 (), constructions.random_lines(p, 2, get("lines"), rng))
 
 
 # construction -> (the theorems it pairs with, the first the default; the sweep
@@ -373,12 +364,14 @@ def _random_2d(get, p, rng) -> ConfigDoc:
 _CONSTRUCTIONS = {
     "sphere": (("T1", "T1B"), {"planes": 0}, _sphere, "count", {}),
     "coprime": (("T41",), {"N": None},
-                lambda get, p, rng: ConfigDoc.of(p, 2, coprime_lattice(get("N"), p)),
+                lambda get, p, rng: configio.ConfigDoc.of(
+                    p, 2, constructions.coprime_lattice(get("N"), p)),
                 "forms", {"matrix": (1, 0, 0, 1)}),
     "elekes": (("T2", "T3", "VINH"), {"n": None}, _elekes, "count", {}),
     "semi_isotropic": (("T42",), {"k": None, "l": None},
-                       lambda get, p, rng: ConfigDoc.of(p, 3, semi_isotropic_set(
-                           get("k"), get("l"), p, seed=get("seed")).points),
+                       lambda get, p, rng: configio.ConfigDoc.of(
+                           p, 3, constructions.semi_isotropic_set(
+                               get("k"), get("l"), p, seed=get("seed")).points),
                        "distances", {}),
     "cylinder": (("T56",), {"t": None, "k0": None, "m": None}, _cylinder,
                  "energy", {"quadric": "sphere"}),
@@ -406,44 +399,45 @@ def parse_sweep_spec(text: str) -> list[dict]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigParseError(f"expected key=value, got {line!r}", lineno)
+            raise configio.ConfigParseError(f"expected key=value, got {line!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SWEEP_KEYS:
-            raise ConfigParseError(f"unknown sweep key {key!r}", lineno)
+            raise configio.ConfigParseError(f"unknown sweep key {key!r}", lineno)
         if key in entries:
-            raise ConfigParseError(f"duplicate key {key!r}", lineno)
+            raise configio.ConfigParseError(f"duplicate key {key!r}", lineno)
         values = [v.strip() for v in value.split(",") if v.strip()]
         if not values:
-            raise ConfigParseError(f"empty value for {key!r}", lineno)
+            raise configio.ConfigParseError(f"empty value for {key!r}", lineno)
         if key not in ("construction", "theorem"):
             values = [_sweep_number(key, v, lineno) for v in values]
         entries[key], at[key] = values, lineno
     if "construction" not in entries:
-        raise ConfigParseError("sweep spec needs a 'construction' key", 0)
+        raise configio.ConfigParseError("sweep spec needs a 'construction' key", 0)
     if "p" not in entries:
-        raise ConfigParseError("sweep spec needs a 'p' key", 0)
-    constructions = entries.pop("construction")
+        raise configio.ConfigParseError("sweep spec needs a 'p' key", 0)
+    named = entries.pop("construction")
     theorems = entries.pop("theorem", [None])
-    names = [c.replace("-", "_") for c in constructions]
-    for construction, cname in zip(constructions, names):
+    names = [c.replace("-", "_") for c in named]
+    for construction, cname in zip(named, names):
         if cname not in _CONSTRUCTIONS:
-            raise ConfigParseError(f"unknown construction {construction!r}", at["construction"])
+            raise configio.ConfigParseError(f"unknown construction {construction!r}",
+                                            at["construction"])
         for key, default in _CONSTRUCTIONS[cname][1].items():
             if default is None and key not in entries and _ALIASES.get(key) not in entries:
-                raise ConfigParseError(f"sweep cell needs a value for {key!r}",
-                                       at["construction"])
+                raise configio.ConfigParseError(f"sweep cell needs a value for {key!r}",
+                                                at["construction"])
     unused = sorted(set(entries) - _SPEC_KEYS.union(*(_READS[n] for n in names)))
     if unused:
-        raise ConfigParseError(f"no construction in this spec reads {unused[0]!r}",
-                               at[unused[0]])
+        raise configio.ConfigParseError(f"no construction in this spec reads {unused[0]!r}",
+                                        at[unused[0]])
     cells = []
     keys = sorted(entries)
-    for construction, cname in zip(constructions, names):
+    for construction, cname in zip(named, names):
         allowed = _CONSTRUCTIONS[cname][0]
         for theorem in theorems:
             tid = (theorem or allowed[0]).upper()
             if tid not in allowed:
-                raise ConfigParseError(
+                raise configio.ConfigParseError(
                     f"theorem {tid} does not pair with construction {construction}",
                     at["theorem"])
             for combo in itertools.product(*(entries[k] for k in keys)):
@@ -456,11 +450,11 @@ def _sweep_number(key: str, value: str, lineno: int) -> int:
     try:
         number = int(value)
     except ValueError:
-        raise ConfigParseError(f"non-integer value {value!r} for {key}", lineno) from None
+        raise configio.ConfigParseError(f"non-integer value {value!r} for {key}", lineno) from None
     try:
-        return Prime(number) if key == "p" else number
+        return field.Prime(number) if key == "p" else number
     except ValueError as exc:
-        raise ConfigParseError(str(exc), lineno) from None
+        raise configio.ConfigParseError(str(exc), lineno) from None
 
 
 def run_experiment(spec_text: str, seed: int = 0) -> list[bounds.BoundReport]:

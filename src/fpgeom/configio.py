@@ -272,5 +272,5 @@ def rows_to_csv(rows: list[dict[str, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows: list[dict[str, str]]) -> str:
+def rows_to_json(rows: list[dict]) -> str:
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"

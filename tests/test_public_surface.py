@@ -9,6 +9,7 @@ with `ast`, so nothing is imported twice.
 
 import ast
 import functools
+import importlib
 import types
 from pathlib import Path
 
@@ -104,3 +105,41 @@ def test_every_module_level_import_is_used(module):
                 if bound not in read:
                     unused.append(bound)
     assert unused == []
+
+
+# the public names: the 40 exported objects and the 8 modules that hold them
+PUBLIC = [
+    "AffineLine", "AffinePlane", "BoundReport", "ConstraintError", "DistanceReport",
+    "EnergyReport", "FormSpec", "IncidenceReport", "Paraboloid", "Prime", "RhsResult", "Sphere",
+    "WeightedLineSet", "WeightedPlaneSet", "WeightedPointSet", "bisector_plane", "bounds",
+    "constructions", "coprime_lattice", "count_point_line_2d", "count_point_plane",
+    "count_restricted", "counting", "cylinder_set", "distance_set", "elekes_grid", "energy",
+    "energy_delta", "erdos", "field", "form_values", "geom", "inv", "legendre", "max_collinear",
+    "paraboloid_lift", "quadrics", "rectangle_energy_paraboloid", "rectangle_energy_sphere",
+    "rhs", "rich_lines", "right_triangle_count", "semi_isotropic_set", "sphere_config",
+    "sphere_points", "wedge_solution_count", "wedge_to_incidence", "weighted_incidences",
+]
+
+
+def test_all_lists_the_public_names():
+    assert fpgeom.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_a_public_name_resolves_through_its_module(name):
+    value = getattr(fpgeom, name)
+    if isinstance(value, types.ModuleType):
+        assert value.__name__ == f"fpgeom.{name}"
+    else:
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from fpgeom import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        fpgeom.no_such_name
