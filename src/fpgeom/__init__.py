@@ -52,3 +52,7 @@ def __getattr__(name):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(globals()[_OWNER[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER})

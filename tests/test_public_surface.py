@@ -134,6 +134,10 @@ def test_a_public_name_resolves_through_its_module(name):
         assert getattr(importlib.import_module(value.__module__), name) is value
 
 
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(fpgeom))
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from fpgeom import *", namespace)
