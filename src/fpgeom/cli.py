@@ -6,13 +6,17 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 constraint violation,
 4 internal error (overflow or an unexpected failure).  All output is
 deterministic for a fixed seed; `--format json verify` gives one
 {check, ok} row per check.  Parsing the command line loads no numpy: each
-subcommand loads only the layers it reads.
+subcommand loads only the layers it reads.  Unless OPENBLAS_NUM_THREADS is
+set, `main` loads numpy with a single-threaded BLAS: every kernel is int64
+arithmetic, which calls no BLAS routine, and starting OpenBLAS's thread pool
+would cost each process about 70 ms.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import random
 import sys
 
@@ -73,6 +77,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -184,8 +189,6 @@ def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     """Point-plane incidences in dimension 3 (restricted along the [lines]
     section on request; T1C weighs them), point-line incidences in the plane,
     where points forming a grid A x B give T2 its a and b."""
-    import numpy as np
-
     if doc.dim == 2:
         if opt("restricted"):
             raise UsageError("count --restricted works on 3-dimensional configurations")
@@ -193,7 +196,7 @@ def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
         count = counting.count_point_line_2d(doc.points, lines, doc.p)
         params = {"q": len(doc.points), "l": len(lines)}
         # T2's grid A x B: the distinct x and y values, when their product is q
-        a, b = (len(np.unique(col)) for col in doc.points.rows.T)
+        a, b = (len(counting._key_runs(col.copy())[1]) - 1 for col in doc.points.rows.T)
         grid = {"a": a, "b": b} if a * b == len(doc.points) else {}
         return _row(doc.p, "point_line", theorem, {**params, **(cell or {})}, count,
                     {**params, **grid})

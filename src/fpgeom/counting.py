@@ -460,8 +460,10 @@ def _forbidden_pairs(P, N, off, p: int, lines: np.ndarray) -> tuple[np.ndarray, 
         nb, nd = dot_mod(np.stack([base, d]), N, p)
         in_plane = np.flatnonzero((nb == off) & (nd == 0))
         keys.append((on_line[:, None] * len(N) + in_plane).reshape(-1))
-    # one pair can be routed through two forbidden lines
-    keys = np.unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
+    # one pair can be routed through two forbidden lines: keep the head of
+    # each run of equal keys, which _key_runs sorts in place
+    keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+    keys = keys[_key_runs(keys)[1][:-1]]
     return keys // len(N), (keys % len(N))[:, None]
 
 

@@ -165,9 +165,11 @@ class TestCountPipeline:
     @pytest.mark.parametrize("points, row", [
         ("", "T2,7,l=0;q=0,0,0,nan,a_le_b=1;al_lt_p2=1"),
         ("[points]\n3 4\n", "T2,7,l=0;q=1,0,1,0,a_le_b=1;al_lt_p2=1"),
+        ("[points]\n0 0\n3 0\n5 0\n0 1\n3 1\n5 1\n", "T2,7,l=0;q=6,0,6,0,a_le_b=0;al_lt_p2=1"),
     ])
     def test_2d_T2_reads_the_grid_of_the_points(self, tmp_path, points, row):
-        # an empty set is the grid of no x and no y values, a point the 1 x 1 grid
+        # an empty set is the grid of no x and no y values, a point the 1 x 1
+        # grid; three x and two y values break T2's a <= b
         cfg = tmp_path / "grid.txt"
         cfg.write_text("p=7 dim=2\n" + points)
         code, text = run(tmp_path, "count", str(cfg), "--theorem", "T2")

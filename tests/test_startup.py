@@ -1,10 +1,13 @@
 """Start-up: the command line parses without numpy, each subcommand loads
-only the layers it reads, and the benchmark's tracer still finds every
-module it patches.
+only the layers it reads, numpy's BLAS runs on one thread unless the user
+says otherwise, `count` loads no `numpy.ma`, and the benchmark's tracer
+still finds every module it patches.
 
 Each check runs in a fresh interpreter, since this process has long loaded
 every layer.  A layer that has not run is still a lazy module: reading any
-of its attributes would run it, so the checks look only at its type.
+of its attributes would run it, so the checks look only at its type.  The
+in-process CLI tests have set OPENBLAS_NUM_THREADS here, so it is removed
+from each child's environment unless a check sets it.
 """
 
 import json
@@ -24,15 +27,16 @@ RAN = ("sorted(n[7:] for n, m in sys.modules.items()"
        " if n.startswith('fpgeom.') and type(m) is types.ModuleType)")
 
 
-def _python(*args: str, cwd=ROOT) -> subprocess.CompletedProcess:
+def _python(*args: str, cwd=ROOT, env=None) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+                          env={**inherited, "PYTHONPATH": path, **(env or {})}, timeout=120)
 
 
-def _last_json(code: str, *args: str):
+def _last_json(code: str, *args: str, env=None):
     """The JSON value that `code` prints last, run in a fresh interpreter."""
-    run = _python("-c", code, *args)
+    run = _python("-c", code, *args, env=env)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout.splitlines()[-1])
 
@@ -73,6 +77,53 @@ print(json.dumps([code, {RAN}]))
     assert exit_code == expected
     assert "counting" in ran and "configio" in ran
     assert not {"energy", "erdos", "constructions"} & set(ran)
+
+
+# a count of TINY, then its exit code, its BLAS thread setting and, on Linux,
+# the number of OS threads the process holds
+COUNT_THREADS = """
+import json, os, sys
+from fpgeom.cli import main
+code = main(sys.argv[1:])
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as fh:
+        threads = int(next(line.split()[1] for line in fh if line.startswith("Threads:")))
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def _count_threads(tmp_path, env=None):
+    (tmp_path / "tiny.cfg").write_text(TINY, encoding="utf-8")
+    return _last_json(COUNT_THREADS, "count", str(tmp_path / "tiny.cfg"), env=env)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_count_runs_blas_single_threaded_unless_the_user_set_it(tmp_path, preset, expected):
+    env = None if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    code, value, _ = _count_threads(tmp_path, env)
+    assert (code, value) == (0, expected)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_count_ends_with_one_os_thread(tmp_path):
+    assert _count_threads(tmp_path)[2] == 1
+
+
+@pytest.mark.parametrize("config, flags", [
+    # the x axis carries two points and lies in the plane z = 0: a forbidden pair
+    (TINY + "[lines]\n0 0 0 1 0 0\n", ["--restricted", "--theorem", "T1B"]),
+    ("p=7 dim=2\n[points]\n0 0\n0 3\n1 0\n1 3\n[lines]\n0 0 1 1\n", ["--theorem", "T2"]),
+], ids=["restricted", "2d"])
+def test_count_loads_no_numpy_ma(tmp_path, config, flags):
+    (tmp_path / "c.cfg").write_text(config, encoding="utf-8")
+    code = """
+import json, sys
+from fpgeom.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+    assert _last_json(code, "count", str(tmp_path / "c.cfg"), *flags) == [0, False]
 
 
 def test_the_tracer_replays_a_count_with_its_spans(tmp_path):
