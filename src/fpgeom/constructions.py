@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import WeightedPlaneSet, WeightedPointSet
-from .field import Prime
-from .geom import AffineLine, AffinePlane, Vec, dot, iter_homogeneous_reps
+from .field import Prime, inv, legendre
+from .geom import AffineLine, AffinePlane, Vec, dot
 from .quadrics import _sphere_lines, sphere_points
 
 
@@ -109,7 +109,6 @@ class SemiIsotropicSet:
 
     p: int
     k: int
-    line_count: int
     points: tuple[Vec, ...]
     isotropic_direction: Vec
     cross_direction: Vec
@@ -124,20 +123,15 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
         raise ConstraintError(f"cannot place {l} distinct points on a line over F_{p}")
     if k >= p:
         raise ConstraintError(f"need k < p distinct line offsets, got k={k}")
-    # the first isotropic direction in the leading-one order of
-    # iter_homogeneous_reps, found without listing them all
-    y = next((v for v in iter_homogeneous_reps(p, 3) if dot(v, v, p) == 0), None)
-    if y is None:
-        raise ConstraintError(f"no isotropic direction available in F_{p}^3")
-    x = _orthogonal_anisotropic(y, p)
+    y, x = _semi_isotropic_directions(p)
     rng = random.Random(seed)
-    # the offsets b of the l points a x + b y on each line a = 1..k
+    # the offsets b of the l points a x + b y on each line a = 1..k; each
+    # product is below p^2, so the int64 sum stays below 2 (p - 1)^2 < 2^63
     offsets = [range(1, l + 1) if seed is None else rng.sample(range(p), l) for _ in range(k)]
     points = (np.outer(np.repeat(np.arange(1, k + 1), l), x) + np.outer(offsets, y)) % p
     return SemiIsotropicSet(
         p=p,
         k=k,
-        line_count=k,
         points=tuple(map(tuple, points.tolist())),
         isotropic_direction=y,
         cross_direction=x,
@@ -145,17 +139,26 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
     )
 
 
-def _orthogonal_anisotropic(y: Vec, p: int) -> Vec:
-    # any vector of y-perp outside span(y) is automatically non-isotropic in F_p^3
-    for x in iter_homogeneous_reps(p, 3):
-        if dot(x, y, p) != 0:
-            continue
-        if x == y:  # both are canonical representatives
-            continue
-        if dot(x, x, p) == 0:
-            raise ArithmeticError("two orthogonal isotropic directions in F_p^3")
-        return x
-    raise ConstraintError("no anisotropic vector orthogonal to the isotropic direction")
+def _semi_isotropic_directions(p: int) -> tuple[Vec, Vec]:
+    """(y, x) in closed form: the first isotropic direction y of F_p^3 in
+    leading-one order (grouped by the position of the leading 1, earliest
+    first, each group in lex order of the tail), and the first direction
+    x != y in that order with x.y == 0.  y-perp meets the cone only in
+    span(y), so x is not isotropic."""
+    if p % 4 == 1:
+        # y = (1, 0, i) for the lesser root i of i^2 == -1, a power of the
+        # least non-residue; -1/i == i, so y is its own first orthogonal
+        # direction (1, 0, -1/i) and x is the next one, (1, 1, i)
+        g = next(g for g in range(2, p) if legendre(g, p) == -1)
+        i = pow(g, (p - 1) // 4, p)
+        i = min(i, p - i)
+        return (1, 0, i), (1, 1, i)
+    # -1 is no square: y = (1, a, b) for the least a with -1 - a^2 a square
+    # and b its lesser root, and x = (1, 0, -1/b), which is not y as a != 0
+    a = next(a for a in range(1, p) if legendre(-1 - a * a, p) == 1)
+    b = pow(-1 - a * a, (p + 1) // 4, p)
+    b = min(b, p - b)
+    return (1, a, b), (1, 0, -inv(b, p) % p)
 
 
 @dataclass(frozen=True)
@@ -167,13 +170,12 @@ class CylinderSet:
     p: int
     t: int
     k0: int
-    generator_count: int
     points: tuple[Vec, ...]
     generators: tuple[AffineLine, ...]
     axis: AffineLine
 
 
-def cylinder_set(p: int, t: int, k0: int, m: int, seed: int | None = None) -> CylinderSet:
+def cylinder_set(p: int, t: int, k0: int, m: int) -> CylinderSet:
     p = int(Prime(p))
     t %= p
     if t == 0:
@@ -198,16 +200,13 @@ def cylinder_set(p: int, t: int, k0: int, m: int, seed: int | None = None) -> Cy
         )
     kept = parallel[:m]
     gens = [AffineLine(lines.p, r[:4], r[4:]) for r in kept.tolist()]
-    rng = random.Random(seed)
-    # the parameters s of the k0 points b + s u on each kept line b + s u
-    params = [range(k0) if seed is None else rng.sample(range(p), k0) for _ in range(m)]
+    # the k0 points b + s u, s = 0..k0-1, on each kept line b + s u
     points = (np.repeat(kept[:, :4], k0, axis=0)
-              + np.ravel(params)[:, None] * np.repeat(kept[:, 4:], k0, axis=0)) % p
+              + np.tile(np.arange(k0), m)[:, None] * np.repeat(kept[:, 4:], k0, axis=0)) % p
     return CylinderSet(
         p=p,
         t=t,
         k0=k0,
-        generator_count=m,
         points=tuple(map(tuple, points.tolist())),
         generators=tuple(gens),
         axis=gens[0],

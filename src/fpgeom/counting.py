@@ -358,7 +358,6 @@ class IncidenceReport:
     k: int
     k_witness: AffineLine | None
     flags: dict[str, bool] = field(default_factory=dict)
-    restricted: bool = False
     k_star: int | None = None
     k_star_witness: AffineLine | None = None
 
@@ -491,7 +490,6 @@ def _report(points, planes, pairs: int, weighted: int, forbidden=None) -> Incide
                 or points.total_weight() < p * p * points.max_weight()
             ),
         },
-        restricted=restricted,
         k_star=k_star if restricted else None,
         k_star_witness=wit_star if restricted else None,
     )
@@ -666,7 +664,8 @@ def _norm_rows(p: int, m: int, t: int) -> np.ndarray:
 
 def isotropic_directions(p: int, d: int) -> np.ndarray:
     """The canonical directions v.v == 0 of F_p^d, about p^(d-2) rows in
-    iter_homogeneous_reps order: a leading 1 before each tail of norm -1."""
+    leading-one order: grouped by the position of the leading 1, earliest
+    first, each group a 1 before each tail of norm -1 in lex order."""
     rows = [np.zeros((0, d), dtype=np.int64)]
     for lead in range(d - 1):
         T = _norm_rows(p, d - lead - 1, -1)
@@ -750,11 +749,12 @@ def _collinearity(points: WeightedPointSet,
 def max_collinear(points, p: int) -> tuple[int, AffineLine]:
     """Largest number of collinear points and a witness line achieving it:
     the first line to reach it in (base, first partner) order."""
-    P = distinct_rows(points, p)
-    if len(P) < 2:
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    if len(points) < 2 or len(points := WeightedPointSet.of(points, p)) < 2:
         raise GeometryError("need at least two distinct points")
     # two distinct points always give a witness line
-    return _collinearity(WeightedPointSet.of(P, p))[0]
+    return _collinearity(points)[0]
 
 
 def _spanned(points, p: int, least: int):
@@ -765,11 +765,6 @@ def _spanned(points, p: int, least: int):
         # a base is the earliest point of its line when no partner precedes it
         for g in np.flatnonzero((first > base) & (count + 1 >= least)):
             yield AffineLine(p, P[base[g]], D[g]), int(count[g]) + 1
-
-
-def spanned_lines(points, p: int) -> dict[AffineLine, int]:
-    """Every line through at least two of the points, with its exact point count."""
-    return dict(_spanned(points, p, 2))
 
 
 def rich_lines(points, k: int, p: int) -> list[tuple[AffineLine, int]]:

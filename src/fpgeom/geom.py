@@ -9,8 +9,6 @@ homogeneous tuple (a direction, or a plane's normal and offset) equals 1.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .field import inv
@@ -148,18 +146,4 @@ def line_as_covector(line: AffineLine) -> AffinePlane:
     p = line.p
     n = (-line.direction[1] % p, line.direction[0])
     return AffinePlane(p, n, dot(n, line.base, p))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive enumerations (desk-scale p)
-
-def iter_homogeneous_reps(p: int, length: int) -> Iterator[Vec]:
-    """All canonical projective representatives of nonzero tuples, one at a
-    time, in leading-one order: grouped by the position of the leading 1,
-    earliest first, each group in lex order of the entries after the 1.  So
-    (1, 0, 0) comes first and (0, ..., 0, 1) last."""
-    for lead in range(length):
-        head = (0,) * lead + (1,)
-        for tail in itertools.product(range(p), repeat=length - lead - 1):
-            yield head + tail
 

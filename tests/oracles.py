@@ -333,6 +333,25 @@ def sphere_lines_scan(p, d, t) -> list:
     return sorted(out)
 
 
+def homogeneous_reps(p, length):
+    """Every canonical projective representative of a nonzero tuple, lazily,
+    in leading-one order: grouped by the position of the leading 1, earliest
+    first, each group in lex order of the entries after the 1.  So (1, 0, 0)
+    comes first and (0, ..., 0, 1) last."""
+    for lead in range(length):
+        for tail in product(range(p), repeat=length - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def semi_isotropic_directions(p):
+    """(y, x) from the listing of F_p^3: the first isotropic direction y, and
+    the first direction x != y orthogonal to it."""
+    y = next(v for v in homogeneous_reps(p, 3) if nsq(v, p) == 0)
+    x = next(v for v in homogeneous_reps(p, 3)
+             if v != y and sum(a * b for a, b in zip(v, y)) % p == 0)
+    return y, x
+
+
 def cylinder_generators(base, u, p) -> list:
     """Canonical (base, direction) of the isotropic cylinder's generators
     around the axis base + s u on the 3-sphere, sorted: the axis, and for
@@ -340,14 +359,12 @@ def cylinder_generators(base, u, p) -> list:
     base + beta v parallel to the axis, beta = -2 (base.v) / (v.v) putting
     that point back on the sphere."""
     lines = {canonical_line(base, u, p)}
-    for lead in range(len(u)):
-        for tail in product(range(p), repeat=len(u) - lead - 1):
-            v = (0,) * lead + (1,) + tail
-            vv = nsq(v, p)
-            if sum(a * b for a, b in zip(u, v)) % p or vv == 0:
-                continue
-            beta = -2 * sum(a * b for a, b in zip(base, v)) * pow(vv, p - 2, p) % p
-            lines.add(canonical_line(tuple((b + beta * c) % p for b, c in zip(base, v)), u, p))
+    for v in homogeneous_reps(p, len(u)):
+        vv = nsq(v, p)
+        if sum(a * b for a, b in zip(u, v)) % p or vv == 0:
+            continue
+        beta = -2 * sum(a * b for a, b in zip(base, v)) * pow(vv, p - 2, p) % p
+        lines.add(canonical_line(tuple((b + beta * c) % p for b, c in zip(base, v)), u, p))
     return sorted(lines)
 
 

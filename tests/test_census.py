@@ -25,7 +25,7 @@ import oracles
 from conftest import isotropic_line_max
 from fpgeom import counting
 from fpgeom.constructions import sphere_config
-from fpgeom.counting import WeightedPointSet, max_collinear, rich_lines, spanned_lines
+from fpgeom.counting import WeightedPointSet, max_collinear, rich_lines
 from fpgeom.field import legendre
 from fpgeom.geom import AffineLine
 from fpgeom.quadrics import sphere_points
@@ -80,10 +80,11 @@ def _check_all(p, pts, picks=()):
         return
     k, wit = max_collinear(pts, p)
     assert (k, _raw(wit)) == oracles.collinearity(pts, p)[0]
-    got = [(_raw(line), c) for line, c in spanned_lines(pts, p).items()]
-    assert got == list(oracles.spanned_lines(pts, p).items())
+    spanned = {_raw(line): c for line, c in rich_lines(pts, 2, p)}
+    assert spanned == oracles.spanned_lines(pts, p)
     rich = [(_raw(line), c) for line, c in rich_lines(pts, 3, p)]
-    assert rich == sorted(((l, c) for l, c in got if c >= 3), key=lambda x: (-x[1], x[0]))
+    assert rich == sorted(((l, c) for l, c in spanned.items() if c >= 3),
+                          key=lambda x: (-x[1], x[0]))
     assert isotropic_line_max(pts, p) == max(1, oracles.isotropic_lines(pts, p)[1])
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -18,7 +19,8 @@ from fpgeom.constructions import (
 )
 from fpgeom.counting import count_point_line_2d, isotropic_directions, max_collinear
 from fpgeom.erdos import distance_set
-from fpgeom.geom import dot, iter_homogeneous_reps
+from fpgeom.field import is_prime
+from fpgeom.geom import dot
 from fpgeom.quadrics import Sphere, lines_on_sphere
 from conftest import rng_for
 
@@ -151,9 +153,8 @@ class TestSemiIsotropicSet:
     def test_directions_and_points_follow_the_full_listing(self, p, seed):
         # the first isotropic direction of the whole leading-one listing, and
         # the first listed direction orthogonal to it outside its span
-        reps = list(iter_homogeneous_reps(p, 3))
-        y = tuple(isotropic_directions(p, 3)[0].tolist())
-        x = next(v for v in reps if sum(a * b for a, b in zip(v, y)) % p == 0 and v != y)
+        y, x = oracles.semi_isotropic_directions(p)
+        assert y == tuple(isotropic_directions(p, 3)[0].tolist())
         k, l = min(3, p - 1), min(4, p)
         rng = random.Random(seed)
         want = [tuple((a * xc + b * yc) % p for xc, yc in zip(x, y))
@@ -161,6 +162,29 @@ class TestSemiIsotropicSet:
                 for b in (range(1, l + 1) if seed is None else rng.sample(range(p), l))]
         built = semi_isotropic_set(k, l, p, seed=seed)
         assert (built.isotropic_direction, built.cross_direction) == (y, x)
+        assert built.points == tuple(want)
+
+    @pytest.mark.parametrize("residue", [1, 3])
+    def test_closed_forms_equal_the_listing_below_2000(self, residue):
+        for p in (q for q in range(3, 2000) if is_prime(q) and q % 4 == residue):
+            built = semi_isotropic_set(1, 1, p)
+            got = (built.isotropic_direction, built.cross_direction)
+            assert got == oracles.semi_isotropic_directions(p), p
+
+    @pytest.mark.parametrize("p, residue", [(2147483647, 3), (2147483629, 1)])
+    def test_largest_moduli(self, p, residue):
+        # the largest prime of each class mod 4; the int64 sum a x + b y
+        # may reach 2 (p - 1)^2, just under 2^63
+        assert p % 4 == residue and is_prime(p)
+        start = time.perf_counter()
+        built = semi_isotropic_set(3, 4, p, seed=1)
+        assert time.perf_counter() - start < 1
+        y, x = built.isotropic_direction, built.cross_direction
+        assert (oracles.nsq(y, p), dot(x, y, p)) == (0, 0)
+        assert oracles.nsq(x, p) == built.cross_norm != 0
+        rng = random.Random(1)
+        want = [tuple((a * xc + b * yc) % p for xc, yc in zip(x, y))
+                for a in range(1, 4) for b in rng.sample(range(p), 4)]
         assert built.points == tuple(want)
 
     def test_parameter_guards(self):
@@ -238,11 +262,6 @@ class TestCylinderSet:
             cylinder_set(5, 1, 0, 1)
         with pytest.raises(ConstraintError, match="k0 >= 1"):
             cylinder_set(5, 1, 1, 0)
-
-    def test_seeded_variant(self):
-        a = cylinder_set(5, 1, 2, 2, seed=4)
-        b = cylinder_set(5, 1, 2, 2, seed=4)
-        assert a.points == b.points
 
 
 class TestRandomGenerators:

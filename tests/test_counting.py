@@ -22,7 +22,6 @@ from fpgeom.counting import (
     dot_rows,
     max_collinear,
     rich_lines,
-    spanned_lines,
     weighted_incidences,
 )
 from fpgeom.geom import (
@@ -953,8 +952,11 @@ class TestRichLines:
         for line, count in rich_lines(pts, 3, p):
             assert sum(1 for q in pts if line.contains(q)) == count
         # every line spanned by the set is accounted for
-        for line, count in spanned_lines(pts, p).items():
+        spanned = dict(rich_lines(pts, 2, p))
+        for line, count in spanned.items():
             assert sum(1 for q in pts if line.contains(q)) == count
+        raw = {(line.base, line.direction): c for line, c in spanned.items()}
+        assert raw == oracles.spanned_lines(pts, p)
 
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from fpgeom.geom import (
     AffinePlane,
     DimensionMismatchError,
     GeometryError,
-    iter_homogeneous_reps,
     line_as_covector,
 )
 
@@ -119,23 +118,3 @@ class TestCovectorConversion:
                 continue
             cov = line_as_covector(AffineLine(p, base, d))
             assert {q for q in plane if cov.contains(q)} == set(oracles.line_points(base, d, p))
-
-
-class TestEnumerations:
-    def test_projective_point_count_formula(self):
-        for p in (3, 5):
-            assert len(list(iter_homogeneous_reps(p, 4))) == p**3 + p**2 + p + 1
-
-    def test_leading_one_order(self):
-        # grouped by the position of the leading 1, earliest first, then in
-        # lex order of the tail: not lex order, which would start (0, 0, 1)
-        assert list(iter_homogeneous_reps(3, 3)) == [
-            (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1), (1, 1, 2),
-            (1, 2, 0), (1, 2, 1), (1, 2, 2),
-            (0, 1, 0), (0, 1, 1), (0, 1, 2),
-            (0, 0, 1),
-        ]
-        # so the first isotropic direction listed in F_3^4 is (1, 0, 1, 1),
-        # where lex order would give (0, 1, 1, 1)
-        first = next(v for v in iter_homogeneous_reps(3, 4) if sum(c * c for c in v) % 3 == 0)
-        assert first == (1, 0, 1, 1)

@@ -1,7 +1,7 @@
 """Start-up: the command line parses without numpy, each subcommand loads
 only the layers it reads, numpy's BLAS runs on one thread unless the user
-says otherwise, `count` loads no `numpy.ma`, and the benchmark's tracer
-still finds every module it patches.
+says otherwise, no subcommand the benchmark runs loads `numpy.ma`, and the
+benchmark's tracer still finds every module it patches.
 
 Each check runs in a fresh interpreter, since this process has long loaded
 every layer.  A layer that has not run is still a lazy module: reading any
@@ -110,20 +110,29 @@ def test_count_ends_with_one_os_thread(tmp_path):
     assert _count_threads(tmp_path)[2] == 1
 
 
-@pytest.mark.parametrize("config, flags", [
+PARABOLOID = "p=5 dim=3\n[points]\n" + "".join(
+    f"{x} {y} {(x * x + y * y) % 5}\n" for x in range(5) for y in range(5))
+
+
+# each kind of invocation the benchmark's workloads run, on a small input
+@pytest.mark.parametrize("text, argv", [
     # the x axis carries two points and lies in the plane z = 0: a forbidden pair
-    (TINY + "[lines]\n0 0 0 1 0 0\n", ["--restricted", "--theorem", "T1B"]),
-    ("p=7 dim=2\n[points]\n0 0\n0 3\n1 0\n1 3\n[lines]\n0 0 1 1\n", ["--theorem", "T2"]),
-], ids=["restricted", "2d"])
-def test_count_loads_no_numpy_ma(tmp_path, config, flags):
-    (tmp_path / "c.cfg").write_text(config, encoding="utf-8")
+    (TINY + "[lines]\n0 0 0 1 0 0\n", ["count", "--restricted", "--theorem", "T1B"]),
+    ("p=7 dim=2\n[points]\n0 0\n0 3\n1 0\n1 3\n[lines]\n0 0 1 1\n", ["count", "--theorem", "T2"]),
+    ("construction=sphere\ntheorem=T1\np=11,13\n", ["sweep"]),
+    (PARABOLOID, ["energy", "--quadric", "paraboloid", "--theorem", "T53"]),
+    (TINY, ["distances", "--theorem", "T42"]),
+], ids=["restricted", "2d", "sphere-sweep", "paraboloid-energy", "distances"])
+def test_benchmarked_subcommands_load_no_numpy_ma(tmp_path, text, argv):
+    (tmp_path / "input").write_text(text, encoding="utf-8")
     code = """
 import json, sys
 from fpgeom.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, "numpy.ma" in sys.modules]))
 """
-    assert _last_json(code, "count", str(tmp_path / "c.cfg"), *flags) == [0, False]
+    args = [argv[0], str(tmp_path / "input"), *argv[1:]]
+    assert _last_json(code, *args) == [0, False]
 
 
 def test_the_tracer_replays_a_count_with_its_spans(tmp_path):
