@@ -15,7 +15,7 @@ import numpy as np
 
 from .counting import WeightedPlaneSet, WeightedPointSet
 from .field import Prime, inv, legendre
-from .geom import AffineLine, AffinePlane, Vec, dot
+from .geom import AffineLine, AffinePlane, Vec
 from .quadrics import _sphere_lines, sphere_points
 
 
@@ -112,7 +112,6 @@ class SemiIsotropicSet:
     points: tuple[Vec, ...]
     isotropic_direction: Vec
     cross_direction: Vec
-    cross_norm: int
 
 
 def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiIsotropicSet:
@@ -135,7 +134,6 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
         points=tuple(map(tuple, points.tolist())),
         isotropic_direction=y,
         cross_direction=x,
-        cross_norm=dot(x, x, p),
     )
 
 
@@ -172,7 +170,6 @@ class CylinderSet:
     k0: int
     points: tuple[Vec, ...]
     generators: tuple[AffineLine, ...]
-    axis: AffineLine
 
 
 def cylinder_set(p: int, t: int, k0: int, m: int) -> CylinderSet:
@@ -209,7 +206,6 @@ def cylinder_set(p: int, t: int, k0: int, m: int) -> CylinderSet:
         k0=k0,
         points=tuple(map(tuple, points.tolist())),
         generators=tuple(gens),
-        axis=gens[0],
     )
 
 

@@ -559,18 +559,19 @@ def _require_dim3(points, planes) -> None:
 # ---------------------------------------------------------------------------
 # collinearity statistics: the line census
 #
-# Every statistic about lines through two or more points (k and k*, spanned
-# and rich lines, the right-triangle tables) reads the line census.  A block
-# of bases is paired with its partners, each difference is scaled to its
-# canonical direction (first nonzero coordinate 1) and the pairs are grouped
-# by (base, direction) with a sort, in blocks from pair_blocks, so memory is
-# near _BLOCK_CELLS cells.  One census of the isotropic lines, read by
-# direction, gives energy's k0 and degenerate rectangles, lines_on_sphere,
-# and k on a central sphere x.x == c with no line excluded (a line b + s.v
-# with v.v != 0 meets it in two points at most); below its size rule
-# (p = 2^31 - 1 included) k reads the isotropic pair census, the zeros of the
-# blocked squared-distance table grouped as the line census groups.  All
-# products stay below p^2 < 2^62: every census is exact in int64 for p < 2^31.
+# Every statistic about lines through two or more points reads the census.
+# The pair census (_line_census) groups each pair of a block from
+# pair_blocks by base and canonical direction (first nonzero coordinate 1);
+# the census by direction (_direction_lines) groups the rows by (direction,
+# base) for a block of whole directions, so each line comes once.  On a set
+# of one norm (a central sphere x.x == c) a line b + s.v with v.v != 0 meets
+# it in two points at most, so k with nothing excluded and the rich lines
+# read only its isotropic lines.  _census holds the one size rule: by
+# direction when n >= 4 p^max(e, 1), e == d - 2 for the isotropic directions
+# and d - 1 for all, where the n x p^e table is at most a quarter of the
+# n^2 / 2 pairs, and the pairs below it (p = 2^31 - 1 included); k and k*
+# keep each block's best line.  All products stay below p^2 < 2^62: every
+# census is exact in int64 for p < 2^31.
 
 def pair_blocks(per_base: np.ndarray):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
@@ -654,38 +655,47 @@ def _sqrt_table(p: int) -> np.ndarray:
     return root
 
 
+def _all_rows(p: int, m: int) -> np.ndarray:
+    """Every row of F_p^m, in lex order."""
+    return np.arange(p**m)[:, None] // p ** np.arange(m - 1, -1, -1) % p
+
+
 def _norm_rows(p: int, m: int, t: int) -> np.ndarray:
     """The rows x of F_p^m with x.x == t, in lex order: every head of m - 1
     entries with each root y of y^2 == t - head.head."""
-    H = np.arange(p ** (m - 1))[:, None] // p ** np.arange(m - 2, -1, -1) % p
+    H = _all_rows(p, m - 1)
     y = _sqrt_table(p)[(t - (H * H % p).sum(axis=1)) % p].ravel()
     return np.column_stack([np.repeat(H, 2, axis=0), y])[y >= 0]
 
 
-def isotropic_directions(p: int, d: int) -> np.ndarray:
-    """The canonical directions v.v == 0 of F_p^d, about p^(d-2) rows in
-    leading-one order: grouped by the position of the leading 1, earliest
-    first, each group a 1 before each tail of norm -1 in lex order."""
+def _leading_one(d: int, tails) -> np.ndarray:
+    """The width-d rows (0, .., 0, 1, t), t a row of tails(m) for the m entries
+    after the 1: by the position of the 1, earliest first, then tails' order."""
     rows = [np.zeros((0, d), dtype=np.int64)]
-    for lead in range(d - 1):
-        T = _norm_rows(p, d - lead - 1, -1)
+    for lead in range(d):
+        T = tails(d - lead - 1)
         rows.append(np.column_stack([np.zeros((len(T), lead), int), np.ones(len(T), int), T]))
     return np.concatenate(rows)
 
 
-def _isotropic_lines(C: np.ndarray, p: int, W: np.ndarray):
+def isotropic_directions(p: int, d: int) -> np.ndarray:
+    """The canonical directions v.v == 0 of F_p^d, about p^(d-2) rows in
+    leading-one order, each tail of norm -1 (none is empty) in lex order."""
+    return _leading_one(d, lambda m: _norm_rows(p, m, -1) if m else np.zeros((0, 0), int))
+
+
+def _direction_lines(C: np.ndarray, p: int, W: np.ndarray):
     """Yield (I, s, bounds, W) arrays, block by block: line g of a block holds
     the rows I[bounds[g]:bounds[g + 1]] of C, increasing, at parameters s
-    along its direction W[g], one of the isotropic_directions W given; every
-    line comes once.  Row a lies on the line of base a - a[j] w at parameter
-    a[j] (w[j] == 1 leads w), so one sort of the keys (direction, base) groups
-    a block of _pair_values' table C.w of whole directions w.  When every row
-    has one norm only the zeros a.w == 0 are kept: |a + s w|^2 == |a|^2 +
-    2 s a.w, so rows share an isotropic line only when it lies in their sphere."""
+    along its direction W[g], one of the canonical directions W; every line
+    comes once.  Row a lies on the line of base a - a[j] w at parameter a[j]
+    (w[j] == 1 leads w), so one sort of the keys (direction, base) groups a
+    block of _pair_values' table C.w.  On rows of one norm and isotropic w
+    only the zeros a.w == 0 are kept: |a + s w|^2 == |a|^2 + 2 s a.w."""
     lead = (W != 0).argmax(axis=1)
-    central = np.ptp(dot_rows(C, C, p)) == 0
+    zeros = np.ptp(dot_rows(C, C, p)) == 0 and not dot_rows(W, W, p).any()
     for start, V in _pair_values(W, C, p):
-        v, I = np.nonzero(V == 0) if central else np.indices(V.shape).reshape(2, -1)
+        v, I = np.nonzero(V == 0) if zeros else np.indices(V.shape).reshape(2, -1)
         v += start
         s = C[I, lead[v]]
         base = C[I] - s[:, None] * W[v]
@@ -694,56 +704,48 @@ def _isotropic_lines(C: np.ndarray, p: int, W: np.ndarray):
         yield I[order], s[order], bounds, W[v[order[bounds[:-1]]]]
 
 
-def _isotropic_groups(P: np.ndarray, p: int):
-    """Yield the lines of _isotropic_lines(P, p) through three rows or more as
-    one block of _line_census groups, base and first partner its least rows."""
-    groups = [np.zeros((0, 3 + P.shape[1]), dtype=np.int64)]
-    for I, _, bounds, W in _isotropic_lines(P, p, isotropic_directions(p, P.shape[1])):
-        rich = np.diff(bounds) > 2
-        head = bounds[:-1][rich]
-        groups.append(np.column_stack([I[head], I[head + 1], np.diff(bounds)[rich] - 1, W[rich]]))
-    G = np.concatenate(groups)
-    G = G[np.lexsort((G[:, 1], G[:, 0]))]
-    if len(G):
-        yield G[:, 0], G[:, 1], G[:, 2], G[:, 3:]
+def _census(P: np.ndarray, p: int, one_norm: bool, pairs):
+    """Yield P's lines as _line_census groups, block by block: past the size
+    rule by direction (the isotropic ones when P is of one norm), each line
+    once from its two least rows; below it from pairs(P, p)."""
+    d = P.shape[1]
+    if 4 * p ** max(d - 2 if one_norm else d - 1, 1) > len(P):
+        yield from pairs(P, p)
+        return
+    W = isotropic_directions(p, d) if one_norm else _leading_one(d, lambda m: _all_rows(p, m))
+    for I, _, bounds, W in _direction_lines(P, p, W):
+        size = np.diff(bounds)
+        head = bounds[:-1][size > 1]
+        yield I[head], I[head + 1], size[size > 1] - 1, W[size > 1]
 
 
 def _collinearity(points: WeightedPointSet,
                   exclude=()) -> tuple[tuple[int, AffineLine | None], ...]:
     """(k, witness) over all lines and (k*, witness) over lines not in exclude
-    (anything WeightedLineSet.of takes), from one pass; the first line to
-    reach each maximum in (base, first partner) order is its witness.
-
-    With nothing excluded and every row of one norm, the lines through three
-    or more rows are isotropic, so only they are read, and k == 2 keeps the
-    line through rows 0 and 1, the full census's first.  They are read by
-    direction when n >= 4 p^(d-2) and 4p, where the n x p^(d-2) table took a
-    quarter to half the pairs' time (as measured) and the root table is below n."""
+    (anything WeightedLineSet.of takes), from one pass; a witness is the line
+    of most points with the least (base, first partner).  With nothing
+    excluded on a set of one norm only isotropic lines are read, and k == 2
+    keeps the line through rows 0 and 1."""
     P, p, n = points.rows, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
     banned = set(map(tuple, WeightedLineSet.of(exclude, p, dim=points.dim).rows.tolist()))
-    if not banned and np.ptp(dot_rows(P, P, p)) == 0:
-        by_direction = 4 * p ** max(points.dim - 2, 1) <= n
-        census = (_isotropic_groups if by_direction else _isotropic_census)(P, p)
-        best = best_star = (2, (P[0], (P[1] - P[0]) % p))
-    else:
-        census = _line_census(P, p)
-        best = best_star = (1, None)
-    for base, _, count, D in census:
-        size = count + 1
-        top = int(size.argmax())
-        if size[top] > best[0]:
-            best = int(size[top]), (P[base[top]], D[top])
-        # largest first, ties in census order, until a line outside exclude
-        while size[top] > best_star[0]:
-            line = (P[base[top]], D[top])
-            if not banned or tuple(_line_canonical(np.hstack(line)[None], p)[0]) not in banned:
-                best_star = int(size[top]), line
+    one_norm = not banned and np.ptp(dot_rows(P, P, p)) == 0
+    census = _census(P, p, one_norm, _isotropic_census if one_norm else _line_census)
+    # a line is keyed (-size, base * n + first partner): the least key is the best
+    best = best_star = ((-2, 1), (P[0], (P[1] - P[0]) % p)) if one_norm else ((-1, n * n), None)
+    for base, first, count, D in census:
+        (s, t), _ = best_star
+        key, at = -1 - count, base * n + first
+        beats = np.flatnonzero((key < s) | ((key == s) & (at < t)))
+        # best first, until a line outside exclude
+        for g in beats[np.lexsort((at[beats], key[beats]))]:
+            line = ((int(key[g]), int(at[g])), (P[base[g]], D[g]))
+            best = min(best, line, key=lambda item: item[0])
+            if not banned or tuple(_line_canonical(np.hstack(line[1])[None], p)[0]) not in banned:
+                best_star = line
                 break
-            size[top] = 0
-            top = int(size.argmax())
-    return tuple((k, line and AffineLine(p, *line)) for k, line in (best, best_star))
+    return tuple((-neg, line and AffineLine(p, *line)) for (neg, _), line in (best, best_star))
 
 
 def max_collinear(points, p: int) -> tuple[int, AffineLine]:
@@ -761,7 +763,9 @@ def _spanned(points, p: int, least: int):
     """(line, exact point count) for every line through at least `least` of
     the points, seen once from its earliest point."""
     P = distinct_rows(points, p)
-    for base, first, count, D in _line_census(P, p, all_partners=True):
+    # on a set of one norm a line of two points need not be isotropic
+    one_norm = least >= 3 and len(P) > 0 and np.ptp(dot_rows(P, P, p)) == 0
+    for base, first, count, D in _census(P, p, one_norm, lambda P, p: _line_census(P, p, True)):
         # a base is the earliest point of its line when no partner precedes it
         for g in np.flatnonzero((first > base) & (count + 1 >= least)):
             yield AffineLine(p, P[base[g]], D[g]), int(count[g]) + 1

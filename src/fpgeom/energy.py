@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (_BLOCK_CELLS, _isotropic_lines, _key_runs, _runs, _scale_canonical,
+from .counting import (_BLOCK_CELLS, _direction_lines, _key_runs, _runs, _scale_canonical,
                        distinct_rows, dot_mod, dot_rows, isotropic_directions)
 from .field import MAX_MODULUS, Prime, is_prime
 from .geom import GeometryError
@@ -271,7 +271,7 @@ def _table_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     # number the floor of half its ordered pairs
     k0, degenerate = min(len(C), 1), 0
     t_minus_a = np.subtract.outer(np.arange(p), np.arange(p)) % p
-    for _, s, bounds, _ in _isotropic_lines(C, p, W):
+    for _, s, bounds, _ in _direction_lines(C, p, W):
         size = np.diff(bounds)
         k0 = max(k0, int(size.max(initial=0)))
         rich = size > 3

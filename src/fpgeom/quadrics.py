@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (WeightedLineSet, _int_rows, _isotropic_lines, _norm_rows, dot_rows,
+from .counting import (WeightedLineSet, _direction_lines, _int_rows, _norm_rows, dot_rows,
                        isotropic_directions)
 from .field import Prime
 from .geom import AffineLine, GeometryError, Vec
@@ -93,7 +93,7 @@ def _sphere_lines(p: int, d: int, t: int) -> WeightedLineSet:
     AffineLine is built."""
     p = int(Prime(p))
     S = np.array(sphere_points(p, d, t), dtype=np.int64).reshape(-1, d)
-    census = _isotropic_lines(S, p, isotropic_directions(p, d))
+    census = _direction_lines(S, p, isotropic_directions(p, d))
     rows = [np.hstack([S[I[bounds[:-1]]], W]) for I, _, bounds, W in census]
     lines = WeightedLineSet.of(np.vstack([np.zeros((0, 2 * d), dtype=np.int64), *rows]), p, dim=d)
     B, D = lines.rows[:, :d], lines.rows[:, d:]

@@ -53,6 +53,6 @@ def isotropic_line_max(points, p: int) -> int:
     isotropic lines; sets without a null pair score min(|A|, 1)."""
     P = counting.distinct_rows(points, p)
     W = counting.isotropic_directions(p, P.shape[1])
-    lines = counting._isotropic_lines(P, p, W) if len(P) else ()
+    lines = counting._direction_lines(P, p, W) if len(P) else ()
     return max((int(np.diff(bounds).max(initial=1)) for _, _, bounds, _ in lines),
                default=min(len(P), 1))

@@ -3,18 +3,20 @@
 Every user of the census (k and k* with their witnesses, spanned and rich
 lines) is held to the loop it replaced, on hypothesis-generated sets in
 dimensions 2, 3 and 4, across block boundaries, at p = 2^31 - 1, and for its
-memory.  On sets of one norm k reads only isotropic lines: from the census
-of the isotropic lines by direction, or past its size rule from the isotropic
-pair census, which is held to the isotropic groups of the full census.  The
-census by direction is held to the lines of the loops' null pairs, and the
-most points on one isotropic line read from it
-(`conftest.isotropic_line_max`) to the loops' isotropic-line maximum.
+memory.  One size rule picks the census: by direction past it, from the
+pairs below it.  On sets of one norm k reads only isotropic lines: by
+direction along the isotropic directions, or below the rule from the
+isotropic pair census, which is held to the isotropic groups of the full
+census.  The census by direction is held to the lines of the loops' null
+pairs, the most points on one isotropic line read from it
+(`conftest.isotropic_line_max`) to the loops' isotropic-line maximum, and
+along every direction to the pair census's groups.
 """
 
 import random
 import tracemalloc
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -176,7 +178,7 @@ def test_census_memory_is_bounded_by_block(census_calls):
     Q, _ = sphere_config(p)
     n = len(Q)
     k, peak = _census_peak(Q)
-    assert census_calls == ["_isotropic_lines"]
+    assert census_calls == ["_direction_lines"]
     assert k == 2  # the pinned sweep row: no line lies on the unit sphere at p = 31
     # about 240 bytes per pair of a block of _BLOCK_CELLS // 16 pairs, plus a
     # few int64 arrays over the points
@@ -199,14 +201,16 @@ def test_full_census_memory_is_bounded_by_block(census_calls):
 #
 # On a central sphere x.x == t (the cone t == 0 included) a line through
 # three points is isotropic, so _collinearity reads only isotropic lines
-# there: by direction when n >= 4 p^(d-2) (and 4p), from the pairs with
-# |x - y|^2 == 0 below that; every other set takes the full census.
+# there: by direction when n >= 4 p^max(d-2, 1), from the pairs with
+# |x - y|^2 == 0 below that.  Every other set reads every line: by direction
+# along all directions when n >= 4 p^max(d-1, 1), from the full pair census
+# below that.  Either way each census block is reduced to its best line.
 
 @pytest.fixture
 def census_calls(monkeypatch):
     """The names of the censuses _collinearity reads, in call order."""
     calls = []
-    for name in ("_line_census", "_isotropic_census", "_isotropic_lines"):
+    for name in ("_line_census", "_isotropic_census", "_direction_lines"):
         real = getattr(counting, name)
         monkeypatch.setattr(counting, name,
                             lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
@@ -215,7 +219,7 @@ def census_calls(monkeypatch):
 
 def _rule_census(p, d, n):
     """The isotropic census _collinearity reads for n points of one norm in F_p^d."""
-    return "_isotropic_lines" if 4 * p ** max(d - 2, 1) <= n else "_isotropic_census"
+    return "_direction_lines" if 4 * p ** max(d - 2, 1) <= n else "_isotropic_census"
 
 
 def _nonsquare(p):
@@ -381,7 +385,7 @@ def test_isotropic_census_memory_when_every_pair_is_isotropic(census_calls):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert census_calls == ["_isotropic_census", "_isotropic_lines"]
+    assert census_calls == ["_isotropic_census", "_direction_lines"]
     assert k == k0 == p
     # the table block and its zero cells, with the pairs grouped in chunks
     # no larger than the line census's
@@ -417,7 +421,7 @@ def _census_lines(pts, p):
     P = np.array(pts, dtype=np.int64).reshape(len(pts), -1)
     out = {}
     directions = counting.isotropic_directions(p, P.shape[1])
-    for I, s, bounds, W in counting._isotropic_lines(P, p, directions):
+    for I, s, bounds, W in counting._direction_lines(P, p, directions):
         for g, w in enumerate(map(tuple, W.tolist())):
             rows, params = I[bounds[g] : bounds[g + 1]], s[bounds[g] : bounds[g + 1]]
             assert oracles.nsq(w, p) == 0 and w == oracles.canonical_direction(w, p)
@@ -499,3 +503,143 @@ def test_isotropic_lines_across_direction_blocks(monkeypatch, cells):
         _check_census(pts, p)
         _check_census(pts[::3], p)
     _check_census([tuple(c) for c in np.ndindex(5, 5, 5)], 5)
+
+
+# ---------------------------------------------------------------------------
+# the census by direction along every canonical direction
+#
+# Past n >= 4 p^max(d-1, 1) a set that is not of one norm, or one with lines
+# excluded, reads its lines along all (p^d - 1) / (p - 1) canonical
+# directions; each line comes once, from its two least rows.
+
+def _all_directions(p, d):
+    return counting._leading_one(d, lambda m: counting._all_rows(p, m))
+
+
+def _random_points(p, d, n, key):
+    """n distinct seeded points of F_p^d, sorted."""
+    return sorted(random.Random(repr(key)).sample(list(product(range(p), repeat=d)), n))
+
+
+def _direction_groups(P, p, W):
+    """(least row, second row, count, direction) of every line of
+    _direction_lines(P, p, W) through two rows or more."""
+    out = []
+    for I, _, bounds, W in counting._direction_lines(P, p, W):
+        for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            if hi - lo > 1:
+                out.append((int(I[lo]), int(I[lo + 1]), hi - lo - 1, tuple(W[g].tolist())))
+    return out
+
+
+def _earliest_groups(P, p):
+    """The pair census's groups seen from each line's earliest row."""
+    return [(b, f, c, tuple(d)) for base, first, count, D in counting._line_census(P, p, True)
+            for b, f, c, d in zip(base.tolist(), first.tolist(), count.tolist(), D.tolist())
+            if f > b]
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4)])
+def test_all_directions_in_leading_one_order(p, d):
+    want = sorted({oracles.canonical_direction(v, p) for v in product(range(p), repeat=d)
+                   if any(v)}, key=lambda w: (w.index(1), w))
+    assert list(map(tuple, _all_directions(p, d).tolist())) == want
+    # the isotropic directions are the ones of norm 0, in the same order
+    assert list(map(tuple, counting.isotropic_directions(p, d).tolist())) == [
+        w for w in want if oracles.nsq(w, p) == 0]
+
+
+@pytest.mark.parametrize("p, t", [(13, 1), (13, 0), (13, 2), (5, 1)])
+def test_every_direction_on_a_sphere_matches_the_pair_census(p, t):
+    # rows of one norm read along directions that are not all isotropic keep
+    # every row, not only the zeros a.w == 0, so the lines of two points
+    # along non-isotropic directions are all there
+    P = WeightedPointSet.of(_sphere(p, 3, t), p).rows
+    got = _direction_groups(P, p, _all_directions(p, 3))
+    assert sorted(got) == sorted(_earliest_groups(P, p))
+    assert max(c for *_, c, _ in got) + 1 == (p if legendre(-t, p) >= 0 else 2)
+
+
+@pytest.mark.parametrize("p, d, n", [(5, 2, 20), (5, 2, 23), (13, 2, 52), (13, 2, 90),
+                                     (101, 2, 404), (5, 3, 100), (5, 3, 110), (7, 3, 196)])
+def test_direction_side_matches_the_loops(census_calls, p, d, n):
+    pts = _random_points(p, d, n, ("direction-side", p, d, n))
+    _check_all(p, pts, picks=[(0, 1), (2, 7), (5, 9)])
+    # k, k* with the top line and two more excluded, max_collinear, the
+    # lines of two points and more and of three and more, and k0
+    assert census_calls == ["_direction_lines"] * 6
+
+
+@pytest.mark.parametrize("p, d, n", [(5, 2, 20), (13, 2, 60), (5, 3, 100), (7, 3, 200)])
+def test_k_star_with_every_rich_line_excluded(census_calls, p, d, n):
+    pts = _random_points(p, d, n, ("every-rich-line", p, d, n))
+    spanned = oracles.spanned_lines(pts, p)
+    exclude = [line for line, c in spanned.items() if c >= 3]
+    assert 2 in spanned.values()
+    _check_collinearity(p, pts, exclude)
+    assert census_calls == ["_direction_lines"]
+    _, (k_star, wit) = counting._collinearity(WeightedPointSet.of(pts, p), exclude=[
+        AffineLine(p, *line) for line in exclude])
+    first = next(line for line, c in spanned.items() if c == 2)
+    assert (k_star, _raw(wit)) == (2, first)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 101])
+def test_rich_lines_of_three_on_both_sides_of_the_rule(census_calls, p):
+    # n == 4p - 1 reads the pairs, n == 4p the lines by direction; F_3^2
+    # holds only 9 < 12 points, so p == 3 reads the pairs throughout
+    for n in (min(4 * p - 1, p * p), min(4 * p, p * p)):
+        census_calls.clear()
+        pts = _random_points(p, 2, n, ("rich", p, n))
+        spanned = oracles.spanned_lines(pts, p)
+        assert [(_raw(line), c) for line, c in rich_lines(pts, 3, p)] == sorted(
+            ((l, c) for l, c in spanned.items() if c >= 3), key=lambda x: (-x[1], x[0]))
+        by_direction = n >= 4 * p
+        assert census_calls == ["_direction_lines" if by_direction else "_line_census"]
+
+
+@pytest.mark.parametrize("p, t", [(13, 0), (13, 1), (13, 2)])
+def test_rich_lines_of_a_sphere_read_its_isotropic_lines(census_calls, p, t):
+    pts = _sphere(p, 3, t)
+    spanned = oracles.spanned_lines(list(pts), p)
+    for least in (3, 2):
+        got = [(_raw(line), c) for line, c in rich_lines(pts, least, p)]
+        assert got == sorted(((l, c) for l, c in spanned.items() if c >= least),
+                             key=lambda x: (-x[1], x[0]))
+    # lines of two points need not be isotropic: they read the pairs
+    assert census_calls == ["_direction_lines", "_line_census"]
+
+
+def test_largest_modulus_reads_the_pair_census(census_calls):
+    # four points on one line and five free ones of F_p^3, p = 2^31 - 1: the
+    # p^2 + p + 1 directions cannot be listed
+    rng = random.Random(repr("largest-modulus"))
+    base, d = [rng.randrange(BIG) for _ in range(3)], (1, 2, 3)
+    line = [tuple((b + s * c) % BIG for b, c in zip(base, d)) for s in range(4)]
+    pts = sorted(line + [tuple(rng.randrange(BIG) for _ in range(3)) for _ in range(5)])
+    _check_collinearity(BIG, pts, [(line[0], d)])
+    spanned = oracles.spanned_lines(pts, BIG)
+    assert [(_raw(l), c) for l, c in rich_lines(pts, 3, BIG)] == [
+        (l, c) for l, c in spanned.items() if c >= 3]
+    assert census_calls == ["_line_census", "_line_census"]
+
+
+def test_direction_census_memory_is_bounded_by_block(monkeypatch, census_calls):
+    # random points of F_401^2 past the rule: its lines of three points or
+    # more far outnumber a block's cells, and each block is reduced alone
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 1 << 12)
+    p = 401
+    pts = _random_points(p, 2, 4 * p + 100, ("memory", p))
+    Q = WeightedPointSet.of(pts, p)
+    sizes = np.concatenate([np.diff(bounds) for *_, bounds, _ in
+                            counting._direction_lines(Q.rows, p, _all_directions(p, 2))])
+    rich = int((sizes > 2).sum())
+    census_calls.clear()
+    k, peak = _census_peak(Q)
+    assert census_calls == ["_direction_lines"]
+    assert k == sizes.max()
+    assert rich > 16 * counting._BLOCK_CELLS
+    # about 150 bytes per cell of a block, and a few int64 arrays over the
+    # points; a table of every line of three points holds 5 int64 cells a line
+    assert peak < 256 * counting._BLOCK_CELLS + 64 * len(Q)
+    assert peak < 5 * 8 * rich // 4

@@ -24,7 +24,8 @@ import pytest
 
 from fpgeom.cli import main
 from fpgeom.configio import ConfigDoc, emit_config
-from fpgeom.constructions import cylinder_set, elekes_grid, semi_isotropic_set
+from fpgeom.constructions import (cylinder_set, elekes_grid, random_lines, random_planes,
+                                  random_points, semi_isotropic_set)
 from fpgeom.quadrics import paraboloid_lift, sphere_points
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -46,6 +47,12 @@ def _paraboloid(p: int, dim: int) -> list:
 
 def _files() -> dict[str, str]:
     grid = elekes_grid(2, 23)
+    # `fpgeom --seed 3 construct random-3d --p 11 --points 900 --planes 30
+    # --lines 4`: 650 distinct points, past 4 * 11^2 == 484, so k and k* read
+    # the census by direction
+    rng = random.Random(3)
+    random3d = ConfigDoc.of(11, 3, random_points(11, 3, 900, rng), random_planes(11, 3, 30, rng),
+                            random_lines(11, 3, 4, rng))
     cylinder = cylinder_set(13, 1, 3, 4)
     # the full isotropic line (1, 2, 3) + s (1, 5, 0) of F_13^3 (1 + 5^2 == 0)
     # and 20 seeded points, lifted to the paraboloid of F_13^4
@@ -88,6 +95,7 @@ def _files() -> dict[str, str]:
         "big3.txt": _config(2147483647, 3, points=[(0, 0, 0), (1, 2, 3), (5, 7, 11)]),
         "forms2.txt": _config(13, 2, points=[(1, 0), (0, 1), (1, 1), (2, 3), (5, 7)]),
         "elekes2.txt": emit_config(ConfigDoc.of(23, 2, grid.points, grid.lines)),
+        "random3d_650.txt": emit_config(random3d),
         "sweep_sphere.txt": "construction=sphere\ntheorem=T1,T1B\np=5,7\n",
         "sweep_coprime.txt": "construction=coprime\np=23,29\nN=2\n",
         "sweep_elekes.txt": "construction=elekes\ntheorem=T2,T3,VINH\np=23\nn=2,3\n",
@@ -140,6 +148,9 @@ CASES = {
     "count-restricted": ["count", "w3.txt", "--restricted"],
     "count-restricted-T1B": ["count", "w3.txt", "--restricted", "--theorem", "T1B"],
     "count-restricted-T1C": ["count", "w3.txt", "--restricted", "--theorem", "T1C"],
+    "count-random-3d-650-T1": ["count", "random3d_650.txt", "--theorem", "T1"],
+    "count-random-3d-650-restricted-T1B": ["count", "random3d_650.txt", "--restricted",
+                                           "--theorem", "T1B"],
     "count-2d": ["count", "plane2.txt"],
     "count-2d-T3": ["count", "plane2.txt", "--theorem", "T3"],
     "count-2d-VINH": ["count", "plane2.txt", "--theorem", "VINH"],

@@ -23,7 +23,7 @@ from fpgeom.erdos import (
     wedge_solution_count,
     wedge_to_incidence,
 )
-from fpgeom.geom import CoincidentPointsError, GeometryError
+from fpgeom.geom import CoincidentPointsError, GeometryError, dot
 
 
 class TestDistanceSet:
@@ -37,7 +37,8 @@ class TestDistanceSet:
 
         built = semi_isotropic_set(2, 3, 5)
         rep = distance_set(built.points, 5)
-        assert rep.values == frozenset({0, built.cross_norm})
+        x = built.cross_direction
+        assert rep.values == frozenset({0, dot(x, x, 5)})
         assert len(rep.values) == 2
         assert rep.in_semi_isotropic_plane is True
 
