@@ -196,7 +196,7 @@ def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
         count = counting.count_point_line_2d(doc.points, lines, doc.p)
         params = {"q": len(doc.points), "l": len(lines)}
         # T2's grid A x B: the distinct x and y values, when their product is q
-        a, b = (len(counting._key_runs(col.copy())[1]) - 1 for col in doc.points.rows.T)
+        a, b = (len(counting._runs([col], len(col))[1]) - 1 for col in doc.points.rows.T)
         grid = {"a": a, "b": b} if a * b == len(doc.points) else {}
         return _row(doc.p, "point_line", theorem, {**params, **(cell or {})}, count,
                     {**params, **grid})

@@ -8,7 +8,6 @@ do not depend on input order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,36 +29,49 @@ from .geom import (
 _NP_SAFE = 1 << 62
 
 
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable lexicographic order of the rows and the bounds of its runs
-    of equal rows: run g is order[bounds[g]:bounds[g + 1]].
-
-    Entries must be non-negative.  When the product of the column radices
-    (largest entry + 1) is below 2^63, each row is packed into one int64 key,
-    whose numeric order is the rows' lexicographic order, and _key_runs sorts
-    the keys; otherwise the columns are lexsorted."""
-    radices = [int(col.max()) + 1 for col in rows.T] if len(rows) else []
-    if math.prod(radices) >= 1 << 63:
-        order = np.lexsort(rows.T[::-1])
-        new = np.zeros(len(order) + 1, dtype=bool)
-        new[[0, -1]] = True  # the first run's head and the last run's end
-        for col in rows.T:
-            col = col[order]
-            new[1:-1] |= col[1:] != col[:-1]
-        return order, np.flatnonzero(new)
-    key = np.zeros(len(rows), dtype=np.int64)
-    for col, radix in zip(rows.T, radices):
-        key *= radix
-        key += col
-    return _key_runs(key)
+def _packed(cols, n: int) -> list[np.ndarray]:
+    """The n rows of the non-negative columns cols (most significant first,
+    each read before the next is made) as int64 keys in that order, ordered
+    as the rows are: each packs columns in mixed radix (largest entry + 1)
+    while the radices' product stays at most 2^63 // n; a larger radix raises."""
+    limit = (1 << 63) // max(n, 1)
+    keys, span = [], limit + 1
+    for col in cols:
+        if (radix := int(col.max(initial=0)) + 1) > limit:
+            raise OverflowError(f"entry {radix - 1} of {n} rows is at least 2^63 // {n}")
+        if span * radix > limit:
+            keys.append(col.astype(np.int64))
+            span = radix
+        else:
+            keys[-1] *= radix
+            keys[-1] += col
+            span *= radix
+    return keys or [np.zeros(n, dtype=np.int64)]
 
 
-def _key_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_runs of rows packed into int64 keys, which are sorted in place."""
-    order = np.argsort(key, kind="stable")
-    key.sort()
-    new = np.ones(len(key) + 1, dtype=bool)  # the first head and the last end stay set
-    np.not_equal(key[1:], key[:-1], out=new[1:-1])
+def _runs(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of the n rows of the columns cols (as _packed takes
+    them) and the bounds of its runs: run g is order[bounds[g]:bounds[g + 1]].
+    Each key, least significant first, is sorted as key * n + the row's
+    position so far (the top key in place, the others from a copy kept to end
+    the runs): the values are distinct, so numpy's unstable sort is stable."""
+    keys = _packed(cols, n)
+    order = None  # the row at each position once a key is sorted
+    new = np.ones(n + 1, dtype=bool)  # the first head and the last end stay set
+    for i in range(len(keys) - 1, -1, -1):
+        v = keys[i][order] if order is not None else keys[i] if i == 0 else keys[i].copy()
+        v *= n
+        v += np.arange(n)
+        v.sort()
+        if i == 0:  # the top key's sorted values end its runs
+            top = v // n
+            np.not_equal(top[1:], top[:-1], out=new[1:-1])
+            del top
+        v %= n
+        order = v if order is None else order[v]
+        del v  # freed before the next pass gathers its key
+    for key in keys[1:]:
+        new[1:-1] |= np.diff(key[order]) != 0
     return order, np.flatnonzero(new)
 
 
@@ -217,7 +229,7 @@ class _WeightedRows:
             raise ValueError(f"weights must be positive, got {w.min()}")
         # summed exactly: in int64 below _NP_SAFE, in python ints above it
         w = w.astype(np.int64 if w.sum() < _NP_SAFE else object, copy=False)
-        order, bounds = _runs(rows)
+        order, bounds = _runs(rows.T, len(rows))
         # rows (a new int64 array) already sorted and distinct are kept as is
         if len(bounds) <= len(rows) or (order != np.arange(len(rows))).any():
             w = np.add.reduceat(w[order], bounds[:-1]) if len(w) else w
@@ -447,7 +459,7 @@ def weighted_incidences(points: WeightedPointSet, planes: WeightedPlaneSet) -> t
 def _forbidden_pairs(P, N, off, p: int, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pairs of a point on some forbidden line (a canonical row)
     and a plane holding that line, as one _weigh block."""
-    keys = []
+    pairs = [np.zeros((2, 0), dtype=np.int64)]
     dim = P.shape[1]
     for base, d in zip(lines[:, :dim], lines[:, dim:]):
         # canonical form: d[j] == 1 and base[j] == 0, so q is on the line
@@ -458,12 +470,11 @@ def _forbidden_pairs(P, N, off, p: int, lines: np.ndarray) -> tuple[np.ndarray, 
             continue
         nb, nd = dot_mod(np.stack([base, d]), N, p)
         in_plane = np.flatnonzero((nb == off) & (nd == 0))
-        keys.append((on_line[:, None] * len(N) + in_plane).reshape(-1))
-    # one pair can be routed through two forbidden lines: keep the head of
-    # each run of equal keys, which _key_runs sorts in place
-    keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-    keys = keys[_key_runs(keys)[1][:-1]]
-    return keys // len(N), (keys % len(N))[:, None]
+        pairs.append([np.repeat(on_line, len(in_plane)), np.tile(in_plane, len(on_line))])
+    # a pair routed through two forbidden lines is kept once, as its run's head
+    on, held = np.concatenate(pairs, axis=1)
+    order, bounds = _runs([on, held], len(on))
+    return on[order[bounds[:-1]]], held[order[bounds[:-1]]][:, None]
 
 
 def _report(points, planes, pairs: int, weighted: int, forbidden=None) -> IncidenceReport:
@@ -602,7 +613,7 @@ def _groups(P: np.ndarray, I: np.ndarray, J: np.ndarray, p: int):
     _scale_canonical(D, p)
     # the runs are stable, so a group's head is its first pair, and the heads
     # in (i, j) order are the groups in (base, first partner) order
-    order, bounds = _runs(np.column_stack([I, D]))
+    order, bounds = _runs([I, *D.T], len(I))
     count = np.zeros(len(I), dtype=np.int64)
     count[order[bounds[:-1]]] = np.diff(bounds)
     first = np.flatnonzero(count)
@@ -700,7 +711,7 @@ def _direction_lines(C: np.ndarray, p: int, W: np.ndarray):
         s = C[I, lead[v]]
         base = C[I] - s[:, None] * W[v]
         base %= p
-        order, bounds = _runs(np.column_stack([v, base]))
+        order, bounds = _runs([v, *base.T], len(v))
         yield I[order], s[order], bounds, W[v[order[bounds[:-1]]]]
 
 
@@ -739,7 +750,7 @@ def _collinearity(points: WeightedPointSet,
         key, at = -1 - count, base * n + first
         beats = np.flatnonzero((key < s) | ((key == s) & (at < t)))
         # best first, until a line outside exclude
-        for g in beats[np.lexsort((at[beats], key[beats]))]:
+        for g in beats[_runs((x[beats] for x in (n + key, base, first)), len(beats))[0]]:
             line = ((int(key[g]), int(at[g])), (P[base[g]], D[g]))
             best = min(best, line, key=lambda item: item[0])
             if not banned or tuple(_line_canonical(np.hstack(line[1])[None], p)[0]) not in banned:
@@ -759,23 +770,23 @@ def max_collinear(points, p: int) -> tuple[int, AffineLine]:
     return _collinearity(points)[0]
 
 
-def _spanned(points, p: int, least: int):
-    """(line, exact point count) for every line through at least `least` of
-    the points, seen once from its earliest point."""
-    P = distinct_rows(points, p)
-    # on a set of one norm a line of two points need not be isotropic
-    one_norm = least >= 3 and len(P) > 0 and np.ptp(dot_rows(P, P, p)) == 0
-    for base, first, count, D in _census(P, p, one_norm, lambda P, p: _line_census(P, p, True)):
-        # a base is the earliest point of its line when no partner precedes it
-        for g in np.flatnonzero((first > base) & (count + 1 >= least)):
-            yield AffineLine(p, P[base[g]], D[g]), int(count[g]) + 1
-
-
 def rich_lines(points, k: int, p: int) -> list[tuple[AffineLine, int]]:
     """All lines holding at least k points of the planar set, with counts."""
     if k < 2:
         raise ValueError("richness threshold must be at least 2")
-    return sorted(_spanned(points, p, k), key=lambda item: (-item[1], item[0]))
+    P = distinct_rows(points, p)
+    # on a set of one norm a line of two points need not be isotropic
+    one_norm = k >= 3 and len(P) > 0 and np.ptp(dot_rows(P, P, p)) == 0
+    dim = P.shape[1]
+    rows = [np.zeros((0, 1 + 2 * dim), dtype=np.int64)]  # (n - points, base, direction)
+    for base, first, count, D in _census(P, p, one_norm, lambda P, p: _line_census(P, p, True)):
+        # each line once, from its earliest point: a base no partner precedes
+        g = (first > base) & (count + 1 >= k)
+        line = _line_canonical(np.hstack([P[base[g]], D[g]]), p)
+        rows.append(np.column_stack([len(P) - 1 - count[g], line]))
+    R = np.concatenate(rows)
+    R = R[_runs(R.T, len(R))[0]].tolist()  # most points first, then in AffineLine order
+    return [(AffineLine(p, r[1 : dim + 1], r[dim + 1 :]), len(P) - r[0]) for r in R]
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ against p^d.  The table route reads r and D on all of F_p^d, the Fourier
 side of energy, E(A) = p^-d sum_xi |F(xi)|^4, exactly from transforms
 modulo a prime q == 1 mod p above n, and the line counts from 1-D sums on
 the lines of the census of isotropic lines in `counting`.  The pair route
-sorts the n^2 ordered pair sums and differences, packed into int64 keys,
-whose runs are the nonzero entries of r and D, and reads the line counts
-from the pairs of the isotropic sum runs.
+orders the n^2 ordered pair sums and differences with `counting`'s one
+ordering primitive, their coordinates packed into as few int64 keys as fit
+(one a coordinate at p = 2^31 - 1), whose runs are the nonzero entries of r
+and D, and reads the line counts from the pairs of the isotropic sum runs.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (_BLOCK_CELLS, _direction_lines, _key_runs, _runs, _scale_canonical,
-                       distinct_rows, dot_mod, dot_rows, isotropic_directions)
+from .counting import (_BLOCK_CELLS, _direction_lines, _runs, _scale_canonical, distinct_rows,
+                       dot_mod, isotropic_directions)
 from .field import MAX_MODULUS, Prime, is_prime
 from .geom import GeometryError
 from .quadrics import Paraboloid, Sphere
@@ -121,25 +122,22 @@ def _report_fields(r: np.ndarray, diag: np.ndarray, D: np.ndarray, Dv: np.ndarra
 # Coordinates stay below p < 2^31 and every product is reduced mod p before
 # the next sum, so all of it is exact in int64.
 
-def _pair_runs(A: np.ndarray, sign: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(order, bounds): the stable order of the n^2 values A[j] + sign A[i]
-    mod p of the ordered pairs (i, j) of rows of A, flattened at position
-    i n + j, and its run bounds.  Below p^d == 2^63 the values are packed,
-    radix p, into n x n int64 keys through one n x n scratch."""
-    n, d = A.shape
-    if p**d >= 1 << 63:
-        rows = sign * A[:, None, :] + A
-        rows %= p
-        return _runs(rows.reshape(n * n, d))
-    key = np.zeros((n, n), dtype=np.int64)
-    scratch = np.empty_like(key)
+def _pair_columns(A: np.ndarray, sign: int, p: int):
+    """Yield the values A[j] + sign A[i] mod p of the ordered pairs (i, j) of
+    rows of A at positions i n + j, a coordinate at a time, in one scratch."""
+    scratch = np.empty((len(A), len(A)), dtype=np.int64)
     for col in A.T:
         np.add.outer(sign * col, col, out=scratch)
         scratch %= p
-        key *= p
-        key += scratch
-    del scratch
-    return _key_runs(key.reshape(-1))
+        yield scratch.reshape(-1)
+
+
+def _isotropic(C: np.ndarray, I: np.ndarray, J: np.ndarray, p: int) -> np.ndarray:
+    """Whether |C[J[g]] - C[I[g]]|^2 == 0 mod p for each g, a column at a time."""
+    norm = np.zeros(len(I), dtype=np.int64)
+    for col in C.T:
+        norm = (norm + ((col[J] - col[I]) % p) ** 2) % p
+    return norm == 0
 
 
 def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
@@ -155,43 +153,34 @@ def _pair_route(A: np.ndarray, C: np.ndarray, p: int) -> tuple[int, ...]:
     i along one direction lie on one line with it, and the first point of a
     line has all the others for partners, so k0 is 1 + the longest such run."""
     n = len(A)
-    order, bounds = _pair_runs(A, 1, p)
+    order, bounds = _runs(_pair_columns(A, 1, p), n * n)
     r = np.diff(bounds)
     # the diagonal pair (i, i) sits at the flat position i (n + 1), alone in
     # its run since 2a == 2b only for a == b (p is odd)
     diag = np.logical_or.reduceat(order % (n + 1) == 0, bounds[:-1])
-    I, J = np.divmod(order[bounds[:-1]], n)
-    V = C[J] - C[I]
-    V %= p
-    iso = dot_rows(V, V, p) == 0
+    iso = _isotropic(C, *np.divmod(order[bounds[:-1]], n), p)
     I, J = np.divmod(order[np.repeat(iso, r)], n)
     run = np.repeat(np.flatnonzero(iso), r[iso])
-    del order, bounds, V
+    del order, bounds
     later = I < J
     I, J, run = I[later], J[later], run[later]
-    # one row (run, C[j] - C[i]) per pair, filled in place so that at most
-    # one corner-width temporary meets it
-    rows = np.empty((len(I), 1 + C.shape[1]), dtype=np.int64)
-    rows[:, 0] = run
-    rows[:, 1:] = C[J]
-    rows[:, 1:] -= C[I]
-    del J, run, later
-    rows[:, 1:] %= p
-    _scale_canonical(rows[:, 1:], p)
-    c = np.diff(_runs(rows)[1])
+    # each pair's canonical direction, with one corner-width temporary at most
+    V = C[J]
+    V -= C[I]
+    del J, later
+    V %= p
+    _scale_canonical(V, p)
+    c = np.diff(_runs([run, *V.T], len(V))[1])
     degenerate = int((c * (c - 1) // 2).sum())
-    rows[:, 0] = I
-    k0 = 1 + int(np.diff(_runs(rows)[1]).max(initial=0))
-    del I, rows
-    order, bounds = _pair_runs(A, -1, p)
+    del run
+    k0 = 1 + int(np.diff(_runs([I, *V.T], len(V))[1]).max(initial=0))
+    del I, V
+    order, bounds = _runs(_pair_columns(A, -1, p), n * n)
     D = np.diff(bounds)
     # the zero difference sorts first; later heads (i, j) have C[j] - C[i] != 0
     I, J = np.divmod(order[bounds[1:-1]], n)
     del order, bounds
-    V = C[J] - C[I]
-    V %= p
-    Dv = D[1:][dot_rows(V, V, p) == 0]
-    return _report_fields(r, diag, D, Dv, k0, degenerate)
+    return _report_fields(r, diag, D, D[1:][_isotropic(C, I, J, p)], k0, degenerate)
 
 
 # ---------------------------------------------------------------------------

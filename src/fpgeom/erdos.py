@@ -74,10 +74,10 @@ def _histogram(runs) -> tuple[np.ndarray, np.ndarray]:
 
 def _merge_runs(held) -> tuple[np.ndarray, np.ndarray]:
     """One histogram of (values, counts) pairs whose values may repeat."""
-    values, slot = np.unique(np.concatenate([v for v, _ in held]), return_inverse=True)
-    counts = np.zeros(len(values), dtype=np.int64)
-    np.add.at(counts, slot, np.concatenate([c for _, c in held]))
-    return values, counts
+    values, counts = (np.concatenate(x) for x in zip(*held))
+    order, bounds = _runs([values], len(values))
+    heads = bounds[:-1]
+    return values[order[heads]], np.add.reduceat(counts[order], heads) if len(heads) else counts
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +385,12 @@ def right_triangle_count(points, p: int) -> RightTriangleReport:
     for base, _, count, D in _line_census(P, p, all_partners=True):
         # blocks hold whole bases, so a (base, direction) group and the group
         # of its perpendicular direction meet in one run of two rows
-        rows = np.column_stack([base, D])
-        order, bounds = _runs(np.vstack([rows, np.column_stack([base, _perpendicular(D, p)])]))
+        both = np.vstack([D, _perpendicular(D, p)])
+        order, bounds = _runs([np.tile(base, 2), *both.T], len(both))
         pair = bounds[:-1][np.diff(bounds) == 2]
-        aggregated += int(np.dot(count[order[pair]], count[order[pair + 1] - len(rows)]))
-        groups.append(np.column_stack([rows, count]))
+        aggregated += int(np.dot(count[order[pair]], count[order[pair + 1] - len(D)]))
+        groups.append(np.column_stack([base, D, count]))
     if total != aggregated:
         raise ArithmeticError("right-triangle aggregation diverged from direct count")
     G = np.concatenate(groups)
-    return RightTriangleReport(total, aggregated, p, P, G[np.lexsort(G[:, ::-1].T)])
+    return RightTriangleReport(total, aggregated, p, P, G[_runs(G.T, len(G))[0]])

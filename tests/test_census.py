@@ -102,16 +102,23 @@ def test_census_matches_direction_group_loop(case, picks):
 
 @given(point_sets().filter(lambda s: s[1]), pairs)
 @settings(max_examples=60, deadline=None)
-def test_census_witnesses_on_the_lexsort_route(case, picks):
-    # the census's (base, direction) rows pack into one key at these moduli;
-    # a constant column of 2^62 sends _runs down its lexsort route instead,
-    # and every k, witness and line count stays the loop's
+def test_census_witnesses_on_several_keys(case, picks):
+    # the census's rows pack into one key at these moduli; two constant
+    # columns of 2^40 split every ordering into several keys instead, and
+    # every k, witness and line count stays the loop's
     p, pts = case
-    runs = counting._runs
+    packed, keys = counting._packed, []
+
+    def split(cols, n):
+        out = packed([*cols, *np.full((2, n), 1 << 40)], n)
+        if n:  # an empty column's radix is 1
+            keys.append(len(out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_runs", lambda rows: runs(
-            np.column_stack([rows, np.full(len(rows), 1 << 62)])))
+        mp.setattr(counting, "_packed", split)
         _check_all(p, pts, picks)
+    assert keys and min(keys) >= 2
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 13])
@@ -596,6 +603,24 @@ def test_rich_lines_of_three_on_both_sides_of_the_rule(census_calls, p):
             ((l, c) for l, c in spanned.items() if c >= 3), key=lambda x: (-x[1], x[0]))
         by_direction = n >= 4 * p
         assert census_calls == ["_direction_lines" if by_direction else "_line_census"]
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (5, 12), (13, 40), (401, 150)])
+def test_rich_lines_break_ties_in_count_by_line(p, n):
+    # free points plus planted lines of three and four points, so many lines
+    # share a count and their order is the lines' own
+    rng = random.Random(repr(("rich-ties", p)))
+    pts = set(_random_points(p, 2, n, ("rich-ties", p)))
+    for size in (3, 3, 3, 4, 4):
+        base, d = (rng.randrange(p), rng.randrange(p)), (1, rng.randrange(p))
+        pts.update(tuple((b + s * c) % p for b, c in zip(base, d)) for s in range(size))
+    pts = sorted(pts)
+    spanned = oracles.spanned_lines(pts, p)
+    for least in (2, 3):
+        want = sorted(((l, c) for l, c in spanned.items() if c >= least),
+                      key=lambda x: (-x[1], x[0]))
+        assert len({c for _, c in want}) < len(want) - 1
+        assert [(_raw(line), c) for line, c in rich_lines(pts, least, p)] == want
 
 
 @pytest.mark.parametrize("p, t", [(13, 0), (13, 1), (13, 2)])

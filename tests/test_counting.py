@@ -330,69 +330,97 @@ def _python_runs(rows):
     return order, bounds + [len(order)]
 
 
-def _lexsorted_runs(rows):
-    """_runs through its lexsort route: a constant last column of 2^62 keeps
-    the order and the runs but lifts the radix product to 2^63 or more."""
-    return counting._runs(np.column_stack([rows, np.full(len(rows), 1 << 62)]))
+def _runs_of(rows):
+    """_runs of the rows of an int array."""
+    return counting._runs(rows.T, len(rows))
+
+
+def _keys(rows):
+    """How many int64 keys _packed makes of the rows."""
+    return len(counting._packed(rows.T, len(rows)))
 
 
 @st.composite
 def run_rows(draw):
-    """Non-negative int64 rows with many ties, entries small or up to 2^63 - 1."""
+    """Non-negative int64 rows with many ties, entries small or up to 2^50."""
     width = draw(st.integers(1, 4))
-    top = draw(st.sampled_from((0, 2, 100, (1 << 31) - 1, (1 << 63) - 1)))
+    top = draw(st.sampled_from((0, 2, 100, (1 << 31) - 2, 1 << 50)))
     entry = st.one_of(st.integers(0, min(top, 2)), st.just(top), st.integers(0, top))
     rows = draw(st.lists(st.tuples(*(entry,) * width), max_size=30))
     return np.array(rows, dtype=np.int64).reshape(len(rows), width)
 
 
 class TestRuns:
-    """`_runs`' packed-key and lexsort routes against python's stable sort."""
-
-    @pytest.fixture
-    def lexsorts(self, monkeypatch):
-        calls, lexsort = [], np.lexsort
-        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
-        return calls
+    """`_runs` (rows packed by `_packed` into int64 keys, one sort a key)
+    against python's stable sort."""
 
     @given(run_rows())
-    @settings(max_examples=200, deadline=None)
-    def test_both_routes_match_a_stable_sort(self, rows):
-        want = _python_runs(rows)
-        for order, bounds in (counting._runs(rows), _lexsorted_runs(rows)):
-            assert (order.tolist(), bounds.tolist()) == want
-
-    @pytest.mark.parametrize("maxima, packed", [
-        ((2**63 - 2,), True),                 # radix 2^63 - 1
-        ((2**63 - 1,), False),                # radix 2^63
-        ((2**31 - 1, 2**32 - 2), True),       # 2^31 (2^32 - 1) = 2^63 - 2^31
-        ((2**31 - 1, 2**32 - 1), False),      # 2^31 2^32 = 2^63
-        ((100, 100, 100), True),
-    ])
-    def test_radix_product_picks_the_route(self, lexsorts, maxima, packed):
-        rng = rng_for("runs-radix", maxima)
-        # ties in every column, the maxima present, rows shuffled
-        rows = [[rng.choice((0, 1, m, m - 1)) for m in maxima] for _ in range(40)]
-        rows.append(list(maxima))
-        rows = np.array(rows, dtype=np.int64)
-        order, bounds = counting._runs(rows)
-        assert bool(lexsorts) != packed
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_stable_sort(self, rows):
+        order, bounds = _runs_of(rows)
         assert (order.tolist(), bounds.tolist()) == _python_runs(rows)
 
-    def test_ties_keep_input_order(self, lexsorts):
-        rows = np.array([[2, 1], [0, 5], [2, 1], [0, 5], [2, 0], [2, 1]])
-        for order, bounds in (counting._runs(rows), _lexsorted_runs(rows)):
-            assert order.tolist() == [1, 3, 4, 0, 2, 5]
-            assert bounds.tolist() == [0, 2, 3, 6]
-        assert len(lexsorts) == 1
+    def test_four_columns_below_2_31_take_several_keys(self):
+        rng = rng_for("runs-four-columns")
+        top = (1 << 31) - 2
+        # ties in every column, the largest entry present, rows shuffled
+        rows = [[rng.choice((0, 1, top, top - 1, rng.randrange(top))) for _ in range(4)]
+                for _ in range(200)]
+        rows = np.array(rows + rows[:50], dtype=np.int64)
+        assert _keys(rows) == 4  # two radices 2^31 - 1 pass 2^63 // 250
+        order, bounds = _runs_of(rows)
+        assert (order.tolist(), bounds.tolist()) == _python_runs(rows)
 
-    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("maxima, keys", [
+        ((2**20 - 1, 2**40 - 1), 1),               # radices 2^20 2^40 == 2^63 // 8
+        ((2**20, 2**40 - 2**20), 2),               # (2^20 + 1)(2^40 - 2^20 + 1) == 2^60 + 1
+        ((2**20 - 1, 2**40 - 1, 0, 2**59), 2),     # a radix 1 rides along; 2^59 + 1 does not
+    ])
+    def test_span_times_radix_at_and_past_the_limit(self, maxima, keys):
+        rng = rng_for("runs-limit", maxima)
+        rows = [[rng.choice((0, min(1, m), m)) for m in maxima] for _ in range(7)] + [list(maxima)]
+        rows = np.array(rows, dtype=np.int64)
+        assert _keys(rows) == keys
+        order, bounds = _runs_of(rows)
+        assert (order.tolist(), bounds.tolist()) == _python_runs(rows)
+
+    def test_an_entry_past_the_limit_raises(self):
+        rows = np.zeros((8, 2), dtype=np.int64)
+        rows[3, 1] = (1 << 60) - 1  # radix 2^60 == 2^63 // 8
+        assert _keys(rows) == 1
+        rows[3, 1] = 1 << 60
+        with pytest.raises(OverflowError):
+            _runs_of(rows)
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_ties_keep_input_order(self, extra):
+        rows = np.array([[2, 1], [0, 5], [2, 1], [0, 5], [2, 0], [2, 1]])
+        # constant columns of 2^40 keep the order and the runs but split the
+        # rows into several keys
+        rows = np.column_stack([rows, np.full((len(rows), extra), 1 << 40)])
+        assert _keys(rows) == 1 + (extra > 0)
+        order, bounds = _runs_of(rows)
+        assert order.tolist() == [1, 3, 4, 0, 2, 5]
+        assert bounds.tolist() == [0, 2, 3, 6]
+
+    @pytest.mark.parametrize("width", [0, 1, 3])
     def test_no_rows(self, width):
-        order, bounds = counting._runs(np.zeros((0, width), dtype=np.int64))
+        order, bounds = _runs_of(np.zeros((0, width), dtype=np.int64))
         assert order.tolist() == [] and bounds.tolist() == [0]
 
+    @pytest.mark.parametrize("row", [[0], [5, 0, 7], [2**63 - 1, 2**63 - 1]])
+    def test_one_row(self, row):
+        # one row: 2^63 // 1 admits every int64 entry, one column a key
+        rows = np.array([row], dtype=np.int64)
+        order, bounds = _runs_of(rows)
+        assert order.tolist() == [0] and bounds.tolist() == [0, 1]
+
+    def test_rows_without_columns_are_one_run(self):
+        order, bounds = _runs_of(np.zeros((3, 0), dtype=np.int64))
+        assert order.tolist() == [0, 1, 2] and bounds.tolist() == [0, 3]
+
     def test_one_column(self):
-        order, bounds = counting._runs(np.array([[3], [1], [3], [0], [1]]))
+        order, bounds = _runs_of(np.array([[3], [1], [3], [0], [1]]))
         assert order.tolist() == [3, 1, 4, 0, 2]
         assert bounds.tolist() == [0, 1, 3, 5]
 
@@ -944,6 +972,7 @@ class TestRichLines:
 
     def test_threshold_above_size_is_empty(self):
         assert rich_lines([(0, 0), (1, 1)], 3, 7) == []
+        assert rich_lines([], 2, 7) == rich_lines([(1, 2)], 2, 7) == []
 
     def test_counts_match_membership_oracle(self):
         rng = rng_for("rich")

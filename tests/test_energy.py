@@ -692,11 +692,26 @@ def test_pair_route_memory(case):
     assert peak < 8 * n * n * 8, (peak, 64 * n * n)
 
 
+def test_pair_route_memory_at_the_largest_modulus():
+    # at p = 2^31 - 1 each coordinate's n^2 pair values take an int64 key of
+    # their own, and on random points every pair sum but its mirror is new:
+    # the route holds the d keys, the order and one sort pass's gathered key
+    # and positions, under 8 n^2 words for 1,000 points of F_p^4
+    rng = rng_for("pair-route-big")
+    pts = {tuple(rng.randrange(BIG) for _ in range(3)) for _ in range(1000)}
+    A = np.array(paraboloid_lift(sorted(pts), BIG), dtype=np.int64)
+    n = len(A)
+    rep, peak = _traced(lambda: energy._pair_route(A, A[:, :-1], BIG))
+    assert rep == (2 * n * n - n,) * 2 + (0,) * 4 + (1,)
+    assert peak <= 8 * n * n * 8, (peak, peak / (8 * n * n))
+
+
 @pytest.mark.parametrize("p", [7, 11])
 def test_pair_route_packs_its_keys(p):
     # each ordered pair's sum or difference is packed into one int64 key of
-    # an n x n table, so the route holds about three n^2 words: the keys,
-    # their order and one n x n scratch, or the run bounds
+    # n^2 entries, sorted in place as key * n^2 + position and then kept as
+    # the order: the route holds about three n^2 words, the key with the
+    # pair-column scratch or the positions, and the run bounds
     A = np.array(sphere_points(p, 4, 1), dtype=np.int64)
     n = len(A)
     rep, peak = _traced(lambda: energy._pair_route(A, A, p))
