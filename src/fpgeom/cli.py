@@ -231,12 +231,14 @@ def _planar_lines(doc: configio.ConfigDoc) -> counting.WeightedPlaneSet:
 
 def _distances(doc, theorem, opt, cell=None) -> bounds.BoundReport:
     """The largest pinned distance count."""
-    rep = erdos.distance_set(doc.points.rows, doc.p, include_zero=not opt("exclude_zero"))
+    rep = erdos.distance_set(doc.points.rows, doc.p)
     params = {"s": len(doc.points), **({"values": len(rep.values)} if cell is None else cell)}
     flags = {}
     if rep.in_semi_isotropic_plane is not None:
         flags["outside_semi_isotropic_plane"] = not rep.in_semi_isotropic_plane
-    return _row(doc.p, "pinned_distances", theorem, params, rep.max_pinned,
+    # each pinned count sees its point's zero distance to itself
+    pinned = int(rep.pinned_counts.max()) - bool(opt("exclude_zero"))
+    return _row(doc.p, "pinned_distances", theorem, params, pinned,
                 {"s": len(doc.points)}, flags)
 
 

@@ -55,7 +55,6 @@ class EnergyReport:
     degenerate: int
     k0: int
     quadric: str
-    multiplicity_range: tuple[int, int] | None
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +301,8 @@ def _quadric_report(points, p: int, t: int | None) -> EnergyReport:
         if off.any():
             raise GeometryError(f"point {tuple(A[off.argmax()].tolist())} is not on the {quadric}")
     if not n:
-        return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, quadric, None)
+        return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, quadric)
     table = p**d <= _TABLE_CELLS and d * p ** (d + 1) <= _TABLE_RATIO * n * n
     route = _table_route if table else _pair_route
     energy, corner, *counts = route(A, A[:, :-1] if t is None else A, p)
-    return EnergyReport(energy, corner, n, *counts, quadric, (8, 8) if counts[0] else None)
+    return EnergyReport(energy, corner, n, *counts, quadric)

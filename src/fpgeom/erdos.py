@@ -10,9 +10,10 @@ of rows of the table s.u + a(s) + b(t) mod p from `counting._pair_values`,
 the blocked-table generator the incidence engine also iterates: u = M t
 gives the form value s^T M t, and u = -2t with a = |s|^2, b = |t|^2 gives
 |s - t|^2.  Each row of a block is sorted into runs of equal values, so
-value sets, pinned counts, histograms and E_Delta are read from run heads
-and lengths, with memory O(block).  The tables stay exact in int64 for
-p < 2^31.
+pinned counts and E_Delta are read from run heads and lengths, with memory
+O(block).  Value sets are the blocks' run values merged into one sorted,
+read-only int64 array, and value histograms the same merge with the run
+lengths summed.  The tables stay exact in int64 for p < 2^31.
 """
 
 from __future__ import annotations
@@ -57,42 +58,47 @@ def _row_runs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return heads, V.reshape(-1)[heads], np.diff(heads, append=V.size)
 
 
-def _histogram(runs) -> tuple[np.ndarray, np.ndarray]:
-    """(values, counts): the histogram of the (values, counts) pairs in runs,
-    whose values may repeat.  Held runs are merged into the histogram once
-    they outnumber it, so each run is merged O(log) times and memory stays
-    near one block plus twice the histogram."""
-    merged = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+def _histogram(runs) -> tuple[np.ndarray, ...]:
+    """(values, *counts): the sorted distinct values of runs of arrays
+    (values, *counts), whose values may repeat, each with its counts summed;
+    runs of values alone give the value set.  Held runs are merged into the
+    histogram once they outnumber it, so each run is merged O(log) times and
+    memory stays near one block plus twice the histogram.  The arrays are
+    read-only; no runs give empty values and counts."""
     held, size = [], 0
     for run in runs:
+        # held[0] is the histogram of the runs merged so far; merging before
+        # the next run is held leaves the last merge at least one run to add
+        if held and size > len(held[0][0]):
+            held, size = [_merge_runs(held)], 0
         held.append(run)
         size += len(run[0])
-        if size > len(merged[0]):
-            merged, held, size = _merge_runs([merged, *held]), [], 0
-    return _merge_runs([merged, *held])
+    return _merge_runs(held or [(np.zeros(0, dtype=np.int64),) * 2])
 
 
-def _merge_runs(held) -> tuple[np.ndarray, np.ndarray]:
-    """One histogram of (values, counts) pairs whose values may repeat."""
-    values, counts = (np.concatenate(x) for x in zip(*held))
+def _merge_runs(held) -> tuple[np.ndarray, ...]:
+    """One read-only histogram of runs of (values, *counts)."""
+    values, *counts = (np.concatenate(x) for x in zip(*held))
     order, bounds = _runs([values], len(values))
     heads = bounds[:-1]
-    return values[order[heads]], np.add.reduceat(counts[order], heads) if len(heads) else counts
+    merged = (values[order[heads]], *(np.add.reduceat(c[order], heads) for c in counts))
+    for x in merged:
+        x.flags.writeable = False
+    return merged
 
 
 # ---------------------------------------------------------------------------
 # distance sets
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceReport:
-    """Full and pinned squared-distance statistics of a point set."""
+    """Squared distances as read-only int64 arrays: the sorted values, where
+    0 (each point to itself) comes first, and the number of values pinned at
+    each distinct point in sorted order, 0 included; values[1:] and
+    pinned_counts - 1 leave the 0 out."""
 
-    values: frozenset[int]
-    nonzero_values: frozenset[int]
-    pinned_counts: tuple[int, ...]
-    pinned_counts_nonzero: tuple[int, ...]
-    max_pinned: int
-    min_pinned: int
+    values: np.ndarray
+    pinned_counts: np.ndarray
     zero_pairs: int  # ordered pairs of distinct points at squared distance 0
     in_semi_isotropic_plane: bool | None
 
@@ -128,13 +134,10 @@ def supported_in_semi_isotropic_plane(points, p: int) -> bool:
     return not dot_rows(normal, normal, p).any()
 
 
-def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
+def distance_set(points, p: int) -> DistanceReport:
     """Exact distance set and per-point pinned counts, from the sorted rows
-    of the squared-distance table.
-
-    Pinned counts always see the zero distance from the point to itself;
-    the nonzero variants drop the value 0 entirely.
-    """
+    of the squared-distance table: each block's run heads give the values and
+    pinned counts, and its zero runs the null pairs."""
     p = int(Prime(p))
     P = distinct_rows(points, p)
     if len(P) < 2:
@@ -142,27 +145,21 @@ def distance_set(points, p: int, include_zero: bool = True) -> DistanceReport:
     n, dim = P.shape
     U, norms = _distance_terms(P, p)
     pinned = np.zeros(n, dtype=np.int64)
+    zero_pairs = -n  # the distance from each point to itself pairs nothing
 
     def row_runs():
+        nonlocal zero_pairs
         for start, V in _pair_values(P, U, p, norms, norms):
             heads, value, size = _row_runs(V)
             pinned[start : start + len(V)] = np.bincount(heads // n, minlength=len(V))
-            yield value, size
+            zero_pairs += int(size[value == 0].sum())
+            yield (value,)
 
-    values, counts = _histogram(row_runs())
-    # 0 is in every row, at least once for the point itself, so it is the
-    # least value, and the nonzero pinned count is one less
-    zero_pairs = int(counts[0]) - n
-    pinned_nz = pinned - 1
-    pinned_counts = pinned if include_zero else pinned_nz
-    values = frozenset(values.tolist())
+    values = _histogram(row_runs())[0]
+    pinned.flags.writeable = False
     return DistanceReport(
         values=values,
-        nonzero_values=values - {0},
-        pinned_counts=tuple(pinned.tolist()),
-        pinned_counts_nonzero=tuple(pinned_nz.tolist()),
-        max_pinned=int(pinned_counts.max()),
-        min_pinned=int(pinned_counts.min()),
+        pinned_counts=pinned,
         zero_pairs=zero_pairs,
         in_semi_isotropic_plane=(
             supported_in_semi_isotropic_plane(P, p) if dim == 3 else None
@@ -247,18 +244,19 @@ def wedge_form(p: int) -> FormSpec:
     return FormSpec(p, ((0, 1), (-1, 0)))
 
 
-def _form_histogram(S: np.ndarray, T: np.ndarray, form: FormSpec):
-    """(values, counts): the distinct values of form(s, t) over S x T and
-    their multiplicities, each block sorted as one row."""
+def _form_runs(S: np.ndarray, T: np.ndarray, form: FormSpec):
+    """(heads, values, lengths) of the runs of form(s, t) over S x T, each
+    block of the table sorted as one row."""
     # the rows M t, so that s.(M t) is the form value
     U = dot_mod(T, np.array(form.matrix), form.p)
-    return _histogram(_row_runs(V.reshape(1, -1))[1:] for _, V in _pair_values(S, U, form.p))
+    return (_row_runs(V.reshape(1, -1)) for _, V in _pair_values(S, U, form.p))
 
 
-def form_values(points, form: FormSpec) -> frozenset[int]:
-    """Exact value set {form(s, t) : s, t in S}."""
+def form_values(points, form: FormSpec) -> np.ndarray:
+    """Exact value set {form(s, t) : s, t in S} as a sorted read-only int64
+    array."""
     P = distinct_rows(points, form.p, 2)
-    return frozenset(_form_histogram(P, P, form)[0].tolist())
+    return _histogram(run[1:2] for run in _form_runs(P, P, form))[0]
 
 
 def form_solution_count(
@@ -271,7 +269,7 @@ def form_solution_count(
     once they could pass int64.
     """
     S, T = distinct_rows(s_points, form.p, 2), distinct_rows(t_points, form.p, 2)
-    values, counts = _form_histogram(S, T, form)
+    values, counts = _histogram(run[1:] for run in _form_runs(S, T, form))
     if not include_zero:
         counts = counts[values != 0]
     # the squares sum to at most (|S| |T|)^2

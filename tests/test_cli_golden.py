@@ -74,6 +74,9 @@ def _files() -> dict[str, str]:
         "dist3.txt": _config(7, 3, points=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 3),
                                            (4, 4, 4)]),
         "semi3.txt": _config(13, 3, points=semi_isotropic_set(2, 3, 13).points),
+        # 20 seeded points of F_13^2, for the planar distance bounds
+        "dist2.txt": _config(13, 2, points=sorted(random.Random(5).sample(
+            list(itertools.product(range(13), repeat=2)), 20))),
         "par3.txt": _config(5, 3, points=_paraboloid(5, 3)),
         "par4.txt": _config(5, 4, points=_paraboloid(5, 4)[:40]),
         # the full paraboloid of F_5^3 with its point (1, 1, 2) moved to (1, 1, 3)
@@ -169,6 +172,10 @@ CASES = {
     "distances-semi-isotropic": ["distances", "semi3.txt", "--theorem", "T42"],
     "distances-p10007": ["distances", "mid3.txt", "--theorem", "T42"],
     "distances-p2147483647": ["distances", "big3.txt", "--theorem", "T42"],
+    "distances-planar-T43": ["distances", "dist2.txt", "--theorem", "T43"],
+    "distances-planar-T43LARGE": ["distances", "dist2.txt", "--theorem", "T43LARGE"],
+    "distances-planar-exclude-zero-T43PINNED": ["distances", "dist2.txt", "--exclude-zero",
+                                                "--theorem", "T43PINNED"],
     "energy-paraboloid": ["energy", "par3.txt", "--quadric", "paraboloid"],
     "energy-paraboloid-T54": ["energy", "par3.txt", "--quadric", "paraboloid",
                               "--theorem", "T54"],

@@ -126,11 +126,12 @@ class TestParaboloidEnergy:
         rng = rng_for("par-mult")
         p = 13
         base = random_distinct_points(rng, p, 2, 25)
-        rep = rectangle_energy_paraboloid(paraboloid_lift(base, p), p)
+        pts = paraboloid_lift(base, p)
         # two distinct pairs with one sum are disjoint, so every rectangle is
         # hit by exactly 2 * 2 * 2 ordered solutions
-        assert rep.rectangles > 0
-        assert rep.multiplicity_range == (8, 8)
+        census = oracles.rectangle_census(pts, [q[:-1] for q in pts], p)
+        assert census[1] == rectangle_energy_paraboloid(pts, p).rectangles > 0
+        assert census[-1] == (8, 8)
 
     def test_class_counts_sum(self):
         rng = rng_for("par-classes")
@@ -243,9 +244,11 @@ def _expected(points, p, quadric):
     corner = [q[:-1] for q in pts] if quadric == "paraboloid" else pts
     energy_, rects, ordinary, semi, degenerate, mults = oracles.rectangle_census(
         pts, corner, p)
+    # every rectangle is hit by exactly 8 ordered solutions
+    assert mults == ((8, 8) if rects else None)
     k0 = len(pts) if len(pts) < 2 else max(1, oracles.isotropic_lines(corner, p)[1])
     return EnergyReport(energy_, energy_, len(pts), rects, ordinary, semi, degenerate,
-                        k0, quadric, mults)
+                        k0, quadric)
 
 
 def _report(points, p, quadric, t=None):
@@ -336,7 +339,7 @@ class TestCensusAgainstOracle:
         rep, peak = _traced(lambda: rectangle_energy_paraboloid(pts, p))
         assert (rep.energy, rep.corner_count, rep.rectangles) == (1498465, 1498465, 164152)
         assert (rep.ordinary, rep.semi_degenerate, rep.degenerate) == (147968, 0, 16184)
-        assert rep.k0 == 17 and rep.multiplicity_range == (8, 8)
+        assert rep.k0 == 17
         A = np.array(pts, dtype=np.int64)
         pair = energy._pair_route(A, A[:, :-1], p)
         assert pair == (1498465, 1498465, 164152, 147968, 0, 16184, 17)

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +30,15 @@ from fpgeom.geom import CoincidentPointsError, GeometryError, dot
 class TestDistanceSet:
     def test_two_point_example(self):
         rep = distance_set([(0, 0), (1, 0)], 7)
-        assert rep.values == frozenset({0, 1})
-        assert rep.pinned_counts == (2, 2)
+        assert rep.values.tolist() == [0, 1]
+        assert rep.pinned_counts.tolist() == [2, 2]
+
+    def test_arrays_are_read_only_int64(self):
+        rep = distance_set([(0, 0, 0), (1, 2, 3), (4, 4, 4)], 7)
+        for x in (rep.values, rep.pinned_counts):
+            assert x.dtype == np.int64
+            with pytest.raises(ValueError):
+                x[0] = 1
 
     def test_semi_isotropic_counterexample(self):
         from fpgeom.constructions import semi_isotropic_set
@@ -38,8 +46,7 @@ class TestDistanceSet:
         built = semi_isotropic_set(2, 3, 5)
         rep = distance_set(built.points, 5)
         x = built.cross_direction
-        assert rep.values == frozenset({0, dot(x, x, 5)})
-        assert len(rep.values) == 2
+        assert rep.values.tolist() == [0, dot(x, x, 5)]
         assert rep.in_semi_isotropic_plane is True
 
     @pytest.mark.parametrize("seed", range(5))
@@ -48,16 +55,15 @@ class TestDistanceSet:
         p = rng.choice([7, 11, 13])
         pts = random_distinct_points(rng, p, 3, rng.randrange(2, 30))
         rep = distance_set(pts, p)
-        assert rep.values == frozenset(oracles.distance_values(pts, p))
-        assert list(rep.pinned_counts) == oracles.pinned_counts(pts, p)
-        assert rep.max_pinned == max(oracles.pinned_counts(pts, p))
+        assert rep.values.tolist() == sorted(oracles.distance_values(pts, p))
+        assert rep.pinned_counts.tolist() == oracles.pinned_counts(pts, p)
 
     def test_pinned_invariant(self):
         # pinned count from s is the number of values |s - t|^2 over t in S
         p, rng = 11, rng_for("pinned")
         pts = random_distinct_points(rng, p, 3, 15)
         rep = distance_set(pts, p)
-        for s, c in zip(pts, rep.pinned_counts):
+        for s, c in zip(pts, rep.pinned_counts.tolist()):
             assert c == len({oracles.nsq(oracles.diff(s, t, p), p) for t in pts})
 
     def test_semi_isotropic_flag_negative(self):
@@ -133,10 +139,20 @@ class TestBisectorPlane:
 
 class TestForms:
     def test_dot_on_axes(self):
-        assert form_values([(1, 0), (0, 1)], FormSpec(7, ((1, 0), (0, 1)))) == frozenset({0, 1})
+        assert form_values([(1, 0), (0, 1)], FormSpec(7, ((1, 0), (0, 1)))).tolist() == [0, 1]
 
     def test_wedge_on_axes(self):
-        assert form_values([(1, 0), (0, 1)], wedge_form(7)) == frozenset({0, 1, 6})
+        values = form_values([(1, 0), (0, 1)], wedge_form(7))
+        assert values.tolist() == [0, 1, 6]
+        assert values.dtype == np.int64
+        with pytest.raises(ValueError):
+            values[0] = 1
+
+    def test_empty_sets(self):
+        values = form_values([], wedge_form(7))
+        assert values.tolist() == [] and values.dtype == np.int64
+        assert form_solution_count([], [(1, 2)], wedge_form(7), include_zero=True) == 0
+        assert form_solution_count([(1, 2)], [], wedge_form(7), include_zero=True) == 0
 
     def test_degenerate_rejected(self):
         with pytest.raises(GeometryError):
@@ -148,7 +164,7 @@ class TestForms:
         p = rng.choice([5, 11])
         pts = random_distinct_points(rng, p, 2, rng.randrange(1, 25))
         m = ((1, 2), (0, 1))
-        assert form_values(pts, FormSpec(p, m)) == frozenset(
+        assert form_values(pts, FormSpec(p, m)).tolist() == sorted(
             oracles.form_values(pts, m, p)
         )
 
@@ -323,14 +339,10 @@ def _isotropic_big():
 
 
 def _distance_oracle(pts, p):
-    pinned = oracles.pinned_counts(pts, p)
-    values = oracles.distance_values(pts, p)
+    """The report's fields from the double loops, the arrays as lists."""
     return dict(
-        values=frozenset(values),
-        nonzero_values=frozenset(values - {0}),
-        pinned_counts=tuple(pinned),
-        pinned_counts_nonzero=tuple(
-            len({oracles.nsq(oracles.diff(s, t, p), p) for t in pts} - {0}) for s in pts),
+        values=sorted(oracles.distance_values(pts, p)),
+        pinned_counts=oracles.pinned_counts(pts, p),
         zero_pairs=oracles.zero_pairs(pts, p),
         in_semi_isotropic_plane=(
             oracles.semi_isotropic_plane(pts, p) if len(pts[0]) == 3 else None),
@@ -338,12 +350,14 @@ def _distance_oracle(pts, p):
 
 
 def _assert_distance_report(pts, p):
-    want = _distance_oracle(pts, p)
-    for include_zero, counts in ((True, "pinned_counts"), (False, "pinned_counts_nonzero")):
-        rep = distance_set(pts, p, include_zero=include_zero)
-        for field, value in want.items():
-            assert getattr(rep, field) == value, field
-        assert (rep.max_pinned, rep.min_pinned) == (max(want[counts]), min(want[counts]))
+    rep = distance_set(pts, p)
+    for field, value in _distance_oracle(pts, p).items():
+        got = getattr(rep, field)
+        assert (got.tolist() if isinstance(got, np.ndarray) else got) == value, field
+    # 0 sorts first, and every pinned count sees it once
+    assert rep.values[1:].tolist() == sorted(oracles.distance_values(pts, p) - {0})
+    assert (rep.pinned_counts - 1).tolist() == [
+        len({oracles.nsq(oracles.diff(s, t, p), p) for t in pts} - {0}) for s in pts]
 
 
 def _sq_histogram(S, T, m, p, include_zero):
@@ -378,7 +392,7 @@ class TestKernelAgainstOracles:
     def test_form_values_and_solutions(self, case):
         p, m, (_, S), (_, T) = case
         form = FormSpec(p, m)
-        assert form_values(S, form) == frozenset(oracles.form_values(S, m, p))
+        assert form_values(S, form).tolist() == sorted(oracles.form_values(S, m, p))
         for include_zero in (False, True):
             assert form_solution_count(S, T, form, include_zero=include_zero) == (
                 _sq_histogram(S, T, m, p, include_zero))
@@ -484,7 +498,7 @@ class TestBlockBoundaries:
             else:
                 m = ((1, 2), (3, 5))  # determinant -1
                 T = pts[:5]
-                assert form_values(pts, FormSpec(p, m)) == frozenset(
+                assert form_values(pts, FormSpec(p, m)).tolist() == sorted(
                     oracles.form_values(pts, m, p))
                 for include_zero in (False, True):
                     assert form_solution_count(pts, T, FormSpec(p, m), include_zero) == (
@@ -498,16 +512,16 @@ class TestLargePrime:
     def test_distance_set(self, pts):
         pts = sorted(pts)
         rep = distance_set(pts, BIG)
-        assert rep.values == frozenset(oracles.distance_values(pts, BIG))
-        assert list(rep.pinned_counts) == oracles.pinned_counts(pts, BIG)
+        assert rep.values.tolist() == sorted(oracles.distance_values(pts, BIG))
+        assert rep.pinned_counts.tolist() == oracles.pinned_counts(pts, BIG)
         assert rep.zero_pairs == oracles.zero_pairs(pts, BIG)
 
     def test_distance_set_null_pairs(self):
         line = [tuple(t * c % BIG for c in _isotropic_big()) for t in (0, 1, 2, 5, -3)]
         pts = sorted(set(line) | {(1, 2, 3)})
         rep = distance_set(pts, BIG)
-        assert rep.values == frozenset(oracles.distance_values(pts, BIG))
-        assert list(rep.pinned_counts) == oracles.pinned_counts(pts, BIG)
+        assert rep.values.tolist() == sorted(oracles.distance_values(pts, BIG))
+        assert rep.pinned_counts.tolist() == oracles.pinned_counts(pts, BIG)
         assert rep.zero_pairs == oracles.zero_pairs(pts, BIG) == 20
         assert distance_set(line, BIG).in_semi_isotropic_plane is True
 
@@ -516,7 +530,7 @@ class TestLargePrime:
                     min_size=1, max_size=8, unique=True), forms(BIG))
     def test_form_values(self, pts, m):
         form = FormSpec(BIG, m)
-        assert form_values(pts, form) == frozenset(oracles.form_values(pts, m, BIG))
+        assert form_values(pts, form).tolist() == sorted(oracles.form_values(pts, m, BIG))
         assert form_solution_count(pts, pts, form, include_zero=True) == _sq_histogram(
             pts, pts, m, BIG, True)
 
@@ -532,12 +546,12 @@ class TestLargePrime:
         blocks = -(-len(pts) // (cells // len(pts)))
         if dim == 3:
             rep = distance_set(pts, BIG)
-            assert rep.values == frozenset(oracles.distance_values(pts, BIG))
+            assert rep.values.tolist() == sorted(oracles.distance_values(pts, BIG))
             assert rep.zero_pairs == oracles.zero_pairs(pts, BIG)
             assert calls
         else:
             m = ((1, 2), (3, 5))
-            assert form_values(pts, FormSpec(BIG, m)) == frozenset(
+            assert form_values(pts, FormSpec(BIG, m)).tolist() == sorted(
                 oracles.form_values(pts, m, BIG))
         assert len(calls) <= 2 * blocks.bit_length() + 2, (len(calls), blocks)
 
@@ -562,3 +576,24 @@ def test_distance_set_memory_is_bounded_by_the_block(monkeypatch):
         # run-head masks (2 bytes a cell) come after the temporary is freed;
         # the run heads and per-point arrays stay within 512 bytes a point
         assert peak < 16 * block + 512 * n, (cells, peak)
+
+
+@pytest.mark.parametrize("dim, per_value", [(3, 96), (2, 64)])
+def test_value_set_memory_at_the_largest_modulus(dim, per_value):
+    # at p = 2^31 - 1 almost every pair value is new, so the value set has
+    # about n^2 / 2 distances or n^2 form values; merging the values alone,
+    # with no counts and no python objects, keeps the peak near 60 and 48
+    # bytes a value
+    pts = random_distinct_points(rng_for("value-set-memory", dim), BIG, dim, 1500)
+    tracemalloc.start()
+    try:
+        if dim == 3:
+            values = distance_set(pts, BIG).values
+        else:
+            values = form_values(pts, FormSpec(BIG, ((1, 2), (3, 5))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) > len(pts) ** 2 // 3
+    assert peak < per_value * len(values), (peak, peak / len(values))
+
