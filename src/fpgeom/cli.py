@@ -207,16 +207,17 @@ def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
         label = "point_plane_restricted"
     else:
         rep, label = counting.count_point_plane(doc.points, doc.planes), "point_plane"
-    params = {"q": rep.distinct_points, "pi": rep.distinct_planes, "k": rep.k}
+    points, planes = doc.points, doc.planes
+    params = {"q": len(points), "pi": len(planes), "k": rep.k}
     params.update({"weighted": rep.weighted} if cell is None else cell)
     if rep.k_star is not None:
         params["kstar"] = rep.k_star
     t = (theorem or "").upper()
-    known = {"q": rep.distinct_points, "pi": rep.distinct_planes, "W": rep.point_weight,
-             "w0": max(rep.max_point_weight, rep.max_plane_weight, 1),
+    known = {"q": len(points), "pi": len(planes), "W": points.total_weight(),
+             "w0": max(points.max_weight(), planes.max_weight(), 1),
              "k": rep.k_star if (t == "T1B" and rep.k_star is not None) else rep.k}
     if t == "T1C":
-        params["weights_balanced"] = int(rep.point_weight == rep.plane_weight)
+        params["weights_balanced"] = int(points.total_weight() == planes.total_weight())
     count = rep.weighted if t == "T1C" else rep.pairs
     return _row(doc.p, label, theorem, params, count, known, rep.flags)
 

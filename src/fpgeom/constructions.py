@@ -76,8 +76,6 @@ class ElekesGrid:
     exactly n points, so the incidence count is n^4.
     """
 
-    p: int
-    n: int
     points: tuple[Vec, ...]
     lines: tuple[AffinePlane, ...]
 
@@ -96,7 +94,7 @@ def elekes_grid(n: int, p: int) -> ElekesGrid:
         for a in range(1, n + 1)
         for b in range(1, n * n + 1)
     )
-    return ElekesGrid(p=p, n=n, points=points, lines=lines)
+    return ElekesGrid(points=points, lines=lines)
 
 
 @dataclass(frozen=True)
@@ -107,8 +105,6 @@ class SemiIsotropicSet:
     nonzero values occur however the points sit along the lines.
     """
 
-    p: int
-    k: int
     points: tuple[Vec, ...]
     isotropic_direction: Vec
     cross_direction: Vec
@@ -128,13 +124,8 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
     # product is below p^2, so the int64 sum stays below 2 (p - 1)^2 < 2^63
     offsets = [range(1, l + 1) if seed is None else rng.sample(range(p), l) for _ in range(k)]
     points = (np.outer(np.repeat(np.arange(1, k + 1), l), x) + np.outer(offsets, y)) % p
-    return SemiIsotropicSet(
-        p=p,
-        k=k,
-        points=tuple(map(tuple, points.tolist())),
-        isotropic_direction=y,
-        cross_direction=x,
-    )
+    return SemiIsotropicSet(points=tuple(map(tuple, points.tolist())), isotropic_direction=y,
+                            cross_direction=x)
 
 
 def _semi_isotropic_directions(p: int) -> tuple[Vec, Vec]:
@@ -165,9 +156,6 @@ class CylinderSet:
     cylinder cut on the 3-sphere by the orthogonal complement of one of its
     isotropic lines."""
 
-    p: int
-    t: int
-    k0: int
     points: tuple[Vec, ...]
     generators: tuple[AffineLine, ...]
 
@@ -200,13 +188,7 @@ def cylinder_set(p: int, t: int, k0: int, m: int) -> CylinderSet:
     # the k0 points b + s u, s = 0..k0-1, on each kept line b + s u
     points = (np.repeat(kept[:, :4], k0, axis=0)
               + np.tile(np.arange(k0), m)[:, None] * np.repeat(kept[:, 4:], k0, axis=0)) % p
-    return CylinderSet(
-        p=p,
-        t=t,
-        k0=k0,
-        points=tuple(map(tuple, points.tolist())),
-        generators=tuple(gens),
-    )
+    return CylinderSet(points=tuple(map(tuple, points.tolist())), generators=tuple(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -356,17 +356,14 @@ def _line_items(item, p: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class IncidenceReport:
-    """Exact incidence counts with the collinearity statistics the bound
-    evaluators consume and the hypothesis flags they report."""
+    """What a count found: the incident pairs and their weighted total, the
+    most collinear points k with a witness line, the hypothesis flags the
+    bound evaluators report, and for a restricted count k* and its witness
+    over the lines outside the forbidden family.  The sizes and weights of
+    the sets counted are read from the sets themselves."""
 
     pairs: int
     weighted: int
-    distinct_points: int
-    distinct_planes: int
-    point_weight: int
-    plane_weight: int
-    max_point_weight: int
-    max_plane_weight: int
     k: int
     k_witness: AffineLine | None
     flags: dict[str, bool] = field(default_factory=dict)
@@ -485,12 +482,6 @@ def _report(points, planes, pairs: int, weighted: int, forbidden=None) -> Incide
     return IncidenceReport(
         pairs=pairs,
         weighted=weighted,
-        distinct_points=len(points),
-        distinct_planes=len(planes),
-        point_weight=points.total_weight(),
-        plane_weight=planes.total_weight(),
-        max_point_weight=points.max_weight(),
-        max_plane_weight=planes.max_weight(),
         k=k,
         k_witness=wit,
         flags={
@@ -770,8 +761,11 @@ def max_collinear(points, p: int) -> tuple[int, AffineLine]:
     return _collinearity(points)[0]
 
 
-def rich_lines(points, k: int, p: int) -> list[tuple[AffineLine, int]]:
-    """All lines holding at least k points of the planar set, with counts."""
+def rich_lines(points, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lines, counts): every line of F_p^d holding at least k of the
+    distinct points, as read-only int64 arrays.  A row of lines (m x 2d) is
+    a canonical base then direction, as in WeightedLineSet; counts[i] is the
+    number of points on line i.  Most points come first, ties in row order."""
     if k < 2:
         raise ValueError("richness threshold must be at least 2")
     P = distinct_rows(points, p)
@@ -785,8 +779,10 @@ def rich_lines(points, k: int, p: int) -> list[tuple[AffineLine, int]]:
         line = _line_canonical(np.hstack([P[base[g]], D[g]]), p)
         rows.append(np.column_stack([len(P) - 1 - count[g], line]))
     R = np.concatenate(rows)
-    R = R[_runs(R.T, len(R))[0]].tolist()  # most points first, then in AffineLine order
-    return [(AffineLine(p, r[1 : dim + 1], r[dim + 1 :]), len(P) - r[0]) for r in R]
+    R = R[_runs(R.T, len(R))[0]]  # most points first, then in row order
+    counts = len(P) - R[:, 0]
+    R.flags.writeable = counts.flags.writeable = False
+    return R[:, 1:], counts
 
 
 # ---------------------------------------------------------------------------

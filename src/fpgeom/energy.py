@@ -54,7 +54,6 @@ class EnergyReport:
     semi_degenerate: int
     degenerate: int
     k0: int
-    quadric: str
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,8 @@ def _quadric_report(points, p: int, t: int | None) -> EnergyReport:
         if off.any():
             raise GeometryError(f"point {tuple(A[off.argmax()].tolist())} is not on the {quadric}")
     if not n:
-        return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0, quadric)
+        return EnergyReport(0, 0, 0, 0, 0, 0, 0, 0)
     table = p**d <= _TABLE_CELLS and d * p ** (d + 1) <= _TABLE_RATIO * n * n
     route = _table_route if table else _pair_route
     energy, corner, *counts = route(A, A[:, :-1] if t is None else A, p)
-    return EnergyReport(energy, corner, n, *counts, quadric)
+    return EnergyReport(energy, corner, n, *counts)

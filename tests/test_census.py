@@ -54,6 +54,16 @@ def _raw(line):
     return None if line is None else (line.base, line.direction)
 
 
+def _rich(pts, k, p):
+    """rich_lines' rows and counts as ((base, direction), count) pairs, in
+    its order, after checking both arrays are read-only int64."""
+    lines, counts = rich_lines(pts, k, p)
+    for a in (lines, counts):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    d = lines.shape[1] // 2
+    return [((tuple(r[:d]), tuple(r[d:])), c) for r, c in zip(lines.tolist(), counts.tolist())]
+
+
 def _check_collinearity(p, pts, exclude):
     ws = WeightedPointSet.of(pts, p, dim=len(pts[0]))
     lines = frozenset(AffineLine(p, b, d) for b, d in exclude)
@@ -82,9 +92,9 @@ def _check_all(p, pts, picks=()):
         return
     k, wit = max_collinear(pts, p)
     assert (k, _raw(wit)) == oracles.collinearity(pts, p)[0]
-    spanned = {_raw(line): c for line, c in rich_lines(pts, 2, p)}
+    spanned = dict(_rich(pts, 2, p))
     assert spanned == oracles.spanned_lines(pts, p)
-    rich = [(_raw(line), c) for line, c in rich_lines(pts, 3, p)]
+    rich = _rich(pts, 3, p)
     assert rich == sorted(((l, c) for l, c in spanned.items() if c >= 3),
                           key=lambda x: (-x[1], x[0]))
     assert isotropic_line_max(pts, p) == max(1, oracles.isotropic_lines(pts, p)[1])
@@ -599,7 +609,7 @@ def test_rich_lines_of_three_on_both_sides_of_the_rule(census_calls, p):
         census_calls.clear()
         pts = _random_points(p, 2, n, ("rich", p, n))
         spanned = oracles.spanned_lines(pts, p)
-        assert [(_raw(line), c) for line, c in rich_lines(pts, 3, p)] == sorted(
+        assert _rich(pts, 3, p) == sorted(
             ((l, c) for l, c in spanned.items() if c >= 3), key=lambda x: (-x[1], x[0]))
         by_direction = n >= 4 * p
         assert census_calls == ["_direction_lines" if by_direction else "_line_census"]
@@ -620,7 +630,7 @@ def test_rich_lines_break_ties_in_count_by_line(p, n):
         want = sorted(((l, c) for l, c in spanned.items() if c >= least),
                       key=lambda x: (-x[1], x[0]))
         assert len({c for _, c in want}) < len(want) - 1
-        assert [(_raw(line), c) for line, c in rich_lines(pts, least, p)] == want
+        assert _rich(pts, least, p) == want
 
 
 @pytest.mark.parametrize("p, t", [(13, 0), (13, 1), (13, 2)])
@@ -628,7 +638,7 @@ def test_rich_lines_of_a_sphere_read_its_isotropic_lines(census_calls, p, t):
     pts = _sphere(p, 3, t)
     spanned = oracles.spanned_lines(list(pts), p)
     for least in (3, 2):
-        got = [(_raw(line), c) for line, c in rich_lines(pts, least, p)]
+        got = _rich(pts, least, p)
         assert got == sorted(((l, c) for l, c in spanned.items() if c >= least),
                              key=lambda x: (-x[1], x[0]))
     # lines of two points need not be isotropic: they read the pairs
@@ -644,9 +654,53 @@ def test_largest_modulus_reads_the_pair_census(census_calls):
     pts = sorted(line + [tuple(rng.randrange(BIG) for _ in range(3)) for _ in range(5)])
     _check_collinearity(BIG, pts, [(line[0], d)])
     spanned = oracles.spanned_lines(pts, BIG)
-    assert [(_raw(l), c) for l, c in rich_lines(pts, 3, BIG)] == [
+    assert _rich(pts, 3, BIG) == [
         (l, c) for l, c in spanned.items() if c >= 3]
     assert census_calls == ["_line_census", "_line_census"]
+
+
+def _drawn(p, d, n, key):
+    """n seeded draws of F_p^d, repeats kept."""
+    rng = random.Random(repr(key))
+    return [tuple(rng.randrange(p) for _ in range(d)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("p, d, n, census", [
+    (1009, 2, 600, "_line_census"),
+    # 4,089 distinct points pass 4 * 1009: the census along every direction
+    (1009, 2, 4100, "_direction_lines"),
+    (31, 3, 800, "_line_census"),
+    (BIG, 3, 300, "_line_census"),
+])
+def test_rich_lines_of_two_hold_every_pair_once(census_calls, p, d, n, census):
+    # two distinct points span exactly one line, so the lines of two points or
+    # more share out the C(n, 2) pairs: a check at sizes no oracle reaches
+    pts = _drawn(p, d, n, ("pair-identity", p, d, n))
+    distinct = len(set(pts))
+    lines, counts = rich_lines(pts, 2, p)
+    assert census_calls == [census]
+    assert int((counts * (counts - 1) // 2).sum()) == distinct * (distinct - 1) // 2
+    assert lines.shape == (len(counts), 2 * d) and counts.min() >= 2
+
+
+def test_rich_lines_are_rows_not_line_objects(monkeypatch):
+    # 1,688 distinct points of F_401^2, past the rule, at threshold 3:
+    # some 127,000 lines, held as rows and counts, with no AffineLine built
+    def no_line(*args):
+        raise AssertionError("rich_lines built an AffineLine")
+
+    monkeypatch.setattr(counting, "AffineLine", no_line)
+    pts = _drawn(401, 2, 1700, "rich-memory")
+    tracemalloc.start()
+    try:
+        lines, counts = rich_lines(pts, 3, 401)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == len(counts) > 100_000
+    for a in (lines, counts):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert peak < 256 * len(counts)
 
 
 def test_direction_census_memory_is_bounded_by_block(monkeypatch, census_calls):

@@ -64,6 +64,13 @@ def _files() -> dict[str, str]:
                                         "1 1 1 w=3"],
                           planes=["0 0 1 0 w=2", "0 1 0 0", "1 1 1 3", "1 0 0 1"],
                           lines=["0 0 0 1 0 0"]),
+        # weights past 2^62, so the weighted count takes python ints; the
+        # point and plane weights balance, with a forbidden line of three points
+        "hugew3.txt": _config(7, 3, points=["0 0 0 w=99999999999999999999", "1 0 0", "2 0 0",
+                                            "0 1 0", "1 1 1 w=3"],
+                              planes=["0 0 1 0 w=99999999999999999999", "0 1 0 0 w=3",
+                                      "1 1 1 3 w=2", "1 0 0 1"],
+                              lines=["0 0 0 1 0 0"]),
         "plane2.txt": _config(11, 2, points=[(x, (2 * x + 1) % 11) for x in range(6)]
                               + [(0, 0), (3, 4), (5, 5)],
                               planes=["2 10 1", "1 1 0", "0 1 5"], lines=["0 0 1 1"]),
@@ -151,6 +158,9 @@ CASES = {
     "count-restricted": ["count", "w3.txt", "--restricted"],
     "count-restricted-T1B": ["count", "w3.txt", "--restricted", "--theorem", "T1B"],
     "count-restricted-T1C": ["count", "w3.txt", "--restricted", "--theorem", "T1C"],
+    "count-huge-weights-T1C": ["count", "hugew3.txt", "--theorem", "T1C"],
+    "count-huge-weights-restricted-T1C": ["count", "hugew3.txt", "--restricted",
+                                          "--theorem", "T1C"],
     "count-random-3d-650-T1": ["count", "random3d_650.txt", "--theorem", "T1"],
     "count-random-3d-650-restricted-T1B": ["count", "random3d_650.txt", "--restricted",
                                            "--theorem", "T1B"],

@@ -965,23 +965,29 @@ class TestRichLines:
     def test_grid_rich_lines_include_axes_and_diagonals(self):
         p, n = 17, 4
         pts = [(x, y) for x in range(n) for y in range(n)]
-        hits = dict(rich_lines(pts, n, p))
-        axis_count = sum(1 for line, c in hits.items() if c == n)
+        _, counts = rich_lines(pts, n, p)
+        axis_count = int((counts == n).sum())
         # n horizontal, n vertical, 2 main diagonals hold exactly n points
         assert axis_count >= 2 * n + 2
 
     def test_threshold_above_size_is_empty(self):
-        assert rich_lines([(0, 0), (1, 1)], 3, 7) == []
-        assert rich_lines([], 2, 7) == rich_lines([(1, 2)], 2, 7) == []
+        for pts, k in (([(0, 0), (1, 1)], 3), ([], 2), ([(1, 2)], 2)):
+            lines, counts = rich_lines(pts, k, 7)
+            assert len(lines) == len(counts) == 0
 
     def test_counts_match_membership_oracle(self):
         rng = rng_for("rich")
         p = 11
         pts = random_distinct_points(rng, p, 2, 30)
-        for line, count in rich_lines(pts, 3, p):
+        def lines_of(k):
+            lines, counts = rich_lines(pts, k, p)
+            return {AffineLine(p, r[:2], r[2:]): c
+                    for r, c in zip(lines.tolist(), counts.tolist())}
+
+        for line, count in lines_of(3).items():
             assert sum(1 for q in pts if line.contains(q)) == count
         # every line spanned by the set is accounted for
-        spanned = dict(rich_lines(pts, 2, p))
+        spanned = lines_of(2)
         for line, count in spanned.items():
             assert sum(1 for q in pts if line.contains(q)) == count
         raw = {(line.base, line.direction): c for line, c in spanned.items()}

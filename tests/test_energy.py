@@ -247,8 +247,7 @@ def _expected(points, p, quadric):
     # every rectangle is hit by exactly 8 ordered solutions
     assert mults == ((8, 8) if rects else None)
     k0 = len(pts) if len(pts) < 2 else max(1, oracles.isotropic_lines(corner, p)[1])
-    return EnergyReport(energy_, energy_, len(pts), rects, ordinary, semi, degenerate,
-                        k0, quadric)
+    return EnergyReport(energy_, energy_, len(pts), rects, ordinary, semi, degenerate, k0)
 
 
 def _report(points, p, quadric, t=None):
