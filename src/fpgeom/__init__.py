@@ -15,10 +15,10 @@ import sys
 # module -> the names the package exports from it
 _EXPORTS = {
     "field": ("Prime", "inv", "legendre"),
-    "geom": ("AffineLine", "AffinePlane"),
+    "geom": ("AffineLine",),
     "counting": ("IncidenceReport", "WeightedLineSet", "WeightedPlaneSet", "WeightedPointSet",
-                 "count_point_line_2d", "count_point_plane", "count_restricted",
-                 "max_collinear", "rich_lines", "weighted_incidences"),
+                 "count_point_plane", "count_restricted", "max_collinear", "rich_lines",
+                 "weighted_incidences"),
     "quadrics": ("Paraboloid", "Sphere", "paraboloid_lift", "sphere_points"),
     "erdos": ("DistanceReport", "FormSpec", "bisector_plane", "distance_set", "energy_delta",
               "form_values", "right_triangle_count", "wedge_solution_count",

@@ -193,7 +193,7 @@ def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
         if opt("restricted"):
             raise UsageError("count --restricted works on 3-dimensional configurations")
         lines = _planar_lines(doc)
-        count = counting.count_point_line_2d(doc.points, lines, doc.p)
+        count = counting.weighted_incidences(doc.points, lines)[0]
         params = {"q": len(doc.points), "l": len(lines)}
         # T2's grid A x B: the distinct x and y values, when their product is q
         a, b = (len(counting._runs([col], len(col))[1]) - 1 for col in doc.points.rows.T)
@@ -307,14 +307,15 @@ def _cmd_verify(args) -> int:
         if len(doc.lines):
             rrep = counting.count_restricted(doc.points, doc.planes, doc.lines.rows)
             rpairs, rweighted = counting.count_point_plane_naive(
-                doc.points, doc.planes, doc.lines.lines)
+                doc.points, doc.planes, doc.lines.rows.tolist())
             checks.append(("restricted count matches the naive loop",
                            (rrep.pairs, rrep.weighted) == (rpairs, rweighted)))
     if doc.dim == 2 and (len(doc.lines) or len(doc.planes)):
-        # the naive loop takes the objects, so it checks the covector step too
-        fast = counting.count_point_line_2d(doc.points, _planar_lines(doc), doc.p)
+        # the naive loop turns the line rows into covectors itself, so it
+        # checks the covector step too
+        fast = counting.weighted_incidences(doc.points, _planar_lines(doc))[0]
         slow = counting.count_point_line_2d_naive(
-            doc.points.points, doc.lines.lines + doc.planes.planes, doc.p)
+            doc.points.rows.tolist(), doc.lines.rows.tolist() + doc.planes.rows.tolist(), doc.p)
         checks.append(("planar count matches the naive loop", fast == slow))
     if args.quadric:
         quad = (quadrics.Paraboloid(doc.p, doc.dim) if args.quadric == "paraboloid"

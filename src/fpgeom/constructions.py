@@ -1,7 +1,8 @@
 """Generators for the extremal configurations used in the sharpness sweeps.
 
 Each generator validates its wraparound constraints as hard preconditions
-and emits standard point/plane/line objects for the counters.  Randomised
+and emits points as int tuples and planes and lines as int rows, in the
+forms the weighted sets' `of` take.  Randomised
 variants are seed-driven and deterministic for a fixed seed.
 """
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from .counting import WeightedPlaneSet, WeightedPointSet
 from .field import Prime, inv, legendre
-from .geom import AffineLine, AffinePlane, Vec
-from .quadrics import _sphere_lines, sphere_points
+from .geom import Vec
+from .quadrics import lines_on_sphere, sphere_points
 
 
 class ConstraintError(ValueError):
@@ -68,16 +69,18 @@ def coprime_lattice(n_max: int, p: int) -> list[Vec]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElekesGrid:
     """The uneven grid [1..n] x [1..2n^2] with its n^3 covering lines.
 
     Every line y = a*x + b (a in [1..n], b in [1..n^2]) meets the grid in
-    exactly n points, so the incidence count is n^4.
+    exactly n points, so the incidence count is n^4.  The lines are read-only
+    int64 covector rows (a, -1, -b) of a*x - y == -b, reduced mod p, for a
+    then b increasing.
     """
 
     points: tuple[Vec, ...]
-    lines: tuple[AffinePlane, ...]
+    lines: np.ndarray
 
 
 def elekes_grid(n: int, p: int) -> ElekesGrid:
@@ -89,11 +92,9 @@ def elekes_grid(n: int, p: int) -> ElekesGrid:
     points = tuple(
         (x % p, y % p) for x in range(1, n + 1) for y in range(1, 2 * n * n + 1)
     )
-    lines = tuple(
-        AffinePlane(p, (a, p - 1), -b % p)  # a*x - y == -b
-        for a in range(1, n + 1)
-        for b in range(1, n * n + 1)
-    )
+    a = np.repeat(np.arange(1, n + 1), n * n)
+    lines = np.column_stack([a, np.full_like(a, p - 1), -np.tile(np.arange(1, n * n + 1), n) % p])
+    lines.flags.writeable = False
     return ElekesGrid(points=points, lines=lines)
 
 
@@ -150,14 +151,15 @@ def _semi_isotropic_directions(p: int) -> tuple[Vec, Vec]:
     return (1, a, b), (1, 0, -inv(b, p) % p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CylinderSet:
     """k0 points on each of m parallel isotropic generator lines of the
     cylinder cut on the 3-sphere by the orthogonal complement of one of its
-    isotropic lines."""
+    isotropic lines; the generators are read-only int64 rows (m x 8) of a
+    canonical base then direction, as lines_on_sphere gives them."""
 
     points: tuple[Vec, ...]
-    generators: tuple[AffineLine, ...]
+    generators: np.ndarray
 
 
 def cylinder_set(p: int, t: int, k0: int, m: int) -> CylinderSet:
@@ -169,26 +171,25 @@ def cylinder_set(p: int, t: int, k0: int, m: int) -> CylinderSet:
         raise ConstraintError("need k0 >= 1 and m >= 1")
     if k0 > p:
         raise ConstraintError(f"a line over F_{p} has only {p} points, asked for {k0}")
-    lines = _sphere_lines(p, 4, t)
-    if not len(lines):
+    rows = lines_on_sphere(p, 4, t)
+    if not len(rows):
         raise ConstraintError(f"the sphere t={t} over F_{p} contains no isotropic line")
     # the axis is the first line on the sphere; with x and u its base and
     # direction, the cylinder's generators are the lines b + s u on the
     # sphere with (b - x).u == 0.  b.u == 0 on every line b + s u on the
     # sphere, the axis too, so they are all the lines parallel to the axis,
-    # the axis first, and only the m kept become AffineLines
-    rows = lines.rows
+    # the axis first
     parallel = rows[(rows[:, 4:] == rows[0, 4:]).all(axis=1)]
     if len(parallel) < m:
         raise ConstraintError(
             f"cylinder offers only {len(parallel)} generators, asked for {m}"
         )
     kept = parallel[:m]
-    gens = [AffineLine(lines.p, r[:4], r[4:]) for r in kept.tolist()]
+    kept.flags.writeable = False
     # the k0 points b + s u, s = 0..k0-1, on each kept line b + s u
     points = (np.repeat(kept[:, :4], k0, axis=0)
               + np.tile(np.arange(k0), m)[:, None] * np.repeat(kept[:, 4:], k0, axis=0)) % p
-    return CylinderSet(points=tuple(map(tuple, points.tolist())), generators=tuple(gens))
+    return CylinderSet(points=tuple(map(tuple, points.tolist())), generators=kept)
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,11 @@ do not depend on input order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .field import Prime
-from .geom import (
-    AffineLine,
-    AffinePlane,
-    DimensionMismatchError,
-    GeometryError,
-    Vec,
-    as_vec,
-    line_as_covector,
-)
+from .geom import AffineLine, DimensionMismatchError, GeometryError
 
 # numpy's int64 products stay exact below this; larger weighted totals take
 # the pure-python route.
@@ -264,10 +255,6 @@ class WeightedPointSet(_WeightedRows):
         dim, rows = _int_rows(points, p, dim, 0, "point")
         return cls._canonical(p, dim, rows, weights, "points")
 
-    @cached_property
-    def points(self) -> tuple[Vec, ...]:
-        return tuple(map(tuple, self.rows.tolist()))
-
 
 def distinct_rows(points, p: int, dim: int | None = None) -> np.ndarray:
     """The distinct points reduced mod p as sorted read-only int64 rows, from
@@ -285,34 +272,21 @@ class WeightedPlaneSet(_WeightedRows):
 
     @classmethod
     def of(cls, planes, p: int, weights=None, dim: int | None = None) -> "WeightedPlaneSet":
-        """Planes given as AffinePlanes, as (normal, offset) pairs, or as an
-        int array whose rows are a normal followed by an offset.  Each is
-        scaled so the first nonzero normal coordinate is 1."""
+        """Planes given as (normal, offset) pairs or as an int array whose
+        rows are a normal followed by an offset.  Each is scaled so the first
+        nonzero normal coordinate is 1."""
         p = Prime(p)
         if not isinstance(planes, np.ndarray):
-            planes = [_plane_row(item, p) for item in planes]
+            planes = [(*normal, offset) for normal, offset in planes]
         dim, rows = _int_rows(planes, p, dim, 1, "plane")
         if not rows[:, :dim].any(axis=1).all():
             raise GeometryError("plane normal must be nonzero")
         # the normal comes first, so its leading coordinate leads the row
         return cls._canonical(p, dim, _scale_canonical(rows, p), weights, "planes")
 
-    @cached_property
-    def planes(self) -> tuple[AffinePlane, ...]:
-        return tuple(AffinePlane(self.p, tuple(r[:-1]), r[-1]) for r in self.rows.tolist())
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(normals, offsets), read-only views of the rows."""
         return self.rows[:, :-1], self.rows[:, -1]
-
-
-def _plane_row(item, p: int) -> tuple[int, ...]:
-    if isinstance(item, AffinePlane):
-        if item.p != p:
-            raise ValueError("plane modulus differs from set modulus")
-        return (*item.normal, item.offset)
-    normal, offset = item
-    return (*normal, offset)
 
 
 class WeightedLineSet(_WeightedRows):
@@ -322,8 +296,9 @@ class WeightedLineSet(_WeightedRows):
 
     @classmethod
     def of(cls, lines, p: int, weights=None, dim: int | None = None) -> "WeightedLineSet":
-        """Lines given as AffineLines, as (base, direction) pairs, or as an
-        int array whose rows are a base followed by a direction."""
+        """Lines given as AffineLines, as (base, direction) pairs, as rows of
+        a base followed by a direction (a witness, say), or as an int array
+        of such rows."""
         p = Prime(p)
         if not isinstance(lines, np.ndarray):
             lines = [_line_items(item, p) for item in lines]
@@ -331,10 +306,6 @@ class WeightedLineSet(_WeightedRows):
         if not rows[:, dim:].any(axis=1).all():
             raise GeometryError("line direction must be nonzero")
         return cls._canonical(p, dim, _line_canonical(rows, p), weights, "lines")
-
-    @cached_property
-    def lines(self) -> tuple[AffineLine, ...]:
-        return tuple(AffineLine(self.p, r[: self.dim], r[self.dim :]) for r in self.rows.tolist())
 
     def covectors(self) -> np.ndarray:
         """Planar lines as rows (a, b, c) of a*x + b*y == c."""
@@ -346,10 +317,13 @@ class WeightedLineSet(_WeightedRows):
 
 
 def _line_items(item, p: int) -> tuple[int, ...]:
+    """A line's row, base then direction, from any form WeightedLineSet.of takes."""
     if isinstance(item, AffineLine):
         if item.p != p:
             raise ValueError("line modulus differs from set modulus")
         return (*item.base, *item.direction)
+    if len(item) != 2:
+        return tuple(item)
     base, direction = item
     return (*base, *direction)
 
@@ -359,16 +333,18 @@ class IncidenceReport:
     """What a count found: the incident pairs and their weighted total, the
     most collinear points k with a witness line, the hypothesis flags the
     bound evaluators report, and for a restricted count k* and its witness
-    over the lines outside the forbidden family.  The sizes and weights of
-    the sets counted are read from the sets themselves."""
+    over the lines outside the forbidden family.  A witness is a line's
+    canonical row as a tuple of 2d ints, base then direction, as in
+    WeightedLineSet.  The sizes and weights of the sets counted are read
+    from the sets themselves."""
 
     pairs: int
     weighted: int
     k: int
-    k_witness: AffineLine | None
+    k_witness: tuple[int, ...] | None
     flags: dict[str, bool] = field(default_factory=dict)
     k_star: int | None = None
-    k_star_witness: AffineLine | None = None
+    k_star_witness: tuple[int, ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +489,8 @@ def count_restricted(points: WeightedPointSet, planes: WeightedPlaneSet,
 
     A pair is discarded when some forbidden line contains q and lies inside
     pi.  k* is the largest number of points on any line outside the
-    forbidden family.  Forbidden lines are anything WeightedLineSet.of takes.
+    forbidden family.  Forbidden lines are anything WeightedLineSet.of takes,
+    such as the canonical rows a witness or WeightedLineSet.rows holds.
     """
     _require_dim3(points, planes)
     try:
@@ -530,21 +507,35 @@ def count_restricted(points: WeightedPointSet, planes: WeightedPlaneSet,
     return _report(points, planes, pairs - lost_pairs, weighted - lost, forb)
 
 
-def count_point_plane_naive(
-    points: WeightedPointSet,
-    planes: WeightedPlaneSet,
-    forbidden: tuple[AffineLine, ...] = (),
-) -> tuple[int, int]:
-    """Reference nested-loop route; returns (pairs, weighted)."""
+def count_point_plane_naive(points: WeightedPointSet, planes: WeightedPlaneSet,
+                            forbidden=()) -> tuple[int, int]:
+    """Reference nested-loop route over the sets' rows; returns (pairs,
+    weighted).  Forbidden lines are AffineLines, (base, direction) pairs or
+    rows of a base then a direction, read as they are: q lies on b + t d
+    when every 2 x 2 minor of (q - b, d) vanishes, and the line lies in the
+    plane n.x == c when n.b == c and n.d == 0."""
     _require_dim3(points, planes)
     p = points.p
+
+    def dot(u, v) -> int:
+        return sum(a * b for a, b in zip(u, v)) % p
+
+    forb = []
+    for line in forbidden:
+        row = [int(c) % p for c in _line_items(line, p)]
+        if len(row) != 6:
+            raise DimensionMismatchError(f"forbidden line {row} is not 3-dimensional")
+        forb.append((row[:3], row[3:]))
+    plane_rows = planes.rows.tolist()
     pairs = weighted = 0
-    forb = tuple(forbidden)
-    for q, wq in zip(points.points, points.weights):
-        for pl, wp in zip(planes.planes, planes.weights):
-            if not pl.contains(q):
+    for q, wq in zip(points.rows.tolist(), points.weights):
+        for (*n, c), wp in zip(plane_rows, planes.weights):
+            if dot(n, q) != c:
                 continue
-            if forb and any(l.contains(q) and pl.contains_line(l) for l in forb):
+            if any(dot(n, b) == c and dot(n, d) == 0
+                   and all((q[i] - b[i]) * d[j] % p == (q[j] - b[j]) * d[i] % p
+                           for i in range(3) for j in range(i + 1, 3))
+                   for b, d in forb):
                 continue
             pairs += 1
             weighted += wq * wp
@@ -722,16 +713,20 @@ def _census(P: np.ndarray, p: int, one_norm: bool, pairs):
 
 
 def _collinearity(points: WeightedPointSet,
-                  exclude=()) -> tuple[tuple[int, AffineLine | None], ...]:
+                  exclude=()) -> tuple[tuple[int, tuple[int, ...] | None], ...]:
     """(k, witness) over all lines and (k*, witness) over lines not in exclude
-    (anything WeightedLineSet.of takes), from one pass; a witness is the line
-    of most points with the least (base, first partner).  With nothing
-    excluded on a set of one norm only isotropic lines are read, and k == 2
-    keeps the line through rows 0 and 1."""
+    (anything WeightedLineSet.of takes), from one pass; a witness is the
+    canonical row, as a tuple, of the line of most points with the least
+    (base, first partner).  With nothing excluded on a set of one norm only
+    isotropic lines are read, and k == 2 keeps the line through rows 0 and 1."""
     P, p, n = points.rows, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
     banned = set(map(tuple, WeightedLineSet.of(exclude, p, dim=points.dim).rows.tolist()))
+
+    def row(line) -> tuple[int, ...]:
+        return tuple(_line_canonical(np.hstack(line)[None], p)[0].tolist())
+
     one_norm = not banned and np.ptp(dot_rows(P, P, p)) == 0
     census = _census(P, p, one_norm, _isotropic_census if one_norm else _line_census)
     # a line is keyed (-size, base * n + first partner): the least key is the best
@@ -744,15 +739,16 @@ def _collinearity(points: WeightedPointSet,
         for g in beats[_runs((x[beats] for x in (n + key, base, first)), len(beats))[0]]:
             line = ((int(key[g]), int(at[g])), (P[base[g]], D[g]))
             best = min(best, line, key=lambda item: item[0])
-            if not banned or tuple(_line_canonical(np.hstack(line[1])[None], p)[0]) not in banned:
+            if not banned or row(line[1]) not in banned:
                 best_star = line
                 break
-    return tuple((-neg, line and AffineLine(p, *line)) for (neg, _), line in (best, best_star))
+    return tuple((-neg, line and row(line)) for (neg, _), line in (best, best_star))
 
 
-def max_collinear(points, p: int) -> tuple[int, AffineLine]:
+def max_collinear(points, p: int) -> tuple[int, tuple[int, ...]]:
     """Largest number of collinear points and a witness line achieving it:
-    the first line to reach it in (base, first partner) order."""
+    the first line to reach it in (base, first partner) order, as its
+    canonical row (a tuple of 2d ints, base then direction)."""
     if not isinstance(points, np.ndarray):
         points = list(points)
     if len(points) < 2 or len(points := WeightedPointSet.of(points, p)) < 2:
@@ -779,6 +775,7 @@ def rich_lines(points, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         line = _line_canonical(np.hstack([P[base[g]], D[g]]), p)
         rows.append(np.column_stack([len(P) - 1 - count[g], line]))
     R = np.concatenate(rows)
+    del rows  # the blocks are freed before the reordered copy is made
     R = R[_runs(R.T, len(R))[0]]  # most points first, then in row order
     counts = len(P) - R[:, 0]
     R.flags.writeable = counts.flags.writeable = False
@@ -788,35 +785,27 @@ def rich_lines(points, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # planar point-line incidences
 
-def _line_row(item, p: int) -> tuple[int, ...]:
-    """A planar line as the row (a, b, c) of a*x + b*y == c."""
-    if isinstance(item, AffineLine):
-        item = line_as_covector(item)
-    row = _plane_row(item, p) if isinstance(item, AffinePlane) else tuple(int(c) % p for c in item)
-    if len(row) != 3:
-        raise DimensionMismatchError(f"line {row} is not 2-dimensional")
-    return row
-
-
-def count_point_line_2d(points, lines, p: int) -> int:
-    """Exact number of incidences between distinct planar points and lines.
-
-    Lines are given as AffineLines, in covector form a*x + b*y == c
-    (AffinePlane of dimension 2), as (a, b, c) triples, as an int array of
-    such rows or as a WeightedPlaneSet; a WeightedPointSet or
-    WeightedPlaneSet is used as it is.
-    """
-    if not isinstance(points, WeightedPointSet):
-        points = WeightedPointSet.of(points, p, dim=2)
-    if not isinstance(lines, WeightedPlaneSet):
-        if not isinstance(lines, np.ndarray):
-            lines = np.array([_line_row(item, p) for item in lines], dtype=np.int64).reshape(-1, 3)
-        lines = WeightedPlaneSet.of(lines, p, dim=2)
-    return weighted_incidences(points, lines)[0]
-
-
 def count_point_line_2d_naive(points, lines, p: int) -> int:
-    """Reference loop for the planar counter."""
-    pts = sorted({as_vec(q, p, 2) for q in points})
-    covs = {AffinePlane(p, row[:2], row[2]) for row in (_line_row(item, p) for item in lines)}
-    return sum(1 for q in pts for cov in covs if cov.contains(q))
+    """Reference loop for planar point-line incidences between the distinct
+    points and the distinct lines.  A line is a row (a, b, c) of
+    a*x + b*y == c or a row (base, direction), which becomes the covector
+    (-d_y, d_x, -d_y b_x + d_x b_y) here; each covector is scaled so its
+    first nonzero entry is 1 before equal lines merge."""
+    pts = set()
+    for q in points:
+        if len(q) != 2:
+            raise DimensionMismatchError(f"point {tuple(q)} is not 2-dimensional")
+        pts.add((int(q[0]) % p, int(q[1]) % p))
+    covs = set()
+    for row in lines:
+        if len(row) == 4:
+            bx, by, dx, dy = map(int, row)
+            row = (-dy, dx, -dy * bx + dx * by)
+        if len(row) != 3:
+            raise DimensionMismatchError(f"line {tuple(row)} is not 2-dimensional")
+        a, b, c = (int(x) % p for x in row)
+        if a == b == 0:
+            raise GeometryError("line normal must be nonzero")
+        s = pow(a or b, p - 2, p)
+        covs.add((a * s % p, b * s % p, c * s % p))
+    return sum(1 for x, y in pts for a, b, c in covs if (a * x + b * y - c) % p == 0)

@@ -19,7 +19,6 @@ lengths summed.  The tables stay exact in int64 for p < 2^31.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .counting import (
     dot_rows,
 )
 from .field import Prime, legendre
-from .geom import AffineLine, AffinePlane, CoincidentPointsError, GeometryError, Vec
+from .geom import CoincidentPointsError, GeometryError, Vec
 
 
 class NullPairError(GeometryError):
@@ -201,8 +200,9 @@ def energy_delta(points, p: int, restricted: bool = False) -> int:
     return total
 
 
-def bisector_plane(t1: Vec, t2: Vec, p: int) -> AffinePlane:
-    """Plane of points equidistant from t1 and t2: 2 s.(t1-t2) == |t1|^2 - |t2|^2.
+def bisector_plane(t1: Vec, t2: Vec, p: int) -> tuple[Vec, int]:
+    """Plane of points equidistant from t1 and t2: 2 s.(t1-t2) == |t1|^2 - |t2|^2,
+    as the (normal, offset) pair of ints that WeightedPlaneSet.of takes.
 
     Raises for coincident points, and for null pairs, where the locus
     degenerates (it then contains the pair itself).
@@ -216,7 +216,7 @@ def bisector_plane(t1: Vec, t2: Vec, p: int) -> AffinePlane:
         raise NullPairError(
             f"pair with isotropic difference {tuple(d[0].tolist())} has a degenerate bisector")
     n1, n2 = dot_rows(T, T, p).tolist()
-    return AffinePlane(p, tuple((2 * d[0] % p).tolist()), (n1 - n2) % p)
+    return tuple((2 * d[0] % p).tolist()), (n1 - n2) % p
 
 
 # ---------------------------------------------------------------------------
@@ -319,30 +319,20 @@ def wedge_to_incidence(s_points, t_points, p: int) -> tuple[WeightedPointSet, We
 
 @dataclass(frozen=True)
 class RightTriangleReport:
-    """Count of right-angle triples and the per-corner line tables behind it.
+    """Count of right-angle triples and the per-corner line rows behind it.
 
     total counts ordered triples (x, y, z) with x != z != y and
     (x - z).(z - y) == 0.  For each corner z and each line l through z
     spanned by the set, n(l) is the number of other points on l; the
     aggregation of n(l) * n(l-perp) over corners reproduces total exactly.
-    The tables are built from the census groups when first read.
     """
 
     total: int
     aggregated: int
-    p: int = field(repr=False, compare=False)
     # the distinct points as rows, and the census groups as rows
-    # (corner index, direction, n(l)) in (corner, direction) order
+    # (corner index, canonical direction, n(l)) in (corner, direction) order
     corners: np.ndarray = field(repr=False, compare=False)
     groups: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def tables(self) -> tuple[tuple[Vec, tuple[tuple[AffineLine, int], ...]], ...]:
-        pts = [tuple(q) for q in self.corners.tolist()]
-        tables: dict[int, list] = {}
-        for z, d0, d1, c in self.groups.tolist():
-            tables.setdefault(z, []).append((AffineLine(self.p, pts[z], (d0, d1)), c))
-        return tuple((pts[z], tuple(rows)) for z, rows in tables.items())
 
 
 def _perpendicular(D: np.ndarray, p: int) -> np.ndarray:
@@ -391,4 +381,4 @@ def right_triangle_count(points, p: int) -> RightTriangleReport:
     if total != aggregated:
         raise ArithmeticError("right-triangle aggregation diverged from direct count")
     G = np.concatenate(groups)
-    return RightTriangleReport(total, aggregated, p, P, G[_runs(G.T, len(G))[0]])
+    return RightTriangleReport(total, aggregated, P, G[_runs(G.T, len(G))[0]])

@@ -16,7 +16,7 @@ import numpy as np
 from .counting import (WeightedLineSet, _direction_lines, _int_rows, _norm_rows, dot_rows,
                        isotropic_directions)
 from .field import Prime
-from .geom import AffineLine, GeometryError, Vec
+from .geom import GeometryError, Vec
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,13 @@ def paraboloid_lift(points, p: int) -> list[Vec]:
 # ---------------------------------------------------------------------------
 # lines on quadrics
 
-def lines_on_sphere(p: int, d: int, t: int) -> list[AffineLine]:
-    """All lines fully contained in the sphere.
+def lines_on_sphere(p: int, d: int, t: int) -> np.ndarray:
+    """All lines fully contained in the sphere, as read-only int64 rows of a
+    canonical base then direction (L x 2d), in WeightedLineSet's order.
 
     The isotropic lines of its points, from counting's census (at t == 0 the
     cone's lines); a row failing the module docstring's identities raises
     ArithmeticError."""
-    return list(_sphere_lines(p, d, t).lines)
-
-
-def _sphere_lines(p: int, d: int, t: int) -> WeightedLineSet:
-    """The lines of lines_on_sphere as checked canonical rows, before any
-    AffineLine is built."""
     p = int(Prime(p))
     S = np.array(sphere_points(p, d, t), dtype=np.int64).reshape(-1, d)
     census = _direction_lines(S, p, isotropic_directions(p, d))
@@ -99,5 +94,4 @@ def _sphere_lines(p: int, d: int, t: int) -> WeightedLineSet:
     B, D = lines.rows[:, :d], lines.rows[:, d:]
     if (dot_rows(B, B, p) != t % p).any() or dot_rows(B, D, p).any() or dot_rows(D, D, p).any():
         raise ArithmeticError("a line is not on the sphere")
-    return lines
-
+    return lines.rows

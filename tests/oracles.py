@@ -19,6 +19,10 @@ from fpgeom.configio import ConfigDoc, ConfigParseError, _parse_header
 # ---------------------------------------------------------------------------
 # raw predicates
 
+def dot(u, v, p) -> int:
+    return sum(a * b for a, b in zip(u, v)) % p
+
+
 def on_plane(q, normal, offset, p) -> bool:
     return sum(a * b for a, b in zip(normal, q)) % p == offset % p
 

@@ -19,7 +19,6 @@ from fpgeom.constructions import (
 from fpgeom.counting import (
     WeightedPlaneSet,
     WeightedPointSet,
-    count_point_line_2d,
     count_point_plane,
     count_restricted,
     max_collinear,
@@ -36,7 +35,7 @@ from fpgeom.erdos import (
     wedge_to_incidence,
 )
 from fpgeom.field import is_prime, legendre
-from fpgeom.geom import AffineLine, AffinePlane
+from fpgeom.geom import AffineLine
 from fpgeom.quadrics import (
     lines_on_sphere,
     paraboloid_lift,
@@ -66,8 +65,9 @@ def test_c02_point_plane_oracle_equivalence():
         Q = WeightedPointSet.of(pts, p, weights=wq, dim=3)
         Pi = WeightedPlaneSet.of(raw_planes, p, weights=wp, dim=3)
         rep = count_point_plane(Q, Pi)
-        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
-        pairs, weighted = oracles.count_point_plane(Q.points, Q.weights, raw, Pi.weights, p)
+        raw = [(tuple(r[:-1]), r[-1]) for r in Pi.rows.tolist()]
+        pts = list(map(tuple, Q.rows.tolist()))
+        pairs, weighted = oracles.count_point_plane(pts, Q.weights, raw, Pi.weights, p)
         assert (rep.pairs, rep.weighted) == (pairs, weighted)
         checked += 1
     assert checked == 100
@@ -86,9 +86,10 @@ def test_c02_restricted_oracle_equivalence():
         Q = WeightedPointSet.of(pts, p, weights=[rng.randrange(1, 4) for _ in pts], dim=3)
         Pi = WeightedPlaneSet.of(raw_planes, p, dim=3)
         rep = count_restricted(Q, Pi, lines)
-        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw = [(tuple(r[:-1]), r[-1]) for r in Pi.rows.tolist()]
         raw_l = [(l.base, l.direction) for l in lines]
-        pairs, weighted = oracles.count_restricted(Q.points, Q.weights, raw, Pi.weights, raw_l, p)
+        pts = list(map(tuple, Q.rows.tolist()))
+        pairs, weighted = oracles.count_restricted(pts, Q.weights, raw, Pi.weights, raw_l, p)
         assert (rep.pairs, rep.weighted) == (pairs, weighted)
     announce(2, "restricted counts equal the literal triple-loop oracle on 100 seeded configs")
 
@@ -106,10 +107,13 @@ def test_c02_point_line_oracle_equivalence():
         for _ in range(nl):
             a, b, c = rng.randrange(p), rng.randrange(p), rng.randrange(p)
             if (a, b) != (0, 0):
-                pl = AffinePlane(p, (a, b), c)
-                lines.add((pl.normal[0], pl.normal[1], pl.offset))
-        dedup = sorted(lines)
-        assert count_point_line_2d(pts, dedup, p) == oracles.count_point_line_2d(pts, dedup, p)
+                lines.add((a, b, c))
+        # the engine merges equal lines, the oracle reads them once each
+        dedup = [n + (c,) for n, c in oracles.canonical_planes(
+            [((a, b), c) for a, b, c in lines], [1] * len(lines), p)[0]]
+        L = WeightedPlaneSet.of([((a, b), c) for a, b, c in lines], p, dim=2)
+        got = weighted_incidences(WeightedPointSet.of(pts, p, dim=2), L)[0]
+        assert got == oracles.count_point_line_2d(pts, dedup, p)
     announce(2, "planar point-line counts equal the nested-loop oracle on 100 seeded configs")
 
 
@@ -169,9 +173,9 @@ def test_c03_sphere_ruling_and_cone():
         cone = lines_on_sphere(p, 3, 0)
         assert len(cone) == p + 1
         covered = set()
-        for line in cone:
-            assert line.contains((0, 0, 0))
-            covered |= set(oracles.line_points(line.base, line.direction, p))
+        for line in cone.tolist():
+            assert oracles.on_line((0, 0, 0), line[:3], line[3:], p)
+            covered |= set(oracles.line_points(line[:3], line[3:], p))
         assert covered == set(sphere_points(p, 3, 0))
     announce(3, "ruling iff -t is a square, and the cone splits into p+1 lines, for p in {3,5,7,11,13}")
 
@@ -230,7 +234,7 @@ def test_c05_unit_sphere_sharpness_band():
         rep = count_point_plane(Q, Pi)
         ratios.append(rep.pairs / (len(Pi) * len(Q) ** 0.5))
         assert p % 4 == 3
-        k, _ = max_collinear(Q.points, p)
+        k, _ = max_collinear(Q.rows, p)
         assert k == 2
     band = max(ratios) / min(ratios)
     assert band <= 4
@@ -255,7 +259,8 @@ def test_c07_elekes_exact_incidences():
         while not is_prime(p):
             p += 1
         grid = elekes_grid(n, p)
-        assert count_point_line_2d(grid.points, grid.lines, p) == n ** 4
+        L = WeightedPlaneSet.of(grid.lines, p, dim=2)
+        assert weighted_incidences(WeightedPointSet.of(grid.points, p), L)[0] == n ** 4
     announce(7, "Elekes grids give exactly n^4 incidences for n in {2,3,4}")
 
 
@@ -298,11 +303,14 @@ def test_c10_right_triangle_identity():
         pts = random_distinct_points(rng, p, 2, rng.randrange(3, 25))
         rep = right_triangle_count(pts, p)
         assert rep.total == rep.aggregated
+        # each corner's groups: n(l) by the canonical direction of l
+        tables: dict[int, dict] = {}
+        for z, d0, d1, n_l in rep.groups.tolist():
+            tables.setdefault(z, {})[(d0, d1)] = n_l
         recomputed = 0
-        for z, rows in rep.tables:
-            table = {line: n for line, n in rows}
-            for line, n_l in table.items():
-                perp = AffineLine(p, z, (-line.direction[1] % p, line.direction[0]))
+        for table in tables.values():
+            for (d0, d1), n_l in table.items():
+                perp = oracles.canonical_direction((-d1 % p, d0), p)
                 recomputed += n_l * table.get(perp, 0)
         assert recomputed == rep.total
     announce(10, "right-triangle direct counts match the per-corner n(l)*n(l-perp) aggregation, including N=2 and N=12")

@@ -51,7 +51,13 @@ def point_sets(draw, primes=(3, 5, 7), dims=(2, 3, 4), max_free=16):
 
 
 def _raw(line):
-    return None if line is None else (line.base, line.direction)
+    """A witness row as the oracle's (base, direction), after checking it is
+    a tuple of 2d ints."""
+    if line is None:
+        return None
+    assert type(line) is tuple and all(type(c) is int for c in line)
+    d = len(line) // 2
+    return line[:d], line[d:]
 
 
 def _rich(pts, k, p):
@@ -174,8 +180,9 @@ def big_prime_sets(draw):
 def test_k_and_witness_at_largest_modulus(pts):
     k, wit = max_collinear(pts, BIG)
     assert k == oracles.max_collinear(pts, BIG)
-    second = tuple((b + c) % BIG for b, c in zip(wit.base, wit.direction))
-    assert sum(1 for q in pts if oracles.collinear(wit.base, second, q, BIG)) == k
+    base, direction = _raw(wit)
+    second = tuple((b + c) % BIG for b, c in zip(base, direction))
+    assert sum(1 for q in pts if oracles.collinear(base, second, q, BIG)) == k
     assert (k, _raw(wit)) == oracles.collinearity(pts, BIG)[0]
 
 
@@ -283,11 +290,11 @@ def _check_both_routes(p, pts):
     got = counting._collinearity(ws)
     # excluding a line sends k through the full census; k* then skips it
     full = counting._collinearity(ws, exclude=[((0,) * dim, (1,) + (0,) * (dim - 1))])[0]
-    expect = oracles.collinearity(list(ws.points), p)[0]
+    expect = oracles.collinearity(list(map(tuple, ws.rows.tolist())), p)[0]
     assert [(k, _raw(w)) for k, w in got] == [expect, expect]
     assert (full[0], _raw(full[1])) == expect
     assert _isotropic_groups(ws.rows, p) == _full_census_isotropic_groups(ws.rows, p)
-    assert isotropic_line_max(pts, p) == max(1, oracles.isotropic_lines(ws.points, p)[1])
+    assert isotropic_line_max(pts, p) == max(1, oracles.isotropic_lines(ws.rows.tolist(), p)[1])
     return got
 
 
@@ -341,7 +348,9 @@ def test_isotropic_pairs_without_three_collinear_keep_first_pair(census_calls):
     assert oracles.nsq(oracles.diff(pts[1], pts[0], p), p) != 0
     (k, wit), _ = _check_both_routes(p, pts)
     assert census_calls[0] == _rule_census(p, 3, len(pts))
-    assert k == 2 and wit == AffineLine(p, pts[0], oracles.diff(pts[1], pts[0], p))
+    # the default line through rows 0 and 1 is canonical too
+    assert k == 2
+    assert _raw(wit) == oracles.canonical_line(pts[0], oracles.diff(pts[1], pts[0], p), p)
 
 
 @pytest.mark.parametrize("p", [5, 13])
@@ -349,7 +358,7 @@ def test_row_off_the_sphere_takes_full_route(census_calls, p):
     Q = _moved_off(WeightedPointSet.of(_sphere(p, 3, 1), p))
     (k, wit), _ = counting._collinearity(Q)
     assert census_calls == ["_line_census"]
-    assert (k, _raw(wit)) == oracles.collinearity(list(Q.points), p)[0]
+    assert (k, _raw(wit)) == oracles.collinearity(list(map(tuple, Q.rows.tolist())), p)[0]
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64, 500])
@@ -685,11 +694,13 @@ def test_rich_lines_of_two_hold_every_pair_once(census_calls, p, d, n, census):
 
 def test_rich_lines_are_rows_not_line_objects(monkeypatch):
     # 1,688 distinct points of F_401^2, past the rule, at threshold 3:
-    # some 127,000 lines, held as rows and counts, with no AffineLine built
+    # some 127,000 lines, held as rows and counts, with no AffineLine built;
+    # the census blocks are freed before the rows are reordered, so the peak
+    # stays below 128 bytes a line
     def no_line(*args):
         raise AssertionError("rich_lines built an AffineLine")
 
-    monkeypatch.setattr(counting, "AffineLine", no_line)
+    monkeypatch.setattr(AffineLine, "__post_init__", no_line)
     pts = _drawn(401, 2, 1700, "rich-memory")
     tracemalloc.start()
     try:
@@ -700,7 +711,7 @@ def test_rich_lines_are_rows_not_line_objects(monkeypatch):
     assert len(lines) == len(counts) > 100_000
     for a in (lines, counts):
         assert a.dtype == np.int64 and not a.flags.writeable
-    assert peak < 256 * len(counts)
+    assert peak < 128 * len(counts)
 
 
 def test_direction_census_memory_is_bounded_by_block(monkeypatch, census_calls):
@@ -722,3 +733,48 @@ def test_direction_census_memory_is_bounded_by_block(monkeypatch, census_calls):
     # points; a table of every line of three points holds 5 int64 cells a line
     assert peak < 256 * counting._BLOCK_CELLS + 64 * len(Q)
     assert peak < 5 * 8 * rich // 4
+
+
+# ---------------------------------------------------------------------------
+# witnesses in the incidence reports: canonical rows, fed back as they are
+
+def test_report_witness_of_one_norm_set_at_k_two_is_canonical():
+    # the unit sphere of F_7^3 holds no line (-1 is no square mod 7), so k is
+    # 2 and the witness is the default line through rows 0 and 1, put in
+    # canonical form like every other witness
+    p = 7
+    Q, Pi = sphere_config(p, 20, random.Random(1))
+    pts = list(map(tuple, Q.rows.tolist()))
+    assert oracles.canonical_line(pts[0], oracles.diff(pts[1], pts[0], p), p)[0] != pts[0]
+    rep = counting.count_point_plane(Q, Pi)
+    expect = oracles.collinearity(pts, p)[0]
+    assert expect[0] == 2 and (rep.k, _raw(rep.k_witness)) == expect
+    assert max_collinear(pts, p) == (rep.k, rep.k_witness)
+    assert rep.k_star is None and rep.k_star_witness is None
+    # a frozen report of int tuples compares by value
+    assert counting.count_point_plane(Q, Pi) == rep
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_report_witnesses_with_exclusions_are_canonical_rows(seed):
+    p = 7
+    rng = random.Random(repr(("report-witness", seed)))
+    pts = set(_random_points(p, 3, 12, ("report-witness", seed)))
+    for _ in range(3):
+        base = tuple(rng.randrange(p) for _ in range(3))
+        d = tuple(rng.randrange(1, p) for _ in range(3))
+        pts.update(tuple((b + t * c) % p for b, c in zip(base, d)) for t in rng.sample(range(p), 4))
+    pts = sorted(pts)
+    Q = WeightedPointSet.of(pts, p)
+    Pi = counting.WeightedPlaneSet.of([((1, 2, 3), c) for c in range(p)], p)
+    (_, top), _ = oracles.collinearity(pts, p)
+    exclude = [top, (pts[0], oracles.diff(pts[1], pts[0], p))]
+    rep = counting.count_restricted(Q, Pi, [AffineLine(p, b, d) for b, d in exclude])
+    (k, wit), (k_star, wit_star) = oracles.collinearity(pts, p, exclude)
+    assert (rep.k, _raw(rep.k_witness)) == (k, wit)
+    assert (rep.k_star, _raw(rep.k_star_witness)) == (k_star, wit_star)
+    # a witness fed back as a one-row array excludes the line it names
+    again = counting.count_restricted(Q, Pi, np.array([rep.k_witness]))
+    (_, _), (k_star, wit_star) = oracles.collinearity(pts, p, [top])
+    assert (again.k_star, _raw(again.k_star_witness)) == (k_star, wit_star)
+    assert again.k_star_witness != rep.k_witness

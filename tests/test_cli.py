@@ -10,7 +10,7 @@ from fpgeom.bounds import BoundReport
 from fpgeom.cli import main, parse_sweep_spec, run_experiment
 from fpgeom.configio import ConfigParseError, emit_config
 from fpgeom.counting import WeightedPlaneSet, WeightedPointSet
-from fpgeom.geom import AffineLine, AffinePlane
+from fpgeom.geom import AffineLine
 from fpgeom.quadrics import paraboloid_lift
 
 SWEEP = """\
@@ -187,37 +187,36 @@ class TestCountPipeline:
 
 
 class TestObjectCounts:
-    """Counts read the config's rows; objects are built only for k witnesses."""
+    """Every path reads the config's rows: none builds a line object."""
 
-    def _built(self, monkeypatch, tmp_path, text, *args):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(text)
-        built = {AffinePlane: 0, AffineLine: 0}
-        for cls in built:
-            def counted(obj, cls=cls, init=cls.__post_init__):
-                built[cls] += 1
-                init(obj)
-            monkeypatch.setattr(cls, "__post_init__", counted)
-        code, _ = run(tmp_path, "count", str(cfg), *args)
-        assert code == 0
-        return built[AffinePlane], built[AffineLine]
+    def test_no_run_builds_a_line_object(self, monkeypatch, tmp_path):
+        def refuse(line):
+            raise AssertionError("an AffineLine was built")
 
-    def test_restricted_count_builds_only_witness_lines(self, monkeypatch, tmp_path):
-        rng, p = rng_for("objects-3d"), 101
-        vec = lambda: " ".join(str(rng.randrange(p)) for _ in range(3))
-        text = (f"p={p} dim=3\n[points]\n" + "".join(f"{vec()}\n" for _ in range(300))
-                + "[planes]\n" + "".join(f"{vec()} {rng.randrange(p)}\n" for _ in range(3000))
-                + "[lines]\n" + "".join(f"{vec()} {vec()}\n" for _ in range(20)))
-        planes, lines = self._built(monkeypatch, tmp_path, text, "--restricted", "--theorem", "T1B")
-        assert planes == 0 and lines <= 2
-
-    def test_planar_count_builds_no_objects(self, monkeypatch, tmp_path):
-        rng, p = rng_for("objects-2d"), 101
-        vec = lambda: f"{rng.randrange(p)} {rng.randrange(p)}"
-        text = (f"p={p} dim=2\n[points]\n" + "".join(f"{vec()}\n" for _ in range(300))
-                + "[planes]\n" + "".join(f"{vec()} {rng.randrange(p)}\n" for _ in range(300))
-                + "[lines]\n" + "".join(f"{vec()} {vec()}\n" for _ in range(300)))
-        assert self._built(monkeypatch, tmp_path, text, "--theorem", "VINH") == (0, 0)
+        monkeypatch.setattr(AffineLine, "__post_init__", refuse)
+        rng, p = rng_for("objects"), 101
+        vec = lambda dim: " ".join(str(rng.randrange(p)) for _ in range(dim))
+        rows = lambda count, dim: "".join(f"{vec(dim)}\n" for _ in range(count))
+        configs = {
+            "3d.txt": (f"p={p} dim=3\n[points]\n{rows(200, 3)}[planes]\n{rows(300, 4)}"
+                       f"[lines]\n{rows(10, 6)}"),
+            "2d.txt": (f"p={p} dim=2\n[points]\n{rows(200, 2)}[planes]\n{rows(100, 3)}"
+                       f"[lines]\n{rows(100, 4)}"),
+            "cyl.spec": "construction=cylinder\np=5\nt=1\nk0=2\nm=2\n",
+        }
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text)
+        for argv in (["count", "3d.txt", "--restricted", "--theorem", "T1B"],
+                     ["count", "3d.txt", "--theorem", "T1"],
+                     ["count", "2d.txt", "--theorem", "VINH"],
+                     ["verify", "3d.txt"],
+                     ["verify", "2d.txt"],
+                     ["construct", "cylinder", "--p", "5", "--t", "1", "--k0", "2", "--m", "2"],
+                     ["construct", "elekes", "--p", "11", "--n", "2"],
+                     ["sweep", "cyl.spec"]):
+            argv = [str(tmp_path / a) if a.endswith((".txt", ".spec")) else a for a in argv]
+            code, text = run(tmp_path, *argv)
+            assert code == 0 and "FAIL" not in text, argv
 
     def test_planar_count_canonicalises_each_set_once(self, monkeypatch, tmp_path):
         # the config's points and planes, then the merged covector lines

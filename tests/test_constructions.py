@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -17,12 +18,22 @@ from fpgeom.constructions import (
     semi_isotropic_set,
     sphere_config,
 )
-from fpgeom.counting import count_point_line_2d, isotropic_directions, max_collinear
+from fpgeom.counting import (WeightedPlaneSet, WeightedPointSet, isotropic_directions,
+                             max_collinear, weighted_incidences)
 from fpgeom.erdos import distance_set
 from fpgeom.field import is_prime
-from fpgeom.geom import dot
 from fpgeom.quadrics import Sphere, lines_on_sphere
 from conftest import rng_for
+
+
+def _grid_count(grid, p):
+    return weighted_incidences(WeightedPointSet.of(grid.points, p),
+                               WeightedPlaneSet.of(grid.lines, p))[0]
+
+
+def _line_pairs(rows):
+    """Line rows (base, direction) of F_p^4 as pairs of tuples."""
+    return [(tuple(r[:4]), tuple(r[4:])) for r in rows.tolist()]
 
 
 class TestSphereConfig:
@@ -37,14 +48,15 @@ class TestSphereConfig:
 
     def test_p7_two_collinear(self):
         Q, _ = sphere_config(7)
-        k, _ = max_collinear(Q.points, 7)
+        k, _ = max_collinear(Q.rows, 7)
         assert k == 2
 
     def test_sampled_planes(self):
         _, Pi = sphere_config(5)
         _, sample = sphere_config(5, 10, random.Random(2))
-        assert len(sample) == 10 and set(sample.planes) <= set(Pi.planes)
-        assert sphere_config(5, len(Pi), random.Random(2))[1].planes == Pi.planes
+        assert len(sample) == 10
+        assert set(map(tuple, sample.rows.tolist())) <= set(map(tuple, Pi.rows.tolist()))
+        assert sphere_config(5, len(Pi), random.Random(2))[1] == Pi
         with pytest.raises(ConstraintError, match="nonnegative"):
             sphere_config(5, -2, random.Random(2))
 
@@ -92,23 +104,31 @@ class TestElekesGrid:
     def test_n2_incidences(self):
         grid = elekes_grid(2, 11)
         assert len(grid.points) == 16 and len(grid.lines) == 8
-        assert count_point_line_2d(grid.points, grid.lines, 11) == 16
+        assert _grid_count(grid, 11) == 16
 
     def test_n3_incidences(self):
         grid = elekes_grid(3, 23)
-        assert count_point_line_2d(grid.points, grid.lines, 23) == 81
+        assert _grid_count(grid, 23) == 81
 
     def test_each_line_meets_n_points(self):
         n, p = 3, 23
         grid = elekes_grid(n, p)
-        for cov in grid.lines:
-            assert sum(1 for q in grid.points if cov.contains(q)) == n
+        for a, b, c in grid.lines.tolist():
+            assert sum(1 for q in grid.points if oracles.on_plane(q, (a, b), c, p)) == n
 
     def test_sizes(self):
         n, p = 4, 37
         grid = elekes_grid(n, p)
         assert len(grid.points) == 2 * n**3
         assert len(grid.lines) == n**3
+
+    def test_lines_are_the_covector_rows(self):
+        # a*x - y == -b for a then b increasing, as read-only int64 rows
+        n, p = 3, 23
+        lines = elekes_grid(n, p).lines
+        assert lines.dtype == np.int64 and not lines.flags.writeable
+        assert lines.tolist() == [[a, p - 1, -b % p] for a in range(1, n + 1)
+                                  for b in range(1, n * n + 1)]
 
     def test_wraparound_guard(self):
         with pytest.raises(ConstraintError):
@@ -180,8 +200,8 @@ class TestSemiIsotropicSet:
         built = semi_isotropic_set(3, 4, p, seed=1)
         assert time.perf_counter() - start < 1
         y, x = built.isotropic_direction, built.cross_direction
-        assert (oracles.nsq(y, p), dot(x, y, p)) == (0, 0)
-        assert oracles.nsq(x, p) == dot(x, x, p) != 0
+        assert (oracles.nsq(y, p), oracles.dot(x, y, p)) == (0, 0)
+        assert oracles.nsq(x, p) == oracles.dot(x, x, p) != 0
         rng = random.Random(1)
         want = [tuple((a * xc + b * yc) % p for xc, yc in zip(x, y))
                 for a in range(1, 4) for b in rng.sample(range(p), 4)]
@@ -215,9 +235,11 @@ class TestCylinderSet:
     def test_membership_and_generators(self):
         built = cylinder_set(5, 1, 2, 3)
         assert not Sphere(5, 4, 1).outside(built.points).any()
-        for gen in built.generators:
-            assert gen.direction == built.generators[0].direction
-            assert oracles.nsq(gen.direction, 5) == 0
+        gens = built.generators
+        assert gens.shape == (3, 8) and gens.dtype == np.int64 and not gens.flags.writeable
+        for _, direction in _line_pairs(gens):
+            assert direction == tuple(gens[0, 4:].tolist())
+            assert oracles.nsq(direction, 5) == 0
 
     def test_infeasible_parameters(self):
         with pytest.raises(ConstraintError):
@@ -230,30 +252,30 @@ class TestCylinderSet:
     def test_generators_match_isotropic_cylinder(self, p, t):
         # the construction reads its generators from the sphere's lines; the
         # oracle shifts the axis's base along each direction instead
-        axis = cylinder_set(p, t, 1, 1).generators[0]
-        expected = oracles.cylinder_generators(axis.base, axis.direction, p)
+        (base, direction), = _line_pairs(cylinder_set(p, t, 1, 1).generators)
+        expected = oracles.cylinder_generators(base, direction, p)
         built = cylinder_set(p, t, 1, len(expected))
-        assert [(g.base, g.direction) for g in built.generators] == expected
-        assert built.generators[0] == axis
+        assert _line_pairs(built.generators) == expected
+        assert _line_pairs(built.generators)[0] == (base, direction)
 
     @pytest.mark.parametrize("p, t", [(p, t) for p in (3, 5, 7, 11, 13) for t in (1, 2, 3)
                                       if t % p])
     def test_generators_are_the_parallel_lines_orthogonal_to_the_axis(self, p, t):
         # the lines b + s u on the sphere with (b - x).u == 0 are every line
         # on the sphere parallel to the axis x + s u
-        lines = lines_on_sphere(p, 4, t)
-        x, u = lines[0].base, lines[0].direction
-        expected = [l for l in lines if l.direction == u
-                    and dot(tuple(b - c for b, c in zip(l.base, x)), u, p) == 0]
-        assert expected == [l for l in lines if l.direction == u]
-        assert list(cylinder_set(p, t, 1, len(expected)).generators) == expected
+        lines = _line_pairs(lines_on_sphere(p, 4, t))
+        x, u = lines[0]
+        expected = [(b, d) for b, d in lines if d == u
+                    and oracles.dot(oracles.diff(b, x, p), u, p) == 0]
+        assert expected == [(b, d) for b, d in lines if d == u]
+        assert _line_pairs(cylinder_set(p, t, 1, len(expected)).generators) == expected
 
     def test_axis_is_the_first_line_on_the_sphere(self):
         for p, t in ((5, 1), (7, 3), (11, 2)):
             built = cylinder_set(p, t, 3, 2)
-            axis = built.generators[0]
-            assert axis == lines_on_sphere(p, 4, t)[0]
-            assert built.points[:3] == tuple(oracles.line_points(axis.base, axis.direction, p)[:3])
+            axis = built.generators[0].tolist()
+            assert axis == lines_on_sphere(p, 4, t)[0].tolist()
+            assert built.points[:3] == tuple(oracles.line_points(axis[:4], axis[4:], p)[:3])
 
     def test_precondition_errors(self):
         with pytest.raises(ConstraintError, match="t != 0"):

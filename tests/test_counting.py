@@ -10,9 +10,9 @@ from conftest import random_distinct_points, random_raw_lines, random_raw_planes
 from fpgeom import counting
 from fpgeom.constructions import sphere_config
 from fpgeom.counting import (
+    WeightedLineSet,
     WeightedPlaneSet,
     WeightedPointSet,
-    count_point_line_2d,
     count_point_line_2d_naive,
     count_point_plane,
     count_point_plane_naive,
@@ -24,13 +24,25 @@ from fpgeom.counting import (
     rich_lines,
     weighted_incidences,
 )
-from fpgeom.geom import (
-    AffineLine,
-    AffinePlane,
-    DimensionMismatchError,
-    GeometryError,
-    scale_canonical,
-)
+from fpgeom.geom import AffineLine, DimensionMismatchError, GeometryError, scale_canonical
+
+
+def _points(Q):
+    """A point set's rows as int tuples."""
+    return [tuple(q) for q in Q.rows.tolist()]
+
+
+def _raw_planes(Pi):
+    """A plane set's rows as (normal, offset) pairs."""
+    return [(tuple(r[:-1]), r[-1]) for r in Pi.rows.tolist()]
+
+
+def _planar_count(points, triples, p):
+    """The planar incidences the CLI counts: the engine on the distinct
+    points and the distinct covector rows (a, b, c) of a*x + b*y == c."""
+    return weighted_incidences(
+        WeightedPointSet.of(points, p, dim=2),
+        WeightedPlaneSet.of(np.array(triples, dtype=np.int64).reshape(-1, 3), p, dim=2))[0]
 
 
 def make_sets(rng, p, nq, npl, max_w=1):
@@ -46,13 +58,13 @@ def make_sets(rng, p, nq, npl, max_w=1):
 class TestWeightedSets:
     def test_duplicates_merge_by_weight(self):
         Q = WeightedPointSet.of([(0, 0, 0), (0, 0, 0), (1, 2, 3)], 7, weights=[2, 3, 1])
-        assert Q.points == ((0, 0, 0), (1, 2, 3))
+        assert _points(Q) == [(0, 0, 0), (1, 2, 3)]
         assert Q.weights == (5, 1)
         assert Q.total_weight() == 6
 
     def test_coordinates_normalised(self):
         Q = WeightedPointSet.of([(-1, 7, 8)], 7)
-        assert Q.points == ((6, 0, 1),)
+        assert _points(Q) == [(6, 0, 1)]
 
     def test_bad_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -103,11 +115,11 @@ class TestCanonicaliser:
         p, dim, points, planes, wq, wp = case
         Q = WeightedPointSet.of(points, p, weights=wq, dim=dim)
         keys, merged = oracles.canonical_points(points, wq or [1] * len(points), p)
-        assert Q.points == tuple(keys) and Q.weights == tuple(merged)
+        assert _points(Q) == keys and Q.weights == tuple(merged)
         assert Q.rows.tolist() == [list(k) for k in keys]
         Pi = WeightedPlaneSet.of(planes, p, weights=wp, dim=dim)
         keys, merged = oracles.canonical_planes(planes, wp or [1] * len(planes), p)
-        assert [(pl.normal, pl.offset) for pl in Pi.planes] == keys
+        assert _raw_planes(Pi) == keys
         assert Pi.weights == tuple(merged)
         N, off = Pi.arrays()
         assert [(tuple(n), c) for n, c in zip(N.tolist(), off.tolist())] == keys
@@ -119,12 +131,12 @@ class TestCanonicaliser:
     def test_scaled_duplicate_planes_merge(self):
         # 2x + 2y = 2 and x + y = 1 are one line
         Pi = WeightedPlaneSet.of([((2, 2), 2), ((1, 1), 1)], 7, weights=[3, 4])
-        assert [(pl.normal, pl.offset) for pl in Pi.planes] == [((1, 1), 1)]
+        assert _raw_planes(Pi) == [((1, 1), 1)]
         assert Pi.weights == (7,)
 
     def test_big_weights_sum_exactly(self):
         Q = WeightedPointSet.of([(1, 2), (0, 0), (6, 2)], 5, weights=[2**62, 3, 2**62 + 1])
-        assert Q.points == ((0, 0), (1, 2))
+        assert _points(Q) == [(0, 0), (1, 2)]
         assert Q.weights == (3, 2**63 + 1)
         assert all(type(w) is int for w in Q.weights)
 
@@ -141,28 +153,13 @@ class TestCanonicaliser:
         (lambda: WeightedPlaneSet.of([((1, 2), 0)], 7, weights=[0]), ValueError, "positive"),
         (lambda: WeightedPointSet.of([(1, 2)], 7, weights=[1, 1]), ValueError, "length"),
         (lambda: WeightedPlaneSet.of([((1, 2), 0)], 7, weights=[]), ValueError, "length"),
-        (lambda: WeightedPlaneSet.of([AffinePlane(5, (1, 2), 0)], 7), ValueError, "modulus"),
+        (lambda: WeightedLineSet.of([AffineLine(5, (1, 2), (0, 1))], 7), ValueError, "modulus"),
     ], ids=["zero-normal", "zero-normal-mod-p", "ragged-points", "point-dim", "ragged-planes",
             "negative-weight", "zero-weight", "long-weights", "short-weights", "other-modulus"])
     def test_errors(self, build, error, match):
         with pytest.raises(error, match=match) as caught:
             build()
         assert type(caught.value) is error
-
-    def test_sphere_family_builds_no_plane_objects(self, monkeypatch):
-        calls = []
-        post_init = AffinePlane.__post_init__
-
-        def counted(self):
-            calls.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(AffinePlane, "__post_init__", counted)
-        rep = count_point_plane(*sphere_config(31))
-        assert rep.pairs == len(sphere_config(31)[0]) * (31 * 31 + 31 + 1)
-        assert not calls
-        AffinePlane(31, (1, 0, 0), 0)
-        assert len(calls) == 1  # the patch does see plane construction
 
     def test_stored_arrays_are_read_only(self):
         Q, Pi = sphere_config(5)
@@ -450,9 +447,9 @@ class TestCountPointPlane:
         Q, Pi = sphere_config(3)
         assert len(Q) == 6 and len(Pi) == 39
         rep = count_point_plane(Q, Pi)
-        raw_planes = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw_planes = _raw_planes(Pi)
         pairs, weighted = oracles.count_point_plane(
-            Q.points, Q.weights, raw_planes, Pi.weights, 3
+            _points(Q), Q.weights, raw_planes, Pi.weights, 3
         )
         assert (rep.pairs, rep.weighted) == (pairs, weighted)
 
@@ -462,8 +459,8 @@ class TestCountPointPlane:
         p = rng.choice([5, 7, 11, 31])
         Q, Pi = make_sets(rng, p, rng.randrange(1, 60), rng.randrange(1, 60), max_w=4)
         rep = count_point_plane(Q, Pi)
-        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
-        pairs, weighted = oracles.count_point_plane(Q.points, Q.weights, raw, Pi.weights, p)
+        raw = _raw_planes(Pi)
+        pairs, weighted = oracles.count_point_plane(_points(Q), Q.weights, raw, Pi.weights, p)
         assert (rep.pairs, rep.weighted) == (pairs, weighted)
         npairs, nweighted = count_point_plane_naive(Q, Pi)
         assert (npairs, nweighted) == (pairs, weighted)
@@ -495,7 +492,8 @@ class TestCountPointPlane:
         assert rep.flags["points_lt_p_squared"] == (len(Q) < 25)
         assert rep.flags["points_le_planes"] == (len(Q) <= len(Pi))
         assert rep.k_witness is not None
-        on_witness = sum(1 for q in Q.points if rep.k_witness.contains(q))
+        base, d = rep.k_witness[:3], rep.k_witness[3:]
+        on_witness = sum(1 for q in _points(Q) if oracles.on_line(q, base, d, 5))
         assert on_witness == rep.k
 
     def test_dimension_guard(self):
@@ -515,7 +513,8 @@ class TestCountRestricted:
         p = 7
         line = AffineLine(p, (0, 0, 0), (1, 0, 0))
         pts = [(t, 0, 0) for t in range(p)]
-        pencil = [pl for pl in sphere_config(p)[1].planes if pl.contains_line(line)]
+        pencil = [(n, c) for n, c in _raw_planes(sphere_config(p)[1])
+                  if oracles.line_in_plane(line.base, line.direction, n, c, p)]
         assert len(pencil) == p + 1
         Q = WeightedPointSet.of(pts, p)
         Pi = WeightedPlaneSet.of(pencil, p)
@@ -531,13 +530,13 @@ class TestCountRestricted:
         Q, Pi = make_sets(rng, p, 20, 20, max_w=3)
         lines = [AffineLine(p, b, d) for b, d in random_raw_lines(rng, p, 3, 4)]
         # bias one line through an actual point so exclusions really happen
-        if Q.points:
-            lines.append(AffineLine(p, Q.points[0], (1, 0, 0)))
+        if len(Q):
+            lines.append(AffineLine(p, _points(Q)[0], (1, 0, 0)))
         rep = count_restricted(Q, Pi, lines)
-        raw_planes = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw_planes = _raw_planes(Pi)
         raw_lines = [(l.base, l.direction) for l in lines]
         pairs, weighted = oracles.count_restricted(
-            Q.points, Q.weights, raw_planes, Pi.weights, raw_lines, p
+            _points(Q), Q.weights, raw_planes, Pi.weights, raw_lines, p
         )
         assert (rep.pairs, rep.weighted) == (pairs, weighted)
         assert rep.pairs <= count_point_plane(Q, Pi).pairs
@@ -549,11 +548,13 @@ class TestCountRestricted:
         Q = WeightedPointSet.of(pts, p)
         Pi = WeightedPlaneSet.of(random_raw_planes(rng, p, 3, 5), p)
         k, witness = max_collinear(pts, p)
-        rep = count_restricted(Q, Pi, [witness])
+        # a witness row fed back as a one-row array is the line it names
+        rep = count_restricted(Q, Pi, np.array([witness]))
         assert rep.k == k
         assert rep.k_star_witness != witness
         if rep.k_star_witness is not None:
-            on_witness = sum(1 for q in pts if rep.k_star_witness.contains(q))
+            base, d = rep.k_star_witness[:3], rep.k_star_witness[3:]
+            on_witness = sum(1 for q in pts if oracles.on_line(q, base, d, p))
             assert on_witness == rep.k_star
 
     @pytest.mark.parametrize("seed", range(4))
@@ -580,8 +581,9 @@ class TestCountRestricted:
                 k_star = max(k_star, sum(1 for q in pts if oracles.collinear(a, b, q, p)))
         assert rep.k == oracles.max_collinear(pts, p)
         assert rep.k_star == k_star
-        assert rep.k_star_witness not in forbidden
-        assert sum(1 for q in pts if rep.k_star_witness.contains(q)) == k_star
+        base, d = rep.k_star_witness[:3], rep.k_star_witness[3:]
+        assert AffineLine(p, base, d) not in forbidden
+        assert sum(1 for q in pts if oracles.on_line(q, base, d, p)) == k_star
 
     @pytest.mark.parametrize("line", [
         AffineLine(5, (0, 0, 0), (1, 0, 0)),  # another modulus
@@ -609,12 +611,38 @@ class TestCountRestricted:
         Pi = WeightedPlaneSet.of([((0, 0, 1), 0), ((1, 0, 0), 0), ((0, 1, 0), 0),
                                   ((1, 1, 1), 0)], p, weights=[11, 13, 17, 19])
         rep = count_restricted(Q, Pi, [x_axis, y_axis])
-        raw_planes = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw_planes = _raw_planes(Pi)
         raw_lines = [(l.base, l.direction) for l in (x_axis, y_axis)]
         assert (rep.pairs, rep.weighted) == oracles.count_restricted(
-            Q.points, Q.weights, raw_planes, Pi.weights, raw_lines, p)
+            _points(Q), Q.weights, raw_planes, Pi.weights, raw_lines, p)
         # only (origin, x+y+z=0) survives
         assert (rep.pairs, rep.weighted) == (1, 2 * 19)
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_naive_takes_each_forbidden_line_form(self, seed):
+        # AffineLines, raw (base, direction) pairs and rows of 2d ints, the
+        # last two unreduced and unscaled, give the same restricted counts
+        rng = rng_for("naive-forms", seed)
+        p = 7
+        Q, Pi = make_sets(rng, p, 40, 40, max_w=3)
+        pts = _points(Q)
+        # two planes hold the line through pts[2] along the x axis
+        Pi = WeightedPlaneSet.of(_raw_planes(Pi) + [((0, 1, 0), pts[2][1]), ((0, 0, 1), pts[2][2])],
+                                 p, weights=Pi.weights + (2, 5))
+        pairs = [(b, d) for b, d in random_raw_lines(rng, p, 3, 3)]
+        pairs += [(pts[0], oracles.diff(pts[1], pts[0], p)), (pts[2], (1, 0, 0))]
+        lines = [AffineLine(p, b, d) for b, d in pairs]
+        raw = [(tuple(c + p for c in b), tuple(3 * c for c in d)) for b, d in pairs]
+        rows = [(*b, *d) for b, d in raw]
+        want = oracles.count_restricted(pts, Q.weights, _raw_planes(Pi), Pi.weights, pairs, p)
+        assert want != oracles.count_point_plane(pts, Q.weights, _raw_planes(Pi), Pi.weights, p)
+        for forbidden in (lines, raw, rows, np.array(rows)):
+            assert count_point_plane_naive(Q, Pi, forbidden) == want
+            rep = count_restricted(Q, Pi, forbidden)
+            assert (rep.pairs, rep.weighted) == want
+        with pytest.raises(DimensionMismatchError):
+            count_point_plane_naive(Q, Pi, [(0, 0, 1, 1)])
 
 
 class TestBigWeights:
@@ -633,9 +661,9 @@ class TestBigWeights:
     def test_point_plane(self):
         _, Q, Pi = self._sets()
         rep = count_point_plane(Q, Pi)
-        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw = _raw_planes(Pi)
         assert (rep.pairs, rep.weighted) == oracles.count_point_plane(
-            Q.points, Q.weights, raw, Pi.weights, Q.p)
+            _points(Q), Q.weights, raw, Pi.weights, Q.p)
         assert rep.weighted > 2**63  # an int64 sum would have wrapped
 
     def test_restricted(self):
@@ -643,15 +671,15 @@ class TestBigWeights:
         p = Q.p
         lines = [AffineLine(p, b, d) for b, d in random_raw_lines(rng, p, 3, 3)]
         # lines inside planes through their points, so the restriction bites
-        for pl in Pi.planes:
-            a, b, c = pl.normal
+        for (a, b, c), off in _raw_planes(Pi):
             d = (b, -a, 0) if (a, b) != (0, 0) else (1, 0, 0)
-            lines += [AffineLine(p, q, d) for q in Q.points if pl.contains(q)][:1]
+            lines += [AffineLine(p, q, d) for q in _points(Q)
+                      if oracles.on_plane(q, (a, b, c), off, p)][:1]
         rep = count_restricted(Q, Pi, lines)
-        raw_planes = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw_planes = _raw_planes(Pi)
         raw_lines = [(l.base, l.direction) for l in lines]
         assert (rep.pairs, rep.weighted) == oracles.count_restricted(
-            Q.points, Q.weights, raw_planes, Pi.weights, raw_lines, p)
+            _points(Q), Q.weights, raw_planes, Pi.weights, raw_lines, p)
         assert rep.pairs < count_point_plane(Q, Pi).pairs
 
 
@@ -715,17 +743,17 @@ class TestEngine:
         wq = [rng.randrange(1, 5) for _ in pts]
         Q = WeightedPointSet.of(pts, p, weights=wq)
         Pi = WeightedPlaneSet.of(raw_planes, p)
-        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
+        raw = _raw_planes(Pi)
         rep = count_point_plane(Q, Pi)
         assert (rep.pairs, rep.weighted) == oracles.count_point_plane(
-            Q.points, Q.weights, raw, Pi.weights, p)
-        lines = [AffineLine(p, q, (1, 0, 0)) for q in Q.points[::7]]
+            _points(Q), Q.weights, raw, Pi.weights, p)
+        lines = [AffineLine(p, q, (1, 0, 0)) for q in _points(Q)[::7]]
         rep = count_restricted(Q, Pi, lines)
         assert (rep.pairs, rep.weighted) == oracles.count_restricted(
-            Q.points, Q.weights, raw, Pi.weights, [(l.base, l.direction) for l in lines], p)
+            _points(Q), Q.weights, raw, Pi.weights, [(l.base, l.direction) for l in lines], p)
         pts2 = random_distinct_points(rng, p, 2, 30)
         triples = [(1, b, c) for b in range(3) for c in range(p)] + [(0, 1, 2)]
-        assert count_point_line_2d(pts2, triples, p) == oracles.count_point_line_2d(
+        assert _planar_count(pts2, triples, p) == oracles.count_point_line_2d(
             pts2, triples, p)
 
     def test_sphere_memory_stays_far_below_dense_matrix(self, monkeypatch):
@@ -788,8 +816,8 @@ class TestEngine:
             counts.append(weighted_incidences(Q, Pi))
             assert bool(searches) == searched
             assert max(widths) == width
-        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
-        assert counts == [oracles.count_point_plane(Q.points, Q.weights, raw, Pi.weights, p)] * 3
+        raw = _raw_planes(Pi)
+        assert counts == [oracles.count_point_plane(_points(Q), Q.weights, raw, Pi.weights, p)] * 3
 
     @settings(max_examples=60, deadline=None)
     @given(engine_cases(3))
@@ -797,10 +825,10 @@ class TestEngine:
         p, pts, wq, planes, wp, lines = case
         Q = WeightedPointSet.of(pts, p, weights=wq, dim=3)
         Pi = WeightedPlaneSet.of(planes, p, weights=wp, dim=3)
-        raw = [(pl.normal, pl.offset) for pl in Pi.planes]
-        plain = oracles.count_point_plane(Q.points, Q.weights, raw, Pi.weights, p)
+        raw = _raw_planes(Pi)
+        plain = oracles.count_point_plane(_points(Q), Q.weights, raw, Pi.weights, p)
         restricted = oracles.count_restricted(
-            Q.points, Q.weights, raw, Pi.weights, lines, p,
+            _points(Q), Q.weights, raw, Pi.weights, lines, p,
             on_line=oracles.on_line_by_minors, line_in_plane=oracles.line_in_plane_by_two_points)
         for cells in _route_cells(p):
             with pytest.MonkeyPatch.context() as mp:
@@ -813,18 +841,17 @@ class TestEngine:
     @given(engine_cases(2))
     def test_planar_counts_match_oracles_on_every_route(self, case):
         p, pts, wq, planes, wp, _ = case
-        triples = sorted({(*pl.normal, pl.offset)
-                          for pl in WeightedPlaneSet.of(planes, p, dim=2).planes})
+        triples = WeightedPlaneSet.of(planes, p, dim=2).rows.tolist()
         Q = WeightedPointSet.of(pts, p, weights=wq, dim=2)
         L = WeightedPlaneSet.of(planes, p, weights=wp, dim=2)
-        raw = [(pl.normal, pl.offset) for pl in L.planes]
+        raw = _raw_planes(L)
         for cells in _route_cells(p):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(counting, "_BLOCK_CELLS", cells)
-                assert count_point_line_2d(pts, triples, p) == oracles.count_point_line_2d(
+                assert _planar_count(pts, triples, p) == oracles.count_point_line_2d(
                     pts, triples, p)
                 assert weighted_incidences(Q, L) == oracles.count_point_plane(
-                    Q.points, Q.weights, raw, L.weights, p)
+                    _points(Q), Q.weights, raw, L.weights, p)
 
     def test_planar_memory_with_the_pencil_table(self):
         # shaped like the benchmark's planar count: about 4,000 points and
@@ -836,20 +863,20 @@ class TestEngine:
         lines = lines[lines[:, :2].any(axis=1)]
         tracemalloc.start()
         try:
-            got = count_point_line_2d(pts, lines, p)
+            got = _planar_count(pts, lines, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(counting, "_BLOCK_CELLS", p - 1)  # the key search
-            assert count_point_line_2d(pts, lines, p) == got
+            assert _planar_count(pts, lines, p) == got
 
 
 class TestMaxCollinear:
     def test_three_collinear(self):
         k, line = max_collinear([(0, 0, 0), (1, 1, 1), (2, 2, 2), (1, 0, 0)], 7)
-        assert k == 3 and line.contains((2, 2, 2))
+        assert k == 3 and line == (0, 0, 0, 1, 1, 1)
 
     def test_grid_max_is_n(self):
         p, n = 13, 4
@@ -874,18 +901,20 @@ class TestMaxCollinear:
         pts = random_distinct_points(rng, p, 3, rng.randrange(2, 25))
         k, line = max_collinear(pts, p)
         assert k == oracles.max_collinear(pts, p)
-        assert sum(1 for q in pts if line.contains(q)) == k
+        assert sum(1 for q in pts if oracles.on_line(q, line[:3], line[3:], p)) == k
 
 
 class TestPointLine2D:
     def test_empty_lines(self):
-        assert count_point_line_2d([(0, 0)], [], 7) == 0
+        assert _planar_count([(0, 0)], [], 7) == 0
+        assert count_point_line_2d_naive([(0, 0)], [], 7) == 0
 
     def test_elekes_grid_n3(self):
         from fpgeom.constructions import elekes_grid
 
         grid = elekes_grid(3, 23)
-        assert count_point_line_2d(grid.points, grid.lines, 23) == 81
+        assert _planar_count(grid.points, grid.lines, 23) == 81
+        assert count_point_line_2d_naive(grid.points, grid.lines.tolist(), 23) == 81
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_matches_oracle(self, seed):
@@ -898,12 +927,12 @@ class TestPointLine2D:
             a, b, c = rng.randrange(p), rng.randrange(p), rng.randrange(p)
             if (a, b) == (0, 0):
                 continue
-            cov = AffinePlane(p, (a, b), c)
-            if cov in seen:
+            (n, off), = oracles.canonical_planes([((a, b), c)], [1], p)[0]
+            if (n, off) in seen:
                 continue
-            seen.add(cov)
-            triples.append((cov.normal[0], cov.normal[1], cov.offset))
-        got = count_point_line_2d(pts, triples, p)
+            seen.add((n, off))
+            triples.append((*n, off))
+        got = _planar_count(pts, triples, p)
         assert got == oracles.count_point_line_2d(pts, triples, p)
         assert got == count_point_line_2d_naive(pts, triples, p)
 
@@ -913,28 +942,29 @@ class TestPointLine2D:
         p = rng.choice([7, 11, 13])
         pts = random_distinct_points(rng, p, 2, rng.randrange(1, 40))
         lines = random_raw_lines(rng, p, 2, 12)
-        covs = [AffinePlane(p, (-d[1], d[0]), d[0] * b[1] - d[1] * b[0]) for b, d in lines]
-        triples = [(*c.normal, c.offset) for c in covs]
-        # every line three times, once in each form, with unreduced triples
-        mixed = ([AffineLine(p, b, d) for b, d in lines] + covs
-                 + [(a + p, b - p, c + 2 * p) for a, b, c in triples])
+        covs = [(-d[1], d[0], d[0] * b[1] - d[1] * b[0]) for b, d in lines]
+        triples = [n + (c,) for n, c in oracles.canonical_planes(
+            [(cov[:2], cov[2]) for cov in covs], [1] * len(covs), p)[0]]
+        # every line three times: as a (base, direction) row, as its
+        # covector, and as an unreduced multiple of the covector
+        mixed = ([(*b, *d) for b, d in lines] + covs
+                 + [(2 * a + p, 2 * b - p, 2 * c + 2 * p) for a, b, c in covs])
         rng.shuffle(mixed)
-        want = oracles.count_point_line_2d(pts, sorted(set(triples)), p)
-        assert count_point_line_2d(pts, mixed, p) == want
+        want = oracles.count_point_line_2d(pts, triples, p)
+        assert _planar_count(pts, triples, p) == want
         assert count_point_line_2d_naive(pts, mixed, p) == want
 
-    @pytest.mark.parametrize("count", [count_point_line_2d, count_point_line_2d_naive])
-    def test_line_input_errors(self, count):
-        with pytest.raises(ValueError, match="^plane modulus differs from set modulus$"):
-            count([(0, 0)], [AffineLine(11, (0, 0), (1, 2))], 7)
-        with pytest.raises(ValueError, match="^plane modulus differs from set modulus$"):
-            count([(0, 0)], [AffinePlane(11, (1, 2), 3)], 7)
+    def test_naive_line_input_errors(self):
         with pytest.raises(DimensionMismatchError):
-            count([(0, 0)], [AffinePlane(7, (1, 2, 3), 0)], 7)
+            count_point_line_2d_naive([(0, 0)], [(1, 2)], 7)
         with pytest.raises(DimensionMismatchError):
-            count([(0, 0)], [(1, 2)], 7)
+            count_point_line_2d_naive([(0, 0)], [(0, 0, 0, 1, 2, 3)], 7)
         with pytest.raises(DimensionMismatchError):
-            count([(0, 0)], [AffineLine(7, (0, 0, 0), (1, 2, 3))], 7)
+            count_point_line_2d_naive([(0, 0, 0)], [(1, 2, 3)], 7)
+        with pytest.raises(GeometryError):
+            count_point_line_2d_naive([(0, 0)], [(7, 14, 3)], 7)
+        with pytest.raises(GeometryError):
+            count_point_line_2d_naive([(0, 0)], [(1, 2, 0, 7)], 7)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -951,7 +981,7 @@ class TestPointLine2D:
         pairs, weighted = weighted_incidences(Q, L)
         assert pairs == count_point_line_2d_naive(pts, triples, p)
         assert (pairs, weighted) == oracles.count_point_plane(
-            Q.points, Q.weights, [(pl.normal, pl.offset) for pl in L.planes], L.weights, p)
+            _points(Q), Q.weights, _raw_planes(L), L.weights, p)
 
     def test_weighted_incidences_checks_the_sets_agree(self):
         Q = WeightedPointSet.of([(0, 0)], 7)
@@ -981,17 +1011,16 @@ class TestRichLines:
         pts = random_distinct_points(rng, p, 2, 30)
         def lines_of(k):
             lines, counts = rich_lines(pts, k, p)
-            return {AffineLine(p, r[:2], r[2:]): c
+            return {(tuple(r[:2]), tuple(r[2:])): c
                     for r, c in zip(lines.tolist(), counts.tolist())}
 
-        for line, count in lines_of(3).items():
-            assert sum(1 for q in pts if line.contains(q)) == count
+        for (base, d), count in lines_of(3).items():
+            assert sum(1 for q in pts if oracles.on_line(q, base, d, p)) == count
         # every line spanned by the set is accounted for
         spanned = lines_of(2)
-        for line, count in spanned.items():
-            assert sum(1 for q in pts if line.contains(q)) == count
-        raw = {(line.base, line.direction): c for line, c in spanned.items()}
-        assert raw == oracles.spanned_lines(pts, p)
+        for (base, d), count in spanned.items():
+            assert sum(1 for q in pts if oracles.on_line(q, base, d, p)) == count
+        assert spanned == oracles.spanned_lines(pts, p)
 
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):

@@ -32,8 +32,10 @@ def _full_paraboloid(p):
     return paraboloid_lift(itertools.product(range(p), repeat=2), p)
 
 
-def _line_points(line):
-    return oracles.line_points(line.base, line.direction, line.p)
+def _line_points(line, p):
+    """The points of a line row (an int array, base then direction)."""
+    d = len(line) // 2
+    return oracles.line_points(line[:d].tolist(), line[d:].tolist(), p)
 
 
 def _nonsquare(p):
@@ -160,8 +162,8 @@ class TestSphereEnergy:
 
     def test_full_isotropic_line_cubes(self):
         p = 5
-        t = next(t for t in range(1, p) if lines_on_sphere(p, 4, t))
-        A = _line_points(lines_on_sphere(p, 4, t)[0])
+        t = next(t for t in range(1, p) if len(lines_on_sphere(p, 4, t)))
+        A = _line_points(lines_on_sphere(p, 4, t)[0], p)
         rep = rectangle_energy_sphere(A, p, t)
         assert rep.energy == p ** 3
         assert rep.degenerate == rep.rectangles > 0
@@ -169,8 +171,8 @@ class TestSphereEnergy:
 
     def test_isotropic_line_subset_all_degenerate(self):
         p = 5
-        t = next(t for t in range(1, p) if lines_on_sphere(p, 4, t))
-        A = _line_points(lines_on_sphere(p, 4, t)[0])[:4]
+        t = next(t for t in range(1, p) if len(lines_on_sphere(p, 4, t)))
+        A = _line_points(lines_on_sphere(p, 4, t)[0], p)[:4]
         rep = rectangle_energy_sphere(A, p, t)
         assert rep.energy == oracles.additive_energy(A, A, p)
         assert rep.degenerate == rep.rectangles > 0
@@ -192,15 +194,14 @@ class TestSphereEnergy:
     def test_degenerate_bound_by_isotropic_line_budget(self):
         # degenerate rectangles need four collinear points of one isotropic line
         p = 5
-        t = next(t for t in range(1, p) if lines_on_sphere(p, 4, t))
-        pts = _line_points(lines_on_sphere(p, 4, t)[0])[:3]
+        t = next(t for t in range(1, p) if len(lines_on_sphere(p, 4, t)))
+        pts = _line_points(lines_on_sphere(p, 4, t)[0], p)[:3]
         rep = rectangle_energy_sphere(pts, p, t)
         iso_lines = 1
         assert rep.degenerate <= iso_lines * rep.k0 ** 3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_degenerate_budget_random_sets(self, seed):
-        from fpgeom.geom import AffineLine
         from fpgeom.quadrics import sphere_points
 
         rng = rng_for("deg-budget", seed)
@@ -216,7 +217,7 @@ class TestSphereEnergy:
             for j in range(i + 1, len(A)):
                 d = oracles.diff(A[j], A[i], p)
                 if oracles.nsq(d, p) == 0:
-                    iso_lines.add(AffineLine(p, A[i], d))
+                    iso_lines.add(oracles.canonical_line(A[i], d, p))
         assert rep.degenerate <= max(1, len(iso_lines)) * rep.k0 ** 3
 
     def test_semi_degenerate_cross_lines(self):
@@ -283,10 +284,10 @@ def sphere_sets(draw):
     t = draw(st.integers(1, p - 1))
     pool = sphere_points(p, d, t)
     pts = {pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=14))}
-    lines = _sphere_lines(p, d, t) if p <= 7 else []
-    if lines:
+    lines = _sphere_lines(p, d, t) if p <= 7 else ()
+    if len(lines):
         for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
-            pts.update(_line_points(lines[i]))
+            pts.update(_line_points(lines[i], p))
     return p, t, sorted(pts) or [pool[0]]
 
 
@@ -422,7 +423,7 @@ def _route_cases():
     for p, slope in ((5, 2), (13, 5)):  # 1 + slope^2 == 0
         line = paraboloid_lift([(s, slope * s % p) for s in range(p)], p)
         yield _case(f"isotropic-line-{p}", p, line, "paraboloid")
-    yield _case("sphere-line-5", 5, _line_points(lines_on_sphere(5, 4, 1)[0]), "sphere")
+    yield _case("sphere-line-5", 5, _line_points(lines_on_sphere(5, 4, 1)[0], 5), "sphere")
     yield _case("cylinder-5", 5, cylinder_set(5, 1, 2, 2).points, "sphere")
     yield _case("cylinder-13", 13, cylinder_set(13, 1, 3, 4).points, "sphere")
 
@@ -652,7 +653,7 @@ def d4_sphere_sets(draw):
     pts = {pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))}
     lines = _sphere_lines(p, 4, t)
     for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
-        pts.update(_line_points(lines[i]))
+        pts.update(_line_points(lines[i], p))
     return p, t, sorted(pts) or [pool[0]]
 
 

@@ -24,7 +24,7 @@ from fpgeom.erdos import (
     wedge_solution_count,
     wedge_to_incidence,
 )
-from fpgeom.geom import CoincidentPointsError, GeometryError, dot
+from fpgeom.geom import CoincidentPointsError, GeometryError
 
 
 class TestDistanceSet:
@@ -46,7 +46,7 @@ class TestDistanceSet:
         built = semi_isotropic_set(2, 3, 5)
         rep = distance_set(built.points, 5)
         x = built.cross_direction
-        assert rep.values.tolist() == [0, dot(x, x, 5)]
+        assert rep.values.tolist() == [0, oracles.dot(x, x, 5)]
         assert rep.in_semi_isotropic_plane is True
 
     @pytest.mark.parametrize("seed", range(5))
@@ -111,8 +111,11 @@ class TestEnergyDelta:
 
 class TestBisectorPlane:
     def test_hand_example(self):
+        # 2 s.(t1 - t2) == |t1|^2 - |t2|^2 as given, with no scaling: the
+        # plane x == 1 of F_7^3
         pl = bisector_plane((0, 0, 0), (2, 0, 0), 7)
-        assert pl.normal == (1, 0, 0) and pl.offset == 1
+        assert pl == ((3, 0, 0), 3)
+        assert oracles.canonical_planes([pl], [1], 7)[0] == [((1, 0, 0), 1)]
 
     def test_membership_iff_equidistance_exhaustive(self):
         p, rng = 7, rng_for("bisector")
@@ -121,12 +124,12 @@ class TestBisectorPlane:
             t2 = tuple(rng.randrange(p) for _ in range(3))
             if t1 == t2 or oracles.nsq(oracles.diff(t1, t2, p), p) == 0:
                 continue
-            pl = bisector_plane(t1, t2, p)
+            normal, offset = bisector_plane(t1, t2, p)
             for s in itertools.product(range(p), repeat=3):
                 equi = oracles.nsq(oracles.diff(s, t1, p), p) == oracles.nsq(
                     oracles.diff(s, t2, p), p
                 )
-                assert pl.contains(s) == equi
+                assert oracles.on_plane(s, normal, offset, p) == equi
 
     def test_null_pair_rejected(self):
         with pytest.raises(NullPairError):
@@ -243,8 +246,9 @@ class TestWedgeToIncidence:
         points, planes = wedge_to_incidence(S, T, p)
         (pt_rows, pt_w), (pl_rows, pl_w) = oracles.wedge_classes(S, T, p)
         assert points.dim == planes.dim == 4
-        assert points.points == tuple(pt_rows) and points.weights == tuple(pt_w)
-        assert [tuple(pl.normal) for pl in planes.planes] == pl_rows
+        assert points.rows.tolist() == [list(r) for r in pt_rows]
+        assert points.weights == tuple(pt_w)
+        assert [tuple(n) for n in planes.rows[:, :-1].tolist()] == pl_rows
         assert planes.weights == tuple(pl_w)
         assert not planes.rows[:, -1].any()
         assert points.total_weight() == planes.total_weight() == len(S) * len(T)
@@ -252,6 +256,16 @@ class TestWedgeToIncidence:
         assert weighted == form_solution_count(S, T, wedge_form(p), include_zero=True)
         if p < 100:
             assert weighted == oracles.engg_solutions(S, T, p)
+
+
+def _tables(rep, p):
+    """A right-triangle report's corners and groups as the oracle's
+    per-corner tables: (corner, [(canonical line, n(l)), ...])."""
+    pts = [tuple(q) for q in rep.corners.tolist()]
+    tables: dict[int, list] = {}
+    for z, d0, d1, c in rep.groups.tolist():
+        tables.setdefault(z, []).append((oracles.canonical_line(pts[z], (d0, d1), p), c))
+    return [(pts[z], rows) for z, rows in tables.items()]
 
 
 class TestRightTriangles:
@@ -279,10 +293,10 @@ class TestRightTriangles:
         p, rng = 11, rng_for("right-table")
         pts = random_distinct_points(rng, p, 2, 12)
         rep = right_triangle_count(pts, p)
-        for z, rows in rep.tables:
-            for line, n_l in rows:
-                assert line.contains(z)
-                assert n_l == sum(1 for q in pts if q != z and line.contains(q))
+        for z, rows in _tables(rep, p):
+            for (base, d), n_l in rows:
+                assert oracles.on_line(z, base, d, p)
+                assert n_l == sum(1 for q in pts if q != z and oracles.on_line(q, base, d, p))
 
     def test_needs_three_points(self):
         with pytest.raises(GeometryError):
@@ -415,8 +429,7 @@ class TestKernelAgainstOracles:
         rep = right_triangle_count(pts, p)
         aggregated, tables = oracles.right_triangle_tables(pts, p)
         assert rep.total == oracles.right_triangles(pts, p) == aggregated == rep.aggregated
-        assert [(z, [((l.base, l.direction), c) for l, c in rows])
-                for z, rows in rep.tables] == tables
+        assert _tables(rep, p) == tables
 
     def test_exact_square_sum_route(self, monkeypatch):
         # below the bound the squares are summed in int64; force python ints

@@ -1,64 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import oracles
 from conftest import rng_for
-from fpgeom.geom import (
-    AffineLine,
-    AffinePlane,
-    DimensionMismatchError,
-    GeometryError,
-    line_as_covector,
-)
+from fpgeom.counting import WeightedLineSet
+from fpgeom.geom import AffineLine, GeometryError
 
 
 def _through(q1, q2, p):
     return AffineLine(p, q1, oracles.diff(q2, q1, p))
-
-
-class TestIncidence:
-    def test_origin_on_z_plane(self):
-        pl = AffinePlane(7, (0, 0, 1), 0)
-        assert pl.contains((0, 0, 0))
-        assert not pl.contains((0, 0, 1))
-
-    def test_random_agrees_with_dot_evaluation(self):
-        p, rng = 31, rng_for("incidence")
-        for _ in range(200):
-            q = tuple(rng.randrange(p) for _ in range(3))
-            normal = tuple(rng.randrange(p) for _ in range(3))
-            if not any(normal):
-                continue
-            off = rng.randrange(p)
-            assert AffinePlane(p, normal, off).contains(q) == oracles.on_plane(
-                q, normal, off, p
-            )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            AffinePlane(7, (0, 0, 1), 0).contains((0, 0))
-
-
-class TestAffinePlane:
-    def test_contains_line_matches_enumeration(self):
-        p, rng = 5, rng_for("plane-contains-line")
-        seen = set()
-        for _ in range(200):
-            normal = tuple(rng.randrange(p) for _ in range(3))
-            if not any(normal):
-                continue
-            off = rng.randrange(p)
-            base = tuple(rng.randrange(p) for _ in range(3))
-            d = tuple(rng.randrange(p) for _ in range(3))
-            if not any(d):
-                continue
-            plane = AffinePlane(p, normal, off)
-            inside = all(oracles.on_plane(q, normal, off, p)
-                         for q in oracles.line_points(base, d, p))
-            assert plane.contains_line(AffineLine(p, base, d)) == inside
-            seen.add(inside)
-        assert seen == {False, True}
 
 
 class TestAffineLine:
@@ -78,7 +30,8 @@ class TestAffineLine:
             if q1 == q2:
                 continue
             l = _through(q1, q2, p)
-            assert l.contains(q1) and l.contains(q2)
+            assert oracles.on_line(q1, l.base, l.direction, p)
+            assert oracles.on_line(q2, l.base, l.direction, p)
 
     def test_point_set_equality(self):
         p = 7
@@ -93,7 +46,7 @@ class TestAffineLine:
         with pytest.raises(GeometryError):
             AffineLine(7, (1, 1, 1), (0, 0, 0))
 
-    def test_contains_matches_enumeration(self):
+    def test_canonical_form_keeps_the_point_set(self):
         p, rng = 5, rng_for("line-contains")
         for _ in range(50):
             base = tuple(rng.randrange(p) for _ in range(3))
@@ -101,10 +54,9 @@ class TestAffineLine:
             if not any(d):
                 continue
             l = AffineLine(p, base, d)
-            pts = set(oracles.line_points(base, d, p))
-            for _ in range(10):
-                q = tuple(rng.randrange(p) for _ in range(3))
-                assert l.contains(q) == (q in pts)
+            assert (l.base, l.direction) == oracles.canonical_line(base, d, p)
+            assert set(oracles.line_points(l.base, l.direction, p)) == set(
+                oracles.line_points(base, d, p))
 
 
 class TestCovectorConversion:
@@ -116,5 +68,11 @@ class TestCovectorConversion:
             d = (rng.randrange(p), rng.randrange(p))
             if d == (0, 0):
                 continue
-            cov = line_as_covector(AffineLine(p, base, d))
-            assert {q for q in plane if cov.contains(q)} == set(oracles.line_points(base, d, p))
+            (a, b, c), = WeightedLineSet.of([(base, d)], p).covectors().tolist()
+            assert {q for q in plane if oracles.on_plane(q, (a, b), c, p)} == set(
+                oracles.line_points(base, d, p))
+
+    def test_covectors_are_planar_only(self):
+        lines = WeightedLineSet.of(np.array([[0, 0, 0, 1, 2, 3]]), 7)
+        with pytest.raises(GeometryError):
+            lines.covectors()

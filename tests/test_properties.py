@@ -7,12 +7,12 @@ import oracles
 from fpgeom.counting import (
     WeightedPlaneSet,
     WeightedPointSet,
-    count_point_line_2d,
     count_point_plane,
     count_restricted,
+    weighted_incidences,
 )
 from fpgeom.energy import rectangle_energy_paraboloid, rectangle_energy_sphere
-from fpgeom.geom import AffineLine, AffinePlane, scale_canonical
+from fpgeom.geom import AffineLine, scale_canonical
 from fpgeom.quadrics import paraboloid_lift, sphere_points
 
 P = 13
@@ -73,7 +73,7 @@ def test_sphere_energy_is_invariant_under_signed_permutations(t, data):
 )
 @settings(max_examples=25)
 def test_count_is_input_order_invariant(points, raw_planes, rnd):
-    planes = [AffinePlane(P, n, off) for n, off in raw_planes]
+    planes = list(raw_planes)
     a = count_point_plane(
         WeightedPointSet.of(points, P, dim=3), WeightedPlaneSet.of(planes, P, dim=3)
     )
@@ -139,14 +139,14 @@ def test_point_plane_engines_match_oracles_at_big_prime(config):
     points, wq, raw_planes, wp, raw_lines = config
     Q = WeightedPointSet.of(points, BIG, weights=wq, dim=3)
     Pi = WeightedPlaneSet.of(raw_planes, BIG, weights=wp, dim=3)
-    planes = [(pl.normal, pl.offset) for pl in Pi.planes]
+    planes = [(tuple(r[:-1]), r[-1]) for r in Pi.rows.tolist()]
     rep = count_point_plane(Q, Pi)
     assert (rep.pairs, rep.weighted) == oracles.count_point_plane(
-        Q.points, Q.weights, planes, Pi.weights, BIG)
+        list(map(tuple, Q.rows.tolist())), Q.weights, planes, Pi.weights, BIG)
     lines = [AffineLine(BIG, b, d) for b, d in raw_lines]
     rep = count_restricted(Q, Pi, lines)
     assert (rep.pairs, rep.weighted) == oracles.count_restricted(
-        Q.points, Q.weights, planes, Pi.weights, raw_lines, BIG,
+        list(map(tuple, Q.rows.tolist())), Q.weights, planes, Pi.weights, raw_lines, BIG,
         on_line=oracles.on_line_by_minors,
         line_in_plane=oracles.line_in_plane_by_two_points)
 
@@ -155,7 +155,9 @@ def test_point_plane_engines_match_oracles_at_big_prime(config):
 @settings(max_examples=40, deadline=None)
 def test_point_line_2d_matches_oracle_at_big_prime(config):
     points, _, raw_lines, _, _ = config
-    covs = sorted({AffinePlane(BIG, n, c) for n, c in raw_lines})
-    triples = [(cov.normal[0], cov.normal[1], cov.offset) for cov in covs]
-    assert count_point_line_2d(points, triples, BIG) == oracles.count_point_line_2d(
-        sorted(set(points)), triples, BIG)
+    lines = WeightedPlaneSet.of(raw_lines, BIG, dim=2)
+    keys, _ = oracles.canonical_planes(raw_lines, [1] * len(raw_lines), BIG)
+    triples = [n + (c,) for n, c in keys]
+    assert lines.rows.tolist() == [list(t) for t in triples]
+    assert weighted_incidences(WeightedPointSet.of(points, BIG, dim=2), lines)[0] == (
+        oracles.count_point_line_2d(sorted(set(points)), triples, BIG))

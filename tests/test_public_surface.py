@@ -107,12 +107,12 @@ def test_every_module_level_import_is_used(module):
     assert unused == []
 
 
-# the public names: the 40 exported objects and the 8 modules that hold them
+# the public names: the 38 exported objects and the 8 modules that hold them
 PUBLIC = [
-    "AffineLine", "AffinePlane", "BoundReport", "ConstraintError", "DistanceReport",
+    "AffineLine", "BoundReport", "ConstraintError", "DistanceReport",
     "EnergyReport", "FormSpec", "IncidenceReport", "Paraboloid", "Prime", "RhsResult", "Sphere",
     "WeightedLineSet", "WeightedPlaneSet", "WeightedPointSet", "bisector_plane", "bounds",
-    "constructions", "coprime_lattice", "count_point_line_2d", "count_point_plane",
+    "constructions", "coprime_lattice", "count_point_plane",
     "count_restricted", "counting", "cylinder_set", "distance_set", "elekes_grid", "energy",
     "energy_delta", "erdos", "field", "form_values", "geom", "inv", "legendre", "max_collinear",
     "paraboloid_lift", "quadrics", "rectangle_energy_paraboloid", "rectangle_energy_sphere",

@@ -6,12 +6,7 @@ import pytest
 import oracles
 from fpgeom import counting, quadrics
 from fpgeom.field import is_prime, legendre
-from fpgeom.geom import (
-    AffineLine,
-    DimensionMismatchError,
-    GeometryError,
-    dot,
-)
+from fpgeom.geom import DimensionMismatchError, GeometryError
 from fpgeom.quadrics import (
     Paraboloid,
     Sphere,
@@ -23,8 +18,10 @@ from fpgeom.quadrics import (
 PRIMES_TO_100 = [q for q in range(3, 100) if is_prime(q)]
 
 
-def _points(line):
-    return oracles.line_points(line.base, line.direction, line.p)
+def _points(line, p):
+    """The points of a line row, base then direction."""
+    d = len(line) // 2
+    return oracles.line_points(line[:d], line[d:], p)
 
 
 class TestSqrtTable:
@@ -87,7 +84,7 @@ class TestIsotropicDirections:
     def test_no_orthogonal_isotropic_pair_in_dim3(self, p):
         iso = counting.isotropic_directions(p, 3).tolist()
         for u, v in itertools.combinations(iso, 2):
-            assert dot(u, v, p) != 0
+            assert oracles.dot(u, v, p) != 0
 
 
 class TestSpherePoints:
@@ -104,8 +101,8 @@ class TestSpherePoints:
         lines = lines_on_sphere(3, 3, 0)
         assert len(lines) == 4
         covered = set()
-        for l in lines:
-            covered |= set(_points(l))
+        for l in lines.tolist():
+            covered |= set(_points(l, 3))
         assert covered == set(pts)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -158,7 +155,11 @@ class TestParaboloid:
 
 
 def _raw(lines):
-    return [(l.base, l.direction) for l in lines]
+    """lines_on_sphere's rows as (base, direction) pairs, after checking they
+    are a read-only int64 array of 2d columns."""
+    assert lines.dtype == np.int64 and not lines.flags.writeable
+    d = lines.shape[1] // 2
+    return [(tuple(r[:d]), tuple(r[d:])) for r in lines.tolist()]
 
 
 class TestLinesOnSphere2:
@@ -166,16 +167,16 @@ class TestLinesOnSphere2:
 
     def test_unruled_when_minus_t_nonsquare(self):
         assert legendre(-1, 7) == -1
-        assert lines_on_sphere(7, 3, 1) == []
+        assert lines_on_sphere(7, 3, 1).shape == (0, 6)
 
     def test_ruled_case_regression_count(self):
         # -6 == 1 is a square mod 7; the doubly ruled sphere holds 2(p+1) lines
         lines = lines_on_sphere(7, 3, 6)
         assert len(lines) == 16
         sph = Sphere(7, 3, 6)
-        for l in lines:
-            assert not sph.outside(_points(l)).any()
-            assert oracles.nsq(l.direction, 7) == 0
+        for l in lines.tolist():
+            assert not sph.outside(_points(l, 7)).any()
+            assert oracles.nsq(l[3:], 7) == 0
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_p3_hand_scale(self, t):
@@ -231,26 +232,25 @@ class TestLinesOnSphere3:
     def test_no_orthogonal_isotropic_tangent_pair(self, p):
         # no sphere point carries two distinct mutually orthogonal isotropic lines
         for t in range(1, p):
-            lines = lines_on_sphere(p, 4, t)
-            by_point: dict[tuple, list[AffineLine]] = {}
+            lines = lines_on_sphere(p, 4, t).tolist()
+            by_point: dict[tuple, list[list[int]]] = {}
             for l in lines:
-                for q in _points(l):
+                for q in _points(l, p):
                     by_point.setdefault(q, []).append(l)
             for q, through in by_point.items():
                 for l1, l2 in itertools.combinations(through, 2):
-                    assert dot(l1.direction, l2.direction, p) != 0
+                    assert oracles.dot(l1[4:], l2[4:], p) != 0
 
     def test_fully_isotropic_plane_meets_sphere_in_one_line(self):
         # exhaustive at p=5: through an isotropic line on the sphere, a fully
         # isotropic plane cuts the sphere exactly along that line
         p = 5
-        t = next(t for t in range(1, p) if lines_on_sphere(p, 4, t))
-        sph, axis = Sphere(p, 4, t), lines_on_sphere(p, 4, t)[0]
-        u = axis.direction
-        x = axis.base
-        axis_pts = set(_points(axis))
+        t = next(t for t in range(1, p) if len(lines_on_sphere(p, 4, t)))
+        sph, axis = Sphere(p, 4, t), lines_on_sphere(p, 4, t)[0].tolist()
+        x, u = tuple(axis[:4]), tuple(axis[4:])
+        axis_pts = set(_points(axis, p))
         for w in map(tuple, counting.isotropic_directions(p, 4).tolist()):
-            if w == u or dot(w, u, p) != 0:
+            if w == u or oracles.dot(w, u, p) != 0:
                 continue
             # plane x + span(u, w) is fully isotropic
             section = {
