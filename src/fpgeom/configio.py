@@ -1,6 +1,7 @@
 """Plain-text configuration files and CSV/JSON report serialisation.
 
-Config grammar (UTF-8, '#' starts a comment anywhere):
+Config grammar (UTF-8, '#' starts a comment anywhere; <int> is anything
+Python's int reads, beyond int64 too):
 
     p=<int> dim=<int>
     [points]
@@ -18,9 +19,7 @@ theorem,p,params,count,rhs,ratio,flags with 12-significant-digit floats.
 
 from __future__ import annotations
 
-import contextlib
 import json
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +71,11 @@ def _section_rules(dim: int) -> dict[str, tuple]:
 
 def parse_config(text: str) -> ConfigDoc:
     """The document of a config text, read once.  The header and the section
-    heads are found in one walk; each section's object lines are streamed
-    into one int64 conversion that checks each line's weight and width as it
-    reads it (a section holding a value beyond int64 is converted again,
-    each value reduced mod p as it is read), and nonzero normals and
-    directions are checked once per section.  Faults are located only after
-    a conversion fails; ConfigParseError names the first faulty line."""
+    heads are found in one walk; each section's weights are split off in a
+    pass of their own and its values read by one np.loadtxt of its width.  A
+    section numpy does not read (a faulty line, a value beyond int64, a digit
+    that is not ASCII) is read again as Python ints reduced mod p, up to the
+    first faulty line, which ConfigParseError names."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
@@ -122,13 +120,19 @@ def _section_rows(lines: list[str], p: int, width: int, arity: str,
     section's object lines.  The fault is None or the index and message of
     the first faulty line: a line that does not read, or a row whose columns
     `nonzero` are all zero.  The rows are those of the lines that read."""
+    if not lines:  # numpy warns on a text of no lines
+        return np.zeros((0, width), dtype=np.int64), None, None
+    fault = None
     try:
-        values, weights = _convert(lines, width)
-    except OverflowError:
-        values, weights = _convert(lines, width, p)
-    n = len(values) // width
-    rows = np.frombuffer(values, dtype=np.int64)[: n * width].reshape(n, width) % p
-    fault = None if n == len(lines) else (n, _line_fault(lines[n], arity))
+        values, weights = _split_weights(lines)
+        rows = np.loadtxt(values, dtype=np.int64, ndmin=2).reshape(len(lines), width) % p
+    except (ValueError, OverflowError):
+        # Python's int reads what numpy does not, up to the first faulty line
+        faults = ((i, m) for i, line in enumerate(lines) if (m := _line_fault(line, width, arity)))
+        fault = next(faults, None)
+        values, weights = _split_weights(lines[: fault[0] if fault else len(lines)])
+        rows = np.array([[int(t) % p for t in v.split()] for v in values],
+                        dtype=np.int64).reshape(-1, width)
     if nonzero is not None:
         ok = rows[:, nonzero].any(axis=1)
         if not ok.all():
@@ -136,37 +140,25 @@ def _section_rows(lines: list[str], p: int, width: int, arity: str,
     return rows, weights, fault
 
 
-def _convert(lines: list[str], width: int, p: int | None = None):
-    """(int64 values, each reduced mod p unless p is None, weights or None)
-    of object lines of `width` values each, up to the first faulty line;
-    raises OverflowError at a value beyond int64."""
-    weights = [] if any("w=" in line for line in lines) else None
-    values = array("q")
-    ints = map(int, _object_tokens(lines, width, weights))
-    with contextlib.suppress(ValueError):
-        values.extend(ints if p is None else map(p.__rmod__, ints))
+def _split_weights(lines: list[str]) -> tuple[list[str], list[int] | None]:
+    """(the lines without their w= tokens, their weights), or (lines, None)
+    when none holds one; ValueError at a faulty weight or a weight alone."""
+    if not any("w=" in line for line in lines):
+        return lines, None
+    values, weights = [], []
+    for line in lines:
+        *value, last = line.rsplit(None, 1)
+        weighted = last.startswith("w=")
+        weights.append(int(last[2:]) if weighted else 1)
+        if weights[-1] < 1 or weighted and not value:
+            raise ValueError(f"a weight below 1 or of no object: {line!r}")
+        values += value if weighted else [line]
     return values, weights
 
 
-def _object_tokens(lines: list[str], width: int, weights: list[int] | None):
-    """Yield the value tokens of object lines of `width` values each, one
-    line at a time, appending each line's weight (1 when it has no w= token)
-    to `weights` unless it is None; raises ValueError at a faulty weight or
-    width."""
-    for line in lines:
-        tokens = line.split()
-        if weights is not None:
-            weights.append(int(tokens.pop()[2:]) if tokens[-1].startswith("w=") else 1)
-            if weights[-1] < 1:
-                raise ValueError("weights must be positive")
-        if len(tokens) != width:
-            raise ValueError(f"{len(tokens)} values, not {width}")
-        yield from tokens
-
-
-def _line_fault(line: str, arity: str) -> str:
-    """The message of a faulty object line: its weight token, then its
-    integer tokens, then its width."""
+def _line_fault(line: str, width: int, arity: str) -> str | None:
+    """The message of a faulty object line, None for a line that reads: its
+    weight token, then its integer tokens, then its width."""
     tokens = line.split()
     if tokens[-1].startswith("w="):
         weight = tokens.pop()
@@ -180,7 +172,8 @@ def _line_fault(line: str, arity: str) -> str:
             int(token)
         except ValueError:
             return f"expected an integer, got {token!r}"
-    return arity if tokens else "empty object line"
+    if len(tokens) != width:
+        return arity if tokens else "empty object line"
 
 
 def _parse_header(line: str, lineno: int) -> tuple[Prime, int]:

@@ -683,12 +683,19 @@ def _direction_lines(C: np.ndarray, p: int, W: np.ndarray):
     along its direction W[g], one of the canonical directions W; every line
     comes once.  Row a lies on the line of base a - a[j] w at parameter a[j]
     (w[j] == 1 leads w), so one sort of the keys (direction, base) groups a
-    block of _pair_values' table C.w.  On rows of one norm and isotropic w
-    only the zeros a.w == 0 are kept: |a + s w|^2 == |a|^2 + 2 s a.w."""
+    block of whole directions, about _BLOCK_CELLS cells of rows and
+    directions.  On rows of one norm and isotropic w only the zeros a.w == 0
+    of the block's table C.w are kept (|a + s w|^2 == |a|^2 + 2 s a.w);
+    otherwise every cell is kept and no table is formed."""
     lead = (W != 0).argmax(axis=1)
     zeros = np.ptp(dot_rows(C, C, p)) == 0 and not dot_rows(W, W, p).any()
-    for start, V in _pair_values(W, C, p):
-        v, I = np.nonzero(V == 0) if zeros else np.indices(V.shape).reshape(2, -1)
+    rows = max(1, _BLOCK_CELLS // max(1, len(C)))
+    for start in range(0, len(W), rows):
+        block = W[start : start + rows]
+        if zeros:
+            v, I = np.nonzero(dot_mod(block, C, p) == 0)
+        else:
+            v, I = np.indices((len(block), len(C))).reshape(2, -1)
         v += start
         s = C[I, lead[v]]
         base = C[I] - s[:, None] * W[v]

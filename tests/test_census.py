@@ -522,7 +522,7 @@ def test_isotropic_lines_of_subsets(case):
 
 @pytest.mark.parametrize("cells", [1, 7, 64, 500])
 def test_isotropic_lines_across_direction_blocks(monkeypatch, cells):
-    # _pair_values holds about _BLOCK_CELLS // n directions a block, one at least
+    # _direction_lines takes about _BLOCK_CELLS // n directions a block, one at least
     monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
     for p, d, t in ((5, 3, 0), (5, 4, 1), (13, 3, 2)):
         pts = list(_sphere(p, d, t))
@@ -594,6 +594,18 @@ def test_direction_side_matches_the_loops(census_calls, p, d, n):
     # k, k* with the top line and two more excluded, max_collinear, the
     # lines of two points and more and of three and more, and k0
     assert census_calls == ["_direction_lines"] * 6
+
+
+def test_census_along_every_direction_forms_no_table(census_calls, monkeypatch):
+    # past the rule on a set not of one norm every cell of a block is kept,
+    # so the census forms no table a.w
+    calls = []
+    dot_mod = counting.dot_mod
+    monkeypatch.setattr(counting, "dot_mod", lambda *a: calls.append(a) or dot_mod(*a))
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 1000)
+    pts = _random_points(5, 3, 100, ("no-table", 5, 3, 100))
+    assert max_collinear(pts, 5)[0] == oracles.max_collinear(pts, 5)
+    assert census_calls == ["_direction_lines"] and calls == []
 
 
 @pytest.mark.parametrize("p, d, n", [(5, 2, 20), (13, 2, 60), (5, 3, 100), (7, 3, 200)])

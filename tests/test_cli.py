@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import json
+import warnings
 
 import pytest
 
@@ -140,6 +141,26 @@ class TestCountPipeline:
         bad.write_text("p=7 dim=3\n[points]\n1 2\n")
         code, _ = run(tmp_path, "count", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("body, code, err", [
+        ("[points]\n1 2 3\n[planes]\n[lines]\n0 0 0 1 0 0\n", 0, ""),
+        ("[points]\nw=3\n", 2, "parse error: line 3: empty object line\n"),
+    ])
+    def test_reading_never_warns(self, tmp_path, capsys, body, code, err):
+        # numpy warns on a text of no lines and skips a line that is empty
+        # once its weight is split off: an empty section takes no
+        # conversion, and a weight alone is a faulty line
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("p=7 dim=3\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if code:
+                with pytest.raises(ConfigParseError, match="^line 3: empty object line$"):
+                    configio.parse_config(cfg.read_text())
+            else:
+                configio.parse_config(cfg.read_text())
+            assert run(tmp_path, "count", str(cfg))[0] == code
+        assert capsys.readouterr().err == err
 
     def test_restricted(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -131,6 +131,17 @@ def _files() -> dict[str, str]:
         # coordinates beyond int64 are valid and reduced mod p
         "huge.txt": _config(7, 3, points=["99999999999999999999 -99999999999999999999 3"],
                             planes=["1 0 0 99999999999999999999"]),
+        # integers Python's int reads and numpy does not (a sign, an
+        # underscore, a non-ASCII digit, values beyond int64) in every
+        # section, and the same config in plain digits
+        "ints3.txt": _config(7, 3, points=["+4 1_0 \u0663", "99999999999999999999 1 2",
+                                           "4 -99999999999999999999 3 w=1_0", "4 0 3 w=+2"],
+                             planes=["1 0 0 +4", "0 1_0 0 \u0663",
+                                     "0 0 99999999999999999999 3"],
+                             lines=["+4 0 \u0663 0 1_0 1_0"]),
+        "plain3.txt": _config(7, 3, points=["4 10 3", "1 1 2", "4 6 3 w=10", "4 0 3 w=2"],
+                              planes=["1 0 0 4", "0 10 0 3", "0 0 1 3"],
+                              lines=["4 0 3 0 10 10"]),
     }
 
 
@@ -176,6 +187,8 @@ CASES = {
     "count-zero-normal": ["count", "zero_normal.txt"],
     "count-first-of-two-faults": ["count", "two_faults.txt"],
     "count-huge-coordinates": ["count", "huge.txt"],
+    "count-python-int-tokens": ["count", "ints3.txt", "--restricted", "--theorem", "T1B"],
+    "count-plain-int-tokens": ["count", "plain3.txt", "--restricted", "--theorem", "T1B"],
     "distances": ["distances", "dist3.txt"],
     "distances-exclude-zero": ["distances", "dist3.txt", "--exclude-zero",
                                "--theorem", "T42"],
@@ -258,6 +271,12 @@ def golden():
 
 def test_golden_covers_every_run(golden):
     assert sorted(golden) == sorted(run_id for run_id, _ in _runs())
+
+
+def test_python_int_tokens_read_as_plain_digits(golden):
+    for suffix in VARIANTS:
+        assert (golden["count-python-int-tokens" + suffix]
+                == golden["count-plain-int-tokens" + suffix])
 
 
 @pytest.mark.parametrize("run_id, argv", list(_runs()), ids=[r for r, _ in _runs()])

@@ -122,20 +122,26 @@ class TestParse:
         assert doc.points.weights == (99999999999999999999, 1)
         assert emit_config(doc) == emit_config(oracles.parse_config_lines(text))
 
-    @pytest.mark.parametrize("text, conversions", [
-        (SAMPLE, 3),
-        ("p=7 dim=3\n[points]\n1 2 x\n[planes]\n0 0 0 1\n", 3),
-        ("p=7 dim=2\n[points]\n99999999999999999999 1\n[lines]\n0 0 1 1\n", 4),
+    @pytest.mark.parametrize("text, conversions, located", [
+        (SAMPLE, 3, []),
+        ("p=7 dim=3\n[points]\n1 2 x\n[planes]\n0 0 0 1\n", 2, ["1 2 x"]),
+        ("p=7 dim=2\n[points]\n99999999999999999999 1\n[lines]\n0 0 1 1\n", 2,
+         ["99999999999999999999 1"]),
+        ("p=7 dim=2\n[points]\n1 1 w=2\n\u0663 1\n[planes]\n1 1 1\n", 2, ["1 1 w=2", "\u0663 1"]),
     ])
-    def test_each_section_is_converted_once(self, monkeypatch, text, conversions):
-        # valid or faulty, each section is converted once; a section holding
-        # a value beyond int64 once more, reducing each value as it is read
-        calls = []
-        convert = configio._convert
-        monkeypatch.setattr(configio, "_convert", lambda *a: calls.append(a) or convert(*a))
+    def test_each_section_is_converted_once(self, monkeypatch, text, conversions, located):
+        # numpy converts each section that holds lines once; Python's int
+        # reads a section's lines only after numpy fails on it (a faulty
+        # line, a value beyond int64, a digit that is not ASCII), up to the
+        # first faulty line
+        loads, reads = [], []
+        loadtxt, line_fault = np.loadtxt, configio._line_fault
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: loads.append(a) or loadtxt(*a, **k))
+        monkeypatch.setattr(configio, "_line_fault",
+                            lambda line, *a: reads.append(line) or line_fault(line, *a))
         with contextlib.suppress(ConfigParseError):
             parse_config(text)
-        assert len(calls) == conversions
+        assert (len(loads), reads) == (conversions, located)
 
 
 # Random configs: objects in [0, p) and their copies, shifted by multiples of
