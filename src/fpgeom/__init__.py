@@ -19,7 +19,7 @@ _EXPORTS = {
     "counting": ("IncidenceReport", "WeightedLineSet", "WeightedPlaneSet", "WeightedPointSet",
                  "count_point_plane", "count_restricted", "max_collinear", "rich_lines",
                  "weighted_incidences"),
-    "quadrics": ("Paraboloid", "Sphere", "paraboloid_lift", "sphere_points"),
+    "quadrics": ("off_quadric", "paraboloid_lift", "sphere_points"),
     "erdos": ("DistanceReport", "FormSpec", "bisector_plane", "distance_set", "energy_delta",
               "form_values", "right_triangle_count", "wedge_solution_count",
               "wedge_to_incidence"),

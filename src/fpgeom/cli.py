@@ -318,9 +318,8 @@ def _cmd_verify(args) -> int:
             doc.points.rows.tolist(), doc.lines.rows.tolist() + doc.planes.rows.tolist(), doc.p)
         checks.append(("planar count matches the naive loop", fast == slow))
     if args.quadric:
-        quad = (quadrics.Paraboloid(doc.p, doc.dim) if args.quadric == "paraboloid"
-                else quadrics.Sphere(doc.p, doc.dim, 1 if args.t is None else args.t))
-        ok = not quad.outside(doc.points.rows).any()
+        t = 1 if args.quadric == "sphere" and args.t is None else args.t  # None: paraboloid
+        ok = not quadrics.off_quadric(doc.points.rows, doc.p, t).any()
         checks.append((f"all points lie on the {args.quadric}", ok))
     if args.format == "json":
         text = configio.rows_to_json([{"check": name, "ok": ok} for name, ok in checks])

@@ -1,14 +1,14 @@
 """Generators for the extremal configurations used in the sharpness sweeps.
 
 Each generator validates its wraparound constraints as hard preconditions
-and emits points as int tuples and planes and lines as int rows, in the
-forms the weighted sets' `of` take.  Randomised
+and emits its points, planes and lines as read-only int64 rows, in the
+forms the weighted sets' `of` take: a point is its coordinates, a plane its
+normal then its offset, a line its base then its direction.  Randomised
 variants are seed-driven and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -50,8 +50,9 @@ def sphere_config(p: int, planes: int = 0, rng=None) -> tuple[WeightedPointSet, 
     return points, family
 
 
-def coprime_lattice(n_max: int, p: int) -> list[Vec]:
-    """Points of [1..N]^2 with coprime coordinates, embedded mod p.
+def coprime_lattice(n_max: int, p: int) -> np.ndarray:
+    """Points of [1..N]^2 with coprime coordinates, as read-only int64 rows
+    in lex order.
 
     Requires N < sqrt(p)/2, so every pairwise dot product lives in
     [2, 2N^2] below p/2 and no value wraps around.
@@ -61,12 +62,10 @@ def coprime_lattice(n_max: int, p: int) -> list[Vec]:
         raise ConstraintError("N must be positive")
     if 4 * n_max * n_max >= p:
         raise ConstraintError(f"need N < sqrt(p)/2: N={n_max}, p={p}")
-    return [
-        (a % p, b % p)
-        for a in range(1, n_max + 1)
-        for b in range(1, n_max + 1)
-        if math.gcd(a, b) == 1
-    ]
+    r = np.arange(1, n_max + 1)
+    points = np.column_stack(np.nonzero(np.gcd.outer(r, r) == 1)) + 1
+    points.flags.writeable = False
+    return points
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +73,12 @@ class ElekesGrid:
     """The uneven grid [1..n] x [1..2n^2] with its n^3 covering lines.
 
     Every line y = a*x + b (a in [1..n], b in [1..n^2]) meets the grid in
-    exactly n points, so the incidence count is n^4.  The lines are read-only
-    int64 covector rows (a, -1, -b) of a*x - y == -b, reduced mod p, for a
-    then b increasing.
+    exactly n points, so the incidence count is n^4.  The points are
+    read-only int64 rows in lex order; the lines are read-only int64 covector
+    rows (a, -1, -b) of a*x - y == -b, reduced mod p, for a then b increasing.
     """
 
-    points: tuple[Vec, ...]
+    points: np.ndarray
     lines: np.ndarray
 
 
@@ -89,24 +88,24 @@ def elekes_grid(n: int, p: int) -> ElekesGrid:
         raise ConstraintError("n must be positive")
     if 2 * n * n >= p:
         raise ConstraintError(f"need p > 2n^2 to avoid wraparound: n={n}, p={p}")
-    points = tuple(
-        (x % p, y % p) for x in range(1, n + 1) for y in range(1, 2 * n * n + 1)
-    )
+    points = np.column_stack([np.repeat(np.arange(1, n + 1), 2 * n * n),
+                              np.tile(np.arange(1, 2 * n * n + 1), n)])
     a = np.repeat(np.arange(1, n + 1), n * n)
     lines = np.column_stack([a, np.full_like(a, p - 1), -np.tile(np.arange(1, n * n + 1), n) % p])
-    lines.flags.writeable = False
+    points.flags.writeable = lines.flags.writeable = False
     return ElekesGrid(points=points, lines=lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemiIsotropicSet:
-    """Points on k parallel isotropic lines inside one semi-isotropic plane.
+    """Points on k parallel isotropic lines inside one semi-isotropic plane,
+    as read-only int64 rows, line by line.
 
     Squared distances collapse to (a - a')^2 * |x|^2, so at most k distinct
     nonzero values occur however the points sit along the lines.
     """
 
-    points: tuple[Vec, ...]
+    points: np.ndarray
     isotropic_direction: Vec
     cross_direction: Vec
 
@@ -125,8 +124,8 @@ def semi_isotropic_set(k: int, l: int, p: int, seed: int | None = None) -> SemiI
     # product is below p^2, so the int64 sum stays below 2 (p - 1)^2 < 2^63
     offsets = [range(1, l + 1) if seed is None else rng.sample(range(p), l) for _ in range(k)]
     points = (np.outer(np.repeat(np.arange(1, k + 1), l), x) + np.outer(offsets, y)) % p
-    return SemiIsotropicSet(points=tuple(map(tuple, points.tolist())), isotropic_direction=y,
-                            cross_direction=x)
+    points.flags.writeable = False
+    return SemiIsotropicSet(points=points, isotropic_direction=y, cross_direction=x)
 
 
 def _semi_isotropic_directions(p: int) -> tuple[Vec, Vec]:
@@ -155,10 +154,11 @@ def _semi_isotropic_directions(p: int) -> tuple[Vec, Vec]:
 class CylinderSet:
     """k0 points on each of m parallel isotropic generator lines of the
     cylinder cut on the 3-sphere by the orthogonal complement of one of its
-    isotropic lines; the generators are read-only int64 rows (m x 8) of a
-    canonical base then direction, as lines_on_sphere gives them."""
+    isotropic lines, as read-only int64 rows (k0 m x 4), line by line; the
+    generators are read-only int64 rows (m x 8) of a canonical base then
+    direction, as lines_on_sphere gives them."""
 
-    points: tuple[Vec, ...]
+    points: np.ndarray
     generators: np.ndarray
 
 
@@ -171,9 +171,9 @@ def cylinder_set(p: int, t: int, k0: int, m: int) -> CylinderSet:
         raise ConstraintError("need k0 >= 1 and m >= 1")
     if k0 > p:
         raise ConstraintError(f"a line over F_{p} has only {p} points, asked for {k0}")
+    # every sphere |x|^2 == t != 0 of F_p^4 holds (p^2 - 1)(p + 1) lines, so
+    # rows[0] exists
     rows = lines_on_sphere(p, 4, t)
-    if not len(rows):
-        raise ConstraintError(f"the sphere t={t} over F_{p} contains no isotropic line")
     # the axis is the first line on the sphere; with x and u its base and
     # direction, the cylinder's generators are the lines b + s u on the
     # sphere with (b - x).u == 0.  b.u == 0 on every line b + s u on the
@@ -185,40 +185,49 @@ def cylinder_set(p: int, t: int, k0: int, m: int) -> CylinderSet:
             f"cylinder offers only {len(parallel)} generators, asked for {m}"
         )
     kept = parallel[:m]
-    kept.flags.writeable = False
     # the k0 points b + s u, s = 0..k0-1, on each kept line b + s u
     points = (np.repeat(kept[:, :4], k0, axis=0)
               + np.tile(np.arange(k0), m)[:, None] * np.repeat(kept[:, 4:], k0, axis=0)) % p
-    return CylinderSet(points=tuple(map(tuple, points.tolist())), generators=kept)
+    points.flags.writeable = kept.flags.writeable = False
+    return CylinderSet(points=points, generators=kept)
 
 
 # ---------------------------------------------------------------------------
 # seeded random configurations (CLI construct / sweep fodder)
 
-def random_points(p: int, dim: int, count: int, rng: random.Random) -> list[Vec]:
+def random_points(p: int, dim: int, count: int, rng: random.Random) -> np.ndarray:
+    """count drawn points as read-only int64 rows (count x dim)."""
     p, count = int(Prime(p)), _nonnegative(count, "point")
-    return [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(count)]
+    rows = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(count)],
+                    dtype=np.int64).reshape(count, dim)
+    rows.flags.writeable = False
+    return rows
 
 
-def random_planes(p: int, dim: int, count: int, rng: random.Random) -> list[tuple[Vec, int]]:
-    """count drawn planes as raw (normal, offset) pairs, for WeightedPlaneSet.of."""
+def random_planes(p: int, dim: int, count: int, rng: random.Random) -> np.ndarray:
+    """count drawn planes as read-only int64 rows of a nonzero normal then an
+    offset, for WeightedPlaneSet.of; a zero normal is drawn again."""
     p, count = int(Prime(p)), _nonnegative(count, "plane")
     out = []
     while len(out) < count:
-        normal = tuple(rng.randrange(p) for _ in range(dim))
-        if all(c == 0 for c in normal):
-            continue
-        out.append((normal, rng.randrange(p)))
-    return out
+        normal = [rng.randrange(p) for _ in range(dim)]
+        if any(normal):
+            out.append([*normal, rng.randrange(p)])
+    rows = np.array(out, dtype=np.int64).reshape(count, dim + 1)
+    rows.flags.writeable = False
+    return rows
 
 
-def random_lines(p: int, dim: int, count: int, rng: random.Random) -> list[tuple[Vec, Vec]]:
-    """count drawn lines as raw (base, direction) pairs, for WeightedLineSet.of."""
+def random_lines(p: int, dim: int, count: int, rng: random.Random) -> np.ndarray:
+    """count drawn lines as read-only int64 rows of a base then a nonzero
+    direction, for WeightedLineSet.of; the direction is drawn first, and a
+    zero one again."""
     p, count = int(Prime(p)), _nonnegative(count, "line")
     out = []
     while len(out) < count:
-        direction = tuple(rng.randrange(p) for _ in range(dim))
-        if all(c == 0 for c in direction):
-            continue
-        out.append((tuple(rng.randrange(p) for _ in range(dim)), direction))
-    return out
+        direction = [rng.randrange(p) for _ in range(dim)]
+        if any(direction):
+            out.append([*(rng.randrange(p) for _ in range(dim)), *direction])
+    rows = np.array(out, dtype=np.int64).reshape(count, 2 * dim)
+    rows.flags.writeable = False
+    return rows

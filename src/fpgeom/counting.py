@@ -69,13 +69,15 @@ def _runs(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _int_rows(items, p: int, dim: int | None, extra: int, what: str,
               copies: int = 1) -> tuple[int, np.ndarray]:
     """(dim, rows): the items as a new int64 array of rows reduced mod p,
-    each copies * dim + extra long; dim defaults to the first item's."""
+    each copies * dim + extra long; dim defaults to an array's width or the
+    first item's."""
     if not isinstance(items, np.ndarray):
         items = [[int(c) % p for c in item] for item in items]
-    if dim is None:
-        if not len(items):
+        if dim is None and not items:
             raise ValueError("empty set needs an explicit dimension")
-        dim = (len(items[0]) - extra) // copies
+    if dim is None:
+        width = items.shape[-1] if isinstance(items, np.ndarray) else len(items[0])
+        dim = (width - extra) // copies
     width = copies * dim + extra
     if isinstance(items, np.ndarray):
         if items.ndim != 2 or items.shape[1] != width:

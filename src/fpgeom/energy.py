@@ -39,7 +39,7 @@ from .counting import (_BLOCK_CELLS, _direction_lines, _runs, _scale_canonical, 
                        dot_mod, isotropic_directions)
 from .field import MAX_MODULUS, Prime, is_prime
 from .geom import GeometryError
-from .quadrics import Paraboloid, Sphere
+from .quadrics import off_quadric
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def _quadric_report(points, p: int, t: int | None) -> EnergyReport:
     n, d = A.shape
     quadric = "paraboloid" if t is None else "sphere"
     if d:  # a plain [] has no width to check
-        off = (Paraboloid(p, d) if t is None else Sphere(p, d, t)).outside(A)
+        off = off_quadric(A, p, t)
         if off.any():
             raise GeometryError(f"point {tuple(A[off.argmax()].tolist())} is not on the {quadric}")
     if not n:

@@ -9,71 +9,47 @@ each checked against these three identities on its canonical row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .counting import (WeightedLineSet, _direction_lines, _int_rows, _norm_rows, dot_rows,
                        isotropic_directions)
 from .field import Prime
-from .geom import GeometryError, Vec
+from .geom import GeometryError
 
 
-@dataclass(frozen=True)
-class Sphere:
-    """Solution set of x_1^2 + ... + x_d^2 == t in F_p^d."""
-
-    p: int
-    dim: int
-    t: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", int(Prime(self.p)))
-        object.__setattr__(self, "t", int(self.t) % self.p)
-        if self.dim not in (3, 4):
-            raise GeometryError("spheres are generated in dimensions 3 and 4")
-
-    def outside(self, rows) -> np.ndarray:
-        """The mask of the rows (int sequences or an int array) off the sphere."""
-        _, X = _int_rows(rows, self.p, self.dim, 0, "point")
-        return dot_rows(X, X, self.p) != self.t
+def off_quadric(rows, p: int, t: int | None = None) -> np.ndarray:
+    """The mask of the rows (int sequences or an int array) off the
+    paraboloid {(u, u.u)} when t is None, else off the sphere
+    x_1^2 + ... + x_d^2 == t; the rows' width d is the dimension, 3 or 4."""
+    p = int(Prime(p))
+    d, X = _int_rows(rows, p, None, 0, "point")
+    if d not in (3, 4):
+        quadric = "the paraboloid is" if t is None else "spheres are"
+        raise GeometryError(f"{quadric} generated in dimensions 3 and 4")
+    if t is None:
+        return dot_rows(X[:, :-1], X[:, :-1], p) != X[:, -1]
+    return dot_rows(X, X, p) != t % p
 
 
-@dataclass(frozen=True)
-class Paraboloid:
-    """Graph {(u, u.u) : u in F_p^(d-1)} inside F_p^d."""
-
-    p: int
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", int(Prime(self.p)))
-        if self.dim not in (3, 4):
-            raise GeometryError("the paraboloid is generated in dimensions 3 and 4")
-
-    def outside(self, rows) -> np.ndarray:
-        """The mask of the rows (int sequences or an int array) off the paraboloid."""
-        _, X = _int_rows(rows, self.p, self.dim, 0, "point")
-        U = X[:, :-1]
-        return dot_rows(U, U, self.p) != X[:, -1]
-
-
-def sphere_points(p: int, d: int, t: int) -> list[Vec]:
-    """Every solution of x_1^2 + ... + x_d^2 == t, in lex order."""
+def sphere_points(p: int, d: int, t: int) -> np.ndarray:
+    """Every solution of x_1^2 + ... + x_d^2 == t as read-only int64 rows
+    (n x d), in lex order."""
     p = int(Prime(p))
     if d not in (3, 4):
         raise GeometryError("spheres are generated in dimensions 3 and 4")
-    return list(map(tuple, _norm_rows(p, d, t).tolist()))
+    S = _norm_rows(p, d, t)
+    S.flags.writeable = False
+    return S
 
 
-def paraboloid_lift(points, p: int) -> list[Vec]:
-    """Append the dot-square coordinate to each point, preserving order; the
-    points must share one width."""
-    p, points = int(Prime(p)), list(points)
-    if not points:
-        return []
+def paraboloid_lift(points, p: int) -> np.ndarray:
+    """The points (int sequences or an int array, of one width) with their
+    dot-square coordinate appended, as read-only int64 rows in their order."""
+    p = int(Prime(p))
     _, U = _int_rows(points, p, None, 0, "point")
-    return list(map(tuple, np.column_stack([U, dot_rows(U, U, p)]).tolist()))
+    lifted = np.column_stack([U, dot_rows(U, U, p)])
+    lifted.flags.writeable = False
+    return lifted
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +63,7 @@ def lines_on_sphere(p: int, d: int, t: int) -> np.ndarray:
     cone's lines); a row failing the module docstring's identities raises
     ArithmeticError."""
     p = int(Prime(p))
-    S = np.array(sphere_points(p, d, t), dtype=np.int64).reshape(-1, d)
+    S = sphere_points(p, d, t)
     census = _direction_lines(S, p, isotropic_directions(p, d))
     rows = [np.hstack([S[I[bounds[:-1]]], W]) for I, _, bounds, W in census]
     lines = WeightedLineSet.of(np.vstack([np.zeros((0, 2 * d), dtype=np.int64), *rows]), p, dim=d)

@@ -43,6 +43,11 @@ def random_raw_lines(rng: random.Random, p: int, dim: int, count: int):
     return out
 
 
+def tuples(rows) -> list[tuple[int, ...]]:
+    """int64 rows as tuples of Python ints, the form the oracles read."""
+    return list(map(tuple, rows.tolist()))
+
+
 @pytest.fixture
 def rng():
     return rng_for("default")

@@ -8,7 +8,7 @@ independently coded nested-loop oracle evaluated in-place.
 import json
 
 import oracles
-from conftest import random_distinct_points, random_raw_lines, random_raw_planes, rng_for
+from conftest import random_distinct_points, random_raw_lines, random_raw_planes, rng_for, tuples
 from fpgeom.cli import main
 from fpgeom.constructions import (
     coprime_lattice,
@@ -133,11 +133,11 @@ def test_c02_quadric_energy_oracle_equivalence():
         p = PRIMES_CYCLE[i % 4]
         if i % 2 == 0:
             base = random_distinct_points(rng, p, 2, rng.randrange(1, 11))
-            A = paraboloid_lift(base, p)
+            A = tuples(paraboloid_lift(base, p))
             rep = rectangle_energy_paraboloid(A, p)
         else:
             t = rng.randrange(1, p)
-            pool = sphere_points(p, 3, t)
+            pool = tuples(sphere_points(p, 3, t))
             if not pool:
                 continue
             A = sorted(rng.sample(pool, min(len(pool), rng.randrange(1, 11))))
@@ -176,7 +176,7 @@ def test_c03_sphere_ruling_and_cone():
         for line in cone.tolist():
             assert oracles.on_line((0, 0, 0), line[:3], line[3:], p)
             covered |= set(oracles.line_points(line[:3], line[3:], p))
-        assert covered == set(sphere_points(p, 3, 0))
+        assert covered == set(tuples(sphere_points(p, 3, 0)))
     announce(3, "ruling iff -t is a square, and the cone splits into p+1 lines, for p in {3,5,7,11,13}")
 
 
@@ -210,7 +210,7 @@ def test_c04_energy_rectangle_equivalence():
         rng = rng_for("acc-c4-s2", i)
         p = small_primes[i % 4]
         t = rng.randrange(1, p)
-        pool = sphere_points(p, 3, t)
+        pool = tuples(sphere_points(p, 3, t))
         if len(pool) < 2:
             continue
         A = sorted(rng.sample(pool, min(len(pool), rng.randrange(2, 61))))
@@ -220,7 +220,7 @@ def test_c04_energy_rectangle_equivalence():
         rng = rng_for("acc-c4-s3", i)
         p = small_primes[i % 4]
         t = rng.randrange(1, p)
-        pool = sphere_points(p, 4, t)
+        pool = tuples(sphere_points(p, 4, t))
         A = sorted(rng.sample(pool, min(len(pool), rng.randrange(2, 61))))
         rep = rectangle_energy_sphere(A, p, t)
         assert rep.energy == rep.corner_count

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import isotropic_line_max
+from conftest import isotropic_line_max, tuples
 from fpgeom import counting
 from fpgeom.constructions import sphere_config
 from fpgeom.counting import WeightedPointSet, max_collinear, rich_lines
@@ -252,7 +252,7 @@ def _nonsquare(p):
 
 @cache
 def _sphere(p, d, t):
-    return tuple(sphere_points(p, d, t))
+    return tuple(tuples(sphere_points(p, d, t)))
 
 
 def _moved_off(Q):

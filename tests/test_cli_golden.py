@@ -34,14 +34,14 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 def _config(p: int, dim: int, points=(), planes=(), lines=()) -> str:
     out = [f"p={p} dim={dim}"]
     for section, rows in (("points", points), ("planes", planes), ("lines", lines)):
-        if rows:
+        if len(rows):
             out.append(f"[{section}]")
             out.extend(" ".join(map(str, row)) if not isinstance(row, str) else row
                        for row in rows)
     return "\n".join(out) + "\n"
 
 
-def _paraboloid(p: int, dim: int) -> list:
+def _paraboloid(p: int, dim: int):
     return paraboloid_lift(itertools.product(range(p), repeat=dim - 1), p)
 
 
@@ -64,6 +64,9 @@ def _files() -> dict[str, str]:
                                         "1 1 1 w=3"],
                           planes=["0 0 1 0 w=2", "0 1 0 0", "1 1 1 3", "1 0 0 1"],
                           lines=["0 0 0 1 0 0"]),
+        # a point weight of 10^400, past any float, for the overflow exit
+        "floatw3.txt": _config(7, 3, points=[f"0 0 0 w={10**400}", "1 0 0"],
+                               planes=["0 0 1 0", "1 0 0 1"]),
         # weights past 2^62, so the weighted count takes python ints; the
         # point and plane weights balance, with a forbidden line of three points
         "hugew3.txt": _config(7, 3, points=["0 0 0 w=99999999999999999999", "1 0 0", "2 0 0",
@@ -87,15 +90,15 @@ def _files() -> dict[str, str]:
         "par3.txt": _config(5, 3, points=_paraboloid(5, 3)),
         "par4.txt": _config(5, 4, points=_paraboloid(5, 4)[:40]),
         # the full paraboloid of F_5^3 with its point (1, 1, 2) moved to (1, 1, 3)
-        "paroff3.txt": _config(5, 3, points=[(1, 1, 3) if q == (1, 1, 2) else q
-                                             for q in _paraboloid(5, 3)]),
+        "paroff3.txt": _config(5, 3, points=[[1, 1, 3] if q == [1, 1, 2] else q
+                                             for q in _paraboloid(5, 3).tolist()]),
         "sph3.txt": _config(5, 3, points=sphere_points(5, 3, 1)),
         "sph4.txt": _config(5, 4, points=sphere_points(5, 4, 1)[:40]),
         # sets too small against p^d for the sum and difference tables, so
         # energy takes its pair route
         "cyl13.txt": emit_config(ConfigDoc.of(13, 4, cylinder.points, (), cylinder.generators)),
         "sph4_7.txt": _config(7, 4, points=sorted(random.Random(1).sample(
-            sphere_points(7, 4, 1), 40))),
+            sphere_points(7, 4, 1).tolist(), 40))),
         "parline4.txt": _config(13, 4, points=paraboloid_lift(sorted(set(line + free)), 13)),
         "off3.txt": _config(7, 3, points=[(1, 0, 0), (1, 1, 1)]),
         "empty2.txt": _config(7, 2),
@@ -122,6 +125,12 @@ def _files() -> dict[str, str]:
         "sweep_unused_key.txt": "construction=semi_isotropic\np=13\nk=2\nl=3\nplanes=5\n",
         "sweep_negative.txt": "construction=random_2d\np=11\npoints=-4\n",
         "sweep_nonprime.txt": "construction=sphere\np=5,4\n",
+        # a sweep spec line without '=', of an unknown key, of a key seen
+        # before, and with no value: each exits 2 naming line 3
+        "sweep_no_equals.txt": "construction=sphere\np=5\nplanes\n",
+        "sweep_unknown_key.txt": "construction=sphere\np=5\ncolour=red\n",
+        "sweep_duplicate_key.txt": "construction=sphere\np=5\np=7\n",
+        "sweep_empty_value.txt": "construction=sphere\np=5\nplanes= , \n",
         # parse errors exit 2 and name the first faulty line
         "bad_token.txt": _config(7, 3, points=["1 2 3", "1 2 x"]),
         "bad_section.txt": _config(7, 3, points=["1 2 3"]) + "[stuff]\n1 2 3\n",
@@ -169,6 +178,11 @@ CASES = {
     "count-restricted": ["count", "w3.txt", "--restricted"],
     "count-restricted-T1B": ["count", "w3.txt", "--restricted", "--theorem", "T1B"],
     "count-restricted-T1C": ["count", "w3.txt", "--restricted", "--theorem", "T1C"],
+    # a config that cannot be read and an output that cannot be written exit
+    # 1; a weight past any float exits 4 from the bound's float conversion
+    "count-missing-file": ["count", "missing.txt"],
+    "count-out-missing-dir": ["--out", "nodir/x.csv", "count", "w3.txt"],
+    "count-float-overflow-T1C": ["count", "floatw3.txt", "--theorem", "T1C"],
     "count-huge-weights-T1C": ["count", "hugew3.txt", "--theorem", "T1C"],
     "count-huge-weights-restricted-T1C": ["count", "hugew3.txt", "--restricted",
                                           "--theorem", "T1C"],
@@ -238,6 +252,10 @@ CASES = {
     "sweep-unused-key": ["sweep", "sweep_unused_key.txt"],
     "sweep-negative-count": ["sweep", "sweep_negative.txt"],
     "sweep-nonprime-p": ["sweep", "sweep_nonprime.txt"],
+    "sweep-no-equals": ["sweep", "sweep_no_equals.txt"],
+    "sweep-unknown-key": ["sweep", "sweep_unknown_key.txt"],
+    "sweep-duplicate-key": ["sweep", "sweep_duplicate_key.txt"],
+    "sweep-empty-value": ["sweep", "sweep_empty_value.txt"],
 }
 
 VARIANTS = {"": [], "[json]": ["--format", "json"], "[strict]": ["--strict"]}

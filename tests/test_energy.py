@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import isotropic_line_max, random_distinct_points, rng_for
+from conftest import isotropic_line_max, random_distinct_points, rng_for, tuples
 from fpgeom import counting, energy
 from fpgeom.constructions import cylinder_set
 from fpgeom.energy import (
@@ -105,7 +105,7 @@ class TestParaboloidEnergy:
         # the additive-quadruple count of the parameter set, here 52 < 4^3
         p, m = 5, 4
         base = [(t % p, 2 * t % p) for t in range(m)]
-        A = paraboloid_lift(base, p)
+        A = tuples(paraboloid_lift(base, p))
         rep = rectangle_energy_paraboloid(A, p)
         assert rep.energy == oracles.additive_energy(A, A, p) == 52
         assert rep.rectangles > 0 and rep.degenerate == rep.rectangles
@@ -120,7 +120,7 @@ class TestParaboloidEnergy:
         rng = rng_for("par-oracle", seed)
         p = rng.choice([5, 7, 13])
         base = random_distinct_points(rng, p, 2, rng.randrange(1, 11))
-        A = paraboloid_lift(base, p)
+        A = tuples(paraboloid_lift(base, p))
         rep = rectangle_energy_paraboloid(A, p)
         assert rep.energy == oracles.additive_energy(A, A, p)
 
@@ -128,7 +128,7 @@ class TestParaboloidEnergy:
         rng = rng_for("par-mult")
         p = 13
         base = random_distinct_points(rng, p, 2, 25)
-        pts = paraboloid_lift(base, p)
+        pts = tuples(paraboloid_lift(base, p))
         # two distinct pairs with one sum are disjoint, so every rectangle is
         # hit by exactly 2 * 2 * 2 ordered solutions
         census = oracles.rectangle_census(pts, [q[:-1] for q in pts], p)
@@ -182,7 +182,7 @@ class TestSphereEnergy:
         rng = rng_for("sphere-oracle", seed)
         p, d = rng.choice([5, 7, 13]), rng.choice([3, 4])
         t = rng.randrange(1, p)
-        pool = sphere_points(p, d, t)
+        pool = tuples(sphere_points(p, d, t))
         A = sorted(rng.sample(pool, min(len(pool), rng.randrange(1, 13))))
         rep = rectangle_energy_sphere(A, p, t)
         assert rep.energy == oracles.additive_energy(A, A, p)
@@ -207,7 +207,7 @@ class TestSphereEnergy:
         rng = rng_for("deg-budget", seed)
         p = 13
         t = rng.randrange(1, p)
-        pool = sphere_points(p, 3, t)
+        pool = tuples(sphere_points(p, 3, t))
         if len(pool) < 4:
             return
         A = sorted(rng.sample(pool, min(len(pool), 30)))
@@ -241,7 +241,7 @@ class TestMaxOnIsotropicLine:
 
 def _expected(points, p, quadric):
     """The EnergyReport the oracles give for a set on the quadric."""
-    pts = sorted(set(points))
+    pts = sorted({tuple(map(int, q)) for q in points})
     corner = [q[:-1] for q in pts] if quadric == "paraboloid" else pts
     energy_, rects, ordinary, semi, degenerate, mults = oracles.rectangle_census(
         pts, corner, p)
@@ -268,7 +268,7 @@ def paraboloid_sets(draw):
     for h, u, ts in draw(st.lists(
             st.tuples(vec, vec, st.sets(st.integers(0, p - 1), min_size=2)), max_size=2)):
         base.update(tuple((a + t * b) % p for a, b in zip(h, u)) for t in ts)
-    return p, paraboloid_lift(sorted(base), p)
+    return p, tuples(paraboloid_lift(sorted(base), p))
 
 
 _sphere_lines = functools.lru_cache(maxsize=None)(lines_on_sphere)
@@ -282,7 +282,7 @@ def sphere_sets(draw):
     p = draw(st.sampled_from((3, 5, 7, 13)))
     d = draw(st.sampled_from((3, 4)))
     t = draw(st.integers(1, p - 1))
-    pool = sphere_points(p, d, t)
+    pool = tuples(sphere_points(p, d, t))
     pts = {pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=14))}
     lines = _sphere_lines(p, d, t) if p <= 7 else ()
     if len(lines):
@@ -340,8 +340,7 @@ class TestCensusAgainstOracle:
         assert (rep.energy, rep.corner_count, rep.rectangles) == (1498465, 1498465, 164152)
         assert (rep.ordinary, rep.semi_degenerate, rep.degenerate) == (147968, 0, 16184)
         assert rep.k0 == 17
-        A = np.array(pts, dtype=np.int64)
-        pair = energy._pair_route(A, A[:, :-1], p)
+        pair = energy._pair_route(pts, pts[:, :-1], p)
         assert pair == (1498465, 1498465, 164152, 147968, 0, 16184, 17)
         # the table route holds a few p^d-cell tables and the n points
         assert peak < 1 << 20, peak
@@ -353,7 +352,7 @@ class TestCrossChecks:
     routes on the full paraboloid over F_5 by corrupting one of its inputs
     (r, diag, D, Dv, k0, degenerate)."""
 
-    A = np.array(_full_paraboloid(5), dtype=np.int64)
+    A = _full_paraboloid(5)
 
     def run(self, monkeypatch, route, edit):
         fields = energy._report_fields
@@ -411,12 +410,12 @@ def _route_cases():
     for p in (3, 5, 7, 11, 13):
         rng = rng_for("routes", p)
         for d in (3, 4) if p <= 7 else (3,):
-            full = paraboloid_lift(itertools.product(range(p), repeat=d - 1), p)
+            full = tuples(paraboloid_lift(itertools.product(range(p), repeat=d - 1), p))
             yield _case(f"paraboloid-{p}-{d}", p, full, "paraboloid")
             half = rng.sample(full, len(full) // 2)
             yield _case(f"half-paraboloid-{p}-{d}", p, half, "paraboloid")
             for t in (1, _nonsquare(p)):
-                pool = sphere_points(p, d, t)
+                pool = tuples(sphere_points(p, d, t))
                 yield _case(f"sphere-{p}-{d}-{t}", p, pool, "sphere")
                 half = rng.sample(pool, len(pool) // 2)
                 yield _case(f"half-sphere-{p}-{d}-{t}", p, half, "sphere")
@@ -498,7 +497,7 @@ class TestLargestModulus:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(_BIG_COORD, _BIG_COORD), min_size=1, max_size=12))
     def test_paraboloid_d3(self, base):
-        pts = paraboloid_lift(sorted(set(base)), BIG)
+        pts = tuples(paraboloid_lift(sorted(set(base)), BIG))
         rep = rectangle_energy_paraboloid(pts, BIG)
         assert rep.energy == oracles.additive_energy(pts, pts, BIG)
         assert rep == _expected(pts, BIG, "paraboloid")
@@ -551,7 +550,7 @@ def big_quadric_sets(draw):
             c = draw(vec)
             base += [[(x + s * y) % BIG for x, y in zip(c, (1, 2, 2041534867))]
                      for s in draw(st.sets(st.integers(0, 9), max_size=6))]
-        return paraboloid_lift(base, BIG), "paraboloid"
+        return tuples(paraboloid_lift(base, BIG)), "paraboloid"
     v = draw(st.sampled_from(((1, 2, 2), (1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 4))))
     frame = sorted({tuple(s * c % BIG for s, c in zip(signs, perm))
                     for perm in itertools.permutations(v)
@@ -603,7 +602,7 @@ class TestMidpointIdentity:
     def test_both_sides_occur(self, p):
         # the full paraboloid over F_p, p == 1 mod 4, has isotropic and
         # non-isotropic pairs, so neither side of the identity is vacuous
-        pts = _full_paraboloid(p)
+        pts = tuples(_full_paraboloid(p))
         _check_midpoints(pts, p, "paraboloid")
         corner = [q[:-1] for q in pts]
         assert 0 < oracles.isotropic_lines(corner, p)[0] < len(pts) * (len(pts) - 1)
@@ -615,7 +614,7 @@ def test_pair_route_reads_no_pair_value_table(monkeypatch):
     calls = []
     real = counting._pair_values
     monkeypatch.setattr(counting, "_pair_values", lambda *a: calls.append(a) or real(*a))
-    A = np.array(sphere_points(7, 4, 1), dtype=np.int64)
+    A = sphere_points(7, 4, 1)
     assert energy._pair_route(A, A, 7)[5:] == (8064, 7)
     assert calls == []
 
@@ -649,7 +648,7 @@ def d4_sphere_sets(draw):
     sample plus the points of a few lines on it."""
     p = draw(st.sampled_from((3, 5, 7)))
     t = draw(st.sampled_from((1, _nonsquare(p))))
-    pool = sphere_points(p, 4, t)
+    pool = tuples(sphere_points(p, 4, t))
     pts = {pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))}
     lines = _sphere_lines(p, 4, t)
     for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
@@ -680,15 +679,15 @@ def test_pair_route_memory(case):
     # of F_401^3, i^2 == -1, lifted to the paraboloid, every one of the
     # n (n - 1) / 2 corner pairs is isotropic
     if case == "paraboloid17":
-        p, A = 17, np.array(_full_paraboloid(17), dtype=np.int64)
+        p, A = 17, _full_paraboloid(17)
         C = A[:, :-1]
     elif case == "sphere7":
-        p, A = 7, np.array(sphere_points(7, 4, 1), dtype=np.int64)
+        p, A = 7, sphere_points(7, 4, 1)
         C = A
     else:
         p, i = 401, 20
         assert i * i % p == p - 1
-        A = np.array(paraboloid_lift([(s, i * s % p, 3) for s in range(p)], p), dtype=np.int64)
+        A = paraboloid_lift([(s, i * s % p, 3) for s in range(p)], p)
         C = A[:, :-1]
     n = len(A)
     peak = _traced(lambda: energy._pair_route(A, C, p))[1]
@@ -702,7 +701,7 @@ def test_pair_route_memory_at_the_largest_modulus():
     # and positions, under 8 n^2 words for 1,000 points of F_p^4
     rng = rng_for("pair-route-big")
     pts = {tuple(rng.randrange(BIG) for _ in range(3)) for _ in range(1000)}
-    A = np.array(paraboloid_lift(sorted(pts), BIG), dtype=np.int64)
+    A = paraboloid_lift(sorted(pts), BIG)
     n = len(A)
     rep, peak = _traced(lambda: energy._pair_route(A, A[:, :-1], BIG))
     assert rep == (2 * n * n - n,) * 2 + (0,) * 4 + (1,)
@@ -715,7 +714,7 @@ def test_pair_route_packs_its_keys(p):
     # n^2 entries, sorted in place as key * n^2 + position and then kept as
     # the order: the route holds about three n^2 words, the key with the
     # pair-column scratch or the positions, and the run bounds
-    A = np.array(sphere_points(p, 4, 1), dtype=np.int64)
+    A = sphere_points(p, 4, 1)
     n = len(A)
     rep, peak = _traced(lambda: energy._pair_route(A, A, p))
     assert rep == energy._table_route(A, A, p)
@@ -727,10 +726,10 @@ def _table_cases():
     and spheres in d = 3 and 4 small enough for the oracles' census."""
     for p, d in ((5, 3), (13, 3), (3, 4), (5, 4)):
         rng = rng_for("table-census", p, d)
-        full = paraboloid_lift(itertools.product(range(p), repeat=d - 1), p)
+        full = tuples(paraboloid_lift(itertools.product(range(p), repeat=d - 1), p))
         sets = [("paraboloid", full)]
         if d == 3 or p == 3:
-            sets += [("sphere", sphere_points(p, d, t)) for t in (1, _nonsquare(p))]
+            sets += [("sphere", tuples(sphere_points(p, d, t))) for t in (1, _nonsquare(p))]
         for quadric, pts in sets:
             yield _case(f"{quadric}-{p}-{d}-{len(pts)}", p, pts, quadric)
             half = rng.sample(pts, len(pts) // 2)

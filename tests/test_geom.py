@@ -6,7 +6,7 @@ import pytest
 import oracles
 from conftest import rng_for
 from fpgeom.counting import WeightedLineSet
-from fpgeom.geom import AffineLine, GeometryError
+from fpgeom.geom import AffineLine, DimensionMismatchError, GeometryError
 
 
 def _through(q1, q2, p):
@@ -43,8 +43,30 @@ class TestAffineLine:
             oracles.line_points((1, 2, 3), (6, 6, 6), p))
 
     def test_zero_direction_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^zero vector has no canonical scaling$"):
             AffineLine(7, (1, 1, 1), (0, 0, 0))
+        with pytest.raises(GeometryError, match="^zero vector has no canonical scaling$"):
+            AffineLine(7, (1, 1, 1), (7, 14, 0))
+
+    def test_dimensions_must_agree(self):
+        with pytest.raises(DimensionMismatchError, match="^base and direction dimensions differ$"):
+            AffineLine(7, (1, 1), (0, 1, 0))
+        # a zero direction is reported first
+        with pytest.raises(GeometryError, match="zero vector"):
+            AffineLine(7, (1, 1), (0, 0, 0))
+
+    def test_the_form_of_the_line_sets(self):
+        # one canonical line form: AffineLine's is WeightedLineSet's row
+        p, rng = 13, rng_for("line-form")
+        for _ in range(50):
+            base = tuple(rng.randrange(-30, 30) for _ in range(3))
+            d = tuple(rng.randrange(p) for _ in range(3))
+            if not any(d):
+                continue
+            l = AffineLine(p, base, d)
+            row = WeightedLineSet.of([(base, d)], p).rows[0].tolist()
+            assert [*l.base, *l.direction] == row
+            assert all(type(c) is int for c in (*l.base, *l.direction))
 
     def test_canonical_form_keeps_the_point_set(self):
         p, rng = 5, rng_for("line-contains")

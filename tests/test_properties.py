@@ -1,18 +1,21 @@
 """Hypothesis property tests for the structural invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import tuples
 from fpgeom.counting import (
     WeightedPlaneSet,
     WeightedPointSet,
+    _scale_canonical,
     count_point_plane,
     count_restricted,
     weighted_incidences,
 )
 from fpgeom.energy import rectangle_energy_paraboloid, rectangle_energy_sphere
-from fpgeom.geom import AffineLine, scale_canonical
+from fpgeom.geom import AffineLine
 from fpgeom.quadrics import paraboloid_lift, sphere_points
 
 P = 13
@@ -25,14 +28,15 @@ coords2 = st.tuples(st.integers(0, P - 1), st.integers(0, P - 1))
 @given(nonzero3, st.integers(1, P - 1))
 def test_canonical_scaling_is_projective(v, lam):
     scaled = tuple(lam * c % P for c in v)
-    assert scale_canonical(v, P) == scale_canonical(scaled, P)
+    once, twice = _scale_canonical(np.array([v, scaled]), P).tolist()
+    assert once == twice
 
 
 @given(nonzero3)
 def test_canonical_scaling_idempotent(v):
-    once = scale_canonical(v, P)
-    assert scale_canonical(once, P) == once
-    assert once[next(i for i, c in enumerate(once) if c)] == 1
+    once = _scale_canonical(np.array([v]), P)
+    assert _scale_canonical(once.copy(), P).tolist() == once.tolist()
+    assert once[0, np.flatnonzero(once[0])[0]] == 1
 
 
 @given(coords3, nonzero3, st.integers(0, P - 1))
@@ -57,7 +61,7 @@ def test_paraboloid_energy_translation_invariance(base, shift):
 @given(st.integers(1, P - 1), st.data())
 @settings(max_examples=40)
 def test_sphere_energy_is_invariant_under_signed_permutations(t, data):
-    pool = sphere_points(P, 3, t)
+    pool = tuples(sphere_points(P, 3, t))
     points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
     perm = data.draw(st.permutations(range(3)))
     signs = data.draw(st.tuples(*(st.sampled_from((1, -1)) for _ in range(3))))

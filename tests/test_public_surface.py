@@ -107,15 +107,16 @@ def test_every_module_level_import_is_used(module):
     assert unused == []
 
 
-# the public names: the 38 exported objects and the 8 modules that hold them
+# the public names: the 37 exported objects and the 8 modules that hold them
 PUBLIC = [
     "AffineLine", "BoundReport", "ConstraintError", "DistanceReport",
-    "EnergyReport", "FormSpec", "IncidenceReport", "Paraboloid", "Prime", "RhsResult", "Sphere",
+    "EnergyReport", "FormSpec", "IncidenceReport", "Prime", "RhsResult",
     "WeightedLineSet", "WeightedPlaneSet", "WeightedPointSet", "bisector_plane", "bounds",
     "constructions", "coprime_lattice", "count_point_plane",
     "count_restricted", "counting", "cylinder_set", "distance_set", "elekes_grid", "energy",
     "energy_delta", "erdos", "field", "form_values", "geom", "inv", "legendre", "max_collinear",
-    "paraboloid_lift", "quadrics", "rectangle_energy_paraboloid", "rectangle_energy_sphere",
+    "off_quadric", "paraboloid_lift", "quadrics", "rectangle_energy_paraboloid",
+    "rectangle_energy_sphere",
     "rhs", "rich_lines", "right_triangle_count", "semi_isotropic_set", "sphere_config",
     "sphere_points", "wedge_solution_count", "wedge_to_incidence", "weighted_incidences",
 ]

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import tuples
 from fpgeom import counting, quadrics
 from fpgeom.field import is_prime, legendre
 from fpgeom.geom import DimensionMismatchError, GeometryError
-from fpgeom.quadrics import (
-    Paraboloid,
-    Sphere,
-    lines_on_sphere,
-    paraboloid_lift,
-    sphere_points,
-)
+from fpgeom.quadrics import lines_on_sphere, off_quadric, paraboloid_lift, sphere_points
 
 PRIMES_TO_100 = [q for q in range(3, 100) if is_prime(q)]
 
@@ -42,28 +37,36 @@ class TestSqrtTable:
             assert roots[a].tolist() == got + [-1] * (2 - len(got))
 
 
-class TestOutside:
+class TestOffQuadric:
     def test_sphere_flags_the_rows_off_it(self):
-        sph = Sphere(7, 3, 1)
         rows = [(1, 0, 0), (1, 1, 1), (8, 7, 7), (0, 0, 6)]
-        assert sph.outside(rows).tolist() == [False, True, False, False]
-        assert sph.outside(np.array(rows)).tolist() == [False, True, False, False]
+        assert off_quadric(rows, 7, 1).tolist() == [False, True, False, False]
+        assert off_quadric(np.array(rows), 7, 1).tolist() == [False, True, False, False]
+        # t is reduced mod p
+        assert off_quadric(rows, 7, 8).tolist() == [False, True, False, False]
 
     def test_paraboloid_flags_the_rows_off_it(self):
-        par = Paraboloid(7, 3)
-        rows = paraboloid_lift([(1, 2), (3, 4), (6, 6)], 7) + [(1, 2, 6)]
-        assert par.outside(rows).tolist() == [False, False, False, True]
+        rows = np.vstack([paraboloid_lift([(1, 2), (3, 4), (6, 6)], 7), [(1, 2, 6)]])
+        assert off_quadric(rows, 7).tolist() == [False, False, False, True]
+        assert off_quadric(rows, 7, None).tolist() == [False, False, False, True]
 
-    def test_no_rows(self):
-        assert Sphere(7, 4, 1).outside(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
-        assert Paraboloid(7, 4).outside([]).shape == (0,)
+    @pytest.mark.parametrize("t", [1, None])
+    def test_no_rows(self, t):
+        assert off_quadric(np.zeros((0, 4), dtype=np.int64), 7, t).shape == (0,)
 
-    @pytest.mark.parametrize("quadric", [Sphere(7, 3, 1), Paraboloid(7, 3)])
-    def test_wrong_width_is_a_dimension_mismatch(self, quadric):
+    @pytest.mark.parametrize("t", [1, None])
+    def test_mixed_widths_are_a_dimension_mismatch(self, t):
         with pytest.raises(DimensionMismatchError):
-            quadric.outside(np.zeros((2, 4), dtype=np.int64))
-        with pytest.raises(DimensionMismatchError):
-            quadric.outside([(0, 0, 0), (0, 0)])
+            off_quadric([(0, 0, 0), (0, 0)], 7, t)
+
+    @pytest.mark.parametrize("width", [2, 5])
+    @pytest.mark.parametrize("t, quadric", [(1, "spheres are"), (None, "the paraboloid is")])
+    def test_the_width_is_the_dimension(self, width, t, quadric):
+        # rows of any other width than 3 or 4 fail, with no rows as well
+        for n in (0, 2):
+            with pytest.raises(GeometryError) as err:
+                off_quadric(np.zeros((n, width), dtype=np.int64), 7, t)
+            assert str(err.value) == f"{quadric} generated in dimensions 3 and 4"
 
 
 class TestIsotropicDirections:
@@ -90,34 +93,33 @@ class TestIsotropicDirections:
 class TestSpherePoints:
     def test_unit_sphere_p3(self):
         pts = sphere_points(3, 3, 1)
-        assert len(pts) == 6
-        assert not Sphere(3, 3, 1).outside(pts).any()
+        assert pts.shape == (6, 3) and pts.dtype == np.int64 and not pts.flags.writeable
+        assert not off_quadric(pts, 3, 1).any()
 
     def test_cone_p3(self):
         pts = sphere_points(3, 3, 0)
-        assert len(pts) == 9 and (0, 0, 0) in pts
-        nonzero = [q for q in pts if q != (0, 0, 0)]
-        assert len(nonzero) == 8
+        assert len(pts) == 9 and [0, 0, 0] in pts.tolist()
+        assert len(pts[pts.any(axis=1)]) == 8
         lines = lines_on_sphere(3, 3, 0)
         assert len(lines) == 4
         covered = set()
         for l in lines.tolist():
             covered |= set(_points(l, 3))
-        assert covered == set(pts)
+        assert covered == set(tuples(pts))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_matches_full_scan_d3_all_t(self, p):
         for t in range(p):
-            assert sphere_points(p, 3, t) == oracles.sphere_scan(p, 3, t)
+            assert tuples(sphere_points(p, 3, t)) == oracles.sphere_scan(p, 3, t)
 
     def test_matches_full_scan_d3_p31(self):
         for t in (0, 1, 2, 17, 30):
-            assert sphere_points(31, 3, t) == oracles.sphere_scan(31, 3, t)
+            assert tuples(sphere_points(31, 3, t)) == oracles.sphere_scan(31, 3, t)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_full_scan_d4(self, p):
         for t in (0, 1, p - 1):
-            assert sphere_points(p, 4, t) == oracles.sphere_scan(p, 4, t)
+            assert tuples(sphere_points(p, 4, t)) == oracles.sphere_scan(p, 4, t)
 
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(GeometryError):
@@ -126,16 +128,21 @@ class TestSpherePoints:
 
 class TestParaboloid:
     def test_lift_examples(self):
-        assert paraboloid_lift([(0, 0)], 7) == [(0, 0, 0)]
-        assert paraboloid_lift([(1, 2)], 7) == [(1, 2, 5)]
+        lifted = paraboloid_lift([(0, 0), (1, 2)], 7)
+        assert lifted.dtype == np.int64 and not lifted.flags.writeable
+        assert lifted.tolist() == [[0, 0, 0], [1, 2, 5]]
+        assert np.array_equal(paraboloid_lift(np.array([[8, 9]]), 7), [[1, 2, 5]])
 
     def test_lift_then_project_is_identity(self):
         pts = [(x, y) for x in range(5) for y in range(5)]
-        assert [q[:-1] for q in paraboloid_lift(pts, 5)] == pts
+        assert np.array_equal(paraboloid_lift(pts, 5)[:, :-1], pts)
 
     def test_lift_of_nothing_is_empty(self):
-        assert paraboloid_lift([], 7) == []
-        assert paraboloid_lift(iter(()), 7) == []
+        # no rows of an array keep its width; no rows of a sequence have none
+        assert paraboloid_lift(np.zeros((0, 2), dtype=np.int64), 7).shape == (0, 3)
+        for nothing in ([], iter(())):
+            with pytest.raises(ValueError, match="explicit dimension"):
+                paraboloid_lift(nothing, 7)
 
     def test_lift_rejects_mixed_widths(self):
         with pytest.raises(DimensionMismatchError):
@@ -149,8 +156,8 @@ class TestParaboloid:
         grid = list(itertools.product(range(p), repeat=d))
         scan = [x for x in grid if x[-1] == oracles.nsq(x[:-1], p)]
         lifted = paraboloid_lift(itertools.product(range(p), repeat=d - 1), p)
-        assert lifted == scan and len(lifted) == p ** (d - 1)
-        off = Paraboloid(p, d).outside(grid)
+        assert tuples(lifted) == scan and len(lifted) == p ** (d - 1)
+        off = off_quadric(grid, p)
         assert [x for x, o in zip(grid, off) if not o] == scan
 
 
@@ -173,9 +180,8 @@ class TestLinesOnSphere2:
         # -6 == 1 is a square mod 7; the doubly ruled sphere holds 2(p+1) lines
         lines = lines_on_sphere(7, 3, 6)
         assert len(lines) == 16
-        sph = Sphere(7, 3, 6)
         for l in lines.tolist():
-            assert not sph.outside(_points(l, 7)).any()
+            assert not off_quadric(_points(l, 7), 7, 6).any()
             assert oracles.nsq(l[3:], 7) == 0
 
     @pytest.mark.parametrize("t", [1, 2])
@@ -246,7 +252,7 @@ class TestLinesOnSphere3:
         # isotropic plane cuts the sphere exactly along that line
         p = 5
         t = next(t for t in range(1, p) if len(lines_on_sphere(p, 4, t)))
-        sph, axis = Sphere(p, 4, t), lines_on_sphere(p, 4, t)[0].tolist()
+        axis = lines_on_sphere(p, 4, t)[0].tolist()
         x, u = tuple(axis[:4]), tuple(axis[4:])
         axis_pts = set(_points(axis, p))
         for w in map(tuple, counting.isotropic_directions(p, 4).tolist()):
@@ -259,4 +265,4 @@ class TestLinesOnSphere3:
                 for b in range(p)
             }
             section = sorted(section)
-            assert {q for q, o in zip(section, sph.outside(section)) if not o} == axis_pts
+            assert {q for q, o in zip(section, off_quadric(section, p, t)) if not o} == axis_pts
