@@ -1,25 +1,10 @@
-"""Right-hand-side evaluators for the incidence and energy bounds.
+"""The incidence, distance and energy bounds as one table.
 
-Every evaluator fixes the implied constant at 1 and reports each hypothesis
-of its bound as a named flag instead of enforcing it, so sweep reports can
-show ratio stability next to the constraint status.  Identifiers:
-
-  T1      point-plane count vs |Pi| (sqrt|Q| + k)
-  T1B     asymptotic version with main term |Q||Pi|/p
-  T1C     weighted version W (sqrt(w0 W) + k w0)
-  T2      planar point-line count over a Cartesian grid A x B
-  T3      general planar point-line count, exponent 11/15
-  VINH    spectral point-line bound |Q||L|/p + sqrt(p|Q||L|)
-  COR21   point-line count for lines inside a three-quadric
-  KRICH   number of k-rich lines of an n-point planar set
-  T41     distinct bilinear-form values min(|S|^(2/3), p)
-  T42     pinned distinct distances in three dimensions min(sqrt|S|, p)
-  T43     pinned distinct distances in the plane |S|^(8/15)
-  T43LARGE, T43PINNED   large-set companions of T43
-  T53     energy on the 3-paraboloid
-  T54     energy on the 2-paraboloid (branching at |A| = p^(26/21))
-  T55     energy on the 2-sphere (branching at |A| = p^(15/11))
-  T56     energy on the 3-sphere
+Each bound id has one row: the report labels of the quantities it bounds,
+its parameter names and its right-hand side.  Every rhs fixes the implied
+constant at 1 and reports each hypothesis of its bound as a named flag
+instead of enforcing it, so sweep reports can show ratio stability next to
+the constraint status.
 """
 
 from __future__ import annotations
@@ -69,135 +54,92 @@ class BoundReport:
         )
 
 
-def _t1(p, q, pi, k):
-    return pi * (q ** 0.5 + k), {"points_le_planes": q <= pi, "points_lt_p2": q < p * p}, None
+# the report labels of the quantities the bounds apply to
+_PLANE = ("point_plane", "point_plane_restricted")
+_LINE = ("point_line",)
+_PINNED = ("pinned_distances",)
+_ENERGY = ("energy_paraboloid", "energy_sphere")
 
 
-def _t1b(p, q, pi, k):
-    return (
-        q * pi / p + pi * (q ** 0.5 + k),
-        {"points_le_planes": q <= pi},
-        None,
-    )
+def _planar_energy(cut: float, exponent: float):
+    """T54's and T55's rhs: a^exponent below |A| = p^cut, the large-set
+    terms from there on."""
+    def value(p, a, k0):
+        if a < p ** cut:
+            return a * k0 * k0 + a ** exponent, {}, "small"
+        return a * k0 * k0 + a ** 3 / p + a * a * p ** 0.5, {}, "large"
+    return value
 
 
-def _t1c(p, W, w0, k):
-    return (
+# bound id -> (the labels of the quantities it bounds, its rhs), the rhs a
+# function (p, *parameters) -> (value, hypothesis flags), with the branch
+# taken appended by the bounds that branch on the set size; the parameter
+# names are the rhs's own argument names after p
+_BOUNDS = {
+    # point-plane count vs |Pi| (sqrt|Q| + k)
+    "T1": (_PLANE, lambda p, q, pi, k: (
+        pi * (q ** 0.5 + k), {"points_le_planes": q <= pi, "points_lt_p2": q < p * p})),
+    # asymptotic version with main term |Q||Pi|/p
+    "T1B": (_PLANE, lambda p, q, pi, k: (
+        q * pi / p + pi * (q ** 0.5 + k), {"points_le_planes": q <= pi})),
+    # weighted version W (sqrt(w0 W) + k w0)
+    "T1C": (_PLANE, lambda p, W, w0, k: (
         W * ((w0 * W) ** 0.5 + k * w0),
-        {"weight_ratio_lt_p2": W < p * p * w0, "w0_ge_1": w0 >= 1},
-        None,
-    )
-
-
-def _t2(p, a, b, l):
-    return (
+        {"weight_ratio_lt_p2": W < p * p * w0, "w0_ge_1": w0 >= 1})),
+    # planar point-line count over a Cartesian grid A x B
+    "T2": (_LINE, lambda p, a, b, l: (
         a ** 0.75 * b ** 0.5 * l ** 0.75 + a * b + l,
-        {"al_lt_p2": a * l < p * p, "a_le_b": a <= b},
-        None,
-    )
-
-
-def _t3(p, q, l):
-    return (
-        (q * l) ** (11 / 15) + q + l,
-        {"q13_lt_l2_p15": q ** 13 < l ** 2 * p ** 15},
-        None,
-    )
-
-
-def _vinh(p, q, l):
-    return q * l / p + (p * q * l) ** 0.5, {}, None
-
-
-def _cor21(p, q, l, k):
-    return (
-        q ** 0.5 * l ** 0.5 * (l ** 0.25 + k ** 0.5) + q,
-        {"lines_lt_p2": l < p * p},
-        None,
-    )
-
-
-def _krich(p, n, k):
-    return (
+        {"al_lt_p2": a * l < p * p, "a_le_b": a <= b})),
+    # general planar point-line count, exponent 11/15
+    "T3": (_LINE, lambda p, q, l: (
+        (q * l) ** (11 / 15) + q + l, {"q13_lt_l2_p15": q ** 13 < l ** 2 * p ** 15})),
+    # spectral point-line bound |Q||L|/p + sqrt(p|Q||L|)
+    "VINH": (_LINE, lambda p, q, l: (q * l / p + (p * q * l) ** 0.5, {})),
+    # point-line count for lines inside a three-quadric
+    "COR21": ((), lambda p, q, l, k: (
+        q ** 0.5 * l ** 0.5 * (l ** 0.25 + k ** 0.5) + q, {"lines_lt_p2": l < p * p})),
+    # number of k-rich lines of an n-point planar set
+    "KRICH": ((), lambda p, n, k: (
         n ** 2.75 / k ** 3.75 + n ** 1.25 / k,
-        {"n_lt_p_26_21": n < p ** (26 / 21), "k_ge_2": k >= 2},
-        None,
-    )
-
-
-def _t41(p, s):
-    return min(s ** (2 / 3), p), {}, None
-
-
-def _t42(p, s):
-    return min(s ** 0.5, p), {"s_le_p2": s <= p * p}, None
-
-
-def _t43(p, s):
-    return s ** (8 / 15), {"s_le_p_15_11": s <= p ** (15 / 11)}, None
-
-
-def _t43large(p, s):
-    return p / (1 + p * p * s ** -1.5), {}, None
-
-
-def _t43pinned(p, s):
-    return p / (1 + p ** 1.5 / s), {"s_ge_p_15_14": s >= p ** (15 / 14)}, None
-
-
-def _t53(p, a, k0):
-    return a ** 3 / p + a ** 2.5 + a * k0 * k0, {}, None
-
-
-def _t54(p, a, k0):
-    small = a < p ** (26 / 21)
-    base = a * k0 * k0
-    if small:
-        return base + a ** (17 / 7), {}, "small"
-    return base + a ** 3 / p + a * a * p ** 0.5, {}, "large"
-
-
-def _t55(p, a, k0):
-    small = a < p ** (15 / 11)
-    base = a * k0 * k0
-    if small:
-        return base + a ** (37 / 15), {}, "small"
-    return base + a ** 3 / p + a * a * p ** 0.5, {}, "large"
-
-
-def _t56(p, a, k0):
-    return a ** 3 / p + a ** 2.5 + a * k0 * k0 + a * a * k0, {}, None
-
-
-_EVALUATORS = {
-    "T1": (_t1, ("q", "pi", "k")),
-    "T1B": (_t1b, ("q", "pi", "k")),
-    "T1C": (_t1c, ("W", "w0", "k")),
-    "T2": (_t2, ("a", "b", "l")),
-    "T3": (_t3, ("q", "l")),
-    "VINH": (_vinh, ("q", "l")),
-    "COR21": (_cor21, ("q", "l", "k")),
-    "KRICH": (_krich, ("n", "k")),
-    "T41": (_t41, ("s",)),
-    "T42": (_t42, ("s",)),
-    "T43": (_t43, ("s",)),
-    "T43LARGE": (_t43large, ("s",)),
-    "T43PINNED": (_t43pinned, ("s",)),
-    "T53": (_t53, ("a", "k0")),
-    "T54": (_t54, ("a", "k0")),
-    "T55": (_t55, ("a", "k0")),
-    "T56": (_t56, ("a", "k0")),
+        {"n_lt_p_26_21": n < p ** (26 / 21), "k_ge_2": k >= 2})),
+    # distinct bilinear-form values
+    "T41": (("form_values",), lambda p, s: (min(s ** (2 / 3), p), {})),
+    # pinned distinct distances in three dimensions
+    "T42": (_PINNED, lambda p, s: (min(s ** 0.5, p), {"s_le_p2": s <= p * p})),
+    # pinned distinct distances in the plane, and its large-set companions
+    "T43": (_PINNED, lambda p, s: (s ** (8 / 15), {"s_le_p_15_11": s <= p ** (15 / 11)})),
+    "T43LARGE": (_PINNED, lambda p, s: (p / (1 + p * p * s ** -1.5), {})),
+    "T43PINNED": (_PINNED, lambda p, s: (
+        p / (1 + p ** 1.5 / s), {"s_ge_p_15_14": s >= p ** (15 / 14)})),
+    # energy on the 3-paraboloid
+    "T53": (_ENERGY, lambda p, a, k0: (a ** 3 / p + a ** 2.5 + a * k0 * k0, {})),
+    # energy on the 2-paraboloid and on the 2-sphere
+    "T54": (_ENERGY, _planar_energy(26 / 21, 17 / 7)),
+    "T55": (_ENERGY, _planar_energy(15 / 11, 37 / 15)),
+    # energy on the 3-sphere
+    "T56": (_ENERGY, lambda p, a, k0: (
+        a ** 3 / p + a ** 2.5 + a * k0 * k0 + a * a * k0, {})),
 }
 
-THEOREM_IDS = tuple(sorted(_EVALUATORS))
+THEOREM_IDS = tuple(sorted(_BOUNDS))
+
+
+def _bound(theorem: str):
+    key = theorem.upper()
+    if key not in _BOUNDS:
+        raise ValueError(f"unknown bound id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    return _BOUNDS[key]
+
+
+def quantities(theorem: str) -> tuple[str, ...]:
+    """The report labels of the quantities one bound applies to."""
+    return _bound(theorem)[0]
 
 
 def parameters(theorem: str) -> tuple[str, ...]:
     """The parameter names of one bound, in the order its rhs takes them."""
-    key = theorem.upper()
-    if key not in _EVALUATORS:
-        raise ValueError(f"unknown bound id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
-    return _EVALUATORS[key][1]
+    code = _bound(theorem)[1].__code__
+    return code.co_varnames[1 : code.co_argcount]
 
 
 def rhs(theorem: str, p: int, **params) -> RhsResult:
@@ -207,7 +149,6 @@ def rhs(theorem: str, p: int, **params) -> RhsResult:
     parameters are rejected to catch typos.
     """
     names, key = parameters(theorem), theorem.upper()
-    fn = _EVALUATORS[key][0]
     missing = [n for n in names if n not in params]
     if missing:
         raise ValueError(f"{key} needs parameters {names}, missing {missing}")
@@ -221,5 +162,6 @@ def rhs(theorem: str, p: int, **params) -> RhsResult:
     for n in names:
         v = params[n]
         args.append(int(v) if float(v).is_integer() else float(v))
-    value, flags, branch = fn(p, *args)
-    return RhsResult(theorem=key, value=float(value), flags=flags, branch=branch)
+    value, flags, *branch = _BOUNDS[key][1](p, *args)
+    return RhsResult(theorem=key, value=float(value), flags=flags,
+                     branch=branch[0] if branch else None)

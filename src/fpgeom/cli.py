@@ -117,7 +117,9 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "sweep":
-        return _emit_rows(run_experiment_file(args.spec, seed=args.seed), args)
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            spec = fh.read()
+        return _emit_rows(run_experiment(spec, seed=args.seed), args)
     measure = _MEASUREMENTS[args.command][0]
     doc = configio.load_config(args.config)
     return _emit_rows([measure(doc, args.theorem, vars(args).get)], args)
@@ -174,13 +176,16 @@ def _cmd_construct(args) -> int:
 
 def _row(p, label, theorem, params, count, known, flags=None) -> bounds.BoundReport:
     """The count against the theorem's rhs, its parameters taken from the
-    quantities `known`, when a theorem is given; else a plain row."""
+    quantities `known`, when a theorem that bounds the `label` quantity is
+    given; else a plain row."""
     res = bounds.RhsResult(label, float("nan"), {})
     if theorem:
         names = bounds.parameters(theorem)
         missing = [name for name in names if name not in known]
         if missing:
             raise UsageError(f"{theorem.upper()} needs parameters {missing} not derivable here")
+        if label not in bounds.quantities(theorem):
+            raise UsageError(f"{theorem.upper()} does not bound {label}")
         res = bounds.rhs(theorem, p, **{name: known[name] for name in names})
     return bounds.BoundReport.build(res, int(p), params, count, extra_flags=flags)
 
@@ -207,19 +212,21 @@ def _count(doc, theorem, opt, cell=None) -> bounds.BoundReport:
         label = "point_plane_restricted"
     else:
         rep, label = counting.count_point_plane(doc.points, doc.planes), "point_plane"
-    points, planes = doc.points, doc.planes
-    params = {"q": len(points), "pi": len(planes), "k": rep.k}
+    points, planes, p = doc.points, doc.planes, doc.p
+    q, W, w = len(points), points.total_weight(), points.max_weight()
+    params = {"q": q, "pi": len(planes), "k": rep.k}
     params.update({"weighted": rep.weighted} if cell is None else cell)
     if rep.k_star is not None:
         params["kstar"] = rep.k_star
     t = (theorem or "").upper()
-    known = {"q": len(points), "pi": len(planes), "W": points.total_weight(),
-             "w0": max(points.max_weight(), planes.max_weight(), 1),
+    known = {"q": q, "pi": len(planes), "W": W, "w0": max(w, planes.max_weight(), 1),
              "k": rep.k_star if (t == "T1B" and rep.k_star is not None) else rep.k}
     if t == "T1C":
-        params["weights_balanced"] = int(points.total_weight() == planes.total_weight())
+        params["weights_balanced"] = int(W == planes.total_weight())
     count = rep.weighted if t == "T1C" else rep.pairs
-    return _row(doc.p, label, theorem, params, count, known, rep.flags)
+    flags = {"points_lt_p_squared": q < p * p, "points_le_planes": q <= len(planes),
+             "weight_ratio_lt_p_squared": w == 0 or W < p * p * w}
+    return _row(p, label, theorem, params, count, known, flags)
 
 
 def _planar_lines(doc: configio.ConfigDoc) -> counting.WeightedPlaneSet:
@@ -479,11 +486,6 @@ def run_experiment(spec_text: str, seed: int = 0) -> list[bounds.BoundReport]:
         reports.append(_MEASUREMENTS[command][0](build(values.get, p, rng), cell["theorem"],
                                                  {**values, **options}.get, shown))
     return reports
-
-
-def run_experiment_file(path, seed: int = 0) -> list[bounds.BoundReport]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return run_experiment(fh.read(), seed=seed)
 
 
 if __name__ == "__main__":

@@ -219,8 +219,6 @@ REPORT_COLUMNS = ("theorem", "p", "params", "count", "rhs", "ratio", "flags")
 def format_number(v) -> str:
     if v is None:
         return "nan"
-    if isinstance(v, bool):
-        return "1" if v else "0"
     if isinstance(v, int):
         return str(v)
     f = float(v)

@@ -8,7 +8,7 @@ do not depend on input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -333,18 +333,17 @@ def _line_items(item, p: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class IncidenceReport:
     """What a count found: the incident pairs and their weighted total, the
-    most collinear points k with a witness line, the hypothesis flags the
-    bound evaluators report, and for a restricted count k* and its witness
-    over the lines outside the forbidden family.  A witness is a line's
-    canonical row as a tuple of 2d ints, base then direction, as in
-    WeightedLineSet.  The sizes and weights of the sets counted are read
-    from the sets themselves."""
+    most collinear points k with a witness line, and for a restricted count
+    k* and its witness over the lines outside the forbidden family.  A
+    witness is a line's canonical row as a tuple of 2d ints, base then
+    direction, as in WeightedLineSet.  The sizes and weights of the sets
+    counted, and the hypothesis flags they decide, are read from the sets
+    themselves."""
 
     pairs: int
     weighted: int
     k: int
     k_witness: tuple[int, ...] | None
-    flags: dict[str, bool] = field(default_factory=dict)
     k_star: int | None = None
     k_star_witness: tuple[int, ...] | None = None
 
@@ -452,24 +451,16 @@ def _forbidden_pairs(P, N, off, p: int, lines: np.ndarray) -> tuple[np.ndarray, 
     return on[order[bounds[:-1]]], held[order[bounds[:-1]]][:, None]
 
 
-def _report(points, planes, pairs: int, weighted: int, forbidden=None) -> IncidenceReport:
+def _report(points, pairs: int, weighted: int, forbidden=None) -> IncidenceReport:
     """The report of a count, with k from the line census; a restricted
     count (forbidden line rows given) also gets k* over lines outside them."""
     (k, wit), (k_star, wit_star) = _collinearity(points, () if forbidden is None else forbidden)
-    p, restricted = points.p, forbidden is not None
+    restricted = forbidden is not None
     return IncidenceReport(
         pairs=pairs,
         weighted=weighted,
         k=k,
         k_witness=wit,
-        flags={
-            "points_lt_p_squared": len(points) < p * p,
-            "points_le_planes": len(points) <= len(planes),
-            "weight_ratio_lt_p_squared": (
-                points.max_weight() == 0
-                or points.total_weight() < p * p * points.max_weight()
-            ),
-        },
         k_star=k_star if restricted else None,
         k_star_witness=wit_star if restricted else None,
     )
@@ -482,7 +473,7 @@ def count_point_plane(points: WeightedPointSet, planes: WeightedPlaneSet) -> Inc
     maximum number of collinear distinct points, ignoring weights.
     """
     _require_dim3(points, planes)
-    return _report(points, planes, *weighted_incidences(points, planes))
+    return _report(points, *weighted_incidences(points, planes))
 
 
 def count_restricted(points: WeightedPointSet, planes: WeightedPlaneSet,
@@ -506,7 +497,7 @@ def count_restricted(points: WeightedPointSet, planes: WeightedPlaneSet,
     # every forbidden pair is incident, so subtracting them is exact
     lost_pairs, lost = _weigh(points, planes,
                               [_forbidden_pairs(points.rows, *planes.arrays(), points.p, forb)])
-    return _report(points, planes, pairs - lost_pairs, weighted - lost, forb)
+    return _report(points, pairs - lost_pairs, weighted - lost, forb)
 
 
 def count_point_plane_naive(points: WeightedPointSet, planes: WeightedPlaneSet,
@@ -660,7 +651,8 @@ def _norm_rows(p: int, m: int, t: int) -> np.ndarray:
     entries with each root y of y^2 == t - head.head."""
     H = _all_rows(p, m - 1)
     y = _sqrt_table(p)[(t - (H * H % p).sum(axis=1)) % p].ravel()
-    return np.column_stack([np.repeat(H, 2, axis=0), y])[y >= 0]
+    k = np.flatnonzero(y >= 0)  # head k // 2 with its root y[k]
+    return np.column_stack([H[k // 2], y[k]])
 
 
 def _leading_one(d: int, tails) -> np.ndarray:

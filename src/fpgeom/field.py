@@ -52,12 +52,6 @@ class Prime(int):
             raise ValueError(f"modulus must be prime, got {p}")
         return super().__new__(cls, p)
 
-    def __repr__(self) -> str:
-        return f"Prime({int(self)})"
-
-    def __str__(self) -> str:
-        return str(int(self))
-
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol by Euler's criterion: 0 for 0, 1 for nonzero squares, -1 otherwise."""

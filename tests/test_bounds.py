@@ -1,6 +1,6 @@
 import pytest
 
-from fpgeom.bounds import THEOREM_IDS, BoundReport, rhs
+from fpgeom.bounds import THEOREM_IDS, BoundReport, parameters, quantities, rhs
 
 
 class TestFormulas:
@@ -97,6 +97,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="extra"):
             rhs("T41", 7, s=10, q=3)
 
+    @pytest.mark.parametrize("p", [0, -7])
+    def test_nonpositive_modulus(self, p):
+        with pytest.raises(ValueError, match="^p must be positive$"):
+            rhs("T41", p, s=4)
+
     def test_case_insensitive_id(self):
         assert rhs("t1", 7, q=4, pi=8, k=1).theorem == "T1"
 
@@ -126,10 +131,7 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("tid", sorted(SIZE_PARAMS))
     def test_nondecreasing_in_each_size(self, tid):
-        from fpgeom.bounds import _EVALUATORS
-
-        _, names = _EVALUATORS[tid]
-        base = {n: self.BASE[n] for n in names}
+        base = {n: self.BASE[n] for n in parameters(tid)}
         p = 13
         for grow in self.SIZE_PARAMS[tid]:
             prev = None
@@ -151,3 +153,18 @@ class TestBoundReport:
     def test_registry_lists_all(self):
         assert "T1" in THEOREM_IDS and "T56" in THEOREM_IDS
         assert len(THEOREM_IDS) == 17
+
+    def test_each_bound_names_the_reports_it_bounds(self):
+        # the subcommands' own theorem column values; COR21 and KRICH have
+        # no measurement yet
+        plane = ("point_plane", "point_plane_restricted")
+        energy = ("energy_paraboloid", "energy_sphere")
+        expected = {"T1": plane, "T1B": plane, "T1C": plane, "T2": ("point_line",),
+                    "T3": ("point_line",), "VINH": ("point_line",), "COR21": (), "KRICH": (),
+                    "T41": ("form_values",), "T53": energy, "T54": energy, "T55": energy,
+                    "T56": energy}
+        expected.update(dict.fromkeys(("T42", "T43", "T43LARGE", "T43PINNED"),
+                                      ("pinned_distances",)))
+        assert {tid: quantities(tid.lower()) for tid in THEOREM_IDS} == expected
+        with pytest.raises(ValueError, match="unknown bound id"):
+            quantities("T99")

@@ -83,6 +83,8 @@ def _files() -> dict[str, str]:
         "dim4.txt": _config(5, 4, points=[(0, 0, 0, 0), (1, 2, 3, 4)]),
         "dist3.txt": _config(7, 3, points=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 3),
                                            (4, 4, 4)]),
+        # two rows of one point mod 7
+        "one3.txt": _config(7, 3, points=[(1, 2, 3), (8, 9, 10)]),
         "semi3.txt": _config(13, 3, points=semi_isotropic_set(2, 3, 13).points),
         # 20 seeded points of F_13^2, for the planar distance bounds
         "dist2.txt": _config(13, 2, points=sorted(random.Random(5).sample(
@@ -213,6 +215,9 @@ CASES = {
     "distances-planar-T43LARGE": ["distances", "dist2.txt", "--theorem", "T43LARGE"],
     "distances-planar-exclude-zero-T43PINNED": ["distances", "dist2.txt", "--exclude-zero",
                                                 "--theorem", "T43PINNED"],
+    "distances-one-point": ["distances", "one3.txt"],
+    # a bound on another quantity than the subcommand's exits 1
+    "distances-T41": ["distances", "dist3.txt", "--theorem", "T41"],
     "energy-paraboloid": ["energy", "par3.txt", "--quadric", "paraboloid"],
     "energy-paraboloid-T54": ["energy", "par3.txt", "--quadric", "paraboloid",
                               "--theorem", "T54"],
@@ -220,6 +225,7 @@ CASES = {
                               "--theorem", "T53"],
     "energy-off-paraboloid": ["energy", "paroff3.txt", "--quadric", "paraboloid"],
     "energy-empty-dim2": ["energy", "empty2.txt", "--quadric", "sphere"],
+    "energy-sphere-t0": ["energy", "sph3.txt", "--quadric", "sphere", "--t", "0"],
     "energy-sphere-T55": ["energy", "sph3.txt", "--quadric", "sphere", "--theorem", "T55"],
     "energy-sphere-T56": ["energy", "sph4.txt", "--quadric", "sphere", "--t", "1",
                           "--theorem", "T56"],
@@ -233,6 +239,8 @@ CASES = {
     "forms-matrix-T41": ["forms", "forms2.txt", "--matrix", "1", "0", "0", "1",
                          "--theorem", "T41"],
     "forms-3d": ["forms", "dist3.txt"],
+    "forms-T42": ["forms", "forms2.txt", "--theorem", "T42"],
+    "forms-solutions-T41": ["forms", "forms2.txt", "--solutions", "--theorem", "T41"],
     "verify-ok": ["verify", "w3.txt"],
     "verify-ok-2d": ["verify", "plane2.txt"],
     "verify-ok-sphere": ["verify", "sph3.txt", "--quadric", "sphere", "--t", "1"],

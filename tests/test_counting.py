@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_distinct_points, random_raw_lines, random_raw_planes, rng_for
-from fpgeom import counting
+from fpgeom import cli, counting
+from fpgeom.configio import ConfigDoc
 from fpgeom.constructions import sphere_config
 from fpgeom.counting import (
     WeightedLineSet,
@@ -149,13 +150,16 @@ class TestCanonicaliser:
          DimensionMismatchError, "dimensional"),
         (lambda: WeightedPlaneSet.of([((1, 0, 0), 1), ((1, 0), 1)], 7),
          DimensionMismatchError, "dimensional"),
+        (lambda: WeightedPointSet.of(np.zeros((2, 3), dtype=np.int64), 7, dim=2),
+         DimensionMismatchError, "^point rows are not 2-dimensional$"),
         (lambda: WeightedPointSet.of([(1, 2)], 7, weights=[-2]), ValueError, "positive"),
         (lambda: WeightedPlaneSet.of([((1, 2), 0)], 7, weights=[0]), ValueError, "positive"),
         (lambda: WeightedPointSet.of([(1, 2)], 7, weights=[1, 1]), ValueError, "length"),
         (lambda: WeightedPlaneSet.of([((1, 2), 0)], 7, weights=[]), ValueError, "length"),
         (lambda: WeightedLineSet.of([AffineLine(5, (1, 2), (0, 1))], 7), ValueError, "modulus"),
     ], ids=["zero-normal", "zero-normal-mod-p", "ragged-points", "point-dim", "ragged-planes",
-            "negative-weight", "zero-weight", "long-weights", "short-weights", "other-modulus"])
+            "array-point-dim", "negative-weight", "zero-weight", "long-weights", "short-weights",
+            "other-modulus"])
     def test_errors(self, build, error, match):
         with pytest.raises(error, match=match) as caught:
             build()
@@ -489,8 +493,11 @@ class TestCountPointPlane:
         rng = rng_for("flags")
         Q, Pi = make_sets(rng, 5, 30, 10)
         rep = count_point_plane(Q, Pi)
-        assert rep.flags["points_lt_p_squared"] == (len(Q) < 25)
-        assert rep.flags["points_le_planes"] == (len(Q) <= len(Pi))
+        # the hypothesis flags are read from the sets, on the count row
+        row = cli._count(ConfigDoc(5, 3, Q, Pi, WeightedLineSet.of((), 5, dim=3)), None, {}.get)
+        assert row.flags == {"points_lt_p_squared": len(Q) < 25,
+                             "points_le_planes": len(Q) <= len(Pi),
+                             "weight_ratio_lt_p_squared": Q.total_weight() < 25 * Q.max_weight()}
         assert rep.k_witness is not None
         base, d = rep.k_witness[:3], rep.k_witness[3:]
         on_witness = sum(1 for q in _points(Q) if oracles.on_line(q, base, d, 5))
@@ -500,6 +507,12 @@ class TestCountPointPlane:
         Q = WeightedPointSet.of([(0, 0)], 7, dim=2)
         Pi = WeightedPlaneSet.of([((0, 0, 1), 0)], 7)
         with pytest.raises(DimensionMismatchError):
+            count_point_plane(Q, Pi)
+
+    def test_modulus_guard(self):
+        Q = WeightedPointSet.of([(0, 0, 0)], 7)
+        Pi = WeightedPlaneSet.of([((0, 0, 1), 0)], 11)
+        with pytest.raises(ValueError, match="^point and plane sets use different moduli$"):
             count_point_plane(Q, Pi)
 
 

@@ -161,6 +161,11 @@ class TestForms:
         with pytest.raises(GeometryError):
             FormSpec(7, ((1, 1), (2, 2)))
 
+    @pytest.mark.parametrize("m", [((1, 0, 0), (0, 1, 0)), ((1, 0),), ((1, 0), (0, 1), (0, 0))])
+    def test_non_square_matrix_rejected(self, m):
+        with pytest.raises(GeometryError, match="^form matrix must be 2x2$"):
+            FormSpec(7, m)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_values_match_oracle(self, seed):
         rng = rng_for("forms", seed)

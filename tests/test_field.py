@@ -21,6 +21,12 @@ class TestPrime:
     def test_behaves_as_int(self):
         p = Prime(7)
         assert p * p == 49 and isinstance(p + 1, int)
+        assert str(Prime(31)) == repr(Prime(31)) == "31"
+
+
+@pytest.mark.parametrize("n", [1, 0, -1, -7])
+def test_is_prime_below_two(n):
+    assert not is_prime(n)
 
 
 class TestLegendre:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ class TestSpherePoints:
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(GeometryError):
             sphere_points(5, 2, 1)
+
+    def test_peak_is_a_small_multiple_of_the_rows(self):
+        # each head of m - 1 entries is taken once per root, by index, with no
+        # table of every head repeated twice
+        tracemalloc.start()
+        try:
+            pts = sphere_points(61, 4, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 61 ** 3 - 61  # p^3 - p points on x.x == 1 in F_p^4, p = 1 mod 4
+        assert peak < 4 * pts.nbytes
 
 
 class TestParaboloid:
