@@ -108,6 +108,7 @@ def parse_config(text: str) -> ConfigDoc:
             faults.append((numbers[fault[0]], fault[1]))
         arrays.append(rows)
         weights.append(section_weights)
+    del lines, body  # the line strings are freed before the sets canonicalise
     if faults:
         line, message = min(faults)
         raise ConfigParseError(message, line)

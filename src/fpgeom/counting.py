@@ -551,13 +551,14 @@ def _require_dim3(points, planes) -> None:
 # the census by direction (_direction_lines) groups the rows by (direction,
 # base) for a block of whole directions, so each line comes once.  On a set
 # of one norm (a central sphere x.x == c) a line b + s.v with v.v != 0 meets
-# it in two points at most, so k with nothing excluded and the rich lines
-# read only its isotropic lines.  _census holds the one size rule: by
-# direction when n >= 4 p^max(e, 1), e == d - 2 for the isotropic directions
-# and d - 1 for all, where the n x p^e table is at most a quarter of the
-# n^2 / 2 pairs, and the pairs below it (p = 2^31 - 1 included); k and k*
-# keep each block's best line.  All products stay below p^2 < 2^62: every
-# census is exact in int64 for p < 2^31.
+# it in two points at most, so k with nothing excluded, the rich lines and
+# the lines on a sphere read only its isotropic lines.  _census holds the one
+# route rule, the one-norm test and the size rule: by direction when
+# n >= 4 p^max(e, 1), e == d - 2 for the isotropic directions and d - 1 for
+# all, where the n x p^e table is at most a quarter of the n^2 / 2 pairs, and
+# the pairs below it (p = 2^31 - 1 included); k and k* keep each block's best
+# line.  All products stay below p^2 < 2^62: every census is exact in int64
+# for p < 2^31.
 
 def pair_blocks(per_base: np.ndarray):
     """Yield (base, rank) arrays that list rank 0 .. per_base[b] - 1 for every
@@ -611,16 +612,17 @@ def _line_census(P: np.ndarray, p: int, all_partners: bool = False):
         yield _groups(P, I, J, p)
 
 
-def _isotropic_census(P: np.ndarray, p: int):
-    """Yield _line_census(P, p)'s groups whose direction is isotropic, block
-    by block: the pairs i < j with |P[i] - P[j]|^2 == 0 mod p, the zeros of
-    the blocked squared-distance table, grouped."""
+def _isotropic_census(P: np.ndarray, p: int, all_partners: bool = False):
+    """Yield _line_census(P, p, all_partners)'s groups whose direction is
+    isotropic, block by block: the pairs (i, j), j > i or with all_partners
+    j != i, with |P[i] - P[j]|^2 == 0 mod p, the zeros of the blocked
+    squared-distance table, grouped."""
     U, norms = _distance_terms(P, p)
     for start, V in _pair_values(P, U, p, norms, norms):
         I, J = np.nonzero(V == 0)
         I += start
-        later = J > I
-        I, J = I[later], J[later]
+        kept = J != I if all_partners else J > I
+        I, J = I[kept], J[kept]
         if not len(I):
             continue
         # grouped in pair_blocks' chunks of whole bases, as the line census
@@ -698,13 +700,16 @@ def _direction_lines(C: np.ndarray, p: int, W: np.ndarray):
         yield I[order], s[order], bounds, W[v[order[bounds[:-1]]]]
 
 
-def _census(P: np.ndarray, p: int, one_norm: bool, pairs):
-    """Yield P's lines as _line_census groups, block by block: past the size
-    rule by direction (the isotropic ones when P is of one norm), each line
-    once from its two least rows; below it from pairs(P, p)."""
+def _census(P: np.ndarray, p: int, rich: bool, all_partners: bool = False):
+    """Yield P's lines as _line_census groups, block by block: only the
+    isotropic ones when rich (the caller reads only lines of three points or
+    more) and P is of one norm.  Past the size rule by direction, each line
+    once from its two least rows; below it the pairs with all_partners, from
+    _isotropic_census on the isotropic lines and _line_census otherwise."""
     d = P.shape[1]
+    one_norm = rich and len(P) > 0 and np.ptp(dot_rows(P, P, p)) == 0
     if 4 * p ** max(d - 2 if one_norm else d - 1, 1) > len(P):
-        yield from pairs(P, p)
+        yield from (_isotropic_census if one_norm else _line_census)(P, p, all_partners)
         return
     W = isotropic_directions(p, d) if one_norm else _leading_one(d, lambda m: _all_rows(p, m))
     for I, _, bounds, W in _direction_lines(P, p, W):
@@ -718,8 +723,8 @@ def _collinearity(points: WeightedPointSet,
     """(k, witness) over all lines and (k*, witness) over lines not in exclude
     (anything WeightedLineSet.of takes), from one pass; a witness is the
     canonical row, as a tuple, of the line of most points with the least
-    (base, first partner).  With nothing excluded on a set of one norm only
-    isotropic lines are read, and k == 2 keeps the line through rows 0 and 1."""
+    (base, first partner).  With nothing excluded k asks the census only for
+    lines of three points or more: k == 2 keeps the line through rows 0, 1."""
     P, p, n = points.rows, points.p, len(points)
     if n <= 1:
         return (n, None), (n, None)
@@ -728,11 +733,9 @@ def _collinearity(points: WeightedPointSet,
     def row(line) -> tuple[int, ...]:
         return tuple(_line_canonical(np.hstack(line)[None], p)[0].tolist())
 
-    one_norm = not banned and np.ptp(dot_rows(P, P, p)) == 0
-    census = _census(P, p, one_norm, _isotropic_census if one_norm else _line_census)
     # a line is keyed (-size, base * n + first partner): the least key is the best
-    best = best_star = ((-2, 1), (P[0], (P[1] - P[0]) % p)) if one_norm else ((-1, n * n), None)
-    for base, first, count, D in census:
+    best = best_star = ((-1, n * n), None) if banned else ((-2, 1), (P[0], (P[1] - P[0]) % p))
+    for base, first, count, D in _census(P, p, not banned):
         (s, t), _ = best_star
         key, at = -1 - count, base * n + first
         beats = np.flatnonzero((key < s) | ((key == s) & (at < t)))
@@ -766,11 +769,9 @@ def rich_lines(points, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     if k < 2:
         raise ValueError("richness threshold must be at least 2")
     P = distinct_rows(points, p)
-    # on a set of one norm a line of two points need not be isotropic
-    one_norm = k >= 3 and len(P) > 0 and np.ptp(dot_rows(P, P, p)) == 0
     dim = P.shape[1]
     rows = [np.zeros((0, 1 + 2 * dim), dtype=np.int64)]  # (n - points, base, direction)
-    for base, first, count, D in _census(P, p, one_norm, lambda P, p: _line_census(P, p, True)):
+    for base, first, count, D in _census(P, p, k >= 3, all_partners=True):
         # each line once, from its earliest point: a base no partner precedes
         g = (first > base) & (count + 1 >= k)
         line = _line_canonical(np.hstack([P[base[g]], D[g]]), p)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counting import (WeightedLineSet, _direction_lines, _int_rows, _norm_rows, dot_rows,
-                       isotropic_directions)
+from .counting import WeightedLineSet, _census, _int_rows, _norm_rows, dot_rows
 from .field import Prime
 from .geom import GeometryError
 
@@ -59,13 +58,12 @@ def lines_on_sphere(p: int, d: int, t: int) -> np.ndarray:
     """All lines fully contained in the sphere, as read-only int64 rows of a
     canonical base then direction (L x 2d), in WeightedLineSet's order.
 
-    The isotropic lines of its points, from counting's census (at t == 0 the
-    cone's lines); a row failing the module docstring's identities raises
-    ArithmeticError."""
+    The isotropic lines of its points, from counting's census of a set of
+    one norm (at t == 0 the cone's lines), each line's repeats merged; a row
+    failing the module docstring's identities raises ArithmeticError."""
     p = int(Prime(p))
     S = sphere_points(p, d, t)
-    census = _direction_lines(S, p, isotropic_directions(p, d))
-    rows = [np.hstack([S[I[bounds[:-1]]], W]) for I, _, bounds, W in census]
+    rows = [np.hstack([S[base], D]) for base, _, _, D in _census(S, p, True)]
     lines = WeightedLineSet.of(np.vstack([np.zeros((0, 2 * d), dtype=np.int64), *rows]), p, dim=d)
     B, D = lines.rows[:, :d], lines.rows[:, d:]
     if (dot_rows(B, B, p) != t % p).any() or dot_rows(B, D, p).any() or dot_rows(D, D, p).any():

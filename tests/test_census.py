@@ -4,13 +4,14 @@ Every user of the census (k and k* with their witnesses, spanned and rich
 lines) is held to the loop it replaced, on hypothesis-generated sets in
 dimensions 2, 3 and 4, across block boundaries, at p = 2^31 - 1, and for its
 memory.  One size rule picks the census: by direction past it, from the
-pairs below it.  On sets of one norm k reads only isotropic lines: by
-direction along the isotropic directions, or below the rule from the
-isotropic pair census, which is held to the isotropic groups of the full
-census.  The census by direction is held to the lines of the loops' null
-pairs, the most points on one isotropic line read from it
-(`conftest.isotropic_line_max`) to the loops' isotropic-line maximum, and
-along every direction to the pair census's groups.
+pairs below it.  On sets of one norm k and the lines of three points or
+more read only isotropic lines: by direction along the isotropic
+directions, or below the rule from the isotropic pair census, which is held
+to the isotropic groups of the full census.  The census by direction is
+held to the lines of the loops' null pairs, the most points on one
+isotropic line read from it (`conftest.isotropic_line_max`) to the loops'
+isotropic-line maximum, and along every direction to the pair census's
+groups.
 """
 
 import random
@@ -224,11 +225,13 @@ def test_full_census_memory_is_bounded_by_block(census_calls):
 # the isotropic censuses: only the isotropic lines
 #
 # On a central sphere x.x == t (the cone t == 0 included) a line through
-# three points is isotropic, so _collinearity reads only isotropic lines
-# there: by direction when n >= 4 p^max(d-2, 1), from the pairs with
-# |x - y|^2 == 0 below that.  Every other set reads every line: by direction
-# along all directions when n >= 4 p^max(d-1, 1), from the full pair census
-# below that.  Either way each census block is reduced to its best line.
+# three points is isotropic, so _census reads only isotropic lines there for
+# k with nothing excluded, for rich_lines from three points up and for
+# lines_on_sphere: by direction when n >= 4 p^max(d-2, 1), from the pairs with
+# |x - y|^2 == 0 below that.  Every other set, and every read of the lines of
+# two points, takes every line: by direction along all directions when
+# n >= 4 p^max(d-1, 1), from the full pair census below that.  k and k* reduce
+# each census block to its best line.
 
 @pytest.fixture
 def census_calls(monkeypatch):
@@ -265,26 +268,27 @@ def _moved_off(Q):
     return WeightedPointSet.of(rows, p)
 
 
-def _full_census_isotropic_groups(P, p):
+def _full_census_isotropic_groups(P, p, all_partners=False):
     """The full census's groups with an isotropic direction, in its order."""
     out = []
-    for base, first, count, D in counting._line_census(P, p):
+    for base, first, count, D in counting._line_census(P, p, all_partners):
         iso = counting.dot_rows(D, D, p) == 0
         out += zip(base[iso].tolist(), first[iso].tolist(), count[iso].tolist(),
                    map(tuple, D[iso].tolist()))
     return out
 
 
-def _isotropic_groups(P, p):
-    return [(b, f, c, tuple(d)) for base, first, count, D in counting._isotropic_census(P, p)
+def _isotropic_groups(P, p, all_partners=False):
+    return [(b, f, c, tuple(d))
+            for base, first, count, D in counting._isotropic_census(P, p, all_partners)
             for b, f, c, d in zip(base.tolist(), first.tolist(), count.tolist(), D.tolist())]
 
 
 def _check_both_routes(p, pts):
     """k, witness and k0 of pts, a set of one norm, from the isotropic
     lines equal the full census's and the oracles', and the isotropic pair
-    census groups as the full census does; returns the isotropic route's
-    ((k, witness), (k*, witness*))."""
+    census groups as the full census does, over the later partners and over
+    all; returns the isotropic route's ((k, witness), (k*, witness*))."""
     ws = WeightedPointSet.of(pts, p)
     dim = ws.dim
     got = counting._collinearity(ws)
@@ -293,7 +297,9 @@ def _check_both_routes(p, pts):
     expect = oracles.collinearity(list(map(tuple, ws.rows.tolist())), p)[0]
     assert [(k, _raw(w)) for k, w in got] == [expect, expect]
     assert (full[0], _raw(full[1])) == expect
-    assert _isotropic_groups(ws.rows, p) == _full_census_isotropic_groups(ws.rows, p)
+    for all_partners in (False, True):
+        assert (_isotropic_groups(ws.rows, p, all_partners)
+                == _full_census_isotropic_groups(ws.rows, p, all_partners))
     assert isotropic_line_max(pts, p) == max(1, oracles.isotropic_lines(ws.rows.tolist(), p)[1])
     return got
 
@@ -620,6 +626,19 @@ def test_k_star_with_every_rich_line_excluded(census_calls, p, d, n):
         AffineLine(p, *line) for line in exclude])
     first = next(line for line, c in spanned.items() if c == 2)
     assert (k_star, _raw(wit)) == (2, first)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("p, d, t, n", [(13, 4, 1, 400), (13, 4, 2, 400), (101, 3, 1, 400)])
+def test_rich_lines_of_a_sphere_below_the_rule_read_its_isotropic_pairs(census_calls,
+                                                                       p, d, t, n, k):
+    # seeded subsets of spheres below n == 4 p^max(d-2, 1): a line of three
+    # points on a sphere is isotropic, so only the isotropic pairs are read
+    pts = sorted(random.Random(repr(("rich-sphere", p, d, t, n))).sample(_sphere(p, d, t), n))
+    want = sorted(((l, c) for l, c in oracles.spanned_lines(pts, p).items() if c >= k),
+                  key=lambda x: (-x[1], x[0]))
+    assert want and _rich(pts, k, p) == want
+    assert census_calls == ["_isotropic_census"]
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 101])

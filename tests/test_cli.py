@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from fpgeom import cli, configio
+from fpgeom import cli, configio, counting
 from conftest import rng_for
 from fpgeom.bounds import BoundReport
 from fpgeom.cli import main, parse_sweep_spec, run_experiment
@@ -298,6 +298,28 @@ class TestOtherSubcommands:
         code, text = run(tmp_path, "verify", str(cfg), "--quadric", "sphere", "--t", "1")
         assert code == 3
         assert any(line.startswith("FAIL:") for line in text.splitlines())
+
+    @pytest.mark.parametrize("config, names", [
+        ("p=7 dim=3\n[points]\n1 2 3\n0 0 0\n[planes]\n1 0 0 1\n0 0 1 3\n"
+         "[lines]\n1 2 3 0 1 0\n",
+         ["vectorised count matches the naive loop", "restricted count matches the naive loop"]),
+        ("p=7 dim=2\n[points]\n1 2\n3 4\n[lines]\n1 2 0 1\n[planes]\n1 1 3\n",
+         ["planar count matches the naive loop"]),
+    ])
+    def test_verify_fails_on_a_wrong_count(self, tmp_path, monkeypatch, config, names):
+        # the engine reports one pair too many: every count check fails
+        incidences = counting.weighted_incidences
+        monkeypatch.setattr(counting, "weighted_incidences",
+                            lambda *a: tuple(x + 1 for x in incidences(*a)))
+        cfg = tmp_path / "v.txt"
+        cfg.write_text(config)
+        code, text = run(tmp_path, "verify", str(cfg))
+        assert code == 3
+        assert [f"FAIL: {name}" for name in names] == [
+            line for line in text.splitlines() if line.startswith("FAIL:")]
+        code, text = run(tmp_path, "--format", "json", "verify", str(cfg))
+        assert code == 3
+        assert [row["check"] for row in json.loads(text) if row["ok"] is False] == names
 
     # only the sphere reads --t; anywhere else it is a usage error
     @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import tuples
-from fpgeom import counting, quadrics
+from fpgeom import counting
 from fpgeom.field import is_prime, legendre
 from fpgeom.geom import DimensionMismatchError, GeometryError
 from fpgeom.quadrics import lines_on_sphere, off_quadric, paraboloid_lift, sphere_points
@@ -232,8 +232,9 @@ def test_lines_on_sphere_across_blocks(monkeypatch, d, p):
 
 
 def test_lines_on_sphere_raises_on_a_row_off_the_sphere(monkeypatch):
-    # every direction as a candidate: a row with v.v != 0 fails the check
-    monkeypatch.setattr(quadrics, "isotropic_directions",
+    # every direction as a candidate (the sphere's 30 points pass the size
+    # rule, so the census lists directions): a row with v.v != 0 fails the check
+    monkeypatch.setattr(counting, "isotropic_directions",
                         lambda p, d: np.array(list(oracles.homogeneous_reps(p, d))))
     with pytest.raises(ArithmeticError, match="not on the sphere"):
         lines_on_sphere(5, 3, 1)
